@@ -472,6 +472,18 @@ def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
 
 # -- name registry ---------------------------------------------------------
 
+def _spec_ints(spec: str, body: str, count: int) -> list[int]:
+    """The comma-separated integer arguments of a lattice spec."""
+    try:
+        vals = [int(v) for v in body.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != count:
+        raise ArgumentOutOfRange(
+            f"lattice spec {spec!r} needs {count} integer argument(s)")
+    return vals
+
+
 def by_name(spec: str) -> FiniteLattice:
     """Resolve a lattice spec: m3, m4, ..., n5, c2sq, b<n>, c<n>, fano,
     witness7, l:<n>, subspace:<q>,<d>, file:<path>."""
@@ -480,10 +492,9 @@ def by_name(spec: str) -> FiniteLattice:
         with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
             return core.parse(fh.read())
     if s.startswith("l:"):
-        return l_family(int(s[2:]))
+        return l_family(*_spec_ints(spec, s[len("l:"):], 1))
     if s.startswith("subspace:"):
-        q, d = s[len("subspace:"):].split(",")
-        return subspace_lattice(int(q), int(d))
+        return subspace_lattice(*_spec_ints(spec, s[len("subspace:"):], 2))
     if s == "n5":
         return n5()
     if s == "c2sq":

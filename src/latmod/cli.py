@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FileNotFoundError, LatticeError) as exc:
+    except (OSError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

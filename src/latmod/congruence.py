@@ -8,9 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteLattice, lattice_from_leq
+from .core import FiniteLattice, join_irreducibles, lattice_from_leq
 from .construct import TupleLattice, embed_atom, embed_diag, m3_of
-from .errors import SizeLimitExceeded
+from .errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
 CON_SIZE_CAP = 300
 
@@ -93,19 +93,35 @@ class _UnionFind:
 
 
 def _generated_congruence(lat: FiniteLattice, pairs) -> Congruence:
-    """Least congruence collapsing every given pair: substitution-closure
-    fixpoint over a worklist of merged block representatives."""
-    uf = _UnionFind(lat.n)
-    queue = [p for p in pairs if uf.union(*p)]
-    m, j = lat.meet_table, lat.join_table
-    while queue:
-        u, v = queue.pop()
-        for table in (m, j):
-            tu, tv = table[u], table[v]
-            for c in range(lat.n):
-                if uf.union(int(tu[c]), int(tv[c])):
-                    queue.append((int(tu[c]), int(tv[c])))
-    return Congruence.from_ids(uf.find(e) for e in range(lat.n))
+    """Least congruence collapsing every given pair.
+
+    Label propagation over whole meet/join tables: lab[e] is the least
+    element of e's block.  Each round collapses the given pairs and, for
+    both tables T and every e at once, the row T[e, :] with the row
+    T[lab[e], :]: it hooks each block's root onto the smaller root with
+    np.minimum.at, then pointer-jumps until every label is a root.  Once a
+    round has nothing left to collapse, the partition has the substitution
+    property: x and y in one block share the root r, and T[x, c], T[r, c]
+    and T[y, c] lie in one block.
+    """
+    tables = (lat.meet_table, lat.join_table)
+    elements = np.arange(lat.n, dtype=lat.meet_table.dtype)
+    lab = elements.copy()
+    pairs = np.asarray(list(pairs), dtype=elements.dtype).reshape(-1, 2)
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    while True:
+        ru, rv = lab[lo], lab[hi]
+        if np.array_equal(ru, rv):
+            return Congruence.from_ids(lab.tolist())
+        low = np.minimum(ru, rv)
+        np.minimum.at(lab, ru, low)
+        np.minimum.at(lab, rv, low)
+        jumped = lab[lab]
+        while not np.array_equal(jumped, lab):
+            lab, jumped = jumped, jumped[jumped]
+        moved = np.flatnonzero(lab != elements)
+        lo = np.concatenate([pairs[:, 0]] + [t[moved].ravel() for t in tables])
+        hi = np.concatenate([pairs[:, 1]] + [t[lab[moved]].ravel() for t in tables])
 
 
 def principal_congruence(lat: FiniteLattice, a: int, b: int) -> Congruence:
@@ -145,22 +161,25 @@ class ConLattice:
         return self.congruences.index(c)
 
 
-def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP,
-                    exhaustive_pairs: bool = False) -> ConLattice:
+def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
     """The congruence lattice, ordered by refinement.
 
-    Generated by joining principal congruences of cover pairs (every
-    principal congruence is such a join in a finite lattice); the
-    exhaustive_pairs flag generates from all element pairs instead, as an
-    independent cross-check.
+    Every congruence of a finite lattice is the join of the principal
+    congruences of the cover pairs it collapses, and one generator per
+    join-irreducible j suffices: con(j_, j), with j_ the unique lower cover
+    of j.  Take a cover a < b and let j be minimal in {x <= b : x !<= a}.
+    Every x < j is below b and, by minimality, below a, so x <= j meet a < j;
+    hence j is join-irreducible with j_ = j meet a.  And j join a = b, since
+    a < j join a <= b and a is covered by b.  So <j_, j> is perspective to
+    <a, b>, and con(j_, j) = con(a, b) (R. Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008).  Each <j_, j> is itself a
+    cover, so these generators are exactly the distinct cover-pair
+    congruences.
     """
     if lat.n > cap:
         raise SizeLimitExceeded(f"congruence computation capped at {cap} elements")
-    if exhaustive_pairs:
-        gen_pairs = [(a, b) for a in lat.elements() for b in lat.elements() if a < b]
-    else:
-        gen_pairs = lat.covers()
-    generators = {principal_congruence(lat, a, b) for a, b in gen_pairs}
+    generators = {principal_congruence(lat, lat.lower_covers(j)[0], j)
+                  for j in join_irreducibles(lat)}
     identity = Congruence.from_ids(range(lat.n))
     found = {identity}
     frontier = [identity]
@@ -185,11 +204,13 @@ def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP,
 
 def extend_congruence(k: TupleLattice, theta: Congruence) -> Congruence:
     """The congruence of the tuple lattice induced by componentwise
-    equivalence; asserted to satisfy the substitution property."""
+    equivalence; raises VerificationFailed unless it has the substitution
+    property."""
     ext = Congruence.from_ids(
         tuple(theta.ids[c] for c in t) for t in k.tuples)
-    assert has_substitution_property(k.lattice, ext), \
-        "componentwise extension lost the substitution property"
+    if not has_substitution_property(k.lattice, ext):
+        raise VerificationFailed(
+            "componentwise extension lost the substitution property")
     return ext
 
 
@@ -219,16 +240,21 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom",
     congruence-preserving extension: componentwise extension is a bijection
     Con(base) -> Con(extension) inverse to restriction along the embedding,
     and it preserves the refinement order both ways."""
+    embeddings = {"atom": embed_atom, "diag": embed_diag}
+    if embedding not in embeddings:
+        raise ArgumentOutOfRange(
+            f"embedding must be 'atom' or 'diag', not {embedding!r}")
     k = m3_of(base)
     if k.lattice is None or len(k) > cap:
         raise SizeLimitExceeded("extension lattice above the congruence cap")
-    image = embed_atom(k) if embedding == "atom" else embed_diag(k)
+    image = embeddings[embedding](k)
     con_b = all_congruences(base, cap=cap)
     con_k = all_congruences(k.lattice, cap=max(cap, len(k)))
 
     ext = [extend_congruence(k, th) for th in con_b.congruences]
     injective = len(set(ext)) == len(ext)
-    are_congruences = all(e in set(con_k.congruences) for e in ext)
+    con_k_set = set(con_k.congruences)
+    are_congruences = all(e in con_k_set for e in ext)
     # every congruence of the extension arises by extending its restriction
     surjective = True
     for phi in con_k.congruences:

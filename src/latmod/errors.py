@@ -57,3 +57,8 @@ class ReconstructionInvalid(LatticeError):
 
 class RankExceedsCap(LatticeError):
     """Modularity rank exceeds the supplied iteration cap."""
+
+
+class VerificationFailed(LatticeError):
+    """A verification check found a computed object that violates the
+    property it must have."""

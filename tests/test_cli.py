@@ -37,6 +37,21 @@ def test_validate_and_input_errors(capsys, tmp_path):
     assert code == 3
 
 
+def test_directory_lattice_file_exits_input(capsys, tmp_path):
+    code, out = run(capsys, "validate", "--lattice", f"file:{tmp_path}")
+    assert code == 3 and "error" in out.err
+
+
+def test_malformed_ladder_spec_exits_input(capsys):
+    code, out = run(capsys, "validate", "--lattice", "l:x")
+    assert code == 3 and "error" in out.err
+
+
+def test_malformed_subspace_spec_exits_input(capsys):
+    code, out = run(capsys, "validate", "--lattice", "subspace:2")
+    assert code == 3 and "error" in out.err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "rank")[0] == 2  # missing --lattice

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from latmod import catalog, congruence, construct
+import latmod
+from latmod import catalog, congruence, construct, core
 from latmod.congruence import Congruence, all_congruences, principal_congruence
-from latmod.errors import SizeLimitExceeded
+from latmod.errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
 
 def brute_force_congruences(lat):
@@ -30,6 +35,63 @@ def brute_force_congruences(lat):
         if congruence.has_substitution_property(lat, cand):
             found.add(cand.ids)
     return found
+
+
+def scalar_generated_congruence(lat, pairs):
+    """Oracle: least congruence collapsing the given pairs, by a scalar
+    union-find worklist that re-merges the meet/join rows of every merged
+    pair element by element."""
+    parent = list(range(lat.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    queue = [p for p in pairs if union(*p)]
+    while queue:
+        u, v = queue.pop()
+        for table in (lat.meet_table, lat.join_table):
+            for x, y in zip(table[u].tolist(), table[v].tolist()):
+                if union(x, y):
+                    queue.append((x, y))
+    return Congruence.from_ids(find(e) for e in range(lat.n))
+
+
+def all_pairs_congruences(lat):
+    """Oracle: the congruence lattice's elements, sorted as all_congruences
+    sorts them, generated from the scalar principal congruence of every
+    pair a < b instead of one generator per join-irreducible."""
+    generators = {scalar_generated_congruence(lat, [(a, b)])
+                  for a in lat.elements() for b in lat.elements() if a < b}
+    found = {Congruence.from_ids(range(lat.n))}
+    frontier = list(found)
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = congruence.join_congruences(cur, g)
+            if nxt not in found:
+                found.add(nxt)
+                frontier.append(nxt)
+    return [c.ids for c in sorted(found, key=lambda c: (c.block_count, c.ids))]
+
+
+def assert_matches_all_pairs_oracle(max_n):
+    """Join-irreducible generation equals all-pairs generation, in order,
+    on every labeled lattice with at most max_n elements.  Tier-1 runs
+    max_n = 7; max_n = 8 (4,008 lattices) is a longer run by hand."""
+    for n in range(1, max_n + 1):
+        for lat in catalog.enumerate_lattices(n):
+            got = [c.ids for c in all_congruences(lat).congruences]
+            assert got == all_pairs_congruences(lat), core.serialize(lat)
 
 
 def test_all_congruences_against_partition_oracle(lattices):
@@ -71,10 +133,22 @@ def test_principal_congruence_examples():
 def test_cover_pair_generation_agrees_with_all_pairs(lattices):
     for name in ("N5", "M4", "witness7", "B3"):
         lat = lattices[name]
-        fast = {c.ids for c in all_congruences(lat).congruences}
-        slow = {c.ids for c in
-                all_congruences(lat, exhaustive_pairs=True).congruences}
-        assert fast == slow
+        fast = [c.ids for c in all_congruences(lat).congruences]
+        assert fast == all_pairs_congruences(lat)
+
+
+def test_join_irreducible_generation_on_all_small_lattices():
+    assert_matches_all_pairs_oracle(7)
+
+
+@pytest.mark.parametrize("name, covers, generators",
+                         [("n5", 96, 9), ("m4", 312, 12), ("witness7", 222, 12)])
+def test_principal_congruence_matches_scalar_oracle(name, covers, generators):
+    k = construct.m3_of(catalog.by_name(name)).lattice
+    assert len(k.covers()) == covers
+    assert len(core.join_irreducibles(k)) == generators
+    for a, b in k.covers():
+        assert principal_congruence(k, a, b) == scalar_generated_congruence(k, [(a, b)])
 
 
 def test_join_and_meet_of_congruences():
@@ -121,6 +195,38 @@ def test_extension_preserves_whole_congruence_lattice(lattices):
         for emb in ("atom", "diag"):
             rep = congruence.verify_cpe(lattices[name], emb)
             assert rep.passed, (name, emb, rep)
+
+
+def test_verify_cpe_rejects_unknown_embedding():
+    with pytest.raises(ArgumentOutOfRange):
+        congruence.verify_cpe(catalog.n5(), "bogus")
+
+
+def test_extension_check_raises(monkeypatch):
+    k = construct.m3_of(catalog.n5())
+    monkeypatch.setattr(congruence, "has_substitution_property",
+                        lambda lat, part: False)
+    with pytest.raises(VerificationFailed):
+        congruence.extend_congruence(k, Congruence.from_ids(range(5)))
+
+
+def test_extension_check_survives_optimize_flag():
+    script = textwrap.dedent("""
+        from latmod import catalog, congruence, construct
+        from latmod.errors import VerificationFailed
+        congruence.has_substitution_property = lambda lat, part: False
+        k = construct.m3_of(catalog.n5())
+        try:
+            congruence.extend_congruence(k, congruence.Congruence.from_ids(range(5)))
+        except VerificationFailed:
+            print("debug", __debug__, "raised")
+    """)
+    src = os.path.dirname(os.path.dirname(latmod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["debug", "False", "raised"], out.stderr
 
 
 def test_congruence_size_cap():
