@@ -489,7 +489,7 @@ def by_name(spec: str) -> FiniteLattice:
     witness7, l:<n>, subspace:<q>,<d>, file:<path>."""
     s = spec.strip().lower()
     if s.startswith("file:"):
-        with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
+        with open(spec.strip()[len("file:"):], "r", encoding="utf-8") as fh:
             return core.parse(fh.read())
     if s.startswith("l:"):
         return l_family(*_spec_ints(spec, s[len("l:"):], 1))

@@ -132,6 +132,9 @@ def cmd_tensor(args) -> int:
 
 def cmd_diverge(args) -> int:
     n = args.steps
+    if n < 0:
+        print(f"error: --steps must be >= 0, got {n}", file=sys.stderr)
+        return EXIT_USAGE
     if args.oracle == "dhw":
         seq = symbolic.dhw_adjustment(n)
         stable = any(seq[k] == seq[k + 1] for k in range(len(seq) - 1))

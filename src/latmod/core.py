@@ -21,6 +21,7 @@ from .errors import (
     NotComparable,
     ParseError,
     SizeLimitExceeded,
+    VerificationFailed,
 )
 
 ISO_SIZE_CAP = 5000
@@ -46,13 +47,33 @@ class CoverList:
             raise ParseError("names length does not match element count")
 
 
+class _CoverIndex:
+    """The Hasse diagram of an order: the cover pairs (lower, upper) in
+    lexicographic order, and each element's lower and upper covers in
+    ascending order."""
+
+    __slots__ = ("pairs", "lower", "upper")
+
+    def __init__(self, cover_matrix: np.ndarray):
+        n = cover_matrix.shape[0]
+        lo, hi = np.nonzero(cover_matrix)  # row-major, hence lexicographic
+        self.pairs = list(zip(lo.tolist(), hi.tolist()))
+        self.lower = [[] for _ in range(n)]
+        self.upper = [[] for _ in range(n)]
+        for a, b in self.pairs:
+            self.upper[a].append(b)
+            self.lower[b].append(a)
+
+
 class FiniteLattice:
     """Dense-indexed finite lattice with precomputed order/meet/join tables.
 
-    Instances are immutable after construction and safe for concurrent reads.
+    Instances are immutable after construction and safe for concurrent reads;
+    the cover index and the bounds are filled in lazily, idempotently.
     """
 
-    __slots__ = ("n", "leq", "meet_table", "join_table", "names", "name", "_covers")
+    __slots__ = ("n", "leq", "meet_table", "join_table", "names", "name",
+                 "_covers", "_bottom", "_top")
 
     def __init__(self, leq: np.ndarray, meet_table: np.ndarray, join_table: np.ndarray,
                  names: Optional[Sequence[str]] = None, name: str = ""):
@@ -63,7 +84,9 @@ class FiniteLattice:
         self.join_table = join_table
         self.names = list(names) if names is not None else [str(i) for i in range(n)]
         self.name = name
-        self._covers = None
+        self._covers: Optional[_CoverIndex] = None
+        self._bottom: Optional[int] = None
+        self._top: Optional[int] = None
         for arr in (self.leq, self.meet_table, self.join_table):
             arr.setflags(write=False)
 
@@ -83,11 +106,15 @@ class FiniteLattice:
 
     @property
     def bottom(self) -> int:
-        return int(np.flatnonzero(self.leq.all(axis=1))[0])
+        if self._bottom is None:
+            self._bottom = int(np.flatnonzero(self.leq.all(axis=1))[0])
+        return self._bottom
 
     @property
     def top(self) -> int:
-        return int(np.flatnonzero(self.leq.all(axis=0))[0])
+        if self._top is None:
+            self._top = int(np.flatnonzero(self.leq.all(axis=0))[0])
+        return self._top
 
     def elements(self) -> range:
         return range(self.n)
@@ -98,57 +125,34 @@ class FiniteLattice:
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (lower, upper), lexicographically ordered."""
+    def _cover_index(self) -> _CoverIndex:
         if self._covers is None:
-            lt = self.leq & ~np.eye(self.n, dtype=bool)
-            # (a,b) is a cover iff a < b and there is no c with a < c < b
-            strict2 = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-            cov = lt & ~strict2
-            self._covers = sorted((int(a), int(b)) for a, b in zip(*np.nonzero(cov)))
+            self._covers = _CoverIndex(self.leq & (_interval_sizes(self.leq) == 2))
         return self._covers
 
+    def covers(self) -> list[tuple[int, int]]:
+        """Cover pairs (lower, upper), lexicographically ordered."""
+        return self._cover_index().pairs
+
     def lower_covers(self, a: int) -> list[int]:
-        return [lo for lo, hi in self.covers() if hi == a]
+        return list(self._cover_index().lower[a])
 
     def upper_covers(self, a: int) -> list[int]:
-        return [hi for lo, hi in self.covers() if lo == a]
+        return list(self._cover_index().upper[a])
 
     def height(self) -> int:
         """Length of a longest chain (number of covers on it)."""
-        order = np.argsort(self.leq.sum(axis=0))  # linear extension
-        h = np.zeros(self.n, dtype=int)
-        for v in order:
-            for lo in self.lower_covers(int(v)):
-                h[v] = max(h[v], h[lo] + 1)
-        return int(h.max())
+        lower = self._cover_index().lower
+        h = [0] * self.n
+        for v in np.argsort(self.leq.sum(axis=0), kind="stable").tolist():
+            if lower[v]:
+                h[v] = 1 + max(h[lo] for lo in lower[v])
+        return max(h)
 
     def validate(self):
         """Exhaustively re-check the lattice axioms; raises on failure."""
-        n, leq = self.n, self.leq
-        if not np.diag(leq).all():
-            raise NotALattice(-1, -1, "reflexivity")
-        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
-            raise NotALattice(-1, -1, "antisymmetry")
-        closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-        if (closure & ~leq).any():
-            raise NotALattice(-1, -1, "transitivity")
-        cols = np.arange(n)
-        for a in range(n):
-            m = self.meet_table[a]
-            if not (leq[m, a].all() and leq[m, cols].all()):
-                raise NotALattice(a, -1, "meet is not a lower bound")
-            common = leq[:, [a]] & leq  # common[c, b] = (c <= a) and (c <= b)
-            if (common & ~leq[:, m]).any():
-                bad = int(np.nonzero((common & ~leq[:, m]).any(axis=0))[0][0])
-                raise NotALattice(a, bad, "meet")
-            j = self.join_table[a]
-            if not (leq[a, j].all() and leq[cols, j].all()):
-                raise NotALattice(a, -1, "join is not an upper bound")
-            ub = leq[a, :][None, :] & leq  # ub[b, c] = (a <= c) and (b <= c)
-            if (ub & ~leq[j, :]).any():
-                bad = int(np.nonzero((ub & ~leq[j, :]).any(axis=1))[0][0])
-                raise NotALattice(a, bad, "join")
+        _check_order(self.leq)
+        _check_tables(self.leq, self.meet_table, self.join_table)
 
     def __repr__(self):
         label = self.name or "lattice"
@@ -164,59 +168,98 @@ class FiniteLattice:
         return hash((self.n, self.leq.tobytes()))
 
 
-# -- construction -------------------------------------------------------
+# -- the order engine ------------------------------------------------------
+#
+# Counting products run as float32 BLAS matmuls: every entry is a count of
+# at most n, so they are exact while n < 2**24.
 
-def _tables_from_leq(leq: np.ndarray):
-    """Compute meet/join tables from an order matrix, verifying uniqueness.
+def _interval_sizes(leq: np.ndarray) -> np.ndarray:
+    """sizes[a, b] = #{c : a <= c <= b}; a is covered by b iff it is 2."""
+    f = leq.astype(np.float32)
+    return f @ f
 
-    Raises NotALattice naming an offending pair when a glb/lub is missing.
-    """
+
+def _check_order(leq: np.ndarray) -> np.ndarray:
+    """Raise NotALattice unless leq is a partial order; return its cover matrix."""
     n = leq.shape[0]
-    dtype = np.int32
-    meet = np.empty((n, n), dtype=dtype)
-    join = np.empty((n, n), dtype=dtype)
-    # the glb, if it exists, is the common lower bound with the largest down-set
-    down_count = leq.sum(axis=0)  # down-set of a = {c : leq[c, a]}
-    up_count = leq.sum(axis=1)
-    for a in range(n):
-        common = leq[:, [a]] & leq          # common[c, b]: c <= a and c <= b
-        weights = np.where(common, down_count[:, None], -1)
-        cand = np.argmax(weights, axis=0).astype(dtype)
-        ok = ~(common & ~leq[:, cand]).any(axis=0)
-        if not ok.all():
-            b = int(np.flatnonzero(~ok)[0])
-            raise NotALattice(a, b, "meet")
-        meet[a] = cand
+    if not np.diag(leq).all():
+        raise NotALattice(-1, -1, "reflexivity")
+    if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        raise NotALattice(-1, -1, "antisymmetry")
+    sizes = _interval_sizes(leq)
+    if ((sizes > 0) & ~leq).any():
+        raise NotALattice(-1, -1, "transitivity")
+    return leq & (sizes == 2)
 
-        ub = leq[a, :][None, :] & leq       # ub[b, c]: a <= c and b <= c
-        weightsu = np.where(ub, up_count[None, :], -1)
-        candu = np.argmax(weightsu, axis=1).astype(dtype)
-        oku = ~(ub & ~leq[candu, :]).any(axis=1)
-        if not oku.all():
-            b = int(np.flatnonzero(~oku)[0])
-            raise NotALattice(a, b, "join")
-        join[a] = candu
-    return meet, join
+
+def _candidate_glbs(order: np.ndarray, lower: list[list[int]]) -> np.ndarray:
+    """The glb table of `order` (order[a, b] = a <= b) if it is a lattice.
+
+    Rows are filled in a linear extension: glb(a, b) = a when a <= b, and
+    otherwise glb(a, b) <= a' for some lower cover a' of a, so it is the
+    entry with the largest down-set among glb(a', b); -1 when a has no
+    lower cover.  On a non-lattice the table is wrong somewhere, and
+    _check_tables finds where.
+    """
+    n = order.shape[0]
+    down = order.sum(axis=0)
+    weight = np.append(down, -1)  # weight[-1] ranks "no candidate" last
+    cols = np.arange(n)
+    out = np.empty((n, n), dtype=np.int32)
+    for a in np.argsort(down, kind="stable").tolist():
+        below = lower[a]
+        if not below:
+            out[a] = -1
+        elif len(below) == 1:
+            out[a] = out[below[0]]
+        else:
+            cand = out[below]
+            out[a] = cand[np.argmax(weight[cand], axis=0), cols]
+        out[a, order[a]] = a
+    return out
+
+
+def _first_non_glb(order: np.ndarray, table: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (a, b), row-major, whose table entry m is not glb(a, b).
+
+    m is the glb iff m <= a, m <= b and |down(m)| = |down(a) & down(b)|:
+    transitivity puts down(m) inside the intersection, so equal sizes
+    make them equal.  The order must already be a checked partial order.
+    """
+    n = order.shape[0]
+    cols = np.arange(n)
+    ok = (table >= 0) & (table < n)
+    m = np.where(ok, table, 0)
+    ok &= order[m, cols[:, None]]
+    ok &= order[m, cols[None, :]]
+    f = order.astype(np.float32)
+    ok &= order.sum(axis=0, dtype=np.float32)[m] == f.T @ f
+    if ok.all():
+        return None
+    return divmod(int(np.argmin(ok)), n)
+
+
+def _check_tables(leq: np.ndarray, meet: np.ndarray, join: np.ndarray):
+    """Raise NotALattice at the first wrong meet entry, then join entry."""
+    for kind, order, table in (("meet", leq, meet), ("join", leq.T, join)):
+        bad = _first_non_glb(order, table)
+        if bad is not None:
+            raise NotALattice(*bad, kind)
 
 
 def lattice_from_leq(leq: np.ndarray, names: Optional[Sequence[str]] = None,
                      name: str = "") -> FiniteLattice:
     """Build a FiniteLattice from a partial-order matrix (leq[a,b] = a<=b)."""
     leq = np.asarray(leq, dtype=bool).copy()
-    n = leq.shape[0]
-    if not np.diag(leq).all():
-        raise NotALattice(-1, -1, "reflexivity")
-    if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
-        raise NotALattice(-1, -1, "antisymmetry")
-    if ((leq.astype(np.uint8) @ leq.astype(np.uint8) > 0) & ~leq).any():
-        raise NotALattice(-1, -1, "transitivity")
-    meet, join = _tables_from_leq(leq)
-    lat = FiniteLattice(leq, meet, join, names=names, name=name)
-    # bounded check: unique bottom and top
-    if not leq.all(axis=1).any():
+    if leq.shape[0] == 0:
         raise NotALattice(-1, -1, "no bottom")
-    if not leq.all(axis=0).any():
-        raise NotALattice(-1, -1, "no top")
+    covers = _CoverIndex(_check_order(leq))
+    meet = _candidate_glbs(leq, covers.lower)
+    join = _candidate_glbs(leq.T, covers.upper)
+    # a finite poset with all glbs and lubs is bounded: no separate check
+    _check_tables(leq, meet, join)
+    lat = FiniteLattice(leq, meet, join, names=names, name=name)
+    lat._covers = covers
     return lat
 
 
@@ -286,10 +329,7 @@ def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Elements with exactly one lower cover (excludes the bottom)."""
-    counts = {}
-    for lo, hi in lat.covers():
-        counts[hi] = counts.get(hi, 0) + 1
-    return sorted(e for e, c in counts.items() if c == 1)
+    return [e for e in lat.elements() if len(lat.lower_covers(e)) == 1]
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -368,39 +408,41 @@ def find_isomorphism(a: FiniteLattice, b: FiniteLattice) -> Optional[list[int]]:
     n = a.n
     # most-constrained-first assignment order
     order = sorted(range(n), key=lambda e: (np.count_nonzero(cb == ca[e]), e))
-    image = [-1] * n
-    used = [False] * n
-    cand_cache = {e: np.flatnonzero(cb == ca[e]).tolist() for e in order}
-
-    def bt(k: int) -> bool:
-        if k == n:
-            return True
+    cands = [np.flatnonzero(cb == ca[e]).tolist() for e in order]
+    image = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    placed = np.asarray(order)          # placed[:k] are assigned at depth k
+    nxt = [0] * n                       # next candidate to try at each depth
+    k = 0
+    # iterative backtracking: depth reaches n, far past the recursion limit
+    while 0 <= k < n:
         e = order[k]
-        for f in cand_cache[e]:
-            if used[f]:
-                continue
-            ok = True
-            for e2 in order[:k]:
-                f2 = image[e2]
-                if a.leq[e, e2] != b.leq[f, f2] or a.leq[e2, e] != b.leq[f2, f]:
-                    ok = False
-                    break
-            if ok:
+        if image[e] >= 0:               # returning to depth k: undo its choice
+            used[image[e]] = False
+            image[e] = -1
+        prev, prev_img = placed[:k], image[placed[:k]]
+        for i in range(nxt[k], len(cands[k])):
+            f = cands[k][i]
+            if (not used[f]
+                    and np.array_equal(a.leq[e, prev], b.leq[f, prev_img])
+                    and np.array_equal(a.leq[prev, e], b.leq[prev_img, f])):
                 image[e] = f
                 used[f] = True
-                if bt(k + 1):
-                    return True
-                image[e] = -1
-                used[f] = False
-        return False
-
-    if not bt(0):
+                nxt[k] = i + 1
+                k += 1
+                if k < n:
+                    nxt[k] = 0
+                break
+        else:
+            k -= 1
+    if k < 0:
         return None
     # a lattice order-isomorphism preserves meet and join; verify post hoc
-    img = np.array(image)
-    assert np.array_equal(img[a.meet_table], b.meet_table[np.ix_(img, img)])
-    assert np.array_equal(img[a.join_table], b.join_table[np.ix_(img, img)])
-    return image
+    for kind, ta, tb in (("meet", a.meet_table, b.meet_table),
+                         ("join", a.join_table, b.join_table)):
+        if not np.array_equal(image[ta], tb[np.ix_(image, image)]):
+            raise VerificationFailed(f"order isomorphism does not preserve {kind}")
+    return image.tolist()
 
 
 @dataclass(frozen=True)

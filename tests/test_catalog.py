@@ -147,5 +147,9 @@ def test_by_name_registry(tmp_path):
     path = tmp_path / "saved.json"
     path.write_text(core.serialize(catalog.n5()))
     assert catalog.by_name(f"file:{path}") == catalog.n5()
+    # surrounding blanks are stripped before the path is taken; its case is kept
+    mixed = tmp_path / "Saved-N5.json"
+    mixed.write_text(core.serialize(catalog.n5()))
+    assert catalog.by_name(f"  FILE:{mixed} \n") == catalog.n5()
     with pytest.raises(ArgumentOutOfRange):
         catalog.by_name("mystery")

@@ -109,6 +109,12 @@ def test_diverge_command(capsys):
     assert code == 0
 
 
+def test_diverge_rejects_negative_steps(capsys):
+    for oracle in ("dhw", "fig2"):
+        code, out = run(capsys, "diverge", "--oracle", oracle, "--steps", "-1")
+        assert code == 2 and "--steps" in out.err and out.out == ""
+
+
 def test_repro_filter(capsys):
     code, out = run(capsys, "repro", "--filter", "minimal-rank-sizes",
                     "--report", "json")

@@ -1,17 +1,106 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latmod import catalog, core
-from latmod.core import CoverList, from_covers
+import latmod
+from latmod import catalog, construct, core
+from latmod.core import CoverList, FiniteLattice, from_covers
 from latmod.errors import (
     CycleDetected,
     NotALattice,
     NotComparable,
     ParseError,
+    VerificationFailed,
 )
+
+
+# -- test oracles ------------------------------------------------------------
+
+def argmax_tables(leq: np.ndarray):
+    """Test oracle: meet/join tables by the argmax route the library used
+    before it built them from covers.  For each a, the glb candidate per b
+    is the common lower bound with the largest down-set, kept only if every
+    common lower bound lies below it (dually for joins).  Raises NotALattice
+    naming an offending pair; it accepts a pair with no common bound at all,
+    which argmax_is_lattice catches with its bottom/top check."""
+    n = leq.shape[0]
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    down_count = leq.sum(axis=0)
+    up_count = leq.sum(axis=1)
+    for a in range(n):
+        common = leq[:, [a]] & leq          # common[c, b]: c <= a and c <= b
+        weights = np.where(common, down_count[:, None], -1)
+        cand = np.argmax(weights, axis=0).astype(np.int32)
+        ok = ~(common & ~leq[:, cand]).any(axis=0)
+        if not ok.all():
+            raise NotALattice(a, int(np.flatnonzero(~ok)[0]), "meet")
+        meet[a] = cand
+        ub = leq[a, :][None, :] & leq       # ub[b, c]: a <= c and b <= c
+        weightsu = np.where(ub, up_count[None, :], -1)
+        candu = np.argmax(weightsu, axis=1).astype(np.int32)
+        oku = ~(ub & ~leq[candu, :]).any(axis=1)
+        if not oku.all():
+            raise NotALattice(a, int(np.flatnonzero(~oku)[0]), "join")
+        join[a] = candu
+    return meet, join
+
+
+def argmax_is_lattice(leq: np.ndarray) -> bool:
+    """Test oracle: the old lattice_from_leq verdict on a partial order."""
+    try:
+        argmax_tables(leq)
+    except NotALattice:
+        return False
+    return bool(leq.all(axis=1).any() and leq.all(axis=0).any())
+
+
+def scalar_covers(lat):
+    """Test oracle: a < b with no c strictly between, by a triple loop."""
+    lt = lambda x, y: x != y and lat.le(x, y)
+    return [(a, b) for a in lat.elements() for b in lat.elements()
+            if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in lat.elements())]
+
+
+def scalar_height(lat):
+    """Test oracle: longest strict chain, by memoized search over <."""
+    memo = {}
+
+    def up_from(a):
+        if a not in memo:
+            memo[a] = max((1 + up_from(b) for b in lat.elements()
+                           if b != a and lat.le(a, b)), default=0)
+        return memo[a]
+
+    return max(up_from(a) for a in lat.elements())
+
+
+def relabeled(lat, seed):
+    """The same order with elements renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(lat.n)
+    return core.lattice_from_leq(lat.leq[np.ix_(perm, perm)])
+
+
+def random_poset(rng, n):
+    """A seeded random partial order on n elements, randomly labeled; half
+    the time with a bottom and a top forced in, so lattices are common."""
+    leq = np.triu(rng.random((n, n)) < rng.random(), k=1) | np.eye(n, dtype=bool)
+    if rng.random() < 0.5:
+        leq[0, :] = True
+        leq[:, n - 1] = True
+    while True:  # transitive closure
+        nxt = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+        if np.array_equal(nxt, leq):
+            break
+        leq = nxt
+    perm = rng.permutation(n)
+    return leq[np.ix_(perm, perm)]
 
 
 def n5_covers():
@@ -173,3 +262,145 @@ def test_enumerated_lattices_roundtrip_and_axioms(n, rng):
     lat.validate()
     assert core.parse(core.serialize(lat)) == lat
     assert core.dual(core.dual(lat)) == lat
+
+
+# -- the order engine against its oracles --------------------------------------
+
+def test_tables_match_argmax_oracle():
+    pool = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    assert len(pool) == 371
+    for k in (4, 6):
+        m3 = construct.m3_of(catalog.m_k(k)).lattice
+        pool += [m3, relabeled(m3, k)]
+    for lat in pool:
+        built = core.lattice_from_leq(lat.leq)
+        meet, join = argmax_tables(lat.leq)
+        assert np.array_equal(built.meet_table, meet)
+        assert np.array_equal(built.join_table, join)
+        assert built == lat
+
+
+def test_random_posets_rejected_iff_argmax_oracle_rejects():
+    rng = np.random.default_rng(2026)
+    verdicts = []
+    for _ in range(600):
+        leq = random_poset(rng, int(rng.integers(1, 9)))
+        want = argmax_is_lattice(leq)
+        try:
+            lat = core.lattice_from_leq(leq)
+        except NotALattice:
+            got = False
+        else:
+            got = True
+            meet, join = argmax_tables(leq)
+            assert np.array_equal(lat.meet_table, meet)
+            assert np.array_equal(lat.join_table, join)
+        assert got == want, leq.astype(int)
+        verdicts.append(got)
+    assert 100 < sum(verdicts) < 500  # both outcomes well represented
+
+
+def corrupted(lat, meet=None, join=None):
+    return FiniteLattice(lat.leq.copy(),
+                         lat.meet_table.copy() if meet is None else meet,
+                         lat.join_table.copy() if join is None else join)
+
+
+def test_validate_rejects_corrupted_tables():
+    b3 = catalog.boolean(3)
+    ix = b3.index_of
+    a, b, c = ix("{0,1}"), ix("{0,2}"), ix("{1,2}")
+    corrupted(b3).validate()
+
+    meet = b3.meet_table.copy()
+    meet[a, b], meet[a, c] = meet[a, c], meet[a, b]  # {0} <-> {1}
+    with pytest.raises(NotALattice) as exc:
+        corrupted(b3, meet=meet).validate()
+    assert (exc.value.a, exc.value.b, exc.value.kind) == (a, min(b, c), "meet")
+
+    join = b3.join_table.copy()
+    x, y, z = ix("{0}"), ix("{1}"), ix("{2}")
+    join[x, y], join[x, z] = join[x, z], join[x, y]
+    with pytest.raises(NotALattice) as exc:
+        corrupted(b3, join=join).validate()
+    assert (exc.value.a, exc.value.b, exc.value.kind) == (x, min(y, z), "join")
+
+    # the bottom is a common lower bound of {0,1} and {0,2}, but not the greatest
+    meet = b3.meet_table.copy()
+    meet[a, b] = meet[b, a] = b3.bottom
+    with pytest.raises(NotALattice) as exc:
+        corrupted(b3, meet=meet).validate()
+    assert (exc.value.a, exc.value.b, exc.value.kind) == (min(a, b), max(a, b), "meet")
+
+    # {2} is below {0,2} and as low as {0} = glb, but not below {0,1}:
+    # caught by the m <= a gather in row a, and the m <= b gather in row b
+    for row, col in ((a, b), (b, a)):
+        meet = b3.meet_table.copy()
+        meet[row, col] = z
+        with pytest.raises(NotALattice) as exc:
+            corrupted(b3, meet=meet).validate()
+        assert (exc.value.a, exc.value.b, exc.value.kind) == (row, col, "meet")
+
+    meet = b3.meet_table.copy()
+    meet[x, y] = b3.n  # out of range
+    with pytest.raises(NotALattice):
+        corrupted(b3, meet=meet).validate()
+
+
+def test_covers_height_and_bounds_match_scalar_oracle(lattices):
+    pool = list(lattices.values())
+    pool += [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    pool += [relabeled(lat, 7) for lat in lattices.values()]
+    for lat in pool:
+        covers = scalar_covers(lat)
+        assert lat.covers() == covers
+        assert lat.height() == scalar_height(lat)
+        for e in lat.elements():
+            assert lat.lower_covers(e) == [lo for lo, hi in covers if hi == e]
+            assert lat.upper_covers(e) == [hi for lo, hi in covers if lo == e]
+        assert core.join_irreducibles(lat) == [
+            e for e in lat.elements() if len([1 for _, hi in covers if hi == e]) == 1]
+        assert all(lat.le(lat.bottom, e) and lat.le(e, lat.top) for e in lat.elements())
+    # a lattice built from its own tables finds its covers the same way
+    for lat in pool[:len(lattices)]:
+        again = FiniteLattice(lat.leq.copy(), lat.meet_table.copy(), lat.join_table.copy())
+        assert again.covers() == lat.covers() and again.height() == lat.height()
+
+
+def test_find_isomorphism_past_the_recursion_limit():
+    lat = construct.m3_of(catalog.fano()).lattice
+    assert lat.n > sys.getrecursionlimit()
+    other = relabeled(lat, 1090)
+    image = core.find_isomorphism(lat, other)
+    assert image is not None and sorted(image) == list(range(lat.n))
+    img = np.asarray(image)
+    assert np.array_equal(lat.leq, other.leq[np.ix_(img, img)])
+
+
+def test_find_isomorphism_checks_operations():
+    n5 = catalog.n5()
+    join = n5.join_table.copy()
+    join[1, 3] = join[3, 1] = 2  # not the join; the order is untouched
+    with pytest.raises(VerificationFailed):
+        core.find_isomorphism(n5, corrupted(n5, join=join))
+
+
+def test_find_isomorphism_check_survives_optimize_flag():
+    script = textwrap.dedent("""
+        from latmod import catalog, core
+        from latmod.errors import VerificationFailed
+        n5 = catalog.n5()
+        meet = n5.meet_table.copy()
+        meet[2, 3] = meet[3, 2] = 1
+        bad = core.FiniteLattice(n5.leq.copy(), meet, n5.join_table.copy())
+        try:
+            core.find_isomorphism(n5, bad)
+        except VerificationFailed:
+            print("debug", __debug__, "raised")
+    """)
+    src = os.path.dirname(os.path.dirname(latmod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["debug", "False", "raised"], out.stderr

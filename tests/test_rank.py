@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from latmod import catalog, core, rank
@@ -165,6 +166,23 @@ def test_scan_jobs_deterministic():
     assert one.triple_count == three.triple_count
     assert one.histogram == three.histogram
     assert one.max_index == three.max_index
+
+
+def test_scan_job_split_balances_antichains():
+    from latmod import construct
+    for k in (4, 6):
+        lat = construct.m3_of(catalog.m_k(k)).lattice
+        one = rank.antichain_rank_scan(lat, jobs=1)
+        assert rank.antichain_rank_scan(lat, jobs=2) == one
+        if k == 4:  # batches and split against antichains listed one by one
+            anti = list(core.antichains3(lat))
+            batches = list(rank._antichain_batches(lat, 0, lat.n, batch=5_000))
+            assert len(batches) > 1
+            assert list(zip(*(np.concatenate(b).tolist() for b in zip(*batches)))) == anti
+            per_x = np.bincount([x for x, _, _ in anti], minlength=lat.n)
+            lo, mid, hi = rank._balanced_bounds(lat, 2).tolist()
+            assert (lo, hi) == (0, lat.n)
+            assert abs(2 * per_x[:mid].sum() - one.triple_count) <= 2 * per_x.max()
 
 
 def test_step4_and_closure4(lattices):
