@@ -226,8 +226,6 @@ def check_c1_c4(lat: FiniteLattice, grid_elements: list[int]) -> tuple[bool, str
         for b in g:
             if lat.meet(a, b) not in gset or lat.join(a, b) not in gset:
                 return False, f"C1: grid not a sublattice at ({a},{b})"
-    sub = core.interval(lat, lat.bottom, lat.top)  # whole lattice; use restriction
-    remap = {e: i for i, e in enumerate(g)}
     gleq = lat.leq[np.ix_(g, g)]
     try:
         gl = lattice_from_leq(gleq.copy(), names=[lat.names[e] for e in g])

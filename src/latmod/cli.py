@@ -19,9 +19,15 @@ EXIT_INPUT = 3
 
 
 def _load(spec: str) -> core.FiniteLattice:
-    lat = catalog.by_name(spec)
-    lat.validate()
-    return lat
+    # by_name builds through lattice_from_leq/parse, which check the axioms
+    return catalog.by_name(spec)
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _emit(args, payload: dict):
@@ -317,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="m3 | fano | witness7 | l:3 | b3 | c4 | "
                                 "subspace:q,d | file:path")
         p.add_argument("--report", choices=("json", "text"), default="text")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cap", type=int, default=None)
         p.add_argument("--extended", action="store_true")

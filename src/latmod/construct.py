@@ -16,7 +16,8 @@ from .core import (
     join_irreducibles,
     lattice_from_leq,
 )
-from .errors import NotDistributive
+from .errors import NotDistributive, VerificationFailed
+from .rank import _BLOCK_ENTRIES, _step3_columns
 
 EAGER_TABLE_CAP = 2000
 
@@ -131,12 +132,58 @@ def _balanced_quadruples(base: FiniteLattice) -> tuple:
     return tuple(c[mask] for c in cols)
 
 
+def _pair_blocks(count: int, block: int):
+    """The index pairs a <= b in lexicographic order, in blocks of about
+    `block` pairs (a block ends after the row that fills it)."""
+    rows, size = [], 0
+    for a in range(count):
+        rows.append(a)
+        size += count - a
+        if size >= block or a == count - 1:
+            ia = np.repeat(np.array(rows), count - np.array(rows))
+            ib = np.concatenate([np.arange(r, count) for r in rows])
+            yield ia, ib
+            rows, size = [], 0
+
+
+def _close_joins(base: FiniteLattice, cols, ia, ib, arity: int):
+    """Close the componentwise joins of the tuple pairs (ia[i], ib[i]) under
+    the step map.  Returns the closed columns in pair order and the largest
+    closure index."""
+    m, j = base.meet_table, base.join_table
+    cur = [j.ravel().take(c[ia] * base.n + c[ib]) for c in cols]
+    out = [np.empty(ia.size, dtype=np.int32) for _ in cols]
+    pos = np.arange(ia.size)
+    k = 0
+    while pos.size:
+        if arity == 3:
+            nxt = _step3_columns(m, j, *cur)
+        else:
+            nxt = [_adjust4(m, j, cur, i) for i in range(4)]
+        same = np.ones(pos.shape, dtype=bool)
+        for a, b in zip(cur, nxt):
+            same &= a == b
+        for o, c in zip(out, cur):
+            o[pos[same]] = c[same]
+        keep = ~same
+        pos = pos[keep]
+        cur = [c[keep] for c in nxt]
+        k += 1
+    return out, max(0, k - 1)
+
+
 def _build(base: FiniteLattice, cols, arity: int, name: str) -> TupleLattice:
     n = base.n
     count = cols[0].size
     tuples = [tuple(int(c[i]) for c in cols) for i in range(count)]
-    names = ["<" + ",".join(base.names[v] for v in t) + ">" for t in tuples]
 
+    if count > EAGER_TABLE_CAP:
+        # no tables; the closure depth is still reported, in bounded blocks
+        depth = max(_close_joins(base, cols, ia, ib, arity)[1]
+                    for ia, ib in _pair_blocks(count, _BLOCK_ENTRIES))
+        return TupleLattice(base, tuples, None, depth, arity, name)
+
+    names = ["<" + ",".join(base.names[v] for v in t) + ">" for t in tuples]
     # componentwise order
     leq = np.ones((count, count), dtype=bool)
     for c in cols:
@@ -147,46 +194,19 @@ def _build(base: FiniteLattice, cols, arity: int, name: str) -> TupleLattice:
     def locate(component_cols) -> np.ndarray:
         return np.searchsorted(keys, _encode(n, component_cols)).astype(np.int32)
 
-    max_closure = 0
-    if count <= EAGER_TABLE_CAP:
-        m, j = base.meet_table, base.join_table
-        meet = locate([m[c[:, None], c[None, :]].ravel() for c in cols]
-                      ).reshape(count, count)
-        # joins: iterate the step map on the componentwise joins of all pairs
-        cur = [j[c[:, None], c[None, :]].ravel() for c in cols]
-        k = 0
-        pos = np.arange(count * count)
-        out = np.empty(count * count, dtype=np.int32)
-        while pos.size:
-            if arity == 3:
-                x, y, z = cur
-                nxt = [j[x, m[y, z]], j[y, m[x, z]], j[z, m[x, y]]]
-            else:
-                nxt = [_adjust4(m, j, cur, i) for i in range(4)]
-            same = np.ones(pos.shape, dtype=bool)
-            for a, b in zip(cur, nxt):
-                same &= a == b
-            done = pos[same]
-            out[done] = locate([c[same] for c in cur])
-            max_closure = max(max_closure, k) if done.size else max_closure
-            keep = ~same
-            pos = pos[keep]
-            cur = [c[keep] for c in nxt]
-            k += 1
-        join = out.reshape(count, count)
-        lat = FiniteLattice(leq, meet, join, names=names, name=name)
-    else:
-        lat = None
-        # the closure depth is still reported, batch-scanned without tables
-        from .rank import _stab_indices  # noqa: PLC0415
-        if arity == 3:
-            j = base.join_table
-            x = j[cols[0][:, None], cols[0][None, :]].ravel()
-            y = j[cols[1][:, None], cols[1][None, :]].ravel()
-            z = j[cols[2][:, None], cols[2][None, :]].ravel()
-            max_closure = int(_stab_indices(base.meet_table, j, x, y, z,
-                                            3 * base.height() + 1).max())
-    return TupleLattice(base, tuples, lat, int(max_closure), arity, name)
+    # meets and joins are symmetric: compute the pairs a <= b, mirror the rest
+    ia, ib = np.triu_indices(count)
+
+    def mirror(half: np.ndarray) -> np.ndarray:
+        table = np.empty((count, count), dtype=np.int32)
+        table[ia, ib] = half
+        table[ib, ia] = half
+        return table
+
+    meet = mirror(locate([base.meet_table[c[ia], c[ib]] for c in cols]))
+    closed, depth = _close_joins(base, cols, ia, ib, arity)
+    lat = FiniteLattice(leq, meet, mirror(locate(closed)), names=names, name=name)
+    return TupleLattice(base, tuples, lat, depth, arity, name)
 
 
 def m3_of(base: FiniteLattice) -> TupleLattice:
@@ -209,9 +229,11 @@ def spanning_m3(k: TupleLattice) -> list[int]:
     ids = [k.index[t] for t in
            [(o, o, o), (i, o, o), (o, i, o), (o, o, i), (i, i, i)]]
     bot, a, b, c, top = ids
-    assert bot == k.bottom and top == k.top
+    if bot != k.bottom or top != k.top:
+        raise VerificationFailed("<0,0,0> and <1,1,1> are not the bounds")
     for u, v in ((a, b), (a, c), (b, c)):
-        assert k.meet(u, v) == bot and k.join(u, v) == top
+        if k.meet(u, v) != bot or k.join(u, v) != top:
+            raise VerificationFailed(f"the spanning M3 fails at ({u},{v})")
     return ids
 
 
@@ -234,11 +256,14 @@ def embed_diag(k: TupleLattice) -> list[int]:
 
 def _check_embedding(k: TupleLattice, image: list[int]):
     base = k.base
-    assert len(set(image)) == base.n
+    if len(set(image)) != base.n:
+        raise VerificationFailed("the embedding is not injective")
     for a in base.elements():
         for b in base.elements():
-            assert k.meet(image[a], image[b]) == image[base.meet(a, b)]
-            assert k.join(image[a], image[b]) == image[base.join(a, b)]
+            if k.meet(image[a], image[b]) != image[base.meet(a, b)]:
+                raise VerificationFailed(f"the embedding breaks the meet of ({a},{b})")
+            if k.join(image[a], image[b]) != image[base.join(a, b)]:
+                raise VerificationFailed(f"the embedding breaks the join of ({a},{b})")
 
 
 def m3_power_poset(d: FiniteLattice) -> FiniteLattice:
@@ -275,9 +300,12 @@ def m4_sublattice_in_m3m3() -> tuple[TupleLattice, list[int]]:
     ids = [k.index[t] for t in named]
     for s in range(4):
         for t in range(s + 1, 4):
-            assert k.meet(ids[s], ids[t]) == k.bottom
-            assert k.join(ids[s], ids[t]) == k.top
+            if k.meet(ids[s], ids[t]) != k.bottom:
+                raise VerificationFailed(f"meet of {named[s]} and {named[t]} is not the bottom")
+            if k.join(ids[s], ids[t]) != k.top:
+                raise VerificationFailed(f"join of {named[s]} and {named[t]} is not the top")
     six = sorted([k.bottom, k.top] + ids)
     sub_leq = k.lattice.leq[np.ix_(six, six)]
-    assert find_isomorphism(lattice_from_leq(sub_leq.copy()), m_k(4)) is not None
+    if find_isomorphism(lattice_from_leq(sub_leq.copy()), m_k(4)) is None:
+        raise VerificationFailed("the six elements do not form M4")
     return k, ids

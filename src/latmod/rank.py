@@ -11,6 +11,7 @@ least such n.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import FiniteLattice
-from .errors import RankExceedsCap
+from .errors import ArgumentOutOfRange, RankExceedsCap
 
 # Triples per full-scan block.  A block's working set is some 40 bytes a
 # triple; small blocks keep a scan's peak low, also when it runs on top of
@@ -126,6 +127,19 @@ def closure4(lat, q, cap: Optional[int] = None) -> ClosureTrace:
 
 # -- vectorized triple scans ----------------------------------------------
 
+def _step3_columns(meet: np.ndarray, join: np.ndarray, x, y, z) -> tuple:
+    """The step map on columns of element ids.
+
+    The tables are read by 1-D `take`s at a*n + b: 2-D fancy indexing of
+    the same entries runs no faster on two threads than on one.
+    """
+    n = meet.shape[0]
+    mf, jf = meet.ravel(), join.ravel()
+    return (jf.take(x * n + mf.take(y * n + z)),
+            jf.take(y * n + mf.take(x * n + z)),
+            jf.take(z * n + mf.take(x * n + y)))
+
+
 def _stab_indices(meet: np.ndarray, join: np.ndarray,
                   x: np.ndarray, y: np.ndarray, z: np.ndarray,
                   cap: int) -> np.ndarray:
@@ -136,9 +150,7 @@ def _stab_indices(meet: np.ndarray, join: np.ndarray,
     while pos.size:
         if k > cap:
             raise RankExceedsCap(f"triples still moving after {cap} steps")
-        x1 = join[x, meet[y, z]]
-        y1 = join[y, meet[x, z]]
-        z1 = join[z, meet[x, y]]
+        x1, y1, z1 = _step3_columns(meet, join, x, y, z)
         same = (x1 == x) & (y1 == y) & (z1 == z)
         stab[pos[same]] = k
         keep = ~same
@@ -151,11 +163,11 @@ def _stab_indices(meet: np.ndarray, join: np.ndarray,
 @dataclass(frozen=True)
 class ScanResult:
     """Outcome of a triple scan: how many triples were examined, how many
-    stabilized at each index, and the lexicographically first triple
-    attaining the maximum index."""
+    stabilized at each index (histogram keys ascending), and the
+    lexicographically first triple attaining the maximum index."""
 
     triple_count: int
-    histogram: dict            # stabilization index -> count
+    histogram: dict            # stabilization index -> count, ascending
     max_index: int
     witness: Optional[Triple]
 
@@ -178,37 +190,74 @@ def _merge_blocks(parts) -> ScanResult:
             max_index, witness = bmax, bwit
         if witness is None and bwit is not None:
             max_index, witness = bmax, bwit
-    return ScanResult(total, hist, max_index, witness)
+    return ScanResult(total, dict(sorted(hist.items())), max_index, witness)
 
 
-def _scan_batch(lat, x, y, z, cap):
+def _scan_batch(lat, x, y, z, cap, weight=None):
+    """Scan one batch; triple i counts weight[i] times in the histogram."""
     if x.size == 0:
         return {}, 0, None, 0
     stab = _stab_indices(lat.meet_table, lat.join_table, x, y, z, cap)
-    counts = np.bincount(stab)
+    if weight is None:
+        counts = np.bincount(stab)
+    else:
+        counts = np.rint(np.bincount(stab, weights=weight)).astype(np.int64)
     hist = {int(i): int(c) for i, c in enumerate(counts) if c}
     bmax = int(stab.max())
     first = int(np.flatnonzero(stab == bmax)[0])
     witness = Triple(int(x[first]), int(y[first]), int(z[first]))
-    return hist, bmax, witness, int(stab.size)
+    return hist, bmax, witness, int(counts.sum())
+
+
+# orbit sizes under coordinate permutations, by the number of equalities
+# x == y, y == z of a sorted triple
+_ORBIT_SIZE = np.array([6.0, 3.0, 1.0])
+
+
+def _sorted_triple_blocks(n: int):
+    """The triples x <= y <= z in lexicographic order, in blocks of at most
+    _BLOCK_ENTRIES, with each triple's orbit size under S_3.
+
+    For each x the (y, z) are a suffix of the pairs y <= z, row x of
+    triu_indices(n) onwards.
+    """
+    ys, zs = (a.astype(np.int32) for a in np.triu_indices(n))
+    pieces, size = [], 0
+
+    def block():
+        x = np.repeat(np.array([p[0] for p in pieces], dtype=np.int32),
+                      [p[2] - p[1] for p in pieces])
+        y = np.concatenate([ys[lo:hi] for _, lo, hi in pieces])
+        z = np.concatenate([zs[lo:hi] for _, lo, hi in pieces])
+        return x, y, z, _ORBIT_SIZE[(x == y).astype(np.intp) + (y == z)]
+
+    for x in range(n):
+        lo = x * n - x * (x - 1) // 2
+        while lo < ys.size:
+            hi = min(ys.size, lo + _BLOCK_ENTRIES - size)
+            pieces.append((x, lo, hi))
+            size += hi - lo
+            lo = hi
+            if size == _BLOCK_ENTRIES:
+                yield block()
+                pieces, size = [], 0
+    if pieces:
+        yield block()
 
 
 def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None) -> ScanResult:
-    """Stabilization indices of all |L|^3 triples, in lexicographic blocks."""
+    """Stabilization indices of all |L|^3 triples.
+
+    The step map commutes with permuting coordinates, so a triple's index
+    is that of its sorted permutation: only x <= y <= z are iterated, each
+    counted with its orbit size.  A triple at the maximum index has its
+    sorted permutation there too, and that one is lexicographically no
+    later, so the first hit among sorted triples is the first of all.
+    """
     if cap is None:
         cap = _default_cap(lat)
-    n = lat.n
-    rows = max(1, _BLOCK_ENTRIES // max(1, n * n))
-    ys = np.repeat(np.arange(n, dtype=np.int32), n)
-    zs = np.tile(np.arange(n, dtype=np.int32), n)
-    parts = []
-    for x0 in range(0, n, rows):
-        xs = np.arange(x0, min(x0 + rows, n), dtype=np.int32)
-        x = np.repeat(xs, n * n)
-        y = np.tile(ys, xs.size)
-        z = np.tile(zs, xs.size)
-        parts.append(_scan_batch(lat, x, y, z, cap))
-    return _merge_blocks(parts)
+    return _merge_blocks(_scan_batch(lat, x, y, z, cap, w)
+                         for x, y, z, w in _sorted_triple_blocks(lat.n))
 
 
 def _antichain_batches(lat: FiniteLattice, lo: int, hi: int, batch: int):
@@ -254,7 +303,11 @@ def _balanced_bounds(lat: FiniteLattice, jobs: int) -> np.ndarray:
 def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
                         jobs: int = 1, batch: int = 100_000) -> ScanResult:
     """Scan every 3-element antichain {x,y,z} (as x<y<z) and record its
-    stabilization index.  Deterministic for any job count."""
+    stabilization index.  The x range is split into `jobs` parts, run on
+    at most os.cpu_count() threads; the result is the same for any job
+    count."""
+    if jobs < 1:
+        raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
     if cap is None:
         cap = _default_cap(lat)
 
@@ -266,7 +319,7 @@ def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
         res = scan_range(0, lat.n)
     else:
         bounds = _balanced_bounds(lat, jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futs = [pool.submit(scan_range, int(bounds[i]), int(bounds[i + 1]))
                     for i in range(jobs)]
             res = _merge_blocks((f.result().histogram, f.result().max_index,

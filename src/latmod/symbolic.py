@@ -241,9 +241,3 @@ def fig2_divergence(n: int) -> ClosureTrace:
             ub = (("u", m), Y0, ("v", m))
             assert all(lat.le(p, q) for p, q in zip(it, ub))
     return trace
-
-
-def fig2_balanced(t) -> bool:
-    lat = fig2_lattice()
-    x, y, z = t
-    return lat.meet(x, y) == lat.meet(x, z) == lat.meet(y, z)

@@ -121,3 +121,10 @@ def test_repro_filter(capsys):
     assert code == 0
     records = json.loads(out.out)
     assert len(records) == 1 and records[0]["pass"] is True
+
+
+def test_jobs_must_be_positive(capsys):
+    for jobs in ("0", "-2", "x"):
+        code, out = run(capsys, "rank", "--lattice", "n5", "--jobs", jobs)
+        assert code == 2 and "--jobs" in out.err and out.out == ""
+    assert run(capsys, "rank", "--lattice", "n5", "--jobs", "3")[0] == 0

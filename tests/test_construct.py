@@ -1,10 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
+import latmod
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
-from latmod.errors import NotDistributive
+from latmod.errors import NotDistributive, VerificationFailed
 
 
 def test_balanced_triple_lattice_sizes():
@@ -134,3 +140,115 @@ def test_closure_record_matches_rank():
     for base in (catalog.m_k(4), catalog.n5(), catalog.witness7()):
         k = m3_of(base)
         assert k.max_closure_index <= rank.modularity_rank(base)
+
+
+# -- oracle: the all-pairs join closure ------------------------------------
+
+def all_pairs_tables(k):
+    """Oracle for the tables of m3_of/m4_of: meets and closed joins of all
+    count^2 ordered pairs, by 2-D fancy indexing.  Returns (meet, join,
+    largest closure index)."""
+    base, count = k.base, len(k)
+    m, j = base.meet_table, base.join_table
+    cols = [np.array([t[i] for t in k.tuples]) for i in range(k.arity)]
+    locate = np.full((base.n,) * k.arity, -1)  # a tuple's id, by its entries
+    locate[tuple(cols)] = np.arange(count)
+    meet = locate[tuple(m[c[:, None], c[None, :]] for c in cols)]
+    cur = [j[c[:, None], c[None, :]].ravel() for c in cols]
+    pos = np.arange(count * count)
+    join = np.empty(count * count, dtype=np.int64)
+    depth = k_ = 0
+    while pos.size:
+        if k.arity == 3:
+            x, y, z = cur
+            nxt = [j[x, m[y, z]], j[y, m[x, z]], j[z, m[x, y]]]
+        else:  # each entry joins the meets of the pairs it is not in
+            meets = {p: m[cur[p[0]], cur[p[1]]]
+                     for p in itertools.combinations(range(4), 2)}
+            nxt = []
+            for i in range(4):
+                v = cur[i]
+                for p, mp in meets.items():
+                    if i not in p:
+                        v = j[v, mp]
+                nxt.append(v)
+        same = np.logical_and.reduce([a == b for a, b in zip(cur, nxt)])
+        join[pos[same]] = locate[tuple(c[same] for c in cur)]
+        depth = k_
+        pos, cur = pos[~same], [c[~same] for c in nxt]
+        k_ += 1
+    return meet, join.reshape(count, count), depth
+
+
+def assert_tables_match_oracle(k):
+    meet, join, depth = all_pairs_tables(k)
+    assert np.array_equal(k.lattice.meet_table, meet)
+    assert np.array_equal(k.lattice.join_table, join)
+    assert k.max_closure_index == depth
+
+
+def test_half_table_closure_matches_all_pairs_oracle():
+    for n in range(1, 8):
+        for lat in catalog.enumerate_lattices(n):
+            assert_tables_match_oracle(m3_of(lat))
+            assert_tables_match_oracle(m4_of(lat))
+    m4 = catalog.m_k(4)
+    assert_tables_match_oracle(m3_of(m4))
+    assert_tables_match_oracle(m4_of(m4))
+
+
+def test_lazy_closure_depth_matches_eager(monkeypatch):
+    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    bases.append(catalog.m_k(4))
+    eager = [(m3_of(b).max_closure_index, m4_of(b).max_closure_index) for b in bases]
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    monkeypatch.setattr(construct, "_BLOCK_ENTRIES", 50)  # many blocks
+    lazy = []
+    for b in bases:
+        k3, k4 = m3_of(b), m4_of(b)
+        assert k3.lattice is None and k4.lattice is None
+        lazy.append((k3.max_closure_index, k4.max_closure_index))
+    assert lazy == eager
+    assert max(d for d, _ in eager) >= 2
+
+
+def test_pair_blocks_cover_upper_pairs():
+    ia, ib = (np.concatenate(c) for c in zip(*construct._pair_blocks(9, 10)))
+    want_a, want_b = np.triu_indices(9)
+    assert np.array_equal(ia, want_a) and np.array_equal(ib, want_b)
+
+
+def test_verification_raises_typed_errors(monkeypatch):
+    k = m3_of(catalog.n5())
+    monkeypatch.setattr(construct.TupleLattice, "join", lambda self, i, j: self.bottom)
+    with pytest.raises(VerificationFailed):
+        construct.spanning_m3(k)
+    with pytest.raises(VerificationFailed):
+        construct.embed_atom(k)
+    with pytest.raises(VerificationFailed):
+        construct.embed_diag(k)
+    with pytest.raises(VerificationFailed):
+        construct.m4_sublattice_in_m3m3()
+
+
+def test_verification_survives_optimize_flag():
+    script = textwrap.dedent("""
+        from latmod import catalog, construct
+        from latmod.errors import VerificationFailed
+        construct.TupleLattice.join = lambda self, i, j: self.bottom
+        k = construct.m3_of(catalog.n5())
+        for check in (lambda: construct.spanning_m3(k),
+                      lambda: construct.embed_atom(k),
+                      construct.m4_sublattice_in_m3m3):
+            try:
+                check()
+            except VerificationFailed:
+                print("raised")
+        print("debug", __debug__)
+    """)
+    src = os.path.dirname(os.path.dirname(latmod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["raised"] * 3 + ["debug", "False"], out.stderr

@@ -1,9 +1,13 @@
 import itertools
+import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from latmod import catalog, core, rank
+from latmod import catalog, construct, core, rank
+from latmod.errors import ArgumentOutOfRange
 from latmod.rank import Quadruple, Triple, closure3, closure4, step3, step4
 
 
@@ -210,3 +214,122 @@ def test_random_small_lattice_properties(n, rng):
     trace = closure3(lat, t)
     assert trace.final == least_balanced_majorant(lat, t)
     assert trace.stabilization_index <= rep.rank
+
+
+# -- oracle: the ordered-triple full scan --------------------------------
+
+def gather_stab_indices(meet, join, x, y, z, cap):
+    """Oracle for rank._stab_indices: the step map by 2-D fancy indexing."""
+    stab = np.zeros(x.size, dtype=np.int32)
+    pos = np.arange(x.size)
+    k = 0
+    while pos.size:
+        assert k <= cap
+        x1, y1, z1 = join[x, meet[y, z]], join[y, meet[x, z]], join[z, meet[x, y]]
+        same = (x1 == x) & (y1 == y) & (z1 == z)
+        stab[pos[same]] = k
+        pos, x, y, z = pos[~same], x1[~same], y1[~same], z1[~same]
+        k += 1
+    return stab
+
+
+def ordered_triple_scan(lat, cap=None):
+    """Oracle for rank.full_triple_scan: all n^3 ordered triples, in
+    lexicographic order, each counted once."""
+    cap = 3 * lat.height() + 1 if cap is None else cap
+    n = lat.n
+    x, y, z = (g.ravel().astype(np.int32) for g in
+               np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"))
+    stab = gather_stab_indices(lat.meet_table, lat.join_table, x, y, z, cap)
+    counts = np.bincount(stab)
+    top = int(stab.max())
+    first = int(np.flatnonzero(stab == top)[0])
+    return rank.ScanResult(n ** 3, {i: int(c) for i, c in enumerate(counts) if c}, top,
+                           Triple(int(x[first]), int(y[first]), int(z[first])))
+
+
+def relabeled(lat, rng):
+    perm = np.array(rng.sample(range(lat.n), lat.n))
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(lat.n)
+    ix = np.ix_(perm, perm)
+    return core.FiniteLattice(lat.leq[ix].copy(), inv[lat.meet_table[ix]].astype(np.int32),
+                              inv[lat.join_table[ix]].astype(np.int32))
+
+
+def assert_same_scan(lat):
+    got, want = rank.full_triple_scan(lat), ordered_triple_scan(lat)
+    assert got == want
+    assert list(got.histogram) == sorted(got.histogram)
+    return got
+
+
+def test_sorted_scan_matches_ordered_oracle_on_small_lattices(lattices):
+    repeated = 0
+    for n in range(1, 8):
+        for lat in catalog.enumerate_lattices(n):
+            repeated += len(set(assert_same_scan(lat).witness)) < 3
+    for lat in lattices.values():
+        assert_same_scan(lat)
+    assert repeated >= 50  # witnesses with repeated entries are well covered
+
+
+def test_sorted_scan_matches_ordered_oracle_on_m3m4():
+    lat = construct.m3_of(catalog.m_k(4)).lattice
+    assert_same_scan(lat)
+    rng = random.Random(7)
+    for _ in range(3):
+        assert_same_scan(relabeled(lat, rng))
+
+
+def test_sorted_scan_blocks_split_rows(monkeypatch, lattices):
+    """Blocks smaller than one x-row: witness and counts still merge right,
+    also when the witness has repeated entries (a chain's is (0, 1, 1))."""
+    monkeypatch.setattr(rank, "_BLOCK_ENTRIES", 7)
+    for name in ("C4", "N5", "witness7", "M5"):
+        got = assert_same_scan(lattices[name])
+        assert got.triple_count == lattices[name].n ** 3
+    assert rank.full_triple_scan(lattices["C4"]).witness == (0, 1, 1)
+
+
+def test_sorted_blocks_enumerate_sorted_triples(monkeypatch):
+    monkeypatch.setattr(rank, "_BLOCK_ENTRIES", 11)
+    n = 6
+    blocks = list(rank._sorted_triple_blocks(n))
+    assert all(b[0].size <= 11 for b in blocks)
+    x, y, z, w = (np.concatenate(c) for c in zip(*blocks))
+    want = list(itertools.combinations_with_replacement(range(n), 3))
+    assert list(zip(x.tolist(), y.tolist(), z.tolist())) == want
+    orbit = [len(set(itertools.permutations(t))) for t in want]
+    assert w.tolist() == orbit and sum(orbit) == n ** 3
+
+
+def test_flat_kernel_matches_gathers():
+    rng = np.random.default_rng(3)
+    for lat in (catalog.witness7(), construct.m3_of(catalog.m_k(4)).lattice):
+        cap = 3 * lat.height() + 1
+        for _ in range(5):
+            x, y, z = rng.integers(0, lat.n, size=(3, 4_000), dtype=np.int32)
+            assert np.array_equal(
+                rank._stab_indices(lat.meet_table, lat.join_table, x, y, z, cap),
+                gather_stab_indices(lat.meet_table, lat.join_table, x, y, z, cap))
+
+
+def test_antichain_scan_rejects_bad_jobs():
+    for jobs in (0, -1):
+        with pytest.raises(ArgumentOutOfRange):
+            rank.antichain_rank_scan(catalog.n5(), jobs=jobs)
+
+
+def test_antichain_scan_caps_threads_at_cores(monkeypatch):
+    lat = construct.m3_of(catalog.m_k(4)).lattice
+    seen = []
+
+    def recording_pool(max_workers):
+        seen.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(rank, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(rank.os, "cpu_count", lambda: 2)
+    assert rank.antichain_rank_scan(lat, jobs=8) == rank.antichain_rank_scan(lat, jobs=1)
+    assert seen == [2]

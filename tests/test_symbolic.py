@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from latmod import symbolic
-from latmod.rank import step4
+from latmod.rank import is_balanced3, step4
 from latmod.symbolic import (
     BOT,
     INF,
@@ -91,10 +91,10 @@ def test_ladder_balanced_majorants():
     lat = fig2_lattice()
     for m in (0, 1, 4):
         t = (fig2_el("u", m), Y0, fig2_el("v", m))
-        assert symbolic.fig2_balanced(t)
+        assert is_balanced3(lat, t)
         for a, b in itertools.combinations(t, 2):
             assert lat.meet(a, b) == fig2_el("s", m)
-    assert not symbolic.fig2_balanced((fig2_el("x", 0), Y0, fig2_el("z", 0)))
+    assert not is_balanced3(lat, (fig2_el("x", 0), Y0, fig2_el("z", 0)))
 
 
 def test_ladder_divergence():
