@@ -10,7 +10,7 @@ import sys
 import time
 
 from . import catalog, congruence, construct, core, rank, symbolic, tensor
-from .errors import LatticeError
+from .errors import LatticeError, VerificationFailed
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -369,6 +369,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except VerificationFailed as exc:  # a LatticeError, but not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (OSError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,7 @@ from .core import (
     lattice_from_leq,
 )
 from .errors import NotDistributive, VerificationFailed
-from .rank import _BLOCK_ENTRIES, _step3_columns
+from .rank import _BLOCK_ENTRIES, _step3_columns, _step4_columns, step3, step4
 
 EAGER_TABLE_CAP = 2000
 
@@ -88,26 +88,13 @@ class TupleLattice:
 
 
 def _closure_tuple(base: FiniteLattice, t: tuple) -> tuple:
-    m, j = base.meet_table, base.join_table
+    step = step3 if len(t) == 3 else step4
     cur = t
     while True:
-        if len(cur) == 3:
-            x, y, z = cur
-            nxt = (int(j[x, m[y, z]]), int(j[y, m[x, z]]), int(j[z, m[x, y]]))
-        else:
-            nxt = tuple(int(_adjust4(m, j, cur, i)) for i in range(4))
+        nxt = tuple(step(base, cur))
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def _adjust4(m, j, q, i):
-    rest = [q[k] for k in range(4) if k != i]
-    v = q[i]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            v = j[v, m[rest[a], rest[b]]]
-    return v
 
 
 def _balanced_triples(base: FiniteLattice) -> tuple:
@@ -159,7 +146,7 @@ def _close_joins(base: FiniteLattice, cols, ia, ib, arity: int):
         if arity == 3:
             nxt = _step3_columns(m, j, *cur)
         else:
-            nxt = [_adjust4(m, j, cur, i) for i in range(4)]
+            nxt = _step4_columns(m, j, cur)
         same = np.ones(pos.shape, dtype=bool)
         for a, b in zip(cur, nxt):
             same &= a == b

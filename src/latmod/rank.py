@@ -140,6 +140,25 @@ def _step3_columns(meet: np.ndarray, join: np.ndarray, x, y, z) -> tuple:
             jf.take(z * n + mf.take(x * n + y)))
 
 
+def _step4_columns(meet: np.ndarray, join: np.ndarray, cols) -> list:
+    """The arity-4 step map on columns of element ids: each coordinate
+    joins the meets of the three pairs it is not in.  Each of the six
+    pairwise meets is computed once; the tables are read as in
+    `_step3_columns`."""
+    n = meet.shape[0]
+    mf, jf = meet.ravel(), join.ravel()
+    pair_meet = {(i, k): mf.take(cols[i] * n + cols[k])
+                 for i in range(4) for k in range(i + 1, 4)}
+    out = []
+    for i in range(4):
+        v = cols[i]
+        for pair, m in pair_meet.items():
+            if i not in pair:
+                v = jf.take(v * n + m)
+        out.append(v)
+    return out
+
+
 def _stab_indices(meet: np.ndarray, join: np.ndarray,
                   x: np.ndarray, y: np.ndarray, z: np.ndarray,
                   cap: int) -> np.ndarray:

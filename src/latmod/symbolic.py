@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable
 
-from .errors import NotALattice
+from .errors import NotALattice, VerificationFailed
 from .rank import ClosureTrace, Quadruple, Triple, closure3, step4
 
 INF = float("inf")
@@ -58,20 +58,29 @@ class OracleLattice:
         return self._join(a, b)
 
     def validate_sample(self, elements) -> None:
-        """Lattice axioms on a finite element sample; raises on failure."""
+        """Lattice axioms on a finite element sample; raises
+        VerificationFailed naming the first law that fails."""
         els = list(elements)
+
+        def check(ok: bool, law: str, *args):
+            if not ok:
+                raise VerificationFailed(f"{self.name or 'lattice'}: {law} fails "
+                                         f"at {', '.join(map(str, args))}")
+
         for a in els:
-            assert self.meet(a, a) == a and self.join(a, a) == a
+            check(self.meet(a, a) == a and self.join(a, a) == a, "idempotence", a)
         for a, b in combinations(els, 2):
             m, j = self.meet(a, b), self.join(a, b)
-            assert m == self.meet(b, a) and j == self.join(b, a)
-            assert self.join(a, m) == a and self.meet(a, j) == a  # absorption
-            assert self.le(m, a) and self.le(m, b)
-            assert self.le(a, j) and self.le(b, j)
-            assert self.le(a, b) == (m == a) == (j == b)
+            check(m == self.meet(b, a) and j == self.join(b, a), "commutativity", a, b)
+            check(self.join(a, m) == a and self.meet(a, j) == a, "absorption", a, b)
+            check(self.le(m, a) and self.le(m, b), "the meet as a lower bound", a, b)
+            check(self.le(a, j) and self.le(b, j), "the join as an upper bound", a, b)
+            check(self.le(a, b) == (m == a) == (j == b), "order consistency", a, b)
         for a, b, c in combinations(els, 3):
-            assert self.meet(self.meet(a, b), c) == self.meet(a, self.meet(b, c))
-            assert self.join(self.join(a, b), c) == self.join(a, self.join(b, c))
+            check(self.meet(self.meet(a, b), c) == self.meet(a, self.meet(b, c)),
+                  "meet associativity", a, b, c)
+            check(self.join(self.join(a, b), c) == self.join(a, self.join(b, c)),
+                  "join associativity", a, b, c)
 
 
 # -- the parity-pair lattice ------------------------------------------------
@@ -231,13 +240,17 @@ def fig2_divergence(n: int) -> ClosureTrace:
     lat = fig2_lattice()
     start = Triple(("x", 0), Y0, ("z", 0))
     trace = closure3(lat, start, cap=n)
-    assert trace.stabilization_index is None, "iteration unexpectedly stabilized"
+    if trace.stabilization_index is not None:
+        raise VerificationFailed("the ladder iteration unexpectedly stabilized")
     for k, it in enumerate(trace.iterates[:n + 1]):
-        assert it == (("x", k), Y0, ("z", k))
+        if it != (("x", k), Y0, ("z", k)):
+            raise VerificationFailed(f"iterate {k} is {it}, not (x_{k}, y0, z_{k})")
         if k:
             prev = trace.iterates[k - 1]
-            assert all(lat.le(p, q) for p, q in zip(prev, it)) and prev != it
+            if prev == it or not all(lat.le(p, q) for p, q in zip(prev, it)):
+                raise VerificationFailed(f"iterate {k} is not strictly above iterate {k - 1}")
         for m in range(n + 1):
             ub = (("u", m), Y0, ("v", m))
-            assert all(lat.le(p, q) for p, q in zip(it, ub))
+            if not all(lat.le(p, q) for p, q in zip(it, ub)):
+                raise VerificationFailed(f"iterate {k} is not below (u_{m}, y0, v_{m})")
     return trace

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import latmod
 from latmod import catalog
 
 
@@ -23,3 +29,20 @@ def small_catalog():
 @pytest.fixture(scope="session")
 def lattices():
     return small_catalog()
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a script under `python -O`, which strips assert statements, with
+    this checkout's latmod importable; returns the words it printed and
+    its stderr."""
+    src = os.path.dirname(os.path.dirname(latmod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(script: str):
+        out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        return out.stdout.split(), out.stderr
+
+    return run

@@ -1,7 +1,8 @@
 import json
 
-from latmod import core
-from latmod.cli import main
+from latmod import congruence, core, tensor
+from latmod.cli import EXIT_CHECK_FAILED, main
+from latmod.errors import VerificationFailed
 
 
 def run(capsys, *argv):
@@ -87,6 +88,25 @@ def test_con_and_cpe(capsys):
     payload = json.loads(out.out)
     assert payload["cpe_passed"] is True
     assert payload["con_size"] == payload["con_base"] == 5
+
+
+def fail_check(*args, **kwargs):
+    raise VerificationFailed("forced")
+
+
+def test_failed_cpe_check_exits_check_failed(capsys, monkeypatch):
+    monkeypatch.setattr(congruence, "verify_cpe", fail_check)
+    code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom")
+    assert code == EXIT_CHECK_FAILED == 1
+    assert "forced" in out.err
+
+
+def test_failed_repr_check_exits_check_failed(capsys, monkeypatch):
+    monkeypatch.setattr(tensor, "verify_repr_iso", fail_check)
+    code, out = run(capsys, "tensor", "--left", "m3", "--right", "c2",
+                    "--verify-repr")
+    assert code == EXIT_CHECK_FAILED
+    assert "forced" in out.err
 
 
 def test_tensor_command(capsys):

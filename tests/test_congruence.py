@@ -1,12 +1,7 @@
 import itertools
-import os
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-import latmod
 from latmod import catalog, congruence, construct, core
 from latmod.congruence import Congruence, all_congruences, principal_congruence
 from latmod.errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
@@ -210,8 +205,8 @@ def test_extension_check_raises(monkeypatch):
         congruence.extend_congruence(k, Congruence.from_ids(range(5)))
 
 
-def test_extension_check_survives_optimize_flag():
-    script = textwrap.dedent("""
+def test_extension_check_survives_optimize_flag(run_optimized):
+    script = """
         from latmod import catalog, congruence, construct
         from latmod.errors import VerificationFailed
         congruence.has_substitution_property = lambda lat, part: False
@@ -220,13 +215,9 @@ def test_extension_check_survives_optimize_flag():
             congruence.extend_congruence(k, congruence.Congruence.from_ids(range(5)))
         except VerificationFailed:
             print("debug", __debug__, "raised")
-    """)
-    src = os.path.dirname(os.path.dirname(latmod.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["debug", "False", "raised"], out.stderr
+    """
+    words, err = run_optimized(script)
+    assert words == ["debug", "False", "raised"], err
 
 
 def test_congruence_size_cap():

@@ -1,13 +1,8 @@
 import itertools
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
-import latmod
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
 from latmod.errors import NotDistributive, VerificationFailed
@@ -231,8 +226,8 @@ def test_verification_raises_typed_errors(monkeypatch):
         construct.m4_sublattice_in_m3m3()
 
 
-def test_verification_survives_optimize_flag():
-    script = textwrap.dedent("""
+def test_verification_survives_optimize_flag(run_optimized):
+    script = """
         from latmod import catalog, construct
         from latmod.errors import VerificationFailed
         construct.TupleLattice.join = lambda self, i, j: self.bottom
@@ -245,10 +240,6 @@ def test_verification_survives_optimize_flag():
             except VerificationFailed:
                 print("raised")
         print("debug", __debug__)
-    """)
-    src = os.path.dirname(os.path.dirname(latmod.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["raised"] * 3 + ["debug", "False"], out.stderr
+    """
+    words, err = run_optimized(script)
+    assert words == ["raised"] * 3 + ["debug", "False"], err

@@ -1,14 +1,10 @@
 import json
-import os
-import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import latmod
 from latmod import catalog, construct, core
 from latmod.core import CoverList, FiniteLattice, from_covers
 from latmod.errors import (
@@ -385,8 +381,8 @@ def test_find_isomorphism_checks_operations():
         core.find_isomorphism(n5, corrupted(n5, join=join))
 
 
-def test_find_isomorphism_check_survives_optimize_flag():
-    script = textwrap.dedent("""
+def test_find_isomorphism_check_survives_optimize_flag(run_optimized):
+    script = """
         from latmod import catalog, core
         from latmod.errors import VerificationFailed
         n5 = catalog.n5()
@@ -397,10 +393,6 @@ def test_find_isomorphism_check_survives_optimize_flag():
             core.find_isomorphism(n5, bad)
         except VerificationFailed:
             print("debug", __debug__, "raised")
-    """)
-    src = os.path.dirname(os.path.dirname(latmod.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["debug", "False", "raised"], out.stderr
+    """
+    words, err = run_optimized(script)
+    assert words == ["debug", "False", "raised"], err

@@ -192,10 +192,15 @@ def test_scan_job_split_balances_antichains():
 def test_step4_and_closure4(lattices):
     for name in ("C2sq", "M4", "N5"):
         lat = lattices[name]
-        for q in itertools.product(lat.elements(), repeat=4):
+        quads = list(itertools.product(lat.elements(), repeat=4))
+        for q in quads:
             out = step4(lat, q)
             assert all(lat.le(a, b) for a, b in zip(q, out))
             assert (out == q) == rank.is_balanced4(lat, q)
+        # the vectorized step agrees with the scalar one
+        cols = list(np.array(quads, dtype=np.int32).T)
+        flat = rank._step4_columns(lat.meet_table, lat.join_table, cols)
+        assert np.array(flat).T.tolist() == [list(step4(lat, q)) for q in quads]
     # distributive: one step always suffices
     b3 = lattices["B3"]
     for q in itertools.product(b3.elements(), repeat=4):

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from latmod import symbolic
-from latmod.rank import is_balanced3, step4
+from latmod.errors import VerificationFailed
+from latmod.rank import ClosureTrace, is_balanced3, step4
 from latmod.symbolic import (
     BOT,
     INF,
@@ -109,3 +110,51 @@ def test_bad_element_tags():
         fig2_el("q", 1)
     with pytest.raises(ValueError):
         fig2_el("x", -2)
+
+
+def stalled_closure3(lat, start, cap):
+    """A stand-in for closure3 whose iteration stabilizes at once."""
+    return ClosureTrace(start, (start, start), 0, cap)
+
+
+def skipping_closure3(lat, start, cap):
+    """A stand-in for closure3 that jumps two rungs a step."""
+    its = tuple((("x", 2 * k), Y0, ("z", 2 * k)) for k in range(cap + 1))
+    return ClosureTrace(start, its, None, cap)
+
+
+def test_divergence_check_raises_typed_errors(monkeypatch):
+    for fake in (stalled_closure3, skipping_closure3):
+        monkeypatch.setattr(symbolic, "closure3", fake)
+        with pytest.raises(VerificationFailed):
+            symbolic.fig2_divergence(4)
+
+
+def test_validate_sample_raises_typed_errors():
+    lat = dhw_lattice()
+    broken = symbolic.OracleLattice(lat.le, lambda a, b: a, lat.join,
+                                    lat.bottom, lat.top, name="left-meet")
+    with pytest.raises(VerificationFailed, match="commutativity"):
+        broken.validate_sample([(0, 0), (1, 1), (2, 2), (0, INF)])
+
+
+def test_symbolic_checks_survive_optimize_flag(run_optimized):
+    script = """
+        from latmod import symbolic
+        from latmod.errors import VerificationFailed
+        from latmod.rank import ClosureTrace
+        lat = symbolic.dhw_lattice()
+        broken = symbolic.OracleLattice(lat.le, lambda a, b: a, lat.join,
+                                        lat.bottom, lat.top)
+        checks = [lambda: broken.validate_sample([(0, 0), (1, 1), (0, 2)])]
+        symbolic.closure3 = lambda lat, s, cap: ClosureTrace(s, (s, s), 0, cap)
+        checks.append(lambda: symbolic.fig2_divergence(4))
+        for check in checks:
+            try:
+                check()
+            except VerificationFailed:
+                print("raised")
+        print("debug", __debug__)
+    """
+    words, err = run_optimized(script)
+    assert words == ["raised"] * 2 + ["debug", "False"], err

@@ -1,10 +1,142 @@
 import random
 
+import numpy as np
 import pytest
 
-from latmod import catalog, core, tensor
-from latmod.errors import SizeLimitExceeded
-from latmod.tensor import bi_ideal_closure, nabla, pure_tensor
+from latmod import catalog, construct, core, tensor
+from latmod.errors import SizeLimitExceeded, VerificationFailed
+from latmod.tensor import BiIdeal, bi_ideal_closure, nabla, pure_tensor
+
+BENCH_POOL = ("c2", "c3", "c2sq", "m3", "n5")
+
+
+# -- oracle: the naive closure and closure-system search ---------------------
+
+def oracle_down_masks(lat):
+    out = []
+    for e in range(lat.n):
+        mask = 0
+        for lo in range(lat.n):
+            if lat.le(lo, e):
+                mask |= 1 << lo
+        out.append(mask)
+    return out
+
+
+def oracle_closure(a, b, pairs):
+    """Oracle for bi_ideal_closure: nabla plus the pairs, then every rule
+    (hereditary in B and in A, join closure in B and in A) swept over all
+    rows until nothing changes."""
+    rows = list(nabla(a, b).rows)
+    downs_b = oracle_down_masks(b)
+    for x, y in pairs:
+        rows[x] |= 1 << y
+    changed = True
+    while changed:
+        changed = False
+        for x in range(a.n):
+            ext = 0
+            for y in range(b.n):
+                if rows[x] >> y & 1:
+                    ext |= downs_b[y]
+            if ext & ~rows[x]:
+                rows[x] |= ext
+                changed = True
+        for x in range(a.n):
+            for x2 in range(a.n):
+                if a.le(x2, x) and rows[x] & ~rows[x2]:
+                    rows[x2] |= rows[x]
+                    changed = True
+        for x in range(a.n):
+            members = [y for y in range(b.n) if rows[x] >> y & 1]
+            for y0 in members:
+                for y1 in members:
+                    j = b.join(y0, y1)
+                    if not rows[x] >> j & 1:
+                        rows[x] |= 1 << j
+                        changed = True
+        for x0 in range(a.n):
+            for x1 in range(a.n):
+                common = rows[x0] & rows[x1]
+                xj = a.join(x0, x1)
+                if common & ~rows[xj]:
+                    rows[xj] |= common
+                    changed = True
+    return BiIdeal(a.n, b.n, tuple(rows))
+
+
+def oracle_bi_ideals(a, b):
+    """Oracle for enumerate_bi_ideals: from nabla, close each found
+    bi-ideal plus every pair outside it, each closure recomputed in full."""
+    start = nabla(a, b)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for x in range(a.n):
+            for y in range(b.n):
+                if not cur.contains(x, y):
+                    nxt = oracle_closure(a, b, cur.pairs() + [(x, y)])
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+    return sorted(seen, key=lambda i: i.rows)
+
+
+def small_lattices():
+    return [lat for n in range(2, 6) for lat in catalog.enumerate_lattices(n)]
+
+
+def test_search_matches_oracle_on_small_lattices():
+    lats = small_lattices()
+    assert len(lats) == 11
+    for a in lats:
+        for b in lats:
+            assert tensor.enumerate_bi_ideals(a, b) == oracle_bi_ideals(a, b)
+
+
+def test_search_matches_oracle_on_bench_pool():
+    for s in BENCH_POOL:
+        for big in ("witness7", "m4"):
+            a, b = catalog.by_name(s), catalog.by_name(big)
+            assert tensor.enumerate_bi_ideals(a, b) == oracle_bi_ideals(a, b)
+            assert tensor.enumerate_bi_ideals(b, a) == oracle_bi_ideals(b, a)
+
+
+def test_closure_matches_oracle_on_random_pairs():
+    rng = random.Random(17)
+    lats = small_lattices() + [catalog.witness7(), catalog.m_k(4)]
+    for _ in range(300):
+        a, b = rng.choice(lats), rng.choice(lats)
+        pairs = [(rng.randrange(a.n), rng.randrange(b.n))
+                 for _ in range(rng.randrange(5))]
+        assert bi_ideal_closure(a, b, pairs) == oracle_closure(a, b, pairs)
+
+
+def test_matrix_orders_match_loops():
+    for sa, sb in (("n5", "m3"), ("c2sq", "witness7"), ("m4", "c3")):
+        a, b = catalog.by_name(sa), catalog.by_name(sb)
+        tp = tensor.tensor_product(a, b)
+        ideals = tp.bi_ideals
+        want = [[i.subset_of(j) for j in ideals] for i in ideals]
+        assert tp.lattice.leq.tolist() == want
+        assert tensor._inclusion_order(ideals, b.n).tolist() == want
+        homs = tensor.all_join_homs(a, b)
+        nonzero = [x for x in range(a.n) if x != a.bottom]
+        want = [[all(b.le(hi(x), hj(x)) for x in nonzero) for hj in homs]
+                for hi in homs]
+        assert tensor.hom_lattice(a, b).leq.tolist() == want
+        assert tensor._pointwise_order(
+            b, tensor._nonzero_values(a, homs)).tolist() == want
+
+
+def test_inclusion_order_past_one_byte_rows():
+    # 16-bit rows span two bytes of the membership buffer; C2 is the unit
+    a, b = catalog.chain(2), catalog.boolean(4)
+    ideals = tensor.enumerate_bi_ideals(a, b)
+    assert len(ideals) == 16
+    want = np.array([[i.subset_of(j) for j in ideals] for i in ideals])
+    assert np.array_equal(tensor._inclusion_order(ideals, b.n), want)
 
 
 def test_nabla_shape():
@@ -109,6 +241,48 @@ def test_m3_tensor_matches_balanced_triples(lattices):
         assert rep.passed, (name, rep)
         assert rep.tensor_size == len(
             tensor.tensor_product(catalog.m_k(3), lattices[name]))
+
+
+def test_phi_of_rejects_row_without_largest_member():
+    a, b = catalog.chain(2), catalog.m_k(3)
+    atoms = sum(1 << b.index_of(s) for s in "ab") | 1 << b.bottom
+    bad = BiIdeal(a.n, b.n, (nabla(a, b).rows[0], atoms))
+    with pytest.raises(VerificationFailed):
+        tensor.phi_of(a, b, bad)
+
+
+def test_pure_tensor_raises_when_check_fails(monkeypatch):
+    monkeypatch.setattr(tensor, "is_valid_bi_ideal", lambda a, b, i: False)
+    with pytest.raises(VerificationFailed):
+        pure_tensor(catalog.m_k(3), catalog.n5(), 1, 1)
+
+
+def test_tensor_checks_survive_optimize_flag(run_optimized):
+    script = """
+        from latmod import catalog, tensor
+        from latmod.errors import VerificationFailed
+        a, b = catalog.chain(2), catalog.m_k(3)
+        atoms = sum(1 << b.index_of(s) for s in "ab") | 1 << b.bottom
+        bad = tensor.BiIdeal(a.n, b.n, (tensor.nabla(a, b).rows[0], atoms))
+        tensor.is_valid_bi_ideal = lambda a, b, i: False
+        for check in (lambda: tensor.phi_of(a, b, bad),
+                      lambda: tensor.pure_tensor(a, b, 1, 1)):
+            try:
+                check()
+            except VerificationFailed:
+                print("raised")
+        print("debug", __debug__)
+    """
+    words, err = run_optimized(script)
+    assert words == ["raised"] * 2 + ["debug", "False"], err
+
+
+def test_m3_bridge_above_eager_table_cap(monkeypatch):
+    # m3_of then builds no tables; the bridge must not need them
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    for name in ("c3", "n5"):
+        rep = tensor.verify_m3_tensor_iso(catalog.by_name(name))
+        assert rep.passed, (name, rep)
 
 
 def test_tensor_size_cap():
