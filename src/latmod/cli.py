@@ -23,11 +23,15 @@ def _load(spec: str) -> core.FiniteLattice:
     return catalog.by_name(spec)
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _emit(args, payload: dict):
@@ -76,8 +80,10 @@ def cmd_rank(args) -> int:
 def _cmd_build(args, builder) -> int:
     lat = _load(args.lattice)
     k = builder(lat)
-    payload = {"base": lat.name or args.lattice, "elements": len(k),
-               "max_closure_index": k.max_closure_index}
+    payload = {"base": lat.name or args.lattice, "elements": len(k)}
+    if args.stats or k.lattice is not None:
+        # without tables the depth closes every pair, so only --stats asks
+        payload["max_closure_index"] = k.max_closure_index
     if args.stats and k.lattice is not None:
         if k.arity == 3:
             construct.spanning_m3(k)
@@ -121,11 +127,11 @@ def cmd_tensor(args) -> int:
     payload = {"left": left.name, "right": right.name, "elements": len(tp)}
     failed = False
     if args.verify_repr:
-        rep = tensor.verify_repr_iso(left, right)
+        rep = tensor.verify_repr_iso(left, right, tp)
         payload["repr_iso_passed"] = rep.passed
         failed |= not rep.passed
     if args.verify_m3_iso:
-        rep = tensor.verify_m3_tensor_iso(right)
+        rep = tensor.verify_m3_tensor_iso(right, tp)
         payload["m3_bridge_passed"] = rep.passed
         failed |= not rep.passed
     if args.out:
@@ -138,9 +144,6 @@ def cmd_tensor(args) -> int:
 
 def cmd_diverge(args) -> int:
     n = args.steps
-    if n < 0:
-        print(f"error: --steps must be >= 0, got {n}", file=sys.stderr)
-        return EXIT_USAGE
     if args.oracle == "dhw":
         seq = symbolic.dhw_adjustment(n)
         stable = any(seq[k] == seq[k + 1] for k in range(len(seq) - 1))
@@ -323,15 +326,18 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="m3 | fano | witness7 | l:3 | b3 | c4 | "
                                 "subspace:q,d | file:path")
         p.add_argument("--report", choices=("json", "text"), default="text")
-        p.add_argument("--jobs", type=_jobs, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--extended", action="store_true")
         return p
 
+    jobs = dict(type=_int_at_least(1), default=1)
+    cap = dict(type=_int_at_least(0), default=None)
+
     common(sub.add_parser("validate")).set_defaults(func=cmd_validate)
-    common(sub.add_parser("info")).set_defaults(func=cmd_info)
+    p = common(sub.add_parser("info"))
+    p.add_argument("--cap", **cap)
+    p.set_defaults(func=cmd_info)
     p = common(sub.add_parser("rank"))
+    p.add_argument("--cap", **cap)
+    p.add_argument("--jobs", **jobs)
     p.add_argument("--antichains-only", action="store_true")
     p.set_defaults(func=cmd_rank)
     for name, builder in (("m3build", construct.m3_of), ("m4build", construct.m4_of)):
@@ -352,10 +358,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tensor)
     p = common(sub.add_parser("diverge"), lattice=False)
     p.add_argument("--oracle", choices=("dhw", "fig2"), required=True)
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--steps", type=_int_at_least(0), default=64)
     p.add_argument("--trace", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_diverge)
     p = common(sub.add_parser("repro"), lattice=False)
+    p.add_argument("--jobs", **jobs)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--extended", action="store_true")
     p.add_argument("--filter", default="")
     p.set_defaults(func=cmd_repro)
     return top

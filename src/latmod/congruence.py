@@ -234,8 +234,7 @@ class CpeReport:
                 and self.every_congruence_is_extension and self.order_isomorphism)
 
 
-def verify_cpe(base: FiniteLattice, embedding: str = "atom",
-               cap: int = CON_SIZE_CAP) -> CpeReport:
+def verify_cpe(base: FiniteLattice, embedding: str = "atom") -> CpeReport:
     """Check that the balanced-triple lattice over the base is a
     congruence-preserving extension: componentwise extension is a bijection
     Con(base) -> Con(extension) inverse to restriction along the embedding,
@@ -245,11 +244,11 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom",
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
     k = m3_of(base)
-    if k.lattice is None or len(k) > cap:
+    if k.lattice is None or len(k) > CON_SIZE_CAP:
         raise SizeLimitExceeded("extension lattice above the congruence cap")
     image = embeddings[embedding](k)
-    con_b = all_congruences(base, cap=cap)
-    con_k = all_congruences(k.lattice, cap=max(cap, len(k)))
+    con_b = all_congruences(base)
+    con_k = all_congruences(k.lattice)
 
     ext = [extend_congruence(k, th) for th in con_b.congruences]
     injective = len(set(ext)) == len(ext)

@@ -3,7 +3,7 @@ their canonical embeddings, and the isotone-map power construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ from .core import (
     lattice_from_leq,
 )
 from .errors import NotDistributive, VerificationFailed
-from .rank import _BLOCK_ENTRIES, _step3_columns, _step4_columns, step3, step4
+from .rank import _BLOCK_ENTRIES, _fixpoints
 
 EAGER_TABLE_CAP = 2000
 
@@ -34,21 +34,23 @@ class TupleLattice:
     """A lattice whose elements are tuples over a base lattice, with
     componentwise meets and closure-iterated joins.
 
-    Element ids follow the lexicographic order of the tuples.  Full meet
-    and join tables are materialized up to EAGER_TABLE_CAP elements; above
-    that, joins are computed on demand and memoized (`lattice` is then
-    unavailable).
+    Element ids follow the lexicographic order of the tuples, given as one
+    column of entries per coordinate.  Full meet and join tables are
+    materialized up to EAGER_TABLE_CAP elements; above that, joins are
+    closed on demand and memoized, the closure depth is computed on first
+    access, and `lattice` is unavailable.
     """
 
-    def __init__(self, base: FiniteLattice, tuples: list[tuple],
-                 lattice: Optional[FiniteLattice], max_closure_index: int,
-                 arity: int, name: str):
+    def __init__(self, base: FiniteLattice, cols: list,
+                 lattice: Optional[FiniteLattice], max_closure_index: Optional[int],
+                 name: str):
         self.base = base
-        self.tuples = tuples
-        self.index = {t: i for i, t in enumerate(tuples)}
+        self.cols = cols
+        self.arity = len(cols)
+        self.tuples = list(zip(*(c.tolist() for c in cols)))
+        self.index = {t: i for i, t in enumerate(self.tuples)}
         self.lattice = lattice
-        self.max_closure_index = max_closure_index
-        self.arity = arity
+        self._depth = max_closure_index
         self.name = name
         self._join_memo: dict[tuple[int, int], int] = {}
 
@@ -66,6 +68,16 @@ class TupleLattice:
     def top(self) -> int:
         return self.index[(self.base.top,) * self.arity]
 
+    @property
+    def max_closure_index(self) -> int:
+        """The most step-map rounds the componentwise join of two elements
+        takes to become balanced.  Without tables every pair a <= b is
+        closed for it, in blocks of _BLOCK_ENTRIES pairs."""
+        if self._depth is None:
+            self._depth = max(_close_joins(self.base, self.cols, ia, ib)[1]
+                              for ia, ib in _pair_blocks(len(self), _BLOCK_ENTRIES))
+        return self._depth
+
     def meet(self, i: int, k: int) -> int:
         if self.lattice is not None:
             return self.lattice.meet(i, k)
@@ -79,44 +91,25 @@ class TupleLattice:
         key = (min(i, k), max(i, k))
         got = self._join_memo.get(key)
         if got is None:
-            j = self.base.join_table
-            t = tuple(int(j[a, b]) for a, b in zip(self.tuples[i], self.tuples[k]))
-            t = _closure_tuple(self.base, t)
-            got = self.index[t]
+            closed, _ = _close_joins(self.base, self.cols, np.array([i]), np.array([k]))
+            got = self.index[tuple(int(c[0]) for c in closed)]
             self._join_memo[key] = got
         return got
 
 
-def _closure_tuple(base: FiniteLattice, t: tuple) -> tuple:
-    step = step3 if len(t) == 3 else step4
-    cur = t
-    while True:
-        nxt = tuple(step(base, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
-def _balanced_triples(base: FiniteLattice) -> tuple:
+def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
+    """The tuples over the base whose pairwise meets all coincide, as
+    columns in lexicographic order."""
     n = base.n
-    x, y, z = (g.ravel().astype(np.int32) for g in
-               np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"))
-    m = base.meet_table
-    mask = (m[x, y] == m[x, z]) & (m[x, y] == m[y, z])
-    return x[mask], y[mask], z[mask]
-
-
-def _balanced_quadruples(base: FiniteLattice) -> tuple:
-    n = base.n
-    grids = np.meshgrid(*([np.arange(n)] * 4), indexing="ij")
-    cols = [g.ravel().astype(np.int32) for g in grids]
+    cols = [g.ravel().astype(np.int32) for g in
+            np.meshgrid(*([np.arange(n)] * arity), indexing="ij")]
     m = base.meet_table
     ref = m[cols[0], cols[1]]
     mask = np.ones(ref.shape, dtype=bool)
-    for i in range(4):
-        for k in range(i + 1, 4):
-            mask &= m[cols[i], cols[k]] == ref
-    return tuple(c[mask] for c in cols)
+    for a, b in itertools.combinations(range(arity), 2):
+        if (a, b) != (0, 1):
+            mask &= m[cols[a], cols[b]] == ref
+    return [c[mask] for c in cols]
 
 
 def _pair_blocks(count: int, block: int):
@@ -133,44 +126,31 @@ def _pair_blocks(count: int, block: int):
             rows, size = [], 0
 
 
-def _close_joins(base: FiniteLattice, cols, ia, ib, arity: int):
+def _close_joins(base: FiniteLattice, cols, ia, ib):
     """Close the componentwise joins of the tuple pairs (ia[i], ib[i]) under
     the step map.  Returns the closed columns in pair order and the largest
     closure index."""
-    m, j = base.meet_table, base.join_table
-    cur = [j.ravel().take(c[ia] * base.n + c[ib]) for c in cols]
+    jf = base.join_table.ravel()
     out = [np.empty(ia.size, dtype=np.int32) for _ in cols]
-    pos = np.arange(ia.size)
-    k = 0
-    while pos.size:
-        if arity == 3:
-            nxt = _step3_columns(m, j, *cur)
-        else:
-            nxt = _step4_columns(m, j, cur)
-        same = np.ones(pos.shape, dtype=bool)
-        for a, b in zip(cur, nxt):
-            same &= a == b
+    depth = 0
+    # the joined columns are not named here: the loop drops them after round 0
+    for depth, (done, fixed, cur) in enumerate(_fixpoints(
+            base.meet_table, base.join_table,
+            [jf.take(c[ia] * base.n + c[ib]) for c in cols])):
         for o, c in zip(out, cur):
-            o[pos[same]] = c[same]
-        keep = ~same
-        pos = pos[keep]
-        cur = [c[keep] for c in nxt]
-        k += 1
-    return out, max(0, k - 1)
+            o[done] = c[fixed]
+    return out, depth
 
 
-def _build(base: FiniteLattice, cols, arity: int, name: str) -> TupleLattice:
-    n = base.n
+def _build(base: FiniteLattice, cols: list, name: str) -> TupleLattice:
     count = cols[0].size
-    tuples = [tuple(int(c[i]) for c in cols) for i in range(count)]
-
     if count > EAGER_TABLE_CAP:
-        # no tables; the closure depth is still reported, in bounded blocks
-        depth = max(_close_joins(base, cols, ia, ib, arity)[1]
-                    for ia, ib in _pair_blocks(count, _BLOCK_ENTRIES))
-        return TupleLattice(base, tuples, None, depth, arity, name)
+        # no tables, and no closure until a join or the depth is asked for
+        return TupleLattice(base, cols, None, None, name)
 
-    names = ["<" + ",".join(base.names[v] for v in t) + ">" for t in tuples]
+    n = base.n
+    names = ["<" + ",".join(base.names[v] for v in t) + ">"
+             for t in zip(*(c.tolist() for c in cols))]
     # componentwise order
     leq = np.ones((count, count), dtype=bool)
     for c in cols:
@@ -191,22 +171,20 @@ def _build(base: FiniteLattice, cols, arity: int, name: str) -> TupleLattice:
         return table
 
     meet = mirror(locate([base.meet_table[c[ia], c[ib]] for c in cols]))
-    closed, depth = _close_joins(base, cols, ia, ib, arity)
+    closed, depth = _close_joins(base, cols, ia, ib)
     lat = FiniteLattice(leq, meet, mirror(locate(closed)), names=names, name=name)
-    return TupleLattice(base, tuples, lat, depth, arity, name)
+    return TupleLattice(base, cols, lat, depth, name)
 
 
 def m3_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of all balanced triples of the base: meets
     componentwise, join of a pair the closure of its componentwise join."""
-    cols = _balanced_triples(base)
-    return _build(base, list(cols), 3, f"M3[{base.name or '?'}]")
+    return _build(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
 
 
 def m4_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of quadruples whose pairwise meets all coincide."""
-    cols = _balanced_quadruples(base)
-    return _build(base, list(cols), 4, f"M4[{base.name or '?'}]")
+    return _build(base, _balanced_tuples(base, 4), f"M4[{base.name or '?'}]")
 
 
 def spanning_m3(k: TupleLattice) -> list[int]:

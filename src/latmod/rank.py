@@ -7,10 +7,16 @@ and iterating it computes the least balanced triple above the input.  A
 lattice satisfies the n-th modularity identity exactly when every
 triple's iteration stabilizes by index n; the modularity rank is the
 least such n.
+
+The scalar step3/step4 and closure3/closure4 serve any lattice object;
+on finite lattices one vectorized kernel (`_step_columns`) and one
+fixpoint loop (`_fixpoints`), both arity-generic, run the rank scans here
+and the join closures of `construct`.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,8 +30,10 @@ from .errors import ArgumentOutOfRange, RankExceedsCap
 # Triples per full-scan block.  A block's working set is some 40 bytes a
 # triple; small blocks keep a scan's peak low, also when it runs on top of
 # memory the allocator kept from earlier work.  Antichain batches are smaller
-# still, as each scan thread holds one.
+# still, as each scan thread holds one.  Pair blocks of `construct` use the
+# same bound.
 _BLOCK_ENTRIES = 500_000
+_ANTICHAIN_BATCH = 100_000
 
 
 class Triple(NamedTuple):
@@ -99,10 +107,16 @@ def step4(lat, q) -> Quadruple:
     return Quadruple(*out)
 
 
-def _default_cap(lat) -> int:
-    if isinstance(lat, FiniteLattice):
-        return 3 * lat.height() + 1
-    raise ValueError("a cap is required for non-finite lattices")
+def _cap(lat, cap: Optional[int]) -> int:
+    """The step cap: 3 * height + 1 by default on a finite lattice, and
+    never negative."""
+    if cap is None:
+        if isinstance(lat, FiniteLattice):
+            return 3 * lat.height() + 1
+        raise ValueError("a cap is required for non-finite lattices")
+    if cap < 0:
+        raise ArgumentOutOfRange(f"cap must be >= 0, got {cap}")
+    return cap
 
 
 def _closure(lat, start, step, cap) -> ClosureTrace:
@@ -118,65 +132,61 @@ def _closure(lat, start, step, cap) -> ClosureTrace:
 def closure3(lat, t, cap: Optional[int] = None) -> ClosureTrace:
     """Iterate step3 until fixpoint or cap.  On stabilization the final
     triple is balanced and is the least balanced triple above t."""
-    return _closure(lat, t, step3, cap if cap is not None else _default_cap(lat))
+    return _closure(lat, t, step3, _cap(lat, cap))
 
 
 def closure4(lat, q, cap: Optional[int] = None) -> ClosureTrace:
-    return _closure(lat, q, step4, cap if cap is not None else _default_cap(lat))
+    return _closure(lat, q, step4, _cap(lat, cap))
 
 
-# -- vectorized triple scans ----------------------------------------------
+# -- the vectorized step map ----------------------------------------------
 
-def _step3_columns(meet: np.ndarray, join: np.ndarray, x, y, z) -> tuple:
-    """The step map on columns of element ids.
+def _step_columns(meet: np.ndarray, join: np.ndarray, cols) -> list:
+    """The step map on columns of element ids, for any arity: coordinate i
+    joins the meets of the pairs that avoid i.
 
-    The tables are read by 1-D `take`s at a*n + b: 2-D fancy indexing of
-    the same entries runs no faster on two threads than on one.
+    Each pairwise meet is folded into the coordinates that use it before
+    the next is taken, so one meet column is live at a time.  The tables
+    are read by 1-D `take`s at a*n + b: 2-D fancy indexing of the same
+    entries runs no faster on two threads than on one.
     """
     n = meet.shape[0]
     mf, jf = meet.ravel(), join.ravel()
-    return (jf.take(x * n + mf.take(y * n + z)),
-            jf.take(y * n + mf.take(x * n + z)),
-            jf.take(z * n + mf.take(x * n + y)))
-
-
-def _step4_columns(meet: np.ndarray, join: np.ndarray, cols) -> list:
-    """The arity-4 step map on columns of element ids: each coordinate
-    joins the meets of the three pairs it is not in.  Each of the six
-    pairwise meets is computed once; the tables are read as in
-    `_step3_columns`."""
-    n = meet.shape[0]
-    mf, jf = meet.ravel(), join.ravel()
-    pair_meet = {(i, k): mf.take(cols[i] * n + cols[k])
-                 for i in range(4) for k in range(i + 1, 4)}
-    out = []
-    for i in range(4):
-        v = cols[i]
-        for pair, m in pair_meet.items():
-            if i not in pair:
-                v = jf.take(v * n + m)
-        out.append(v)
+    out = list(cols)
+    for a, b in itertools.combinations(range(len(cols)), 2):
+        m = mf.take(cols[a] * n + cols[b])
+        for i in range(len(cols)):
+            if i != a and i != b:
+                out[i] = jf.take(out[i] * n + m)
     return out
 
 
-def _stab_indices(meet: np.ndarray, join: np.ndarray,
-                  x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                  cap: int) -> np.ndarray:
-    """Stabilization index of every triple in the batch, in batch order."""
-    stab = np.zeros(x.size, dtype=np.int32)
-    pos = np.arange(x.size)
+def _fixpoints(meet: np.ndarray, join: np.ndarray, cols,
+               cap: Optional[int] = None):
+    """Iterate the step map on a batch of tuples given as columns,
+    dropping each tuple once it is fixed.
+
+    Round k yields (positions, fixed, current): the batch positions of
+    the tuples that stabilize at k, the mask that picks them from the
+    tuples still moving, and those tuples' current columns, so
+    current[i][fixed] are the closures.  More than `cap` rounds raise
+    RankExceedsCap; without a cap the loop runs to the fixpoint, which a
+    finite lattice reaches.
+    """
+    pos = np.arange(cols[0].size)
     k = 0
     while pos.size:
-        if k > cap:
-            raise RankExceedsCap(f"triples still moving after {cap} steps")
-        x1, y1, z1 = _step3_columns(meet, join, x, y, z)
-        same = (x1 == x) & (y1 == y) & (z1 == z)
-        stab[pos[same]] = k
-        keep = ~same
-        pos = pos[keep]
-        x, y, z = x1[keep], y1[keep], z1[keep]
+        if cap is not None and k > cap:
+            raise RankExceedsCap(f"tuples still moving after {cap} steps")
+        nxt = _step_columns(meet, join, cols)
+        fixed = nxt[0] == cols[0]
+        for a, b in zip(cols[1:], nxt[1:]):
+            fixed &= a == b
+        yield pos[fixed], fixed, cols
+        moving = ~fixed
+        pos, cols = pos[moving], [c[moving] for c in nxt]
+        del nxt  # live now: these columns and the caller's previous ones
         k += 1
-    return stab
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,10 @@ def _scan_batch(lat, x, y, z, cap, weight=None):
     """Scan one batch; triple i counts weight[i] times in the histogram."""
     if x.size == 0:
         return {}, 0, None, 0
-    stab = _stab_indices(lat.meet_table, lat.join_table, x, y, z, cap)
+    stab = np.zeros(x.size, dtype=np.int32)
+    for k, (done, _, _) in enumerate(
+            _fixpoints(lat.meet_table, lat.join_table, [x, y, z], cap)):
+        stab[done] = k
     if weight is None:
         counts = np.bincount(stab)
     else:
@@ -273,14 +286,14 @@ def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None) -> ScanResul
     sorted permutation there too, and that one is lexicographically no
     later, so the first hit among sorted triples is the first of all.
     """
-    if cap is None:
-        cap = _default_cap(lat)
+    cap = _cap(lat, cap)
     return _merge_blocks(_scan_batch(lat, x, y, z, cap, w)
                          for x, y, z, w in _sorted_triple_blocks(lat.n))
 
 
-def _antichain_batches(lat: FiniteLattice, lo: int, hi: int, batch: int):
-    """Antichain triples x<y<z with lo <= x < hi, in lexicographic batches."""
+def _antichain_batches(lat: FiniteLattice, lo: int, hi: int):
+    """Antichain triples x<y<z with lo <= x < hi, in lexicographic batches
+    of about _ANTICHAIN_BATCH."""
     incomp = ~lat.leq & ~lat.leq.T
     n = lat.n
     idx = np.arange(n)
@@ -294,7 +307,7 @@ def _antichain_batches(lat: FiniteLattice, lo: int, hi: int, batch: int):
             by.append(ys[yy].astype(np.int32))
             bz.append(ys[zz].astype(np.int32))
             size += yy.size
-        if size >= batch:
+        if size >= _ANTICHAIN_BATCH:
             yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
             bx, by, bz, size = [], [], [], 0
     if size:
@@ -320,19 +333,18 @@ def _balanced_bounds(lat: FiniteLattice, jobs: int) -> np.ndarray:
 
 
 def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
-                        jobs: int = 1, batch: int = 100_000) -> ScanResult:
+                        jobs: int = 1) -> ScanResult:
     """Scan every 3-element antichain {x,y,z} (as x<y<z) and record its
     stabilization index.  The x range is split into `jobs` parts, run on
     at most os.cpu_count() threads; the result is the same for any job
     count."""
     if jobs < 1:
         raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
-    if cap is None:
-        cap = _default_cap(lat)
+    cap = _cap(lat, cap)
 
     def scan_range(lo: int, hi: int):
         return _merge_blocks(_scan_batch(lat, x, y, z, cap)
-                             for x, y, z in _antichain_batches(lat, lo, hi, batch))
+                             for x, y, z in _antichain_batches(lat, lo, hi))
 
     if jobs <= 1 or lat.n < 2 * jobs:
         res = scan_range(0, lat.n)
@@ -390,7 +402,6 @@ def rank_report(lat: FiniteLattice, cap: Optional[int] = None,
     return RankReport(rank, wit, names, res.histogram, res.triple_count)
 
 
-def modularity_rank(lat: FiniteLattice, cap: Optional[int] = None,
-                    antichains_only: bool = False) -> int:
+def modularity_rank(lat: FiniteLattice, cap: Optional[int] = None) -> int:
     """Least n such that every triple's iteration stabilizes by index n."""
-    return rank_report(lat, cap=cap, antichains_only=antichains_only).rank
+    return rank_report(lat, cap=cap).rank

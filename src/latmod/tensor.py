@@ -5,6 +5,7 @@ construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -45,9 +46,9 @@ class BiIdeal:
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
 
-def _check_size(a: FiniteLattice, b: FiniteLattice, cap: int):
-    if a.n * b.n > cap:
-        raise SizeLimitExceeded(f"|A|*|B| = {a.n * b.n} above cap {cap}")
+def _check_size(a: FiniteLattice, b: FiniteLattice):
+    if a.n * b.n > TENSOR_CAP:
+        raise SizeLimitExceeded(f"|A|*|B| = {a.n * b.n} above cap {TENSOR_CAP}")
 
 
 def _down_masks(lat: FiniteLattice) -> list[int]:
@@ -284,8 +285,7 @@ def _nonzero_values(a: FiniteLattice, homs) -> np.ndarray:
         len(homs), a.n)[:, nonzero]
 
 
-def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice,
-                        cap: int = TENSOR_CAP) -> list[BiIdeal]:
+def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice) -> list[BiIdeal]:
     r"""All bi-ideals, by closure-system search.  This is the independent
     oracle route, not the hom-based default.
 
@@ -298,7 +298,7 @@ def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice,
     p is minimal in (A×B) \ I, and the closure of I plus p lies in J and
     strictly above I.
     """
-    _check_size(a, b, cap)
+    _check_size(a, b)
     t = _Tables(a, b)
     full = (1 << b.n) - 1
     strict_down = [d & ~(1 << y) for y, d in enumerate(t.down_b)]
@@ -344,19 +344,11 @@ def _tensor_of(a: FiniteLattice, b: FiniteLattice, ideals) -> TensorLattice:
     return TensorLattice(a, b, tuple(ideals), lat)
 
 
-def tensor_product(a: FiniteLattice, b: FiniteLattice,
-                   cap: int = TENSOR_CAP, oracle: bool = False) -> TensorLattice:
-    """The lattice of all bi-ideals of A x B under inclusion.
-
-    Default route: enumerate join-homs and map each to its bi-ideal.  With
-    oracle=True the bi-ideals are found by closure-system search instead.
-    """
-    _check_size(a, b, cap)
-    if oracle:
-        ideals = enumerate_bi_ideals(a, b, cap=cap)
-    else:
-        ideals = _ideals_of_homs(a, b, all_join_homs(a, b))
-    return _tensor_of(a, b, ideals)
+def tensor_product(a: FiniteLattice, b: FiniteLattice) -> TensorLattice:
+    """The lattice of all bi-ideals of A x B under inclusion: each join-hom
+    is mapped to its bi-ideal (`enumerate_bi_ideals` is the oracle)."""
+    _check_size(a, b)
+    return _tensor_of(a, b, _ideals_of_homs(a, b, all_join_homs(a, b)))
 
 
 @dataclass(frozen=True)
@@ -382,13 +374,16 @@ def hom_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
                             name=f"Hom({a.name or 'A'},{b.name or 'B'}d)")
 
 
-def verify_repr_iso(a: FiniteLattice, b: FiniteLattice) -> ReprReport:
+def verify_repr_iso(a: FiniteLattice, b: FiniteLattice,
+                    tp: Optional[TensorLattice] = None) -> ReprReport:
     """Check that I -> phi_I is an order-isomorphism from the bi-ideal
     lattice onto the hom lattice, and that the two enumeration routes
-    produce the same bi-ideals."""
-    _check_size(a, b, TENSOR_CAP)
+    produce the same bi-ideals.  A `tensor_product(a, b)` already built
+    can be passed as `tp`; it is checked instead of built again."""
+    _check_size(a, b)
     homs = all_join_homs(a, b)
-    tp = _tensor_of(a, b, _ideals_of_homs(a, b, homs))
+    if tp is None or tp.left is not a or tp.right is not b:
+        tp = _tensor_of(a, b, _ideals_of_homs(a, b, homs))
     oracle_ideals = enumerate_bi_ideals(a, b)
     routes_agree = list(tp.bi_ideals) == oracle_ideals
     images = [JoinHom(v) for v in _largest_members(tp.bi_ideals, _down_masks(b))]
@@ -415,12 +410,17 @@ class M3TensorReport:
                 and self.images_balanced and self.explicit_iso)
 
 
-def verify_m3_tensor_iso(l: FiniteLattice) -> M3TensorReport:
+def verify_m3_tensor_iso(l: FiniteLattice,
+                         tp: Optional[TensorLattice] = None) -> M3TensorReport:
     """Check M_3 (x) L against the balanced-triple lattice over L via the
-    explicit map sending a hom to its values on the three atoms."""
+    explicit map sending a hom to its values on the three atoms.  A tensor
+    lattice already built is reused as `tp` when it is the catalog M_3
+    times l."""
     from .catalog import m_k  # noqa: PLC0415
     m3 = m_k(3)
-    tp = tensor_product(m3, l)
+    if (tp is None or tp.right is not l or tp.left.names != m3.names
+            or not np.array_equal(tp.left.leq, m3.leq)):
+        tp = tensor_product(m3, l)
     k = m3_of(l)
     atoms = [m3.index_of(s) for s in "abc"]
     triples = [tuple(h[x] for x in atoms)

@@ -1,6 +1,6 @@
 import json
 
-from latmod import congruence, core, tensor
+from latmod import congruence, construct, core, tensor
 from latmod.cli import EXIT_CHECK_FAILED, main
 from latmod.errors import VerificationFailed
 
@@ -148,3 +148,52 @@ def test_jobs_must_be_positive(capsys):
         code, out = run(capsys, "rank", "--lattice", "n5", "--jobs", jobs)
         assert code == 2 and "--jobs" in out.err and out.out == ""
     assert run(capsys, "rank", "--lattice", "n5", "--jobs", "3")[0] == 0
+
+
+def test_negative_cap_exits_usage(capsys):
+    for argv in (("rank", "--lattice", "n5", "--cap", "-1"),
+                 ("info", "--lattice", "c2", "--cap", "-3")):
+        code, out = run(capsys, *argv)
+        assert code == 2 and "--cap" in out.err and out.out == ""
+    assert run(capsys, "rank", "--lattice", "n5", "--cap", "2")[0] == 0
+    assert run(capsys, "rank", "--lattice", "n5", "--cap", "1")[0] == 3  # RankExceedsCap
+
+
+def test_unread_options_exit_usage(capsys):
+    for argv in (("validate", "--lattice", "b3", "--extended"),
+                 ("validate", "--lattice", "b3", "--jobs", "2"),
+                 ("validate", "--lattice", "b3", "--seed", "9"),
+                 ("m3build", "--lattice", "n5", "--cap", "-1"),
+                 ("info", "--lattice", "n5", "--jobs", "2"),
+                 ("diverge", "--oracle", "dhw", "--extended")):
+        code, out = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in out.err, argv
+
+
+def test_lazy_build_reports_depth_only_with_stats(capsys, monkeypatch):
+    code, out = run(capsys, "m3build", "--lattice", "n5", "--report", "json")
+    eager = json.loads(out.out)
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    code, out = run(capsys, "m3build", "--lattice", "n5", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "base": eager["base"], "elements": eager["elements"]}
+    code, out = run(capsys, "m3build", "--lattice", "n5", "--stats", "--report", "json")
+    assert code == 0 and json.loads(out.out) == eager
+
+
+def test_tensor_command_builds_once(capsys, monkeypatch):
+    built = []
+    tensor_of = tensor._tensor_of
+
+    def counting(a, b, ideals):
+        built.append((a.name, b.name))
+        return tensor_of(a, b, ideals)
+
+    monkeypatch.setattr(tensor, "_tensor_of", counting)
+    code, _ = run(capsys, "tensor", "--left", "m3", "--right", "c3",
+                  "--verify-repr", "--verify-m3-iso")
+    assert code == 0 and built == [("M3", "C3")]
+    built.clear()
+    code, _ = run(capsys, "tensor", "--left", "c2sq", "--right", "c3",
+                  "--verify-repr", "--verify-m3-iso")
+    assert code == 0 and built == [("C2xC2", "C3"), ("M3", "C3")]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -205,6 +206,44 @@ def test_lazy_closure_depth_matches_eager(monkeypatch):
         lazy.append((k3.max_closure_index, k4.max_closure_index))
     assert lazy == eager
     assert max(d for d, _ in eager) >= 2
+
+
+def test_lazy_joins_match_eager_tables(monkeypatch):
+    """Above EAGER_TABLE_CAP a join closes one pair through the shared
+    engine; it must agree with the eager table.  At most 100 seeded pairs
+    a lattice keep the sweep short: a one-pair closure costs numpy calls."""
+    rng = random.Random(5)
+    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    eager = [(m3_of(b), m4_of(b)) for b in bases]
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    for base, built in zip(bases, eager):
+        for k, lazy in zip(built, (m3_of(base), m4_of(base))):
+            assert lazy.lattice is None and lazy.tuples == k.tuples
+            pairs = list(itertools.combinations_with_replacement(range(len(k)), 2))
+            for i, j in rng.sample(pairs, min(len(pairs), 100)):
+                assert lazy.join(i, j) == lazy.join(j, i) == k.lattice.join(i, j)
+                assert lazy.meet(i, j) == k.lattice.meet(i, j)
+
+
+def test_lazy_build_closes_nothing(monkeypatch):
+    eager = m3_of(catalog.m_k(4))
+    closed = []
+    close = construct._close_joins
+
+    def counting(base, cols, ia, ib):
+        closed.append(ia.size)
+        return close(base, cols, ia, ib)
+
+    monkeypatch.setattr(construct, "_close_joins", counting)
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    k = m3_of(catalog.m_k(4))
+    assert closed == []
+    assert k.max_closure_index == eager.max_closure_index
+    count = len(k)
+    assert sum(closed) == count * (count + 1) // 2
+    closed.clear()
+    assert k.join(1, 2) == eager.lattice.join(1, 2)
+    assert closed == [1]
 
 
 def test_pair_blocks_cover_upper_pairs():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latmod import catalog, construct, core, rank
-from latmod.errors import ArgumentOutOfRange
+from latmod.errors import ArgumentOutOfRange, RankExceedsCap
 from latmod.rank import Quadruple, Triple, closure3, closure4, step3, step4
 
 
@@ -158,7 +158,7 @@ def test_rank_sublattice_monotone():
 def test_antichains_only_fast_path(lattices):
     for name in ("N5", "M4", "witness7", "B3", "C2sq"):
         lat = lattices[name]
-        assert (rank.modularity_rank(lat, antichains_only=True)
+        assert (rank.rank_report(lat, antichains_only=True).rank
                 == rank.modularity_rank(lat))
 
 
@@ -172,7 +172,7 @@ def test_scan_jobs_deterministic():
     assert one.max_index == three.max_index
 
 
-def test_scan_job_split_balances_antichains():
+def test_scan_job_split_balances_antichains(monkeypatch):
     from latmod import construct
     for k in (4, 6):
         lat = construct.m3_of(catalog.m_k(k)).lattice
@@ -180,7 +180,8 @@ def test_scan_job_split_balances_antichains():
         assert rank.antichain_rank_scan(lat, jobs=2) == one
         if k == 4:  # batches and split against antichains listed one by one
             anti = list(core.antichains3(lat))
-            batches = list(rank._antichain_batches(lat, 0, lat.n, batch=5_000))
+            monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
+            batches = list(rank._antichain_batches(lat, 0, lat.n))
             assert len(batches) > 1
             assert list(zip(*(np.concatenate(b).tolist() for b in zip(*batches)))) == anti
             per_x = np.bincount([x for x, _, _ in anti], minlength=lat.n)
@@ -197,16 +198,76 @@ def test_step4_and_closure4(lattices):
             out = step4(lat, q)
             assert all(lat.le(a, b) for a, b in zip(q, out))
             assert (out == q) == rank.is_balanced4(lat, q)
-        # the vectorized step agrees with the scalar one
-        cols = list(np.array(quads, dtype=np.int32).T)
-        flat = rank._step4_columns(lat.meet_table, lat.join_table, cols)
-        assert np.array(flat).T.tolist() == [list(step4(lat, q)) for q in quads]
     # distributive: one step always suffices
     b3 = lattices["B3"]
     for q in itertools.product(b3.elements(), repeat=4):
         assert closure4(b3, q).stabilization_index <= 1
     x = lattices["M4"].index_of("a")
     assert step4(lattices["M4"], Quadruple(x, x, x, x)) == (x, x, x, x)
+
+
+# -- the vectorized engine against the scalar step maps -------------------
+
+ENGINE_LATTICES = ("C2sq", "M4", "N5", "witness7")
+
+
+def engine_closures(meet, join, cols, cap=None):
+    """Stabilization index and closure of every tuple in the batch, in
+    batch order, by rank._fixpoints."""
+    stab = np.zeros(cols[0].size, dtype=np.int32)
+    final = np.zeros((cols[0].size, len(cols)), dtype=np.int32)
+    for k, (done, fixed, cur) in enumerate(rank._fixpoints(meet, join, cols, cap)):
+        stab[done] = k
+        final[done] = np.stack([c[fixed] for c in cur], axis=1)
+    return stab, final
+
+
+def engine_stab_indices(meet, join, cols, cap):
+    return engine_closures(meet, join, cols, cap)[0]
+
+
+def test_step_columns_match_scalar_steps(lattices):
+    for name in ENGINE_LATTICES:
+        lat = lattices[name]
+        for arity, step in ((3, step3), (4, step4)):
+            tuples = list(itertools.product(lat.elements(), repeat=arity))
+            cols = list(np.array(tuples, dtype=np.int32).T)
+            flat = rank._step_columns(lat.meet_table, lat.join_table, cols)
+            assert np.array(flat).T.tolist() == [list(step(lat, t)) for t in tuples]
+
+
+def test_fixpoint_loop_matches_scalar_closures(lattices):
+    for name in ENGINE_LATTICES:
+        lat = lattices[name]
+        for arity, closure in ((3, closure3), (4, closure4)):
+            tuples = list(itertools.product(lat.elements(), repeat=arity))
+            cols = list(np.array(tuples, dtype=np.int32).T)
+            stab, final = engine_closures(lat.meet_table, lat.join_table, cols,
+                                          cap=3 * lat.height() + 1)
+            traces = [closure(lat, t) for t in tuples]
+            assert stab.tolist() == [tr.stabilization_index for tr in traces]
+            assert final.tolist() == [list(tr.final) for tr in traces]
+
+
+def test_negative_cap_rejected(lattices):
+    n5 = lattices["N5"]
+    for call in (lambda: closure3(n5, (0, 0, 0), cap=-1),
+                 lambda: closure4(n5, (0, 0, 0, 0), cap=-1),
+                 lambda: rank.full_triple_scan(n5, cap=-1),
+                 lambda: rank.antichain_rank_scan(n5, cap=-1),
+                 lambda: rank.modularity_rank(n5, cap=-1)):
+        with pytest.raises(ArgumentOutOfRange):
+            call()
+
+
+def test_scan_cap_bounds_stabilization(lattices):
+    w7 = lattices["witness7"]
+    assert rank.full_triple_scan(w7, cap=3).max_index == 3
+    for scan in (rank.full_triple_scan, rank.antichain_rank_scan):
+        with pytest.raises(RankExceedsCap):
+            scan(w7, cap=2)
+    with pytest.raises(RankExceedsCap):
+        rank.modularity_rank(w7, cap=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,7 +285,8 @@ def test_random_small_lattice_properties(n, rng):
 # -- oracle: the ordered-triple full scan --------------------------------
 
 def gather_stab_indices(meet, join, x, y, z, cap):
-    """Oracle for rank._stab_indices: the step map by 2-D fancy indexing."""
+    """Oracle for the stabilization indices of rank._fixpoints: the step
+    map by 2-D fancy indexing."""
     stab = np.zeros(x.size, dtype=np.int32)
     pos = np.arange(x.size)
     k = 0
@@ -316,7 +378,7 @@ def test_flat_kernel_matches_gathers():
         for _ in range(5):
             x, y, z = rng.integers(0, lat.n, size=(3, 4_000), dtype=np.int32)
             assert np.array_equal(
-                rank._stab_indices(lat.meet_table, lat.join_table, x, y, z, cap),
+                engine_stab_indices(lat.meet_table, lat.join_table, [x, y, z], cap),
                 gather_stab_indices(lat.meet_table, lat.join_table, x, y, z, cap))
 
 

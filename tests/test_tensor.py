@@ -288,3 +288,13 @@ def test_m3_bridge_above_eager_table_cap(monkeypatch):
 def test_tensor_size_cap():
     with pytest.raises(SizeLimitExceeded):
         tensor.tensor_product(catalog.boolean(3), catalog.boolean(6))
+
+
+def test_checks_reuse_a_built_tensor(lattices):
+    for sa, sb in (("M3", "C2"), ("M3", "N5"), ("N5", "C3")):
+        a, b = lattices[sa], lattices[sb]
+        tp = tensor.tensor_product(a, b)
+        assert tensor.verify_repr_iso(a, b, tp) == tensor.verify_repr_iso(a, b)
+        # a tensor whose left factor is not M_3 is not reused for the bridge
+        assert tensor.verify_m3_tensor_iso(b, tp) == tensor.verify_m3_tensor_iso(b)
+        assert tensor.verify_m3_tensor_iso(b, tp).passed
