@@ -111,7 +111,7 @@ def cmd_con(args) -> int:
         if not rep.passed:
             _emit(args, payload)
             return EXIT_CHECK_FAILED
-    target = construct.m3_of(lat).lattice if args.of_m3 else lat
+    target = construct.m3_with_tables(lat).lattice if args.of_m3 else lat
     con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
     payload["con_size"] = len(con)
@@ -230,11 +230,24 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
     yield ("minimal-rank-sizes", (5, 7), minimal_sizes)
 
     def cpe():
-        names = ("c2", "c3", "c2sq", "n5", "m3", "m4", "witness7")
+        names = ("c2", "c3", "c2sq", "n5", "m3", "m4", "witness7", "fano")
         return all(congruence.verify_cpe(catalog.by_name(s), emb).passed
                    for s in names for emb in ("atom", "diag"))
 
     yield ("congruence-preserving-extension", True, cpe)
+
+    def cpe_grids():
+        counts = []
+        for s in range(5):
+            rep = congruence.verify_cpe(catalog.random_c1c4(s))
+            if not rep.passed:
+                return f"random_c1c4({s}): M3 is not a congruence-preserving extension"
+            counts.append((rep.base_con_count, rep.ext_con_count))
+        return tuple(counts)
+
+    # 3-modular bases: (|Con L|, |Con M3[L]|) for random_c1c4 seeds 0-4
+    yield ("cpe-3modular-grids", ((13, 13), (23, 23), (23, 23), (28, 28), (6, 6)),
+           cpe_grids)
 
     def repr_iso():
         pool = [catalog.by_name(s) for s in ("c2", "c3", "c2sq", "m3", "n5")]

@@ -4,15 +4,15 @@ the balanced-triple construction is a congruence-preserving extension."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import FiniteLattice, join_irreducibles, lattice_from_leq
-from .construct import TupleLattice, embed_atom, embed_diag, m3_of
+from .core import FiniteLattice, join_irreducibles
+from .construct import EAGER_TABLE_CAP, TupleLattice, embed_atom, embed_diag, m3_with_tables
 from .errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
-CON_SIZE_CAP = 300
+CON_SIZE_CAP = EAGER_TABLE_CAP
+_PROPAGATION_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -73,75 +73,104 @@ def has_substitution_property(lat: FiniteLattice, part: Congruence) -> bool:
     return True
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+def _hook(lab: np.ndarray, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
+    """Hook each pair of roots (ru[i], rv[i]) of the pointer forest `lab`
+    onto the smaller of the two with np.minimum.at, then pointer-jump until
+    every label is a root.  Pointers only decrease, so a block's root is
+    its least element."""
+    low = np.minimum(ru, rv)
+    np.minimum.at(lab, ru, low)
+    np.minimum.at(lab, rv, low)
+    jumped = lab[lab]
+    while not np.array_equal(jumped, lab):
+        lab, jumped = jumped, jumped[jumped]
+    return lab
 
 
-def _generated_congruence(lat: FiniteLattice, pairs) -> Congruence:
-    """Least congruence collapsing every given pair.
+def _principal_roots(lat: FiniteLattice, lo, hi) -> np.ndarray:
+    """Row r is the least congruence collapsing lo[r] and hi[r], as root
+    labels: lab[e] is the least element of e's block.
 
-    Label propagation over whole meet/join tables: lab[e] is the least
-    element of e's block.  Each round collapses the given pairs and, for
-    both tables T and every e at once, the row T[e, :] with the row
-    T[lab[e], :]: it hooks each block's root onto the smaller root with
-    np.minimum.at, then pointer-jumps until every label is a root.  Once a
-    round has nothing left to collapse, the partition has the substitution
-    property: x and y in one block share the root r, and T[x, c], T[r, c]
-    and T[y, c] lie in one block.
+    Label propagation over the meet/join tables, all rows at once as one
+    flat forest with row r at offset r*n.  A round hooks together the
+    pairs still apart: at first the given pairs; later also, for both
+    tables T, the row T[e, :] with the row T[lab[e], :] for every e whose
+    root changed in the round before.  One hook can leave pairs apart
+    (a root hooked onto two others takes the smaller), so those are
+    kept for the next round.  When no pair is left apart, every e has
+    been collapsed row by row with its final root r, so x and y in one
+    block have T[x, c], T[r, c] and T[y, c] in one block: the partition
+    has the substitution property.  A round gathers n entries per changed
+    element, so rows are taken about _PROPAGATION_ENTRIES / n^2 at a
+    time.
     """
+    n = lat.n
+    lo, hi = np.asarray(lo, dtype=np.int32), np.asarray(hi, dtype=np.int32)
+    step = max(1, _PROPAGATION_ENTRIES // (n * n))
+    if lo.size > step:
+        return np.concatenate([_principal_roots(lat, lo[i:i + step], hi[i:i + step])
+                               for i in range(0, lo.size, step)])
     tables = (lat.meet_table, lat.join_table)
-    elements = np.arange(lat.n, dtype=lat.meet_table.dtype)
-    lab = elements.copy()
-    pairs = np.asarray(list(pairs), dtype=elements.dtype).reshape(-1, 2)
-    lo, hi = pairs[:, 0], pairs[:, 1]
+    # int32 like the tables: a batch holds fewer than 2^31 elements
+    off = np.arange(lo.size, dtype=np.int32) * n
+    lab = np.arange(lo.size * n, dtype=np.int32)
+    u, v = lo + off, hi + off
     while True:
-        ru, rv = lab[lo], lab[hi]
+        ru, rv = lab[u], lab[v]
+        apart = ru != rv
+        if not apart.any():
+            return lab.reshape(-1, n) - off[:, None]
+        u, v = u[apart], v[apart]
+        before = lab.copy()
+        lab = _hook(lab, ru[apart], rv[apart])
+        changed = np.flatnonzero(lab != before).astype(np.int32)
+        shift = (changed - changed % n)[:, None]
+        u = np.concatenate([u] + [(t[changed % n] + shift).ravel() for t in tables])
+        v = np.concatenate([v] + [(t[lab[changed] - shift[:, 0]] + shift).ravel()
+                                  for t in tables])
+
+
+def _join_roots(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The join of each partition in `rows` with the partition g, all given
+    as root labels.  The join of two congruences is the join of their
+    equivalence relations, so no table is read: the rows are hooked
+    together as one flat forest, row r at offset r*n, along the edges
+    (e, g[e])."""
+    b, n = rows.shape
+    off = (np.arange(b, dtype=np.intp) * n)[:, None]
+    lab = (rows + off).ravel()
+    u = (np.arange(n) + off).ravel()
+    v = (g + off).ravel()
+    while True:
+        ru, rv = lab[u], lab[v]
         if np.array_equal(ru, rv):
-            return Congruence.from_ids(lab.tolist())
-        low = np.minimum(ru, rv)
-        np.minimum.at(lab, ru, low)
-        np.minimum.at(lab, rv, low)
-        jumped = lab[lab]
-        while not np.array_equal(jumped, lab):
-            lab, jumped = jumped, jumped[jumped]
-        moved = np.flatnonzero(lab != elements)
-        lo = np.concatenate([pairs[:, 0]] + [t[moved].ravel() for t in tables])
-        hi = np.concatenate([pairs[:, 1]] + [t[lab[moved]].ravel() for t in tables])
+            return lab.reshape(b, n) - off
+        lab = _hook(lab, ru, rv)
+
+
+def _congruences(roots: np.ndarray) -> list[Congruence]:
+    """Rows of root labels as Congruences.  A block's root is its first
+    element, so numbering the roots in ascending order numbers the blocks
+    by first occurrence."""
+    rank = np.cumsum(roots == np.arange(roots.shape[1]), axis=1) - 1
+    return [Congruence(tuple(r))
+            for r in np.take_along_axis(rank, roots, axis=1).tolist()]
+
+
+def _roots(c: Congruence) -> np.ndarray:
+    ids = np.asarray(c.ids)
+    return np.unique(ids, return_index=True)[1][ids]
 
 
 def principal_congruence(lat: FiniteLattice, a: int, b: int) -> Congruence:
     """Least congruence identifying a and b."""
-    return _generated_congruence(lat, [(a, b)])
+    return _congruences(_principal_roots(lat, [a], [b]))[0]
 
 
 def join_congruences(a: Congruence, b: Congruence) -> Congruence:
     """Least equivalence containing both; for congruences of a common
     lattice this is again a congruence (substitution passes along chains)."""
-    n = len(a.ids)
-    uf = _UnionFind(n)
-    first_a: dict[int, int] = {}
-    first_b: dict[int, int] = {}
-    for e in range(n):
-        ra = first_a.setdefault(a.ids[e], e)
-        rb = first_b.setdefault(b.ids[e], e)
-        uf.union(ra, e)
-        uf.union(rb, e)
-    return Congruence.from_ids(uf.find(e) for e in range(n))
+    return _congruences(_join_roots(_roots(a)[None, :], _roots(b)))[0]
 
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
@@ -162,7 +191,9 @@ class ConLattice:
 
 
 def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
-    """The congruence lattice, ordered by refinement.
+    """The congruence lattice, ordered by refinement; SizeLimitExceeded
+    when the lattice or its congruence lattice has more than `cap`
+    elements.
 
     Every congruence of a finite lattice is the join of the principal
     congruences of the cover pairs it collapses, and one generator per
@@ -174,32 +205,74 @@ def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
     <a, b>, and con(j_, j) = con(a, b) (R. Freese, "Computing congruences
     efficiently", Algebra Universalis 59, 2008).  Each <j_, j> is itself a
     cover, so these generators are exactly the distinct cover-pair
-    congruences.
+    congruences, which are the join-irreducibles of the distributive
+    lattice Con L.  By Birkhoff's representation, theta -> {generators
+    below theta} is then an isomorphism from Con L onto the down-sets of
+    the generators, with meet = intersection and join = union.
+
+    The generators are ordered by con(a) <= con(b) iff b collapses a's
+    pair, and the down-sets enumerated as bit rows along a linear
+    extension: step t extends each down-set that holds everything below
+    generator t by t, and the new congruence is the join of its parent's
+    partition with generator t's.  A down-set's index is found by the
+    same walk (`_down_set_index`), so the Con L tables come from the bits.
     """
     if lat.n > cap:
         raise SizeLimitExceeded(f"congruence computation capped at {cap} elements")
-    generators = {principal_congruence(lat, lat.lower_covers(j)[0], j)
-                  for j in join_irreducibles(lat)}
-    identity = Congruence.from_ids(range(lat.n))
-    found = {identity}
-    frontier = [identity]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = join_congruences(cur, g)
-            if nxt not in found:
-                found.add(nxt)
-                frontier.append(nxt)
-    cons = sorted(found, key=lambda c: (c.block_count, c.ids))
-    k = len(cons)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, ci in enumerate(cons):
-        for j, cj in enumerate(cons):
-            leq[i, j] = ci.refines(cj)
-    names = [f"con{i}/{ci.block_count}b" for i, ci in enumerate(cons)]
+    ji = join_irreducibles(lat)
+    lower = [lat.lower_covers(j)[0] for j in ji]
+    gens = {}  # the distinct generators, by their root labels
+    for roots, pair in zip(_principal_roots(lat, lower, ji), zip(lower, ji)):
+        gens.setdefault(roots.tobytes(), (roots, pair))
+    roots = np.array([r for r, _ in gens.values()]).reshape(-1, lat.n)
+    lo, hi = np.array([p for _, p in gens.values()], dtype=np.intp).reshape(-1, 2).T
+    below = (roots[:, lo] == roots[:, hi]).T  # below[a, b]: con(a) <= con(b)
+    order = np.argsort(below.sum(axis=0), kind="stable")  # a linear extension
+    below = below[np.ix_(order, order)]
+    np.fill_diagonal(below, False)
+    roots = roots[order]
+
+    bits = np.zeros((1, len(order)), dtype=bool)
+    labels = np.arange(lat.n)[None, :]
+    children = []
+    for t in range(len(order)):
+        parents = np.flatnonzero(bits[:, below[:, t]].all(axis=1))
+        if len(bits) + parents.size > cap:
+            raise SizeLimitExceeded(f"more than {cap} congruences")
+        child = np.full(len(bits), -1, dtype=np.int32)
+        child[parents] = np.arange(len(bits), len(bits) + parents.size)
+        children.append(child)
+        grown = bits[parents]
+        grown[:, t] = True
+        bits = np.concatenate([bits, grown])
+        labels = np.concatenate([labels, _join_roots(labels[parents], roots[t])])
+
+    cons = _congruences(labels)
+    perm = sorted(range(len(cons)), key=lambda r: (cons[r].block_count, cons[r].ids))
+    rank = np.empty(len(perm), dtype=np.int32)
+    rank[perm] = np.arange(len(perm))
+    meet = rank[_down_set_index(children, bits, np.logical_and)][np.ix_(perm, perm)]
+    join = rank[_down_set_index(children, bits, np.logical_or)][np.ix_(perm, perm)]
+    cons = [cons[r] for r in perm]
+    names = [f"con{i}/{c.block_count}b" for i, c in enumerate(cons)]
+    leq = meet == np.arange(len(cons))[:, None]
     return ConLattice(tuple(cons),
-                      lattice_from_leq(leq, names=names,
-                                       name=f"Con({lat.name or '?'})"))
+                      FiniteLattice(leq, meet, join, names=names,
+                                    name=f"Con({lat.name or '?'})"))
+
+
+def _down_set_index(children, bits, op) -> np.ndarray:
+    """The enumeration index of op(bits[a], bits[b]) for every pair (a, b),
+    where op is intersection or union and so gives a down-set again.
+    Starting from the empty set, step t moves to the child through
+    generator t where the result holds t: the result's part among the
+    first t generators is a down-set, so that child exists."""
+    count = len(bits)
+    idx = np.zeros((count, count), dtype=np.int32)
+    for t, child in enumerate(children):
+        col = bits[:, t]
+        idx = np.where(op(col[:, None], col[None, :]), child[idx], idx)
+    return idx
 
 
 def extend_congruence(k: TupleLattice, theta: Congruence) -> Congruence:
@@ -243,9 +316,7 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom") -> CpeReport:
     if embedding not in embeddings:
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
-    k = m3_of(base)
-    if k.lattice is None or len(k) > CON_SIZE_CAP:
-        raise SizeLimitExceeded("extension lattice above the congruence cap")
+    k = m3_with_tables(base)
     image = embeddings[embedding](k)
     con_b = all_congruences(base)
     con_k = all_congruences(k.lattice)

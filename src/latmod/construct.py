@@ -16,15 +16,17 @@ from .core import (
     join_irreducibles,
     lattice_from_leq,
 )
-from .errors import NotDistributive, VerificationFailed
+from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
 from .rank import _BLOCK_ENTRIES, _fixpoints
 
 EAGER_TABLE_CAP = 2000
+_GRID_ENTRIES = 1 << 16  # tuples or pairs per numpy block
 
 
 def _encode(n: int, cols) -> np.ndarray:
-    """Pack coordinate columns into one int64 key, lexicographic order."""
-    key = np.zeros(cols[0].shape, dtype=np.int64)
+    """Pack coordinate columns into one int32 key, the tuple read as a
+    base-n number, so keys ascend with the lexicographic order."""
+    key = np.zeros(cols[0].shape, dtype=np.int32)
     for c in cols:
         key = key * n + c
     return key
@@ -99,17 +101,31 @@ class TupleLattice:
 
 def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
     """The tuples over the base whose pairwise meets all coincide, as
-    columns in lexicographic order."""
+    columns in lexicographic order.
+
+    The grid of all n^arity tuples is filtered a block of first
+    coordinates at a time, as an open mesh: the meets broadcast rows of
+    the meet table, and a block holds about _GRID_ENTRIES tuples but at
+    least one first coordinate, so the working set is
+    max(_GRID_ENTRIES, n^(arity-1)) entries."""
     n = base.n
-    cols = [g.ravel().astype(np.int32) for g in
-            np.meshgrid(*([np.arange(n)] * arity), indexing="ij")]
     m = base.meet_table
-    ref = m[cols[0], cols[1]]
-    mask = np.ones(ref.shape, dtype=bool)
-    for a, b in itertools.combinations(range(arity), 2):
-        if (a, b) != (0, 1):
-            mask &= m[cols[a], cols[b]] == ref
-    return [c[mask] for c in cols]
+    rows = max(1, _GRID_ENTRIES // n ** (arity - 1))
+    others = [np.arange(n, dtype=np.int32)] * (arity - 1)
+    parts = [[] for _ in range(arity)]
+    for lo in range(0, n, rows):
+        first = np.arange(lo, min(lo + rows, n), dtype=np.int32)
+        axes = np.ix_(first, *others)
+        ref = m[axes[0], axes[1]]
+        mask = np.ones((first.size,) + (n,) * (arity - 1), dtype=bool)
+        for a, b in itertools.combinations(range(arity), 2):
+            if (a, b) != (0, 1):
+                mask &= m[axes[a], axes[b]] == ref
+        hits = np.nonzero(mask)  # row-major, hence lexicographic
+        parts[0].append(first[hits[0]])
+        for part, h in zip(parts[1:], hits[1:]):
+            part.append(h.astype(np.int32))
+    return [np.concatenate(p) for p in parts]
 
 
 def _pair_blocks(count: int, block: int):
@@ -142,6 +158,26 @@ def _close_joins(base: FiniteLattice, cols, ia, ib):
     return out, depth
 
 
+def _order_and_meets(base: FiniteLattice, cols: list, where: np.ndarray):
+    """The componentwise order and the meet table of all count^2 pairs,
+    broadcast a block of rows at a time: whole count^2 temporaries left
+    holes in the heap that raised the peak RSS of later work."""
+    n, count = base.n, cols[0].size
+    lf, mf = base.leq.ravel(), base.meet_table.ravel()
+    leq = np.ones((count, count), dtype=bool)
+    meet = np.empty((count, count), dtype=np.int32)
+    rows = max(1, _GRID_ENTRIES // count)
+    for lo in range(0, count, rows):
+        block = slice(lo, lo + rows)
+        key = np.zeros(leq[block].shape, dtype=np.int32)
+        for c in cols:
+            pair = c[block, None] * n + c[None, :]
+            leq[block] &= lf.take(pair)
+            key = key * n + mf.take(pair)
+        meet[block] = where.take(key)
+    return leq, meet
+
+
 def _build(base: FiniteLattice, cols: list, name: str) -> TupleLattice:
     count = cols[0].size
     if count > EAGER_TABLE_CAP:
@@ -149,30 +185,23 @@ def _build(base: FiniteLattice, cols: list, name: str) -> TupleLattice:
         return TupleLattice(base, cols, None, None, name)
 
     n = base.n
-    names = ["<" + ",".join(base.names[v] for v in t) + ">"
-             for t in zip(*(c.tolist() for c in cols))]
-    # componentwise order
-    leq = np.ones((count, count), dtype=bool)
-    for c in cols:
-        leq &= base.leq[c[:, None], c[None, :]]
+    label = np.array(base.names, dtype=object)
+    template = "<" + ",".join(["%s"] * len(cols)) + ">"
+    names = [template % t for t in zip(*(label[c].tolist() for c in cols))]
+    # A tuple's id by its key.  Every <x, y, x^y> (and <x, y, m, m> with
+    # m = x^y) is balanced, so count >= n^2 and the index has at most
+    # count^(arity/2) entries.
+    where = np.empty(n ** len(cols), dtype=np.int32)
+    where[_encode(n, cols)] = np.arange(count, dtype=np.int32)
 
-    keys = _encode(n, cols)  # ascending: tuples are lexicographic
+    leq, meet = _order_and_meets(base, cols, where)
 
-    def locate(component_cols) -> np.ndarray:
-        return np.searchsorted(keys, _encode(n, component_cols)).astype(np.int32)
-
-    # meets and joins are symmetric: compute the pairs a <= b, mirror the rest
+    # joins are symmetric: close the pairs a <= b, mirror the rest
     ia, ib = np.triu_indices(count)
-
-    def mirror(half: np.ndarray) -> np.ndarray:
-        table = np.empty((count, count), dtype=np.int32)
-        table[ia, ib] = half
-        table[ib, ia] = half
-        return table
-
-    meet = mirror(locate([base.meet_table[c[ia], c[ib]] for c in cols]))
     closed, depth = _close_joins(base, cols, ia, ib)
-    lat = FiniteLattice(leq, meet, mirror(locate(closed)), names=names, name=name)
+    join = np.empty((count, count), dtype=np.int32)
+    join[ia, ib] = join[ib, ia] = where.take(_encode(n, closed))
+    lat = FiniteLattice(leq, meet, join, names=names, name=name)
     return TupleLattice(base, cols, lat, depth, name)
 
 
@@ -180,6 +209,22 @@ def m3_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of all balanced triples of the base: meets
     componentwise, join of a pair the closure of its componentwise join."""
     return _build(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
+
+
+def m3_with_tables(base: FiniteLattice) -> TupleLattice:
+    """m3_of(base) with its meet and join tables; SizeLimitExceeded when
+    M3[base] has more than EAGER_TABLE_CAP elements.  Every <x, y, x^y> is
+    balanced, so |M3[base]| >= n^2, and a base with n^2 above the cap
+    fails before anything is built."""
+    label = f"M3[{base.name or '?'}]"
+    if base.n ** 2 > EAGER_TABLE_CAP:
+        raise SizeLimitExceeded(f"{label} has at least {base.n ** 2} elements, "
+                                f"above the table cap {EAGER_TABLE_CAP}")
+    k = m3_of(base)
+    if k.lattice is None:
+        raise SizeLimitExceeded(f"{label} has {len(k)} elements, "
+                                f"above the table cap {EAGER_TABLE_CAP}")
+    return k
 
 
 def m4_of(base: FiniteLattice) -> TupleLattice:

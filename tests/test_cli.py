@@ -197,3 +197,25 @@ def test_tensor_command_builds_once(capsys, monkeypatch):
     code, _ = run(capsys, "tensor", "--left", "c2sq", "--right", "c3",
                   "--verify-repr", "--verify-m3-iso")
     assert code == 0 and built == [("C2xC2", "C3"), ("M3", "C3")]
+
+
+def test_m3_congruences_above_the_table_cap_fail_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("M3 was built")
+
+    # Sub(2,4) has 67 elements: 67^2 > EAGER_TABLE_CAP, so nothing is built
+    monkeypatch.setattr(construct, "_balanced_tuples", refuse)
+    for flag in (("--of-m3",), ("--verify-cpe", "atom")):
+        code, out = run(capsys, "con", "--lattice", "subspace:2,4", *flag)
+        assert code == 3 and "table cap" in out.err, flag
+    monkeypatch.undo()
+    # n^2 under the cap but M3[N5] above it: the lazy result has no tables
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
+    for flag in (("--of-m3",), ("--verify-cpe", "diag")):
+        code, out = run(capsys, "con", "--lattice", "n5", *flag)
+        assert code == 3 and "table cap" in out.err, flag
+
+
+def test_congruence_count_cap_exits_input(capsys):
+    code, out = run(capsys, "con", "--lattice", "c30")
+    assert code == 3 and "more than 2000 congruences" in out.err

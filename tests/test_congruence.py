@@ -1,5 +1,8 @@
 import itertools
+import random
+import time
 
+import numpy as np
 import pytest
 
 from latmod import catalog, congruence, construct, core
@@ -61,32 +64,100 @@ def scalar_generated_congruence(lat, pairs):
     return Congruence.from_ids(find(e) for e in range(lat.n))
 
 
-def all_pairs_congruences(lat):
-    """Oracle: the congruence lattice's elements, sorted as all_congruences
-    sorts them, generated from the scalar principal congruence of every
-    pair a < b instead of one generator per join-irreducible."""
-    generators = {scalar_generated_congruence(lat, [(a, b)])
-                  for a in lat.elements() for b in lat.elements() if a < b}
+class UnionFind:
+    """Oracle helper: scalar union-find with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def union_find_join(a, b):
+    """Oracle: the join of two partitions by scalar union-find, linking
+    each element to the first element of its block in either."""
+    n = len(a.ids)
+    uf = UnionFind(n)
+    first_a, first_b = {}, {}
+    for e in range(n):
+        uf.union(first_a.setdefault(a.ids[e], e), e)
+        uf.union(first_b.setdefault(b.ids[e], e), e)
+    return Congruence.from_ids(uf.find(e) for e in range(n))
+
+
+def bfs_con_lattice(lat, generators):
+    """Oracle for all_congruences: a BFS from the identity that joins the
+    generators by union-find until nothing new appears, sorted as
+    all_congruences sorts, ordered by the refines loop over all pairs,
+    with tables derived by lattice_from_leq."""
     found = {Congruence.from_ids(range(lat.n))}
     frontier = list(found)
     while frontier:
         cur = frontier.pop()
         for g in generators:
-            nxt = congruence.join_congruences(cur, g)
+            nxt = union_find_join(cur, g)
             if nxt not in found:
                 found.add(nxt)
                 frontier.append(nxt)
-    return [c.ids for c in sorted(found, key=lambda c: (c.block_count, c.ids))]
+    cons = sorted(found, key=lambda c: (c.block_count, c.ids))
+    leq = np.array([[ci.refines(cj) for cj in cons] for ci in cons], dtype=bool)
+    names = [f"con{i}/{c.block_count}b" for i, c in enumerate(cons)]
+    return cons, core.lattice_from_leq(leq, names=names, name=f"Con({lat.name or '?'})")
+
+
+def all_pairs_con_lattice(lat):
+    """Oracle: bfs_con_lattice over the scalar principal congruence of every
+    pair a < b instead of one generator per join-irreducible."""
+    return bfs_con_lattice(lat, {scalar_generated_congruence(lat, [(a, b)])
+                                 for a in lat.elements() for b in lat.elements() if a < b})
+
+
+def all_pairs_congruences(lat):
+    return [c.ids for c in all_pairs_con_lattice(lat)[0]]
+
+
+def assert_con_lattice_matches(got, want):
+    cons, lat = want
+    assert got.congruences == tuple(cons)
+    assert got.lattice.names == lat.names and got.lattice.name == lat.name
+    for mine, theirs in ((got.lattice.leq, lat.leq), (got.lattice.meet_table, lat.meet_table),
+                         (got.lattice.join_table, lat.join_table)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def shuffled(lat, rng):
+    """The lattice renumbered by a random permutation, so that element ids
+    need not follow the order (enumerate_lattices numbers bottom-up)."""
+    perm = list(lat.elements())
+    rng.shuffle(perm)
+    return core.lattice_from_leq(lat.leq[np.ix_(perm, perm)],
+                                 names=[lat.names[p] for p in perm], name=lat.name)
 
 
 def assert_matches_all_pairs_oracle(max_n):
-    """Join-irreducible generation equals all-pairs generation, in order,
-    on every labeled lattice with at most max_n elements.  Tier-1 runs
-    max_n = 7; max_n = 8 (4,008 lattices) is a longer run by hand."""
+    """The down-set route equals the all-pairs BFS oracle, in congruences,
+    order, names and Con tables, on every labeled lattice with at most
+    max_n elements and on a seeded renumbering of each.  Tier-1 runs
+    max_n = 7 (371 lattices); max_n = 8 (4,008 lattices) is a longer run
+    by hand."""
+    rng = random.Random(7)
     for n in range(1, max_n + 1):
         for lat in catalog.enumerate_lattices(n):
-            got = [c.ids for c in all_congruences(lat).congruences]
-            assert got == all_pairs_congruences(lat), core.serialize(lat)
+            for case in (lat, shuffled(lat, rng)):
+                assert_con_lattice_matches(all_congruences(case),
+                                           all_pairs_con_lattice(case))
 
 
 def test_all_congruences_against_partition_oracle(lattices):
@@ -134,6 +205,24 @@ def test_cover_pair_generation_agrees_with_all_pairs(lattices):
 
 def test_join_irreducible_generation_on_all_small_lattices():
     assert_matches_all_pairs_oracle(7)
+
+
+@pytest.mark.parametrize("name, shuffle", [("n5", False), ("n5", True), ("m4", False),
+                                           ("witness7", False)])
+def test_down_set_route_matches_bfs_oracle_on_m3(name, shuffle):
+    k = construct.m3_of(catalog.by_name(name)).lattice
+    if shuffle:
+        k = shuffled(k, random.Random(3))
+    generators = {scalar_generated_congruence(k, [(k.lower_covers(j)[0], j)])
+                  for j in core.join_irreducibles(k)}
+    assert_con_lattice_matches(all_congruences(k), bfs_con_lattice(k, generators))
+
+
+def test_join_of_congruences_matches_union_find_oracle(lattices):
+    for name in ("N5", "witness7", "B3", "C4"):
+        cons = all_congruences(lattices[name]).congruences
+        for a, b in itertools.product(cons, repeat=2):
+            assert congruence.join_congruences(a, b) == union_find_join(a, b)
 
 
 @pytest.mark.parametrize("name, covers, generators",
@@ -223,6 +312,19 @@ def test_extension_check_survives_optimize_flag(run_optimized):
 def test_congruence_size_cap():
     with pytest.raises(SizeLimitExceeded):
         all_congruences(catalog.chain(120), cap=100)
+
+
+def test_congruence_count_cap_stops_the_enumeration():
+    # Con(C_n) has 2^(n-1) elements: C_11 fits under the default cap, C_12
+    # does not, and C_40 (2^39) is refused after a dozen doubling steps
+    assert len(all_congruences(catalog.chain(11))) == 1024
+    for n in (12, 40):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded, match="more than 2000 congruences"):
+            all_congruences(catalog.chain(n))
+        assert time.perf_counter() - start < 10
+    with pytest.raises(SizeLimitExceeded):
+        all_congruences(catalog.chain(6), cap=31)
 
 
 def test_congruence_value_object():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,56 @@ def test_lazy_build_closes_nothing(monkeypatch):
     closed.clear()
     assert k.join(1, 2) == eager.lattice.join(1, 2)
     assert closed == [1]
+
+
+# -- oracle: the meshgrid balanced-tuple filter ------------------------------
+
+def meshgrid_balanced_tuples(base, arity):
+    """Oracle for _balanced_tuples: all n^arity tuples as meshgrid columns,
+    filtered in one mask.  Holds arity * n^arity entries at once."""
+    n = base.n
+    cols = [g.ravel().astype(np.int32) for g in
+            np.meshgrid(*([np.arange(n)] * arity), indexing="ij")]
+    m = base.meet_table
+    ref = m[cols[0], cols[1]]
+    mask = np.ones(ref.shape, dtype=bool)
+    for a, b in itertools.combinations(range(arity), 2):
+        if (a, b) != (0, 1):
+            mask &= m[cols[a], cols[b]] == ref
+    return [c[mask] for c in cols]
+
+
+def test_balanced_filter_matches_meshgrid_oracle():
+    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    bases += [catalog.fano(), catalog.subspace_lattice(3, 3)]
+    for base in bases:
+        for arity in (3, 4):
+            got = construct._balanced_tuples(base, arity)
+            want = meshgrid_balanced_tuples(base, arity)
+            assert all(g.dtype == np.int32 and np.array_equal(g, w)
+                       for g, w in zip(got, want))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_balanced_filter_memory_is_bounded():
+    """The filter holds its output twice (the blocks, then their
+    concatenation) plus a working set of max(_GRID_ENTRIES, n^3)
+    entries; the meshgrid oracle, holding every quadruple, breaks that
+    bound on the same base (n = 28, 614,656 quadruples)."""
+    base = catalog.subspace_lattice(3, 3)
+    out, peak = traced_peak(construct._balanced_tuples, base, 4)
+    bound = 2 * sum(c.nbytes for c in out) \
+        + 32 * max(construct._GRID_ENTRIES, base.n ** 3)
+    assert peak <= bound
+    assert traced_peak(meshgrid_balanced_tuples, base, 4)[1] > bound
 
 
 def test_pair_blocks_cover_upper_pairs():
