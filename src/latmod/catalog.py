@@ -22,10 +22,17 @@ from .errors import (
 SUBSPACE_CAP = 4096
 
 
+def _check_size(label: str, size: int):
+    """SizeLimitExceeded, before any covers are built, above core.ELEMENT_CAP."""
+    if size > core.ELEMENT_CAP:
+        raise SizeLimitExceeded(f"{label} has {size} elements, above the cap {core.ELEMENT_CAP}")
+
+
 def chain(n: int) -> FiniteLattice:
     """The n-element chain C_n."""
     if n < 1:
         raise ArgumentOutOfRange("chain needs n >= 1")
+    _check_size(f"C{n}", n)
     covers = tuple((i, i + 1) for i in range(n - 1))
     return from_covers(CoverList(n, covers), name=f"C{n}")
 
@@ -34,6 +41,8 @@ def boolean(n: int) -> FiniteLattice:
     """The Boolean lattice B_n with 2^n elements; boolean(0) is C_1."""
     if n < 0:
         raise ArgumentOutOfRange("boolean needs n >= 0")
+    if n >= core.ELEMENT_CAP.bit_length():  # 2^n > ELEMENT_CAP
+        raise SizeLimitExceeded(f"B{n} has 2^{n} elements, above the cap {core.ELEMENT_CAP}")
     size = 1 << n
     covers = tuple((s, s | (1 << b)) for s in range(size) for b in range(n)
                    if not s & (1 << b))
@@ -46,6 +55,7 @@ def m_k(k: int) -> FiniteLattice:
     """M_k: the height-2 lattice with k atoms (M_3, M_4, ...)."""
     if k < 3:
         raise ArgumentOutOfRange("m_k needs k >= 3")
+    _check_size(f"M{k}", k + 2)
     top = k + 1
     covers = tuple((0, a) for a in range(1, k + 1)) + tuple((a, top) for a in range(1, k + 1))
     atom_names = "abcdefghij"
@@ -93,12 +103,19 @@ def _is_prime(q: int) -> bool:
 def subspace_lattice(q: int, d: int, cap: int = SUBSPACE_CAP) -> FiniteLattice:
     """All subspaces of the d-dimensional vector space over the q-element
     field (prime q), ordered by inclusion."""
-    if not _is_prime(q):
-        raise ArgumentOutOfRange(f"q={q} not in the supported set (primes)")
     if d < 1:
         raise ArgumentOutOfRange("d >= 1 required")
-    if q ** d > cap:
-        raise SizeLimitExceeded(f"q^d = {q ** d} exceeds cap {cap}")
+    # before q ** d and the primality test: both take long for huge q or d
+    if q >= 2 and (d >= cap.bit_length() or q ** d > cap):
+        raise SizeLimitExceeded(f"q^d = {q}^{d} exceeds cap {cap}")
+    if not _is_prime(q):
+        raise ArgumentOutOfRange(f"q={q} not in the supported set (primes)")
+    # the subspace count, a sum of Gaussian binomials, before any is built
+    count, term = 0, 1
+    for k in range(d + 1):
+        count += term
+        term = term * (q ** (d - k) - 1) // (q ** (k + 1) - 1)
+    _check_size(f"Sub({q},{d})", count)
     zero = (0,) * d
 
     def extend(space: frozenset, v: tuple) -> frozenset:
@@ -501,10 +518,6 @@ def by_name(spec: str) -> FiniteLattice:
         return fano()
     if s == "witness7":
         return witness7()
-    if s.startswith("m") and s[1:].isdigit():
-        return m_k(int(s[1:]))
-    if s.startswith("b") and s[1:].isdigit():
-        return boolean(int(s[1:]))
-    if s.startswith("c") and s[1:].isdigit():
-        return chain(int(s[1:]))
+    if s[:1] in ("m", "b", "c") and s[1:].isdecimal():  # not isdigit: "²" is one
+        return {"m": m_k, "b": boolean, "c": chain}[s[0]](*_spec_ints(spec, s[1:], 1))
     raise ArgumentOutOfRange(f"unknown lattice spec: {spec!r}")

@@ -3,6 +3,7 @@ their canonical embeddings, and the isotone-map power construction."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -40,7 +41,8 @@ class TupleLattice:
     column of entries per coordinate.  Full meet and join tables are
     materialized up to EAGER_TABLE_CAP elements; above that, joins are
     closed on demand and memoized, the closure depth is computed on first
-    access, and `lattice` is unavailable.
+    access, and `lattice` is unavailable.  The Python `tuples` list and the
+    `index` dict are built on first access.
     """
 
     def __init__(self, base: FiniteLattice, cols: list,
@@ -49,15 +51,21 @@ class TupleLattice:
         self.base = base
         self.cols = cols
         self.arity = len(cols)
-        self.tuples = list(zip(*(c.tolist() for c in cols)))
-        self.index = {t: i for i, t in enumerate(self.tuples)}
         self.lattice = lattice
         self._depth = max_closure_index
         self.name = name
         self._join_memo: dict[tuple[int, int], int] = {}
 
+    @functools.cached_property
+    def tuples(self) -> list:
+        return list(zip(*(c.tolist() for c in self.cols)))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {t: i for i, t in enumerate(self.tuples)}
+
     def __len__(self):
-        return len(self.tuples)
+        return self.cols[0].size
 
     def tuple_name(self, i: int) -> str:
         return "<" + ",".join(self.base.names[c] for c in self.tuples[i]) + ">"
@@ -152,9 +160,9 @@ def _close_joins(base: FiniteLattice, cols, ia, ib):
     # the joined columns are not named here: the loop drops them after round 0
     for depth, (done, fixed, cur) in enumerate(_fixpoints(
             base.meet_table, base.join_table,
-            [jf.take(c[ia] * base.n + c[ib]) for c in cols])):
+            [jf.take(c.take(ia) * base.n + c.take(ib)) for c in cols])):
         for o, c in zip(out, cur):
-            o[done] = c[fixed]
+            o[done] = c.compress(fixed)
     return out, depth
 
 

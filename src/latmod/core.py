@@ -25,6 +25,9 @@ from .errors import (
 )
 
 ISO_SIZE_CAP = 5000
+# elements of a lattice built from covers; its tables and the products that
+# check them take some 20 * n^2 bytes
+ELEMENT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,8 @@ class CoverList:
     def __post_init__(self):
         if self.size < 1:
             raise ParseError("a lattice needs at least one element")
+        if self.size > ELEMENT_CAP:
+            raise SizeLimitExceeded(f"{self.size} elements exceed the cap {ELEMENT_CAP}")
         for lo, hi in self.covers:
             if not (0 <= lo < self.size and 0 <= hi < self.size):
                 raise ParseError(f"cover ({lo},{hi}) out of range for size {self.size}")
@@ -523,7 +528,7 @@ def parse(text: str) -> FiniteLattice:
     """Inverse of serialize; raises ParseError/CycleDetected/NotALattice."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
@@ -533,10 +538,15 @@ def parse(text: str) -> FiniteLattice:
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ParseError("'elements' must be a list of strings")
+    if len(set(elements)) != len(elements):
+        raise ParseError("'elements' has a repeated name")
+    if not isinstance(doc["covers"], list):
+        raise ParseError("'covers' must be a list")
     covers = []
     for i, pair in enumerate(doc["covers"]):
+        # JSON true/false load as bool, a subclass of int
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)):
+                or not all(type(v) is int for v in pair)):
             raise ParseError(f"covers[{i}] must be a pair of integers")
         covers.append((pair[0], pair[1]))
     cl = CoverList(size=len(elements), covers=tuple(covers), names=tuple(elements))

@@ -27,8 +27,9 @@ import numpy as np
 from .core import FiniteLattice
 from .errors import ArgumentOutOfRange, RankExceedsCap
 
-# Triples per full-scan block.  A block's working set is some 40 bytes a
-# triple; small blocks keep a scan's peak low, also when it runs on top of
+# Triples per full-scan block.  A block's working set is some 66 bytes a
+# triple, its 20 bytes of input included (tracemalloc on a block of the
+# M3[M6] scan); small blocks keep a scan's peak low, also when it runs on top of
 # memory the allocator kept from earlier work.  Antichain batches are smaller
 # still, as each scan thread holds one.  Pair blocks of `construct` use the
 # same bound.
@@ -172,6 +173,11 @@ def _fixpoints(meet: np.ndarray, join: np.ndarray, cols,
     current[i][fixed] are the closures.  More than `cap` rounds raise
     RankExceedsCap; without a cap the loop runs to the fixpoint, which a
     finite lattice reaches.
+
+    Compaction is by `compress`: on four int32 columns of 100k entries
+    with 64% kept it took 1.5 ms against 2.9 ms for boolean subscripts
+    (2 cores).  `flatnonzero` and `take` are faster still, but keep int64
+    index arrays alive beside the columns.
     """
     pos = np.arange(cols[0].size)
     k = 0
@@ -182,9 +188,9 @@ def _fixpoints(meet: np.ndarray, join: np.ndarray, cols,
         fixed = nxt[0] == cols[0]
         for a, b in zip(cols[1:], nxt[1:]):
             fixed &= a == b
-        yield pos[fixed], fixed, cols
+        yield pos.compress(fixed), fixed, cols
         moving = ~fixed
-        pos, cols = pos[moving], [c[moving] for c in nxt]
+        pos, cols = pos.compress(moving), [c.compress(moving) for c in nxt]
         del nxt  # live now: these columns and the caller's previous ones
         k += 1
 
@@ -291,22 +297,22 @@ def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None) -> ScanResul
                          for x, y, z, w in _sorted_triple_blocks(lat.n))
 
 
-def _antichain_batches(lat: FiniteLattice, lo: int, hi: int):
+def _antichain_batches(u: np.ndarray, py: np.ndarray, pz: np.ndarray,
+                       lo: int, hi: int):
     """Antichain triples x<y<z with lo <= x < hi, in lexicographic batches
-    of about _ANTICHAIN_BATCH."""
-    incomp = ~lat.leq & ~lat.leq.T
-    n = lat.n
-    idx = np.arange(n)
+    of about _ANTICHAIN_BATCH.  U is the strictly upper part of the
+    incomparability matrix and (py, pz) its pairs y < z, int32, row-major:
+    those of x are the pairs with y > x (a suffix) and U[x, y] & U[x, z]."""
+    starts = np.searchsorted(py, np.arange(lo, hi), side="right").tolist()
     bx, by, bz = [], [], []
     size = 0
-    for x in range(lo, hi):
-        ys = np.flatnonzero(incomp[x] & (idx > x))
-        yy, zz = np.nonzero(np.triu(incomp[np.ix_(ys, ys)], k=1))
-        if yy.size:
-            bx.append(np.full(yy.size, x, dtype=np.int32))
-            by.append(ys[yy].astype(np.int32))
-            bz.append(ys[zz].astype(np.int32))
-            size += yy.size
+    for x, s in zip(range(lo, hi), starts):
+        hits = np.flatnonzero(u[x].take(py[s:]) & u[x].take(pz[s:]))
+        if hits.size:
+            bx.append(np.full(hits.size, x, dtype=np.int32))
+            by.append(py[s:].take(hits))
+            bz.append(pz[s:].take(hits))
+            size += hits.size
         if size >= _ANTICHAIN_BATCH:
             yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
             bx, by, bz, size = [], [], [], 0
@@ -314,7 +320,7 @@ def _antichain_batches(lat: FiniteLattice, lo: int, hi: int):
         yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
 
 
-def _balanced_bounds(lat: FiniteLattice, jobs: int) -> np.ndarray:
+def _balanced_bounds(u: np.ndarray, jobs: int) -> np.ndarray:
     """Split points 0 = b_0 <= ... <= b_jobs = n of the x range such that
     each [b_i, b_i+1) holds about the same number of antichains x<y<z.
 
@@ -323,12 +329,12 @@ def _balanced_bounds(lat: FiniteLattice, jobs: int) -> np.ndarray:
     antichains with least element x number sum_y U[x, y] (U U^T)[x, y]
     (a float32 BLAS product, exact while n < 2**24).
     """
-    u = np.triu(~lat.leq & ~lat.leq.T, k=1).astype(np.float32)
-    per_x = (u * (u @ u.T)).sum(axis=1, dtype=np.float64)
+    f = u.astype(np.float32)
+    per_x = (f * (f @ f.T)).sum(axis=1, dtype=np.float64)
     upto = np.cumsum(per_x)
     # b_i: the first x with at least i/jobs of all antichains before it
     bounds = np.searchsorted(upto - per_x, np.arange(jobs + 1) * upto[-1] / jobs)
-    bounds[0], bounds[-1] = 0, lat.n
+    bounds[0], bounds[-1] = 0, u.shape[0]
     return bounds
 
 
@@ -341,15 +347,17 @@ def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
     if jobs < 1:
         raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
     cap = _cap(lat, cap)
+    u = np.triu(~lat.leq & ~lat.leq.T, k=1)
+    py, pz = (a.astype(np.int32) for a in np.nonzero(u))
 
     def scan_range(lo: int, hi: int):
         return _merge_blocks(_scan_batch(lat, x, y, z, cap)
-                             for x, y, z in _antichain_batches(lat, lo, hi))
+                             for x, y, z in _antichain_batches(u, py, pz, lo, hi))
 
     if jobs <= 1 or lat.n < 2 * jobs:
         res = scan_range(0, lat.n)
     else:
-        bounds = _balanced_bounds(lat, jobs)
+        bounds = _balanced_bounds(u, jobs)
         with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futs = [pool.submit(scan_range, int(bounds[i]), int(bounds[i + 1]))
                     for i in range(jobs)]

@@ -1,8 +1,11 @@
 import json
 
-from latmod import congruence, construct, core, tensor
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from latmod import catalog, congruence, construct, core, tensor
 from latmod.cli import EXIT_CHECK_FAILED, main
-from latmod.errors import VerificationFailed
+from latmod.errors import LatticeError, VerificationFailed
 
 
 def run(capsys, *argv):
@@ -36,6 +39,27 @@ def test_validate_and_input_errors(capsys, tmp_path):
 
     code, out = run(capsys, "validate", "--lattice", "mystery")
     assert code == 3
+
+
+def test_malformed_lattice_documents_exit_input(capsys, tmp_path):
+    docs = {
+        "null-covers": {"elements": ["a", "b"], "covers": None},
+        "number-covers": {"elements": ["a", "b"], "covers": 7},
+        "boolean-ids": {"elements": ["a", "b"], "covers": [[True, 1]]},
+        "repeated-names": {"elements": ["a", "a"], "covers": [[0, 1]]},
+    }
+    for label, doc in docs.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--lattice", f"file:{path}")
+        assert code == 3 and "error" in out.err and "Traceback" not in out.err, label
+
+
+def test_oversized_specs_exit_input(capsys):
+    for spec in ("c5000", "b64", "m99999999999", "subspace:2,1000000000000",
+                 "c" + "9" * 5000, "m\u00b2"):
+        code, out = run(capsys, "validate", "--lattice", spec)
+        assert code == 3 and "error" in out.err, spec[:20]
 
 
 def test_directory_lattice_file_exits_input(capsys, tmp_path):
@@ -219,3 +243,48 @@ def test_m3_congruences_above_the_table_cap_fail_fast(capsys, monkeypatch):
 def test_congruence_count_cap_exits_input(capsys):
     code, out = run(capsys, "con", "--lattice", "c30")
     assert code == 3 and "more than 2000 congruences" in out.err
+
+
+# -- fuzzing: bad input maps to exit 3, never to a traceback -------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=10) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+element_lists = st.lists(st.text(max_size=2), max_size=6) | json_values
+cover_lists = st.lists(st.lists(st.integers(min_value=-1, max_value=6), max_size=3),
+                       max_size=8) | json_values
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.fixed_dictionaries({"elements": element_lists, "covers": cover_lists},
+                             optional={"name": json_values}) | json_values)
+def test_fuzzed_lattice_documents_exit_ok_or_input(tmp_path, capsys, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", "--lattice", f"file:{path}"])
+    capsys.readouterr()
+    assert code in (0, 3)
+
+
+spec_numbers = st.integers(min_value=-2, max_value=12).map(str) | st.integers().map(str) \
+    | st.text("0123456789,-+ _\u00b2\u0663", max_size=8)
+specs = st.tuples(st.sampled_from(["c", "b", "m", "l:", "subspace:", "C", " M", "n", "x", ""]),
+                  spec_numbers).map("".join) | st.text(max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs)
+def test_fuzzed_specs_raise_only_lattice_errors(spec):
+    if spec.strip().lower().startswith("file:"):
+        return  # a path: its OSError is an input error too (exit 3), fuzzed above
+    # a small element cap keeps each build cheap and puts its edge in reach
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "ELEMENT_CAP", 40)
+        try:
+            catalog.by_name(spec)
+        except LatticeError:
+            pass

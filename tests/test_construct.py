@@ -247,6 +247,19 @@ def test_lazy_build_closes_nothing(monkeypatch):
     assert closed == [1]
 
 
+def test_lazy_build_defers_tuple_list_and_index():
+    k = m3_of(catalog.subspace_lattice(2, 4))
+    assert k.lattice is None
+    assert "tuples" not in vars(k) and "index" not in vars(k)
+    assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
+    assert "tuples" not in vars(k) and "index" not in vars(k)
+    rows = np.stack(k.cols, axis=1)
+    assert rows[k.bottom].tolist() == [k.base.bottom] * 3
+    assert rows[k.top].tolist() == [k.base.top] * 3
+    assert len(k.index) == len(k)
+    assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
+
+
 # -- oracle: the meshgrid balanced-tuple filter ------------------------------
 
 def meshgrid_balanced_tuples(base, arity):

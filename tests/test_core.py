@@ -12,6 +12,7 @@ from latmod.errors import (
     NotALattice,
     NotComparable,
     ParseError,
+    SizeLimitExceeded,
     VerificationFailed,
 )
 
@@ -248,6 +249,31 @@ def test_parse_diagnostics():
         core.parse(json.dumps({"elements": ["a"], "covers": [[0]]}))
     with pytest.raises(ParseError):
         core.parse(json.dumps({"elements": [1], "covers": []}))
+
+
+def test_parse_rejects_non_list_covers():
+    for covers in (None, 3, "01", {"0": 1}):
+        with pytest.raises(ParseError, match="'covers' must be a list"):
+            core.parse(json.dumps({"elements": ["a", "b"], "covers": covers}))
+
+
+def test_parse_rejects_boolean_element_ids():
+    for pair in ([True, 1], [0, True], [False, True]):
+        with pytest.raises(ParseError, match="pair of integers"):
+            core.parse(json.dumps({"elements": ["a", "b"], "covers": [pair]}))
+
+
+def test_parse_rejects_repeated_names():
+    with pytest.raises(ParseError, match="repeated name"):
+        core.parse(json.dumps({"elements": ["a", "a"], "covers": [[0, 1]]}))
+
+
+def test_parse_rejects_deep_nesting_and_oversized_inputs():
+    with pytest.raises(ParseError):
+        core.parse("[" * 100_000)
+    names = [str(i) for i in range(core.ELEMENT_CAP + 1)]
+    with pytest.raises(SizeLimitExceeded):
+        core.parse(json.dumps({"elements": names, "covers": []}))
 
 
 @settings(max_examples=25, deadline=None)

@@ -181,13 +181,83 @@ def test_scan_job_split_balances_antichains(monkeypatch):
         if k == 4:  # batches and split against antichains listed one by one
             anti = list(core.antichains3(lat))
             monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
-            batches = list(rank._antichain_batches(lat, 0, lat.n))
+            u, py, pz = incomparable_pairs(lat)
+            batches = list(rank._antichain_batches(u, py, pz, 0, lat.n))
             assert len(batches) > 1
             assert list(zip(*(np.concatenate(b).tolist() for b in zip(*batches)))) == anti
             per_x = np.bincount([x for x, _, _ in anti], minlength=lat.n)
-            lo, mid, hi = rank._balanced_bounds(lat, 2).tolist()
+            lo, mid, hi = rank._balanced_bounds(u, 2).tolist()
             assert (lo, hi) == (0, lat.n)
             assert abs(2 * per_x[:mid].sum() - one.triple_count) <= 2 * per_x.max()
+
+
+# -- oracle: the per-x submatrix antichain enumerator ---------------------
+
+def incomparable_pairs(lat):
+    """The arguments rank.antichain_rank_scan hands _antichain_batches: the
+    strictly upper incomparability matrix and its pairs, int32, row-major."""
+    u = np.triu(~lat.leq & ~lat.leq.T, k=1)
+    py, pz = (a.astype(np.int32) for a in np.nonzero(u))
+    return u, py, pz
+
+
+def submatrix_antichain_batches(lat, lo, hi):
+    """Oracle for rank._antichain_batches: for each x, the pairs y < z of
+    the submatrix of the incomparability matrix over the ys above x and
+    incomparable to it, batched at the same boundaries."""
+    incomp = ~lat.leq & ~lat.leq.T
+    idx = np.arange(lat.n)
+    bx, by, bz = [], [], []
+    size = 0
+    for x in range(lo, hi):
+        ys = np.flatnonzero(incomp[x] & (idx > x))
+        yy, zz = np.nonzero(np.triu(incomp[np.ix_(ys, ys)], k=1))
+        if yy.size:
+            bx.append(np.full(yy.size, x, dtype=np.int32))
+            by.append(ys[yy].astype(np.int32))
+            bz.append(ys[zz].astype(np.int32))
+            size += yy.size
+        if size >= rank._ANTICHAIN_BATCH:
+            yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
+            bx, by, bz, size = [], [], [], 0
+    if size:
+        yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
+
+
+def assert_same_batches(lat, lo=0, hi=None):
+    hi = lat.n if hi is None else hi
+    got = list(rank._antichain_batches(*incomparable_pairs(lat), lo, hi))
+    want = list(submatrix_antichain_batches(lat, lo, hi))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return len(got)
+
+
+def test_pair_list_batches_match_submatrix_oracle_on_small_lattices(monkeypatch):
+    small = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    assert len(small) == 371
+    whole = sum(assert_same_batches(lat) for lat in small)
+    # batches of one or two antichains: every boundary rule is exercised
+    for batch in (1, 2):
+        monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", batch)
+        assert sum(assert_same_batches(lat) for lat in small) > whole
+
+
+def test_pair_list_batches_match_submatrix_oracle_on_m3(monkeypatch):
+    rng = random.Random(11)
+    for k in (4, 6):
+        lat = construct.m3_of(catalog.m_k(k)).lattice
+        for case in (lat, relabeled(lat, rng), relabeled(lat, rng)):
+            assert assert_same_batches(case) >= 1
+            bounds = rank._balanced_bounds(incomparable_pairs(case)[0], 3).tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert_same_batches(case, lo, hi)
+    monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
+    lat = construct.m3_of(catalog.m_k(6)).lattice
+    assert assert_same_batches(lat) > 1
+    assert assert_same_batches(relabeled(lat, rng)) > 1
 
 
 def test_step4_and_closure4(lattices):
