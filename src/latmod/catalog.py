@@ -116,31 +116,51 @@ def subspace_lattice(q: int, d: int, cap: int = SUBSPACE_CAP) -> FiniteLattice:
         count += term
         term = term * (q ** (d - k) - 1) // (q ** (k + 1) - 1)
     _check_size(f"Sub({q},{d})", count)
-    zero = (0,) * d
-
-    def extend(space: frozenset, v: tuple) -> frozenset:
-        return frozenset(tuple((s[i] + c * v[i]) % q for i in range(d))
-                         for s in space for c in range(q))
-
-    vectors = [tuple(vec) for vec in np.ndindex(*([q] * d))]
-    found = {frozenset([zero])}
-    queue = [frozenset([zero])]
-    while queue:
-        space = queue.pop()
-        for v in vectors:
-            if v not in space:
-                bigger = extend(space, v)
-                if bigger not in found:
-                    found.add(bigger)
-                    queue.append(bigger)
-    subspaces = sorted(found, key=lambda s: (len(s), sorted(s)))
-    m = len(subspaces)
-    leq = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for k in range(m):
-            leq[i, k] = subspaces[i] <= subspaces[k]
-    names = [f"S{i}d{round(np.log(len(s)) / np.log(q))}" for i, s in enumerate(subspaces)]
+    member, dims = _subspaces(q, d)
+    # i <= k iff no vector of subspace i lies outside subspace k; float32
+    # counts are exact up to q^d <= 2^24
+    rows = member.astype(np.float32)
+    leq = rows @ (1 - rows).T == 0
+    names = [f"S{i}d{k}" for i, k in enumerate(dims)]
     return lattice_from_leq(leq, names=names, name=f"Sub({q},{d})")
+
+
+def _grid(q: int, k: int) -> np.ndarray:
+    """All q^k vectors over Z_q of length k, as rows in lexicographic order."""
+    return np.indices((q,) * k).reshape(k, q ** k).T
+
+
+def _subspaces(q: int, d: int) -> tuple[np.ndarray, list[int]]:
+    """Every subspace of Z_q^d once, as a membership row over the vectors
+    (a vector's column is its entries read as a base-q number), with its
+    dimension.  Rows are ordered by dimension, then by the sorted list of
+    member vectors.
+
+    Each subspace is spanned from its reduced row echelon basis: for each
+    set of pivot columns, the entries right of a row's pivot and outside
+    the pivot columns are free.  Closing spans by adding one vector at a
+    time would produce each subspace again from every subspace below it."""
+    weights = q ** np.arange(d - 1, -1, -1)
+    groups, dims = [np.zeros((1, 1), dtype=np.int64)], [0]
+    for k in range(1, d + 1):
+        coeffs = _grid(q, k)
+        parts = []
+        for piv in combinations(range(d), k):
+            free = [(r, j) for r, p in enumerate(piv) for j in range(p + 1, d)
+                    if j not in piv]
+            vals = _grid(q, len(free))
+            basis = np.zeros((len(vals), k, d), dtype=np.int64)
+            basis[:, range(k), piv] = 1
+            if free:
+                basis[:, [r for r, _ in free], [j for _, j in free]] = vals
+            parts.append(np.sort((coeffs @ basis) % q @ weights, axis=1))
+        codes = np.concatenate(parts)
+        groups.append(codes[np.lexsort(codes.T[::-1])])
+        dims += [k] * len(codes)
+    member = np.zeros((len(dims), q ** d), dtype=bool)
+    member[np.repeat(np.arange(len(dims)), q ** np.array(dims)),
+           np.concatenate([g.ravel() for g in groups])] = True
+    return member, dims
 
 
 # -- grid decorations (doubling elements over a chain-product grid) ------

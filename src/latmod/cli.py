@@ -230,9 +230,11 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
     yield ("minimal-rank-sizes", (5, 7), minimal_sizes)
 
     def cpe():
+        # one M3[L] and one Con M3[L] per base serve both embeddings
         names = ("c2", "c3", "c2sq", "n5", "m3", "m4", "witness7", "fano")
-        return all(congruence.verify_cpe(catalog.by_name(s), emb).passed
-                   for s in names for emb in ("atom", "diag"))
+        pieces = (congruence._cpe_pieces(catalog.by_name(s)) for s in names)
+        return all(congruence._check_cpe(*built, emb).passed
+                   for built in pieces for emb in ("atom", "diag"))
 
     yield ("congruence-preserving-extension", True, cpe)
 

@@ -307,20 +307,31 @@ class CpeReport:
                 and self.every_congruence_is_extension and self.order_isomorphism)
 
 
+_EMBEDDINGS = {"atom": embed_atom, "diag": embed_diag}
+
+
 def verify_cpe(base: FiniteLattice, embedding: str = "atom") -> CpeReport:
     """Check that the balanced-triple lattice over the base is a
     congruence-preserving extension: componentwise extension is a bijection
     Con(base) -> Con(extension) inverse to restriction along the embedding,
     and it preserves the refinement order both ways."""
-    embeddings = {"atom": embed_atom, "diag": embed_diag}
-    if embedding not in embeddings:
+    if embedding not in _EMBEDDINGS:
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
-    k = m3_with_tables(base)
-    image = embeddings[embedding](k)
-    con_b = all_congruences(base)
-    con_k = all_congruences(k.lattice)
+    return _check_cpe(*_cpe_pieces(base), embedding)
 
+
+def _cpe_pieces(base: FiniteLattice) -> tuple[TupleLattice, ConLattice, ConLattice]:
+    """M3[base] with its tables, Con(base) and Con(M3[base]): what the
+    check needs for either embedding."""
+    k = m3_with_tables(base)
+    return k, all_congruences(base), all_congruences(k.lattice)
+
+
+def _check_cpe(k: TupleLattice, con_b: ConLattice, con_k: ConLattice,
+               embedding: str) -> CpeReport:
+    """verify_cpe over built pieces, so one build serves both embeddings."""
+    image = _EMBEDDINGS[embedding](k)
     ext = [extend_congruence(k, th) for th in con_b.congruences]
     injective = len(set(ext)) == len(ext)
     con_k_set = set(con_k.congruences)

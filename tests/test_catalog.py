@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from latmod import catalog, core, rank
@@ -56,6 +57,60 @@ def test_subspace_lattices():
         catalog.subspace_lattice(6, 2)
     with pytest.raises(SizeLimitExceeded):
         catalog.subspace_lattice(2, 13)
+
+
+# -- oracle: subspaces by frozenset span closure --------------------------------
+
+def frozenset_subspace_lattice(q, d):
+    """Oracle for subspace_lattice: the route it replaced.  Spans are closed
+    one vector at a time over frozensets of coordinate tuples, and the order
+    is an m^2 loop of set inclusions.  Returns the subspaces in element
+    order, the order matrix and the names."""
+    zero = (0,) * d
+
+    def extend(space: frozenset, v: tuple) -> frozenset:
+        return frozenset(tuple((s[i] + c * v[i]) % q for i in range(d))
+                         for s in space for c in range(q))
+
+    vectors = [tuple(vec) for vec in np.ndindex(*([q] * d))]
+    found = {frozenset([zero])}
+    queue = [frozenset([zero])]
+    while queue:
+        space = queue.pop()
+        for v in vectors:
+            if v not in space:
+                bigger = extend(space, v)
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+    subspaces = sorted(found, key=lambda s: (len(s), sorted(s)))
+    m = len(subspaces)
+    leq = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for k in range(m):
+            leq[i, k] = subspaces[i] <= subspaces[k]
+    names = [f"S{i}d{round(np.log(len(s)) / np.log(q))}" for i, s in enumerate(subspaces)]
+    return subspaces, leq, names
+
+
+def test_subspace_lattice_matches_frozenset_oracle():
+    """Every (q, d) with q^d <= 64: the same subspaces in the same order,
+    the same names and the same order matrix.  About 11 s: on Sub(2,6) the
+    oracle takes 7-8 s and subspace_lattice 3 s, most of it in
+    lattice_from_leq."""
+    cases = [(q, d) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                              47, 53, 59, 61)
+             for d in range(1, 7) if q ** d <= 64]
+    assert len(cases) == 27
+    for q, d in cases:
+        subspaces, leq, names = frozenset_subspace_lattice(q, d)
+        weights = q ** np.arange(d - 1, -1, -1)
+        member = np.zeros((len(subspaces), q ** d), dtype=bool)
+        for i, s in enumerate(subspaces):
+            member[i, [int(np.dot(v, weights)) for v in s]] = True
+        assert np.array_equal(catalog._subspaces(q, d)[0], member), (q, d)
+        lat = catalog.subspace_lattice(q, d)
+        assert lat.names == names and np.array_equal(lat.leq, leq), (q, d)
 
 
 def test_decorate_grid_basics():

@@ -288,3 +288,47 @@ def test_fuzzed_specs_raise_only_lattice_errors(spec):
             catalog.by_name(spec)
         except LatticeError:
             pass
+
+
+# -- fuzzing: the other subcommands' numeric and choice arguments --------------
+
+small_specs = st.sampled_from(["c2", "c3", "n5", "m3", "m4", "witness7", "b3", "c0", "x"])
+numbers = st.integers(min_value=-2, max_value=6).map(str) | st.text("0123456789-x", max_size=3)
+reports = st.sampled_from(["json", "text", "xml"])
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+lattice_arg = small_specs.map(lambda s: ["--lattice", s])
+report_arg = optional("--report", reports)
+subcommand_argvs = st.one_of(
+    argv("rank", lattice_arg, report_arg, optional("--cap", numbers),
+         optional("--jobs", numbers), switch("--antichains-only")),
+    *(argv(name, lattice_arg, report_arg, switch("--stats"))
+      for name in ("m3build", "m4build")),
+    argv("con", lattice_arg, report_arg, switch("--of-m3"),
+         optional("--verify-cpe", st.sampled_from(["atom", "diag", "both"]))),
+    argv("tensor", small_specs.map(lambda s: ["--left", s]),
+         small_specs.map(lambda s: ["--right", s]), report_arg,
+         switch("--verify-repr"), switch("--verify-m3-iso")))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(subcommand_argvs)
+def test_fuzzed_subcommand_arguments_exit_documented_codes(capsys, args):
+    """rank, m3build, m4build, con and tensor on small lattices, through
+    main: a documented exit code (0-3), never an exception.  Under 1 s."""
+    code = main(args)
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), args

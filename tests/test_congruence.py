@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from latmod import catalog, congruence, construct, core
+from latmod import catalog, cli, congruence, construct, core
 from latmod.congruence import Congruence, all_congruences, principal_congruence
 from latmod.errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
@@ -279,6 +279,23 @@ def test_extension_preserves_whole_congruence_lattice(lattices):
         for emb in ("atom", "diag"):
             rep = congruence.verify_cpe(lattices[name], emb)
             assert rep.passed, (name, emb, rep)
+
+
+def test_one_build_serves_both_embeddings(lattices, monkeypatch):
+    for name in ("N5", "M3", "witness7"):
+        pieces = congruence._cpe_pieces(lattices[name])
+        for emb in ("atom", "diag"):
+            assert congruence._check_cpe(*pieces, emb) == \
+                congruence.verify_cpe(lattices[name], emb)
+    # repro's check builds each of its eight bases once (small pieces
+    # stand in for them here, to keep Fano's extension out of the test)
+    built = []
+    small = congruence._cpe_pieces(catalog.n5())
+    monkeypatch.setattr(congruence, "_cpe_pieces",
+                        lambda base: built.append(base.n) or small)
+    checks = {cid: thunk for cid, _, thunk in cli._repro_checks(False, 1, 0)}
+    assert checks["congruence-preserving-extension"]() is True
+    assert len(built) == 8
 
 
 def test_verify_cpe_rejects_unknown_embedding():

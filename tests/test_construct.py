@@ -247,17 +247,105 @@ def test_lazy_build_closes_nothing(monkeypatch):
     assert closed == [1]
 
 
-def test_lazy_build_defers_tuple_list_and_index():
+def test_lazy_build_defers_tuple_list_and_index(monkeypatch):
     k = m3_of(catalog.subspace_lattice(2, 4))
+    base = k.base
     assert k.lattice is None
     assert "tuples" not in vars(k) and "index" not in vars(k)
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
     assert "tuples" not in vars(k) and "index" not in vars(k)
     rows = np.stack(k.cols, axis=1)
-    assert rows[k.bottom].tolist() == [k.base.bottom] * 3
-    assert rows[k.top].tolist() == [k.base.top] * 3
+    assert rows[k.bottom].tolist() == [base.bottom] * 3
+    assert rows[k.top].tolist() == [base.top] * 3
+    met, joined = k.meet(5, 9), k.join(5, 9)
+    assert "tuples" not in vars(k) and "index" not in vars(k)
+    assert rows[met].tolist() == [base.meet(a, b) for a, b in zip(rows[5], rows[9])]
+    raw = tuple(base.join(a, b) for a, b in zip(rows[5], rows[9]))
+    assert tuple(rows[joined]) == rank.closure3(base, raw).final
     assert len(k.index) == len(k)
     assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
+
+    # the searched ids agree with the eager tables on small bases
+    eager = [m3_of(catalog.n5()), m4_of(catalog.n5()), m3_of(catalog.witness7())]
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    for e, lazy in zip(eager, (m3_of(catalog.n5()), m4_of(catalog.n5()),
+                               m3_of(catalog.witness7()))):
+        lat = e.lattice
+        assert (lazy.bottom, lazy.top) == (lat.bottom, lat.top)
+        pairs = itertools.product(range(len(e)), repeat=2)
+        assert all(lazy.meet(i, j) == lat.meet(i, j) and lazy.join(i, j) == lat.join(i, j)
+                   for i, j in pairs)
+        assert "tuples" not in vars(lazy) and "index" not in vars(lazy)
+
+
+def test_keys_widen_past_int32():
+    """_encode packs tuples into int64 keys once n^arity reaches 2^31, and
+    the keys still ascend with the lexicographic order."""
+    n = 216  # 216^4 > 2^31
+    cols = [np.array(c, dtype=np.int32) for c in
+            zip(*sorted([(0, 0, 0, 1), (5, 200, 7, 3), (215, 215, 215, 215)]))]
+    keys = construct._encode(n, cols)
+    assert keys.dtype == np.int64
+    want = [sum(int(c[i]) * n ** (3 - a) for a, c in enumerate(cols)) for i in range(3)]
+    assert keys.tolist() == want and want == sorted(want)
+    assert construct._encode(10, cols[:3]).dtype == np.int32
+
+
+# -- oracle: the per-pair eager join closure ------------------------------------
+
+def per_pair_joins(k):
+    """Oracle for the key closure of m3_of/m4_of: the eager route it
+    replaced, which closed every pair a <= b through _close_joins and
+    mirrored the table.  Returns (join table, largest closure index)."""
+    n, count = k.base.n, len(k)
+    where = np.full(n ** k.arity, -1)
+    where[construct._encode(n, k.cols)] = np.arange(count)
+    ia, ib = np.triu_indices(count)
+    closed, depth = construct._close_joins(k.base, k.cols, ia, ib)
+    join = np.empty((count, count), dtype=np.int64)
+    join[ia, ib] = join[ib, ia] = where.take(construct._encode(n, closed))
+    return join, depth
+
+
+def test_key_closure_matches_per_pair_oracle():
+    """About 0.5 s: sixteen census grids (63k-151k pairs each), M3[Fano]
+    (594,595 pairs) and M4[M4]."""
+    built = [m3_of(catalog.random_c1c4(s)) for s in range(16)]
+    built += [m3_of(catalog.fano()), m4_of(catalog.m_k(4))]
+    for k in built:
+        join, depth = per_pair_joins(k)
+        assert np.array_equal(k.lattice.join_table, join), k.name
+        assert k.max_closure_index == depth, k.name
+
+
+def componentwise_join_keys(k):
+    """The distinct componentwise joins of all pairs, as sorted keys."""
+    j = k.base.join_table
+    key = 0
+    for c in k.cols:
+        key = key * k.base.n + j[c[:, None], c[None, :]]
+    return np.unique(key)
+
+
+def test_eager_build_closes_each_distinct_join_once(monkeypatch):
+    """An eager build closes each distinct componentwise join once, not
+    the count(count+1)/2 pairs a <= b.  About 0.2 s."""
+    closed = []
+    close = construct._close
+
+    def counting(base, cols):
+        closed.append(construct._encode(base.n, cols))
+        return close(base, cols)
+
+    monkeypatch.setattr(construct, "_close", counting)
+    for base, build in ((catalog.random_c1c4(0), m3_of), (catalog.fano(), m3_of),
+                        (catalog.m_k(7), m3_of), (catalog.m_k(4), m4_of)):
+        closed.clear()
+        k = build(base)
+        count, arity = len(k), k.arity
+        assert len(closed) == 1
+        assert np.array_equal(closed[0], componentwise_join_keys(k))
+        assert closed[0].size <= base.n ** arity < count * (count + 1) // 2
 
 
 # -- oracle: the meshgrid balanced-tuple filter ------------------------------
