@@ -81,20 +81,22 @@ def _cmd_build(args, builder) -> int:
     lat = _load(args.lattice)
     k = builder(lat)
     payload = {"base": lat.name or args.lattice, "elements": len(k)}
-    if args.stats or k.lattice is not None:
-        # without tables the depth closes every pair, so only --stats asks
+    tables = k.lattice  # before the depth, which the table build sets
+    if args.stats or tables is not None:
+        # without tables the depth marks the joins of all count^2 / 2 pairs,
+        # so only --stats asks
         payload["max_closure_index"] = k.max_closure_index
-    if args.stats and k.lattice is not None:
+    if args.stats and tables is not None:
         if k.arity == 3:
             construct.spanning_m3(k)
         payload.update({
             "spanning_check": "ok" if k.arity == 3 else "n/a",
-            "modular": core.is_modular(k.lattice),
-            "distributive": core.is_distributive(k.lattice),
+            "modular": core.is_modular(tables),
+            "distributive": core.is_distributive(tables),
         })
-    if args.out and k.lattice is not None:
+    if args.out and tables is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(core.serialize(k.lattice))
+            fh.write(core.serialize(tables))
         payload["out"] = args.out
     _emit(args, payload)
     return EXIT_OK

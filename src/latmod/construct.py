@@ -18,10 +18,11 @@ from .core import (
     lattice_from_leq,
 )
 from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
-from .rank import _BLOCK_ENTRIES, _fixpoints
+from .rank import _fixpoints
 
 EAGER_TABLE_CAP = 2000
 _GRID_ENTRIES = 1 << 16  # tuples or pairs per numpy block
+_MARK_ENTRIES = 1 << 14  # pairs per block when only join keys are marked
 
 
 def _encode(n: int, cols) -> np.ndarray:
@@ -49,23 +50,24 @@ class TupleLattice:
     componentwise meets and closure-iterated joins.
 
     Element ids follow the lexicographic order of the tuples, given as one
-    column of entries per coordinate.  Full meet and join tables are
-    materialized up to EAGER_TABLE_CAP elements; above that, joins are
-    closed on demand and memoized, the closure depth is computed on first
-    access, and `lattice` is unavailable.  Lookups find a tuple's id by a
-    binary search on the ascending keys; the Python `tuples` list and the
-    `index` dict, which only naming needs, are built on first access.
+    column of entries per coordinate.  Nothing is built or closed with the
+    lattice: the full meet and join tables come on first access of
+    `lattice`, which is None above EAGER_TABLE_CAP elements (decided at
+    construction).  Without tables, joins are closed on demand and
+    memoized.  The closure depth comes from the tables when they are
+    built, else from the distinct componentwise joins on first access.
+    Lookups find a tuple's id by a binary search on the ascending keys; the
+    Python `tuples` list and the `index` dict, which only naming needs, are
+    built on first access.
     """
 
-    def __init__(self, base: FiniteLattice, cols: list,
-                 lattice: Optional[FiniteLattice], max_closure_index: Optional[int],
-                 name: str):
+    def __init__(self, base: FiniteLattice, cols: list, name: str):
         self.base = base
         self.cols = cols
         self.arity = len(cols)
-        self.lattice = lattice
-        self._depth = max_closure_index
         self.name = name
+        self._tabled = cols[0].size <= EAGER_TABLE_CAP
+        self._depth: Optional[int] = None
         self._join_memo: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
@@ -101,14 +103,50 @@ class TupleLattice:
     def top(self) -> int:
         return self._locate((self.base.top,) * self.arity)
 
+    @functools.cached_property
+    def lattice(self) -> Optional[FiniteLattice]:
+        """The meet and join tables, built on first access; None above
+        EAGER_TABLE_CAP.  Each distinct componentwise join is closed once,
+        which also sets the closure depth."""
+        if not self._tabled:
+            return None
+        base, cols, count = self.base, self.cols, len(self)
+        n = base.n
+        label = np.array(base.names, dtype=object)
+        template = "<" + ",".join(["%s"] * self.arity) + ">"
+        names = [template % t for t in zip(*(label[c].tolist() for c in cols))]
+        # A tuple's id by its key.  Every <x, y, x^y> (and <x, y, m, m> with
+        # m = x^y) is balanced, so count >= n^2 and the index has at most
+        # count^(arity/2) entries.
+        where = np.empty(n ** self.arity, dtype=np.int32)
+        where[_encode(n, cols)] = np.arange(count, dtype=np.int32)
+
+        leq, meet, join, seen = _tables(base, cols, where)
+        # a join is the closure of the componentwise join: close each key once
+        keys = np.flatnonzero(seen).astype(np.int32)
+        closed, self._depth = _close(base, _decode(n, self.arity, keys))
+        cl = np.zeros(where.size, dtype=np.int32)  # key -> id of its closure
+        cl[keys] = where.take(_encode(n, closed))
+        rows = max(1, _GRID_ENTRIES // count)
+        for lo in range(0, count, rows):
+            join[lo:lo + rows] = cl.take(join[lo:lo + rows])
+        return FiniteLattice(leq, meet, join, names=names, name=self.name)
+
     @property
     def max_closure_index(self) -> int:
         """The most step-map rounds the componentwise join of two elements
-        takes to become balanced.  Without tables every pair a <= b is
-        closed for it, in blocks of _BLOCK_ENTRIES pairs."""
+        takes to become balanced.  Unless the tables set it, the distinct
+        componentwise joins are marked in an n^arity mask and closed once;
+        SizeLimitExceeded before the mask is allocated when n^arity reaches
+        2^31."""
         if self._depth is None:
-            self._depth = max(_close_joins(self.base, self.cols, ia, ib)[1]
-                              for ia, ib in _pair_blocks(len(self), _BLOCK_ENTRIES))
+            n, arity = self.base.n, self.arity
+            if n ** arity >= 2 ** 31:
+                raise SizeLimitExceeded(
+                    f"{self.name}: the closure depth needs a mask of {n}^{arity} "
+                    f"join keys, at least 2^31")
+            keys = np.flatnonzero(_join_keys(self.base, self.cols)).astype(np.int32)
+            _, self._depth = _close(self.base, _decode(n, arity, keys))
         return self._depth
 
     def meet(self, i: int, k: int) -> int:
@@ -158,20 +196,6 @@ def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
     return [np.concatenate(p) for p in parts]
 
 
-def _pair_blocks(count: int, block: int):
-    """The index pairs a <= b in lexicographic order, in blocks of about
-    `block` pairs (a block ends after the row that fills it)."""
-    rows, size = [], 0
-    for a in range(count):
-        rows.append(a)
-        size += count - a
-        if size >= block or a == count - 1:
-            ia = np.repeat(np.array(rows), count - np.array(rows))
-            ib = np.concatenate([np.arange(r, count) for r in rows])
-            yield ia, ib
-            rows, size = [], 0
-
-
 def _close_joins(base: FiniteLattice, cols, ia, ib):
     """Close the componentwise joins of the tuple pairs (ia[i], ib[i]) under
     the step map.  Returns the closed columns in pair order and the largest
@@ -184,12 +208,15 @@ def _close(base: FiniteLattice, cols: list):
     """Close tuples, given as columns, under the step map.  Returns the
     closed columns in input order and the largest closure index.
 
-    The eager tables pass each distinct componentwise join once; the lazy
-    joins and depth pass their pairs' joins through _close_joins.  The
-    distinct joins number at most n^arity, far fewer than the
-    count(count+1)/2 pairs: exactly n^3 on all 96 census grids (2,197-3,375
-    against 63k-151k pairs), 4,096 against 594,595 on Fano, 729 against
-    76,245 on M7, and 1,232 against 27,495 for M4[M4]."""
+    The tables and the depth pass each distinct componentwise join once;
+    a lazy join passes its one pair through _close_joins.  The distinct
+    joins number at most n^arity, far fewer than the count(count+1)/2
+    pairs.  They are all n^3 keys on the 96 census grids (2,197-3,375
+    against 63k-151k pairs), on Fano (4,096 against 594,595) and on M7
+    (729 against 76,245), but need not be: 1,232 of 6^4 = 1,296 for
+    M4[M4], and 1,325 of 11^3 = 1,331 for M3 of an 11-element lattice
+    whose three join-irreducibles x, y, z with x^y !<= z, x^z !<= y and
+    y^z !<= x make <x, y, z> the join of no two balanced triples."""
     out = [np.empty(cols[0].size, dtype=np.int32) for _ in cols]
     depth = 0
     # `cols` is not held here: the loop drops the input after round 0
@@ -228,39 +255,30 @@ def _tables(base: FiniteLattice, cols: list, where: np.ndarray):
     return leq, meet, join, seen
 
 
-def _build(base: FiniteLattice, cols: list, name: str) -> TupleLattice:
-    count = cols[0].size
-    if count > EAGER_TABLE_CAP:
-        # no tables, and no closure until a join or the depth is asked for
-        return TupleLattice(base, cols, None, None, name)
-
-    n = base.n
-    label = np.array(base.names, dtype=object)
-    template = "<" + ",".join(["%s"] * len(cols)) + ">"
-    names = [template % t for t in zip(*(label[c].tolist() for c in cols))]
-    # A tuple's id by its key.  Every <x, y, x^y> (and <x, y, m, m> with
-    # m = x^y) is balanced, so count >= n^2 and the index has at most
-    # count^(arity/2) entries.
-    where = np.empty(n ** len(cols), dtype=np.int32)
-    where[_encode(n, cols)] = np.arange(count, dtype=np.int32)
-
-    leq, meet, join, seen = _tables(base, cols, where)
-    # a join is the closure of the componentwise join: close each key once
-    keys = np.flatnonzero(seen).astype(np.int32)
-    closed, depth = _close(base, _decode(n, len(cols), keys))
-    cl = np.zeros(where.size, dtype=np.int32)  # key -> id of its closure
-    cl[keys] = where.take(_encode(n, closed))
-    rows = max(1, _GRID_ENTRIES // count)
-    for lo in range(0, count, rows):
-        join[lo:lo + rows] = cl.take(join[lo:lo + rows])
-    lat = FiniteLattice(leq, meet, join, names=names, name=name)
-    return TupleLattice(base, cols, lat, depth, name)
+def _join_keys(base: FiniteLattice, cols: list) -> np.ndarray:
+    """A mask over all n^arity keys of those that are the componentwise
+    join of a pair a <= b.  Rows [lo, hi) pair with columns [lo, count), a
+    block of about _MARK_ENTRIES pairs at a time, so the working set is
+    three int32 blocks whatever the count.  The keys must fit in int32."""
+    n, count = base.n, cols[0].size
+    jf = base.join_table.ravel()
+    seen = np.zeros(n ** len(cols), dtype=bool)
+    lo = 0
+    while lo < count:
+        hi = min(count, lo + max(1, _MARK_ENTRIES // (count - lo)))
+        key = np.zeros((hi - lo, count - lo), dtype=np.int32)
+        for c in cols:
+            key *= n
+            key += jf.take(c[lo:hi, None] * n + c[None, lo:])
+        seen[key] = True
+        lo = hi
+    return seen
 
 
 def m3_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of all balanced triples of the base: meets
     componentwise, join of a pair the closure of its componentwise join."""
-    return _build(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
+    return TupleLattice(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
 
 
 def m3_with_tables(base: FiniteLattice) -> TupleLattice:
@@ -281,7 +299,7 @@ def m3_with_tables(base: FiniteLattice) -> TupleLattice:
 
 def m4_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of quadruples whose pairwise meets all coincide."""
-    return _build(base, _balanced_tuples(base, 4), f"M4[{base.name or '?'}]")
+    return TupleLattice(base, _balanced_tuples(base, 4), f"M4[{base.name or '?'}]")
 
 
 def spanning_m3(k: TupleLattice) -> list[int]:

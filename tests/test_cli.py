@@ -205,6 +205,22 @@ def test_lazy_build_reports_depth_only_with_stats(capsys, monkeypatch):
     assert code == 0 and json.loads(out.out) == eager
 
 
+def test_build_stats_close_the_join_keys_once(capsys, monkeypatch):
+    closed = []
+    close = construct._close
+
+    def counting(base, cols):
+        closed.append(cols[0].size)
+        return close(base, cols)
+
+    monkeypatch.setattr(construct, "_close", counting)
+    for command in ("m3build", "m4build"):
+        closed.clear()
+        code, out = run(capsys, command, "--lattice", "n5", "--stats", "--report", "json")
+        assert code == 0 and "max_closure_index" in json.loads(out.out)
+        assert len(closed) == 1, command
+
+
 def test_tensor_command_builds_once(capsys, monkeypatch):
     built = []
     tensor_of = tensor._tensor_of

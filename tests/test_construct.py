@@ -7,7 +7,7 @@ import pytest
 
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
-from latmod.errors import NotDistributive, VerificationFailed
+from latmod.errors import NotDistributive, SizeLimitExceeded, VerificationFailed
 
 
 def test_balanced_triple_lattice_sizes():
@@ -199,7 +199,7 @@ def test_lazy_closure_depth_matches_eager(monkeypatch):
     bases.append(catalog.m_k(4))
     eager = [(m3_of(b).max_closure_index, m4_of(b).max_closure_index) for b in bases]
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
-    monkeypatch.setattr(construct, "_BLOCK_ENTRIES", 50)  # many blocks
+    monkeypatch.setattr(construct, "_MARK_ENTRIES", 50)  # many blocks
     lazy = []
     for b in bases:
         k3, k4 = m3_of(b), m4_of(b)
@@ -228,20 +228,25 @@ def test_lazy_joins_match_eager_tables(monkeypatch):
 
 def test_lazy_build_closes_nothing(monkeypatch):
     eager = m3_of(catalog.m_k(4))
-    closed = []
-    close = construct._close_joins
+    assert eager.lattice is not None  # tables and depth before counting
+    closed, calls = [], []
+    close_joins, close = construct._close_joins, construct._close
 
-    def counting(base, cols, ia, ib):
+    def counting_joins(base, cols, ia, ib):
         closed.append(ia.size)
-        return close(base, cols, ia, ib)
+        return close_joins(base, cols, ia, ib)
 
-    monkeypatch.setattr(construct, "_close_joins", counting)
+    def counting(base, cols):
+        calls.append(cols[0].size)
+        return close(base, cols)
+
+    monkeypatch.setattr(construct, "_close_joins", counting_joins)
+    monkeypatch.setattr(construct, "_close", counting)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     k = m3_of(catalog.m_k(4))
-    assert closed == []
-    assert k.max_closure_index == eager.max_closure_index
-    count = len(k)
-    assert sum(closed) == count * (count + 1) // 2
+    assert closed == [] and calls == []
+    assert k.max_closure_index == k.max_closure_index == eager.max_closure_index
+    assert closed == [] and len(calls) == 1  # one close of the marked keys
     closed.clear()
     assert k.join(1, 2) == eager.lattice.join(1, 2)
     assert closed == [1]
@@ -328,8 +333,9 @@ def componentwise_join_keys(k):
 
 
 def test_eager_build_closes_each_distinct_join_once(monkeypatch):
-    """An eager build closes each distinct componentwise join once, not
-    the count(count+1)/2 pairs a <= b.  About 0.2 s."""
+    """The tables (then the depth), and on a fresh build the depth alone,
+    close each distinct componentwise join once, not the count(count+1)/2
+    pairs a <= b.  About 0.3 s."""
     closed = []
     close = construct._close
 
@@ -340,12 +346,121 @@ def test_eager_build_closes_each_distinct_join_once(monkeypatch):
     monkeypatch.setattr(construct, "_close", counting)
     for base, build in ((catalog.random_c1c4(0), m3_of), (catalog.fano(), m3_of),
                         (catalog.m_k(7), m3_of), (catalog.m_k(4), m4_of)):
-        closed.clear()
+        for tables_first in (True, False):
+            closed.clear()
+            k = build(base)
+            if tables_first:
+                assert k.lattice is not None
+            k.max_closure_index
+            count, arity = len(k), k.arity
+            assert len(closed) == 1
+            assert np.array_equal(closed[0], componentwise_join_keys(k))
+            assert closed[0].size <= base.n ** arity < count * (count + 1) // 2
+
+
+# -- oracle: the per-pair lazy depth ----------------------------------------
+
+def _pair_blocks(count: int, block: int):
+    """The index pairs a <= b in lexicographic order, in blocks of about
+    `block` pairs (a block ends after the row that fills it)."""
+    rows, size = [], 0
+    for a in range(count):
+        rows.append(a)
+        size += count - a
+        if size >= block or a == count - 1:
+            ia = np.repeat(np.array(rows), count - np.array(rows))
+            ib = np.concatenate([np.arange(r, count) for r in rows])
+            yield ia, ib
+            rows, size = [], 0
+
+
+def per_pair_depth(k, block=500_000):
+    """Oracle for max_closure_index without tables: the route it replaced,
+    which closed every pair a <= b through _close_joins, in blocks."""
+    return max(construct._close_joins(k.base, k.cols, ia, ib)[1]
+               for ia, ib in _pair_blocks(len(k), block))
+
+
+def test_pair_blocks_cover_upper_pairs():
+    ia, ib = (np.concatenate(c) for c in zip(*_pair_blocks(9, 10)))
+    want_a, want_b = np.triu_indices(9)
+    assert np.array_equal(ia, want_a) and np.array_equal(ib, want_b)
+
+
+def test_marked_depth_matches_per_pair_oracle(monkeypatch):
+    """The depth from the marked keys, without tables, equals the per-pair
+    route on census grids, Fano (594,595 pairs) and M4[M4].  About 0.5 s."""
+    bases = [(catalog.random_c1c4(s), m3_of) for s in range(4)]
+    bases += [(catalog.fano(), m3_of), (catalog.m_k(4), m4_of), (catalog.n5(), m4_of)]
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    for base, build in bases:
         k = build(base)
-        count, arity = len(k), k.arity
-        assert len(closed) == 1
-        assert np.array_equal(closed[0], componentwise_join_keys(k))
-        assert closed[0].size <= base.n ** arity < count * (count + 1) // 2
+        assert k.max_closure_index == per_pair_depth(k), k.name
+        assert k.lattice is None
+
+
+def eleven():
+    """0, atoms a b c, u = a v b, v = b v c, w = a v c, and x, y, z
+    covering u, v, w, below 1.  x, y, z are join-irreducible with
+    x ^ y = b !<= z, x ^ z = a !<= y and y ^ z = c !<= x."""
+    names = ("0", "a", "b", "c", "u", "v", "w", "x", "y", "z", "1")
+    at = {s: i for i, s in enumerate(names)}
+    covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "u"), ("b", "u"),
+              ("b", "v"), ("c", "v"), ("a", "w"), ("c", "w"),
+              ("u", "x"), ("v", "y"), ("w", "z"), ("x", "1"), ("y", "1"), ("z", "1")]
+    cover_list = core.CoverList(11, tuple((at[p], at[q]) for p, q in covers), names)
+    return core.from_covers(cover_list, name="eleven"), at
+
+
+def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
+    """Not every key is the componentwise join of two balanced triples:
+    over the 11-element lattice the joins hit 1,325 of 1,331 keys and miss
+    <x, y, z>, since x, y, z are join-irreducible and no two of their
+    meets lie below the third."""
+    base, at = eleven()
+    assert base.n == 11
+    assert {base.names[j] for j in core.join_irreducibles(base)} == set("abcxyz")
+    k = m3_of(base)
+    keys = componentwise_join_keys(k)
+    assert keys.size == 1_325 < 11 ** 3
+    xyz = (at["x"] * 11 + at["y"]) * 11 + at["z"]
+    assert xyz not in keys.tolist()
+    assert np.array_equal(np.flatnonzero(construct._join_keys(base, k.cols)), keys)
+    depth = per_pair_depth(k)
+    assert k.max_closure_index == depth
+    assert_tables_match_oracle(m3_of(base))
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    assert m3_of(base).max_closure_index == depth
+
+
+def test_depth_builds_no_tables():
+    """len and the depth of a census grid build no tables, and the traced
+    peak stays under count^2 int32 entries (the tables hold nine bytes a
+    pair)."""
+    for s in (0, 4, 10):
+        base = catalog.random_c1c4(s)
+
+        def depth():
+            k = m3_of(base)
+            return k, len(k), k.max_closure_index
+
+        (k, count, d), peak = traced_peak(depth)
+        assert "lattice" not in vars(k)
+        assert peak < count * count * 4, (s, count, peak)
+        assert k.lattice is not None and k.max_closure_index == d
+
+
+def test_depth_key_mask_fails_fast_past_int32(monkeypatch):
+    """A 216-element base at arity 4 has 216^4 >= 2^31 join keys: the
+    depth refuses before allocating the mask."""
+    def refuse(*args):
+        raise AssertionError("the key mask was allocated")
+
+    monkeypatch.setattr(construct, "_join_keys", refuse)
+    cols = [np.zeros(1, dtype=np.int32) for _ in range(4)]
+    k = construct.TupleLattice(catalog.chain(216), cols, "stub")
+    with pytest.raises(SizeLimitExceeded):
+        k.max_closure_index
 
 
 # -- oracle: the meshgrid balanced-tuple filter ------------------------------
@@ -396,12 +511,6 @@ def test_balanced_filter_memory_is_bounded():
         + 32 * max(construct._GRID_ENTRIES, base.n ** 3)
     assert peak <= bound
     assert traced_peak(meshgrid_balanced_tuples, base, 4)[1] > bound
-
-
-def test_pair_blocks_cover_upper_pairs():
-    ia, ib = (np.concatenate(c) for c in zip(*construct._pair_blocks(9, 10)))
-    want_a, want_b = np.triu_indices(9)
-    assert np.array_equal(ia, want_a) and np.array_equal(ib, want_b)
 
 
 def test_verification_raises_typed_errors(monkeypatch):
