@@ -81,7 +81,7 @@ def _cmd_build(args, builder) -> int:
     lat = _load(args.lattice)
     k = builder(lat)
     payload = {"base": lat.name or args.lattice, "elements": len(k)}
-    tables = k.lattice  # before the depth, which the table build sets
+    tables = k.lattice
     if args.stats or tables is not None:
         # without tables the depth marks the joins of all count^2 / 2 pairs,
         # so only --stats asks

@@ -22,7 +22,9 @@ from .rank import _fixpoints
 
 EAGER_TABLE_CAP = 2000
 _GRID_ENTRIES = 1 << 16  # tuples or pairs per numpy block
-_MARK_ENTRIES = 1 << 14  # pairs per block when only join keys are marked
+# pairs per block when join keys are marked: blocks of 2^16 took about
+# twice as long on census grids and on M3[Sub(3,3)], blocks of 2^12 longer
+_MARK_ENTRIES = 1 << 14
 
 
 def _encode(n: int, cols) -> np.ndarray:
@@ -54,8 +56,8 @@ class TupleLattice:
     lattice: the full meet and join tables come on first access of
     `lattice`, which is None above EAGER_TABLE_CAP elements (decided at
     construction).  Without tables, joins are closed on demand and
-    memoized.  The closure depth comes from the tables when they are
-    built, else from the distinct componentwise joins on first access.
+    memoized.  The tables and the closure depth share one close of the
+    distinct componentwise joins, made on the first access of either.
     Lookups find a tuple's id by a binary search on the ascending keys; the
     Python `tuples` list and the `index` dict, which only naming needs, are
     built on first access.
@@ -67,7 +69,6 @@ class TupleLattice:
         self.arity = len(cols)
         self.name = name
         self._tabled = cols[0].size <= EAGER_TABLE_CAP
-        self._depth: Optional[int] = None
         self._join_memo: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
@@ -106,8 +107,7 @@ class TupleLattice:
     @functools.cached_property
     def lattice(self) -> Optional[FiniteLattice]:
         """The meet and join tables, built on first access; None above
-        EAGER_TABLE_CAP.  Each distinct componentwise join is closed once,
-        which also sets the closure depth."""
+        EAGER_TABLE_CAP."""
         if not self._tabled:
             return None
         base, cols, count = self.base, self.cols, len(self)
@@ -121,33 +121,47 @@ class TupleLattice:
         where = np.empty(n ** self.arity, dtype=np.int32)
         where[_encode(n, cols)] = np.arange(count, dtype=np.int32)
 
-        leq, meet, join, seen = _tables(base, cols, where)
-        # a join is the closure of the componentwise join: close each key once
-        keys = np.flatnonzero(seen).astype(np.int32)
-        closed, self._depth = _close(base, _decode(n, self.arity, keys))
+        leq, meet, join = _tables(base, cols, where)
+        # a join is the closure of the componentwise join, and join(a, b) =
+        # join(b, a): the keys of the pairs a <= b cover the table
+        keys, closed, _ = self._closure
         cl = np.zeros(where.size, dtype=np.int32)  # key -> id of its closure
-        cl[keys] = where.take(_encode(n, closed))
+        cl[keys] = where.take(closed)
         rows = max(1, _GRID_ENTRIES // count)
         for lo in range(0, count, rows):
             join[lo:lo + rows] = cl.take(join[lo:lo + rows])
         return FiniteLattice(leq, meet, join, names=names, name=self.name)
 
+    @functools.cached_property
+    def _closure(self) -> tuple:
+        """The distinct componentwise joins of the pairs a <= b as ascending
+        keys, the key of each one's closure, and the largest closure index;
+        the tables and the depth share it.  The keys are marked in an
+        n^arity mask (_join_keys) and closed _GRID_ENTRIES at a time, so
+        this holds one byte per key of the mask and at most 16 per marked
+        key; SizeLimitExceeded before the mask is allocated when n^arity
+        reaches 2^31."""
+        n, arity = self.base.n, self.arity
+        if n ** arity >= 2 ** 31:
+            raise SizeLimitExceeded(
+                f"{self.name}: the closure depth needs a mask of {n}^{arity} "
+                f"join keys, at least 2^31")
+        keys = np.flatnonzero(_join_keys(self.base, self.cols)).astype(np.int32)
+        closed = np.empty_like(keys)
+        depth = 0
+        for lo in range(0, keys.size, _GRID_ENTRIES):
+            part = slice(lo, lo + _GRID_ENTRIES)
+            cols, d = _close(self.base, _decode(n, arity, keys[part]))
+            closed[part] = _encode(n, cols)
+            depth = max(depth, d)
+        return keys, closed, depth
+
     @property
     def max_closure_index(self) -> int:
         """The most step-map rounds the componentwise join of two elements
-        takes to become balanced.  Unless the tables set it, the distinct
-        componentwise joins are marked in an n^arity mask and closed once;
-        SizeLimitExceeded before the mask is allocated when n^arity reaches
+        takes to become balanced; SizeLimitExceeded when n^arity reaches
         2^31."""
-        if self._depth is None:
-            n, arity = self.base.n, self.arity
-            if n ** arity >= 2 ** 31:
-                raise SizeLimitExceeded(
-                    f"{self.name}: the closure depth needs a mask of {n}^{arity} "
-                    f"join keys, at least 2^31")
-            keys = np.flatnonzero(_join_keys(self.base, self.cols)).astype(np.int32)
-            _, self._depth = _close(self.base, _decode(n, arity, keys))
-        return self._depth
+        return self._closure[2]
 
     def meet(self, i: int, k: int) -> int:
         if self.lattice is not None:
@@ -230,16 +244,14 @@ def _close(base: FiniteLattice, cols: list):
 
 def _tables(base: FiniteLattice, cols: list, where: np.ndarray):
     """The componentwise order, the meet table and the componentwise-join
-    keys of all count^2 pairs, and a mask over all n^arity keys of those
-    that occur.  Broadcast a block of rows at a time: whole count^2
-    temporaries left holes in the heap that raised the peak RSS of later
-    work.  The order is read off the meets: a <= b iff a ^ b = a."""
+    keys of all count^2 pairs.  Broadcast a block of rows at a time: whole
+    count^2 temporaries left holes in the heap that raised the peak RSS of
+    later work.  The order is read off the meets: a <= b iff a ^ b = a."""
     n, count = base.n, cols[0].size
     mf, jf = base.meet_table.ravel(), base.join_table.ravel()
     leq = np.empty((count, count), dtype=bool)
     meet = np.empty((count, count), dtype=np.int32)
     join = np.empty((count, count), dtype=np.int32)
-    seen = np.zeros(where.size, dtype=bool)
     rows = max(1, _GRID_ENTRIES // count)
     for lo in range(0, count, rows):
         block = slice(lo, lo + rows)
@@ -251,15 +263,15 @@ def _tables(base: FiniteLattice, cols: list, where: np.ndarray):
         meet[block] = where.take(mkey)
         leq[block] = meet[block] == np.arange(lo, lo + len(mkey))[:, None]
         join[block] = jkey
-        seen[jkey] = True
-    return leq, meet, join, seen
+    return leq, meet, join
 
 
 def _join_keys(base: FiniteLattice, cols: list) -> np.ndarray:
     """A mask over all n^arity keys of those that are the componentwise
     join of a pair a <= b.  Rows [lo, hi) pair with columns [lo, count), a
     block of about _MARK_ENTRIES pairs at a time, so the working set is
-    three int32 blocks whatever the count.  The keys must fit in int32."""
+    three int32 blocks besides the mask whatever the count.  The keys must
+    fit in int32."""
     n, count = base.n, cols[0].size
     jf = base.join_table.ravel()
     seen = np.zeros(n ** len(cols), dtype=bool)

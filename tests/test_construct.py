@@ -195,17 +195,27 @@ def test_half_table_closure_matches_all_pairs_oracle():
 
 
 def test_lazy_closure_depth_matches_eager(monkeypatch):
+    """The depth of a lattice whose tables were built first, the depth
+    without tables marked and closed in blocks of 50, and the per-pair
+    oracle agree on every lattice with at most 6 elements and on M4, at
+    arity 3 and 4."""
     bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
     bases.append(catalog.m_k(4))
-    eager = [(m3_of(b).max_closure_index, m4_of(b).max_closure_index) for b in bases]
+    eager, oracle = [], []
+    for b in bases:
+        k3, k4 = m3_of(b), m4_of(b)
+        assert k3.lattice is not None and k4.lattice is not None
+        eager.append((k3.max_closure_index, k4.max_closure_index))
+        oracle.append((per_pair_depth(k3), per_pair_depth(k4)))
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     monkeypatch.setattr(construct, "_MARK_ENTRIES", 50)  # many blocks
+    monkeypatch.setattr(construct, "_GRID_ENTRIES", 50)
     lazy = []
     for b in bases:
         k3, k4 = m3_of(b), m4_of(b)
         assert k3.lattice is None and k4.lattice is None
         lazy.append((k3.max_closure_index, k4.max_closure_index))
-    assert lazy == eager
+    assert lazy == eager == oracle
     assert max(d for d, _ in eager) >= 2
 
 
@@ -333,9 +343,9 @@ def componentwise_join_keys(k):
 
 
 def test_eager_build_closes_each_distinct_join_once(monkeypatch):
-    """The tables (then the depth), and on a fresh build the depth alone,
-    close each distinct componentwise join once, not the count(count+1)/2
-    pairs a <= b.  About 0.3 s."""
+    """The tables and the depth, read in either order, share one close of
+    each distinct componentwise join, not of the count(count+1)/2 pairs
+    a <= b.  About 0.3 s."""
     closed = []
     close = construct._close
 
@@ -352,6 +362,7 @@ def test_eager_build_closes_each_distinct_join_once(monkeypatch):
             if tables_first:
                 assert k.lattice is not None
             k.max_closure_index
+            assert k.lattice is not None
             count, arity = len(k), k.arity
             assert len(closed) == 1
             assert np.array_equal(closed[0], componentwise_join_keys(k))
@@ -431,6 +442,26 @@ def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
     assert_tables_match_oracle(m3_of(base))
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     assert m3_of(base).max_closure_index == depth
+
+
+def test_marked_keys_close_a_slice_at_a_time(monkeypatch):
+    """The marked keys are closed _GRID_ENTRIES at a time, so the closing
+    working set stays bounded whatever the number of keys."""
+    k = m3_of(catalog.fano())
+    depth, keys = k.max_closure_index, componentwise_join_keys(k)
+    sizes = []
+    close = construct._close
+
+    def counting(base, cols):
+        sizes.append(cols[0].size)
+        return close(base, cols)
+
+    monkeypatch.setattr(construct, "_close", counting)
+    monkeypatch.setattr(construct, "_GRID_ENTRIES", 1000)
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    lazy = m3_of(catalog.fano())
+    assert lazy.max_closure_index == depth
+    assert sum(sizes) == keys.size and max(sizes) <= 1000 < keys.size
 
 
 def test_depth_builds_no_tables():
