@@ -12,7 +12,6 @@ from .construct import EAGER_TABLE_CAP, TupleLattice, embed_atom, embed_diag, m3
 from .errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
 CON_SIZE_CAP = EAGER_TABLE_CAP
-_PROPAGATION_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -73,109 +72,102 @@ def has_substitution_property(lat: FiniteLattice, part: Congruence) -> bool:
     return True
 
 
-def _hook(lab: np.ndarray, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
-    """Hook each pair of roots (ru[i], rv[i]) of the pointer forest `lab`
-    onto the smaller of the two with np.minimum.at, then pointer-jump until
-    every label is a root.  Pointers only decrease, so a block's root is
-    its least element."""
-    low = np.minimum(ru, rv)
-    np.minimum.at(lab, ru, low)
-    np.minimum.at(lab, rv, low)
-    jumped = lab[lab]
-    while not np.array_equal(jumped, lab):
-        lab, jumped = jumped, jumped[jumped]
-    return lab
+def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
+    """The dependency relation D on the join-irreducibles ji, without its
+    diagonal: dep[a, b] iff ji[a] D ji[b] (R. Freese, J. Ježek, J. B.
+    Nation, Free Lattices, AMS 1995, ch. 2).
+
+    For j != k, j D k iff some x has j <= k v x and j !<= k_ v x.  Enlarge
+    k_ v x to a maximal m with j !<= m: every element strictly above m is
+    above j, so m is meet-irreducible and its upper cover m* is above j;
+    and k !<= m, else j <= k v x <= m.  Conversely, if k_ <= m and
+    k !<= m then k v m > m, so k v m >= m*.  Hence j D k iff some
+    meet-irreducible m has j !<= m, j <= m* and k !<= m, k_ <= m: one
+    boolean product of two |J| x |M| matrices, counted by a float32 matmul
+    (exact below 2^24), so the working set is O(|J| (|J| + |M|))."""
+    mi = np.array([m for m in lat.elements() if len(lat.upper_covers(m)) == 1],
+                  dtype=np.intp)
+    star = [lat.upper_covers(m)[0] for m in mi]
+    lower = [lat.lower_covers(j)[0] for j in ji]
+    apart = ~lat.leq[np.ix_(ji, mi)]
+    up = apart & lat.leq[np.ix_(ji, star)]
+    down = apart & lat.leq[np.ix_(lower, mi)]
+    dep = up.astype(np.float32) @ down.T.astype(np.float32) > 0
+    np.fill_diagonal(dep, False)
+    return dep
 
 
-def _principal_roots(lat: FiniteLattice, lo, hi) -> np.ndarray:
-    """Row r is the least congruence collapsing lo[r] and hi[r], as root
-    labels: lab[e] is the least element of e's block.
+def _generators(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The join-irreducibles ji and the distinct generators con(j_, j)
+    along a linear extension of their order: ji[a] has generator gen[a],
+    and below[s, t] says that generator s lies strictly below generator t.
 
-    Label propagation over the meet/join tables, all rows at once as one
-    flat forest with row r at offset r*n.  A round hooks together the
-    pairs still apart: at first the given pairs; later also, for both
-    tables T, the row T[e, :] with the row T[lab[e], :] for every e whose
-    root changed in the round before.  One hook can leave pairs apart
-    (a root hooked onto two others takes the smaller), so those are
-    kept for the next round.  When no pair is left apart, every e has
-    been collapsed row by row with its final root r, so x and y in one
-    block have T[x, c], T[r, c] and T[y, c] in one block: the partition
-    has the substitution property.  A round gathers n entries per changed
-    element, so rows are taken about _PROPAGATION_ENTRIES / n^2 at a
-    time.
-    """
-    n = lat.n
-    lo, hi = np.asarray(lo, dtype=np.int32), np.asarray(hi, dtype=np.int32)
-    step = max(1, _PROPAGATION_ENTRIES // (n * n))
-    if lo.size > step:
-        return np.concatenate([_principal_roots(lat, lo[i:i + step], hi[i:i + step])
-                               for i in range(0, lo.size, step)])
-    tables = (lat.meet_table, lat.join_table)
-    # int32 like the tables: a batch holds fewer than 2^31 elements
-    off = np.arange(lo.size, dtype=np.int32) * n
-    lab = np.arange(lo.size * n, dtype=np.int32)
-    u, v = lo + off, hi + off
-    while True:
-        ru, rv = lab[u], lab[v]
-        apart = ru != rv
-        if not apart.any():
-            return lab.reshape(-1, n) - off[:, None]
-        u, v = u[apart], v[apart]
-        before = lab.copy()
-        lab = _hook(lab, ru[apart], rv[apart])
-        changed = np.flatnonzero(lab != before).astype(np.int32)
-        shift = (changed - changed % n)[:, None]
-        u = np.concatenate([u] + [(t[changed % n] + shift).ravel() for t in tables])
-        v = np.concatenate([v] + [(t[lab[changed] - shift[:, 0]] + shift).ravel()
-                                  for t in tables])
+    con(j_, j) <= con(k_, k) iff j D* k, with D* the reflexive-transitive
+    closure of D (Free Lattices, ch. 2), so the distinct generators are
+    the classes of D* meet its transpose.  D is closed by Warshall's
+    algorithm before its diagonal is added, so that a pivot no pair
+    depends through costs one column test (on a chain D is empty)."""
+    ji = np.array(join_irreducibles(lat), dtype=np.intp)
+    dep = _dependency(lat, ji)
+    for p in range(len(ji)):
+        via = np.flatnonzero(dep[:, p])
+        if via.size:
+            dep[via] |= dep[p]
+    np.fill_diagonal(dep, True)
+    same = dep & dep.T
+    first = np.flatnonzero(~np.tril(same, -1).any(axis=1))  # each class's least j
+    gen = np.nonzero(same[:, first])[1]
+    below = dep[np.ix_(first, first)]
+    order = np.argsort(below.sum(axis=0), kind="stable")
+    below = below[np.ix_(order, order)]
+    np.fill_diagonal(below, False)
+    return ji, np.argsort(order)[gen], below
 
 
-def _join_roots(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The join of each partition in `rows` with the partition g, all given
-    as root labels.  The join of two congruences is the join of their
-    equivalence relations, so no table is read: the rows are hooked
-    together as one flat forest, row r at offset r*n, along the edges
-    (e, g[e])."""
-    b, n = rows.shape
-    off = (np.arange(b, dtype=np.intp) * n)[:, None]
-    lab = (rows + off).ravel()
-    u = (np.arange(n) + off).ravel()
-    v = (g + off).ravel()
-    while True:
-        ru, rv = lab[u], lab[v]
-        if np.array_equal(ru, rv):
-            return lab.reshape(b, n) - off
-        lab = _hook(lab, ru, rv)
+def _block_roots(lat: FiniteLattice, ji: np.ndarray, collapsed: np.ndarray) -> np.ndarray:
+    """Row i is the congruence theta that collapses the pair (j_, j) of
+    exactly the ji[a] with collapsed[i, a], as root labels: roots[i, e] is
+    the least element of e's block.
+
+    For a <= b, con(a, b) is the join of the con(j_, j) with j <= b and
+    j !<= a: con(a, b) collapses each such pair, since j = j ^ b is
+    congruent to j ^ a <= j_, and each cover on a chain from a to b is
+    perspective to one such <j_, j> (see all_congruences).  So a theta b
+    iff theta collapses every j <= b with j !<= a.  Let r be the join of
+    the j <= a that theta does not collapse.  Then r <= a and r theta a;
+    and for c theta a also a ^ c theta a, so r <= a ^ c <= c.  So r is the
+    least element of a's block: one join pass per join-irreducible over
+    all rows at once."""
+    roots = np.full((len(collapsed), lat.n), lat.bottom, dtype=np.int32)
+    for a, j in enumerate(ji):
+        grow = lat.leq[j] & ~collapsed[:, a, None]
+        roots = np.where(grow, lat.join_table[j][roots], roots)
+    return roots
 
 
 def _congruences(roots: np.ndarray) -> list[Congruence]:
-    """Rows of root labels as Congruences.  A block's root is its first
-    element, so numbering the roots in ascending order numbers the blocks
-    by first occurrence."""
-    rank = np.cumsum(roots == np.arange(roots.shape[1]), axis=1) - 1
+    """Rows of root labels as Congruences.  A root is the lattice-least
+    element of its block, which need not be its smallest id, so each block
+    is relabelled by its smallest id first; numbering those in ascending
+    order then numbers the blocks by first occurrence."""
+    count, n = roots.shape
+    rows = np.arange(count)[:, None]
+    smallest = np.full_like(roots, n)
+    np.minimum.at(smallest, (rows, roots), np.arange(n, dtype=roots.dtype))
+    labels = smallest[rows, roots]
+    rank = np.cumsum(labels == np.arange(n), axis=1) - 1
     return [Congruence(tuple(r))
-            for r in np.take_along_axis(rank, roots, axis=1).tolist()]
-
-
-def _roots(c: Congruence) -> np.ndarray:
-    ids = np.asarray(c.ids)
-    return np.unique(ids, return_index=True)[1][ids]
+            for r in np.take_along_axis(rank, labels, axis=1).tolist()]
 
 
 def principal_congruence(lat: FiniteLattice, a: int, b: int) -> Congruence:
-    """Least congruence identifying a and b."""
-    return _congruences(_principal_roots(lat, [a], [b]))[0]
-
-
-def join_congruences(a: Congruence, b: Congruence) -> Congruence:
-    """Least equivalence containing both; for congruences of a common
-    lattice this is again a congruence (substitution passes along chains)."""
-    return _congruences(_join_roots(_roots(a)[None, :], _roots(b)))[0]
-
-
-def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
-    """Common refinement."""
-    return Congruence.from_ids(zip(a.ids, b.ids))
+    """Least congruence identifying a and b: it collapses the generators
+    con(j_, j) with j <= a v b and j !<= a ^ b and everything below them."""
+    ji, gen, below = _generators(lat)
+    held = np.zeros(len(below), dtype=bool)
+    held[gen[lat.leq[ji, lat.join(a, b)] & ~lat.leq[ji, lat.meet(a, b)]]] = True
+    held |= below[:, held].any(axis=1)
+    return _congruences(_block_roots(lat, ji, held[gen][None]))[0]
 
 
 @dataclass(frozen=True)
@@ -210,32 +202,20 @@ def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
     below theta} is then an isomorphism from Con L onto the down-sets of
     the generators, with meet = intersection and join = union.
 
-    The generators are ordered by con(a) <= con(b) iff b collapses a's
-    pair, and the down-sets enumerated as bit rows along a linear
-    extension: step t extends each down-set that holds everything below
-    generator t by t, and the new congruence is the join of its parent's
-    partition with generator t's.  A down-set's index is found by the
-    same walk (`_down_set_index`), so the Con L tables come from the bits.
+    The generators are ordered by the closure D* of the dependency
+    relation on J(L) (`_generators`), and the down-sets enumerated as bit
+    rows along a linear extension: step t extends each down-set that holds
+    everything below generator t by t.  Each down-set's partition comes
+    from the block-root formula (`_block_roots`), and a down-set's index
+    is found by the same walk (`_down_set_index`), so the Con L tables
+    come from the bits.
     """
     if lat.n > cap:
         raise SizeLimitExceeded(f"congruence computation capped at {cap} elements")
-    ji = join_irreducibles(lat)
-    lower = [lat.lower_covers(j)[0] for j in ji]
-    gens = {}  # the distinct generators, by their root labels
-    for roots, pair in zip(_principal_roots(lat, lower, ji), zip(lower, ji)):
-        gens.setdefault(roots.tobytes(), (roots, pair))
-    roots = np.array([r for r, _ in gens.values()]).reshape(-1, lat.n)
-    lo, hi = np.array([p for _, p in gens.values()], dtype=np.intp).reshape(-1, 2).T
-    below = (roots[:, lo] == roots[:, hi]).T  # below[a, b]: con(a) <= con(b)
-    order = np.argsort(below.sum(axis=0), kind="stable")  # a linear extension
-    below = below[np.ix_(order, order)]
-    np.fill_diagonal(below, False)
-    roots = roots[order]
-
-    bits = np.zeros((1, len(order)), dtype=bool)
-    labels = np.arange(lat.n)[None, :]
+    ji, gen, below = _generators(lat)
+    bits = np.zeros((1, len(below)), dtype=bool)
     children = []
-    for t in range(len(order)):
+    for t in range(len(below)):
         parents = np.flatnonzero(bits[:, below[:, t]].all(axis=1))
         if len(bits) + parents.size > cap:
             raise SizeLimitExceeded(f"more than {cap} congruences")
@@ -245,9 +225,8 @@ def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
         grown = bits[parents]
         grown[:, t] = True
         bits = np.concatenate([bits, grown])
-        labels = np.concatenate([labels, _join_roots(labels[parents], roots[t])])
 
-    cons = _congruences(labels)
+    cons = _congruences(_block_roots(lat, ji, bits[:, gen]))
     perm = sorted(range(len(cons)), key=lambda r: (cons[r].block_count, cons[r].ids))
     rank = np.empty(len(perm), dtype=np.int32)
     rank[perm] = np.arange(len(perm))

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -44,5 +45,20 @@ def run_optimized():
         out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
                              env=env, capture_output=True, text=True, timeout=120)
         return out.stdout.split(), out.stderr
+
+    return run
+
+
+@pytest.fixture
+def traced_peak():
+    """Call fn(*args) under tracemalloc; returns its result and the peak
+    traced memory in bytes."""
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     return run

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import time
 
@@ -150,8 +151,8 @@ def assert_matches_all_pairs_oracle(max_n):
     """The down-set route equals the all-pairs BFS oracle, in congruences,
     order, names and Con tables, on every labeled lattice with at most
     max_n elements and on a seeded renumbering of each.  Tier-1 runs
-    max_n = 7 (371 lattices); max_n = 8 (4,008 lattices) is a longer run
-    by hand."""
+    max_n = 7 (371 lattices); LATMOD_EXTENDED=1 adds max_n = 8 (4,008
+    lattices)."""
     rng = random.Random(7)
     for n in range(1, max_n + 1):
         for lat in catalog.enumerate_lattices(n):
@@ -207,6 +208,63 @@ def test_join_irreducible_generation_on_all_small_lattices():
     assert_matches_all_pairs_oracle(7)
 
 
+@pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
+                    reason="4,008 lattices and renumberings; set LATMOD_EXTENDED=1")
+def test_join_irreducible_generation_on_all_lattices_up_to_8():
+    assert_matches_all_pairs_oracle(8)
+
+
+def dependency_by_definition(lat):
+    """Oracle for congruence._dependency: j D k iff j != k and some x has
+    j <= k v x and j !<= k_ v x, tested for every (j, k, x) at once."""
+    ji = core.join_irreducibles(lat)
+    lower = [lat.lower_covers(k)[0] for k in ji]
+    j = np.array(ji, dtype=np.intp)[:, None, None]
+    hi, lo = lat.join_table[ji][None], lat.join_table[lower][None]
+    dep = (lat.leq[j, hi] & ~lat.leq[j, lo]).any(axis=2)
+    np.fill_diagonal(dep, False)
+    return dep
+
+
+def test_dependency_relation_matches_its_definition():
+    """On every lattice with at most 7 elements and a renumbering of each,
+    D equals its definition over all x, and D* equals the order of the
+    generators read off the scalar oracle."""
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for lat in catalog.enumerate_lattices(n):
+            for case in (lat, shuffled(lat, rng)):
+                ji, gen, below = congruence._generators(case)
+                assert np.array_equal(congruence._dependency(case, ji),
+                                      dependency_by_definition(case))
+                gens = [scalar_generated_congruence(case, [(case.lower_covers(j)[0], j)])
+                        for j in ji.tolist()]
+                for a, b in itertools.product(range(len(ji)), repeat=2):
+                    star = gen[a] == gen[b] or below[gen[a], gen[b]]
+                    assert star == gens[a].refines(gens[b])
+
+
+def test_dependency_counts_do_not_wrap():
+    # in M_258 each atom j depends on each other atom k through the 256
+    # atoms m != j, k: a uint8 count of them would wrap to 0
+    lat = catalog.m_k(258)
+    dep = congruence._dependency(lat, np.array(core.join_irreducibles(lat)))
+    assert dep.sum() == 258 * 257
+    assert len(all_congruences(lat)) == 2
+
+
+def test_dependency_memory_is_bounded(traced_peak):
+    """D is a product of two |J| x |M| arrow matrices, so its working set
+    (float32 copies of those and of the |J| x |J| result, and their bool
+    forms) stays within 16 bytes per entry of |J| x (|J| + n).  The
+    oracle's |J|^2 * n mask (27 MB on M_300) breaks that bound."""
+    lat = catalog.m_k(300)
+    ji = np.array(core.join_irreducibles(lat))
+    bound = 16 * len(ji) * (len(ji) + lat.n)
+    assert traced_peak(congruence._dependency, lat, ji)[1] <= bound
+    assert traced_peak(dependency_by_definition, lat)[1] > bound
+
+
 @pytest.mark.parametrize("name, shuffle", [("n5", False), ("n5", True), ("m4", False),
                                            ("witness7", False)])
 def test_down_set_route_matches_bfs_oracle_on_m3(name, shuffle):
@@ -216,13 +274,6 @@ def test_down_set_route_matches_bfs_oracle_on_m3(name, shuffle):
     generators = {scalar_generated_congruence(k, [(k.lower_covers(j)[0], j)])
                   for j in core.join_irreducibles(k)}
     assert_con_lattice_matches(all_congruences(k), bfs_con_lattice(k, generators))
-
-
-def test_join_of_congruences_matches_union_find_oracle(lattices):
-    for name in ("N5", "witness7", "B3", "C4"):
-        cons = all_congruences(lattices[name]).congruences
-        for a, b in itertools.product(cons, repeat=2):
-            assert congruence.join_congruences(a, b) == union_find_join(a, b)
 
 
 @pytest.mark.parametrize("name, covers, generators",
@@ -235,16 +286,33 @@ def test_principal_congruence_matches_scalar_oracle(name, covers, generators):
         assert principal_congruence(k, a, b) == scalar_generated_congruence(k, [(a, b)])
 
 
-def test_join_and_meet_of_congruences():
+def test_join_of_congruences_matches_union_find_oracle(lattices):
+    for name in ("N5", "witness7", "B3", "C4"):
+        con = all_congruences(lattices[name])
+        cons = con.congruences
+        for (x, a), (y, b) in itertools.product(enumerate(cons), repeat=2):
+            assert cons[con.lattice.join(x, y)] == union_find_join(a, b)
+
+
+def test_join_and_meet_of_congruences(lattices):
+    """The Con L join and meet on N5's example, and on every pair of four
+    lattices the meet is the common refinement and the order is refines."""
     n5 = catalog.n5()
     o, b, a, c, i = (n5.index_of(s) for s in "obaci")
-    t1 = principal_congruence(n5, b, a)
-    t2 = principal_congruence(n5, a, i)
-    joined = congruence.join_congruences(t1, t2)
+    con = all_congruences(n5)
+    t1 = con.index(principal_congruence(n5, b, a))
+    t2 = con.index(principal_congruence(n5, a, i))
+    joined = con.congruences[con.lattice.join(t1, t2)]
     assert joined.same(b, i) and joined.same(o, c) and not joined.same(o, b)
-    met = congruence.meet_congruences(joined, t1)
-    assert met.ids == t1.ids
-    assert t1.refines(joined) and not joined.refines(t1)
+    met = con.congruences[con.lattice.meet(con.index(joined), t1)]
+    assert met.ids == con.congruences[t1].ids
+    assert con.congruences[t1].refines(joined) and not joined.refines(con.congruences[t1])
+    for name in ("N5", "witness7", "B3", "C4"):
+        con = all_congruences(lattices[name])
+        cons = con.congruences
+        for (x, a), (y, b) in itertools.product(enumerate(cons), repeat=2):
+            assert con.lattice.le(x, y) == a.refines(b)
+            assert cons[con.lattice.meet(x, y)] == Congruence.from_ids(zip(a.ids, b.ids))
 
 
 def test_congruence_lattice_is_distributive(lattices):

@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,7 +463,7 @@ def test_marked_keys_close_a_slice_at_a_time(monkeypatch):
     assert sum(sizes) == keys.size and max(sizes) <= 1000 < keys.size
 
 
-def test_depth_builds_no_tables():
+def test_depth_builds_no_tables(traced_peak):
     """len and the depth of a census grid build no tables, and the traced
     peak stays under count^2 int32 entries (the tables hold nine bytes a
     pair)."""
@@ -522,16 +521,7 @@ def test_balanced_filter_matches_meshgrid_oracle():
                        for g, w in zip(got, want))
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_balanced_filter_memory_is_bounded():
+def test_balanced_filter_memory_is_bounded(traced_peak):
     """The filter holds its output twice (the blocks, then their
     concatenation) plus a working set of max(_GRID_ENTRIES, n^3)
     entries; the meshgrid oracle, holding every quadruple, breaks that
