@@ -3,10 +3,10 @@ grid-decoration machinery, and the small-lattice enumerator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from random import Random
-from typing import Iterator, Literal, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .errors import (
 )
 
 SUBSPACE_CAP = 4096
+# largest n of the ladder family l_family(n)
+L_FAMILY_CAP = 16
 
 
 def _check_size(label: str, size: int):
@@ -100,14 +102,14 @@ def _is_prime(q: int) -> bool:
     return q >= 2 and all(q % p for p in range(2, int(q ** 0.5) + 1))
 
 
-def subspace_lattice(q: int, d: int, cap: int = SUBSPACE_CAP) -> FiniteLattice:
+def subspace_lattice(q: int, d: int) -> FiniteLattice:
     """All subspaces of the d-dimensional vector space over the q-element
     field (prime q), ordered by inclusion."""
     if d < 1:
         raise ArgumentOutOfRange("d >= 1 required")
     # before q ** d and the primality test: both take long for huge q or d
-    if q >= 2 and (d >= cap.bit_length() or q ** d > cap):
-        raise SizeLimitExceeded(f"q^d = {q}^{d} exceeds cap {cap}")
+    if q >= 2 and (d >= SUBSPACE_CAP.bit_length() or q ** d > SUBSPACE_CAP):
+        raise SizeLimitExceeded(f"q^d = {q}^{d} exceeds cap {SUBSPACE_CAP}")
     if not _is_prime(q):
         raise ArgumentOutOfRange(f"q={q} not in the supported set (primes)")
     # the subspace count, a sum of Gaussian binomials, before any is built
@@ -418,15 +420,15 @@ def _ladder_extend(copy_leq: np.ndarray, copy_names: list[str],
     return leq, names, X, Z
 
 
-def l_family(n: int, validate: bool = True, _cap: int = 16) -> FiniteLattice:
+def l_family(n: int) -> FiniteLattice:
     """A bounded lattice of modularity rank exactly n+1, with a designated
     triple (x0, y0, z0) whose trace climbs the ladder x0 < x1 < ... < xn < 1.
 
     The diagram is a reconstruction constrained by the required algebra; the
     constructor verifies the rank and raises ReconstructionInvalid otherwise.
     """
-    if not (1 <= n <= _cap):
-        raise ArgumentOutOfRange(f"l_family supports 1 <= n <= {_cap}")
+    if not (1 <= n <= L_FAMILY_CAP):
+        raise ArgumentOutOfRange(f"l_family supports 1 <= n <= {L_FAMILY_CAP}")
     base = boolean(3)
     # designated coatoms of the core block: x climbs to {1,2}v, z to {0,1}v
     xi = base.index_of("{1,2}")
@@ -438,12 +440,11 @@ def l_family(n: int, validate: bool = True, _cap: int = 16) -> FiniteLattice:
     for level in range(n - 1, -1, -1):
         leq, names, xi, zi = _ladder_extend(leq, names, xi, zi, level)
     lat = lattice_from_leq(leq, names=names, name=f"L{n}")
-    if validate:
-        from . import rank
-        r = rank.modularity_rank(lat)
-        if r != n + 1:
-            raise ReconstructionInvalid(
-                f"ladder lattice for n={n} has rank {r}, expected {n + 1}")
+    from . import rank
+    r = rank.modularity_rank(lat)
+    if r != n + 1:
+        raise ReconstructionInvalid(
+            f"ladder lattice for n={n} has rank {r}, expected {n + 1}")
     return lat
 
 

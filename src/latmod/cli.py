@@ -106,15 +106,18 @@ def cmd_con(args) -> int:
     lat = _load(args.lattice)
     payload = {}
     if args.verify_cpe:
-        rep = congruence.verify_cpe(lat, args.verify_cpe)
+        k, con_b, con_k = congruence._cpe_pieces(lat)
+        rep = congruence._check_cpe(k, con_b, con_k, args.verify_cpe)
         payload["cpe_passed"] = rep.passed
         payload["con_base"] = rep.base_con_count
         payload["con_extension"] = rep.ext_con_count
         if not rep.passed:
             _emit(args, payload)
             return EXIT_CHECK_FAILED
-    target = construct.m3_with_tables(lat).lattice if args.of_m3 else lat
-    con = congruence.all_congruences(target)
+        target, con = (k.lattice, con_k) if args.of_m3 else (lat, con_b)
+    else:
+        target = construct.m3_with_tables(lat).lattice if args.of_m3 else lat
+        con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
     payload["con_size"] = len(con)
     payload["con_hasse"] = core.serialize(con.lattice) if args.report == "json" \

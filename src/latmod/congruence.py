@@ -39,9 +39,6 @@ class Congruence:
     def block_count(self) -> int:
         return max(self.ids) + 1
 
-    def is_identity(self) -> bool:
-        return self.block_count == len(self.ids)
-
     def is_all(self) -> bool:
         return self.block_count == 1
 
@@ -158,16 +155,6 @@ def _congruences(roots: np.ndarray) -> list[Congruence]:
     rank = np.cumsum(labels == np.arange(n), axis=1) - 1
     return [Congruence(tuple(r))
             for r in np.take_along_axis(rank, labels, axis=1).tolist()]
-
-
-def principal_congruence(lat: FiniteLattice, a: int, b: int) -> Congruence:
-    """Least congruence identifying a and b: it collapses the generators
-    con(j_, j) with j <= a v b and j !<= a ^ b and everything below them."""
-    ji, gen, below = _generators(lat)
-    held = np.zeros(len(below), dtype=bool)
-    held[gen[lat.leq[ji, lat.join(a, b)] & ~lat.leq[ji, lat.meet(a, b)]]] = True
-    held |= below[:, held].any(axis=1)
-    return _congruences(_block_roots(lat, ji, held[gen][None]))[0]
 
 
 @dataclass(frozen=True)

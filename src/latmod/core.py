@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,13 +18,14 @@ from .errors import (
     CycleDetected,
     EnumerationLimitExceeded,
     NotALattice,
-    NotComparable,
     ParseError,
     SizeLimitExceeded,
     VerificationFailed,
 )
 
 ISO_SIZE_CAP = 5000
+# order-preserving maps isotone_maps may enumerate
+ISOTONE_MAP_CAP = 10_000_000
 # elements of a lattice built from covers; its tables and the products that
 # check them take some 20 * n^2 bytes
 ELEMENT_CAP = 4096
@@ -123,9 +124,6 @@ class FiniteLattice:
 
     def elements(self) -> range:
         return range(self.n)
-
-    def name_of(self, a: int) -> str:
-        return self.names[a]
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -312,26 +310,6 @@ def direct_product(a: FiniteLattice, b: FiniteLattice, name: str = "") -> Finite
                          name=name or f"{a.name or 'A'}x{b.name or 'B'}")
 
 
-def dual(a: FiniteLattice) -> FiniteLattice:
-    """Order reversed, meet and join swapped.  An involution on tables."""
-    return FiniteLattice(a.leq.T.copy(), a.join_table.copy(), a.meet_table.copy(),
-                         names=list(a.names), name=f"dual({a.name})" if a.name else "")
-
-
-def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:
-    """The sublattice {x : a <= x <= b} with induced operations."""
-    if not lat.le(a, b):
-        raise NotComparable(f"{a} is not below {b}")
-    keep = np.flatnonzero(lat.leq[a, :] & lat.leq[:, b])
-    remap = {int(e): i for i, e in enumerate(keep)}
-    leq = lat.leq[np.ix_(keep, keep)].copy()
-    meet = np.array([[remap[int(lat.meet_table[x, y])] for y in keep] for x in keep],
-                    dtype=np.int32)
-    join = np.array([[remap[int(lat.join_table[x, y])] for y in keep] for x in keep],
-                    dtype=np.int32)
-    return FiniteLattice(leq, meet, join, names=[lat.names[int(e)] for e in keep])
-
-
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Elements with exactly one lower cover (excludes the bottom)."""
     return [e for e in lat.elements() if len(lat.lower_covers(e)) == 1]
@@ -360,21 +338,6 @@ def is_modular(lat: FiniteLattice) -> bool:
         if not np.array_equal(lhs, rhs):
             return False
     return True
-
-
-def antichains3(lat: FiniteLattice) -> Iterator[tuple[int, int, int]]:
-    """All 3-element antichains {x,y,z}, yielded once each as x<y<z."""
-    incomp = ~lat.leq & ~lat.leq.T
-    n = lat.n
-    for x in range(n):
-        row_x = incomp[x]
-        for y in range(x + 1, n):
-            if not row_x[y]:
-                continue
-            mask = row_x & incomp[y]
-            for z in np.flatnonzero(mask):
-                if z > y:
-                    yield (x, y, int(z))
 
 
 def _refine_colors(lat: FiniteLattice) -> np.ndarray:
@@ -461,12 +424,12 @@ class IsotoneMap:
         return self.values[p]
 
 
-def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice,
-                 cap: int = 10_000_000) -> list[IsotoneMap]:
+def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice) -> list[IsotoneMap]:
     """All order-preserving maps from the poset into the target lattice."""
     p = poset_leq.shape[0]
-    if target.n ** max(p, 1) > cap:
-        raise EnumerationLimitExceeded(f"{target.n}^{p} maps exceed cap {cap}")
+    if target.n ** max(p, 1) > ISOTONE_MAP_CAP:
+        raise EnumerationLimitExceeded(
+            f"{target.n}^{p} maps exceed cap {ISOTONE_MAP_CAP}")
     # assign in a linear extension so constraints refer to assigned values
     order = sorted(range(p), key=lambda e: int(poset_leq[:, e].sum()))
     key = tuple(map(tuple, poset_leq.tolist()))
@@ -493,23 +456,6 @@ def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice,
 
     bt(0)
     return out
-
-
-def ideal_lattice(lat: FiniteLattice) -> FiniteLattice:
-    """The lattice of all ideals (nonempty join-closed down-sets) under inclusion.
-
-    In a finite lattice every ideal is principal, so the result is isomorphic
-    to the input; it is still constructed from the ideals themselves.
-    """
-    ideals = [frozenset(int(x) for x in np.flatnonzero(lat.leq[:, e]))
-              for e in range(lat.n)]
-    n = len(ideals)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, I in enumerate(ideals):
-        for k, K in enumerate(ideals):
-            leq[i, k] = I <= K
-    return lattice_from_leq(leq, names=["I(" + lat.names[i] + ")" for i in range(n)],
-                            name=f"Id({lat.name})" if lat.name else "")
 
 
 # -- serialization -------------------------------------------------------

@@ -19,10 +19,6 @@ class NotALattice(LatticeError):
         super().__init__(f"no unique {kind} for elements {a} and {b}")
 
 
-class NotComparable(LatticeError):
-    """Interval endpoints are not comparable."""
-
-
 class ParseError(LatticeError):
     """Malformed lattice JSON input."""
 

@@ -74,25 +74,12 @@ class ClosureTrace:
         return self.iterates[-1]
 
 
-def is_balanced3(lat, t) -> bool:
-    """True iff the three pairwise meets of t coincide."""
-    x, y, z = t
-    return lat.meet(x, y) == lat.meet(x, z) == lat.meet(y, z)
-
-
 def step3(lat, t) -> Triple:
     """One application of the adjustment map; extensive and isotone."""
     x, y, z = t
     return Triple(lat.join(x, lat.meet(y, z)),
                   lat.join(y, lat.meet(x, z)),
                   lat.join(z, lat.meet(x, y)))
-
-
-def is_balanced4(lat, q) -> bool:
-    """True iff all six pairwise meets of the quadruple coincide."""
-    base = lat.meet(q[0], q[1])
-    return all(lat.meet(q[i], q[k]) == base
-               for i in range(4) for k in range(i + 1, 4))
 
 
 def step4(lat, q) -> Quadruple:
@@ -367,19 +354,7 @@ def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
     return res
 
 
-# -- the identity checker and the rank ------------------------------------
-
-def satisfies_gamma(lat: FiniteLattice, n: int,
-                    cap: Optional[int] = None) -> tuple[bool, Optional[Triple]]:
-    """Does every triple stabilize by index n?  Returns (verdict, witness);
-    the witness is the lexicographically first slowest triple on failure."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    res = full_triple_scan(lat, cap=cap)
-    if res.max_index <= n:
-        return True, None
-    return False, res.witness
-
+# -- the modularity rank --------------------------------------------------
 
 @dataclass(frozen=True)
 class RankReport:

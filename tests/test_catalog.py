@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import interval
 from latmod import catalog, core, rank
 from latmod.catalog import GridDecoration
 from latmod.errors import (
@@ -178,8 +179,8 @@ def test_ladder_family_structure():
         assert firsts[: n + 1] == [f"x{k}" for k in range(n + 1)]
         assert trace.iterates[n + 1][0] == lat.top
         if n >= 2:
-            inner = core.interval(lat, lat.meet(lat.index_of("x1"),
-                                                lat.index_of("z1")), lat.top)
+            inner = interval(lat, lat.meet(lat.index_of("x1"),
+                                           lat.index_of("z1")), lat.top)
             assert core.find_isomorphism(inner, catalog.l_family(n - 1)) is not None
     with pytest.raises(ArgumentOutOfRange):
         catalog.l_family(0)

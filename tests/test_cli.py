@@ -119,7 +119,7 @@ def fail_check(*args, **kwargs):
 
 
 def test_failed_cpe_check_exits_check_failed(capsys, monkeypatch):
-    monkeypatch.setattr(congruence, "verify_cpe", fail_check)
+    monkeypatch.setattr(congruence, "_check_cpe", fail_check)
     code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom")
     assert code == EXIT_CHECK_FAILED == 1
     assert "forced" in out.err

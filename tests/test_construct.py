@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import is_balanced3, is_balanced4
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
 from latmod.errors import NotDistributive, SizeLimitExceeded, VerificationFailed
@@ -30,11 +31,11 @@ def test_membership_is_exactly_balancedness(lattices):
         base = lattices[name]
         k = m3_of(base)
         expected = sorted(t for t in itertools.product(base.elements(), repeat=3)
-                          if rank.is_balanced3(base, t))
+                          if is_balanced3(base, t))
         assert k.tuples == expected
         q = m4_of(base)
         for t in itertools.product(base.elements(), repeat=4):
-            assert (t in q.index) == rank.is_balanced4(base, t)
+            assert (t in q.index) == is_balanced4(base, t)
 
 
 def test_meets_componentwise_joins_are_closures(lattices):

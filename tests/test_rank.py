@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import antichains3, interval, is_balanced3, is_balanced4
 from latmod import catalog, construct, core, rank
 from latmod.errors import ArgumentOutOfRange, RankExceedsCap
 from latmod.rank import Quadruple, Triple, closure3, closure4, step3, step4
@@ -13,7 +14,7 @@ from latmod.rank import Quadruple, Triple, closure3, closure4, step3, step4
 
 def balanced_triples(lat):
     return [t for t in itertools.product(lat.elements(), repeat=3)
-            if rank.is_balanced3(lat, t)]
+            if is_balanced3(lat, t)]
 
 
 def least_balanced_majorant(lat, t):
@@ -24,14 +25,14 @@ def least_balanced_majorant(lat, t):
     best = above[0]
     for s in above[1:]:
         best = tuple(lat.meet(a, b) for a, b in zip(best, s))
-    assert rank.is_balanced3(lat, best)
+    assert is_balanced3(lat, best)
     return best
 
 
 def test_step3_fixed_points_are_balanced(lattices):
     for lat in lattices.values():
         for t in itertools.product(lat.elements(), repeat=3):
-            assert (step3(lat, t) == t) == rank.is_balanced3(lat, t)
+            assert (step3(lat, t) == t) == is_balanced3(lat, t)
 
 
 def test_step3_extensive_isotone_equivariant(lattices):
@@ -90,14 +91,14 @@ def test_gamma_coordinate_equivalence(lattices):
 
 
 def test_satisfies_gamma_examples(lattices):
+    # L satisfies gamma_n iff its rank is at most n; on failure the witness
+    # is the lexicographically first slowest triple
     n5 = lattices["N5"]
-    ok, witness = rank.satisfies_gamma(n5, 1)
-    assert not ok
-    names = tuple(n5.names[e] for e in witness)
-    assert sorted(names) == ["a", "b", "c"]
-    assert rank.satisfies_gamma(n5, 2) == (True, None)
+    rep = rank.rank_report(n5)
+    assert not rep.rank <= 1 and rep.rank <= 2
+    assert sorted(n5.names[e] for e in rep.witness) == ["a", "b", "c"]
     for name in ("C4", "B3", "C2sq"):
-        assert rank.satisfies_gamma(lattices[name], 1)[0]
+        assert rank.rank_report(lattices[name]).rank <= 1
 
 
 def test_chain_triples_stabilize_fast():
@@ -130,7 +131,7 @@ def test_witness7_failing_triple():
 
 def test_non_antichain_triples_stabilize_by_two(lattices):
     for lat in lattices.values():
-        anti = set(core.antichains3(lat))
+        anti = set(antichains3(lat))
         for t in itertools.product(lat.elements(), repeat=3):
             if tuple(sorted(set(t))) in anti:
                 continue
@@ -152,7 +153,7 @@ def test_rank_sublattice_monotone():
     for a in w7.elements():
         for b in w7.elements():
             if w7.le(a, b):
-                assert rank.modularity_rank(core.interval(w7, a, b)) <= full
+                assert rank.modularity_rank(interval(w7, a, b)) <= full
 
 
 def test_antichains_only_fast_path(lattices):
@@ -179,7 +180,7 @@ def test_scan_job_split_balances_antichains(monkeypatch):
         one = rank.antichain_rank_scan(lat, jobs=1)
         assert rank.antichain_rank_scan(lat, jobs=2) == one
         if k == 4:  # batches and split against antichains listed one by one
-            anti = list(core.antichains3(lat))
+            anti = antichains3(lat)
             monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
             u, py, pz = incomparable_pairs(lat)
             batches = list(rank._antichain_batches(u, py, pz, 0, lat.n))
@@ -267,7 +268,7 @@ def test_step4_and_closure4(lattices):
         for q in quads:
             out = step4(lat, q)
             assert all(lat.le(a, b) for a, b in zip(q, out))
-            assert (out == q) == rank.is_balanced4(lat, q)
+            assert (out == q) == is_balanced4(lat, q)
     # distributive: one step always suffices
     b3 = lattices["B3"]
     for q in itertools.product(b3.elements(), repeat=4):
