@@ -80,21 +80,24 @@ def cmd_rank(args) -> int:
 def _cmd_build(args, builder) -> int:
     lat = _load(args.lattice)
     k = builder(lat)
+    # the file holds the tables: above the cap, fail before writing it
+    tables = construct.require_tables(k) if args.out else k.lattice
     payload = {"base": lat.name or args.lattice, "elements": len(k)}
-    tables = k.lattice
     if args.stats or tables is not None:
         # without tables the depth marks the joins of all count^2 / 2 pairs,
         # so only --stats asks
         payload["max_closure_index"] = k.max_closure_index
     if args.stats and tables is not None:
-        if k.arity == 3:
+        # M3 spans only a base with two elements or more
+        spans = k.arity == 3 and lat.n > 1
+        if spans:
             construct.spanning_m3(k)
         payload.update({
-            "spanning_check": "ok" if k.arity == 3 else "n/a",
+            "spanning_check": "ok" if spans else "n/a",
             "modular": core.is_modular(tables),
             "distributive": core.is_distributive(tables),
         })
-    if args.out and tables is not None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(core.serialize(tables))
         payload["out"] = args.out

@@ -39,9 +39,6 @@ class Congruence:
     def block_count(self) -> int:
         return max(self.ids) + 1
 
-    def is_all(self) -> bool:
-        return self.block_count == 1
-
     def blocks(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.block_count)]
         for e, b in enumerate(self.ids):
@@ -164,9 +161,6 @@ class ConLattice:
 
     def __len__(self):
         return len(self.congruences)
-
-    def index(self, c: Congruence) -> int:
-        return self.congruences.index(c)
 
 
 def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:

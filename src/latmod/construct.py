@@ -53,14 +53,12 @@ class TupleLattice:
 
     Element ids follow the lexicographic order of the tuples, given as one
     column of entries per coordinate.  Nothing is built or closed with the
-    lattice: the full meet and join tables come on first access of
-    `lattice`, which is None above EAGER_TABLE_CAP elements (decided at
-    construction).  Without tables, joins are closed on demand and
-    memoized.  The tables and the closure depth share one close of the
-    distinct componentwise joins, made on the first access of either.
-    Lookups find a tuple's id by a binary search on the ascending keys; the
-    Python `tuples` list and the `index` dict, which only naming needs, are
-    built on first access.
+    lattice: the meets, joins and bounds are those of `lattice`, whose
+    tables are built on first access and which is None above
+    EAGER_TABLE_CAP elements (decided at construction).  The tables and the
+    closure depth share one close of the distinct componentwise joins, made
+    on the first access of either.  The Python `tuples` list and the
+    `index` dict are built on first access.
     """
 
     def __init__(self, base: FiniteLattice, cols: list, name: str):
@@ -69,7 +67,6 @@ class TupleLattice:
         self.arity = len(cols)
         self.name = name
         self._tabled = cols[0].size <= EAGER_TABLE_CAP
-        self._join_memo: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
     def tuples(self) -> list:
@@ -79,30 +76,11 @@ class TupleLattice:
     def index(self) -> dict:
         return {t: i for i, t in enumerate(self.tuples)}
 
-    @functools.cached_property
-    def _keys(self) -> np.ndarray:
-        return _encode(self.base.n, self.cols)
-
-    def _locate(self, t) -> int:
-        """The id of the balanced tuple t."""
-        key = 0
-        for c in t:
-            key = key * self.base.n + int(c)
-        return int(self._keys.searchsorted(key))
-
     def __len__(self):
         return self.cols[0].size
 
     def tuple_name(self, i: int) -> str:
         return "<" + ",".join(self.base.names[c] for c in self.tuples[i]) + ">"
-
-    @property
-    def bottom(self) -> int:
-        return self._locate((self.base.bottom,) * self.arity)
-
-    @property
-    def top(self) -> int:
-        return self._locate((self.base.top,) * self.arity)
 
     @functools.cached_property
     def lattice(self) -> Optional[FiniteLattice]:
@@ -163,23 +141,6 @@ class TupleLattice:
         2^31."""
         return self._closure[2]
 
-    def meet(self, i: int, k: int) -> int:
-        if self.lattice is not None:
-            return self.lattice.meet(i, k)
-        m = self.base.meet_table
-        return self._locate(m[c[i], c[k]] for c in self.cols)
-
-    def join(self, i: int, k: int) -> int:
-        if self.lattice is not None:
-            return self.lattice.join(i, k)
-        key = (min(i, k), max(i, k))
-        got = self._join_memo.get(key)
-        if got is None:
-            closed, _ = _close_joins(self.base, self.cols, np.array([i]), np.array([k]))
-            got = self._locate(c[0] for c in closed)
-            self._join_memo[key] = got
-        return got
-
 
 def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
     """The tuples over the base whose pairwise meets all coincide, as
@@ -210,20 +171,12 @@ def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
     return [np.concatenate(p) for p in parts]
 
 
-def _close_joins(base: FiniteLattice, cols, ia, ib):
-    """Close the componentwise joins of the tuple pairs (ia[i], ib[i]) under
-    the step map.  Returns the closed columns in pair order and the largest
-    closure index."""
-    jf = base.join_table.ravel()
-    return _close(base, [jf.take(c.take(ia) * base.n + c.take(ib)) for c in cols])
-
-
 def _close(base: FiniteLattice, cols: list):
     """Close tuples, given as columns, under the step map.  Returns the
     closed columns in input order and the largest closure index.
 
-    The tables and the depth pass each distinct componentwise join once;
-    a lazy join passes its one pair through _close_joins.  The distinct
+    The tables and the depth pass each distinct componentwise join once,
+    not every pair of elements (`TupleLattice._closure`).  The distinct
     joins number at most n^arity, far fewer than the count(count+1)/2
     pairs.  They are all n^3 keys on the 96 census grids (2,197-3,375
     against 63k-151k pairs), on Fano (4,096 against 594,595) and on M7
@@ -303,10 +256,17 @@ def m3_with_tables(base: FiniteLattice) -> TupleLattice:
         raise SizeLimitExceeded(f"{label} has at least {base.n ** 2} elements, "
                                 f"above the table cap {EAGER_TABLE_CAP}")
     k = m3_of(base)
-    if k.lattice is None:
-        raise SizeLimitExceeded(f"{label} has {len(k)} elements, "
-                                f"above the table cap {EAGER_TABLE_CAP}")
+    require_tables(k)
     return k
+
+
+def require_tables(k: TupleLattice) -> FiniteLattice:
+    """k's meet and join tables; SizeLimitExceeded when k has more than
+    EAGER_TABLE_CAP elements."""
+    if k.lattice is None:
+        raise SizeLimitExceeded(f"{k.name} has {len(k)} elements, "
+                                f"above the table cap {EAGER_TABLE_CAP}")
+    return k.lattice
 
 
 def m4_of(base: FiniteLattice) -> TupleLattice:
@@ -316,15 +276,19 @@ def m4_of(base: FiniteLattice) -> TupleLattice:
 
 def spanning_m3(k: TupleLattice) -> list[int]:
     """The five elements <0,0,0>, <1,0,0>, <0,1,0>, <0,0,1>, <1,1,1>;
-    verified to form a sublattice isomorphic to M_3 spanning k's bounds."""
+    verified to be distinct and to form a sublattice isomorphic to M_3
+    spanning k's bounds."""
+    lat = require_tables(k)
     o, i = k.base.bottom, k.base.top
     ids = [k.index[t] for t in
            [(o, o, o), (i, o, o), (o, i, o), (o, o, i), (i, i, i)]]
+    if len(set(ids)) != 5:
+        raise VerificationFailed("the five elements are not distinct")
     bot, a, b, c, top = ids
-    if bot != k.bottom or top != k.top:
+    if bot != lat.bottom or top != lat.top:
         raise VerificationFailed("<0,0,0> and <1,1,1> are not the bounds")
     for u, v in ((a, b), (a, c), (b, c)):
-        if k.meet(u, v) != bot or k.join(u, v) != top:
+        if lat.meet(u, v) != bot or lat.join(u, v) != top:
             raise VerificationFailed(f"the spanning M3 fails at ({u},{v})")
     return ids
 
@@ -332,29 +296,30 @@ def spanning_m3(k: TupleLattice) -> list[int]:
 def embed_atom(k: TupleLattice) -> list[int]:
     """The embedding x -> <x,0,0,...> of the base into k; returns the image
     ids indexed by base element, verified meet- and join-preserving."""
+    lat = require_tables(k)
     o = k.base.bottom
     pad = (o,) * (k.arity - 1)
     image = [k.index[(x,) + pad] for x in k.base.elements()]
-    _check_embedding(k, image)
+    _check_embedding(k.base, lat, image)
     return image
 
 
 def embed_diag(k: TupleLattice) -> list[int]:
     """The diagonal embedding x -> <x,x,...,x>."""
+    lat = require_tables(k)
     image = [k.index[(x,) * k.arity] for x in k.base.elements()]
-    _check_embedding(k, image)
+    _check_embedding(k.base, lat, image)
     return image
 
 
-def _check_embedding(k: TupleLattice, image: list[int]):
-    base = k.base
+def _check_embedding(base: FiniteLattice, lat: FiniteLattice, image: list[int]):
     if len(set(image)) != base.n:
         raise VerificationFailed("the embedding is not injective")
     for a in base.elements():
         for b in base.elements():
-            if k.meet(image[a], image[b]) != image[base.meet(a, b)]:
+            if lat.meet(image[a], image[b]) != image[base.meet(a, b)]:
                 raise VerificationFailed(f"the embedding breaks the meet of ({a},{b})")
-            if k.join(image[a], image[b]) != image[base.join(a, b)]:
+            if lat.join(image[a], image[b]) != image[base.join(a, b)]:
                 raise VerificationFailed(f"the embedding breaks the join of ({a},{b})")
 
 
@@ -386,18 +351,19 @@ def m4_sublattice_in_m3m3() -> tuple[TupleLattice, list[int]]:
     from .catalog import m_k  # noqa: PLC0415
     base = m_k(3)
     k = m3_of(base)
+    lat = k.lattice
     o, i = base.bottom, base.top
     a, b, c = base.index_of("a"), base.index_of("b"), base.index_of("c")
     named = [(i, o, o), (o, a, b), (o, b, c), (o, c, a)]
     ids = [k.index[t] for t in named]
     for s in range(4):
         for t in range(s + 1, 4):
-            if k.meet(ids[s], ids[t]) != k.bottom:
+            if lat.meet(ids[s], ids[t]) != lat.bottom:
                 raise VerificationFailed(f"meet of {named[s]} and {named[t]} is not the bottom")
-            if k.join(ids[s], ids[t]) != k.top:
+            if lat.join(ids[s], ids[t]) != lat.top:
                 raise VerificationFailed(f"join of {named[s]} and {named[t]} is not the top")
-    six = sorted([k.bottom, k.top] + ids)
-    sub_leq = k.lattice.leq[np.ix_(six, six)]
+    six = sorted([lat.bottom, lat.top] + ids)
+    sub_leq = lat.leq[np.ix_(six, six)]
     if find_isomorphism(lattice_from_leq(sub_leq.copy()), m_k(4)) is None:
         raise VerificationFailed("the six elements do not form M4")
     return k, ids

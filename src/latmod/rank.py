@@ -204,21 +204,20 @@ def _merge_blocks(parts) -> ScanResult:
     total = 0
     max_index = 0
     witness = None
-    for bh, bmax, bwit, bcount in parts:
-        total += bcount
-        for i, c in bh.items():
+    for part in parts:
+        total += part.triple_count
+        for i, c in part.histogram.items():
             hist[i] = hist.get(i, 0) + c
-        if bwit is not None and bmax > max_index:
-            max_index, witness = bmax, bwit
-        if witness is None and bwit is not None:
-            max_index, witness = bmax, bwit
+        if part.witness is not None and (witness is None or part.max_index > max_index):
+            max_index, witness = part.max_index, part.witness
     return ScanResult(total, dict(sorted(hist.items())), max_index, witness)
 
 
 def _scan_batch(lat, x, y, z, cap, weight=None):
-    """Scan one batch; triple i counts weight[i] times in the histogram."""
+    """Scan one batch into a ScanResult; triple i counts weight[i] times in
+    the histogram."""
     if x.size == 0:
-        return {}, 0, None, 0
+        return ScanResult(0, {}, 0, None)
     stab = np.zeros(x.size, dtype=np.int32)
     for k, (done, _, _) in enumerate(
             _fixpoints(lat.meet_table, lat.join_table, [x, y, z], cap)):
@@ -231,7 +230,7 @@ def _scan_batch(lat, x, y, z, cap, weight=None):
     bmax = int(stab.max())
     first = int(np.flatnonzero(stab == bmax)[0])
     witness = Triple(int(x[first]), int(y[first]), int(z[first]))
-    return hist, bmax, witness, int(counts.sum())
+    return ScanResult(int(counts.sum()), hist, bmax, witness)
 
 
 # orbit sizes under coordinate permutations, by the number of equalities
@@ -348,9 +347,7 @@ def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
         with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futs = [pool.submit(scan_range, int(bounds[i]), int(bounds[i + 1]))
                     for i in range(jobs)]
-            res = _merge_blocks((f.result().histogram, f.result().max_index,
-                                 f.result().witness, f.result().triple_count)
-                                for f in futs)
+            res = _merge_blocks(f.result() for f in futs)
     return res
 
 

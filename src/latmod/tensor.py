@@ -31,18 +31,8 @@ class BiIdeal:
     nb: int
     rows: tuple
 
-    def contains(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.na) for b in range(self.nb)
-                if self.contains(a, b)]
-
     def size(self) -> int:
         return sum(int(r).bit_count() for r in self.rows)
-
-    def subset_of(self, other: "BiIdeal") -> bool:
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
 
 def _check_size(a: FiniteLattice, b: FiniteLattice):

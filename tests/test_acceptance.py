@@ -130,9 +130,10 @@ def test_08_wide_sublattice_inside_double_triple():
     k, ids = construct.m4_sublattice_in_m3m3()
     # the constructor asserts the pairwise meets/joins and the sublattice
     # isomorphism; re-check the bounds here
-    assert all(k.meet(ids[s], ids[t]) == k.bottom
+    lat = k.lattice
+    assert all(lat.meet(ids[s], ids[t]) == lat.bottom
                for s in range(4) for t in range(s + 1, 4))
-    assert all(k.join(ids[s], ids[t]) == k.top
+    assert all(lat.join(ids[s], ids[t]) == lat.top
                for s in range(4) for t in range(s + 1, 4))
 
 

@@ -205,6 +205,21 @@ def test_lazy_build_reports_depth_only_with_stats(capsys, monkeypatch):
     assert code == 0 and json.loads(out.out) == eager
 
 
+def test_lazy_build_out_exits_input_before_writing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    for command in ("m3build", "m4build"):
+        out_path = tmp_path / f"{command}.json"
+        code, out = run(capsys, command, "--lattice", "n5", "--stats",
+                        "--out", str(out_path))
+        assert code == 3 and "table cap" in out.err and out.out == "", command
+        assert not out_path.exists(), command
+
+
+def test_build_spans_no_m3_over_one_element(capsys):
+    code, out = run(capsys, "m3build", "--lattice", "c1", "--stats", "--report", "json")
+    assert code == 0 and json.loads(out.out)["spanning_check"] == "n/a"
+
+
 def test_build_stats_close_the_join_keys_once(capsys, monkeypatch):
     closed = []
     close = construct._close

@@ -76,6 +76,12 @@ def principal(con, a, b):
     return least
 
 
+def position(con, c):
+    """Oracle helper: the id of the congruence c in the lattice con, by a
+    linear search of its list."""
+    return con.congruences.index(c)
+
+
 class UnionFind:
     """Oracle helper: scalar union-find with path halving."""
 
@@ -205,7 +211,7 @@ def test_principal_congruence_examples():
     assert theta.blocks() == [[o], [b, a], [c], [i]]
     collapse = principal(con, a, i)
     # collapsing the top cover propagates down the other side and back up
-    assert collapse.same(o, c) and not collapse.is_all()
+    assert collapse.same(o, c) and collapse.block_count > 1
     assert collapse.blocks() == [[o, c], [b, a, i]]
 
 
@@ -313,11 +319,11 @@ def test_join_and_meet_of_congruences(lattices):
     n5 = catalog.n5()
     o, b, a, c, i = (n5.index_of(s) for s in "obaci")
     con = all_congruences(n5)
-    t1 = con.index(principal(con, b, a))
-    t2 = con.index(principal(con, a, i))
+    t1 = position(con, principal(con, b, a))
+    t2 = position(con, principal(con, a, i))
     joined = con.congruences[con.lattice.join(t1, t2)]
     assert joined.same(b, i) and joined.same(o, c) and not joined.same(o, b)
-    met = con.congruences[con.lattice.meet(con.index(joined), t1)]
+    met = con.congruences[con.lattice.meet(position(con, joined), t1)]
     assert met.ids == con.congruences[t1].ids
     assert con.congruences[t1].refines(joined) and not joined.refines(con.congruences[t1])
     for name in ("N5", "witness7", "B3", "C4"):

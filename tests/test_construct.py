@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -41,13 +40,14 @@ def test_membership_is_exactly_balancedness(lattices):
 def test_meets_componentwise_joins_are_closures(lattices):
     base = lattices["N5"]
     k = m3_of(base)
+    lat = k.lattice
     for i in range(len(k)):
         for j in range(len(k)):
             ti, tj = k.tuples[i], k.tuples[j]
-            assert k.tuples[k.meet(i, j)] == tuple(
+            assert k.tuples[lat.meet(i, j)] == tuple(
                 base.meet(a, b) for a, b in zip(ti, tj))
             raw = tuple(base.join(a, b) for a, b in zip(ti, tj))
-            assert k.tuples[k.join(i, j)] == rank.closure3(base, raw).final
+            assert k.tuples[lat.join(i, j)] == rank.closure3(base, raw).final
 
 
 def test_m3m4_iteration_table():
@@ -83,14 +83,17 @@ def test_spanning_m3(lattices):
         k = m3_of(lattices[name])
         ids = construct.spanning_m3(k)
         assert len(set(ids)) == 5
+    # over C1 the five tuples are one element, which spans no M3
+    with pytest.raises(VerificationFailed):
+        construct.spanning_m3(m3_of(lattices["C1"]))
 
 
 def test_embeddings_are_exhaustively_checked():
     k = m3_of(catalog.n5())
     atom = construct.embed_atom(k)
     diag = construct.embed_diag(k)
-    assert atom[k.base.bottom] == diag[k.base.bottom] == k.bottom
-    assert diag[k.base.top] == k.top
+    assert atom[k.base.bottom] == diag[k.base.bottom] == k.lattice.bottom
+    assert diag[k.base.top] == k.lattice.top
     assert atom != diag
 
 
@@ -121,10 +124,11 @@ def test_coordinate_permutation_is_automorphism():
     base = catalog.n5()
     k = m3_of(base)
     perm = [k.index[(t[1], t[2], t[0])] for t in k.tuples]
+    lat = k.lattice
     for i in range(len(k)):
         for j in range(len(k)):
-            assert k.meet(perm[i], perm[j]) == perm[k.meet(i, j)]
-            assert k.join(perm[i], perm[j]) == perm[k.join(i, j)]
+            assert lat.meet(perm[i], perm[j]) == perm[lat.meet(i, j)]
+            assert lat.join(perm[i], perm[j]) == perm[lat.join(i, j)]
 
 
 def test_m4_inside_double_m3():
@@ -219,78 +223,34 @@ def test_lazy_closure_depth_matches_eager(monkeypatch):
     assert max(d for d, _ in eager) >= 2
 
 
-def test_lazy_joins_match_eager_tables(monkeypatch):
-    """Above EAGER_TABLE_CAP a join closes one pair through the shared
-    engine; it must agree with the eager table.  At most 100 seeded pairs
-    a lattice keep the sweep short: a one-pair closure costs numpy calls."""
-    rng = random.Random(5)
-    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
-    eager = [(m3_of(b), m4_of(b)) for b in bases]
-    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
-    for base, built in zip(bases, eager):
-        for k, lazy in zip(built, (m3_of(base), m4_of(base))):
-            assert lazy.lattice is None and lazy.tuples == k.tuples
-            pairs = list(itertools.combinations_with_replacement(range(len(k)), 2))
-            for i, j in rng.sample(pairs, min(len(pairs), 100)):
-                assert lazy.join(i, j) == lazy.join(j, i) == k.lattice.join(i, j)
-                assert lazy.meet(i, j) == k.lattice.meet(i, j)
-
-
 def test_lazy_build_closes_nothing(monkeypatch):
     eager = m3_of(catalog.m_k(4))
     assert eager.lattice is not None  # tables and depth before counting
-    closed, calls = [], []
-    close_joins, close = construct._close_joins, construct._close
-
-    def counting_joins(base, cols, ia, ib):
-        closed.append(ia.size)
-        return close_joins(base, cols, ia, ib)
+    calls = []
+    close = construct._close
 
     def counting(base, cols):
         calls.append(cols[0].size)
         return close(base, cols)
 
-    monkeypatch.setattr(construct, "_close_joins", counting_joins)
     monkeypatch.setattr(construct, "_close", counting)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     k = m3_of(catalog.m_k(4))
-    assert closed == [] and calls == []
+    assert calls == []
     assert k.max_closure_index == k.max_closure_index == eager.max_closure_index
-    assert closed == [] and len(calls) == 1  # one close of the marked keys
-    closed.clear()
-    assert k.join(1, 2) == eager.lattice.join(1, 2)
-    assert closed == [1]
+    assert len(calls) == 1  # one close of the marked keys
+    assert "tuples" not in vars(k) and "index" not in vars(k)
 
 
-def test_lazy_build_defers_tuple_list_and_index(monkeypatch):
+def test_lazy_build_defers_tuple_list_and_index():
     k = m3_of(catalog.subspace_lattice(2, 4))
-    base = k.base
     assert k.lattice is None
     assert "tuples" not in vars(k) and "index" not in vars(k)
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
     assert "tuples" not in vars(k) and "index" not in vars(k)
     rows = np.stack(k.cols, axis=1)
-    assert rows[k.bottom].tolist() == [base.bottom] * 3
-    assert rows[k.top].tolist() == [base.top] * 3
-    met, joined = k.meet(5, 9), k.join(5, 9)
-    assert "tuples" not in vars(k) and "index" not in vars(k)
-    assert rows[met].tolist() == [base.meet(a, b) for a, b in zip(rows[5], rows[9])]
-    raw = tuple(base.join(a, b) for a, b in zip(rows[5], rows[9]))
-    assert tuple(rows[joined]) == rank.closure3(base, raw).final
     assert len(k.index) == len(k)
     assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
-
-    # the searched ids agree with the eager tables on small bases
-    eager = [m3_of(catalog.n5()), m4_of(catalog.n5()), m3_of(catalog.witness7())]
-    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
-    for e, lazy in zip(eager, (m3_of(catalog.n5()), m4_of(catalog.n5()),
-                               m3_of(catalog.witness7()))):
-        lat = e.lattice
-        assert (lazy.bottom, lazy.top) == (lat.bottom, lat.top)
-        pairs = itertools.product(range(len(e)), repeat=2)
-        assert all(lazy.meet(i, j) == lat.meet(i, j) and lazy.join(i, j) == lat.join(i, j)
-                   for i, j in pairs)
-        assert "tuples" not in vars(lazy) and "index" not in vars(lazy)
 
 
 def test_keys_widen_past_int32():
@@ -308,15 +268,24 @@ def test_keys_widen_past_int32():
 
 # -- oracle: the per-pair eager join closure ------------------------------------
 
+def close_joins(base, cols, ia, ib):
+    """Oracle for the joins of m3_of/m4_of: close the componentwise joins of
+    the tuple pairs (ia[i], ib[i]) under the step map, one entry per pair.
+    Returns the closed columns in pair order and the largest closure
+    index."""
+    jf = base.join_table.ravel()
+    return construct._close(base, [jf.take(c.take(ia) * base.n + c.take(ib)) for c in cols])
+
+
 def per_pair_joins(k):
     """Oracle for the key closure of m3_of/m4_of: the eager route it
-    replaced, which closed every pair a <= b through _close_joins and
+    replaced, which closed every pair a <= b through close_joins and
     mirrored the table.  Returns (join table, largest closure index)."""
     n, count = k.base.n, len(k)
     where = np.full(n ** k.arity, -1)
     where[construct._encode(n, k.cols)] = np.arange(count)
     ia, ib = np.triu_indices(count)
-    closed, depth = construct._close_joins(k.base, k.cols, ia, ib)
+    closed, depth = close_joins(k.base, k.cols, ia, ib)
     join = np.empty((count, count), dtype=np.int64)
     join[ia, ib] = join[ib, ia] = where.take(construct._encode(n, closed))
     return join, depth
@@ -387,8 +356,8 @@ def _pair_blocks(count: int, block: int):
 
 def per_pair_depth(k, block=500_000):
     """Oracle for max_closure_index without tables: the route it replaced,
-    which closed every pair a <= b through _close_joins, in blocks."""
-    return max(construct._close_joins(k.base, k.cols, ia, ib)[1]
+    which closed every pair a <= b through close_joins, in blocks."""
+    return max(close_joins(k.base, k.cols, ia, ib)[1]
                for ia, ib in _pair_blocks(len(k), block))
 
 
@@ -535,27 +504,61 @@ def test_balanced_filter_memory_is_bounded(traced_peak):
     assert traced_peak(meshgrid_balanced_tuples, base, 4)[1] > bound
 
 
-def test_verification_raises_typed_errors(monkeypatch):
+def test_element_checks_need_tables(monkeypatch):
+    """Above EAGER_TABLE_CAP the checks that read meets and joins raise
+    SizeLimitExceeded before they look up a tuple."""
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)  # 5^2 <= 30 < 41
     k = m3_of(catalog.n5())
-    monkeypatch.setattr(construct.TupleLattice, "join", lambda self, i, j: self.bottom)
+    for check in (construct.spanning_m3, construct.embed_atom, construct.embed_diag,
+                  lambda _: construct.m3_with_tables(catalog.n5())):
+        with pytest.raises(SizeLimitExceeded,
+                           match=r"M3\[N5\] has 41 elements, above the table cap 30"):
+            check(k)
+    assert "index" not in vars(k)
+
+
+def with_broken_joins(k):
+    """k with every entry of its join table replaced by the bottom, so
+    each check that reads a join must fail."""
+    lat = k.lattice
+    k.lattice = core.FiniteLattice(
+        lat.leq, lat.meet_table, np.full_like(lat.join_table, lat.bottom),
+        names=lat.names, name=lat.name)
+    return k
+
+
+def test_verification_raises_typed_errors(monkeypatch):
+    k = with_broken_joins(m3_of(catalog.n5()))
     with pytest.raises(VerificationFailed):
         construct.spanning_m3(k)
     with pytest.raises(VerificationFailed):
         construct.embed_atom(k)
     with pytest.raises(VerificationFailed):
         construct.embed_diag(k)
+    monkeypatch.setattr(construct, "m3_of", lambda base: with_broken_joins(m3_of(base)))
     with pytest.raises(VerificationFailed):
         construct.m4_sublattice_in_m3m3()
 
 
 def test_verification_survives_optimize_flag(run_optimized):
     script = """
-        from latmod import catalog, construct
+        import numpy as np
+        from latmod import catalog, construct, core
         from latmod.errors import VerificationFailed
-        construct.TupleLattice.join = lambda self, i, j: self.bottom
+        m3_of = construct.m3_of
+
+        def broken(base):
+            k = m3_of(base)
+            lat = k.lattice
+            k.lattice = core.FiniteLattice(
+                lat.leq, lat.meet_table, np.full_like(lat.join_table, lat.bottom))
+            return k
+
+        construct.m3_of = broken
         k = construct.m3_of(catalog.n5())
         for check in (lambda: construct.spanning_m3(k),
                       lambda: construct.embed_atom(k),
+                      lambda: construct.embed_diag(k),
                       construct.m4_sublattice_in_m3m3):
             try:
                 check()
@@ -564,4 +567,4 @@ def test_verification_survives_optimize_flag(run_optimized):
         print("debug", __debug__)
     """
     words, err = run_optimized(script)
-    assert words == ["raised"] * 3 + ["debug", "False"], err
+    assert words == ["raised"] * 4 + ["debug", "False"], err
