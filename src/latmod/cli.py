@@ -186,36 +186,28 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
         rank.modularity_rank(construct.m3_of(catalog.m_k(k)).lattice)
         for k in (4, 5, 6)))
 
-    def m3m4_table():
-        base = catalog.m_k(4)
+    def iteration_table(base, start, rows):
+        # the first iterates of closure3 from a triple of named tuples
         k = construct.m3_of(base)
         tid = lambda *ns: k.index[tuple(base.index_of(s) for s in ns)]
-        tr = rank.closure3(k.lattice, rank.Triple(
-            tid("b", "c", "a"), tid("b", "a", "d"), tid("a", "0", "c")))
+        tr = rank.closure3(k.lattice, rank.Triple(*(tid(*t) for t in start)))
         return tuple(tuple(k.tuple_name(e) for e in row)
-                     for row in tr.iterates[:4])
+                     for row in tr.iterates[:rows])
 
     yield ("m3m4-iteration-table", (
         ("<b,c,a>", "<b,a,d>", "<a,0,c>"),
         ("<b,c,a>", "<b,a,d>", "<1,c,c>"),
         ("<b,c,a>", "<1,1,1>", "<1,c,c>"),
-        ("<1,1,1>", "<1,1,1>", "<1,1,1>")), m3m4_table)
-
-    def fano_table():
-        base = catalog.fano()
-        k = construct.m3_of(base)
-        tid = lambda *ns: k.index[tuple(base.index_of(s) for s in ns)]
-        tr = rank.closure3(k.lattice, rank.Triple(
-            tid("3", "6", "4"), tid("3", "457", "2"), tid("7", "2", "561")))
-        return tuple(tuple(k.tuple_name(e) for e in row)
-                     for row in tr.iterates[:5])
+        ("<1,1,1>", "<1,1,1>", "<1,1,1>")), lambda: iteration_table(
+            catalog.m_k(4), (("b", "c", "a"), ("b", "a", "d"), ("a", "0", "c")), 4))
 
     yield ("fano-iteration-table", (
         ("<3,6,4>", "<3,457,2>", "<7,2,561>"),
         ("<3,6,4>", "<3,457,2>", "<713,124,561>"),
         ("<346,346,346>", "<3,457,2>", "<713,124,561>"),
         ("<346,346,346>", "<713,457,672>", "<713,124,561>"),
-        ("<PL,346,346>", "<713,457,672>", "<713,124,561>")), fano_table)
+        ("<PL,346,346>", "<713,457,672>", "<713,124,561>")), lambda: iteration_table(
+            catalog.fano(), (("3", "6", "4"), ("3", "457", "2"), ("7", "2", "561")), 5))
 
     yield ("fano-size", 1_090, lambda: len(construct.m3_of(catalog.fano())))
 

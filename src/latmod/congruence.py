@@ -8,62 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteLattice, join_irreducibles
-from .construct import EAGER_TABLE_CAP, TupleLattice, embed_atom, embed_diag, m3_with_tables
+from .construct import (EAGER_TABLE_CAP, TupleLattice, _encode, embed_atom, embed_diag,
+                        m3_with_tables)
 from .errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
 CON_SIZE_CAP = EAGER_TABLE_CAP
-
-
-@dataclass(frozen=True)
-class Congruence:
-    """A lattice congruence as a partition: ids[e] is the block of e,
-    with blocks numbered by first occurrence."""
-
-    ids: tuple
-
-    @staticmethod
-    def from_ids(raw) -> "Congruence":
-        """Normalize any hashable block labels to first-occurrence numbering."""
-        remap: dict = {}
-        out = []
-        for v in raw:
-            if v not in remap:
-                remap[v] = len(remap)
-            out.append(remap[v])
-        return Congruence(tuple(out))
-
-    def same(self, a: int, b: int) -> bool:
-        return self.ids[a] == self.ids[b]
-
-    @property
-    def block_count(self) -> int:
-        return max(self.ids) + 1
-
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for e, b in enumerate(self.ids):
-            out[b].append(e)
-        return out
-
-    def refines(self, other: "Congruence") -> bool:
-        seen = {}
-        for mine, theirs in zip(self.ids, other.ids):
-            if seen.setdefault(mine, theirs) != theirs:
-                return False
-        return True
-
-
-def has_substitution_property(lat: FiniteLattice, part: Congruence) -> bool:
-    """Exhaustive check that the partition respects meet and join."""
-    ids = np.array(part.ids)
-    im = ids[lat.meet_table]
-    ij = ids[lat.join_table]
-    for block in part.blocks():
-        x0 = block[0]
-        for x in block[1:]:
-            if not (np.array_equal(im[x], im[x0]) and np.array_equal(ij[x], ij[x0])):
-                return False
-    return True
 
 
 def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
@@ -139,28 +88,34 @@ def _block_roots(lat: FiniteLattice, ji: np.ndarray, collapsed: np.ndarray) -> n
     return roots
 
 
-def _congruences(roots: np.ndarray) -> list[Congruence]:
-    """Rows of root labels as Congruences.  A root is the lattice-least
-    element of its block, which need not be its smallest id, so each block
-    is relabelled by its smallest id first; numbering those in ascending
-    order then numbers the blocks by first occurrence."""
-    count, n = roots.shape
-    rows = np.arange(count)[:, None]
-    smallest = np.full_like(roots, n)
-    np.minimum.at(smallest, (rows, roots), np.arange(n, dtype=roots.dtype))
-    labels = smallest[rows, roots]
-    rank = np.cumsum(labels == np.arange(n), axis=1) - 1
-    return [Congruence(tuple(r))
-            for r in np.take_along_axis(rank, labels, axis=1).tolist()]
+def _first_occurrence(labels: np.ndarray) -> np.ndarray:
+    """Each row of integer labels renumbered so that its blocks (the
+    entries with equal labels) count 0, 1, ... in order of first
+    occurrence.  A stable sort of each row puts every block's first entry
+    at the start of its run; numbering those first entries in ascending
+    order numbers the blocks."""
+    count, n = labels.shape
+    order = np.argsort(labels, axis=1, kind="stable")
+    ranked = np.take_along_axis(labels, order, axis=1)
+    start = np.ones((count, n), dtype=bool)
+    start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run = np.maximum.accumulate(np.where(start, np.arange(n), 0), axis=1)
+    first = np.empty_like(order)
+    np.put_along_axis(first, order, np.take_along_axis(order, run, axis=1), axis=1)
+    rank = np.cumsum(first == np.arange(n), axis=1, dtype=np.int32) - 1
+    return np.take_along_axis(rank, first, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConLattice:
-    congruences: tuple
+    """Con L: row i of `ids` is the congruence with id i in `lattice`, as
+    block labels numbered by first occurrence."""
+
+    ids: np.ndarray
     lattice: FiniteLattice
 
     def __len__(self):
-        return len(self.congruences)
+        return len(self.ids)
 
 
 def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
@@ -207,16 +162,16 @@ def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
         grown[:, t] = True
         bits = np.concatenate([bits, grown])
 
-    cons = _congruences(_block_roots(lat, ji, bits[:, gen]))
-    perm = sorted(range(len(cons)), key=lambda r: (cons[r].block_count, cons[r].ids))
+    ids = _first_occurrence(_block_roots(lat, ji, bits[:, gen]))
+    counts = ids.max(axis=1) + 1
+    perm = np.lexsort(np.vstack([ids.T[::-1], counts]))  # by block count, then labels
     rank = np.empty(len(perm), dtype=np.int32)
     rank[perm] = np.arange(len(perm))
     meet = rank[_down_set_index(children, bits, np.logical_and)][np.ix_(perm, perm)]
     join = rank[_down_set_index(children, bits, np.logical_or)][np.ix_(perm, perm)]
-    cons = [cons[r] for r in perm]
-    names = [f"con{i}/{c.block_count}b" for i, c in enumerate(cons)]
-    leq = meet == np.arange(len(cons))[:, None]
-    return ConLattice(tuple(cons),
+    names = [f"con{i}/{c}b" for i, c in enumerate(counts[perm].tolist())]
+    leq = meet == np.arange(len(perm))[:, None]
+    return ConLattice(ids[perm],
                       FiniteLattice(leq, meet, join, names=names,
                                     name=f"Con({lat.name or '?'})"))
 
@@ -235,21 +190,37 @@ def _down_set_index(children, bits, op) -> np.ndarray:
     return idx
 
 
-def extend_congruence(k: TupleLattice, theta: Congruence) -> Congruence:
-    """The congruence of the tuple lattice induced by componentwise
-    equivalence; raises VerificationFailed unless it has the substitution
-    property."""
-    ext = Congruence.from_ids(
-        tuple(theta.ids[c] for c in t) for t in k.tuples)
-    if not has_substitution_property(k.lattice, ext):
-        raise VerificationFailed(
-            "componentwise extension lost the substitution property")
+def _substitution_holds(lat: FiniteLattice, row: np.ndarray) -> bool:
+    """Whether the partition with first-occurrence labels `row` respects
+    meet and join: in each table, every element's row of labels equals
+    that of its block's first element (the tables are symmetric, so rows
+    suffice)."""
+    lead = np.unique(row, return_index=True)[1][row]
+    for table in (lat.meet_table, lat.join_table):
+        labels = row[table]
+        if not np.array_equal(labels, labels[lead]):
+            return False
+    return True
+
+
+def _extensions(k: TupleLattice, ids: np.ndarray) -> np.ndarray:
+    """The componentwise extension of each row of base congruence labels
+    to the tuple lattice, keyed by the base-n number of a tuple's labels;
+    raises VerificationFailed unless each has the substitution property."""
+    ext = _first_occurrence(_encode(k.base.n, ids[:, k.cols].swapaxes(0, 1)))
+    for row in ext:
+        if not _substitution_holds(k.lattice, row):
+            raise VerificationFailed(
+                "componentwise extension lost the substitution property")
     return ext
 
 
-def restrict_congruence(phi: Congruence, image: list[int]) -> Congruence:
-    """Pull a congruence back along an embedding given by its image ids."""
-    return Congruence.from_ids(phi.ids[e] for e in image)
+def _refinement(ids: np.ndarray) -> np.ndarray:
+    """leq[i, j] iff partition row i refines row j, that is iff the meet
+    of the two, labelled by the pairs of their labels, has the blocks of i."""
+    n = ids.shape[1]
+    return np.array([(_first_occurrence(row.astype(np.int64) * n + ids) == row).all(axis=1)
+                     for row in ids])
 
 
 @dataclass(frozen=True)
@@ -292,20 +263,16 @@ def _check_cpe(k: TupleLattice, con_b: ConLattice, con_k: ConLattice,
                embedding: str) -> CpeReport:
     """verify_cpe over built pieces, so one build serves both embeddings."""
     image = _EMBEDDINGS[embedding](k)
-    ext = [extend_congruence(k, th) for th in con_b.congruences]
-    injective = len(set(ext)) == len(ext)
-    con_k_set = set(con_k.congruences)
-    are_congruences = all(e in con_k_set for e in ext)
-    # every congruence of the extension arises by extending its restriction
-    surjective = True
-    for phi in con_k.congruences:
-        theta = restrict_congruence(phi, image)
-        if extend_congruence(k, theta) != phi:
-            surjective = False
-            break
-    order_iso = all(
-        ci.refines(cj) == ext[i].refines(ext[j])
-        for i, ci in enumerate(con_b.congruences)
-        for j, cj in enumerate(con_b.congruences))
+    ext = _extensions(k, con_b.ids)
+    keys = [row.tobytes() for row in ext]
+    injective = len(set(keys)) == len(keys)
+    are_congruences = set(keys) <= {row.tobytes() for row in con_k.ids}
+    # every congruence of the extension is the extension of its restriction
+    base_id = {row.tobytes(): i for i, row in enumerate(con_b.ids)}
+    back = [base_id.get(theta.tobytes()) for theta in _first_occurrence(con_k.ids[:, image])]
+    surjective = all(i is not None and keys[i] == phi.tobytes()
+                     for i, phi in zip(back, con_k.ids))
+    # the order is read off the partitions, not the Con tables
+    order_iso = np.array_equal(_refinement(con_b.ids), _refinement(ext))
     return CpeReport(len(con_b), len(con_k), injective, are_congruences,
                      surjective and len(con_b) == len(con_k), order_iso)

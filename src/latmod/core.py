@@ -413,32 +413,21 @@ def find_isomorphism(a: FiniteLattice, b: FiniteLattice) -> Optional[list[int]]:
     return image.tolist()
 
 
-@dataclass(frozen=True)
-class IsotoneMap:
-    """Order-preserving map from a poset (leq matrix) into a lattice."""
-
-    source_leq: tuple            # immutable key for the source order
-    values: tuple[int, ...]
-
-    def __call__(self, p: int) -> int:
-        return self.values[p]
-
-
-def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice) -> list[IsotoneMap]:
-    """All order-preserving maps from the poset into the target lattice."""
+def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice) -> list[tuple]:
+    """All order-preserving maps from the poset into the target lattice,
+    each as the tuple of its values."""
     p = poset_leq.shape[0]
     if target.n ** max(p, 1) > ISOTONE_MAP_CAP:
         raise EnumerationLimitExceeded(
             f"{target.n}^{p} maps exceed cap {ISOTONE_MAP_CAP}")
     # assign in a linear extension so constraints refer to assigned values
     order = sorted(range(p), key=lambda e: int(poset_leq[:, e].sum()))
-    key = tuple(map(tuple, poset_leq.tolist()))
-    out: list[IsotoneMap] = []
+    out: list[tuple] = []
     values = [0] * p
 
     def bt(k: int):
         if k == p:
-            out.append(IsotoneMap(key, tuple(values)))
+            out.append(tuple(values))
             return
         e = order[k]
         for v in range(target.n):

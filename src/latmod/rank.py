@@ -31,8 +31,7 @@ from .errors import ArgumentOutOfRange, RankExceedsCap
 # triple, its 20 bytes of input included (tracemalloc on a block of the
 # M3[M6] scan); small blocks keep a scan's peak low, also when it runs on top of
 # memory the allocator kept from earlier work.  Antichain batches are smaller
-# still, as each scan thread holds one.  Pair blocks of `construct` use the
-# same bound.
+# still, as each scan thread holds one.
 _BLOCK_ENTRIES = 500_000
 _ANTICHAIN_BATCH = 100_000
 

@@ -105,18 +105,6 @@ def nabla(a: FiniteLattice, b: FiniteLattice) -> BiIdeal:
     return BiIdeal(a.n, b.n, rows)
 
 
-@dataclass(frozen=True)
-class JoinHom:
-    """A map from the nonzero part of A to B turning joins into meets,
-    stored as a value per A element; the slot at A's zero is fixed to B's
-    top (the value forced by the bi-ideal picture)."""
-
-    values: tuple
-
-    def __call__(self, x: int) -> int:
-        return self.values[x]
-
-
 def _largest_members(ideals, down: list[int]) -> list[tuple]:
     """For each row of each bi-ideal, its member y with every member below
     y: the y whose down mask is the row, or else one found by search."""
@@ -137,13 +125,15 @@ def _largest_members(ideals, down: list[int]) -> list[tuple]:
 
 def _ideals_of_homs(a: FiniteLattice, b: FiniteLattice, homs) -> list[BiIdeal]:
     down = _down_masks(b)
-    return [BiIdeal(a.n, b.n, tuple(down[v] for v in h.values)) for h in homs]
+    return [BiIdeal(a.n, b.n, tuple(down[v] for v in h)) for h in homs]
 
 
-def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[JoinHom]:
-    """Enumerate join-to-meet homs by assigning values on the
-    join-irreducibles of A and propagating h(x) = meet over irreducibles
-    below x, keeping only consistent assignments.
+def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
+    """Enumerate the maps from the nonzero part of A to B turning joins into
+    meets, each as a tuple of one value per A element, with B's top at A's
+    zero (the value forced by the bi-ideal picture).  Values are assigned
+    on the join-irreducibles of A and propagated as h(x) = meet over the
+    irreducibles below x, keeping only consistent assignments.
 
     The assignments run in blocks, as columns of base-|B| digits, and the
     meet table is read by 1-D `take`s at u*|B| + v.
@@ -173,7 +163,7 @@ def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[JoinHom]:
         for x0, x1, xj in joins:
             ok &= values[:, xj] == meet.take(values[:, x0] * b.n + values[:, x1])
         found.extend(map(tuple, values[ok].tolist()))
-    return [JoinHom(v) for v in sorted(set(found))]
+    return sorted(set(found))
 
 
 def _inclusion_order(ideals, nb: int) -> np.ndarray:
@@ -199,7 +189,7 @@ def _pointwise_order(b: FiniteLattice, values: np.ndarray) -> np.ndarray:
 def _nonzero_values(a: FiniteLattice, homs) -> np.ndarray:
     """The hom values at A's nonzero elements, one row per hom."""
     nonzero = [x for x in range(a.n) if x != a.bottom]
-    return np.array([h.values for h in homs], dtype=np.intp).reshape(
+    return np.array(homs, dtype=np.intp).reshape(
         len(homs), a.n)[:, nonzero]
 
 
@@ -294,8 +284,8 @@ def verify_repr_iso(a: FiniteLattice, b: FiniteLattice,
         tp = _tensor_of(a, b, _ideals_of_homs(a, b, homs))
     oracle_ideals = enumerate_bi_ideals(a, b)
     routes_agree = list(tp.bi_ideals) == oracle_ideals
-    images = [JoinHom(v) for v in _largest_members(tp.bi_ideals, _down_masks(b))]
-    bijective = (sorted(set(images), key=lambda h: h.values) == homs
+    images = _largest_members(tp.bi_ideals, _down_masks(b))
+    bijective = (sorted(set(images)) == homs
                  and len(set(images)) == len(images)
                  and _ideals_of_homs(a, b, images) == list(tp.bi_ideals))
     # tp.lattice.leq is the inclusion order of tp.bi_ideals

@@ -68,6 +68,11 @@ def traced_peak():
 
 # -- oracles: scalar definitions that the library computes by other routes ---
 
+def tuples_of(k):
+    """Oracle helper: the elements of a TupleLattice as tuples, by id."""
+    return list(zip(*(c.tolist() for c in k.cols)))
+
+
 def is_balanced3(lat, t):
     """Oracle: the three pairwise meets of the triple t coincide."""
     x, y, z = t

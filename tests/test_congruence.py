@@ -5,35 +5,91 @@ import time
 
 import numpy as np
 import pytest
+from conftest import tuples_of
 
 from latmod import catalog, cli, congruence, construct, core
-from latmod.congruence import Congruence, all_congruences
+from latmod.congruence import all_congruences
 from latmod.errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
+# Scalar oracles.  A congruence here is a tuple of block labels numbered by
+# first occurrence, as a row of ConLattice.ids; these loops check the
+# vectorized helpers of `congruence`, which act on whole label matrices.
 
-def brute_force_congruences(lat):
-    """Oracle: every partition with the substitution property, found by
-    filtering all partitions of the element set."""
-    def partitions(items):
+
+def first_occurrence(raw) -> tuple:
+    """Oracle for congruence._first_occurrence on one row: any hashable
+    labels renumbered so that the blocks count 0, 1, ... by first
+    occurrence."""
+    remap: dict = {}
+    return tuple(remap.setdefault(v, len(remap)) for v in raw)
+
+
+def same(c, a, b) -> bool:
+    return c[a] == c[b]
+
+
+def block_count(c) -> int:
+    return max(c) + 1
+
+
+def blocks(c) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(block_count(c))]
+    for e, b in enumerate(c):
+        out[b].append(e)
+    return out
+
+
+def refines(c, d) -> bool:
+    """Oracle for congruence._refinement: each block of c lies inside one
+    block of d."""
+    seen: dict = {}
+    return all(seen.setdefault(x, y) == y for x, y in zip(c, d))
+
+
+def substitution_holds(lat, c) -> bool:
+    """Oracle for congruence._substitution_holds: every congruent pair x, y
+    has congruent meets and joins with every z, pair by pair."""
+    meet, join = lat.meet_table.tolist(), lat.join_table.tolist()
+    return all(c[meet[x][z]] == c[meet[y][z]] and c[join[x][z]] == c[join[y][z]]
+               for x, y in itertools.combinations(range(lat.n), 2) if c[x] == c[y]
+               for z in range(lat.n))
+
+
+def rows(con) -> list[tuple]:
+    """The congruences of a ConLattice as label tuples, by id."""
+    return [tuple(r) for r in con.ids.tolist()]
+
+
+def extend(k, theta) -> tuple:
+    """Oracle for congruence._extensions on one congruence: two tuples are
+    congruent iff their coordinates are, numbered through a dict."""
+    return first_occurrence(tuple(theta[c] for c in t) for t in tuples_of(k))
+
+
+def partitions(n):
+    """Every partition of range(n) as first-occurrence labels."""
+    def grow(items):
         if not items:
             yield []
             return
         first, rest = items[0], items[1:]
-        for part in partitions(rest):
+        for part in grow(rest):
             for i in range(len(part)):
                 yield part[:i] + [[first] + part[i]] + part[i + 1:]
             yield [[first]] + part
 
-    found = set()
-    for part in partitions(list(lat.elements())):
-        ids = [0] * lat.n
+    for part in grow(list(range(n))):
+        ids = [0] * n
         for label, block in enumerate(part):
             for e in block:
                 ids[e] = label
-        cand = Congruence.from_ids(ids)
-        if congruence.has_substitution_property(lat, cand):
-            found.add(cand.ids)
-    return found
+        yield first_occurrence(ids)
+
+
+def brute_force_congruences(lat):
+    """Oracle: every partition with the substitution property, found by
+    filtering all partitions of the element set with the scalar check."""
+    return {c for c in partitions(lat.n) if substitution_holds(lat, c)}
 
 
 def scalar_generated_congruence(lat, pairs):
@@ -62,7 +118,7 @@ def scalar_generated_congruence(lat, pairs):
             for x, y in zip(table[u].tolist(), table[v].tolist()):
                 if union(x, y):
                     queue.append((x, y))
-    return Congruence.from_ids(find(e) for e in range(lat.n))
+    return first_occurrence(find(e) for e in range(lat.n))
 
 
 def principal(con, a, b):
@@ -70,16 +126,16 @@ def principal(con, a, b):
     congruence with the most blocks among those collapsing a and b.  It is
     the least of them and every other one is strictly coarser, so no other
     has as many blocks."""
-    cands = [c for c in con.congruences if c.same(a, b)]
-    most = max(c.block_count for c in cands)
-    (least,) = [c for c in cands if c.block_count == most]
+    cands = [c for c in rows(con) if same(c, a, b)]
+    most = max(block_count(c) for c in cands)
+    (least,) = [c for c in cands if block_count(c) == most]
     return least
 
 
 def position(con, c):
     """Oracle helper: the id of the congruence c in the lattice con, by a
     linear search of its list."""
-    return con.congruences.index(c)
+    return rows(con).index(c)
 
 
 class UnionFind:
@@ -106,13 +162,13 @@ class UnionFind:
 def union_find_join(a, b):
     """Oracle: the join of two partitions by scalar union-find, linking
     each element to the first element of its block in either."""
-    n = len(a.ids)
+    n = len(a)
     uf = UnionFind(n)
     first_a, first_b = {}, {}
     for e in range(n):
-        uf.union(first_a.setdefault(a.ids[e], e), e)
-        uf.union(first_b.setdefault(b.ids[e], e), e)
-    return Congruence.from_ids(uf.find(e) for e in range(n))
+        uf.union(first_a.setdefault(a[e], e), e)
+        uf.union(first_b.setdefault(b[e], e), e)
+    return first_occurrence(uf.find(e) for e in range(n))
 
 
 def bfs_con_lattice(lat, generators):
@@ -120,7 +176,7 @@ def bfs_con_lattice(lat, generators):
     generators by union-find until nothing new appears, sorted as
     all_congruences sorts, ordered by the refines loop over all pairs,
     with tables derived by lattice_from_leq."""
-    found = {Congruence.from_ids(range(lat.n))}
+    found = {first_occurrence(range(lat.n))}
     frontier = list(found)
     while frontier:
         cur = frontier.pop()
@@ -129,9 +185,9 @@ def bfs_con_lattice(lat, generators):
             if nxt not in found:
                 found.add(nxt)
                 frontier.append(nxt)
-    cons = sorted(found, key=lambda c: (c.block_count, c.ids))
-    leq = np.array([[ci.refines(cj) for cj in cons] for ci in cons], dtype=bool)
-    names = [f"con{i}/{c.block_count}b" for i, c in enumerate(cons)]
+    cons = sorted(found, key=lambda c: (block_count(c), c))
+    leq = np.array([[refines(ci, cj) for cj in cons] for ci in cons], dtype=bool)
+    names = [f"con{i}/{block_count(c)}b" for i, c in enumerate(cons)]
     return cons, core.lattice_from_leq(leq, names=names, name=f"Con({lat.name or '?'})")
 
 
@@ -143,12 +199,12 @@ def all_pairs_con_lattice(lat):
 
 
 def all_pairs_congruences(lat):
-    return [c.ids for c in all_pairs_con_lattice(lat)[0]]
+    return all_pairs_con_lattice(lat)[0]
 
 
 def assert_con_lattice_matches(got, want):
     cons, lat = want
-    assert got.congruences == tuple(cons)
+    assert got.ids.dtype == np.int32 and rows(got) == cons
     assert got.lattice.names == lat.names and got.lattice.name == lat.name
     for mine, theirs in ((got.lattice.leq, lat.leq), (got.lattice.meet_table, lat.meet_table),
                          (got.lattice.join_table, lat.join_table)):
@@ -182,7 +238,7 @@ def test_all_congruences_against_partition_oracle(lattices):
     for name in ("C2", "C3", "C4", "C2sq", "N5", "M3", "witness7"):
         lat = lattices[name]
         con = all_congruences(lat)
-        assert {c.ids for c in con.congruences} == brute_force_congruences(lat)
+        assert set(rows(con)) == brute_force_congruences(lat)
 
 
 def test_chain_congruence_counts():
@@ -207,18 +263,18 @@ def test_principal_congruence_examples():
     o, b, a, c, i = (n5.index_of(s) for s in "obaci")
     con = all_congruences(n5)
     theta = principal(con, b, a)
-    assert theta.same(b, a) and not theta.same(o, c)
-    assert theta.blocks() == [[o], [b, a], [c], [i]]
+    assert same(theta, b, a) and not same(theta, o, c)
+    assert blocks(theta) == [[o], [b, a], [c], [i]]
     collapse = principal(con, a, i)
     # collapsing the top cover propagates down the other side and back up
-    assert collapse.same(o, c) and collapse.block_count > 1
-    assert collapse.blocks() == [[o, c], [b, a, i]]
+    assert same(collapse, o, c) and block_count(collapse) > 1
+    assert blocks(collapse) == [[o, c], [b, a, i]]
 
 
 def test_cover_pair_generation_agrees_with_all_pairs(lattices):
     for name in ("N5", "M4", "witness7", "B3"):
         lat = lattices[name]
-        fast = [c.ids for c in all_congruences(lat).congruences]
+        fast = rows(all_congruences(lat))
         assert fast == all_pairs_congruences(lat)
 
 
@@ -259,7 +315,7 @@ def test_dependency_relation_matches_its_definition():
                         for j in ji.tolist()]
                 for a, b in itertools.product(range(len(ji)), repeat=2):
                     star = gen[a] == gen[b] or below[gen[a], gen[b]]
-                    assert star == gens[a].refines(gens[b])
+                    assert star == refines(gens[a], gens[b])
 
 
 def test_dependency_counts_do_not_wrap():
@@ -308,7 +364,7 @@ def test_principal_congruence_matches_scalar_oracle(name, covers, generators):
 def test_join_of_congruences_matches_union_find_oracle(lattices):
     for name in ("N5", "witness7", "B3", "C4"):
         con = all_congruences(lattices[name])
-        cons = con.congruences
+        cons = rows(con)
         for (x, a), (y, b) in itertools.product(enumerate(cons), repeat=2):
             assert cons[con.lattice.join(x, y)] == union_find_join(a, b)
 
@@ -321,45 +377,41 @@ def test_join_and_meet_of_congruences(lattices):
     con = all_congruences(n5)
     t1 = position(con, principal(con, b, a))
     t2 = position(con, principal(con, a, i))
-    joined = con.congruences[con.lattice.join(t1, t2)]
-    assert joined.same(b, i) and joined.same(o, c) and not joined.same(o, b)
-    met = con.congruences[con.lattice.meet(position(con, joined), t1)]
-    assert met.ids == con.congruences[t1].ids
-    assert con.congruences[t1].refines(joined) and not joined.refines(con.congruences[t1])
+    cons = rows(con)
+    joined = cons[con.lattice.join(t1, t2)]
+    assert same(joined, b, i) and same(joined, o, c) and not same(joined, o, b)
+    assert cons[con.lattice.meet(position(con, joined), t1)] == cons[t1]
+    assert refines(cons[t1], joined) and not refines(joined, cons[t1])
     for name in ("N5", "witness7", "B3", "C4"):
         con = all_congruences(lattices[name])
-        cons = con.congruences
+        cons = rows(con)
         for (x, a), (y, b) in itertools.product(enumerate(cons), repeat=2):
-            assert con.lattice.le(x, y) == a.refines(b)
-            assert cons[con.lattice.meet(x, y)] == Congruence.from_ids(zip(a.ids, b.ids))
+            assert con.lattice.le(x, y) == refines(a, b)
+            assert cons[con.lattice.meet(x, y)] == first_occurrence(zip(a, b))
 
 
 def test_congruence_lattice_is_distributive(lattices):
-    import numpy as np
-
-    from latmod import core
     for name in ("C4", "N5", "witness7", "B3", "C2sq"):
-        lat = lattices[name]
-        cons = all_congruences(lat).congruences
-        n = len(cons)
-        leq = np.zeros((n, n), dtype=bool)
-        for x in range(n):
-            for y in range(n):
-                leq[x, y] = cons[x].refines(cons[y])
+        cons = rows(all_congruences(lattices[name]))
+        leq = np.array([[refines(c, d) for d in cons] for c in cons])
         assert core.is_distributive(core.lattice_from_leq(leq))
 
 
 def test_extend_then_restrict_is_identity():
-    base = catalog.n5()
-    k = construct.m3_of(base)
-    image = construct.embed_atom(k)
-    con = all_congruences(base)
-    for a in base.elements():
-        for b in base.elements():
-            theta = principal(con, a, b)
-            phi = congruence.extend_congruence(k, theta)
-            back = congruence.restrict_congruence(phi, image)
-            assert back.ids == theta.ids
+    # one extension per congruence of the base, equal to the scalar
+    # oracle's; each restricts back to its congruence along either embedding
+    for name in ("n5", "m4", "witness7"):
+        base = catalog.by_name(name)
+        k = construct.m3_of(base)
+        con = all_congruences(base)
+        cons = rows(con)
+        ext = congruence._extensions(k, con.ids)
+        assert ext.dtype == np.int32
+        assert [tuple(r) for r in ext.tolist()] == [extend(k, theta) for theta in cons]
+        for image in (construct.embed_atom(k), construct.embed_diag(k)):
+            for theta, phi in zip(cons, ext.tolist()):
+                assert substitution_holds(k.lattice, phi)
+                assert first_occurrence(phi[e] for e in image) == theta
 
 
 def test_extension_preserves_whole_congruence_lattice(lattices):
@@ -386,32 +438,82 @@ def test_one_build_serves_both_embeddings(lattices, monkeypatch):
     assert len(built) == 8
 
 
+def test_cpe_report_flags_tampered_pieces():
+    """Each clause of the report can fail: a lost congruence of M3[N5], a
+    repeated congruence of N5, and an identity of M3[N5] that also merges
+    two elements off the embedding's image (it restricts to the identity
+    of N5 but is not its extension)."""
+    k, con_b, con_k = congruence._cpe_pieces(catalog.n5())
+    image = construct.embed_atom(k)
+    lost = congruence.ConLattice(con_k.ids[:-1], con_k.lattice)
+    rep = congruence._check_cpe(k, con_b, lost, "atom")
+    assert not rep.passed and not rep.extensions_are_congruences
+    assert not rep.every_congruence_is_extension
+    repeated = congruence.ConLattice(con_b.ids[[0, 0, 2, 3, 4]], con_b.lattice)
+    rep = congruence._check_cpe(k, repeated, con_k, "atom")
+    assert not rep.extension_injective and not rep.every_congruence_is_extension
+    e1, e2 = sorted(set(range(len(k))) - set(image))[:2]
+    ids = con_k.ids.copy()
+    assert block_count(tuple(ids[-1])) == len(k)  # the identity comes last
+    ids[-1, e2] = ids[-1, e1]
+    merged = congruence.ConLattice(congruence._first_occurrence(ids), con_k.lattice)
+    rep = congruence._check_cpe(k, con_b, merged, "atom")
+    assert rep.extension_injective and rep.order_isomorphism
+    assert not rep.extensions_are_congruences and not rep.every_congruence_is_extension
+
+
 def test_verify_cpe_rejects_unknown_embedding():
     with pytest.raises(ArgumentOutOfRange):
         congruence.verify_cpe(catalog.n5(), "bogus")
 
 
+def n5_non_congruence():
+    """A partition of N5 that is no congruence: it collapses o and b only,
+    though o v c = c and b v c = i are then congruent."""
+    n5 = catalog.n5()
+    o, b = n5.index_of("o"), n5.index_of("b")
+    return congruence._first_occurrence(
+        np.array([[o if e == b else e for e in range(n5.n)]]))
+
+
 def test_extension_check_raises(monkeypatch):
+    # the extension of a partition that is no congruence of the base is no
+    # congruence of M3[N5] (its restriction along the diagonal is the
+    # partition), so the check fails on real tables
     k = construct.m3_of(catalog.n5())
-    monkeypatch.setattr(congruence, "has_substitution_property",
-                        lambda lat, part: False)
+    assert not substitution_holds(catalog.n5(), n5_non_congruence()[0].tolist())
     with pytest.raises(VerificationFailed):
-        congruence.extend_congruence(k, Congruence.from_ids(range(5)))
+        congruence._extensions(k, n5_non_congruence())
+    pieces = congruence._cpe_pieces(catalog.n5())
+    monkeypatch.setattr(congruence, "_substitution_holds", lambda lat, row: False)
+    for emb in ("atom", "diag"):
+        with pytest.raises(VerificationFailed):
+            congruence._check_cpe(*pieces, emb)
 
 
 def test_extension_check_survives_optimize_flag(run_optimized):
     script = """
+        import numpy as np
         from latmod import catalog, congruence, construct
         from latmod.errors import VerificationFailed
-        congruence.has_substitution_property = lambda lat, part: False
-        k = construct.m3_of(catalog.n5())
+        n5 = catalog.n5()
+        o, b = n5.index_of("o"), n5.index_of("b")
+        part = congruence._first_occurrence(
+            np.array([[o if e == b else e for e in range(n5.n)]]))
+        k = construct.m3_of(n5)
         try:
-            congruence.extend_congruence(k, congruence.Congruence.from_ids(range(5)))
+            congruence._extensions(k, part)
         except VerificationFailed:
-            print("debug", __debug__, "raised")
+            print("raised")
+        congruence._substitution_holds = lambda lat, row: False
+        try:
+            congruence.verify_cpe(n5)
+        except VerificationFailed:
+            print("raised")
+        print("debug", __debug__)
     """
     words, err = run_optimized(script)
-    assert words == ["debug", "False", "raised"], err
+    assert words == ["raised", "raised", "debug", "False"], err
 
 
 def test_congruence_size_cap():
@@ -433,7 +535,53 @@ def test_congruence_count_cap_stops_the_enumeration():
 
 
 def test_congruence_value_object():
-    c = Congruence.from_ids(["x", "x", "y", 7, 7])
-    assert c.block_count == 3
-    assert c.same(0, 1) and c.same(3, 4) and not c.same(1, 2)
-    assert Congruence.from_ids([0, 0, 1, 2, 2]).ids == c.ids
+    # a congruence is a row of first-occurrence labels
+    c = first_occurrence(["x", "x", "y", 7, 7])
+    assert c == (0, 0, 1, 2, 2) and block_count(c) == 3
+    assert same(c, 0, 1) and same(c, 3, 4) and not same(c, 1, 2)
+    assert blocks(c) == [[0, 1], [2], [3, 4]]
+    assert congruence._first_occurrence(np.array([[9, 9, -4, 70, 70]])).tolist() == [list(c)]
+
+
+def test_first_occurrence_matches_scalar_oracle():
+    """Random label rows, with labels below 0 and above n, are numbered
+    as the scalar oracle numbers them; every Con L row of the lattices
+    with at most 7 elements is already numbered, and is found again from
+    its labels scrambled by an injective map."""
+    rng = np.random.default_rng(13)
+    for n in range(1, 13):
+        for spread in (1, n, 5 * n):
+            labels = rng.integers(-spread, spread + 1, size=(20, n))
+            got = congruence._first_occurrence(labels)
+            assert got.dtype == np.int32
+            assert [tuple(r) for r in got.tolist()] == [first_occurrence(r) for r in labels.tolist()]
+    for n in range(1, 8):
+        for lat in catalog.enumerate_lattices(n):
+            ids = all_congruences(lat).ids
+            scramble = rng.permutation(3 * n)[:n] + 2 * n
+            assert np.array_equal(congruence._first_occurrence(ids), ids)
+            assert np.array_equal(congruence._first_occurrence(scramble[ids]), ids)
+
+
+def test_refinement_matrix_matches_scalar_oracle():
+    """On every Con L of the lattices with at most 7 elements the matrix
+    is the scalar refines over all pairs, and the order of the Con table;
+    on all partitions of a 5-set (no congruence needed) it is refines."""
+    for n in range(1, 8):
+        for lat in catalog.enumerate_lattices(n):
+            con = all_congruences(lat)
+            cons = rows(con)
+            want = [[refines(c, d) for d in cons] for c in cons]
+            assert congruence._refinement(con.ids).tolist() == want
+            assert con.lattice.leq.tolist() == want
+    parts = list(partitions(5))
+    got = congruence._refinement(np.array(parts, dtype=np.int32))
+    assert got.tolist() == [[refines(c, d) for d in parts] for c in parts]
+
+
+def test_substitution_helper_matches_scalar_oracle(lattices):
+    for name in ("C2sq", "N5", "M3", "B3"):
+        lat = lattices[name]
+        for c in partitions(lat.n):
+            got = congruence._substitution_holds(lat, np.array(c, dtype=np.int32))
+            assert got == substitution_holds(lat, c), (name, c)

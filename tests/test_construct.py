@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import is_balanced3, is_balanced4
+from conftest import is_balanced3, is_balanced4, tuples_of
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
 from latmod.errors import NotDistributive, SizeLimitExceeded, VerificationFailed
@@ -31,7 +31,7 @@ def test_membership_is_exactly_balancedness(lattices):
         k = m3_of(base)
         expected = sorted(t for t in itertools.product(base.elements(), repeat=3)
                           if is_balanced3(base, t))
-        assert k.tuples == expected
+        assert tuples_of(k) == expected
         q = m4_of(base)
         for t in itertools.product(base.elements(), repeat=4):
             assert (t in q.index) == is_balanced4(base, t)
@@ -40,14 +40,14 @@ def test_membership_is_exactly_balancedness(lattices):
 def test_meets_componentwise_joins_are_closures(lattices):
     base = lattices["N5"]
     k = m3_of(base)
-    lat = k.lattice
+    lat, tuples = k.lattice, tuples_of(k)
     for i in range(len(k)):
         for j in range(len(k)):
-            ti, tj = k.tuples[i], k.tuples[j]
-            assert k.tuples[lat.meet(i, j)] == tuple(
+            ti, tj = tuples[i], tuples[j]
+            assert tuples[lat.meet(i, j)] == tuple(
                 base.meet(a, b) for a, b in zip(ti, tj))
             raw = tuple(base.join(a, b) for a, b in zip(ti, tj))
-            assert k.tuples[lat.join(i, j)] == rank.closure3(base, raw).final
+            assert tuples[lat.join(i, j)] == rank.closure3(base, raw).final
 
 
 def test_m3m4_iteration_table():
@@ -123,7 +123,7 @@ def test_power_poset_counts_and_iso():
 def test_coordinate_permutation_is_automorphism():
     base = catalog.n5()
     k = m3_of(base)
-    perm = [k.index[(t[1], t[2], t[0])] for t in k.tuples]
+    perm = [k.index[(t[1], t[2], t[0])] for t in tuples_of(k)]
     lat = k.lattice
     for i in range(len(k)):
         for j in range(len(k)):
@@ -135,6 +135,23 @@ def test_m4_inside_double_m3():
     k, ids = construct.m4_sublattice_in_m3m3()
     assert len(set(ids)) == 4
     assert k.base.n == 5
+    # oracle: the six elements, by their induced order, are M4
+    lat = k.lattice
+    six = sorted([lat.bottom, lat.top] + ids)
+    sub = core.lattice_from_leq(lat.leq[np.ix_(six, six)])
+    assert core.find_isomorphism(sub, catalog.m_k(4)) is not None
+
+
+def test_m4_check_rejects_repeated_elements(monkeypatch):
+    def repeated(base):
+        k = m3_of(base)
+        o, b, c = base.bottom, base.index_of("b"), base.index_of("c")
+        k.index[(o, c, base.index_of("a"))] = k.index[(o, b, c)]
+        return k
+
+    monkeypatch.setattr(construct, "m3_of", repeated)
+    with pytest.raises(VerificationFailed, match="not distinct"):
+        construct.m4_sublattice_in_m3m3()
 
 
 def test_closure_record_matches_rank():
@@ -151,7 +168,8 @@ def all_pairs_tables(k):
     largest closure index)."""
     base, count = k.base, len(k)
     m, j = base.meet_table, base.join_table
-    cols = [np.array([t[i] for t in k.tuples]) for i in range(k.arity)]
+    tuples = tuples_of(k)
+    cols = [np.array([t[i] for t in tuples]) for i in range(k.arity)]
     locate = np.full((base.n,) * k.arity, -1)  # a tuple's id, by its entries
     locate[tuple(cols)] = np.arange(count)
     meet = locate[tuple(m[c[:, None], c[None, :]] for c in cols)]
@@ -239,15 +257,15 @@ def test_lazy_build_closes_nothing(monkeypatch):
     assert calls == []
     assert k.max_closure_index == k.max_closure_index == eager.max_closure_index
     assert len(calls) == 1  # one close of the marked keys
-    assert "tuples" not in vars(k) and "index" not in vars(k)
+    assert "index" not in vars(k)
 
 
 def test_lazy_build_defers_tuple_list_and_index():
     k = m3_of(catalog.subspace_lattice(2, 4))
     assert k.lattice is None
-    assert "tuples" not in vars(k) and "index" not in vars(k)
+    assert "index" not in vars(k)
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
-    assert "tuples" not in vars(k) and "index" not in vars(k)
+    assert "index" not in vars(k)
     rows = np.stack(k.cols, axis=1)
     assert len(k.index) == len(k)
     assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))

@@ -22,41 +22,48 @@ def assert_statements(root: pathlib.Path) -> list[str]:
             if isinstance(node, ast.Assert)]
 
 
-def _used_names(nodes) -> collections.Counter:
-    """How often each name is read, as a bare name or an attribute."""
+def _used_names(nodes, kinds=(ast.Name, ast.Attribute)) -> collections.Counter:
+    """How often each name is read (ast.Load: an assignment or a del is no
+    read), as a bare name or an attribute; kinds=(ast.Attribute,) counts
+    attribute reads only."""
     return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr
-        for n in nodes if isinstance(n, (ast.Name, ast.Attribute)))
+        for n in nodes if isinstance(n, kinds) and isinstance(n.ctx, ast.Load))
 
 
 def uncalled_public_names(root: pathlib.Path) -> list[str]:
     """file:name of every public module-level function and class, and
     file:Class.name of every public method and property of a public class,
-    in the .py files under root, whose name is used nowhere under root
+    in the .py files under root, whose name is read nowhere under root
     outside its own definition (for a method: outside its class).
 
-    Names are matched bare: any read of an attribute or name spelled like
-    a method counts as a use of it.  So a method that shares its name with
-    another attribute escapes the guard; `BiIdeal.pairs` (beside
-    `_CoverIndex.pairs`) and `ConLattice.index` (beside `TupleLattice.index`)
-    did, though only tests called them."""
+    A function or class counts as used when its name is read bare or as an
+    attribute; a method or property only when read as an attribute, since
+    a bare name cannot reach it.  Names are still matched without types,
+    so a method that shares its name with another attribute that is read
+    escapes the guard; `BiIdeal.pairs` (beside `_CoverIndex.pairs`) and
+    `ConLattice.index` (beside `TupleLattice.index`) did, though only tests
+    called them."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(root.rglob("*.py"))}
-    used = sum((_used_names(ast.walk(t)) for t in trees.values()), collections.Counter())
+    everywhere = [n for t in trees.values() for n in ast.walk(t)]
+    used = _used_names(everywhere)
+    read_as_attribute = _used_names(everywhere, (ast.Attribute,))
     found = []
     for path, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or node.name.startswith("_"):
                 continue
-            inside = _used_names(ast.walk(node))
-            if used[node.name] == inside[node.name]:
+            inside = list(ast.walk(node))
+            if used[node.name] == _used_names(inside)[node.name]:
                 found.append(f"{path.relative_to(root)}:{node.name}")
             if isinstance(node, ast.ClassDef):
+                inside = _used_names(inside, (ast.Attribute,))
                 found += [f"{path.relative_to(root)}:{node.name}.{m.name}"
                           for m in node.body
                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-                          and used[m.name] == inside[m.name]]
+                          and read_as_attribute[m.name] == inside[m.name]]
     return found
 
 
@@ -91,3 +98,19 @@ def test_guard_finds_uncalled_public_names(tmp_path):
     (tmp_path / "b.py").write_text(
         "from . import a\n\n\ndef main():\n    return a.used(), a.Shape().area\n")
     assert uncalled_public_names(tmp_path) == ["a.py:unused", "a.py:Shape.count", "b.py:main"]
+
+
+def test_guard_counts_only_attribute_reads_for_methods(tmp_path):
+    # a local variable read and an attribute store named like a method do
+    # not call it
+    (tmp_path / "a.py").write_text(
+        "class Partition:\n"
+        "    def same(self, a, b):\n        return a == b\n\n"
+        "    def size(self):\n        return 0\n\n\n"
+        "def main():\n"
+        "    p = Partition()\n"
+        "    same = p\n"
+        "    p.size = 3\n"
+        "    return same\n")
+    (tmp_path / "b.py").write_text("from .a import main\n\nmain()\n")
+    assert uncalled_public_names(tmp_path) == ["a.py:Partition.same", "a.py:Partition.size"]

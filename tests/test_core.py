@@ -206,8 +206,9 @@ def test_isotone_maps_count():
     m3 = catalog.m_k(3)
     poset = catalog.chain(2).leq
     maps = core.isotone_maps(poset, m3)
-    comparable = sum(m3.le(u, v) for u in m3.elements() for v in m3.elements())
-    assert len(maps) == comparable == 12
+    comparable = {(u, v) for u in m3.elements() for v in m3.elements() if m3.le(u, v)}
+    assert poset[0, 1] and len(maps) == len(comparable) == 12
+    assert set(maps) == comparable  # each map is the tuple of its values
     # maps from a 2-antichain: all pairs
     anti = np.eye(2, dtype=bool)
     assert len(core.isotone_maps(anti, m3)) == 25

@@ -165,7 +165,7 @@ def test_matrix_orders_match_loops():
         assert tensor._inclusion_order(ideals, b.n).tolist() == want
         homs = tensor.all_join_homs(a, b)
         nonzero = [x for x in range(a.n) if x != a.bottom]
-        want = [[all(b.le(hi(x), hj(x)) for x in nonzero) for hj in homs]
+        want = [[all(b.le(hi[x], hj[x]) for x in nonzero) for hj in homs]
                 for hi in homs]
         assert tensor._pointwise_order(
             b, tensor._nonzero_values(a, homs)).tolist() == want
@@ -231,10 +231,9 @@ def test_hom_representation(lattices):
 def test_phi_and_hom_inverse_each_other():
     a, b = catalog.n5(), catalog.m_k(3)
     ideals = tensor.enumerate_bi_ideals(a, b)
-    homs = [tensor.JoinHom(v)
-            for v in tensor._largest_members(ideals, oracle_down_masks(b))]
+    homs = tensor._largest_members(ideals, oracle_down_masks(b))
     assert tensor._ideals_of_homs(a, b, homs) == ideals
-    assert all(h(a.bottom) == b.top for h in homs)
+    assert all(h[a.bottom] == b.top for h in homs)
 
 
 def test_two_chain_unit_law(lattices):
