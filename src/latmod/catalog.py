@@ -4,6 +4,7 @@ grid-decoration machinery, and the small-lattice enumerator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from random import Random
 from typing import Iterator
@@ -265,11 +266,9 @@ def check_c1_c4(lat: FiniteLattice, grid_elements: list[int]) -> tuple[bool, str
         for b in g:
             if lat.meet(a, b) not in gset or lat.join(a, b) not in gset:
                 return False, f"C1: grid not a sublattice at ({a},{b})"
-    gleq = lat.leq[np.ix_(g, g)]
-    try:
-        gl = lattice_from_leq(gleq.copy(), names=[lat.names[e] for e in g])
-    except Exception:
-        return False, "C1: grid is not a lattice"
+    # g now holds both bounds and is closed under meet and join, so it is a
+    # lattice in the induced order
+    gl = lattice_from_leq(lat.leq[np.ix_(g, g)], names=[lat.names[e] for e in g])
     factored = None
     m = len(g)
     for p in range(1, m + 1):
@@ -294,30 +293,11 @@ def check_c1_c4(lat: FiniteLattice, grid_elements: list[int]) -> tuple[bool, str
         if len(lat.lower_covers(x)) != 1 or len(lat.upper_covers(x)) != 1:
             return False, f"C2: element {lat.names[x]} not doubly irreducible"
 
-    def under(x):  # largest grid element below x
-        cands = [e for e in g if lat.le(e, x)]
-        best = cands[0]
-        for e in cands[1:]:
-            best = e if lat.le(best, e) else best
-        for e in cands:
-            if not lat.le(e, best):
-                return None
-        return best
-
-    def over(x):  # smallest grid element above x
-        cands = [e for e in g if lat.le(x, e)]
-        best = cands[0]
-        for e in cands[1:]:
-            best = e if lat.le(e, best) else best
-        for e in cands:
-            if not lat.le(best, e):
-                return None
-        return best
-
-    un = {x: under(x) for x in h}
-    ov = {x: over(x) for x in h}
-    if any(v is None for v in un.values()) or any(v is None for v in ov.values()):
-        return False, "C1: some element lacks grid bounds"
+    # g is closed under join and meet and holds both bounds, so the grid
+    # elements below (above) x have their join (meet) in g: the largest
+    # (smallest) of them
+    un = {x: reduce(lat.join, [e for e in g if lat.le(e, x)]) for x in h}
+    ov = {x: reduce(lat.meet, [e for e in g if lat.le(x, e)]) for x in h}
     # (C3): equal lower bounds force equality, and dually
     for x in h:
         for y in h:

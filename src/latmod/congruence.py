@@ -118,10 +118,10 @@ class ConLattice:
         return len(self.ids)
 
 
-def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
+def all_congruences(lat: FiniteLattice) -> ConLattice:
     """The congruence lattice, ordered by refinement; SizeLimitExceeded
-    when the lattice or its congruence lattice has more than `cap`
-    elements.
+    when the lattice or its congruence lattice has more than
+    `CON_SIZE_CAP` elements.
 
     Every congruence of a finite lattice is the join of the principal
     congruences of the cover pairs it collapses, and one generator per
@@ -146,6 +146,7 @@ def all_congruences(lat: FiniteLattice, cap: int = CON_SIZE_CAP) -> ConLattice:
     is found by the same walk (`_down_set_index`), so the Con L tables
     come from the bits.
     """
+    cap = CON_SIZE_CAP
     if lat.n > cap:
         raise SizeLimitExceeded(f"congruence computation capped at {cap} elements")
     ji, gen, below = _generators(lat)

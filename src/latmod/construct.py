@@ -15,6 +15,7 @@ from .core import (
     isotone_maps,
     join_irreducibles,
     lattice_from_leq,
+    pointwise_order,
 )
 from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
 from .rank import _fixpoints
@@ -328,13 +329,7 @@ def m3_power_poset(d: FiniteLattice) -> FiniteLattice:
     poset_leq = d.leq[np.ix_(ji, ji)]
     m3 = m_k(3)
     maps = isotone_maps(poset_leq, m3)
-    count = len(maps)
-    leq = np.ones((count, count), dtype=bool)
-    vals = np.array(maps, dtype=np.int32)
-    for p in range(len(ji)):
-        leq &= m3.leq[vals[:, p][:, None], vals[:, p][None, :]]
-    if len(ji) == 0:
-        leq = np.ones((1, 1), dtype=bool)
+    leq = pointwise_order(m3, np.array(maps, dtype=np.intp))
     names = ["[" + ",".join(m3.names[v] for v in mp) + "]" for mp in maps]
     return lattice_from_leq(leq, names=names, name=f"M3^J({d.name or '?'})")
 

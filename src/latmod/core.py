@@ -447,6 +447,15 @@ def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice) -> list[tuple]:
     return out
 
 
+def pointwise_order(target: FiniteLattice, values: np.ndarray) -> np.ndarray:
+    """leq[i, j] = values[i] <= values[j] in every column, in the target's
+    order: the order of maps given as rows of their values."""
+    leq = np.ones((len(values),) * 2, dtype=bool)
+    for col in values.T:
+        leq &= target.leq[col[:, None], col[None, :]]
+    return leq
+
+
 # -- serialization -------------------------------------------------------
 
 def serialize(lat: FiniteLattice) -> str:

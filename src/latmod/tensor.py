@@ -1,6 +1,6 @@
-"""Semilattice tensor products via bi-ideals: the bi-ideal calculus, the
-join-homomorphism representation, and the bridge to the balanced-triple
-construction."""
+"""Semilattice tensor products as matrices of join-hom values, the
+bi-ideal calculus behind them (bitmask rows, on the oracle route only),
+and the bridge to the balanced-triple construction."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteLattice, join_irreducibles, lattice_from_leq
+from .core import FiniteLattice, join_irreducibles, lattice_from_leq, pointwise_order
 from .construct import m3_of
 from .errors import EnumerationLimitExceeded, SizeLimitExceeded, VerificationFailed
 
@@ -17,22 +17,6 @@ TENSOR_CAP = 400
 HOM_ENUM_CAP = 5_000_000
 # Hom values per enumeration block (assignments times |A|).
 _HOM_BLOCK_ENTRIES = 1 << 18
-
-
-@dataclass(frozen=True)
-class BiIdeal:
-    """A subset of A x B: rows[a] is the bitmask of members ⟨a, ·⟩.
-
-    Invariants: downward closed componentwise, contains all ⟨a,0⟩ and
-    ⟨0,b⟩, and closed under joins in either coordinate with the other fixed.
-    """
-
-    na: int
-    nb: int
-    rows: tuple
-
-    def size(self) -> int:
-        return sum(int(r).bit_count() for r in self.rows)
 
 
 def _check_size(a: FiniteLattice, b: FiniteLattice):
@@ -97,35 +81,33 @@ class _Tables:
         return tuple(rows)
 
 
-def nabla(a: FiniteLattice, b: FiniteLattice) -> BiIdeal:
-    """The least bi-ideal: everything with a zero coordinate."""
+def nabla(a: FiniteLattice, b: FiniteLattice) -> tuple:
+    """The least bi-ideal: everything with a zero coordinate.
+
+    A bi-ideal of A x B is a tuple of rows, rows[x] the bitmask of its
+    members ⟨x, ·⟩: downward closed componentwise, containing every ⟨x,0⟩
+    and ⟨0,y⟩, and closed under joins in either coordinate with the other
+    fixed."""
     full = (1 << b.n) - 1
     zb = 1 << b.bottom
-    rows = tuple(full if x == a.bottom else zb for x in range(a.n))
-    return BiIdeal(a.n, b.n, rows)
+    return tuple(full if x == a.bottom else zb for x in range(a.n))
 
 
 def _largest_members(ideals, down: list[int]) -> list[tuple]:
     """For each row of each bi-ideal, its member y with every member below
-    y: the y whose down mask is the row, or else one found by search."""
+    y: the y whose down mask is the row.  A hereditary row holding such a
+    y equals ↓y, so a row that is no down mask has no largest member."""
     principal = {mask: y for y, mask in enumerate(down)}
     out = []
-    for i in ideals:
+    for rows in ideals:
         values = []
-        for row in i.rows:
+        for row in rows:
             top = principal.get(row)
-            if top is None:
-                top = next((y for y in _bits(row) if not row & ~down[y]), None)
             if top is None:
                 raise VerificationFailed(f"row {row:#b} has no largest member")
             values.append(top)
         out.append(tuple(values))
     return out
-
-
-def _ideals_of_homs(a: FiniteLattice, b: FiniteLattice, homs) -> list[BiIdeal]:
-    down = _down_masks(b)
-    return [BiIdeal(a.n, b.n, tuple(down[v] for v in h)) for h in homs]
 
 
 def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
@@ -171,31 +153,16 @@ def _inclusion_order(ideals, nb: int) -> np.ndarray:
     outside j: one float32 product of the membership bits (exact, as a
     count is at most |A|*|B|)."""
     width = (nb + 7) // 8
-    buf = b"".join(r.to_bytes(width, "little") for i in ideals for r in i.rows)
+    buf = b"".join(r.to_bytes(width, "little") for rows in ideals for r in rows)
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
     member = bits.reshape(len(ideals), -1, 8 * width)[:, :, :nb]
     member = member.reshape(len(ideals), -1).astype(np.float32)
     return member @ (1 - member).T == 0
 
 
-def _pointwise_order(b: FiniteLattice, values: np.ndarray) -> np.ndarray:
-    """leq[i, j] = values[i] <= values[j] in every column, in B's order."""
-    leq = np.ones((len(values),) * 2, dtype=bool)
-    for col in values.T:
-        leq &= b.leq[col[:, None], col[None, :]]
-    return leq
-
-
-def _nonzero_values(a: FiniteLattice, homs) -> np.ndarray:
-    """The hom values at A's nonzero elements, one row per hom."""
-    nonzero = [x for x in range(a.n) if x != a.bottom]
-    return np.array(homs, dtype=np.intp).reshape(
-        len(homs), a.n)[:, nonzero]
-
-
-def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice) -> list[BiIdeal]:
-    r"""All bi-ideals, by closure-system search.  This is the independent
-    oracle route, not the hom-based default.
+def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
+    r"""All bi-ideals, sorted by rows, by closure-system search.  This is
+    the independent oracle route, not the hom-based default.
 
     The successors of a found bi-ideal I are the closures of I plus one
     pair ⟨x, y⟩ minimal in (A×B) \ I: every ⟨x, y'⟩ with y' < y and
@@ -210,7 +177,7 @@ def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice) -> list[BiIdeal]:
     t = _Tables(a, b)
     full = (1 << b.n) - 1
     strict_down = [d & ~(1 << y) for y, d in enumerate(t.down_b)]
-    start = nabla(a, b).rows
+    start = nabla(a, b)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -229,34 +196,43 @@ def enumerate_bi_ideals(a: FiniteLattice, b: FiniteLattice) -> list[BiIdeal]:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-    return [BiIdeal(a.n, b.n, rows) for rows in sorted(seen)]
+    return sorted(seen)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorLattice:
+    """A (x) B: row i of `homs` is the join-hom, one value per element of
+    A, of the bi-ideal with id i in `lattice`."""
+
     left: FiniteLattice
     right: FiniteLattice
-    bi_ideals: tuple
+    homs: np.ndarray
     lattice: FiniteLattice
 
     def __len__(self):
-        return len(self.bi_ideals)
-
-
-def _tensor_of(a: FiniteLattice, b: FiniteLattice, ideals) -> TensorLattice:
-    """The bi-ideals, sorted by rows, and their lattice under inclusion."""
-    ideals = sorted(set(ideals), key=lambda i: i.rows)
-    names = [f"I{i}#{ii.size()}" for i, ii in enumerate(ideals)]
-    lat = lattice_from_leq(_inclusion_order(ideals, b.n), names=names,
-                           name=f"{a.name or 'A'}(x){b.name or 'B'}")
-    return TensorLattice(a, b, tuple(ideals), lat)
+        return len(self.homs)
 
 
 def tensor_product(a: FiniteLattice, b: FiniteLattice) -> TensorLattice:
-    """The lattice of all bi-ideals of A x B under inclusion: each join-hom
-    is mapped to its bi-ideal (`enumerate_bi_ideals` is the oracle)."""
+    """The lattice of all bi-ideals of A x B under inclusion, held as the
+    join-homs h they correspond to: the bi-ideal of h has row ↓h(x) at x
+    (`enumerate_bi_ideals` is the oracle route).
+
+    The rows are in the order of the bi-ideals sorted by their row masks,
+    which compares h column by column through the rank of the down mask
+    of each value, and element i is named I{i}#{size of its bi-ideal}.
+    As ↓u ⊆ ↓v iff u <= v, inclusion is B's order pointwise."""
     _check_size(a, b)
-    return _tensor_of(a, b, _ideals_of_homs(a, b, all_join_homs(a, b)))
+    homs = np.array(all_join_homs(a, b), dtype=np.intp).reshape(-1, a.n)
+    down = _down_masks(b)
+    mask_rank = np.empty(b.n, dtype=np.intp)
+    mask_rank[sorted(range(b.n), key=down.__getitem__)] = np.arange(b.n)
+    homs = homs[np.lexsort(mask_rank[homs].T[::-1])]
+    sizes = b.leq.sum(axis=0)[homs].sum(axis=1)
+    names = [f"I{i}#{s}" for i, s in enumerate(sizes.tolist())]
+    lat = lattice_from_leq(pointwise_order(b, homs), names=names,
+                           name=f"{a.name or 'A'}(x){b.name or 'B'}")
+    return TensorLattice(a, b, homs, lat)
 
 
 @dataclass(frozen=True)
@@ -274,24 +250,23 @@ class ReprReport:
 
 def verify_repr_iso(a: FiniteLattice, b: FiniteLattice,
                     tp: Optional[TensorLattice] = None) -> ReprReport:
-    """Check that I -> phi_I is an order-isomorphism from the bi-ideal
-    lattice onto the hom lattice, and that the two enumeration routes
-    produce the same bi-ideals.  A `tensor_product(a, b)` already built
-    can be passed as `tp`; it is checked instead of built again."""
+    """Check the tensor product against the bi-ideals of the oracle route
+    (`enumerate_bi_ideals`): they are the bi-ideals of its homs, in order;
+    I -> phi_I (each row's largest member) maps them one to one onto its
+    homs; and their inclusion order is its lattice order.  A
+    `tensor_product(a, b)` already built can be passed as `tp`; it is
+    checked instead of built again."""
     _check_size(a, b)
-    homs = all_join_homs(a, b)
     if tp is None or tp.left is not a or tp.right is not b:
-        tp = _tensor_of(a, b, _ideals_of_homs(a, b, homs))
-    oracle_ideals = enumerate_bi_ideals(a, b)
-    routes_agree = list(tp.bi_ideals) == oracle_ideals
-    images = _largest_members(tp.bi_ideals, _down_masks(b))
-    bijective = (sorted(set(images)) == homs
-                 and len(set(images)) == len(images)
-                 and _ideals_of_homs(a, b, images) == list(tp.bi_ideals))
-    # tp.lattice.leq is the inclusion order of tp.bi_ideals
-    order_iso = np.array_equal(tp.lattice.leq,
-                               _pointwise_order(b, _nonzero_values(a, images)))
-    return ReprReport(len(homs), len(tp.bi_ideals), bijective, order_iso,
+        tp = tensor_product(a, b)
+    oracle = enumerate_bi_ideals(a, b)
+    down = _down_masks(b)
+    homs = list(map(tuple, tp.homs.tolist()))
+    routes_agree = oracle == [tuple(down[v] for v in h) for h in homs]
+    images = _largest_members(oracle, down)
+    bijective = images == homs and len(set(images)) == len(images)
+    order_iso = np.array_equal(tp.lattice.leq, _inclusion_order(oracle, b.n))
+    return ReprReport(len(homs), len(oracle), bijective, order_iso,
                       routes_agree)
 
 
@@ -321,14 +296,13 @@ def verify_m3_tensor_iso(l: FiniteLattice,
         tp = tensor_product(m3, l)
     k = m3_of(l)
     atoms = [m3.index_of(s) for s in "abc"]
-    triples = [tuple(h[x] for x in atoms)
-               for h in _largest_members(tp.bi_ideals, _down_masks(l))]
-    balanced = all(t in k.index for t in triples)
+    triples = tp.homs[:, atoms]
+    keys = list(map(tuple, triples.tolist()))
+    balanced = all(t in k.index for t in keys)
     explicit = False
-    if balanced and len(set(triples)) == len(triples) == len(k):
-        # tp.lattice.leq is the inclusion order of tp.bi_ideals; balanced
-        # triples are ordered componentwise, which also holds above
+    if balanced and len(set(keys)) == len(keys) == len(k):
+        # tp.lattice.leq is B's order pointwise on tp.homs; balanced triples
+        # are ordered componentwise, which also holds above
         # EAGER_TABLE_CAP, where k has no lattice tables
-        explicit = np.array_equal(tp.lattice.leq,
-                                  _pointwise_order(l, np.array(triples, dtype=np.intp)))
+        explicit = np.array_equal(tp.lattice.leq, pointwise_order(l, triples))
     return M3TensorReport(len(tp), len(k), balanced, explicit)

@@ -73,6 +73,12 @@ def tuples_of(k):
     return list(zip(*(c.tolist() for c in k.cols)))
 
 
+def relabeled(lat, seed):
+    """The same order with elements renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(lat.n)
+    return core.lattice_from_leq(lat.leq[np.ix_(perm, perm)])
+
+
 def is_balanced3(lat, t):
     """Oracle: the three pairwise meets of the triple t coincide."""
     x, y, z = t

@@ -238,13 +238,13 @@ def test_build_stats_close_the_join_keys_once(capsys, monkeypatch):
 
 def test_tensor_command_builds_once(capsys, monkeypatch):
     built = []
-    tensor_of = tensor._tensor_of
+    all_join_homs = tensor.all_join_homs
 
-    def counting(a, b, ideals):
+    def counting(a, b):
         built.append((a.name, b.name))
-        return tensor_of(a, b, ideals)
+        return all_join_homs(a, b)
 
-    monkeypatch.setattr(tensor, "_tensor_of", counting)
+    monkeypatch.setattr(tensor, "all_join_homs", counting)
     code, _ = run(capsys, "tensor", "--left", "m3", "--right", "c3",
                   "--verify-repr", "--verify-m3-iso")
     assert code == 0 and built == [("M3", "C3")]

@@ -516,12 +516,13 @@ def test_extension_check_survives_optimize_flag(run_optimized):
     assert words == ["raised", "raised", "debug", "False"], err
 
 
-def test_congruence_size_cap():
+def test_congruence_size_cap(monkeypatch):
+    monkeypatch.setattr(congruence, "CON_SIZE_CAP", 100)
     with pytest.raises(SizeLimitExceeded):
-        all_congruences(catalog.chain(120), cap=100)
+        all_congruences(catalog.chain(120))
 
 
-def test_congruence_count_cap_stops_the_enumeration():
+def test_congruence_count_cap_stops_the_enumeration(monkeypatch):
     # Con(C_n) has 2^(n-1) elements: C_11 fits under the default cap, C_12
     # does not, and C_40 (2^39) is refused after a dozen doubling steps
     assert len(all_congruences(catalog.chain(11))) == 1024
@@ -530,8 +531,9 @@ def test_congruence_count_cap_stops_the_enumeration():
         with pytest.raises(SizeLimitExceeded, match="more than 2000 congruences"):
             all_congruences(catalog.chain(n))
         assert time.perf_counter() - start < 10
+    monkeypatch.setattr(congruence, "CON_SIZE_CAP", 31)
     with pytest.raises(SizeLimitExceeded):
-        all_congruences(catalog.chain(6), cap=31)
+        all_congruences(catalog.chain(6))
 
 
 def test_congruence_value_object():

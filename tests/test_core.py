@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import antichains3
+from conftest import antichains3, relabeled
 from latmod import catalog, construct, core
 from latmod.core import CoverList, FiniteLattice, from_covers
 from latmod.errors import (
@@ -76,12 +76,6 @@ def scalar_height(lat):
         return memo[a]
 
     return max(up_from(a) for a in lat.elements())
-
-
-def relabeled(lat, seed):
-    """The same order with elements renumbered by a seeded permutation."""
-    perm = np.random.default_rng(seed).permutation(lat.n)
-    return core.lattice_from_leq(lat.leq[np.ix_(perm, perm)])
 
 
 def random_poset(rng, n):

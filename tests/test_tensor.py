@@ -3,14 +3,16 @@ import random
 import numpy as np
 import pytest
 
+from conftest import relabeled
 from latmod import catalog, construct, core, tensor
 from latmod.errors import SizeLimitExceeded, VerificationFailed
-from latmod.tensor import BiIdeal, nabla
+from latmod.tensor import nabla
 
 BENCH_POOL = ("c2", "c3", "c2sq", "m3", "n5")
 
 
 # -- oracle: the naive closure and closure-system search ---------------------
+# A bi-ideal is a tuple of rows, rows[x] the bitmask of its members <x, .>.
 
 def oracle_down_masks(lat):
     out = []
@@ -23,27 +25,40 @@ def oracle_down_masks(lat):
     return out
 
 
-def contains(i, x, y):
-    """Oracle helper: whether the pair <x, y> is in the bi-ideal i."""
-    return bool(i.rows[x] >> y & 1)
+def contains(rows, x, y):
+    """Oracle helper: whether the pair <x, y> is in the bi-ideal."""
+    return bool(rows[x] >> y & 1)
 
 
-def pairs_of(i):
-    """Oracle helper: the members of the bi-ideal i as pairs, row by row."""
-    return [(x, y) for x in range(i.na) for y in range(i.nb) if contains(i, x, y)]
+def pairs_of(rows):
+    """Oracle helper: the members of the bi-ideal as pairs, row by row."""
+    return [(x, y) for x, row in enumerate(rows) for y in range(row.bit_length())
+            if row >> y & 1]
+
+
+def popcount(rows):
+    """Oracle helper: the number of members of the bi-ideal."""
+    return sum(row.bit_count() for row in rows)
 
 
 def subset_of(i, j):
     """Oracle helper: whether the bi-ideal i lies inside j, row by row."""
-    return all(r & ~s == 0 for r, s in zip(i.rows, j.rows))
+    return all(r & ~s == 0 for r, s in zip(i, j))
 
 
 def bi_ideal_closure(a, b, pairs):
     """The least bi-ideal containing the pairs, by the library's closure."""
-    rows = list(nabla(a, b).rows)
+    rows = list(nabla(a, b))
     for x, y in pairs:
         rows[x] |= 1 << y
-    return BiIdeal(a.n, b.n, tensor._Tables(a, b).close(rows, list(range(a.n))))
+    return tensor._Tables(a, b).close(rows, list(range(a.n)))
+
+
+def rows_of_hom(b, h):
+    """Oracle helper: the bi-ideal of the join-hom h, row x the down-set of
+    h(x)."""
+    downs_b = oracle_down_masks(b)
+    return tuple(downs_b[v] for v in h)
 
 
 def is_valid_bi_ideal(a, b, i):
@@ -53,24 +68,28 @@ def is_valid_bi_ideal(a, b, i):
         return False
     downs_b = oracle_down_masks(b)
     for x in range(a.n):
-        row = i.rows[x]
+        row = i[x]
         members = [y for y in range(b.n) if row >> y & 1]
         if any(downs_b[y] & ~row for y in members):  # hereditary in B
             return False
-        if any(a.le(x2, x) and row & ~i.rows[x2] for x2 in range(a.n)):  # and in A
+        if any(a.le(x2, x) and row & ~i[x2] for x2 in range(a.n)):  # and in A
             return False
         if any(not row >> b.join(y0, y1) & 1 for y0 in members for y1 in members):
             return False
-    return all(not i.rows[x0] & i.rows[x1] & ~i.rows[a.join(x0, x1)]
+    return all(not i[x0] & i[x1] & ~i[a.join(x0, x1)]
                for x0 in range(a.n) for x1 in range(a.n))
 
 
-def oracle_closure(a, b, pairs):
+def oracle_closure(a, b, pairs, downs_b=None):
     """Oracle for bi_ideal_closure: nabla plus the pairs, then every rule
     (hereditary in B and in A, join closure in B and in A) swept over all
-    rows until nothing changes."""
-    rows = list(nabla(a, b).rows)
-    downs_b = oracle_down_masks(b)
+    rows until nothing changes.  B's down masks can be passed in as
+    downs_b; A's order and both join tables are read as lists once."""
+    if downs_b is None:
+        downs_b = oracle_down_masks(b)
+    le_a = a.leq.tolist()
+    join_a, join_b = a.join_table.tolist(), b.join_table.tolist()
+    rows = list(nabla(a, b))
     for x, y in pairs:
         rows[x] |= 1 << y
     changed = True
@@ -86,30 +105,31 @@ def oracle_closure(a, b, pairs):
                 changed = True
         for x in range(a.n):
             for x2 in range(a.n):
-                if a.le(x2, x) and rows[x] & ~rows[x2]:
+                if le_a[x2][x] and rows[x] & ~rows[x2]:
                     rows[x2] |= rows[x]
                     changed = True
         for x in range(a.n):
             members = [y for y in range(b.n) if rows[x] >> y & 1]
             for y0 in members:
                 for y1 in members:
-                    j = b.join(y0, y1)
+                    j = join_b[y0][y1]
                     if not rows[x] >> j & 1:
                         rows[x] |= 1 << j
                         changed = True
         for x0 in range(a.n):
             for x1 in range(a.n):
                 common = rows[x0] & rows[x1]
-                xj = a.join(x0, x1)
+                xj = join_a[x0][x1]
                 if common & ~rows[xj]:
                     rows[xj] |= common
                     changed = True
-    return BiIdeal(a.n, b.n, tuple(rows))
+    return tuple(rows)
 
 
 def oracle_bi_ideals(a, b):
     """Oracle for enumerate_bi_ideals: from nabla, close each found
     bi-ideal plus every pair outside it, each closure recomputed in full."""
+    downs_b = oracle_down_masks(b)
     start = nabla(a, b)
     seen = {start}
     frontier = [start]
@@ -118,11 +138,11 @@ def oracle_bi_ideals(a, b):
         for x in range(a.n):
             for y in range(b.n):
                 if not contains(cur, x, y):
-                    nxt = oracle_closure(a, b, pairs_of(cur) + [(x, y)])
+                    nxt = oracle_closure(a, b, pairs_of(cur) + [(x, y)], downs_b)
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
-    return sorted(seen, key=lambda i: i.rows)
+    return sorted(seen)
 
 
 def small_lattices():
@@ -159,7 +179,7 @@ def test_matrix_orders_match_loops():
     for sa, sb in (("n5", "m3"), ("c2sq", "witness7"), ("m4", "c3")):
         a, b = catalog.by_name(sa), catalog.by_name(sb)
         tp = tensor.tensor_product(a, b)
-        ideals = tp.bi_ideals
+        ideals = tensor.enumerate_bi_ideals(a, b)
         want = [[subset_of(i, j) for j in ideals] for i in ideals]
         assert tp.lattice.leq.tolist() == want
         assert tensor._inclusion_order(ideals, b.n).tolist() == want
@@ -167,8 +187,7 @@ def test_matrix_orders_match_loops():
         nonzero = [x for x in range(a.n) if x != a.bottom]
         want = [[all(b.le(hi[x], hj[x]) for x in nonzero) for hj in homs]
                 for hi in homs]
-        assert tensor._pointwise_order(
-            b, tensor._nonzero_values(a, homs)).tolist() == want
+        assert core.pointwise_order(b, np.array(homs)).tolist() == want
 
 
 def test_inclusion_order_past_one_byte_rows():
@@ -184,7 +203,7 @@ def test_nabla_shape():
     for a, b in ((catalog.chain(3), catalog.n5()),
                  (catalog.m_k(3), catalog.c2sq())):
         nb = nabla(a, b)
-        assert nb.size() == a.n + b.n - 1
+        assert popcount(nb) == a.n + b.n - 1
         assert is_valid_bi_ideal(a, b, nb)
         assert all(contains(nb, x, b.bottom) for x in range(a.n))
         assert all(contains(nb, a.bottom, y) for y in range(b.n))
@@ -202,7 +221,7 @@ def test_pure_tensors():
             assert set(pairs_of(pt)) == set(pairs_of(nabla(a, b))) | set(rect)
             assert is_valid_bi_ideal(a, b, pt)
     assert bi_ideal_closure(a, b, [(a.bottom, b.top)]) == nabla(a, b)
-    assert bi_ideal_closure(a, b, [(a.top, b.top)]).size() == a.n * b.n
+    assert popcount(bi_ideal_closure(a, b, [(a.top, b.top)])) == a.n * b.n
 
 
 def test_closure_operator_laws():
@@ -232,7 +251,8 @@ def test_phi_and_hom_inverse_each_other():
     a, b = catalog.n5(), catalog.m_k(3)
     ideals = tensor.enumerate_bi_ideals(a, b)
     homs = tensor._largest_members(ideals, oracle_down_masks(b))
-    assert tensor._ideals_of_homs(a, b, homs) == ideals
+    assert [rows_of_hom(b, h) for h in homs] == ideals
+    assert homs == tensor.all_join_homs(a, b)
     assert all(h[a.bottom] == b.top for h in homs)
 
 
@@ -265,8 +285,8 @@ def test_tensor_symmetry(lattices):
 def test_all_outputs_are_valid_bi_ideals():
     a, b = catalog.n5(), catalog.c2sq()
     tp = tensor.tensor_product(a, b)
-    for ideal in tp.bi_ideals:
-        assert is_valid_bi_ideal(a, b, ideal)
+    for h in tp.homs.tolist():
+        assert is_valid_bi_ideal(a, b, rows_of_hom(b, h))
 
 
 def test_m3_tensor_matches_balanced_triples(lattices):
@@ -280,7 +300,7 @@ def test_m3_tensor_matches_balanced_triples(lattices):
 def test_phi_of_rejects_row_without_largest_member():
     a, b = catalog.chain(2), catalog.m_k(3)
     atoms = sum(1 << b.index_of(s) for s in "ab") | 1 << b.bottom
-    bad = BiIdeal(a.n, b.n, (nabla(a, b).rows[0], atoms))
+    bad = (nabla(a, b)[0], atoms)
     with pytest.raises(VerificationFailed):
         tensor._largest_members([bad], oracle_down_masks(b))
 
@@ -291,7 +311,7 @@ def test_tensor_checks_survive_optimize_flag(run_optimized):
         from latmod.errors import VerificationFailed
         a, b = catalog.chain(2), catalog.m_k(3)
         atoms = sum(1 << b.index_of(s) for s in "ab") | 1 << b.bottom
-        bad = tensor.BiIdeal(a.n, b.n, (tensor.nabla(a, b).rows[0], atoms))
+        bad = (tensor.nabla(a, b)[0], atoms)
         try:
             tensor._largest_members([bad], tensor._down_masks(b))
         except VerificationFailed:
@@ -323,3 +343,47 @@ def test_checks_reuse_a_built_tensor(lattices):
         # a tensor whose left factor is not M_3 is not reused for the bridge
         assert tensor.verify_m3_tensor_iso(b, tp) == tensor.verify_m3_tensor_iso(b)
         assert tensor.verify_m3_tensor_iso(b, tp).passed
+
+
+def test_tensor_rows_follow_the_oracle_on_relabeled_factors():
+    # the rows are the bi-ideals sorted by their row masks, which on a
+    # renumbered factor is not the order of the raw hom values
+    for sa, sb in (("n5", "m3"), ("m3", "n5"), ("c2sq", "witness7"),
+                   ("m4", "c3"), ("witness7", "c2sq")):
+        for seed in (1, 2):
+            a = relabeled(catalog.by_name(sa), seed)
+            b = relabeled(catalog.by_name(sb), seed + 10)
+            tp = tensor.tensor_product(a, b)
+            ideals = tensor.enumerate_bi_ideals(a, b)
+            assert [rows_of_hom(b, h) for h in tp.homs.tolist()] == ideals
+            want = [[subset_of(i, j) for j in ideals] for i in ideals]
+            assert tp.lattice.leq.tolist() == want, (sa, sb, seed)
+            assert list(tp.lattice.names) == [f"I{i}#{popcount(rows)}"
+                                              for i, rows in enumerate(ideals)]
+
+
+def test_repr_check_enumerates_no_homs_for_a_built_tensor(monkeypatch):
+    a, b = catalog.n5(), catalog.m_k(3)
+    tp = tensor.tensor_product(a, b)
+
+    def refuse(*args):
+        raise AssertionError("homs enumerated again")
+
+    monkeypatch.setattr(tensor, "all_join_homs", refuse)
+    assert tensor.verify_repr_iso(a, b, tp).passed
+
+
+def test_repr_report_flags_tampered_tensor():
+    a, b = catalog.n5(), catalog.m_k(3)
+    tp = tensor.tensor_product(a, b)
+    rep = tensor.verify_repr_iso(a, b, tp)
+    assert rep.passed and rep.hom_count == rep.ideal_count == len(tp)
+    # two rows swapped: the routes and the map disagree, the order does not
+    swapped = tp.homs.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    rep = tensor.verify_repr_iso(a, b, tensor.TensorLattice(a, b, swapped, tp.lattice))
+    assert (rep.routes_agree, rep.bijective, rep.order_iso) == (False, False, True)
+    # the right rows under the wrong order
+    chain = catalog.chain(len(tp))
+    rep = tensor.verify_repr_iso(a, b, tensor.TensorLattice(a, b, tp.homs, chain))
+    assert (rep.routes_agree, rep.bijective, rep.order_iso) == (True, True, False)
