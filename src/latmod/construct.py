@@ -21,18 +21,18 @@ from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
 from .rank import _fixpoints
 
 EAGER_TABLE_CAP = 2000
-_GRID_ENTRIES = 1 << 16  # tuples or pairs per numpy block
+_GRID_ENTRIES = 1 << 16  # tuples, keys or pairs per numpy block
 # pairs per block when join keys are marked: blocks of 2^16 took about
 # twice as long on census grids and on M3[Sub(3,3)], blocks of 2^12 longer
 _MARK_ENTRIES = 1 << 14
 
 
 def _encode(n: int, cols) -> np.ndarray:
-    """Pack coordinate columns into one key, the tuple read as a base-n
-    number, so keys ascend with the lexicographic order; int32 keys below
-    2^31 tuples, int64 keys above."""
+    """Pack coordinate columns (or one entry each) into one key, the tuple
+    read as a base-n number, so keys ascend with the lexicographic order;
+    int32 keys below 2^31 tuples, int64 keys above."""
     dtype = np.int32 if n ** len(cols) < 2 ** 31 else np.int64
-    key = np.zeros(cols[0].shape, dtype=dtype)
+    key = np.zeros(np.shape(cols[0]), dtype=dtype)
     for c in cols:
         key = key * n + c
     return key
@@ -52,13 +52,12 @@ class TupleLattice:
     componentwise meets and closure-iterated joins.
 
     Element ids follow the lexicographic order of the tuples, given as one
-    column of entries per coordinate.  Nothing is built or closed with the
-    lattice: the meets, joins and bounds are those of `lattice`, whose
-    tables are built on first access and which is None above
-    EAGER_TABLE_CAP elements (decided at construction).  The tables and the
-    closure depth share one close of the distinct componentwise joins, made
-    on the first access of either.  The `index` dict from tuples to ids is
-    built on first access.
+    column of entries per coordinate.  Every operation reads two maps over
+    the n^arity tuple keys, built on first use: key -> id (`ids`) and key
+    -> key of its closure under the step map.  `meet` and `join` act on id
+    arrays at any size; `lattice` holds their count^2 tables, built on
+    first access, and is None above EAGER_TABLE_CAP elements (decided at
+    construction).
     """
 
     def __init__(self, base: FiniteLattice, cols: list, name: str):
@@ -68,74 +67,116 @@ class TupleLattice:
         self.name = name
         self._tabled = cols[0].size <= EAGER_TABLE_CAP
 
-    @functools.cached_property
-    def index(self) -> dict:
-        return {t: i for i, t in enumerate(zip(*(c.tolist() for c in self.cols)))}
-
     def __len__(self):
         return self.cols[0].size
 
     def tuple_name(self, i: int) -> str:
         return "<" + ",".join(self.base.names[c[i]] for c in self.cols) + ">"
 
-    @functools.cached_property
-    def lattice(self) -> Optional[FiniteLattice]:
-        """The meet and join tables, built on first access; None above
-        EAGER_TABLE_CAP."""
-        if not self._tabled:
-            return None
-        base, cols, count = self.base, self.cols, len(self)
-        n = base.n
-        label = np.array(base.names, dtype=object)
-        template = "<" + ",".join(["%s"] * self.arity) + ">"
-        names = [template % t for t in zip(*(label[c].tolist() for c in cols))]
-        # A tuple's id by its key.  Every <x, y, x^y> (and <x, y, m, m> with
-        # m = x^y) is balanced, so count >= n^2 and the index has at most
-        # count^(arity/2) entries.
-        where = np.empty(n ** self.arity, dtype=np.int32)
-        where[_encode(n, cols)] = np.arange(count, dtype=np.int32)
-
-        leq, meet, join = _tables(base, cols, where)
-        # a join is the closure of the componentwise join, and join(a, b) =
-        # join(b, a): the keys of the pairs a <= b cover the table
-        keys, closed, _ = self._closure
-        cl = np.zeros(where.size, dtype=np.int32)  # key -> id of its closure
-        cl[keys] = where.take(closed)
-        rows = max(1, _GRID_ENTRIES // count)
-        for lo in range(0, count, rows):
-            join[lo:lo + rows] = cl.take(join[lo:lo + rows])
-        return FiniteLattice(leq, meet, join, names=names, name=self.name)
-
-    @functools.cached_property
-    def _closure(self) -> tuple:
-        """The distinct componentwise joins of the pairs a <= b as ascending
-        keys, the key of each one's closure, and the largest closure index;
-        the tables and the depth share it.  The keys are marked in an
-        n^arity mask (_join_keys) and closed _GRID_ENTRIES at a time, so
-        this holds one byte per key of the mask and at most 16 per marked
-        key; SizeLimitExceeded before the mask is allocated when n^arity
-        reaches 2^31."""
+    def _key_count(self) -> int:
+        """n^arity; SizeLimitExceeded from 2^31 on, before any key map is
+        allocated."""
         n, arity = self.base.n, self.arity
         if n ** arity >= 2 ** 31:
             raise SizeLimitExceeded(
-                f"{self.name}: the closure depth needs a mask of {n}^{arity} "
-                f"join keys, at least 2^31")
-        keys = np.flatnonzero(_join_keys(self.base, self.cols)).astype(np.int32)
-        closed = np.empty_like(keys)
-        depth = 0
-        for lo in range(0, keys.size, _GRID_ENTRIES):
+                f"{self.name}: the key maps need {n}^{arity} keys, at least 2^31")
+        return n ** arity
+
+    @functools.cached_property
+    def _where(self) -> np.ndarray:
+        """Key -> id, -1 for a tuple that is not balanced."""
+        where = np.full(self._key_count(), -1, dtype=np.int32)
+        where[_encode(self.base.n, self.cols)] = np.arange(len(self), dtype=np.int32)
+        return where
+
+    @functools.cached_property
+    def _closed(self) -> tuple:
+        """Key -> key of its closure, and key -> its closure index: all
+        n^arity keys closed once, _GRID_ENTRIES at a time."""
+        n, arity = self.base.n, self.arity
+        size = self._key_count()
+        closed = np.empty(size, dtype=np.int32)
+        index = np.empty(size, dtype=np.int32)
+        for lo in range(0, size, _GRID_ENTRIES):
             part = slice(lo, lo + _GRID_ENTRIES)
-            cols, d = _close(self.base, _decode(n, arity, keys[part]))
+            keys = np.arange(lo, min(size, lo + _GRID_ENTRIES), dtype=np.int32)
+            cols, index[part] = _close(self.base, _decode(n, arity, keys))
             closed[part] = _encode(n, cols)
-            depth = max(depth, d)
-        return keys, closed, depth
+        return closed, index
 
     @property
+    def index(self) -> np.ndarray:
+        """The key -> id map with one axis per coordinate: index[t] is the
+        id of the tuple t, -1 when t is not balanced (bench/make_refs.py
+        reads it); `ids` takes columns."""
+        return self._where.reshape((self.base.n,) * self.arity)
+
+    def ids(self, cols) -> np.ndarray:
+        """The ids of tuples given as coordinate columns, -1 for a tuple
+        that is not balanced; ids(t) of one tuple t is its id."""
+        return self._where.take(_encode(self.base.n, cols))
+
+    def _key(self, table: np.ndarray, a, b) -> np.ndarray:
+        """The keys of the componentwise table[a_i, b_i] of the elements a
+        and b, broadcast: id arrays, or any index of the columns (the depth
+        passes slices, which take no copy).  The callers hold a key map, so
+        the keys fit in int32.  The key is allocated before the gathers:
+        allocating it after them tripled the page faults of the depth mark
+        on M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
+        n, flat, first = self.base.n, table.ravel(), self.cols[0]
+        key = np.zeros(np.broadcast_shapes(np.shape(first[a]), np.shape(first[b])),
+                       dtype=np.int32)
+        for c in self.cols:
+            key *= n
+            key += flat.take(c[a] * n + c[b])
+        return key
+
+    def meet(self, a, b) -> np.ndarray:
+        """The meets of the elements of the id arrays a and b, broadcast."""
+        return self._where.take(self._key(self.base.meet_table, a, b))
+
+    def join(self, a, b) -> np.ndarray:
+        """The joins of the elements of the id arrays a and b, broadcast:
+        the closures of their componentwise joins."""
+        return self._where.take(self._closed[0].take(self._key(self.base.join_table, a, b)))
+
+    @functools.cached_property
+    def lattice(self) -> Optional[FiniteLattice]:
+        """The meet and join tables, built on first access a block of rows
+        at a time (whole count^2 temporaries left holes in the heap that
+        raised the peak RSS of later work); None above EAGER_TABLE_CAP.
+        The order is read off the meets: a <= b iff a ^ b = a."""
+        if not self._tabled:
+            return None
+        count = len(self)
+        label = np.array(self.base.names, dtype=object)
+        template = "<" + ",".join(["%s"] * self.arity) + ">"
+        names = [template % t for t in zip(*(label[c].tolist() for c in self.cols))]
+        ids = np.arange(count, dtype=np.int32)
+        meet = np.empty((count, count), dtype=np.int32)
+        join = np.empty((count, count), dtype=np.int32)
+        rows = max(1, _GRID_ENTRIES // count)
+        for lo in range(0, count, rows):
+            block = slice(lo, lo + rows)
+            meet[block] = self.meet(ids[block, None], ids)
+            join[block] = self.join(ids[block, None], ids)
+        return FiniteLattice(meet == ids[:, None], meet, join, names=names, name=self.name)
+
+    @functools.cached_property
     def max_closure_index(self) -> int:
         """The most step-map rounds the componentwise join of two elements
         takes to become balanced; SizeLimitExceeded when n^arity reaches
-        2^31."""
-        return self._closure[2]
+        2^31.  Not every key is the join of a pair, so the pair joins are
+        marked in an n^arity mask: rows [lo, hi) with columns [lo, count),
+        a block of about _MARK_ENTRIES pairs at a time."""
+        index, count = self._closed[1], len(self)
+        seen = np.zeros(index.size, dtype=bool)
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + max(1, _MARK_ENTRIES // (count - lo)))
+            seen[self._key(self.base.join_table, np.s_[lo:hi, None], np.s_[lo:])] = True
+            lo = hi
+        return int(index[seen].max())
 
 
 def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
@@ -169,71 +210,17 @@ def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
 
 def _close(base: FiniteLattice, cols: list):
     """Close tuples, given as columns, under the step map.  Returns the
-    closed columns in input order and the largest closure index.
-
-    The tables and the depth pass each distinct componentwise join once,
-    not every pair of elements (`TupleLattice._closure`).  The distinct
-    joins number at most n^arity, far fewer than the count(count+1)/2
-    pairs.  They are all n^3 keys on the 96 census grids (2,197-3,375
-    against 63k-151k pairs), on Fano (4,096 against 594,595) and on M7
-    (729 against 76,245), but need not be: 1,232 of 6^4 = 1,296 for
-    M4[M4], and 1,325 of 11^3 = 1,331 for M3 of an 11-element lattice
-    whose three join-irreducibles x, y, z with x^y !<= z, x^z !<= y and
-    y^z !<= x make <x, y, z> the join of no two balanced triples."""
+    closed columns and each tuple's closure index, in input order."""
     out = [np.empty(cols[0].size, dtype=np.int32) for _ in cols]
-    depth = 0
+    index = np.empty(cols[0].size, dtype=np.int32)
     # `cols` is not held here: the loop drops the input after round 0
     rounds = _fixpoints(base.meet_table, base.join_table, cols)
     del cols
     for depth, (done, fixed, cur) in enumerate(rounds):
         for o, c in zip(out, cur):
             o[done] = c.compress(fixed)
-    return out, depth
-
-
-def _tables(base: FiniteLattice, cols: list, where: np.ndarray):
-    """The componentwise order, the meet table and the componentwise-join
-    keys of all count^2 pairs.  Broadcast a block of rows at a time: whole
-    count^2 temporaries left holes in the heap that raised the peak RSS of
-    later work.  The order is read off the meets: a <= b iff a ^ b = a."""
-    n, count = base.n, cols[0].size
-    mf, jf = base.meet_table.ravel(), base.join_table.ravel()
-    leq = np.empty((count, count), dtype=bool)
-    meet = np.empty((count, count), dtype=np.int32)
-    join = np.empty((count, count), dtype=np.int32)
-    rows = max(1, _GRID_ENTRIES // count)
-    for lo in range(0, count, rows):
-        block = slice(lo, lo + rows)
-        mkey = jkey = np.zeros(leq[block].shape, dtype=np.int32)
-        for c in cols:
-            pair = c[block, None] * n + c[None, :]
-            mkey = mkey * n + mf.take(pair)
-            jkey = jkey * n + jf.take(pair)
-        meet[block] = where.take(mkey)
-        leq[block] = meet[block] == np.arange(lo, lo + len(mkey))[:, None]
-        join[block] = jkey
-    return leq, meet, join
-
-
-def _join_keys(base: FiniteLattice, cols: list) -> np.ndarray:
-    """A mask over all n^arity keys of those that are the componentwise
-    join of a pair a <= b.  Rows [lo, hi) pair with columns [lo, count), a
-    block of about _MARK_ENTRIES pairs at a time, so the working set is
-    three int32 blocks besides the mask whatever the count.  The keys must
-    fit in int32."""
-    n, count = base.n, cols[0].size
-    jf = base.join_table.ravel()
-    seen = np.zeros(n ** len(cols), dtype=bool)
-    lo = 0
-    while lo < count:
-        hi = min(count, lo + max(1, _MARK_ENTRIES // (count - lo)))
-        key = np.zeros((hi - lo, count - lo), dtype=np.int32)
-        for c in cols:
-            key *= n
-            key += jf.take(c[lo:hi, None] * n + c[None, lo:])
-        seen[key] = True
-        lo = hi
-    return seen
+        index[done] = depth
+    return out, index
 
 
 def m3_of(base: FiniteLattice) -> TupleLattice:
@@ -274,17 +261,16 @@ def spanning_m3(k: TupleLattice) -> list[int]:
     """The five elements <0,0,0>, <1,0,0>, <0,1,0>, <0,0,1>, <1,1,1>;
     verified to be distinct and to form a sublattice isomorphic to M_3
     spanning k's bounds."""
-    lat = require_tables(k)
     o, i = k.base.bottom, k.base.top
-    ids = [k.index[t] for t in
-           [(o, o, o), (i, o, o), (o, i, o), (o, o, i), (i, i, i)]]
+    ids = k.ids(np.array([(o, o, o), (i, o, o), (o, i, o), (o, o, i), (i, i, i)]).T).tolist()
     if len(set(ids)) != 5:
         raise VerificationFailed("the five elements are not distinct")
     bot, a, b, c, top = ids
-    if bot != lat.bottom or top != lat.top:
+    every = np.arange(len(k))
+    if (k.meet(bot, every) != bot).any() or (k.join(top, every) != top).any():
         raise VerificationFailed("<0,0,0> and <1,1,1> are not the bounds")
     for u, v in ((a, b), (a, c), (b, c)):
-        if lat.meet(u, v) != bot or lat.join(u, v) != top:
+        if k.meet(u, v) != bot or k.join(u, v) != top:
             raise VerificationFailed(f"the spanning M3 fails at ({u},{v})")
     return ids
 
@@ -292,31 +278,26 @@ def spanning_m3(k: TupleLattice) -> list[int]:
 def embed_atom(k: TupleLattice) -> list[int]:
     """The embedding x -> <x,0,0,...> of the base into k; returns the image
     ids indexed by base element, verified meet- and join-preserving."""
-    lat = require_tables(k)
-    o = k.base.bottom
-    pad = (o,) * (k.arity - 1)
-    image = [k.index[(x,) + pad] for x in k.base.elements()]
-    _check_embedding(k.base, lat, image)
-    return image
+    x = np.arange(k.base.n)
+    image = k.ids([x] + [np.full_like(x, k.base.bottom)] * (k.arity - 1))
+    return _check_embedding(k, image)
 
 
 def embed_diag(k: TupleLattice) -> list[int]:
     """The diagonal embedding x -> <x,x,...,x>."""
-    lat = require_tables(k)
-    image = [k.index[(x,) * k.arity] for x in k.base.elements()]
-    _check_embedding(k.base, lat, image)
-    return image
+    return _check_embedding(k, k.ids([np.arange(k.base.n)] * k.arity))
 
 
-def _check_embedding(base: FiniteLattice, lat: FiniteLattice, image: list[int]):
-    if len(set(image)) != base.n:
+def _check_embedding(k: TupleLattice, image: np.ndarray) -> list[int]:
+    base = k.base
+    if np.unique(image).size != base.n:
         raise VerificationFailed("the embedding is not injective")
-    for a in base.elements():
-        for b in base.elements():
-            if lat.meet(image[a], image[b]) != image[base.meet(a, b)]:
-                raise VerificationFailed(f"the embedding breaks the meet of ({a},{b})")
-            if lat.join(image[a], image[b]) != image[base.join(a, b)]:
-                raise VerificationFailed(f"the embedding breaks the join of ({a},{b})")
+    for what, op, table in (("meet", k.meet, base.meet_table),
+                            ("join", k.join, base.join_table)):
+        bad = np.argwhere(op(image[:, None], image[None, :]) != image[table])
+        if bad.size:
+            raise VerificationFailed(f"the embedding breaks the {what} of {tuple(bad[0])}")
+    return image.tolist()
 
 
 def m3_power_poset(d: FiniteLattice) -> FiniteLattice:
@@ -348,17 +329,17 @@ def m4_sublattice_in_m3m3() -> tuple[TupleLattice, list[int]]:
     from .catalog import m_k  # noqa: PLC0415
     base = m_k(3)
     k = m3_of(base)
-    lat = k.lattice
     o, i = base.bottom, base.top
     a, b, c = base.index_of("a"), base.index_of("b"), base.index_of("c")
     named = [(i, o, o), (o, a, b), (o, b, c), (o, c, a)]
-    ids = [k.index[t] for t in named]
+    ids = k.ids(np.array(named).T).tolist()
     if len(set(ids)) != 4:
         raise VerificationFailed(f"the four elements are not distinct: ids {ids}")
+    bot, top = k.ids((o, o, o)), k.ids((i, i, i))
     for s in range(4):
         for t in range(s + 1, 4):
-            if lat.meet(ids[s], ids[t]) != lat.bottom:
+            if k.meet(ids[s], ids[t]) != bot:
                 raise VerificationFailed(f"meet of {named[s]} and {named[t]} is not the bottom")
-            if lat.join(ids[s], ids[t]) != lat.top:
+            if k.join(ids[s], ids[t]) != top:
                 raise VerificationFailed(f"join of {named[s]} and {named[t]} is not the top")
     return k, ids

@@ -297,10 +297,10 @@ def verify_m3_tensor_iso(l: FiniteLattice,
     k = m3_of(l)
     atoms = [m3.index_of(s) for s in "abc"]
     triples = tp.homs[:, atoms]
-    keys = list(map(tuple, triples.tolist()))
-    balanced = all(t in k.index for t in keys)
+    ids = k.ids(triples.T)
+    balanced = bool((ids >= 0).all())
     explicit = False
-    if balanced and len(set(keys)) == len(keys) == len(k):
+    if balanced and np.unique(ids).size == ids.size == len(k):
         # tp.lattice.leq is B's order pointwise on tp.homs; balanced triples
         # are ordered componentwise, which also holds above
         # EAGER_TABLE_CAP, where k has no lattice tables

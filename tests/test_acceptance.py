@@ -60,12 +60,13 @@ def test_03_plane_triple_lattice_size():
 
 
 @pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
-                    reason="multi-hour full scan; set LATMOD_EXTENDED=1")
+                    reason="full antichain scan, about 15 s with two jobs; set LATMOD_EXTENDED=1")
 def test_03x_plane_full_antichain_scan():
     res = rank.antichain_rank_scan(construct.m3_of(catalog.fano()).lattice,
                                    jobs=os.cpu_count() or 1)
-    print(f"full antichain scan: total={res.triple_count} "
-          f"histogram={res.histogram}")
+    assert res.triple_count == 193_025_561
+    assert res.histogram == {0: 18_923_773, 1: 100_134_160, 2: 68_538_792,
+                             3: 5_230_260, 4: 198_576}
     assert res.failing(3) > 0
     assert res.failing(4) == 0
 

@@ -34,7 +34,7 @@ def test_membership_is_exactly_balancedness(lattices):
         assert tuples_of(k) == expected
         q = m4_of(base)
         for t in itertools.product(base.elements(), repeat=4):
-            assert (t in q.index) == is_balanced4(base, t)
+            assert (q.ids(t) >= 0) == is_balanced4(base, t)
 
 
 def test_meets_componentwise_joins_are_closures(lattices):
@@ -53,7 +53,7 @@ def test_meets_componentwise_joins_are_closures(lattices):
 def test_m3m4_iteration_table():
     base = catalog.m_k(4)
     k = m3_of(base)
-    tid = lambda *ns: k.index[tuple(base.index_of(s) for s in ns)]
+    tid = lambda *ns: int(k.ids([base.index_of(s) for s in ns]))
     tr = rank.closure3(k.lattice, rank.Triple(
         tid("b", "c", "a"), tid("b", "a", "d"), tid("a", "0", "c")))
     rows = [tuple(k.tuple_name(e) for e in row) for row in tr.iterates]
@@ -67,7 +67,7 @@ def test_m3m4_iteration_table():
 def test_fano_iteration_table():
     base = catalog.fano()
     k = m3_of(base)
-    tid = lambda *ns: k.index[tuple(base.index_of(s) for s in ns)]
+    tid = lambda *ns: int(k.ids([base.index_of(s) for s in ns]))
     tr = rank.closure3(k.lattice, rank.Triple(
         tid("3", "6", "4"), tid("3", "457", "2"), tid("7", "2", "561")))
     rows = [tuple(k.tuple_name(e) for e in row) for row in tr.iterates]
@@ -123,7 +123,7 @@ def test_power_poset_counts_and_iso():
 def test_coordinate_permutation_is_automorphism():
     base = catalog.n5()
     k = m3_of(base)
-    perm = [k.index[(t[1], t[2], t[0])] for t in tuples_of(k)]
+    perm = k.ids([k.cols[1], k.cols[2], k.cols[0]])
     lat = k.lattice
     for i in range(len(k)):
         for j in range(len(k)):
@@ -146,7 +146,9 @@ def test_m4_check_rejects_repeated_elements(monkeypatch):
     def repeated(base):
         k = m3_of(base)
         o, b, c = base.bottom, base.index_of("b"), base.index_of("c")
-        k.index[(o, c, base.index_of("a"))] = k.index[(o, b, c)]
+        ids = k.ids
+        k.ids = lambda cols: np.where(ids(cols) == ids((o, c, base.index_of("a"))),
+                                      ids((o, b, c)), ids(cols))
         return k
 
     monkeypatch.setattr(construct, "m3_of", repeated)
@@ -201,6 +203,9 @@ def all_pairs_tables(k):
 
 def assert_tables_match_oracle(k):
     meet, join, depth = all_pairs_tables(k)
+    ids = np.arange(len(k))
+    assert np.array_equal(k.meet(ids[:, None], ids), meet)
+    assert np.array_equal(k.join(ids[:, None], ids), join)
     assert np.array_equal(k.lattice.meet_table, meet)
     assert np.array_equal(k.lattice.join_table, join)
     assert k.max_closure_index == depth
@@ -241,6 +246,21 @@ def test_lazy_closure_depth_matches_eager(monkeypatch):
     assert max(d for d, _ in eager) >= 2
 
 
+def test_lazy_operations_equal_eager_tables(monkeypatch):
+    """Without tables, meet and join on id arrays, in blocks of 50 keys,
+    give the tables of the same lattice built under the cap."""
+    builds = [(m3_of, catalog.n5()), (m3_of, catalog.witness7()), (m4_of, catalog.m_k(4))]
+    eager = [build(base).lattice for build, base in builds]
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    monkeypatch.setattr(construct, "_GRID_ENTRIES", 50)
+    for (build, base), lat in zip(builds, eager):
+        k = build(base)
+        ids = np.arange(len(k))
+        assert k.lattice is None and lat is not None
+        assert np.array_equal(k.meet(ids[:, None], ids), lat.meet_table), k.name
+        assert np.array_equal(k.join(ids[:, None], ids), lat.join_table), k.name
+
+
 def test_lazy_build_closes_nothing(monkeypatch):
     eager = m3_of(catalog.m_k(4))
     assert eager.lattice is not None  # tables and depth before counting
@@ -254,21 +274,22 @@ def test_lazy_build_closes_nothing(monkeypatch):
     monkeypatch.setattr(construct, "_close", counting)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     k = m3_of(catalog.m_k(4))
-    assert calls == []
+    assert calls == [] and "_where" not in vars(k) and "_closed" not in vars(k)
     assert k.max_closure_index == k.max_closure_index == eager.max_closure_index
-    assert len(calls) == 1  # one close of the marked keys
-    assert "index" not in vars(k)
+    assert len(calls) == 1  # one close of the keys
+    assert "_where" not in vars(k)
 
 
 def test_lazy_build_defers_tuple_list_and_index():
     k = m3_of(catalog.subspace_lattice(2, 4))
     assert k.lattice is None
-    assert "index" not in vars(k)
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
-    assert "index" not in vars(k)
+    assert "_where" not in vars(k) and "_closed" not in vars(k)
+    assert np.array_equal(k.ids(k.cols), np.arange(len(k)))
     rows = np.stack(k.cols, axis=1)
-    assert len(k.index) == len(k)
     assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
+    assert (k.index >= 0).sum() == len(k)
+    assert "_closed" not in vars(k)
 
 
 def test_keys_widen_past_int32():
@@ -292,7 +313,9 @@ def close_joins(base, cols, ia, ib):
     Returns the closed columns in pair order and the largest closure
     index."""
     jf = base.join_table.ravel()
-    return construct._close(base, [jf.take(c.take(ia) * base.n + c.take(ib)) for c in cols])
+    closed, index = construct._close(
+        base, [jf.take(c.take(ia) * base.n + c.take(ib)) for c in cols])
+    return closed, index.max()
 
 
 def per_pair_joins(k):
@@ -330,9 +353,10 @@ def componentwise_join_keys(k):
 
 
 def test_eager_build_closes_each_distinct_join_once(monkeypatch):
-    """The tables and the depth, read in either order, share one close of
-    each distinct componentwise join, not of the count(count+1)/2 pairs
-    a <= b.  About 0.3 s."""
+    """The tables, the depth and the operations, read in any order, share
+    one close of the n^arity keys, which cover every distinct componentwise
+    join, and close none of the count(count+1)/2 pairs a <= b.  About
+    0.5 s."""
     closed = []
     close = construct._close
 
@@ -341,19 +365,22 @@ def test_eager_build_closes_each_distinct_join_once(monkeypatch):
         return close(base, cols)
 
     monkeypatch.setattr(construct, "_close", counting)
+    reads = {"tables": lambda k: k.lattice is not None,
+             "depth": lambda k: k.max_closure_index,
+             "join": lambda k: k.join(np.arange(len(k)), 0)}
     for base, build in ((catalog.random_c1c4(0), m3_of), (catalog.fano(), m3_of),
                         (catalog.m_k(7), m3_of), (catalog.m_k(4), m4_of)):
-        for tables_first in (True, False):
+        for first in range(3):  # each read first once
+            order = list(reads)[first:] + list(reads)[:first]
             closed.clear()
             k = build(base)
-            if tables_first:
-                assert k.lattice is not None
-            k.max_closure_index
-            assert k.lattice is not None
+            for read in order:
+                reads[read](k)
             count, arity = len(k), k.arity
-            assert len(closed) == 1
-            assert np.array_equal(closed[0], componentwise_join_keys(k))
-            assert closed[0].size <= base.n ** arity < count * (count + 1) // 2
+            assert len(closed) == 1, order
+            assert np.array_equal(closed[0], np.arange(base.n ** arity))
+            assert np.isin(componentwise_join_keys(k), closed[0]).all()
+            assert closed[0].size == base.n ** arity < count * (count + 1) // 2
 
 
 # -- oracle: the per-pair lazy depth ----------------------------------------
@@ -423,8 +450,8 @@ def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
     assert keys.size == 1_325 < 11 ** 3
     xyz = (at["x"] * 11 + at["y"]) * 11 + at["z"]
     assert xyz not in keys.tolist()
-    assert np.array_equal(np.flatnonzero(construct._join_keys(base, k.cols)), keys)
     depth = per_pair_depth(k)
+    k._closed[1][xyz] = depth + 1  # the depth reads only the keys of pair joins
     assert k.max_closure_index == depth
     assert_tables_match_oracle(m3_of(base))
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
@@ -432,10 +459,10 @@ def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
 
 
 def test_marked_keys_close_a_slice_at_a_time(monkeypatch):
-    """The marked keys are closed _GRID_ENTRIES at a time, so the closing
-    working set stays bounded whatever the number of keys."""
+    """The keys are closed _GRID_ENTRIES at a time, so the closing working
+    set stays bounded whatever the number of keys."""
     k = m3_of(catalog.fano())
-    depth, keys = k.max_closure_index, componentwise_join_keys(k)
+    depth, keys = k.max_closure_index, np.arange(k.base.n ** 3)
     sizes = []
     close = construct._close
 
@@ -469,16 +496,24 @@ def test_depth_builds_no_tables(traced_peak):
 
 
 def test_depth_key_mask_fails_fast_past_int32(monkeypatch):
-    """A 216-element base at arity 4 has 216^4 >= 2^31 join keys: the
-    depth refuses before allocating the mask."""
-    def refuse(*args):
-        raise AssertionError("the key mask was allocated")
+    """A 216-element base at arity 4 has 216^4 >= 2^31 keys: the depth, the
+    operations and the id lookup refuse before allocating a key map."""
+    def refusing(alloc):
+        def guarded(shape, *args, **kwargs):
+            if np.prod(shape, dtype=np.int64) >= 2 ** 31:
+                raise AssertionError("a key map was allocated")
+            return alloc(shape, *args, **kwargs)
+        return guarded
 
-    monkeypatch.setattr(construct, "_join_keys", refuse)
+    for name in ("empty", "zeros", "full"):
+        monkeypatch.setattr(np, name, refusing(getattr(np, name)))
     cols = [np.zeros(1, dtype=np.int32) for _ in range(4)]
     k = construct.TupleLattice(catalog.chain(216), cols, "stub")
-    with pytest.raises(SizeLimitExceeded):
-        k.max_closure_index
+    for read in (lambda: k.max_closure_index, lambda: k.meet(0, 0),
+                 lambda: k.join(0, 0), lambda: k.ids((0, 0, 0, 0))):
+        with pytest.raises(SizeLimitExceeded, match=r"216\^4 keys"):
+            read()
+    assert "_where" not in vars(k) and "_closed" not in vars(k)
 
 
 # -- oracle: the meshgrid balanced-tuple filter ------------------------------
@@ -522,26 +557,30 @@ def test_balanced_filter_memory_is_bounded(traced_peak):
     assert traced_peak(meshgrid_balanced_tuples, base, 4)[1] > bound
 
 
-def test_element_checks_need_tables(monkeypatch):
-    """Above EAGER_TABLE_CAP the checks that read meets and joins raise
-    SizeLimitExceeded before they look up a tuple."""
+def test_element_checks_run_above_the_table_cap(monkeypatch):
+    """The element checks read meets and joins through the key maps, so
+    they pass on M3[Sub(2,4)] (56,725 elements) without tables; only
+    m3_with_tables still refuses above EAGER_TABLE_CAP."""
+    k = m3_of(catalog.subspace_lattice(2, 4))
+    assert len(k) == 56_725 and k.lattice is None
+    five = construct.spanning_m3(k)
+    atom, diag = construct.embed_atom(k), construct.embed_diag(k)
+    assert five[0] == atom[k.base.bottom] == diag[k.base.bottom]
+    assert five[-1] == diag[k.base.top] and len(set(atom)) == len(set(diag)) == k.base.n
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    m3m3, ids = construct.m4_sublattice_in_m3m3()
+    assert len(set(ids)) == 4 and m3m3.lattice is None
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)  # 5^2 <= 30 < 41
-    k = m3_of(catalog.n5())
-    for check in (construct.spanning_m3, construct.embed_atom, construct.embed_diag,
-                  lambda _: construct.m3_with_tables(catalog.n5())):
-        with pytest.raises(SizeLimitExceeded,
-                           match=r"M3\[N5\] has 41 elements, above the table cap 30"):
-            check(k)
-    assert "index" not in vars(k)
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"M3\[N5\] has 41 elements, above the table cap 30"):
+        construct.m3_with_tables(catalog.n5())
 
 
 def with_broken_joins(k):
-    """k with every entry of its join table replaced by the bottom, so
-    each check that reads a join must fail."""
-    lat = k.lattice
-    k.lattice = core.FiniteLattice(
-        lat.leq, lat.meet_table, np.full_like(lat.join_table, lat.bottom),
-        names=lat.names, name=lat.name)
+    """k with every key's closure replaced by the bottom's key, so each
+    check that reads a join must fail."""
+    closed, index = k._closed
+    k._closed = np.full_like(closed, construct._encode(k.base.n, [k.base.bottom] * k.arity)), index
     return k
 
 
@@ -556,6 +595,12 @@ def test_verification_raises_typed_errors(monkeypatch):
     monkeypatch.setattr(construct, "m3_of", lambda base: with_broken_joins(m3_of(base)))
     with pytest.raises(VerificationFailed):
         construct.m4_sublattice_in_m3m3()
+    # only the key <1,1,1> closes wrongly: the pairs still span M3, the bounds fail
+    k = m3_of(catalog.n5())
+    bottom, top = (construct._encode(5, [x] * 3) for x in (k.base.bottom, k.base.top))
+    k._closed[0][top] = bottom
+    with pytest.raises(VerificationFailed, match="not the bounds"):
+        construct.spanning_m3(k)
 
 
 def test_verification_survives_optimize_flag(run_optimized):
@@ -567,9 +612,9 @@ def test_verification_survives_optimize_flag(run_optimized):
 
         def broken(base):
             k = m3_of(base)
-            lat = k.lattice
-            k.lattice = core.FiniteLattice(
-                lat.leq, lat.meet_table, np.full_like(lat.join_table, lat.bottom))
+            closed, index = k._closed
+            bottom = construct._encode(base.n, [base.bottom] * k.arity)
+            k._closed = np.full_like(closed, bottom), index
             return k
 
         construct.m3_of = broken

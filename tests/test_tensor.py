@@ -345,6 +345,17 @@ def test_checks_reuse_a_built_tensor(lattices):
         assert tensor.verify_m3_tensor_iso(b, tp).passed
 
 
+def test_m3_bridge_flags_unbalanced_images():
+    """A tensor whose row takes the atoms to an unbalanced triple fails the
+    bridge at the id lookup, before the order is compared."""
+    l = catalog.n5()
+    tp = tensor.tensor_product(catalog.m_k(3), l)
+    homs = tp.homs.copy()
+    homs[1, [tp.left.index_of(s) for s in "abc"]] = (l.top, l.top, l.bottom)
+    rep = tensor.verify_m3_tensor_iso(l, tensor.TensorLattice(tp.left, l, homs, tp.lattice))
+    assert (rep.images_balanced, rep.explicit_iso, rep.passed) == (False, False, False)
+
+
 def test_tensor_rows_follow_the_oracle_on_relabeled_factors():
     # the rows are the bi-ideals sorted by their row masks, which on a
     # renumbered factor is not the order of the raw hom values
