@@ -84,8 +84,8 @@ def _cmd_build(args, builder) -> int:
     tables = construct.require_tables(k) if args.out else k.lattice
     payload = {"base": lat.name or args.lattice, "elements": len(k)}
     if args.stats or tables is not None:
-        # without tables the depth marks the joins of all count^2 / 2 pairs,
-        # so only --stats asks
+        # without tables the depth may read the joins of all count^2 / 2
+        # pairs (it stops at the largest key index), so only --stats asks
         payload["max_closure_index"] = k.max_closure_index
     if args.stats and tables is not None:
         # M3 spans only a base with two elements or more
@@ -109,18 +109,14 @@ def cmd_con(args) -> int:
     lat = _load(args.lattice)
     payload = {}
     if args.verify_cpe:
-        k, con_b, con_k = congruence._cpe_pieces(lat)
-        rep = congruence._check_cpe(k, con_b, con_k, args.verify_cpe)
-        payload["cpe_passed"] = rep.passed
-        payload["con_base"] = rep.base_con_count
-        payload["con_extension"] = rep.ext_con_count
+        rep = congruence.verify_cpe(lat, args.verify_cpe)
+        payload = {"cpe_passed": rep.passed, "con_base": rep.base_con_count,
+                   "con_extension": rep.ext_con_count}
         if not rep.passed:
             _emit(args, payload)
             return EXIT_CHECK_FAILED
-        target, con = (k.lattice, con_k) if args.of_m3 else (lat, con_b)
-    else:
-        target = construct.m3_with_tables(lat).lattice if args.of_m3 else lat
-        con = congruence.all_congruences(target)
+    target = construct.m3_with_tables(lat).lattice if args.of_m3 else lat
+    con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
     payload["con_size"] = len(con)
     payload["con_hasse"] = core.serialize(con.lattice) if args.report == "json" \
@@ -229,27 +225,20 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
 
     yield ("minimal-rank-sizes", (5, 7), minimal_sizes)
 
-    def cpe():
-        # one M3[L] and one Con M3[L] per base serve both embeddings
-        names = ("c2", "c3", "c2sq", "n5", "m3", "m4", "witness7", "fano")
-        pieces = (congruence._cpe_pieces(catalog.by_name(s)) for s in names)
-        return all(congruence._check_cpe(*built, emb).passed
-                   for built in pieces for emb in ("atom", "diag"))
+    def cpe(*names):
+        # (passed, |Con L|, |Con M3[L]|) per base, atom then diagonal
+        return tuple((r.passed, r.base_con_count, r.ext_con_count) for r in (
+            congruence.verify_cpe(catalog.by_name(s), e) for s in names for e in ("atom", "diag")))
 
-    yield ("congruence-preserving-extension", True, cpe)
-
-    def cpe_grids():
-        counts = []
-        for s in range(5):
-            rep = congruence.verify_cpe(catalog.random_c1c4(s))
-            if not rep.passed:
-                return f"random_c1c4({s}): M3 is not a congruence-preserving extension"
-            counts.append((rep.base_con_count, rep.ext_con_count))
-        return tuple(counts)
+    yield ("congruence-preserving-extension", True, lambda: all(p for p, _, _ in cpe(
+        "c2", "c3", "c2sq", "n5", "m3", "m4", "witness7", "fano")))
+    # Sub(q, d) is simple, so Con has 2 elements; M3[Sub(3,3)] has 6,817
+    yield ("cpe-above-table-cap", ((True, 2, 2),) * 2, lambda: cpe("subspace:3,3"))
 
     # 3-modular bases: (|Con L|, |Con M3[L]|) for random_c1c4 seeds 0-4
-    yield ("cpe-3modular-grids", ((13, 13), (23, 23), (23, 23), (28, 28), (6, 6)),
-           cpe_grids)
+    yield ("cpe-3modular-grids", ((13, 13), (23, 23), (23, 23), (28, 28), (6, 6)), lambda: tuple(
+        (r.base_con_count, r.ext_con_count) if r.passed else "M3 is not a CPE"
+        for r in (congruence.verify_cpe(catalog.random_c1c4(s)) for s in range(5))))
 
     def repr_iso():
         pool = [catalog.by_name(s) for s in ("c2", "c3", "c2sq", "m3", "n5")]
@@ -298,6 +287,9 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
         yield ("fano-antichain-scan", (193_025_561, {
             0: 18_923_773, 1: 100_134_160, 2: 68_538_792, 3: 5_230_260, 4: 198_576}),
             fano_antichains)
+
+        # M3[Sub(2,4)] has 56,725 elements
+        yield ("cpe-above-table-cap-extended", ((True, 2, 2),) * 2, lambda: cpe("subspace:2,4"))
 
 
 def cmd_repro(args) -> int:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteLattice, join_irreducibles
-from .construct import (EAGER_TABLE_CAP, TupleLattice, _encode, embed_atom, embed_diag,
-                        m3_with_tables)
-from .errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
+from .construct import (_GRID_ENTRIES, EAGER_TABLE_CAP, TupleLattice, embed_atom, embed_diag,
+                        m3_of)
+from .errors import ArgumentOutOfRange, SizeLimitExceeded
 
 CON_SIZE_CAP = EAGER_TABLE_CAP
 
@@ -41,18 +41,19 @@ def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
 
 
 def _generators(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The join-irreducibles ji and the distinct generators con(j_, j)
-    along a linear extension of their order: ji[a] has generator gen[a],
-    and below[s, t] says that generator s lies strictly below generator t.
-
-    con(j_, j) <= con(k_, k) iff j D* k, with D* the reflexive-transitive
-    closure of D (Free Lattices, ch. 2), so the distinct generators are
-    the classes of D* meet its transpose.  D is closed by Warshall's
-    algorithm before its diagonal is added, so that a pivot no pair
-    depends through costs one column test (on a chain D is empty)."""
+    """The join-irreducibles ji, and the distinct generators con(j_, j) as
+    `_classes` of D: con(j_, j) <= con(k_, k) iff j D* k (Free Lattices, ch. 2)."""
     ji = np.array(join_irreducibles(lat), dtype=np.intp)
-    dep = _dependency(lat, ji)
-    for p in range(len(ji)):
+    return (ji, *_classes(_dependency(lat, ji)))
+
+
+def _classes(dep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of D* meet its transpose, numbered along a linear
+    extension: a has class gen[a], and below[s, t] says that class s lies
+    strictly below class t.  D, given without its diagonal, is closed in
+    place by Warshall's algorithm, so that a pivot no pair depends through
+    costs one column test (on a chain D is empty)."""
+    for p in range(len(dep)):
         via = np.flatnonzero(dep[:, p])
         if via.size:
             dep[via] |= dep[p]
@@ -64,7 +65,7 @@ def _generators(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     order = np.argsort(below.sum(axis=0), kind="stable")
     below = below[np.ix_(order, order)]
     np.fill_diagonal(below, False)
-    return ji, np.argsort(order)[gen], below
+    return np.argsort(order)[gen], below
 
 
 def _block_roots(lat: FiniteLattice, ji: np.ndarray, collapsed: np.ndarray) -> np.ndarray:
@@ -140,29 +141,15 @@ def all_congruences(lat: FiniteLattice) -> ConLattice:
 
     The generators are ordered by the closure D* of the dependency
     relation on J(L) (`_generators`), and the down-sets enumerated as bit
-    rows along a linear extension: step t extends each down-set that holds
-    everything below generator t by t.  Each down-set's partition comes
-    from the block-root formula (`_block_roots`), and a down-set's index
-    is found by the same walk (`_down_set_index`), so the Con L tables
-    come from the bits.
+    rows (`_down_sets`).  Each down-set's partition comes from the
+    block-root formula (`_block_roots`), and a down-set's index is found by
+    the same walk (`_down_set_index`), so the Con L tables come from the
+    bits.
     """
-    cap = CON_SIZE_CAP
-    if lat.n > cap:
-        raise SizeLimitExceeded(f"congruence computation capped at {cap} elements")
+    if lat.n > CON_SIZE_CAP:
+        raise SizeLimitExceeded(f"congruence computation capped at {CON_SIZE_CAP} elements")
     ji, gen, below = _generators(lat)
-    bits = np.zeros((1, len(below)), dtype=bool)
-    children = []
-    for t in range(len(below)):
-        parents = np.flatnonzero(bits[:, below[:, t]].all(axis=1))
-        if len(bits) + parents.size > cap:
-            raise SizeLimitExceeded(f"more than {cap} congruences")
-        child = np.full(len(bits), -1, dtype=np.int32)
-        child[parents] = np.arange(len(bits), len(bits) + parents.size)
-        children.append(child)
-        grown = bits[parents]
-        grown[:, t] = True
-        bits = np.concatenate([bits, grown])
-
+    bits, children = _down_sets(below)
     ids = _first_occurrence(_block_roots(lat, ji, bits[:, gen]))
     counts = ids.max(axis=1) + 1
     perm = np.lexsort(np.vstack([ids.T[::-1], counts]))  # by block count, then labels
@@ -175,6 +162,26 @@ def all_congruences(lat: FiniteLattice) -> ConLattice:
     return ConLattice(ids[perm],
                       FiniteLattice(leq, meet, join, names=names,
                                     name=f"Con({lat.name or '?'})"))
+
+
+def _down_sets(below: np.ndarray) -> tuple[np.ndarray, list]:
+    """The down-sets of the strict order `below` as bit rows, step t adding
+    t to each down-set that holds everything below t, and per step the
+    index of each down-set's child through t (-1 for none);
+    SizeLimitExceeded past CON_SIZE_CAP down-sets."""
+    bits = np.zeros((1, len(below)), dtype=bool)
+    children = []
+    for t in range(len(below)):
+        parents = np.flatnonzero(bits[:, below[:, t]].all(axis=1))
+        if len(bits) + parents.size > CON_SIZE_CAP:
+            raise SizeLimitExceeded(f"more than {CON_SIZE_CAP} congruences")
+        child = np.full(len(bits), -1, dtype=np.int32)
+        child[parents] = np.arange(len(bits), len(bits) + parents.size)
+        children.append(child)
+        grown = bits[parents]
+        grown[:, t] = True
+        bits = np.concatenate([bits, grown])
+    return bits, children
 
 
 def _down_set_index(children, bits, op) -> np.ndarray:
@@ -191,89 +198,87 @@ def _down_set_index(children, bits, op) -> np.ndarray:
     return idx
 
 
-def _substitution_holds(lat: FiniteLattice, row: np.ndarray) -> bool:
-    """Whether the partition with first-occurrence labels `row` respects
-    meet and join: in each table, every element's row of labels equals
-    that of its block's first element (the tables are symmetric, so rows
-    suffice)."""
-    lead = np.unique(row, return_index=True)[1][row]
-    for table in (lat.meet_table, lat.join_table):
-        labels = row[table]
-        if not np.array_equal(labels, labels[lead]):
-            return False
-    return True
+def _copies(k: TupleLattice, values: np.ndarray) -> np.ndarray:
+    """The ids of the tuples with values[a] in coordinate c and the bottom
+    elsewhere, at index c * len(values) + a."""
+    cols = np.where(np.eye(k.arity, dtype=bool)[:, :, None], values, k.base.bottom)
+    return k.ids(cols.reshape(k.arity, -1))
 
 
-def _extensions(k: TupleLattice, ids: np.ndarray) -> np.ndarray:
-    """The componentwise extension of each row of base congruence labels
-    to the tuple lattice, keyed by the base-n number of a tuple's labels;
-    raises VerificationFailed unless each has the substitution property."""
-    ext = _first_occurrence(_encode(k.base.n, ids[:, k.cols].swapaxes(0, 1)))
-    for row in ext:
-        if not _substitution_holds(k.lattice, row):
-            raise VerificationFailed(
-                "componentwise extension lost the substitution property")
-    return ext
+def _under(k: TupleLattice, ji: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """under[b, ...]: J(k)[b], listed as `_copies(k, ji)`, lies below the
+    element x[...], read in its one coordinate that is not the bottom."""
+    return np.concatenate([k.base.leq[ji][:, c[x]] for c in k.cols])
 
 
-def _refinement(ids: np.ndarray) -> np.ndarray:
-    """leq[i, j] iff partition row i refines row j, that is iff the meet
-    of the two, labelled by the pairs of their labels, has the blocks of i."""
-    n = ids.shape[1]
-    return np.array([(_first_occurrence(row.astype(np.int64) * n + ids) == row).all(axis=1)
-                     for row in ids])
+def _m3_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """D without its diagonal on J(k) = `_copies(k, ji)`, for the base's
+    join-irreducibles ji with lower covers `lower`.  k's order is
+    componentwise; <a,b,c> = <a,0,0> v <0,b,0> v <0,0,c>, and below <j,0,0>
+    lie the <x,0,0>, x <= j: so J(k) is three copies of J(base), with lower
+    covers <j_,0,0> and so on.  j D k iff j != k and some x has
+    j <= k v x and j !<= k_ v x (Free Lattices, ch. 2), k v x read off
+    `k.join` for all x, about _GRID_ENTRIES joins at a time."""
+    jk, low = _copies(k, ji), _copies(k, lower)
+    every, rows = np.arange(len(k)), max(1, _GRID_ENTRIES // len(k))
+    dep = np.empty((len(jk), len(jk)), dtype=bool)
+    for lo in range(0, len(jk), rows):
+        part = slice(lo, lo + rows)
+        up, down = k.join(jk[part, None], every), k.join(low[part, None], every)
+        dep[:, part] = (_under(k, ji, up) & ~_under(k, ji, down)).any(axis=2)
+    np.fill_diagonal(dep, False)
+    return dep
 
 
 @dataclass(frozen=True)
 class CpeReport:
+    """|Con| of the base and of M3[base], and the clauses of the check."""
+
     base_con_count: int
     ext_con_count: int
-    extension_injective: bool
-    extensions_are_congruences: bool
-    every_congruence_is_extension: bool
-    order_isomorphism: bool
+    images_principal: bool
+    bijective: bool
+    order_preserved: bool
+    order_reflected: bool
 
     @property
     def passed(self) -> bool:
-        return (self.extension_injective and self.extensions_are_congruences
-                and self.every_congruence_is_extension and self.order_isomorphism)
+        return (self.images_principal and self.bijective
+                and self.order_preserved and self.order_reflected)
 
 
 _EMBEDDINGS = {"atom": embed_atom, "diag": embed_diag}
 
 
 def verify_cpe(base: FiniteLattice, embedding: str = "atom") -> CpeReport:
-    """Check that the balanced-triple lattice over the base is a
-    congruence-preserving extension: componentwise extension is a bijection
-    Con(base) -> Con(extension) inverse to restriction along the embedding,
-    and it preserves the refinement order both ways."""
+    """Check that K = M3[base] is a congruence-preserving extension of the
+    base along the verified embedding iota, on the generator posets
+    J(Con base) and J(Con K), which fix both distributive congruence
+    lattices: no tables of K, no Con K.  ext(con(j_, j)) = con_K(iota j_,
+    iota j) joins the con(j'_, j') with j' <= iota j, j' !<= iota j_
+    (`_block_roots`).  Each such down-set of classes must have a greatest
+    one, and the induced map J(Con base) -> J(Con K) must be a bijection
+    that preserves and reflects the order.  Then ext, which preserves
+    joins, is an isomorphism; restriction r has theta <= r(ext theta) and
+    ext(r psi) <= psi, so r inverts ext.  |Con| is counted from down-sets."""
     if embedding not in _EMBEDDINGS:
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
-    return _check_cpe(*_cpe_pieces(base), embedding)
-
-
-def _cpe_pieces(base: FiniteLattice) -> tuple[TupleLattice, ConLattice, ConLattice]:
-    """M3[base] with its tables, Con(base) and Con(M3[base]): what the
-    check needs for either embedding."""
-    k = m3_with_tables(base)
-    return k, all_congruences(base), all_congruences(k.lattice)
-
-
-def _check_cpe(k: TupleLattice, con_b: ConLattice, con_k: ConLattice,
-               embedding: str) -> CpeReport:
-    """verify_cpe over built pieces, so one build serves both embeddings."""
-    image = _EMBEDDINGS[embedding](k)
-    ext = _extensions(k, con_b.ids)
-    keys = [row.tobytes() for row in ext]
-    injective = len(set(keys)) == len(keys)
-    are_congruences = set(keys) <= {row.tobytes() for row in con_k.ids}
-    # every congruence of the extension is the extension of its restriction
-    base_id = {row.tobytes(): i for i, row in enumerate(con_b.ids)}
-    back = [base_id.get(theta.tobytes()) for theta in _first_occurrence(con_k.ids[:, image])]
-    surjective = all(i is not None and keys[i] == phi.tobytes()
-                     for i, phi in zip(back, con_k.ids))
-    # the order is read off the partitions, not the Con tables
-    order_iso = np.array_equal(_refinement(con_b.ids), _refinement(ext))
-    return CpeReport(len(con_b), len(con_k), injective, are_congruences,
-                     surjective and len(con_b) == len(con_k), order_iso)
+    k = m3_of(base)
+    image = np.array(_EMBEDDINGS[embedding](k))
+    ji, gen_b, below_b = _generators(base)
+    lower = np.array([base.lower_covers(j)[0] for j in ji], dtype=np.intp)
+    gen_k, below_k = _classes(_m3_dependency(k, ji, lower))
+    # hit[b, a]: J(K)[b] lies below iota ji[a] and not below iota lower[a]
+    hit = _under(k, ji, image[ji]) & ~_under(k, ji, image[lower])
+    classes = hit.T.astype(np.int32) @ (gen_k[:, None] == np.arange(len(below_k)))
+    order_k = below_k | np.eye(len(below_k), dtype=bool)
+    greatest = (classes > 0) & (classes @ ~order_k == 0)
+    top = greatest @ np.arange(len(below_k))  # at most one class is greatest
+    le_base = below_b[np.ix_(gen_b, gen_b)] | (gen_b[:, None] == gen_b)
+    le_image = order_k[np.ix_(top, top)]
+    phi = top[np.unique(gen_b, return_index=True)[1]]
+    return CpeReport(len(_down_sets(below_b)[0]), len(_down_sets(below_k)[0]),
+                     bool(greatest.any(axis=1).all()),
+                     np.array_equal(np.sort(phi), np.arange(len(below_k))),
+                     bool((le_image | ~le_base).all()), bool((le_base | ~le_image).all()))

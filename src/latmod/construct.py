@@ -22,7 +22,7 @@ from .rank import _fixpoints
 
 EAGER_TABLE_CAP = 2000
 _GRID_ENTRIES = 1 << 16  # tuples, keys or pairs per numpy block
-# pairs per block when join keys are marked: blocks of 2^16 took about
+# pairs per block when the depth reads join keys: blocks of 2^16 took about
 # twice as long on census grids and on M3[Sub(3,3)], blocks of 2^12 longer
 _MARK_ENTRIES = 1 << 14
 
@@ -121,8 +121,8 @@ class TupleLattice:
         and b, broadcast: id arrays, or any index of the columns (the depth
         passes slices, which take no copy).  The callers hold a key map, so
         the keys fit in int32.  The key is allocated before the gathers:
-        allocating it after them tripled the page faults of the depth mark
-        on M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
+        allocating it after them tripled the page faults of the depth's walk
+        over all pairs of M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
         n, flat, first = self.base.n, table.ravel(), self.cols[0]
         key = np.zeros(np.broadcast_shapes(np.shape(first[a]), np.shape(first[b])),
                        dtype=np.int32)
@@ -166,17 +166,18 @@ class TupleLattice:
     def max_closure_index(self) -> int:
         """The most step-map rounds the componentwise join of two elements
         takes to become balanced; SizeLimitExceeded when n^arity reaches
-        2^31.  Not every key is the join of a pair, so the pair joins are
-        marked in an n^arity mask: rows [lo, hi) with columns [lo, count),
-        a block of about _MARK_ENTRIES pairs at a time."""
+        2^31.  Not every key is the join of a pair, so the recorded index is
+        read at the pairs' join keys, rows [lo, hi) with columns [lo, count)
+        in blocks of about _MARK_ENTRIES pairs, up to the first block that
+        reaches the largest index over all n^arity keys, which bounds it."""
         index, count = self._closed[1], len(self)
-        seen = np.zeros(index.size, dtype=bool)
-        lo = 0
-        while lo < count:
+        bound, depth, lo = int(index.max()), 0, 0
+        while lo < count and depth < bound:
             hi = min(count, lo + max(1, _MARK_ENTRIES // (count - lo)))
-            seen[self._key(self.base.join_table, np.s_[lo:hi, None], np.s_[lo:])] = True
+            keys = self._key(self.base.join_table, np.s_[lo:hi, None], np.s_[lo:])
+            depth = max(depth, int(index.take(keys).max()))
             lo = hi
-        return int(index[seen].max())
+        return depth
 
 
 def _balanced_tuples(base: FiniteLattice, arity: int) -> list:

@@ -95,6 +95,20 @@ def test_05_congruence_preserving_extension():
             rep = congruence.verify_cpe(base, emb)
             assert rep.passed, (name, emb, rep)
             assert rep.base_con_count == rep.ext_con_count
+    # above the table cap: M3[Sub(3,3)] has 6,817 elements, and Sub(q, d) is simple
+    base = catalog.by_name("subspace:3,3")
+    for emb in ("atom", "diag"):
+        rep = congruence.verify_cpe(base, emb)
+        assert (rep.passed, rep.base_con_count, rep.ext_con_count) == (True, 2, 2), emb
+
+
+@pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
+                    reason="M3[Sub(2,4)] has 56,725 elements, about 3 s; set LATMOD_EXTENDED=1")
+def test_05x_cpe_over_m3_of_sub24():
+    base = catalog.by_name("subspace:2,4")
+    for emb in ("atom", "diag"):
+        rep = congruence.verify_cpe(base, emb)
+        assert (rep.passed, rep.base_con_count, rep.ext_con_count) == (True, 2, 2), emb
 
 
 def test_06_tensor_bridge():

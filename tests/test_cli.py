@@ -119,7 +119,7 @@ def fail_check(*args, **kwargs):
 
 
 def test_failed_cpe_check_exits_check_failed(capsys, monkeypatch):
-    monkeypatch.setattr(congruence, "_check_cpe", fail_check)
+    monkeypatch.setattr(congruence, "verify_cpe", fail_check)
     code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom")
     assert code == EXIT_CHECK_FAILED == 1
     assert "forced" in out.err
@@ -255,20 +255,29 @@ def test_tensor_command_builds_once(capsys, monkeypatch):
 
 
 def test_m3_congruences_above_the_table_cap_fail_fast(capsys, monkeypatch):
+    """con --of-m3 needs M3[L]'s tables and exits 3 above the cap;
+    --verify-cpe needs none, and passes above it."""
     def refuse(*args):
         raise AssertionError("M3 was built")
 
     # Sub(2,4) has 67 elements: 67^2 > EAGER_TABLE_CAP, so nothing is built
     monkeypatch.setattr(construct, "_balanced_tuples", refuse)
-    for flag in (("--of-m3",), ("--verify-cpe", "atom")):
-        code, out = run(capsys, "con", "--lattice", "subspace:2,4", *flag)
-        assert code == 3 and "table cap" in out.err, flag
+    code, out = run(capsys, "con", "--lattice", "subspace:2,4", "--of-m3")
+    assert code == 3 and "table cap" in out.err
     monkeypatch.undo()
     # n^2 under the cap but M3[N5] above it: the lazy result has no tables
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
-    for flag in (("--of-m3",), ("--verify-cpe", "diag")):
-        code, out = run(capsys, "con", "--lattice", "n5", *flag)
-        assert code == 3 and "table cap" in out.err, flag
+    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3")
+    assert code == 3 and "table cap" in out.err
+    code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "diag")
+    assert code == 0
+    monkeypatch.undo()
+    # M3[Sub(3,3)] has 6,817 elements; Sub(3,3) is simple
+    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--report", "json",
+                    "--verify-cpe", "atom")
+    payload = json.loads(out.out)
+    assert code == 0 and payload["cpe_passed"] is True
+    assert payload["con_base"] == payload["con_extension"] == payload["con_size"] == 2
 
 
 def test_congruence_count_cap_exits_input(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import tuples_of
 
-from latmod import catalog, cli, congruence, construct, core
+from latmod import catalog, congruence, construct, core
 from latmod.congruence import all_congruences
 from latmod.errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
@@ -40,15 +40,14 @@ def blocks(c) -> list[list[int]]:
 
 
 def refines(c, d) -> bool:
-    """Oracle for congruence._refinement: each block of c lies inside one
-    block of d."""
+    """Oracle: each block of c lies inside one block of d."""
     seen: dict = {}
     return all(seen.setdefault(x, y) == y for x, y in zip(c, d))
 
 
 def substitution_holds(lat, c) -> bool:
-    """Oracle for congruence._substitution_holds: every congruent pair x, y
-    has congruent meets and joins with every z, pair by pair."""
+    """Oracle: every congruent pair x, y has congruent meets and joins
+    with every z, pair by pair."""
     meet, join = lat.meet_table.tolist(), lat.join_table.tolist()
     return all(c[meet[x][z]] == c[meet[y][z]] and c[join[x][z]] == c[join[y][z]]
                for x, y in itertools.combinations(range(lat.n), 2) if c[x] == c[y]
@@ -61,9 +60,33 @@ def rows(con) -> list[tuple]:
 
 
 def extend(k, theta) -> tuple:
-    """Oracle for congruence._extensions on one congruence: two tuples are
-    congruent iff their coordinates are, numbered through a dict."""
+    """Oracle: the componentwise extension of one congruence to a tuple
+    lattice; two tuples are congruent iff their coordinates are, numbered
+    through a dict."""
     return first_occurrence(tuple(theta[c] for c in t) for t in tuples_of(k))
+
+
+def partition_cpe(k, embeddings=("atom", "diag")):
+    """Oracle for verify_cpe, the partition route it replaced: Con K of
+    K = M3[base], built with its tables, enumerated from them, and for
+    each embedding
+    (passed, |Con base|, |Con K|), where passed says that restriction along
+    the embedding maps Con K one-to-one onto Con base, and that each
+    congruence of the base extends componentwise to a congruence of K that
+    restricts back to it.  Restriction and extension both keep refinement,
+    so restriction is then an order isomorphism with inverse extension."""
+    cons_b, cons_k = rows(all_congruences(k.base)), rows(all_congruences(k.lattice))
+    ext = [extend(k, theta) for theta in cons_b]
+    out = []
+    for emb in embeddings:
+        image = {"atom": construct.embed_atom, "diag": construct.embed_diag}[emb](k)
+        restrict = lambda phi: first_occurrence(phi[e] for e in image)  # noqa: E731
+        back = [restrict(phi) for phi in cons_k]
+        passed = (len(set(back)) == len(back) and set(back) == set(cons_b)
+                  and set(ext) <= set(cons_k)
+                  and [restrict(phi) for phi in ext] == cons_b)
+        out.append((passed, len(cons_b), len(cons_k)))
+    return out
 
 
 def partitions(n):
@@ -303,7 +326,10 @@ def dependency_by_definition(lat):
 def test_dependency_relation_matches_its_definition():
     """On every lattice with at most 7 elements and a renumbering of each,
     D equals its definition over all x, and D* equals the order of the
-    generators read off the scalar oracle."""
+    generators read off the scalar oracle.  On M3 of each, with tables,
+    J(M3) is the three copies of J and the copies' D is its definition on
+    the tables; and verify_cpe agrees with the partition oracle for both
+    embeddings."""
     rng = random.Random(11)
     for n in range(1, 8):
         for lat in catalog.enumerate_lattices(n):
@@ -316,6 +342,17 @@ def test_dependency_relation_matches_its_definition():
                 for a, b in itertools.product(range(len(ji)), repeat=2):
                     star = gen[a] == gen[b] or below[gen[a], gen[b]]
                     assert star == refines(gens[a], gens[b])
+                k = construct.m3_with_tables(case)
+                jk = congruence._copies(k, ji)
+                want = core.join_irreducibles(k.lattice)
+                assert sorted(jk.tolist()) == want
+                at = np.searchsorted(want, jk)
+                lower = np.array([case.lower_covers(j)[0] for j in ji], dtype=np.intp)
+                assert np.array_equal(congruence._m3_dependency(k, ji, lower),
+                                      dependency_by_definition(k.lattice)[np.ix_(at, at)])
+                got = [congruence.verify_cpe(case, emb) for emb in ("atom", "diag")]
+                assert [(r.passed, r.base_con_count, r.ext_con_count) for r in got] \
+                    == partition_cpe(k)
 
 
 def test_dependency_counts_do_not_wrap():
@@ -398,18 +435,14 @@ def test_congruence_lattice_is_distributive(lattices):
 
 
 def test_extend_then_restrict_is_identity():
-    # one extension per congruence of the base, equal to the scalar
-    # oracle's; each restricts back to its congruence along either embedding
+    # the componentwise extension of each congruence of the base is a
+    # congruence of M3[base], and restricts back to it along either embedding
     for name in ("n5", "m4", "witness7"):
         base = catalog.by_name(name)
         k = construct.m3_of(base)
-        con = all_congruences(base)
-        cons = rows(con)
-        ext = congruence._extensions(k, con.ids)
-        assert ext.dtype == np.int32
-        assert [tuple(r) for r in ext.tolist()] == [extend(k, theta) for theta in cons]
         for image in (construct.embed_atom(k), construct.embed_diag(k)):
-            for theta, phi in zip(cons, ext.tolist()):
+            for theta in rows(all_congruences(base)):
+                phi = extend(k, theta)
                 assert substitution_holds(k.lattice, phi)
                 assert first_occurrence(phi[e] for e in image) == theta
 
@@ -421,50 +454,120 @@ def test_extension_preserves_whole_congruence_lattice(lattices):
             assert rep.passed, (name, emb, rep)
 
 
-def test_one_build_serves_both_embeddings(lattices, monkeypatch):
-    for name in ("N5", "M3", "witness7"):
-        pieces = congruence._cpe_pieces(lattices[name])
-        for emb in ("atom", "diag"):
-            assert congruence._check_cpe(*pieces, emb) == \
-                congruence.verify_cpe(lattices[name], emb)
-    # repro's check builds each of its eight bases once (small pieces
-    # stand in for them here, to keep Fano's extension out of the test)
-    built = []
-    small = congruence._cpe_pieces(catalog.n5())
-    monkeypatch.setattr(congruence, "_cpe_pieces",
-                        lambda base: built.append(base.n) or small)
-    checks = {cid: thunk for cid, _, thunk in cli._repro_checks(False, 1, 0)}
-    assert checks["congruence-preserving-extension"]() is True
-    assert len(built) == 8
+def with_dependency(monkeypatch, change):
+    """verify_cpe with change(dep, nj) applied to the dependency relation of
+    M3[base] it computes (nj is |J(base)|)."""
+    real = congruence._m3_dependency
+
+    def changed(k, ji, lower):
+        dep = real(k, ji, lower)
+        change(dep, len(ji))
+        return dep
+
+    monkeypatch.setattr(congruence, "_m3_dependency", changed)
 
 
-def test_cpe_report_flags_tampered_pieces():
-    """Each clause of the report can fail: a lost congruence of M3[N5], a
-    repeated congruence of N5, and an identity of M3[N5] that also merges
-    two elements off the embedding's image (it restricts to the identity
-    of N5 but is not its extension)."""
-    k, con_b, con_k = congruence._cpe_pieces(catalog.n5())
-    image = construct.embed_atom(k)
-    lost = congruence.ConLattice(con_k.ids[:-1], con_k.lattice)
-    rep = congruence._check_cpe(k, con_b, lost, "atom")
-    assert not rep.passed and not rep.extensions_are_congruences
-    assert not rep.every_congruence_is_extension
-    repeated = congruence.ConLattice(con_b.ids[[0, 0, 2, 3, 4]], con_b.lattice)
-    rep = congruence._check_cpe(k, repeated, con_k, "atom")
-    assert not rep.extension_injective and not rep.every_congruence_is_extension
-    e1, e2 = sorted(set(range(len(k))) - set(image))[:2]
-    ids = con_k.ids.copy()
-    assert block_count(tuple(ids[-1])) == len(k)  # the identity comes last
-    ids[-1, e2] = ids[-1, e1]
-    merged = congruence.ConLattice(congruence._first_occurrence(ids), con_k.lattice)
-    rep = congruence._check_cpe(k, con_b, merged, "atom")
-    assert rep.extension_injective and rep.order_isomorphism
-    assert not rep.extensions_are_congruences and not rep.every_congruence_is_extension
+def test_cpe_report_flags_tampered_pieces(monkeypatch):
+    """Each clause of the report can fail.  With the dependency relation of
+    M3[base] emptied, each copy of a join-irreducible is its own class:
+    over M3 the diagonal image of an atom is above three of them, so its
+    image is not principal; over N5 the atom image is principal but hits
+    3 of 9 classes, and loses the order b < a of N5's generators.  With it
+    full, all of J(M3[N5]) is one class, which reflects no order."""
+    def empty(dep, nj):
+        dep[:] = False
+
+    with_dependency(monkeypatch, empty)
+    rep = congruence.verify_cpe(catalog.m_k(3), "diag")
+    assert not rep.passed and not rep.images_principal
+    rep = congruence.verify_cpe(catalog.n5(), "atom")
+    assert rep.images_principal and (rep.base_con_count, rep.ext_con_count) == (5, 2 ** 9)
+    assert not rep.bijective and not rep.order_preserved and rep.order_reflected
+
+    def full(dep, nj):
+        dep[:] = True
+
+    with_dependency(monkeypatch, full)
+    rep = congruence.verify_cpe(catalog.n5(), "atom")
+    assert rep.images_principal and rep.order_preserved
+    assert not rep.bijective and not rep.order_reflected and rep.ext_con_count == 2
 
 
 def test_verify_cpe_rejects_unknown_embedding():
     with pytest.raises(ArgumentOutOfRange):
         congruence.verify_cpe(catalog.n5(), "bogus")
+
+
+def tampered_m3(monkeypatch, key, to):
+    """verify_cpe with M3[base]'s closed-key map sending `key` to `to`."""
+    def m3_of(base):
+        k = construct.m3_of(base)
+        k._closed[0][key] = to
+        return k
+
+    monkeypatch.setattr(congruence, "m3_of", m3_of)
+
+
+def cpe_outcome(base, embedding):
+    try:
+        return congruence.verify_cpe(base, embedding).passed
+    except VerificationFailed:
+        return "raised"
+
+
+def test_extension_check_raises(monkeypatch):
+    # the extension of a partition that is no congruence of the base is no
+    # congruence of M3[N5]; a closed-key map that sends the bottom to the
+    # top breaks either embedding, and the check raises
+    n5 = catalog.n5()
+    k = construct.m3_of(n5)
+    (part,) = n5_non_congruence().tolist()
+    assert not substitution_holds(n5, part)
+    assert not substitution_holds(k.lattice, extend(k, part))
+    tampered_m3(monkeypatch, 0, k._where.size - 1)
+    for emb in ("atom", "diag"):
+        with pytest.raises(VerificationFailed):
+            congruence.verify_cpe(n5, emb)
+
+
+def test_cpe_fails_on_one_wrong_closed_key(monkeypatch):
+    """Sending the key of any one unbalanced triple over N5 to the top,
+    instead of to its closure, makes the check fail or raise, for either
+    embedding.  (Some balanced keys high up, such as <b,b,b> and <b,b,1>,
+    can be sent to the top without changing D* on J(M3[N5]).)"""
+    n5 = catalog.n5()
+    k = construct.m3_of(n5)
+    top = k._where.size - 1
+    for key in np.flatnonzero((k._where < 0) & (k._closed[0] != top)).tolist():
+        tampered_m3(monkeypatch, key, top)
+        assert cpe_outcome(n5, "atom") in (False, "raised"), key
+        assert cpe_outcome(n5, "diag") in (False, "raised"), key
+
+
+def test_cpe_fails_on_a_dropped_dependency(monkeypatch):
+    """Over N5 and C3 no single dropped pair of D on J(M3[L]) changes its
+    closure D*, so no such mutant can fail the check: the six coordinate
+    permutations are automorphisms of M3[L], their images of the pair stay
+    in D, and the closure routes around it.  Dropped with all those images,
+    the pairs between the copies of any one join-irreducible make the check
+    fail."""
+    for base in (catalog.n5(), catalog.chain(3)):
+        k = construct.m3_of(base)
+        ji = np.array(core.join_irreducibles(base))
+        lower = np.array([base.lower_covers(j)[0] for j in ji])
+        dep = congruence._m3_dependency(k, ji, lower)
+        want = [a.tolist() for a in congruence._classes(dep.copy())]
+        for b, c in np.argwhere(dep).tolist():
+            fewer = dep.copy()
+            fewer[b, c] = False
+            assert [a.tolist() for a in congruence._classes(fewer)] == want
+        for a in range(len(ji)):
+            def drop(dep, nj, a=a):
+                dep[a::nj, a::nj] = False
+
+            with_dependency(monkeypatch, drop)
+            assert not congruence.verify_cpe(base, "atom").passed, (base.name, a)
+            assert not congruence.verify_cpe(base, "diag").passed, (base.name, a)
 
 
 def n5_non_congruence():
@@ -476,44 +579,36 @@ def n5_non_congruence():
         np.array([[o if e == b else e for e in range(n5.n)]]))
 
 
-def test_extension_check_raises(monkeypatch):
-    # the extension of a partition that is no congruence of the base is no
-    # congruence of M3[N5] (its restriction along the diagonal is the
-    # partition), so the check fails on real tables
-    k = construct.m3_of(catalog.n5())
-    assert not substitution_holds(catalog.n5(), n5_non_congruence()[0].tolist())
-    with pytest.raises(VerificationFailed):
-        congruence._extensions(k, n5_non_congruence())
-    pieces = congruence._cpe_pieces(catalog.n5())
-    monkeypatch.setattr(congruence, "_substitution_holds", lambda lat, row: False)
-    for emb in ("atom", "diag"):
-        with pytest.raises(VerificationFailed):
-            congruence._check_cpe(*pieces, emb)
-
-
 def test_extension_check_survives_optimize_flag(run_optimized):
     script = """
-        import numpy as np
-        from latmod import catalog, congruence, construct
+        from latmod import catalog, congruence
         from latmod.errors import VerificationFailed
         n5 = catalog.n5()
-        o, b = n5.index_of("o"), n5.index_of("b")
-        part = congruence._first_occurrence(
-            np.array([[o if e == b else e for e in range(n5.n)]]))
-        k = construct.m3_of(n5)
-        try:
-            congruence._extensions(k, part)
-        except VerificationFailed:
-            print("raised")
-        congruence._substitution_holds = lambda lat, row: False
+        real_m3, real_dep = congruence.m3_of, congruence._m3_dependency
+
+        def m3_of(base):
+            k = real_m3(base)
+            k._closed[0][0] = k._closed[0].size - 1  # the bottom closes to the top
+            return k
+
+        congruence.m3_of = m3_of
         try:
             congruence.verify_cpe(n5)
         except VerificationFailed:
             print("raised")
+        congruence.m3_of = real_m3
+
+        def dropped(k, ji, lower):
+            dep = real_dep(k, ji, lower)
+            dep[::len(ji), ::len(ji)] = False  # the copies of ji[0] fall apart
+            return dep
+
+        congruence._m3_dependency = dropped
+        print("passed", congruence.verify_cpe(n5).passed)
         print("debug", __debug__)
     """
     words, err = run_optimized(script)
-    assert words == ["raised", "raised", "debug", "False"], err
+    assert words == ["raised", "passed", "False", "debug", "False"], err
 
 
 def test_congruence_size_cap(monkeypatch):
@@ -563,27 +658,3 @@ def test_first_occurrence_matches_scalar_oracle():
             scramble = rng.permutation(3 * n)[:n] + 2 * n
             assert np.array_equal(congruence._first_occurrence(ids), ids)
             assert np.array_equal(congruence._first_occurrence(scramble[ids]), ids)
-
-
-def test_refinement_matrix_matches_scalar_oracle():
-    """On every Con L of the lattices with at most 7 elements the matrix
-    is the scalar refines over all pairs, and the order of the Con table;
-    on all partitions of a 5-set (no congruence needed) it is refines."""
-    for n in range(1, 8):
-        for lat in catalog.enumerate_lattices(n):
-            con = all_congruences(lat)
-            cons = rows(con)
-            want = [[refines(c, d) for d in cons] for c in cons]
-            assert congruence._refinement(con.ids).tolist() == want
-            assert con.lattice.leq.tolist() == want
-    parts = list(partitions(5))
-    got = congruence._refinement(np.array(parts, dtype=np.int32))
-    assert got.tolist() == [[refines(c, d) for d in parts] for c in parts]
-
-
-def test_substitution_helper_matches_scalar_oracle(lattices):
-    for name in ("C2sq", "N5", "M3", "B3"):
-        lat = lattices[name]
-        for c in partitions(lat.n):
-            got = congruence._substitution_holds(lat, np.array(c, dtype=np.int32))
-            assert got == substitution_holds(lat, c), (name, c)

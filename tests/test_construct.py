@@ -223,9 +223,9 @@ def test_half_table_closure_matches_all_pairs_oracle():
 
 def test_lazy_closure_depth_matches_eager(monkeypatch):
     """The depth of a lattice whose tables were built first, the depth
-    without tables marked and closed in blocks of 50, and the per-pair
-    oracle agree on every lattice with at most 6 elements and on M4, at
-    arity 3 and 4."""
+    without tables read and closed in blocks of 50 (stopping at the largest
+    key index), and the per-pair oracle agree on every lattice with at most
+    6 elements and on M4, at arity 3 and 4."""
     bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
     bases.append(catalog.m_k(4))
     eager, oracle = [], []
@@ -413,7 +413,7 @@ def test_pair_blocks_cover_upper_pairs():
 
 
 def test_marked_depth_matches_per_pair_oracle(monkeypatch):
-    """The depth from the marked keys, without tables, equals the per-pair
+    """The depth from the join keys, without tables, equals the per-pair
     route on census grids, Fano (594,595 pairs) and M4[M4].  About 0.5 s."""
     bases = [(catalog.random_c1c4(s), m3_of) for s in range(4)]
     bases += [(catalog.fano(), m3_of), (catalog.m_k(4), m4_of), (catalog.n5(), m4_of)]
@@ -422,6 +422,31 @@ def test_marked_depth_matches_per_pair_oracle(monkeypatch):
         k = build(base)
         assert k.max_closure_index == per_pair_depth(k), k.name
         assert k.lattice is None
+
+
+def test_depth_stops_at_the_largest_key_index(monkeypatch):
+    """The largest closure index over all n^arity keys bounds the depth,
+    so the walk over the pairs stops at the first block that reaches it:
+    on the 56,725-element M3[Sub(2,4)] every key closes in one round, and
+    the walk reads two of the full walk's blocks of pairs: the bottom's
+    row, whose joins are balanced, and the next row."""
+    k = m3_of(catalog.subspace_lattice(2, 4))
+    count, index = len(k), k._closed[1]
+    assert count == 56_725 and index.max() == 1
+    blocks, lo = 0, 0
+    while lo < count:
+        lo = min(count, lo + max(1, construct._MARK_ENTRIES // (count - lo)))
+        blocks += 1
+    calls = []
+    key = construct.TupleLattice._key
+
+    def counting(self, *args):
+        calls.append(1)
+        return key(self, *args)
+
+    monkeypatch.setattr(construct.TupleLattice, "_key", counting)
+    assert k.max_closure_index == 1
+    assert len(calls) == 2 < blocks
 
 
 def eleven():
@@ -451,7 +476,9 @@ def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
     xyz = (at["x"] * 11 + at["y"]) * 11 + at["z"]
     assert xyz not in keys.tolist()
     depth = per_pair_depth(k)
-    k._closed[1][xyz] = depth + 1  # the depth reads only the keys of pair joins
+    # the depth reads only the keys of pair joins; with this bound never
+    # reached, the walk reads every block
+    k._closed[1][xyz] = depth + 1
     assert k.max_closure_index == depth
     assert_tables_match_oracle(m3_of(base))
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
