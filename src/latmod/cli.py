@@ -87,16 +87,18 @@ def _cmd_build(args, builder) -> int:
         # without tables the depth may read the joins of all count^2 / 2
         # pairs (it stops at the largest key index), so only --stats asks
         payload["max_closure_index"] = k.max_closure_index
-    if args.stats and tables is not None:
-        # M3 spans only a base with two elements or more
+    if args.stats:
+        # M3 spans only a base with two elements or more; the check reads
+        # only the operations, so it runs also above the table cap
         spans = k.arity == 3 and lat.n > 1
         if spans:
             construct.spanning_m3(k)
-        payload.update({
-            "spanning_check": "ok" if spans else "n/a",
-            "modular": core.is_modular(tables),
-            "distributive": core.is_distributive(tables),
-        })
+        payload["spanning_check"] = "ok" if spans else "n/a"
+        if tables is not None:
+            payload.update({
+                "modular": core.is_modular(tables),
+                "distributive": core.is_distributive(tables),
+            })
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(core.serialize(tables))

@@ -11,7 +11,9 @@ least such n.
 The scalar step3/step4 and closure3/closure4 serve any lattice object;
 on finite lattices one vectorized kernel (`_step_columns`) and one
 fixpoint loop (`_fixpoints`), both arity-generic, run the rank scans here
-and the join closures of `construct`.
+and the join closures of `construct`.  Both rank scans run through one
+triple generator (`_triples`) and one scan loop (`_scan`), which also splits
+them over threads.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import numpy as np
 from .core import FiniteLattice
 from .errors import ArgumentOutOfRange, RankExceedsCap
 
-# Triples per full-scan block.  A block's working set is some 66 bytes a
-# triple, its 20 bytes of input included (tracemalloc on a block of the
-# M3[M6] scan); small blocks keep a scan's peak low, also when it runs on top of
-# memory the allocator kept from earlier work.  Antichain batches are smaller
-# still, as each scan thread holds one.
+# Triples per batch of the full and the antichain scan.  A batch's working
+# set is some 66 bytes a triple, and each scan thread holds one: the M3[M6]
+# full scan peaks at 33 MiB on one thread and 64 MiB at jobs=2, the M3[M7]
+# antichain scan at 8 and 15 MiB (tracemalloc, 2-core Xeon).  At 100,000
+# the M3[M6] full scan peaked at 7 MiB and ran faster (0.17-0.24 s against
+# 0.29-0.32 s); the sizes stay apart until `plane` is measured with one.
 _BLOCK_ENTRIES = 500_000
 _ANTICHAIN_BATCH = 100_000
 
@@ -237,38 +240,76 @@ def _scan_batch(lat, x, y, z, cap, weight=None):
 _ORBIT_SIZE = np.array([6.0, 3.0, 1.0])
 
 
-def _sorted_triple_blocks(n: int):
-    """The triples x <= y <= z in lexicographic order, in blocks of at most
-    _BLOCK_ENTRIES, with each triple's orbit size under S_3.
-
-    For each x the (y, z) are a suffix of the pairs y <= z, row x of
-    triu_indices(n) onwards.
-    """
-    ys, zs = (a.astype(np.int32) for a in np.triu_indices(n))
-    pieces, size = [], 0
-
-    def block():
-        x = np.repeat(np.array([p[0] for p in pieces], dtype=np.int32),
-                      [p[2] - p[1] for p in pieces])
-        y = np.concatenate([ys[lo:hi] for _, lo, hi in pieces])
-        z = np.concatenate([zs[lo:hi] for _, lo, hi in pieces])
-        return x, y, z, _ORBIT_SIZE[(x == y).astype(np.intp) + (y == z)]
-
-    for x in range(n):
-        lo = x * n - x * (x - 1) // 2
-        while lo < ys.size:
-            hi = min(ys.size, lo + _BLOCK_ENTRIES - size)
-            pieces.append((x, lo, hi))
-            size += hi - lo
-            lo = hi
-            if size == _BLOCK_ENTRIES:
-                yield block()
-                pieces, size = [], 0
-    if pieces:
-        yield block()
+def _orbit_sizes(x, y, z):
+    return _ORBIT_SIZE[(x == y).astype(np.intp) + (y == z)]
 
 
-def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None) -> ScanResult:
+def _triples(py: np.ndarray, pz: np.ndarray, lo: int, hi: int, batch: int,
+             keep: Optional[np.ndarray] = None):
+    """The triples (x, y, z), lo <= x < hi, with (y, z) one of the pairs
+    (py, pz) with y >= x (int32 and row-major, so those of x are a suffix),
+    kept only where keep[x, y] & keep[x, z] if `keep` is given; in
+    lexicographic order and in batches of exactly `batch`, the last shorter."""
+    starts = np.searchsorted(py, np.arange(lo, hi)).tolist()
+    xs, by, bz = [], [], []
+    size = 0
+
+    def cut_batch():
+        return (np.repeat(np.array(xs, dtype=np.int32), [b.size for b in by]),
+                np.concatenate(by), np.concatenate(bz))
+
+    for x, s in zip(range(lo, hi), starts):
+        y, z = py[s:], pz[s:]
+        if keep is not None:
+            hits = np.flatnonzero(keep[x].take(y) & keep[x].take(z))
+            y, z = y.take(hits), z.take(hits)
+        while y.size:
+            cut = batch - size
+            xs.append(x)
+            by.append(y[:cut])
+            bz.append(z[:cut])
+            size += by[-1].size
+            y, z = y[cut:], z[cut:]
+            if size == batch:
+                yield cut_batch()
+                xs, by, bz, size = [], [], [], 0
+    if size:
+        yield cut_batch()
+
+
+def _scan(lat: FiniteLattice, cap: Optional[int], jobs: int, py: np.ndarray,
+          pz: np.ndarray, per_x, batch: int, keep: Optional[np.ndarray] = None,
+          weight=None) -> ScanResult:
+    """Scan `_triples(py, pz, ..., batch, keep)`, triple (x, y, z) counted
+    weight(x, y, z) times (once without `weight`), in `jobs` parts of the x
+    range with about equal triple counts by per_x() (asked only then), on
+    at most os.cpu_count() threads; the parts merge in x order, so the
+    result is the same for any job count."""
+    if jobs < 1:
+        raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
+    cap = _cap(lat, cap)
+
+    def scan_range(lo: int, hi: int) -> ScanResult:
+        # weights are taken while the previous batch is still held: taken
+        # after its release, the M3[M6] full scan had twice the minor page
+        # faults (42k against 20k a scan) and ran up to 15% longer
+        batches = ((x, y, z, None if weight is None else weight(x, y, z))
+                   for x, y, z in _triples(py, pz, lo, hi, batch, keep))
+        return _merge_blocks(_scan_batch(lat, x, y, z, cap, w) for x, y, z, w in batches)
+
+    if jobs == 1 or lat.n < 2 * jobs:
+        return scan_range(0, lat.n)
+    counts = per_x()
+    upto = np.cumsum(counts)
+    # b_i: the first x with at least i/jobs of all triples before it
+    bounds = np.searchsorted(upto - counts, np.arange(jobs + 1) * upto[-1] / jobs)
+    bounds[0], bounds[-1] = 0, lat.n
+    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        return _merge_blocks(pool.map(scan_range, bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None,
+                     jobs: int = 1) -> ScanResult:
     """Stabilization indices of all |L|^3 triples.
 
     The step map commutes with permuting coordinates, so a triple's index
@@ -277,77 +318,29 @@ def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None) -> ScanResul
     sorted permutation there too, and that one is lexicographically no
     later, so the first hit among sorted triples is the first of all.
     """
-    cap = _cap(lat, cap)
-    return _merge_blocks(_scan_batch(lat, x, y, z, cap, w)
-                         for x, y, z, w in _sorted_triple_blocks(lat.n))
-
-
-def _antichain_batches(u: np.ndarray, py: np.ndarray, pz: np.ndarray,
-                       lo: int, hi: int):
-    """Antichain triples x<y<z with lo <= x < hi, in lexicographic batches
-    of about _ANTICHAIN_BATCH.  U is the strictly upper part of the
-    incomparability matrix and (py, pz) its pairs y < z, int32, row-major:
-    those of x are the pairs with y > x (a suffix) and U[x, y] & U[x, z]."""
-    starts = np.searchsorted(py, np.arange(lo, hi), side="right").tolist()
-    bx, by, bz = [], [], []
-    size = 0
-    for x, s in zip(range(lo, hi), starts):
-        hits = np.flatnonzero(u[x].take(py[s:]) & u[x].take(pz[s:]))
-        if hits.size:
-            bx.append(np.full(hits.size, x, dtype=np.int32))
-            by.append(py[s:].take(hits))
-            bz.append(pz[s:].take(hits))
-            size += hits.size
-        if size >= _ANTICHAIN_BATCH:
-            yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
-            bx, by, bz, size = [], [], [], 0
-    if size:
-        yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
-
-
-def _balanced_bounds(u: np.ndarray, jobs: int) -> np.ndarray:
-    """Split points 0 = b_0 <= ... <= b_jobs = n of the x range such that
-    each [b_i, b_i+1) holds about the same number of antichains x<y<z.
-
-    With U the strictly upper part of the incomparability matrix,
-    (U U^T)[x, y] counts the z > y incomparable to both x and y, so the
-    antichains with least element x number sum_y U[x, y] (U U^T)[x, y]
-    (a float32 BLAS product, exact while n < 2**24).
-    """
-    f = u.astype(np.float32)
-    per_x = (f * (f @ f.T)).sum(axis=1, dtype=np.float64)
-    upto = np.cumsum(per_x)
-    # b_i: the first x with at least i/jobs of all antichains before it
-    bounds = np.searchsorted(upto - per_x, np.arange(jobs + 1) * upto[-1] / jobs)
-    bounds[0], bounds[-1] = 0, u.shape[0]
-    return bounds
+    n = lat.n
+    py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
+    x = np.arange(n)
+    return _scan(lat, cap, jobs, py, pz, lambda: (n - x) * (n - x + 1) // 2,
+                 _BLOCK_ENTRIES, weight=_orbit_sizes)
 
 
 def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
                         jobs: int = 1) -> ScanResult:
     """Scan every 3-element antichain {x,y,z} (as x<y<z) and record its
-    stabilization index.  The x range is split into `jobs` parts, run on
-    at most os.cpu_count() threads; the result is the same for any job
-    count."""
-    if jobs < 1:
-        raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
-    cap = _cap(lat, cap)
+    stabilization index: with U the strictly upper incomparability matrix,
+    the pairs y < z of U that U[x, y] & U[x, z] keeps."""
     u = np.triu(~lat.leq & ~lat.leq.T, k=1)
     py, pz = (a.astype(np.int32) for a in np.nonzero(u))
 
-    def scan_range(lo: int, hi: int):
-        return _merge_blocks(_scan_batch(lat, x, y, z, cap)
-                             for x, y, z in _antichain_batches(u, py, pz, lo, hi))
+    def per_x():
+        # (U U^T)[x, y] counts the z > y incomparable to both x and y, so
+        # x has sum_y U[x, y] (U U^T)[x, y] antichains (a float32 BLAS
+        # product, exact while n < 2**24)
+        f = u.astype(np.float32)
+        return (f * (f @ f.T)).sum(axis=1, dtype=np.float64)
 
-    if jobs <= 1 or lat.n < 2 * jobs:
-        res = scan_range(0, lat.n)
-    else:
-        bounds = _balanced_bounds(u, jobs)
-        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            futs = [pool.submit(scan_range, int(bounds[i]), int(bounds[i + 1]))
-                    for i in range(jobs)]
-            res = _merge_blocks(f.result() for f in futs)
-    return res
+    return _scan(lat, cap, jobs, py, pz, per_x, _ANTICHAIN_BATCH, keep=u)
 
 
 # -- the modularity rank --------------------------------------------------
@@ -372,9 +365,9 @@ def rank_report(lat: FiniteLattice, cap: Optional[int] = None,
     if antichains_only:
         res = antichain_rank_scan(lat, cap=cap, jobs=jobs)
         if res.max_index < 3:
-            res = full_triple_scan(lat, cap=cap)
+            res = full_triple_scan(lat, cap=cap, jobs=jobs)
     else:
-        res = full_triple_scan(lat, cap=cap)
+        res = full_triple_scan(lat, cap=cap, jobs=jobs)
     rank = max(1, res.max_index)
     wit = res.witness
     names = tuple(lat.names[e] for e in wit) if wit is not None else None

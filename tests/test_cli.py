@@ -94,6 +94,22 @@ def test_rank_report_shape(capsys):
     assert len(payload["extremal_triple"]) == 3
 
 
+def test_rank_output_does_not_depend_on_jobs(capsys, tmp_path):
+    """Both scans take --jobs; the N5 antichain scan falls back to the
+    full scan (rank < 3), which takes it too."""
+    path = tmp_path / "m3m4.json"
+    assert run(capsys, "m3build", "--lattice", "m4", "--out", str(path))[0] == 0
+    for spec in (f"file:{path}", "n5"):
+        for extra in ((), ("--antichains-only",)):
+            outs = []
+            for jobs in ("1", "2"):
+                code, out = run(capsys, "rank", "--lattice", spec, "--report", "json",
+                                "--jobs", jobs, *extra)
+                assert code == 0
+                outs.append(out.out)
+            assert outs[0] == outs[1], (spec, extra)
+
+
 def test_build_writes_lattice(capsys, tmp_path):
     out_path = tmp_path / "m3n5.json"
     code, out = run(capsys, "m3build", "--lattice", "n5", "--stats",
@@ -195,14 +211,21 @@ def test_unread_options_exit_usage(capsys):
 
 
 def test_lazy_build_reports_depth_only_with_stats(capsys, monkeypatch):
+    """Above the table cap (M3[N5] has 41 elements) --stats adds the depth
+    and the spanning check, which read no tables, and nothing else."""
     code, out = run(capsys, "m3build", "--lattice", "n5", "--report", "json")
     eager = json.loads(out.out)
-    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
     code, out = run(capsys, "m3build", "--lattice", "n5", "--report", "json")
     assert code == 0 and json.loads(out.out) == {
         "base": eager["base"], "elements": eager["elements"]}
+    spanned = []
+    spanning_m3 = construct.spanning_m3
+    monkeypatch.setattr(construct, "spanning_m3",
+                        lambda k: spanned.append(len(k)) or spanning_m3(k))
     code, out = run(capsys, "m3build", "--lattice", "n5", "--stats", "--report", "json")
-    assert code == 0 and json.loads(out.out) == eager
+    assert code == 0 and json.loads(out.out) == dict(eager, spanning_check="ok")
+    assert spanned == [41]
 
 
 def test_lazy_build_out_exits_input_before_writing(capsys, monkeypatch, tmp_path):

@@ -163,39 +163,59 @@ def test_antichains_only_fast_path(lattices):
                 == rank.modularity_rank(lat))
 
 
+SCANS = (rank.full_triple_scan, rank.antichain_rank_scan)
+
+
 def test_scan_jobs_deterministic():
-    from latmod import construct
     lat = construct.m3_of(catalog.m_k(4)).lattice
-    one = rank.antichain_rank_scan(lat, jobs=1)
-    three = rank.antichain_rank_scan(lat, jobs=3)
-    assert one.triple_count == three.triple_count
-    assert one.histogram == three.histogram
-    assert one.max_index == three.max_index
+    for scan in SCANS:
+        one = scan(lat, jobs=1)
+        assert scan(lat, jobs=2) == one and scan(lat, jobs=3) == one
+
+
+def scan_split(monkeypatch, scan, lat, jobs):
+    """The x ranges `rank._scan` hands rank._triples at `jobs` jobs, in
+    order, and the scan's result."""
+    ranges = []
+    triples = rank._triples
+
+    def recording(py, pz, lo, hi, *args, **kwargs):
+        ranges.append((lo, hi))
+        return triples(py, pz, lo, hi, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(rank, "_triples", recording)
+        res = scan(lat, jobs=jobs)
+    return sorted(ranges), res
 
 
 def test_scan_job_split_balances_antichains(monkeypatch):
-    from latmod import construct
     for k in (4, 6):
         lat = construct.m3_of(catalog.m_k(k)).lattice
         one = rank.antichain_rank_scan(lat, jobs=1)
         assert rank.antichain_rank_scan(lat, jobs=2) == one
-        if k == 4:  # batches and split against antichains listed one by one
+        if k == 4:  # batches and split against triples listed one by one
             anti = antichains3(lat)
             monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
             u, py, pz = incomparable_pairs(lat)
-            batches = list(rank._antichain_batches(u, py, pz, 0, lat.n))
+            batches = list(rank._triples(py, pz, 0, lat.n, rank._ANTICHAIN_BATCH, keep=u))
             assert len(batches) > 1
             assert list(zip(*(np.concatenate(b).tolist() for b in zip(*batches)))) == anti
-            per_x = np.bincount([x for x, _, _ in anti], minlength=lat.n)
-            lo, mid, hi = rank._balanced_bounds(u, 2).tolist()
-            assert (lo, hi) == (0, lat.n)
-            assert abs(2 * per_x[:mid].sum() - one.triple_count) <= 2 * per_x.max()
+            n = lat.n
+            rows = np.arange(n)
+            for scan, per_x in ((rank.antichain_rank_scan,
+                                 np.bincount([x for x, _, _ in anti], minlength=n)),
+                                (rank.full_triple_scan, (n - rows) * (n - rows + 1) // 2)):
+                ranges, res = scan_split(monkeypatch, scan, lat, 2)
+                (lo, mid), (mid2, hi) = ranges
+                assert (lo, mid2, hi) == (0, mid, n) and res == scan(lat, jobs=1)
+                assert abs(2 * per_x[:mid].sum() - per_x.sum()) <= 2 * per_x.max()
 
 
 # -- oracle: the per-x submatrix antichain enumerator ---------------------
 
 def incomparable_pairs(lat):
-    """The arguments rank.antichain_rank_scan hands _antichain_batches: the
+    """The arguments rank.antichain_rank_scan hands rank._triples: the
     strictly upper incomparability matrix and its pairs, int32, row-major."""
     u = np.triu(~lat.leq & ~lat.leq.T, k=1)
     py, pz = (a.astype(np.int32) for a in np.nonzero(u))
@@ -203,31 +223,31 @@ def incomparable_pairs(lat):
 
 
 def submatrix_antichain_batches(lat, lo, hi):
-    """Oracle for rank._antichain_batches: for each x, the pairs y < z of
-    the submatrix of the incomparability matrix over the ys above x and
-    incomparable to it, batched at the same boundaries."""
+    """Oracle for rank._triples under the antichain mask: for each x, the
+    pairs y < z of the submatrix of the incomparability matrix over the ys
+    above x and incomparable to it, cut into batches of exactly
+    rank._ANTICHAIN_BATCH (the last may be shorter)."""
+    if lo == hi:
+        return
     incomp = ~lat.leq & ~lat.leq.T
     idx = np.arange(lat.n)
     bx, by, bz = [], [], []
-    size = 0
     for x in range(lo, hi):
         ys = np.flatnonzero(incomp[x] & (idx > x))
         yy, zz = np.nonzero(np.triu(incomp[np.ix_(ys, ys)], k=1))
-        if yy.size:
-            bx.append(np.full(yy.size, x, dtype=np.int32))
-            by.append(ys[yy].astype(np.int32))
-            bz.append(ys[zz].astype(np.int32))
-            size += yy.size
-        if size >= rank._ANTICHAIN_BATCH:
-            yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
-            bx, by, bz, size = [], [], [], 0
-    if size:
-        yield np.concatenate(bx), np.concatenate(by), np.concatenate(bz)
+        bx.append(np.full(yy.size, x, dtype=np.int32))
+        by.append(ys[yy].astype(np.int32))
+        bz.append(ys[zz].astype(np.int32))
+    cols = [np.concatenate(c) for c in (bx, by, bz)]
+    batch = rank._ANTICHAIN_BATCH
+    for start in range(0, cols[0].size, batch):
+        yield tuple(c[start:start + batch] for c in cols)
 
 
 def assert_same_batches(lat, lo=0, hi=None):
     hi = lat.n if hi is None else hi
-    got = list(rank._antichain_batches(*incomparable_pairs(lat), lo, hi))
+    u, py, pz = incomparable_pairs(lat)
+    got = list(rank._triples(py, pz, lo, hi, rank._ANTICHAIN_BATCH, keep=u))
     want = list(submatrix_antichain_batches(lat, lo, hi))
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -252,8 +272,9 @@ def test_pair_list_batches_match_submatrix_oracle_on_m3(monkeypatch):
         lat = construct.m3_of(catalog.m_k(k)).lattice
         for case in (lat, relabeled(lat, rng), relabeled(lat, rng)):
             assert assert_same_batches(case) >= 1
-            bounds = rank._balanced_bounds(incomparable_pairs(case)[0], 3).tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
+            ranges, _ = scan_split(monkeypatch, rank.antichain_rank_scan, case, 3)
+            assert len(ranges) == 3
+            for lo, hi in ranges:
                 assert_same_batches(case, lo, hi)
     monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
     lat = construct.m3_of(catalog.m_k(6)).lattice
@@ -396,9 +417,11 @@ def relabeled(lat, rng):
 
 
 def assert_same_scan(lat):
-    got, want = rank.full_triple_scan(lat), ordered_triple_scan(lat)
-    assert got == want
-    assert list(got.histogram) == sorted(got.histogram)
+    want = ordered_triple_scan(lat)
+    for jobs in (1, 2):
+        got = rank.full_triple_scan(lat, jobs=jobs)
+        assert got == want
+        assert list(got.histogram) == sorted(got.histogram)
     return got
 
 
@@ -430,12 +453,13 @@ def test_sorted_scan_blocks_split_rows(monkeypatch, lattices):
     assert rank.full_triple_scan(lattices["C4"]).witness == (0, 1, 1)
 
 
-def test_sorted_blocks_enumerate_sorted_triples(monkeypatch):
-    monkeypatch.setattr(rank, "_BLOCK_ENTRIES", 11)
+def test_sorted_blocks_enumerate_sorted_triples():
     n = 6
-    blocks = list(rank._sorted_triple_blocks(n))
-    assert all(b[0].size <= 11 for b in blocks)
-    x, y, z, w = (np.concatenate(c) for c in zip(*blocks))
+    py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
+    blocks = list(rank._triples(py, pz, 0, n, 11))
+    assert all(b[0].size == 11 for b in blocks[:-1]) and 1 <= blocks[-1][0].size <= 11
+    x, y, z = (np.concatenate(c) for c in zip(*blocks))
+    w = rank._orbit_sizes(x, y, z)
     want = list(itertools.combinations_with_replacement(range(n), 3))
     assert list(zip(x.tolist(), y.tolist(), z.tolist())) == want
     orbit = [len(set(itertools.permutations(t))) for t in want]
@@ -454,9 +478,10 @@ def test_flat_kernel_matches_gathers():
 
 
 def test_antichain_scan_rejects_bad_jobs():
-    for jobs in (0, -1):
-        with pytest.raises(ArgumentOutOfRange):
-            rank.antichain_rank_scan(catalog.n5(), jobs=jobs)
+    for scan in SCANS:
+        for jobs in (0, -1):
+            with pytest.raises(ArgumentOutOfRange):
+                scan(catalog.n5(), jobs=jobs)
 
 
 def test_antichain_scan_caps_threads_at_cores(monkeypatch):
@@ -469,5 +494,6 @@ def test_antichain_scan_caps_threads_at_cores(monkeypatch):
 
     monkeypatch.setattr(rank, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(rank.os, "cpu_count", lambda: 2)
-    assert rank.antichain_rank_scan(lat, jobs=8) == rank.antichain_rank_scan(lat, jobs=1)
-    assert seen == [2]
+    for scan in SCANS:
+        assert scan(lat, jobs=8) == scan(lat, jobs=1)
+    assert seen == [2, 2]
