@@ -13,12 +13,14 @@ on finite lattices one vectorized kernel (`_step_columns`) and one
 fixpoint loop (`_fixpoints`), both arity-generic, run the rank scans here
 and the join closures of `construct`.  Both rank scans run through one
 triple generator (`_triples`) and one scan loop (`_scan`), which also splits
-them over threads.
+them over threads, by one of two routes: sorted triples, or on larger
+lattices one pair of each orbit of the automorphism group.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,16 +29,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import FiniteLattice
-from .errors import ArgumentOutOfRange, RankExceedsCap
+from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 
-# Triples per batch of the full and the antichain scan.  A batch's working
-# set is some 66 bytes a triple, and each scan thread holds one: the M3[M6]
-# full scan peaks at 33 MiB on one thread and 64 MiB at jobs=2, the M3[M7]
-# antichain scan at 8 and 15 MiB (tracemalloc, 2-core Xeon).  At 100,000
-# the M3[M6] full scan peaked at 7 MiB and ran faster (0.17-0.24 s against
-# 0.29-0.32 s); the sizes stay apart until `plane` is measured with one.
-_BLOCK_ENTRIES = 500_000
-_ANTICHAIN_BATCH = 100_000
+# Triples per batch of every scan.  A batch's working set is some 66 bytes a
+# triple, and each scan thread holds one.  It also sets the route: a lattice
+# whose sorted triples need more than one batch is scanned over the orbits of
+# its automorphism group.  At 500,000 the M3[M6] full scan peaked at 33 MiB
+# against 7 MiB and ran slower (0.29-0.32 s against 0.17-0.24 s; tracemalloc,
+# 2-core Xeon).
+_BATCH = 100_000
 
 
 class Triple(NamedTuple):
@@ -202,6 +203,8 @@ class ScanResult:
 
 
 def _merge_blocks(parts) -> ScanResult:
+    """Sum the parts; the witness is the least of those at the largest index
+    (on the sorted routes the first, as parts come in order)."""
     hist: dict[int, int] = {}
     total = 0
     max_index = 0
@@ -210,14 +213,18 @@ def _merge_blocks(parts) -> ScanResult:
         total += part.triple_count
         for i, c in part.histogram.items():
             hist[i] = hist.get(i, 0) + c
-        if part.witness is not None and (witness is None or part.max_index > max_index):
+        if part.witness is not None and (witness is None or part.max_index > max_index
+                                         or (part.max_index == max_index
+                                             and part.witness < witness)):
             max_index, witness = part.max_index, part.witness
     return ScanResult(total, dict(sorted(hist.items())), max_index, witness)
 
 
-def _scan_batch(lat, x, y, z, cap, weight=None):
+def _scan_batch(lat, x, y, z, cap, weight=None, label=None):
     """Scan one batch into a ScanResult; triple i counts weight[i] times in
-    the histogram."""
+    the histogram.  The witness is the first triple at the batch's largest
+    index, or, given the element orbit minima `label`, one whose x has the
+    least orbit minimum, with x replaced by that minimum."""
     if x.size == 0:
         return ScanResult(0, {}, 0, None)
     stab = np.zeros(x.size, dtype=np.int32)
@@ -230,8 +237,13 @@ def _scan_batch(lat, x, y, z, cap, weight=None):
         counts = np.rint(np.bincount(stab, weights=weight)).astype(np.int64)
     hist = {int(i): int(c) for i, c in enumerate(counts) if c}
     bmax = int(stab.max())
-    first = int(np.flatnonzero(stab == bmax)[0])
-    witness = Triple(int(x[first]), int(y[first]), int(z[first]))
+    at = np.flatnonzero(stab == bmax)
+    if label is None:
+        witness = Triple(int(x[at[0]]), int(y[at[0]]), int(z[at[0]]))
+    else:
+        keys = label.take(x.take(at))
+        i = int(np.argmin(keys))
+        witness = Triple(int(keys[i]), int(y[at[i]]), int(z[at[i]]))
     return ScanResult(int(counts.sum()), hist, bmax, witness)
 
 
@@ -244,13 +256,12 @@ def _orbit_sizes(x, y, z):
     return _ORBIT_SIZE[(x == y).astype(np.intp) + (y == z)]
 
 
-def _triples(py: np.ndarray, pz: np.ndarray, lo: int, hi: int, batch: int,
-             keep: Optional[np.ndarray] = None):
-    """The triples (x, y, z), lo <= x < hi, with (y, z) one of the pairs
-    (py, pz) with y >= x (int32 and row-major, so those of x are a suffix),
-    kept only where keep[x, y] & keep[x, z] if `keep` is given; in
-    lexicographic order and in batches of exactly `batch`, the last shorter."""
-    starts = np.searchsorted(py, np.arange(lo, hi)).tolist()
+def _triples(py: np.ndarray, pz: np.ndarray, starts: np.ndarray, lo: int, hi: int,
+             batch: int, keep: Optional[np.ndarray] = None):
+    """The triples (x, y, z), lo <= x < hi, with (y, z) one of the int32
+    pairs (py, pz) from starts[x] on, kept only where keep[x, y] & keep[x, z]
+    if `keep` is given; in x order and in batches of exactly `batch`, the
+    last shorter."""
     xs, by, bz = [], [], []
     size = 0
 
@@ -258,7 +269,7 @@ def _triples(py: np.ndarray, pz: np.ndarray, lo: int, hi: int, batch: int,
         return (np.repeat(np.array(xs, dtype=np.int32), [b.size for b in by]),
                 np.concatenate(by), np.concatenate(bz))
 
-    for x, s in zip(range(lo, hi), starts):
+    for x, s in zip(range(lo, hi), starts[lo:hi].tolist()):
         y, z = py[s:], pz[s:]
         if keep is not None:
             hits = np.flatnonzero(keep[x].take(y) & keep[x].take(z))
@@ -277,25 +288,23 @@ def _triples(py: np.ndarray, pz: np.ndarray, lo: int, hi: int, batch: int,
         yield cut_batch()
 
 
-def _scan(lat: FiniteLattice, cap: Optional[int], jobs: int, py: np.ndarray,
-          pz: np.ndarray, per_x, batch: int, keep: Optional[np.ndarray] = None,
-          weight=None) -> ScanResult:
-    """Scan `_triples(py, pz, ..., batch, keep)`, triple (x, y, z) counted
-    weight(x, y, z) times (once without `weight`), in `jobs` parts of the x
-    range with about equal triple counts by per_x() (asked only then), on
-    at most os.cpu_count() threads; the parts merge in x order, so the
-    result is the same for any job count."""
-    if jobs < 1:
-        raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
-    cap = _cap(lat, cap)
-
+def _scan(lat: FiniteLattice, cap: int, jobs: int, py: np.ndarray, pz: np.ndarray,
+          starts: np.ndarray, per_x, keep: Optional[np.ndarray] = None, weight=None,
+          label: Optional[np.ndarray] = None) -> ScanResult:
+    """Scan `_triples(py, pz, starts, ..., _BATCH, keep)`, triple (x, y, z)
+    counted weight(x, y, z) times (once without `weight`), with witnesses
+    by `label` (see `_scan_batch`), in `jobs` parts of the x range with
+    about equal triple counts by per_x() (asked only then), on at most
+    os.cpu_count() threads; the parts merge in x order, so the result is
+    the same for any job count."""
     def scan_range(lo: int, hi: int) -> ScanResult:
         # weights are taken while the previous batch is still held: taken
         # after its release, the M3[M6] full scan had twice the minor page
         # faults (42k against 20k a scan) and ran up to 15% longer
         batches = ((x, y, z, None if weight is None else weight(x, y, z))
-                   for x, y, z in _triples(py, pz, lo, hi, batch, keep))
-        return _merge_blocks(_scan_batch(lat, x, y, z, cap, w) for x, y, z, w in batches)
+                   for x, y, z in _triples(py, pz, starts, lo, hi, _BATCH, keep))
+        return _merge_blocks(_scan_batch(lat, x, y, z, cap, w, label)
+                             for x, y, z, w in batches)
 
     if jobs == 1 or lat.n < 2 * jobs:
         return scan_range(0, lat.n)
@@ -308,39 +317,172 @@ def _scan(lat: FiniteLattice, cap: Optional[int], jobs: int, py: np.ndarray,
         return _merge_blocks(pool.map(scan_range, bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
+# -- the sorted routes ----------------------------------------------------
+
+def _sorted_pairs(lat: FiniteLattice, antichains: bool):
+    """The pairs of the sorted route, int32 and row-major, their per-x start
+    offsets (the first pair with y >= x) and mask: all y <= z, or the y < z
+    of the strictly upper incomparability matrix U, which is the mask."""
+    if antichains:
+        keep = np.triu(~lat.leq & ~lat.leq.T, k=1)
+        py, pz = (a.astype(np.int32) for a in np.nonzero(keep))
+    else:
+        keep = None
+        py, pz = (a.astype(np.int32) for a in np.triu_indices(lat.n))
+    return py, pz, np.searchsorted(py, np.arange(lat.n)), keep
+
+
+def _sorted_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> ScanResult:
+    """The full scan over sorted triples x <= y <= z, each weighted by its
+    orbit size under coordinate permutations, or the scan of the antichains
+    x < y < z; both the production route on small lattices and the orbit
+    route's test oracle."""
+    py, pz, starts, keep = _sorted_pairs(lat, antichains)
+    n = lat.n
+    if not antichains:
+        x = np.arange(n)
+        return _scan(lat, cap, jobs, py, pz, starts, lambda: (n - x) * (n - x + 1) // 2,
+                     weight=_orbit_sizes)
+
+    def per_x():
+        # (U U^T)[x, y] counts the z > y incomparable to both x and y, so
+        # x has sum_y U[x, y] (U U^T)[x, y] antichains (a float32 BLAS
+        # product, exact while n < 2**24)
+        f = keep.astype(np.float32)
+        return (f * (f @ f.T)).sum(axis=1, dtype=np.float64)
+
+    return _scan(lat, cap, jobs, py, pz, starts, per_x, keep=keep)
+
+
+# -- the orbit route ------------------------------------------------------
+#
+# The step map commutes with every automorphism of L, so triples in one
+# orbit of Aut(L) stabilize at the same index.  Orbits come from the
+# generators by min-label propagation (A. Seress, Permutation Group
+# Algorithms, CUP 2003, for orbits from generators).
+
+def _orbit_minima(perms: list, size: int) -> np.ndarray:
+    """label[i] = the least point of i's orbit under the group the
+    permutations of range(size) generate: each point takes the least label
+    among itself and its images, then labels jump to their labels' labels,
+    until nothing moves."""
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        old = label
+        for p in perms:
+            label = np.minimum(label, label.take(p))
+        label = label.take(label)
+        if np.array_equal(label, old):
+            return label
+
+
+def _pair_index(n: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Position of the pair (min, max) of y and z in the row-major order of
+    the pairs a <= b of range(n); exact in int32 while n^2 < 2^31."""
+    a, b = np.minimum(y, z), np.maximum(y, z)
+    return a * n - a * (a - 1) // 2 + (b - a)
+
+
+def _pair_orbits(n: int, gens: np.ndarray):
+    """The least pair (y, z), y <= z, of each orbit of pairs under the
+    generated group, and the orbit's size."""
+    py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
+    label = _orbit_minima([_pair_index(n, g.take(py), g.take(pz)) for g in gens], py.size)
+    reps = np.flatnonzero(label == np.arange(py.size))
+    return py[reps], pz[reps], np.bincount(label)[reps]
+
+
+def _orbit_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> ScanResult:
+    """The scan over one representative {y, z}, y <= z, of each orbit of
+    pairs under Aut(L), with x over all of L.
+
+    Full scan: each representative counts its orbit's ordered pairs, so the
+    n * (that count) triples it stands for total n^3.  Antichain scan: the
+    representatives are the incomparable pairs y < z, each counting its
+    orbit size, with x incomparable to both; every antichain is then
+    counted once for each of its three pairs, and the histogram is divided
+    by 3.  The witness is the first triple at the largest index m in the
+    sorted row of x*, the least element of an orbit that meets an entry of
+    a triple at m: the lexicographically first triple at m has x* as its
+    least entry.  Each such entry e is in the orbit of the x of a scanned
+    triple at m (swap e to the front, then map the other two entries to
+    their pair's representative), so x* is the least orbit minimum of the
+    x of a scanned triple at m.
+    """
+    n = lat.n
+    gens = lat.automorphisms().generators
+    ry, rz, weight = _pair_orbits(n, gens)
+    if antichains:
+        keep = ~lat.leq & ~lat.leq.T
+        incomparable = keep[ry, rz]
+        ry, rz, weight = ry[incomparable], rz[incomparable], weight[incomparable]
+
+        def per_x():
+            return (keep[:, ry] & keep[:, rz]).sum(axis=1)
+    else:
+        keep = None
+        weight = weight * np.where(ry == rz, 1, 2)
+
+        def per_x():
+            return np.full(n, ry.size)
+    table = np.zeros(n * n)
+    table[ry * n + rz] = weight
+    label = _orbit_minima(list(gens), n)
+    res = _scan(lat, cap, jobs, ry, rz, np.zeros(n, dtype=np.intp), per_x, keep=keep,
+                weight=lambda x, y, z: table.take(y * n + z), label=label)
+    hist, count = res.histogram, res.triple_count
+    if antichains:
+        if count % 3 or any(c % 3 for c in hist.values()):
+            raise VerificationFailed("antichain orbit counts are not multiples of 3")
+        hist, count = {i: c // 3 for i, c in hist.items()}, count // 3
+    witness = None
+    if res.witness is not None:
+        py, pz, starts, keep = _sorted_pairs(lat, antichains)
+        row = _merge_blocks(_scan_batch(lat, x, y, z, cap) for x, y, z in _triples(
+            py, pz, starts, res.witness.x, res.witness.x + 1, _BATCH, keep))
+        if row.max_index != res.max_index:
+            raise VerificationFailed(f"no triple at index {res.max_index} in row {res.witness.x}")
+        witness = row.witness
+    return ScanResult(count, hist, res.max_index, witness)
+
+
+def _scan_route(lat: FiniteLattice, cap: Optional[int], jobs: int,
+                antichains: bool) -> ScanResult:
+    """The orbit route when the sorted triples need more than one batch and
+    Aut(L) has more than 3 elements, else the sorted route: a group of order
+    g leaves at least n(n+1)/2g pair orbits, and x runs over all of L, so
+    for g <= 3 the orbit route would iterate about as many triples as the
+    sorted route's n(n+1)(n+2)/6, or more."""
+    if jobs < 1:
+        raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
+    cap = _cap(lat, cap)
+    n = lat.n
+    if n * (n + 1) * (n + 2) // 6 > _BATCH and math.prod(lat.automorphisms().base_orbits) > 3:
+        return _orbit_scan(lat, cap, jobs, antichains)
+    return _sorted_scan(lat, cap, jobs, antichains)
+
+
 def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None,
                      jobs: int = 1) -> ScanResult:
     """Stabilization indices of all |L|^3 triples.
 
     The step map commutes with permuting coordinates, so a triple's index
     is that of its sorted permutation: only x <= y <= z are iterated, each
-    counted with its orbit size.  A triple at the maximum index has its
-    sorted permutation there too, and that one is lexicographically no
-    later, so the first hit among sorted triples is the first of all.
+    counted with its orbit size, or on large lattices one pair of each orbit
+    of Aut(L) (`_orbit_scan`).  A triple at the maximum index has its sorted
+    permutation there too, and that one is lexicographically no later, so
+    the first hit among sorted triples is the first of all.
     """
-    n = lat.n
-    py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
-    x = np.arange(n)
-    return _scan(lat, cap, jobs, py, pz, lambda: (n - x) * (n - x + 1) // 2,
-                 _BLOCK_ENTRIES, weight=_orbit_sizes)
+    return _scan_route(lat, cap, jobs, antichains=False)
 
 
 def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
                         jobs: int = 1) -> ScanResult:
     """Scan every 3-element antichain {x,y,z} (as x<y<z) and record its
     stabilization index: with U the strictly upper incomparability matrix,
-    the pairs y < z of U that U[x, y] & U[x, z] keeps."""
-    u = np.triu(~lat.leq & ~lat.leq.T, k=1)
-    py, pz = (a.astype(np.int32) for a in np.nonzero(u))
-
-    def per_x():
-        # (U U^T)[x, y] counts the z > y incomparable to both x and y, so
-        # x has sum_y U[x, y] (U U^T)[x, y] antichains (a float32 BLAS
-        # product, exact while n < 2**24)
-        f = u.astype(np.float32)
-        return (f * (f @ f.T)).sum(axis=1, dtype=np.float64)
-
-    return _scan(lat, cap, jobs, py, pz, per_x, _ANTICHAIN_BATCH, keep=u)
+    the pairs y < z of U that U[x, y] & U[x, z] keeps, or on large lattices
+    one incomparable pair of each orbit of Aut(L) (`_orbit_scan`)."""
+    return _scan_route(lat, cap, jobs, antichains=True)
 
 
 # -- the modularity rank --------------------------------------------------

@@ -59,8 +59,6 @@ def test_03_plane_triple_lattice_size():
     assert len(construct.m3_of(catalog.fano())) == 1_090
 
 
-@pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
-                    reason="full antichain scan, about 15 s with two jobs; set LATMOD_EXTENDED=1")
 def test_03x_plane_full_antichain_scan():
     res = rank.antichain_rank_scan(construct.m3_of(catalog.fano()).lattice,
                                    jobs=os.cpu_count() or 1)

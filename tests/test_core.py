@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import sys
 
@@ -390,6 +392,131 @@ def test_find_isomorphism_check_survives_optimize_flag(run_optimized):
         bad = core.FiniteLattice(n5.leq.copy(), meet, n5.join_table.copy())
         try:
             core.find_isomorphism(n5, bad)
+        except VerificationFailed:
+            print("debug", __debug__, "raised")
+    """
+    words, err = run_optimized(script)
+    assert words == ["debug", "False", "raised"], err
+
+
+# -- automorphism generators ---------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def all_permutations(n):
+    return np.array(list(itertools.permutations(range(n))))
+
+
+def automorphism_count(lat):
+    """Oracle: the number of permutations of the elements that preserve the
+    order, by listing all n! of them."""
+    perms = all_permutations(lat.n)
+    return int((lat.leq[perms[:, :, None], perms[:, None, :]] == lat.leq).all(axis=(1, 2)).sum())
+
+
+def element_orbits(lat, gens):
+    """Oracle: the orbits of the generated group, by a search from each
+    element over the generators."""
+    seen, orbits = set(), 0
+    for e in range(lat.n):
+        if e not in seen:
+            orbits += 1
+            todo = [e]
+            seen.add(e)
+            while todo:
+                u = todo.pop()
+                for g in gens:
+                    if g[u] not in seen:
+                        seen.add(g[u])
+                        todo.append(g[u])
+    return orbits
+
+
+def assert_automorphisms(lat, gens):
+    for g in gens:
+        assert sorted(g.tolist()) == list(range(lat.n))
+        assert np.array_equal(lat.leq[np.ix_(g, g)], lat.leq)
+
+
+def test_automorphism_group_order_matches_listing_on_small_lattices():
+    small = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    assert len(small) == 371
+    for lat in small:
+        group = lat.automorphisms()
+        assert_automorphisms(lat, group.generators)
+        assert int(np.prod(group.base_orbits)) == automorphism_count(lat)
+        assert lat.automorphisms() is group  # cached on the lattice
+
+
+def test_automorphism_orbits_of_m3_lattices():
+    for base, orbits, order in ((catalog.fano(), 17, 1_008), (catalog.m_k(7), 8, 30_240)):
+        lat = relabeled(construct.m3_of(base).lattice, 19)
+        group = lat.automorphisms()
+        assert_automorphisms(lat, group.generators)
+        assert element_orbits(lat, group.generators.tolist()) == orbits
+        assert int(np.prod(group.base_orbits)) == order
+
+
+def pgl_order(q, d):
+    """|PGL(d, q)| = q^(d(d-1)/2) (q^2 - 1) ... (q^d - 1)."""
+    order = q ** (d * (d - 1) // 2)
+    for i in range(2, d + 1):
+        order *= q ** i - 1
+    return order
+
+
+def test_automorphism_groups_of_projective_geometries():
+    """Aut Sub(d, q) = PGL(d, q) for d >= 3 and q prime (the fundamental
+    theorem of projective geometry; a prime field has no automorphisms).
+    On PG(2, 5) the search must backtrack past a first child."""
+    for q, d in ((2, 3), (3, 3), (2, 4), (5, 3), (3, 4)):
+        lat = relabeled(catalog.subspace_lattice(q, d), 23)
+        group = lat.automorphisms()
+        assert_automorphisms(lat, group.generators)
+        assert int(np.prod(group.base_orbits)) == pgl_order(q, d)
+
+
+def test_rigid_lattices_have_no_generators():
+    assert catalog.chain(9).automorphisms().generators.shape == (0, 9)
+    discrete = 0
+    for seed in range(96):
+        lat = catalog.random_c1c4(seed)
+        colors = core._refine(core._digraph(lat.leq), np.zeros(lat.n, dtype=np.intp))
+        if colors.max() + 1 == lat.n:
+            discrete += 1
+            group = lat.automorphisms()
+            assert group.generators.shape == (0, lat.n) and group.base_orbits == ()
+    assert discrete >= 50
+
+
+def corrupted_candidate(lat):
+    """The join-irreducibles of lat and their images under a generator of
+    Aut(lat) with two images swapped: no automorphism."""
+    joins = np.array(core.join_irreducibles(lat))
+    images = lat.automorphisms().generators[0][joins]
+    images[[0, 1]] = images[[1, 0]]
+    return joins, images
+
+
+def test_corrupted_automorphism_candidate_raises():
+    lat = construct.m3_of(catalog.m_k(4)).lattice
+    joins, images = corrupted_candidate(lat)
+    good = lat.automorphisms().generators[0]
+    assert np.array_equal(core._verified_automorphism(lat, joins, good[joins]), good)
+    with pytest.raises(VerificationFailed):
+        core._verified_automorphism(lat, joins, images)
+
+
+def test_automorphism_check_survives_optimize_flag(run_optimized):
+    script = """
+        import numpy as np
+        from latmod import catalog, construct, core
+        from latmod.errors import VerificationFailed
+        lat = construct.m3_of(catalog.m_k(4)).lattice
+        joins = np.array(core.join_irreducibles(lat))
+        images = lat.automorphisms().generators[0][joins]
+        images[[0, 1]] = images[[1, 0]]
+        try:
+            core._verified_automorphism(lat, joins, images)
         except VerificationFailed:
             print("debug", __debug__, "raised")
     """

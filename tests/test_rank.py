@@ -166,6 +166,21 @@ def test_antichains_only_fast_path(lattices):
 SCANS = (rank.full_triple_scan, rank.antichain_rank_scan)
 
 
+def sorted_route(antichains):
+    """rank's sorted route as a scan, whichever route the lattice's size picks."""
+    return lambda lat, cap=None, jobs=1: rank._sorted_scan(lat, rank._cap(lat, cap), jobs,
+                                                          antichains)
+
+
+def orbit_route(antichains):
+    """rank's orbit route as a scan, whichever route the lattice's size picks."""
+    return lambda lat, cap=None, jobs=1: rank._orbit_scan(lat, rank._cap(lat, cap), jobs,
+                                                         antichains)
+
+
+SORTED = (sorted_route(False), sorted_route(True))
+
+
 def test_scan_jobs_deterministic():
     lat = construct.m3_of(catalog.m_k(4)).lattice
     for scan in SCANS:
@@ -179,9 +194,9 @@ def scan_split(monkeypatch, scan, lat, jobs):
     ranges = []
     triples = rank._triples
 
-    def recording(py, pz, lo, hi, *args, **kwargs):
+    def recording(py, pz, starts, lo, hi, *args, **kwargs):
         ranges.append((lo, hi))
-        return triples(py, pz, lo, hi, *args, **kwargs)
+        return triples(py, pz, starts, lo, hi, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(rank, "_triples", recording)
@@ -192,20 +207,20 @@ def scan_split(monkeypatch, scan, lat, jobs):
 def test_scan_job_split_balances_antichains(monkeypatch):
     for k in (4, 6):
         lat = construct.m3_of(catalog.m_k(k)).lattice
-        one = rank.antichain_rank_scan(lat, jobs=1)
-        assert rank.antichain_rank_scan(lat, jobs=2) == one
+        one = SORTED[1](lat, jobs=1)
+        assert SORTED[1](lat, jobs=2) == one == rank.antichain_rank_scan(lat, jobs=2)
         if k == 4:  # batches and split against triples listed one by one
             anti = antichains3(lat)
-            monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
+            monkeypatch.setattr(rank, "_BATCH", 5_000)
             u, py, pz = incomparable_pairs(lat)
-            batches = list(rank._triples(py, pz, 0, lat.n, rank._ANTICHAIN_BATCH, keep=u))
+            batches = list(rank._triples(py, pz, row_starts(py, lat.n), 0, lat.n,
+                                         rank._BATCH, keep=u))
             assert len(batches) > 1
             assert list(zip(*(np.concatenate(b).tolist() for b in zip(*batches)))) == anti
             n = lat.n
             rows = np.arange(n)
-            for scan, per_x in ((rank.antichain_rank_scan,
-                                 np.bincount([x for x, _, _ in anti], minlength=n)),
-                                (rank.full_triple_scan, (n - rows) * (n - rows + 1) // 2)):
+            for scan, per_x in ((SORTED[1], np.bincount([x for x, _, _ in anti], minlength=n)),
+                                (SORTED[0], (n - rows) * (n - rows + 1) // 2)):
                 ranges, res = scan_split(monkeypatch, scan, lat, 2)
                 (lo, mid), (mid2, hi) = ranges
                 assert (lo, mid2, hi) == (0, mid, n) and res == scan(lat, jobs=1)
@@ -213,6 +228,11 @@ def test_scan_job_split_balances_antichains(monkeypatch):
 
 
 # -- oracle: the per-x submatrix antichain enumerator ---------------------
+
+def row_starts(py, n):
+    """The sorted route's start offsets: x's pairs are those with y >= x."""
+    return np.searchsorted(py, np.arange(n))
+
 
 def incomparable_pairs(lat):
     """The arguments rank.antichain_rank_scan hands rank._triples: the
@@ -226,7 +246,7 @@ def submatrix_antichain_batches(lat, lo, hi):
     """Oracle for rank._triples under the antichain mask: for each x, the
     pairs y < z of the submatrix of the incomparability matrix over the ys
     above x and incomparable to it, cut into batches of exactly
-    rank._ANTICHAIN_BATCH (the last may be shorter)."""
+    rank._BATCH (the last may be shorter)."""
     if lo == hi:
         return
     incomp = ~lat.leq & ~lat.leq.T
@@ -239,7 +259,7 @@ def submatrix_antichain_batches(lat, lo, hi):
         by.append(ys[yy].astype(np.int32))
         bz.append(ys[zz].astype(np.int32))
     cols = [np.concatenate(c) for c in (bx, by, bz)]
-    batch = rank._ANTICHAIN_BATCH
+    batch = rank._BATCH
     for start in range(0, cols[0].size, batch):
         yield tuple(c[start:start + batch] for c in cols)
 
@@ -247,7 +267,7 @@ def submatrix_antichain_batches(lat, lo, hi):
 def assert_same_batches(lat, lo=0, hi=None):
     hi = lat.n if hi is None else hi
     u, py, pz = incomparable_pairs(lat)
-    got = list(rank._triples(py, pz, lo, hi, rank._ANTICHAIN_BATCH, keep=u))
+    got = list(rank._triples(py, pz, row_starts(py, lat.n), lo, hi, rank._BATCH, keep=u))
     want = list(submatrix_antichain_batches(lat, lo, hi))
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -262,7 +282,7 @@ def test_pair_list_batches_match_submatrix_oracle_on_small_lattices(monkeypatch)
     whole = sum(assert_same_batches(lat) for lat in small)
     # batches of one or two antichains: every boundary rule is exercised
     for batch in (1, 2):
-        monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", batch)
+        monkeypatch.setattr(rank, "_BATCH", batch)
         assert sum(assert_same_batches(lat) for lat in small) > whole
 
 
@@ -272,11 +292,11 @@ def test_pair_list_batches_match_submatrix_oracle_on_m3(monkeypatch):
         lat = construct.m3_of(catalog.m_k(k)).lattice
         for case in (lat, relabeled(lat, rng), relabeled(lat, rng)):
             assert assert_same_batches(case) >= 1
-            ranges, _ = scan_split(monkeypatch, rank.antichain_rank_scan, case, 3)
+            ranges, _ = scan_split(monkeypatch, SORTED[1], case, 3)
             assert len(ranges) == 3
             for lo, hi in ranges:
                 assert_same_batches(case, lo, hi)
-    monkeypatch.setattr(rank, "_ANTICHAIN_BATCH", 5_000)
+    monkeypatch.setattr(rank, "_BATCH", 5_000)
     lat = construct.m3_of(catalog.m_k(6)).lattice
     assert assert_same_batches(lat) > 1
     assert assert_same_batches(relabeled(lat, rng)) > 1
@@ -417,11 +437,14 @@ def relabeled(lat, rng):
 
 
 def assert_same_scan(lat):
+    """The full scan, and its sorted route whichever route the size picks,
+    against the ordered oracle."""
     want = ordered_triple_scan(lat)
-    for jobs in (1, 2):
-        got = rank.full_triple_scan(lat, jobs=jobs)
-        assert got == want
-        assert list(got.histogram) == sorted(got.histogram)
+    for scan in (rank.full_triple_scan, SORTED[0]):
+        for jobs in (1, 2):
+            got = scan(lat, jobs=jobs)
+            assert got == want
+            assert list(got.histogram) == sorted(got.histogram)
     return got
 
 
@@ -446,7 +469,7 @@ def test_sorted_scan_matches_ordered_oracle_on_m3m4():
 def test_sorted_scan_blocks_split_rows(monkeypatch, lattices):
     """Blocks smaller than one x-row: witness and counts still merge right,
     also when the witness has repeated entries (a chain's is (0, 1, 1))."""
-    monkeypatch.setattr(rank, "_BLOCK_ENTRIES", 7)
+    monkeypatch.setattr(rank, "_BATCH", 7)
     for name in ("C4", "N5", "witness7", "M5"):
         got = assert_same_scan(lattices[name])
         assert got.triple_count == lattices[name].n ** 3
@@ -456,7 +479,7 @@ def test_sorted_scan_blocks_split_rows(monkeypatch, lattices):
 def test_sorted_blocks_enumerate_sorted_triples():
     n = 6
     py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
-    blocks = list(rank._triples(py, pz, 0, n, 11))
+    blocks = list(rank._triples(py, pz, row_starts(py, n), 0, n, 11))
     assert all(b[0].size == 11 for b in blocks[:-1]) and 1 <= blocks[-1][0].size <= 11
     x, y, z = (np.concatenate(c) for c in zip(*blocks))
     w = rank._orbit_sizes(x, y, z)
@@ -497,3 +520,61 @@ def test_antichain_scan_caps_threads_at_cores(monkeypatch):
     for scan in SCANS:
         assert scan(lat, jobs=8) == scan(lat, jobs=1)
     assert seen == [2, 2]
+
+
+# -- the orbit route against the sorted routes ----------------------------
+
+def assert_orbit_route_matches(lat):
+    """The orbit route's whole ScanResult, witness included, equals the
+    sorted route's, for both scans and at every job count."""
+    for antichains in (False, True):
+        want = SORTED[antichains](lat)
+        for jobs in (1, 2, 3):
+            assert orbit_route(antichains)(lat, jobs=jobs) == want
+
+
+def test_orbit_route_matches_sorted_routes_on_small_lattices():
+    small = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    assert len(small) == 371
+    for lat in small:
+        assert_orbit_route_matches(lat)
+
+
+def test_orbit_route_matches_sorted_routes_on_relabeled_m3():
+    rng = random.Random(19)
+    for lat in [catalog.witness7()] + [construct.m3_of(catalog.m_k(k)).lattice
+                                       for k in (4, 5, 6, 7)]:
+        assert_orbit_route_matches(relabeled(lat, rng))
+
+
+def test_merge_takes_the_least_witness_at_the_largest_index():
+    # the orbit route's batches carry their least orbit minimum as witness x,
+    # and a later part may hold the least
+    parts = [rank.ScanResult(1, {2: 1}, 2, Triple(3, 4, 5)),
+             rank.ScanResult(1, {2: 1}, 2, Triple(1, 6, 7)),
+             rank.ScanResult(1, {1: 1}, 1, Triple(0, 0, 0))]
+    assert rank._merge_blocks(parts) == rank.ScanResult(3, {1: 1, 2: 2}, 2, Triple(1, 6, 7))
+
+
+def test_route_follows_batch_size_and_group_order(monkeypatch):
+    """The orbit route runs when the sorted triples need more than one
+    batch and Aut(L) has more than 3 elements."""
+    routes = []
+    for name in ("_orbit_scan", "_sorted_scan"):
+        def recording(lat, cap, jobs, antichains, name=name, route=getattr(rank, name)):
+            routes.append(name)
+            return route(lat, cap, jobs, antichains)
+        monkeypatch.setattr(rank, name, recording)
+    monkeypatch.setattr(rank, "_BATCH", 56)  # 6 elements fit, 7 do not
+    square_on_chain = core.from_covers(core.CoverList(7, ((0, 1), (0, 2), (1, 3), (2, 3),
+                                                          (3, 4), (4, 5), (5, 6))))
+    cases = ((catalog.m_k(4), "_sorted_scan"),                      # 6 elements
+             (catalog.m_k(5), "_orbit_scan"),                       # 7, S_5
+             (catalog.chain(7), "_sorted_scan"),                    # rigid
+             (square_on_chain, "_sorted_scan"))                     # order 2
+    assert [int(np.prod(lat.automorphisms().base_orbits)) for lat, _ in cases] == [24, 120, 1, 2]
+    for lat, route in cases:
+        for scan in SCANS:
+            routes.clear()
+            assert scan(lat) == SORTED[scan is rank.antichain_rank_scan](lat)
+            assert routes == [route, "_sorted_scan"]
