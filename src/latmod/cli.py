@@ -110,14 +110,15 @@ def _cmd_build(args, builder) -> int:
 def cmd_con(args) -> int:
     lat = _load(args.lattice)
     payload = {}
+    k = construct.m3_with_tables(lat) if args.of_m3 else None
     if args.verify_cpe:
-        rep = congruence.verify_cpe(lat, args.verify_cpe)
+        rep = congruence.verify_cpe(lat, args.verify_cpe, k)
         payload = {"cpe_passed": rep.passed, "con_base": rep.base_con_count,
                    "con_extension": rep.ext_con_count}
         if not rep.passed:
             _emit(args, payload)
             return EXIT_CHECK_FAILED
-    target = construct.m3_with_tables(lat).lattice if args.of_m3 else lat
+    target = k.lattice if args.of_m3 else lat
     con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
     payload["con_size"] = len(con)

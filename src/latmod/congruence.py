@@ -4,6 +4,7 @@ the balanced-triple construction is a congruence-preserving extension."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -250,7 +251,8 @@ class CpeReport:
 _EMBEDDINGS = {"atom": embed_atom, "diag": embed_diag}
 
 
-def verify_cpe(base: FiniteLattice, embedding: str = "atom") -> CpeReport:
+def verify_cpe(base: FiniteLattice, embedding: str = "atom",
+               k: Optional[TupleLattice] = None) -> CpeReport:
     """Check that K = M3[base] is a congruence-preserving extension of the
     base along the verified embedding iota, on the generator posets
     J(Con base) and J(Con K), which fix both distributive congruence
@@ -260,11 +262,14 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom") -> CpeReport:
     one, and the induced map J(Con base) -> J(Con K) must be a bijection
     that preserves and reflects the order.  Then ext, which preserves
     joins, is an isomorphism; restriction r has theta <= r(ext theta) and
-    ext(r psi) <= psi, so r inverts ext.  |Con| is counted from down-sets."""
+    ext(r psi) <= psi, so r inverts ext.  |Con| is counted from down-sets.
+    An `m3_of(base)` already built can be passed as `k`; it is checked
+    instead of built again."""
     if embedding not in _EMBEDDINGS:
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
-    k = m3_of(base)
+    if k is None or k.base is not base or k.arity != 3:
+        k = m3_of(base)
     image = np.array(_EMBEDDINGS[embedding](k))
     ji, gen_b, below_b = _generators(base)
     lower = np.array([base.lower_covers(j)[0] for j in ji], dtype=np.intp)

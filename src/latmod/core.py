@@ -349,7 +349,7 @@ def is_modular(lat: FiniteLattice) -> bool:
     return True
 
 
-# -- colour refinement and automorphisms ----------------------------------
+# -- colour refinement, automorphisms and isomorphisms --------------------
 #
 # Individualization and refinement (B. D. McKay, A. Piperno, "Practical
 # graph isomorphism, II", J. Symbolic Comput. 60 (2014)).  Colours are ranks
@@ -417,81 +417,75 @@ class AutomorphismGroup(NamedTuple):
     base_orbits: tuple
 
 
-def _verified_automorphism(lat: FiniteLattice, joins: np.ndarray,
-                           images: np.ndarray) -> np.ndarray:
-    """The permutation of L that sends each join-irreducible joins[i] to
-    images[i] and x to the join of the images of the join-irreducibles
-    below it; VerificationFailed unless it is an order automorphism, that
-    is unless leq[p][:, p] == leq, which also makes p injective (p(a) =
-    p(b) would give a <= b <= a)."""
-    perm = np.full(lat.n, lat.bottom, dtype=np.int32)
-    for j, image in zip(joins.tolist(), images.tolist()):
-        perm = np.where(lat.leq[j], lat.join_table[perm, image], perm)
-    if not np.array_equal(lat.leq[perm][:, perm], lat.leq):
-        raise VerificationFailed("candidate is not an automorphism of the lattice")
-    return perm
+class _Incidence:
+    """The J x M incidence graph of a lattice: the digraph j -> m, j <= m,
+    on its join-irreducibles J (`joins`, vertices 0..nj-1) followed by its
+    meet-irreducibles M, and its colouring refined from J against M.  A
+    finite lattice is the concept lattice of this incidence, so a graph
+    isomorphism that keeps J extends to the lattices by joins."""
+
+    def __init__(self, lat: FiniteLattice):
+        covers = lat._cover_index()
+        self.joins = np.array([e for e in range(lat.n) if len(covers.lower[e]) == 1],
+                              dtype=np.intp)
+        meets = np.array([e for e in range(lat.n) if len(covers.upper[e]) == 1], dtype=np.intp)
+        self.nj, size = self.joins.size, self.joins.size + meets.size
+        self.adj = np.zeros((size, size), dtype=bool)
+        self.adj[:self.nj, self.nj:] = lat.leq[np.ix_(self.joins, meets)]
+        self.graph = _digraph(self.adj)
+        start = (np.arange(size) >= self.nj).astype(np.intp)
+        self.colors = _refine(self.graph, start) if size else start
 
 
-def _automorphism_group(lat: FiniteLattice) -> AutomorphismGroup:
-    """Generators of Aut(L) by individualization and refinement.
+class _Search:
+    """Individualization and refinement from the first path of g's tree
+    into the tree of h, which is g itself when searching for automorphisms.
 
-    An automorphism is fixed by its action on the join-irreducibles J, and
-    it is one of the bipartite incidence graph j <= m between J and the
-    meet-irreducibles M; only J vertices are individualized.  The first path
-    individualizes the first vertex of the first non-singleton J cell until
-    J is discrete; its base points v_1..v_k give the stabilizer chain.  Going
-    up from the last level, each w in v_i's cell outside v_i's orbit under
-    the generators found so far is tried: the subtree under v_1..v_{i-1}, w
-    is searched, pruned where the cell sizes differ from the first path's,
-    for a node whose cell-by-cell match with the first path's node at its
-    level preserves incidence, fixes v_1..v_{i-1} and sends v_i to w; at a
-    leaf that match is the colour match, and above it the match often
-    succeeds early (on M_k at once, where a leaf lies k - i levels down).
-    Each hit is extended to L and checked to be an order automorphism.
+    Only J vertices are individualized.  The first path individualizes the
+    first vertex of the first non-singleton J cell until J is discrete; its
+    base points v_1..v_k give the stabilizer chain.  `search` looks in a
+    subtree of h's tree, pruned where the cell sizes differ from the first
+    path's, for a node whose cell-by-cell match with the first path's node
+    at its level preserves incidence; at a leaf that match is the colour
+    match, and above it the match often succeeds early (on M_k at once,
+    where a leaf lies k - i levels down).  Every J colour ranks below every
+    M colour, so a match of equal cell sizes sends J onto J.
     """
-    covers = lat._cover_index()
-    joins = np.array([e for e in range(lat.n) if len(covers.lower[e]) == 1], dtype=np.intp)
-    meets = np.array([e for e in range(lat.n) if len(covers.upper[e]) == 1], dtype=np.intp)
-    nj, size = joins.size, joins.size + meets.size
-    if nj == 0:
-        return AutomorphismGroup(np.empty((0, lat.n), dtype=np.int32), ())
-    adj = np.zeros((size, size), dtype=bool)
-    adj[:nj, nj:] = lat.leq[np.ix_(joins, meets)]
-    graph = _digraph(adj)
 
-    def target(colors):
-        cells = np.flatnonzero(np.bincount(colors[:nj]) > 1)
-        return int(cells[0]) if cells.size else None
+    def __init__(self, g: _Incidence, h: _Incidence):
+        self.g, self.h = g, h
+        self.path, self.base, self.cells = [g.colors], [], []
+        while True:
+            cells = np.flatnonzero(np.bincount(self.path[-1][:g.nj]) > 1)
+            if not cells.size:
+                break
+            self.cells.append(int(cells[0]))
+            self.base.append(int(np.flatnonzero(self.path[-1] == cells[0])[0]))
+            self.path.append(_refine(g.graph, _individualize(self.path[-1], self.base[-1])))
+        self.shapes = [np.bincount(p) for p in self.path]
 
-    path = [_refine(graph, (np.arange(size) >= nj).astype(np.intp))]
-    base, cells = [], []
-    while (cell := target(path[-1])) is not None:
-        base.append(int(np.flatnonzero(path[-1] == cell)[0]))
-        cells.append(cell)
-        path.append(_refine(graph, _individualize(path[-1], base[-1])))
-    shapes = [np.bincount(p) for p in path]
-
-    def match(colors, level, prefix):
-        """The J permutation that takes path[level] to `colors` cell by cell,
+    def match(self, colors, level, prefix):
+        """The J map that takes path[level] to `colors` cell by cell,
         fixing each vertex whose cell is the same in both and pairing the
         others in index order, if it preserves incidence and sends the first
         len(prefix) base points to `prefix`; else None."""
-        moved = colors != path[level]
-        sigma = np.empty(size, dtype=np.intp)
-        sigma[np.lexsort((moved, path[level]))] = np.lexsort((moved, colors))
-        if ((sigma[:nj] < nj).all() and sigma[base[:len(prefix)]].tolist() == prefix
-                and np.array_equal(adj[sigma][:, sigma], adj)):
-            return sigma[:nj].tolist()
+        path = self.path[level]
+        moved = colors != path
+        sigma = np.empty(path.size, dtype=np.intp)
+        sigma[np.lexsort((moved, path))] = np.lexsort((moved, colors))
+        if (sigma[self.base[:len(prefix)]].tolist() == prefix
+                and np.array_equal(self.h.adj[sigma][:, sigma], self.g.adj)):
+            return sigma[:self.g.nj].tolist()
         return None
 
-    def children(colors, level):
-        for u in np.flatnonzero(colors == cells[level]).tolist():
-            yield _refine(graph, _individualize(colors, u))
+    def children(self, colors, level):
+        for u in np.flatnonzero(colors == self.cells[level]).tolist():
+            yield _refine(self.h.graph, _individualize(colors, u))
 
-    def search(colors, level, prefix):
-        """A J permutation found at `colors` or in the subtree below it,
-        depth first by a stack of child iterators: the depth can reach |J|,
-        past the recursion limit."""
+    def search(self, colors, level, prefix):
+        """A J map found at `colors`, a node of h's tree at `level`, or in
+        the subtree below it, depth first by a stack of child iterators:
+        the depth can reach |J|, past the recursion limit."""
         stack = [iter([colors])]
         while stack:
             colors = next(stack[-1], None)
@@ -499,18 +493,46 @@ def _automorphism_group(lat: FiniteLattice) -> AutomorphismGroup:
                 stack.pop()
                 continue
             depth = level + len(stack) - 1
-            if not np.array_equal(np.bincount(colors), shapes[depth]):
+            if not np.array_equal(np.bincount(colors), self.shapes[depth]):
                 continue
-            sigma = match(colors, depth, prefix)
+            sigma = self.match(colors, depth, prefix)
             if sigma is not None:
                 return sigma
-            if depth < len(base):
-                stack.append(children(colors, depth))
+            if depth < len(self.base):
+                stack.append(self.children(colors, depth))
         return None
 
+
+def _verified_isomorphism(a: FiniteLattice, b: FiniteLattice, joins: np.ndarray,
+                          images: np.ndarray) -> np.ndarray:
+    """The map of a into b that sends each join-irreducible joins[i] to
+    images[i] and x to the join of the images of the join-irreducibles
+    below it; VerificationFailed unless it is an order isomorphism, that
+    is unless b.leq[p][:, p] == a.leq, which also makes p injective (p(x) =
+    p(y) would give x <= y <= x), so onto when |a| = |b|."""
+    perm = np.full(a.n, b.bottom, dtype=np.int32)
+    for j, image in zip(joins.tolist(), images.tolist()):
+        perm = np.where(a.leq[j], b.join_table[perm, image], perm)
+    if not np.array_equal(b.leq[perm][:, perm], a.leq):
+        raise VerificationFailed("candidate is not an isomorphism of the lattices")
+    return perm
+
+
+def _automorphism_group(lat: FiniteLattice) -> AutomorphismGroup:
+    """Generators of Aut(L) by the search of `_Search` within L's own tree.
+
+    Going up from the last level of the first path, each w in v_i's cell
+    outside v_i's orbit under the generators found so far is tried: the
+    subtree under v_1..v_{i-1}, w is searched for a match that fixes
+    v_1..v_{i-1} and sends v_i to w.  Each hit is extended to L and checked
+    to be an order automorphism.
+    """
+    g = _Incidence(lat)
+    tree = _Search(g, g)
+    path, base, cells = tree.path, tree.base, tree.cells
     # the orbits on J of the generators found so far, as a union-find forest;
     # those found at levels >= i fix v_1..v_{i-1}, and v_i's orbit lies in its cell
-    root = list(range(nj))
+    root = list(range(g.nj))
 
     def find(u):
         while root[u] != u:
@@ -523,8 +545,8 @@ def _automorphism_group(lat: FiniteLattice) -> AutomorphismGroup:
         cell = np.flatnonzero(path[i] == cells[i]).tolist()
         for w in cell:
             if find(w) != find(base[i]):
-                sigma = search(_refine(graph, _individualize(path[i], w)), i + 1,
-                               base[:i] + [w])
+                sigma = tree.search(_refine(g.graph, _individualize(path[i], w)), i + 1,
+                                    base[:i] + [w])
                 if sigma is not None:
                     found.append(sigma)
                     for u, v in enumerate(sigma):
@@ -532,57 +554,32 @@ def _automorphism_group(lat: FiniteLattice) -> AutomorphismGroup:
                             a, b = find(u), find(v)
                             root[max(a, b)] = min(a, b)
         base_orbits.append(sum(find(w) == find(base[i]) for w in cell))
-    gens = [_verified_automorphism(lat, joins, joins[sigma]) for sigma in found]
+    gens = [_verified_isomorphism(lat, lat, g.joins, g.joins[sigma]) for sigma in found]
     return AutomorphismGroup(np.array(gens, dtype=np.int32).reshape(-1, lat.n),
                              tuple(reversed(base_orbits)))
 
 
 def find_isomorphism(a: FiniteLattice, b: FiniteLattice) -> Optional[list[int]]:
-    """An order-isomorphism a -> b as an index list, or None.
+    """An isomorphism a -> b as an index list, or None.
 
-    Invariant pre-partitioning followed by backtracking; no canonical-form
-    guarantee, only existence/absence.
+    The search of `_Search` from a's first path into b's whole tree: that
+    tree holds the image of the first path under any isomorphism, at a node
+    whose colour match is that isomorphism on J, so a search that finds
+    nothing proves there is none.  The J map found is extended by joins and
+    checked as an order isomorphism, then against both operation tables.
     """
     if a.n != b.n:
         return None
     if a.n > ISO_SIZE_CAP:
         raise SizeLimitExceeded(f"isomorphism search capped at {ISO_SIZE_CAP} elements")
-    ca, cb = (_refine(_digraph(x.leq), np.zeros(x.n, dtype=np.intp)) for x in (a, b))
-    if sorted(ca.tolist()) != sorted(cb.tolist()):
+    g, h = _Incidence(a), _Incidence(b)
+    if (g.nj, g.adj.shape) != (h.nj, h.adj.shape) or not np.array_equal(
+            np.bincount(g.colors), np.bincount(h.colors)):
         return None
-    n = a.n
-    # most-constrained-first assignment order
-    order = sorted(range(n), key=lambda e: (np.count_nonzero(cb == ca[e]), e))
-    cands = [np.flatnonzero(cb == ca[e]).tolist() for e in order]
-    image = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    placed = np.asarray(order)          # placed[:k] are assigned at depth k
-    nxt = [0] * n                       # next candidate to try at each depth
-    k = 0
-    # iterative backtracking: depth reaches n, far past the recursion limit
-    while 0 <= k < n:
-        e = order[k]
-        if image[e] >= 0:               # returning to depth k: undo its choice
-            used[image[e]] = False
-            image[e] = -1
-        prev, prev_img = placed[:k], image[placed[:k]]
-        for i in range(nxt[k], len(cands[k])):
-            f = cands[k][i]
-            if (not used[f]
-                    and np.array_equal(a.leq[e, prev], b.leq[f, prev_img])
-                    and np.array_equal(a.leq[prev, e], b.leq[prev_img, f])):
-                image[e] = f
-                used[f] = True
-                nxt[k] = i + 1
-                k += 1
-                if k < n:
-                    nxt[k] = 0
-                break
-        else:
-            k -= 1
-    if k < 0:
+    sigma = _Search(g, h).search(h.colors, 0, [])
+    if sigma is None:
         return None
-    # a lattice order-isomorphism preserves meet and join; verify post hoc
+    image = _verified_isomorphism(a, b, g.joins, h.joins[sigma])
     for kind, ta, tb in (("meet", a.meet_table, b.meet_table),
                          ("join", a.join_table, b.join_table)):
         if not np.array_equal(image[ta], tb[np.ix_(image, image)]):

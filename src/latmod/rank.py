@@ -34,7 +34,8 @@ from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 # Triples per batch of every scan.  A batch's working set is some 66 bytes a
 # triple, and each scan thread holds one.  It also sets the route: a lattice
 # whose sorted triples need more than one batch is scanned over the orbits of
-# its automorphism group.  At 500,000 the M3[M6] full scan peaked at 33 MiB
+# its automorphism group; and only a scan of more than one batch is split
+# over threads.  At 500,000 the M3[M6] full scan peaked at 33 MiB
 # against 7 MiB and ran slower (0.29-0.32 s against 0.17-0.24 s; tracemalloc,
 # 2-core Xeon).
 _BATCH = 100_000
@@ -293,10 +294,11 @@ def _scan(lat: FiniteLattice, cap: int, jobs: int, py: np.ndarray, pz: np.ndarra
           label: Optional[np.ndarray] = None) -> ScanResult:
     """Scan `_triples(py, pz, starts, ..., _BATCH, keep)`, triple (x, y, z)
     counted weight(x, y, z) times (once without `weight`), with witnesses
-    by `label` (see `_scan_batch`), in `jobs` parts of the x range with
-    about equal triple counts by per_x() (asked only then), on at most
-    os.cpu_count() threads; the parts merge in x order, so the result is
-    the same for any job count."""
+    by `label` (see `_scan_batch`).  With jobs > 1, per_x() counts the
+    triples of each x; past one `_BATCH` in all, the x range is cut into
+    `jobs` parts of about equal counts, scanned on at most os.cpu_count()
+    threads (a smaller scan costs less than starting them).  The parts
+    merge in x order, so the result is the same for any job count."""
     def scan_range(lo: int, hi: int) -> ScanResult:
         # weights are taken while the previous batch is still held: taken
         # after its release, the M3[M6] full scan had twice the minor page
@@ -310,6 +312,8 @@ def _scan(lat: FiniteLattice, cap: int, jobs: int, py: np.ndarray, pz: np.ndarra
         return scan_range(0, lat.n)
     counts = per_x()
     upto = np.cumsum(counts)
+    if upto[-1] <= _BATCH:
+        return scan_range(0, lat.n)
     # b_i: the first x with at least i/jobs of all triples before it
     bounds = np.searchsorted(upto - counts, np.arange(jobs + 1) * upto[-1] / jobs)
     bounds[0], bounds[-1] = 0, lat.n

@@ -277,6 +277,22 @@ def test_tensor_command_builds_once(capsys, monkeypatch):
     assert code == 0 and built == [("C2xC2", "C3"), ("M3", "C3")]
 
 
+def test_con_command_builds_m3_once(capsys, monkeypatch):
+    built = []
+    balanced_tuples = construct._balanced_tuples
+
+    def counting(base, arity):
+        built.append((base.name, arity))
+        return balanced_tuples(base, arity)
+
+    monkeypatch.setattr(construct, "_balanced_tuples", counting)
+    code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom", "--of-m3",
+                    "--report", "json")
+    assert code == 0 and built == [("N5", 3)]
+    payload = json.loads(out.out)
+    assert payload["cpe_passed"] and payload["con_size"] == payload["con_extension"]
+
+
 def test_m3_congruences_above_the_table_cap_fail_fast(capsys, monkeypatch):
     """con --of-m3 needs M3[L]'s tables and exits 3 above the cap;
     --verify-cpe needs none, and passes above it."""

@@ -364,14 +364,25 @@ def test_covers_height_and_bounds_match_scalar_oracle(lattices):
         assert again.covers() == lat.covers() and again.height() == lat.height()
 
 
-def test_find_isomorphism_past_the_recursion_limit():
-    lat = construct.m3_of(catalog.fano()).lattice
-    assert lat.n > sys.getrecursionlimit()
-    other = relabeled(lat, 1090)
-    image = core.find_isomorphism(lat, other)
-    assert image is not None and sorted(image) == list(range(lat.n))
+def assert_isomorphism(a, b, image):
+    assert image is not None and sorted(image) == list(range(a.n))
     img = np.asarray(image)
-    assert np.array_equal(lat.leq, other.leq[np.ix_(img, img)])
+    assert np.array_equal(a.leq, b.leq[np.ix_(img, img)])
+
+
+def test_find_isomorphism_past_the_recursion_limit(monkeypatch):
+    # M_k's first path individualizes k - 1 atoms one at a time
+    lat = catalog.m_k(sys.getrecursionlimit() + 2)
+    other = relabeled(lat, 1090)
+    depths, init = [], core._Search.__init__
+
+    def recording(self, g, h):
+        init(self, g, h)
+        depths.append(len(self.base))
+
+    monkeypatch.setattr(core._Search, "__init__", recording)
+    assert_isomorphism(lat, other, core.find_isomorphism(lat, other))
+    assert depths == [sys.getrecursionlimit() + 1]
 
 
 def test_find_isomorphism_checks_operations():
@@ -406,11 +417,73 @@ def all_permutations(n):
     return np.array(list(itertools.permutations(range(n))))
 
 
+def permuted_orders(lat):
+    """Oracle helper: the order matrix relabelled by each of the n!
+    permutations p, leq[p][:, p], one flattened row per permutation."""
+    perms = all_permutations(lat.n)
+    return lat.leq[perms[:, :, None], perms[:, None, :]].reshape(len(perms), -1)
+
+
 def automorphism_count(lat):
     """Oracle: the number of permutations of the elements that preserve the
     order, by listing all n! of them."""
-    perms = all_permutations(lat.n)
-    return int((lat.leq[perms[:, :, None], perms[:, None, :]] == lat.leq).all(axis=(1, 2)).sum())
+    return int((permuted_orders(lat) == lat.leq.ravel()).all(axis=1).sum())
+
+
+def canonical_form(lat):
+    """Oracle: the least of the n! relabelled order matrices, as bytes; two
+    lattices of one size are isomorphic iff their forms are equal."""
+    rows = np.packbits(permuted_orders(lat), axis=1)
+    return rows[np.lexsort(rows.T[::-1])[0]].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def small_classes():
+    """The 371 lattices with at most 7 elements, grouped into isomorphism
+    classes by canonical form, in order of first appearance."""
+    classes = {}
+    for lat in (lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)):
+        classes.setdefault((lat.n, canonical_form(lat)), []).append(lat)
+    return list(classes.values())
+
+
+def test_find_isomorphism_matches_listing_oracle_on_small_classes():
+    """Every ordered pair of same-size classes, the second relabelled: an
+    isomorphism exactly when the classes are equal."""
+    reps = [members[0] for members in small_classes()]
+    assert len(reps) == 78
+    copies = [relabeled(b, seed) for seed, b in enumerate(reps)]
+    pairs = 0
+    for i, a in enumerate(reps):
+        for j, b in enumerate(copies):
+            if a.n == b.n:
+                pairs += 1
+                image = core.find_isomorphism(a, b)
+                if i == j:
+                    assert_isomorphism(a, b, image)
+                else:
+                    assert image is None
+    assert pairs == 3066
+
+
+def test_small_lattices_match_their_class_representative():
+    seen = 0
+    for members in small_classes():
+        for seed, lat in enumerate(members):
+            rep = relabeled(members[0], seed)
+            assert_isomorphism(lat, rep, core.find_isomorphism(lat, rep))
+            seen += 1
+    assert seen == 371
+
+
+def test_find_isomorphism_decides_projective_geometries():
+    """A projective plane or space and a relabelled copy: the group is
+    transitive on points and on hyperplanes, so refinement alone splits no
+    cell and the search must individualize."""
+    for q, d in ((3, 3), (5, 3), (3, 4)):
+        lat = catalog.subspace_lattice(q, d)
+        other = relabeled(lat, 23)
+        assert_isomorphism(lat, other, core.find_isomorphism(lat, other))
 
 
 def element_orbits(lat, gens):
@@ -501,9 +574,9 @@ def test_corrupted_automorphism_candidate_raises():
     lat = construct.m3_of(catalog.m_k(4)).lattice
     joins, images = corrupted_candidate(lat)
     good = lat.automorphisms().generators[0]
-    assert np.array_equal(core._verified_automorphism(lat, joins, good[joins]), good)
+    assert np.array_equal(core._verified_isomorphism(lat, lat, joins, good[joins]), good)
     with pytest.raises(VerificationFailed):
-        core._verified_automorphism(lat, joins, images)
+        core._verified_isomorphism(lat, lat, joins, images)
 
 
 def test_automorphism_check_survives_optimize_flag(run_optimized):
@@ -516,7 +589,7 @@ def test_automorphism_check_survives_optimize_flag(run_optimized):
         images = lat.automorphisms().generators[0][joins]
         images[[0, 1]] = images[[1, 0]]
         try:
-            core._verified_automorphism(lat, joins, images)
+            core._verified_isomorphism(lat, lat, joins, images)
         except VerificationFailed:
             print("debug", __debug__, "raised")
     """

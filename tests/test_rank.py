@@ -292,7 +292,10 @@ def test_pair_list_batches_match_submatrix_oracle_on_m3(monkeypatch):
         lat = construct.m3_of(catalog.m_k(k)).lattice
         for case in (lat, relabeled(lat, rng), relabeled(lat, rng)):
             assert assert_same_batches(case) >= 1
-            ranges, _ = scan_split(monkeypatch, SORTED[1], case, 3)
+            with monkeypatch.context() as m:
+                # a scan splits past one batch; M3[M4] has 89,217 antichains
+                m.setattr(rank, "_BATCH", 50_000)
+                ranges, _ = scan_split(monkeypatch, SORTED[1], case, 3)
             assert len(ranges) == 3
             for lo, hi in ranges:
                 assert_same_batches(case, lo, hi)
@@ -507,8 +510,8 @@ def test_antichain_scan_rejects_bad_jobs():
                 scan(catalog.n5(), jobs=jobs)
 
 
-def test_antichain_scan_caps_threads_at_cores(monkeypatch):
-    lat = construct.m3_of(catalog.m_k(4)).lattice
+def record_pools(monkeypatch):
+    """The max_workers of each thread pool rank starts, in order."""
     seen = []
 
     def recording_pool(max_workers):
@@ -516,10 +519,27 @@ def test_antichain_scan_caps_threads_at_cores(monkeypatch):
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(rank, "ThreadPoolExecutor", recording_pool)
+    return seen
+
+
+def test_antichain_scan_caps_threads_at_cores(monkeypatch):
+    lat = construct.m3_of(catalog.m_k(4)).lattice
+    seen = record_pools(monkeypatch)
     monkeypatch.setattr(rank.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rank, "_BATCH", 1_000)  # both scans fill more than one batch
     for scan in SCANS:
         assert scan(lat, jobs=8) == scan(lat, jobs=1)
     assert seen == [2, 2]
+
+
+def test_scan_of_one_batch_starts_no_pool(monkeypatch):
+    # M3[M4] takes the orbit route, which scans 8,184 triples for the full
+    # scan and 4,022 for the antichain scan
+    lat = construct.m3_of(catalog.m_k(4)).lattice
+    seen = record_pools(monkeypatch)
+    for scan in SCANS:
+        assert scan(lat, jobs=2) == scan(lat, jobs=1)
+    assert seen == []
 
 
 # -- the orbit route against the sorted routes ----------------------------
