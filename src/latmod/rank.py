@@ -8,7 +8,7 @@ lattice satisfies the n-th modularity identity exactly when every
 triple's iteration stabilizes by index n; the modularity rank is the
 least such n.
 
-The scalar step3/step4 and closure3/closure4 serve any lattice object;
+The scalar step3/step4 and the closure3 iteration serve any lattice object;
 on finite lattices one vectorized kernel (`_step_columns`) and one
 fixpoint loop (`_fixpoints`), both arity-generic, run the rank scans here
 and the join closures of `construct`.  Both rank scans run through one
@@ -125,10 +125,6 @@ def closure3(lat, t, cap: Optional[int] = None) -> ClosureTrace:
     """Iterate step3 until fixpoint or cap.  On stabilization the final
     triple is balanced and is the least balanced triple above t."""
     return _closure(lat, t, step3, _cap(lat, cap))
-
-
-def closure4(lat, q, cap: Optional[int] = None) -> ClosureTrace:
-    return _closure(lat, q, step4, _cap(lat, cap))
 
 
 # -- the vectorized step map ----------------------------------------------

@@ -8,13 +8,20 @@ lattice built from two climbing ladders over a shared rail spine, a
 side element, and two descending ladders; the triple iteration started
 at the ladder feet climbs forever, which is what refutes lattice-ness
 of its balanced-triple extension.
+
+Both lattices have closed-form operations.  The double ladder's meet and
+join are derived from its order `_fig2_le`, which defines it; the tests
+check them against a search of finite truncations for greatest lower and
+least upper bounds, and `_fig2_le` rejects anything that is not an
+element with ValueError.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NotALattice, VerificationFailed
+from .errors import VerificationFailed
 from .rank import ClosureTrace, Quadruple, Triple, closure3, step4
 
 INF = float("inf")
@@ -35,24 +42,15 @@ def dhw_similar(p, q) -> bool:
     return all(x % 2 == finite[0] % 2 for x in finite)
 
 
+@dataclass(frozen=True)
 class OracleLattice:
     """A lattice given by computed operations over a symbolic domain."""
 
-    def __init__(self, le: Callable, meet: Callable, join: Callable, bottom, top):
-        self._le = le
-        self._meet = meet
-        self._join = join
-        self.bottom = bottom
-        self.top = top
-
-    def le(self, a, b) -> bool:
-        return self._le(a, b)
-
-    def meet(self, a, b):
-        return self._meet(a, b)
-
-    def join(self, a, b):
-        return self._join(a, b)
+    le: Callable
+    meet: Callable
+    join: Callable
+    bottom: object
+    top: object
 
 
 # -- the parity-pair lattice ------------------------------------------------
@@ -122,14 +120,27 @@ TOP = ("top", 0)
 Y0 = ("y0", 0)
 
 
+# The largest index of each tag: bot, top and y0 carry index 0 only.
+_FIG2_MAX_INDEX = {"bot": 0, "top": 0, "y0": 0, **dict.fromkeys("cdwxzsuv", INF)}
+_FIG2_SPINE = frozenset("cdw")
+_FIG2_SIDE = frozenset({"y0", "s", "u", "v"})
+_FIG2_RAIL = {"x": "c", "z": "d"}  # the rail each climbing ladder covers
+_FIG2_CAP = {"x": "u", "z": "v"}  # the descending chain above each ladder
+
+
 def _fig2_le(a, b) -> bool:
-    if a == b or a == BOT or b == TOP:
-        return True
-    if b == BOT or a == TOP:
-        return False
+    """The order of the double ladder, which defines it; both arguments
+    must be elements (ValueError otherwise)."""
     ta, ka = a
     tb, kb = b
-    spine = ta in ("c", "d", "w")
+    if not (type(ka) is int and 0 <= ka <= _FIG2_MAX_INDEX.get(ta, -1)
+            and type(kb) is int and 0 <= kb <= _FIG2_MAX_INDEX.get(tb, -1)):
+        raise ValueError(f"unknown tag or bad index in ladder elements {a!r}, {b!r}")
+    if a == b or ta == "bot" or tb == "top":
+        return True
+    if tb == "bot" or ta == "top":
+        return False
+    spine = ta in _FIG2_SPINE
     if tb == "c":
         return spine and ka <= kb - 1 or a == b
     if tb == "d":
@@ -148,48 +159,70 @@ def _fig2_le(a, b) -> bool:
         return spine or (ta == "s" and ka >= kb)
     if tb == "u":
         return spine or ta == "x" or (ta in ("s", "u") and ka >= kb)
-    if tb == "v":
-        return spine or ta == "z" or (ta in ("s", "v") and ka >= kb)
-    raise ValueError(f"unknown tag {tb}")
+    return spine or ta == "z" or (ta in ("s", "v") and ka >= kb)  # tb == "v"
 
 
-def _fig2_truncation(k: int) -> list:
-    out = [BOT, TOP, Y0]
-    for tag in ("c", "d", "w", "x", "z", "s", "u", "v"):
-        out.extend((tag, i) for i in range(k + 1))
-    return out
+def _fig2_spine_below(e):
+    """The greatest spine element below e, for e not bot or top: e itself
+    on the spine, c_k below x_k, d_k below z_k; None for y0, s, u and v,
+    which lie above the whole spine."""
+    tag, k = e
+    if tag in _FIG2_RAIL:
+        return (_FIG2_RAIL[tag], k)
+    return e if tag in _FIG2_SPINE else None
 
 
-def _fig2_extreme(cands: list, upper: bool):
-    """The greatest (or least) element of a finite nonempty set, if any."""
-    best = None
-    for e in cands:
-        if best is None or (_fig2_le(best, e) if upper else _fig2_le(e, best)):
-            best = e
-    for e in cands:
-        if not (_fig2_le(e, best) if upper else _fig2_le(best, e)):
-            return None
-    return best
+def _fig2_meet(a, b):
+    if _fig2_le(a, b):
+        return a
+    if _fig2_le(b, a):
+        return b
+    # a and b are incomparable: two of y0, s, u, v meet in s at the larger
+    # index; otherwise the meet lies on the spine, a chain but for
+    # c_k || d_k, whose meet is the rung below
+    (ta, ka), (tb, kb) = a, b
+    if ta in _FIG2_SIDE and tb in _FIG2_SIDE:
+        return ("s", max(ka, kb))  # y0's index is 0
+    ea, eb = _fig2_spine_below(a), _fig2_spine_below(b)
+    if ea is None or eb is None:
+        return eb if ea is None else ea
+    if _fig2_le(ea, eb):
+        return ea
+    if _fig2_le(eb, ea):
+        return eb
+    k = ea[1]  # ea, eb are c_k and d_k
+    return ("w", k - 1) if k else BOT
+
+
+def _fig2_join(a, b):
+    if _fig2_le(a, b):
+        return b
+    if _fig2_le(b, a):
+        return a
+    # a and b are incomparable: c_k v d_k = w_k; a ladder joined with a
+    # spine element climbs to the first rung above both; two of x, s, u
+    # join in u at the least s/u index (z, s, v in v); all else in top
+    (ta, ka), (tb, kb) = a, b
+    if ta in _FIG2_SPINE and tb in _FIG2_SPINE:
+        return ("w", ka)  # c_k v d_k
+    for (tl, kl), (te, ke) in ((a, b), (b, a)):
+        if tl in _FIG2_RAIL and te in _FIG2_SPINE:
+            # the least j with e_k <= l_j: k on the rail that l covers,
+            # k + 1 on the other rail and the rungs
+            j = ke if te == _FIG2_RAIL[tl] else ke + 1
+            return (tl, max(kl, j))
+    for ladder, cap in _FIG2_CAP.items():
+        family = (ladder, "s", cap)
+        if ta in family and tb in family:
+            return (cap, min(k for t, k in (a, b) if t != ladder))
+    return TOP
 
 
 def fig2_lattice() -> OracleLattice:
-    def bound(a, b, upper: bool):
-        k = max(a[1], b[1]) + 2
-        if upper:
-            cands = [e for e in _fig2_truncation(k)
-                     if _fig2_le(a, e) and _fig2_le(b, e)]
-        else:
-            cands = [e for e in _fig2_truncation(k)
-                     if _fig2_le(e, a) and _fig2_le(e, b)]
-        got = _fig2_extreme(cands, upper=not upper)
-        if got is None:
-            raise NotALattice(a, b, "join" if upper else "meet")
-        return got
-
-    return OracleLattice(_fig2_le,
-                         lambda a, b: bound(a, b, False),
-                         lambda a, b: bound(a, b, True),
-                         BOT, TOP)
+    """The double ladder, with closed-form meet and join derived from
+    `_fig2_le` (the tests check them against a search of a finite
+    truncation for greatest lower and least upper bounds)."""
+    return OracleLattice(_fig2_le, _fig2_meet, _fig2_join, BOT, TOP)
 
 
 def fig2_divergence(n: int) -> ClosureTrace:

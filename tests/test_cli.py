@@ -3,9 +3,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from latmod import catalog, congruence, construct, core, tensor
+from latmod import catalog, congruence, construct, core, symbolic, tensor
 from latmod.cli import EXIT_CHECK_FAILED, main
 from latmod.errors import LatticeError, VerificationFailed
+from latmod.rank import ClosureTrace
 
 
 def run(capsys, *argv):
@@ -167,6 +168,16 @@ def test_diverge_command(capsys):
 
     code, out = run(capsys, "diverge", "--oracle", "fig2", "--steps", "6")
     assert code == 0
+
+
+def test_failed_divergence_check_exits_check_failed(capsys, monkeypatch):
+    # a closure3 that stabilizes at once, which fig2_divergence must refute
+    monkeypatch.setattr(symbolic, "closure3",
+                        lambda lat, s, cap: ClosureTrace(s, (s, s), 0, cap))
+    code, out = run(capsys, "diverge", "--oracle", "fig2", "--steps", "6",
+                    "--report", "json")
+    assert code == EXIT_CHECK_FAILED == 1
+    assert "unexpectedly stabilized" in out.err and out.out == ""
 
 
 def test_diverge_rejects_negative_steps(capsys):

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import antichains3, interval, is_balanced3, is_balanced4
 from latmod import catalog, construct, core, rank
 from latmod.errors import ArgumentOutOfRange, RankExceedsCap
-from latmod.rank import Quadruple, Triple, closure3, closure4, step3, step4
+from latmod.rank import Quadruple, Triple, closure3, step3, step4
+
+
+def closure4(lat, q, cap=None):
+    """Oracle: the scalar step4 iteration, as closure3 iterates step3."""
+    return rank._closure(lat, q, step4, rank._cap(lat, cap))
 
 
 def balanced_triples(lat):

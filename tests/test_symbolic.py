@@ -4,13 +4,14 @@ import pytest
 
 from conftest import is_balanced3
 from latmod import symbolic
-from latmod.errors import VerificationFailed
+from latmod.errors import NotALattice, VerificationFailed
 from latmod.rank import ClosureTrace, step4
 from latmod.symbolic import (
     BOT,
     INF,
     TOP,
     Y0,
+    _fig2_le,
     dhw_adjustment,
     dhw_lattice,
     dhw_similar,
@@ -85,6 +86,55 @@ def test_parity_pair_never_stabilizes():
     assert step4(lat, seq[-1]) != seq[-1]
 
 
+# -- the double ladder's test oracle: bounds by search --------------------
+#
+# The greatest lower (least upper) bound of a and b found from the order
+# `_fig2_le` alone, among the elements of index at most max + 2; the
+# closed-form meet and join of `fig2_lattice` must agree with it.
+
+def _fig2_truncation(k: int) -> list:
+    out = [BOT, TOP, Y0]
+    for tag in ("c", "d", "w", "x", "z", "s", "u", "v"):
+        out.extend((tag, i) for i in range(k + 1))
+    return out
+
+
+def _fig2_extreme(cands: list, upper: bool):
+    """The greatest (or least) element of a finite nonempty set, if any."""
+    best = None
+    for e in cands:
+        if best is None or (_fig2_le(best, e) if upper else _fig2_le(e, best)):
+            best = e
+    for e in cands:
+        if not (_fig2_le(e, best) if upper else _fig2_le(best, e)):
+            return None
+    return best
+
+
+def bound(a, b, upper: bool):
+    k = max(a[1], b[1]) + 2
+    if upper:
+        cands = [e for e in _fig2_truncation(k)
+                 if _fig2_le(a, e) and _fig2_le(b, e)]
+    else:
+        cands = [e for e in _fig2_truncation(k)
+                 if _fig2_le(e, a) and _fig2_le(e, b)]
+    got = _fig2_extreme(cands, upper=not upper)
+    if got is None:
+        raise NotALattice(a, b, "join" if upper else "meet")
+    return got
+
+
+def test_ladder_closed_forms_match_bound_search():
+    lat = fig2_lattice()
+    els = _fig2_truncation(8)
+    assert len(els) == 75
+    for a in els:
+        for b in els:
+            assert lat.meet(a, b) == bound(a, b, False), (a, b)
+            assert lat.join(a, b) == bound(a, b, True), (a, b)
+
+
 def test_ladder_order_relations():
     lat = fig2_lattice()
     x2, z5 = ("x", 2), ("z", 5)
@@ -99,7 +149,7 @@ def test_ladder_order_relations():
 
 def test_ladder_axioms_on_truncation():
     lat = fig2_lattice()
-    els = symbolic._fig2_truncation(3)
+    els = _fig2_truncation(5)
     assert_lattice_axioms(lat, els)
 
 
@@ -114,17 +164,23 @@ def test_ladder_balanced_majorants():
 
 
 def test_ladder_divergence():
-    trace = symbolic.fig2_divergence(64)
-    assert trace.stabilization_index is None
-    assert len(trace.iterates) == 65
-    assert trace.iterates[64] == (("x", 64), Y0, ("z", 64))
+    for n in (64, 256):
+        trace = symbolic.fig2_divergence(n)
+        assert trace.stabilization_index is None
+        assert len(trace.iterates) == n + 1
+        assert trace.iterates[n] == (("x", n), Y0, ("z", n))
 
 
 def test_bad_element_tags():
     lat = fig2_lattice()
-    for bad in (("q", 1), ("y1", 0)):
-        with pytest.raises(ValueError, match="unknown tag"):
-            lat.le(("x", 0), bad)
+    bad_elements = (("q", 1), ("y1", 0), ("y0", 5), ("bot", 1), ("top", 2),
+                    ("x", -1), ("s", 1.0), ("u", True), ("c", "1"))
+    for bad in bad_elements:
+        for good in (("x", 0), BOT, TOP, Y0, bad):
+            for op in (lat.le, lat.meet, lat.join):
+                for args in ((good, bad), (bad, good)):
+                    with pytest.raises(ValueError, match="unknown tag"):
+                        op(*args)
 
 
 def stalled_closure3(lat, start, cap):
