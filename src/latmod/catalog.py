@@ -4,7 +4,6 @@ grid-decoration machinery, and the small-lattice enumerator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from random import Random
 from typing import Iterator
@@ -249,98 +248,6 @@ def witness7() -> FiniteLattice:
     """The 7-element exactly-3-modular lattice: the C_3 x C_2 grid plus the
     doubling element on the prime interval [(1,0), (1,1)]."""
     return decorate_grid(GridDecoration(3, 2, (("n", (1, 0), (1, 1)),)))
-
-
-def check_c1_c4(lat: FiniteLattice, grid_elements: list[int]) -> tuple[bool, str]:
-    """Verify clauses (C1)-(C7) for the given grid designation.
-
-    Returns (ok, diagnostic); the diagnostic names the first violated
-    clause and its witnesses.
-    """
-    g = sorted(set(grid_elements))
-    gset = set(g)
-    # (C1): {0,1}-sublattice of the form C x D
-    if lat.bottom not in gset or lat.top not in gset:
-        return False, "C1: grid misses a bound"
-    for a in g:
-        for b in g:
-            if lat.meet(a, b) not in gset or lat.join(a, b) not in gset:
-                return False, f"C1: grid not a sublattice at ({a},{b})"
-    # g now holds both bounds and is closed under meet and join, so it is a
-    # lattice in the induced order
-    gl = lattice_from_leq(lat.leq[np.ix_(g, g)], names=[lat.names[e] for e in g])
-    factored = None
-    m = len(g)
-    for p in range(1, m + 1):
-        if m % p:
-            continue
-        q = m // p
-        iso = core.find_isomorphism(gl, direct_product(chain(p), chain(q)))
-        if iso is not None:
-            factored = (p, q, iso)
-            break
-    if factored is None:
-        return False, "C1: grid is not a product of two chains"
-    p, q, iso = factored
-    coord = {}  # lattice element -> (row, col) in C_p x C_q
-    for i, e in enumerate(g):
-        k = iso[i]
-        coord[e] = (k // q, k % q)
-
-    h = [e for e in lat.elements() if e not in gset]
-    # (C2): doubly irreducible
-    for x in h:
-        if len(lat.lower_covers(x)) != 1 or len(lat.upper_covers(x)) != 1:
-            return False, f"C2: element {lat.names[x]} not doubly irreducible"
-
-    # g is closed under join and meet and holds both bounds, so the grid
-    # elements below (above) x have their join (meet) in g: the largest
-    # (smallest) of them
-    un = {x: reduce(lat.join, [e for e in g if lat.le(e, x)]) for x in h}
-    ov = {x: reduce(lat.meet, [e for e in g if lat.le(x, e)]) for x in h}
-    # (C3): equal lower bounds force equality, and dually
-    for x in h:
-        for y in h:
-            if x < y and un[x] == un[y]:
-                return False, f"C3: {lat.names[x]} and {lat.names[y]} share lower bound"
-            if x < y and ov[x] == ov[y]:
-                return False, f"C3: {lat.names[x]} and {lat.names[y]} share upper bound"
-    # (C4): interval shapes
-    for x in h:
-        a, b = un[x], ov[x]
-        ra, ca = coord[a]
-        rb, cb = coord[b]
-        gint = [e for e in g if lat.le(a, e) and lat.le(e, b)]
-        lint = [e for e in lat.elements() if lat.le(a, e) and lat.le(e, b)]
-        if (rb - ra, cb - ca) in ((0, 1), (1, 0)):
-            if len(gint) != 2 or len(lint) != 3:
-                return False, f"C4: [{lat.names[a]},{lat.names[b]}] is not a 3-chain"
-        elif (rb - ra, cb - ca) == (1, 1):
-            if len(gint) != 4 or len(lint) != 5:
-                return False, f"C4: [{lat.names[a]},{lat.names[b]}] is not an M_3"
-            sub_leq = lat.leq[np.ix_(lint, lint)]
-            if core.find_isomorphism(lattice_from_leq(sub_leq.copy()), m_k(3)) is None:
-                return False, f"C4: [{lat.names[a]},{lat.names[b]}] is not an M_3"
-        else:
-            return False, f"C4: [{lat.names[a]},{lat.names[b]}] is neither prime"
-    # consequences (C5)-(C7)
-    for x in lat.elements():
-        for y in lat.elements():
-            if y <= x or lat.le(x, y) or lat.le(y, x):
-                continue
-            mv, jv = lat.meet(x, y), lat.join(x, y)
-            if mv not in gset or jv not in gset:
-                return False, f"C5: bounds of ({lat.names[x]},{lat.names[y]}) not in grid"
-            ux = x if x in gset else un[x]
-            uy = y if y in gset else un[y]
-            ox = x if x in gset else ov[x]
-            oy = y if y in gset else ov[y]
-            if lat.meet(ux, uy) != mv or lat.join(ox, oy) != jv:
-                return False, f"C6: fails at ({lat.names[x]},{lat.names[y]})"
-            rm, cm = coord[mv]
-            if coord[ux][0] != rm and coord[ux][1] != cm:
-                return False, f"C7: fails at ({lat.names[x]},{lat.names[y]})"
-    return True, "ok"
 
 
 def random_c1c4(seed: int, rows: int = 3, cols: int = 3,

@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    ELEMENT_CAP,
     FiniteLattice,
     is_distributive,
     isotone_maps,
@@ -311,6 +312,9 @@ def m3_power_poset(d: FiniteLattice) -> FiniteLattice:
     poset_leq = d.leq[np.ix_(ji, ji)]
     m3 = m_k(3)
     maps = isotone_maps(poset_leq, m3)
+    if len(maps) > ELEMENT_CAP:  # before the len(maps)^2 order is built
+        raise SizeLimitExceeded(f"M3^J({d.name or '?'}) has {len(maps)} elements, "
+                                f"above the cap {ELEMENT_CAP}")
     leq = pointwise_order(m3, np.array(maps, dtype=np.intp))
     names = ["[" + ",".join(m3.names[v] for v in mp) + "]" for mp in maps]
     return lattice_from_leq(leq, names=names, name=f"M3^J({d.name or '?'})")

@@ -27,8 +27,8 @@ from .errors import (
 ISO_SIZE_CAP = 5000
 # order-preserving maps isotone_maps may enumerate
 ISOTONE_MAP_CAP = 10_000_000
-# elements of a lattice built from covers; its tables and the products that
-# check them take some 20 * n^2 bytes
+# elements of a lattice built from covers or an order; its tables and the
+# products that check them take some 20 * n^2 bytes
 ELEMENT_CAP = 4096
 
 
@@ -183,7 +183,15 @@ class FiniteLattice:
 # -- the order engine ------------------------------------------------------
 #
 # Counting products run as float32 BLAS matmuls: every entry is a count of
-# at most n, so they are exact while n < 2**24.
+# at most n, so they are exact while n < 2**24.  Meet and join tables are
+# filled row by row along a linear extension, each row the elementwise
+# maximum, in extension positions, of its own up-set (down-set) entries and
+# its lower (upper) covers' rows.  An argmax of the down-set sizes over the
+# covers' entries is the test oracle.
+
+# rows mapped from extension positions back to elements at a time
+_MAP_BLOCK = 256
+
 
 def _interval_sizes(leq: np.ndarray) -> np.ndarray:
     """sizes[a, b] = #{c : a <= c <= b}; a is covered by b iff it is 2."""
@@ -207,27 +215,35 @@ def _check_order(leq: np.ndarray) -> np.ndarray:
 def _candidate_glbs(order: np.ndarray, lower: list[list[int]]) -> np.ndarray:
     """The glb table of `order` (order[a, b] = a <= b) if it is a lattice.
 
-    Rows are filled in a linear extension: glb(a, b) = a when a <= b, and
-    otherwise glb(a, b) <= a' for some lower cover a' of a, so it is the
-    entry with the largest down-set among glb(a', b); -1 when a has no
-    lower cover.  On a non-lattice the table is wrong somewhere, and
-    _check_tables finds where.
+    Entries are held as their elements' positions in a linear extension ext
+    (the stable argsort of the down-set sizes) while rows are filled in ext
+    order: glb(a, b) = a when a <= b, and otherwise glb(a, b) <= a' for some
+    lower cover a' of a, so it is the greatest of the glb(a', b), the one at
+    the largest position; -1 when a has no lower cover.  So each row is the
+    elementwise maximum of its own up-set entries and its lower covers'
+    rows.  Positions are mapped back to elements in place, a block of rows
+    at a time.
+
+    Every entry is -1 or a common lower bound of its pair, so it is the
+    glb wherever one exists, and _check_tables finds the first pair
+    without one.  The test oracle takes the argmax of the down-set sizes
+    over the lower covers' entries instead.
     """
     n = order.shape[0]
-    down = order.sum(axis=0)
-    weight = np.append(down, -1)  # weight[-1] ranks "no candidate" last
-    cols = np.arange(n)
-    out = np.empty((n, n), dtype=np.int32)
-    for a in np.argsort(down, kind="stable").tolist():
+    ext = np.argsort(order.sum(axis=0), kind="stable")
+    pos = np.empty(n, dtype=np.int32)
+    pos[ext] = np.arange(n, dtype=np.int32)
+    out = np.full((n, n), -1, dtype=np.int32)
+    np.copyto(out, pos[:, None], where=order)  # glb(a, b) = a when a <= b
+    for a in ext.tolist():
         below = lower[a]
-        if not below:
-            out[a] = -1
-        elif len(below) == 1:
-            out[a] = out[below[0]]
-        else:
-            cand = out[below]
-            out[a] = cand[np.argmax(weight[cand], axis=0), cols]
-        out[a, order[a]] = a
+        if len(below) == 1:
+            np.maximum(out[a], out[below[0]], out=out[a])
+        elif below:
+            np.maximum.reduce(out[below + [a]], axis=0, out=out[a])
+    element = np.append(ext, -1).astype(np.int32)  # element[-1] = -1: no candidate
+    for r in range(0, n, _MAP_BLOCK):
+        out[r:r + _MAP_BLOCK] = element[out[r:r + _MAP_BLOCK]]
     return out
 
 
@@ -261,10 +277,14 @@ def _check_tables(leq: np.ndarray, meet: np.ndarray, join: np.ndarray):
 
 def lattice_from_leq(leq: np.ndarray, names: Optional[Sequence[str]] = None,
                      name: str = "") -> FiniteLattice:
-    """Build a FiniteLattice from a partial-order matrix (leq[a,b] = a<=b)."""
-    leq = np.asarray(leq, dtype=bool).copy()
+    """Build a FiniteLattice from a partial-order matrix (leq[a,b] = a<=b);
+    SizeLimitExceeded above ELEMENT_CAP, before the matrix is copied."""
+    leq = np.asarray(leq, dtype=bool)
+    if leq.shape[0] > ELEMENT_CAP:
+        raise SizeLimitExceeded(f"{leq.shape[0]} elements exceed the cap {ELEMENT_CAP}")
     if leq.shape[0] == 0:
         raise NotALattice(-1, -1, "no bottom")
+    leq = leq.copy()
     covers = _CoverIndex(_check_order(leq))
     meet = _candidate_glbs(leq, covers.lower)
     join = _candidate_glbs(leq.T, covers.upper)

@@ -120,6 +120,17 @@ def test_power_poset_counts_and_iso():
         construct.m3_power_poset(catalog.m_k(3))
 
 
+def test_power_poset_fails_fast_above_the_element_cap(traced_peak):
+    # B6 has six join-irreducibles, an antichain, so 5^6 isotone maps; their
+    # pointwise order alone would take 15,625^2 bytes, about 244 MB
+    def build():
+        with pytest.raises(SizeLimitExceeded, match="15625 elements"):
+            construct.m3_power_poset(catalog.boolean(6))
+
+    _, peak = traced_peak(build)
+    assert peak < 32 << 20
+
+
 def test_coordinate_permutation_is_automorphism():
     base = catalog.n5()
     k = m3_of(base)

@@ -60,6 +60,42 @@ def argmax_is_lattice(leq: np.ndarray) -> bool:
     return bool(leq.all(axis=1).any() and leq.all(axis=0).any())
 
 
+def cover_argmax_glbs(order: np.ndarray, lower: list[list[int]]) -> np.ndarray:
+    """Test oracle: the glb table by an argmax of the down-set sizes over
+    the lower covers' entries, where core._candidate_glbs takes the maximum
+    of extension positions.
+
+    Rows are filled in a linear extension: glb(a, b) = a when a <= b, and
+    otherwise glb(a, b) <= a' for some lower cover a' of a, so it is the
+    entry with the largest down-set among glb(a', b); -1 when a has no
+    lower cover.  On a non-lattice the table is wrong somewhere, and
+    _check_tables finds where.
+    """
+    n = order.shape[0]
+    down = order.sum(axis=0)
+    weight = np.append(down, -1)  # weight[-1] ranks "no candidate" last
+    cols = np.arange(n)
+    out = np.empty((n, n), dtype=np.int32)
+    for a in np.argsort(down, kind="stable").tolist():
+        below = lower[a]
+        if not below:
+            out[a] = -1
+        elif len(below) == 1:
+            out[a] = out[below[0]]
+        else:
+            cand = out[below]
+            out[a] = cand[np.argmax(weight[cand], axis=0), cols]
+        out[a, order[a]] = a
+    return out
+
+
+def cover_argmax_tables(leq: np.ndarray):
+    """Test oracle: the meet and join tables of a partial order by
+    cover_argmax_glbs, on the same cover index as lattice_from_leq."""
+    covers = core._CoverIndex(core._check_order(leq))
+    return cover_argmax_glbs(leq, covers.lower), cover_argmax_glbs(leq.T, covers.upper)
+
+
 def scalar_covers(lat):
     """Test oracle: a < b with no c strictly between, by a triple loop."""
     lt = lambda x, y: x != y and lat.le(x, y)
@@ -252,6 +288,18 @@ def test_parse_rejects_deep_nesting_and_oversized_inputs():
         core.parse(json.dumps({"elements": names, "covers": []}))
 
 
+def test_lattice_from_leq_fails_fast_above_the_element_cap(traced_peak):
+    # rejected before the order is copied or any n x n table is allocated
+    leq = np.eye(core.ELEMENT_CAP + 1, dtype=bool)
+
+    def build():
+        with pytest.raises(SizeLimitExceeded):
+            core.lattice_from_leq(leq)
+
+    _, peak = traced_peak(build)
+    assert peak < 1 << 20
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
 def test_enumerated_lattices_roundtrip_and_axioms(n, rng):
@@ -295,6 +343,52 @@ def test_random_posets_rejected_iff_argmax_oracle_rejects():
         assert got == want, leq.astype(int)
         verdicts.append(got)
     assert 100 < sum(verdicts) < 500  # both outcomes well represented
+
+
+def test_tables_match_cover_argmax_oracle():
+    m3 = construct.m3_of(catalog.fano()).lattice
+    pool = [relabeled(m3, 7)]
+    for n in range(1, 8):
+        for i, lat in enumerate(catalog.enumerate_lattices(n)):
+            pool += [lat, relabeled(lat, 100 * n + i)]
+    assert len(pool) == 1 + 2 * 371
+    for lat in pool:
+        built = core.lattice_from_leq(lat.leq)
+        meet, join = cover_argmax_tables(lat.leq)
+        assert np.array_equal(built.meet_table, meet)
+        assert np.array_equal(built.join_table, join)
+
+
+def first_fault(build, leq):
+    """The (a, b, kind) of the NotALattice that build(leq) raises, or None."""
+    try:
+        build(leq)
+    except NotALattice as err:
+        return err.a, err.b, err.kind
+    return None
+
+
+def test_not_a_lattice_matches_cover_argmax_oracle():
+    # the kernels may disagree at a pair without a glb; each entry is still
+    # -1 or a common lower bound, hence the glb wherever one exists, so
+    # _check_tables names the same first pair after either kernel
+    rng = np.random.default_rng(22)
+    faults = differ = 0
+    for _ in range(2000):
+        leq = random_poset(rng, int(rng.integers(2, 12)))
+        want = first_fault(lambda o: core._check_tables(o, *cover_argmax_tables(o)), leq)
+        assert first_fault(core.lattice_from_leq, leq) == want, leq.astype(int)
+        faults += want is not None
+        covers = core._CoverIndex(core._check_order(leq))
+        cols = np.arange(len(leq))
+        for order, lower, oracle in zip(
+                (leq, leq.T), (covers.lower, covers.upper), cover_argmax_tables(leq)):
+            cand = core._candidate_glbs(order, lower)
+            common = order[cand, cols[:, None]] & order[cand, cols]
+            assert ((cand == -1) | common).all(), leq.astype(int)
+            differ += not np.array_equal(cand, oracle)
+    assert 400 < faults < 1600  # both outcomes well represented
+    assert differ > 0  # the invariant, not equal tables, carries the equality
 
 
 def corrupted(lat, meet=None, join=None):
