@@ -194,8 +194,9 @@ def decorate_grid(dec: GridDecoration) -> FiniteLattice:
 
     Raises DecorationConflict naming the violated clause (C2/C3/C4).
     """
-    rows, cols = dec.rows, dec.cols
-    grid = direct_product(chain(rows), chain(cols), name="grid")
+    rows, cols, h = dec.rows, dec.cols, len(dec.added)
+    ng = rows * cols
+    _check_size(f"grid{rows}x{cols}+{h}", ng + h)
     lowers, uppers, intervals = set(), set(), set()
     for kind, a, b in dec.added:
         for coord in (a, b):
@@ -220,24 +221,25 @@ def decorate_grid(dec: GridDecoration) -> FiniteLattice:
         lowers.add(a)
         uppers.add(b)
 
-    ng = grid.n
-    h = len(dec.added)
+    # grid element (i, j) has index i * cols + j; the order is componentwise
+    r, c = np.divmod(np.arange(ng), cols)
+    grid = (r[:, None] <= r) & (c[:, None] <= c)
     n = ng + h
     leq = np.zeros((n, n), dtype=bool)
-    leq[:ng, :ng] = grid.leq
-    names = list(grid.names)
+    leq[:ng, :ng] = grid
+    names = [f"({x},{y})" for x, y in zip(r.tolist(), c.tolist())]
     bounds = []
     for i, (kind, a, b) in enumerate(dec.added):
         e = ng + i
         ia, ib = _grid_index(cols, a), _grid_index(cols, b)
         bounds.append((ia, ib))
         leq[e, e] = True
-        leq[:ng, e] = grid.leq[:, ia]   # x <= e iff x <= a
-        leq[e, :ng] = grid.leq[ib, :]   # e <= y iff b <= y
+        leq[:ng, e] = grid[:, ia]   # x <= e iff x <= a
+        leq[e, :ng] = grid[ib, :]   # e <= y iff b <= y
         names.append(f"{kind}({a[0]},{a[1]})")
     for i, (_, ib1) in enumerate(bounds):
         for k, (ia2, _) in enumerate(bounds):
-            if i != k and grid.leq[ib1, ia2]:
+            if i != k and grid[ib1, ia2]:
                 leq[ng + i, ng + k] = True  # e_i <= b_i <= a_k <= e_k
     lat = lattice_from_leq(leq, names=names,
                            name=f"grid{rows}x{cols}+{h}")

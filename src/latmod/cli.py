@@ -10,7 +10,7 @@ import sys
 import time
 
 from . import catalog, congruence, construct, core, rank, symbolic, tensor
-from .errors import LatticeError, VerificationFailed
+from .errors import LatticeError, SizeLimitExceeded, VerificationFailed
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -109,16 +109,23 @@ def _cmd_build(args, builder) -> int:
 
 def cmd_con(args) -> int:
     lat = _load(args.lattice)
+    k = None
+    if args.of_m3:
+        # every <x, y, x^y> is balanced, so |M3[L]| >= n^2: refuse unbuilt
+        if lat.n ** 2 > congruence.CON_SIZE_CAP:
+            raise SizeLimitExceeded(f"M3[{lat.name or '?'}] has at least {lat.n ** 2} "
+                                    f"elements, above the congruence cap {congruence.CON_SIZE_CAP}")
+        k = construct.m3_of(lat)
     payload = {}
-    k = construct.m3_with_tables(lat) if args.of_m3 else None
     if args.verify_cpe:
         rep = congruence.verify_cpe(lat, args.verify_cpe, k)
         payload = {"cpe_passed": rep.passed, "con_base": rep.base_con_count,
                    "con_extension": rep.ext_con_count}
-        if not rep.passed:
+        # a passed check has |Con L| = |Con M3[L]|: both None past the cap
+        if not rep.passed or rep.base_con_count is None:
             _emit(args, payload)
-            return EXIT_CHECK_FAILED
-    target = k.lattice if args.of_m3 else lat
+            return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    target = lat if k is None else k
     con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
     payload["con_size"] = len(con)

@@ -9,11 +9,10 @@ from typing import Optional
 import numpy as np
 
 from .core import FiniteLattice, join_irreducibles
-from .construct import (_GRID_ENTRIES, EAGER_TABLE_CAP, TupleLattice, embed_atom, embed_diag,
-                        m3_of)
+from .construct import _GRID_ENTRIES, TupleLattice, embed_atom, embed_diag, m3_of
 from .errors import ArgumentOutOfRange, SizeLimitExceeded
 
-CON_SIZE_CAP = EAGER_TABLE_CAP
+CON_SIZE_CAP = 2000
 
 
 def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
@@ -41,9 +40,14 @@ def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
     return dep
 
 
-def _generators(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _generators(lat: FiniteLattice | TupleLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The join-irreducibles ji, and the distinct generators con(j_, j) as
-    `_classes` of D: con(j_, j) <= con(k_, k) iff j D* k (Free Lattices, ch. 2)."""
+    `_classes` of D: con(j_, j) <= con(k_, k) iff j D* k (Free Lattices, ch. 2).
+    For M3[L], J is the coordinate copies of J(L) (`_m3_dependency`)."""
+    if isinstance(lat, TupleLattice):
+        ji = np.array(join_irreducibles(lat.base), dtype=np.intp)
+        lower = np.array([lat.base.lower_covers(j)[0] for j in ji], dtype=np.intp)
+        return (_copies(lat, ji), *_classes(_m3_dependency(lat, ji, lower)))
     ji = np.array(join_irreducibles(lat), dtype=np.intp)
     return (ji, *_classes(_dependency(lat, ji)))
 
@@ -69,7 +73,8 @@ def _classes(dep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(order)[gen], below
 
 
-def _block_roots(lat: FiniteLattice, ji: np.ndarray, collapsed: np.ndarray) -> np.ndarray:
+def _block_roots(lat: FiniteLattice | TupleLattice, ji: np.ndarray,
+                 collapsed: np.ndarray) -> np.ndarray:
     """Row i is the congruence theta that collapses the pair (j_, j) of
     exactly the ji[a] with collapsed[i, a], as root labels: roots[i, e] is
     the least element of e's block.
@@ -82,11 +87,17 @@ def _block_roots(lat: FiniteLattice, ji: np.ndarray, collapsed: np.ndarray) -> n
     the j <= a that theta does not collapse.  Then r <= a and r theta a;
     and for c theta a also a ^ c theta a, so r <= a ^ c <= c.  So r is the
     least element of a's block: one join pass per join-irreducible over
-    all rows at once."""
-    roots = np.full((len(collapsed), lat.n), lat.bottom, dtype=np.int32)
-    for a, j in enumerate(ji):
-        grow = lat.leq[j] & ~collapsed[:, a, None]
-        roots = np.where(grow, lat.join_table[j][roots], roots)
+    all rows at once.  The joins of each j with every element are table
+    rows of a FiniteLattice and come from `TupleLattice.join` for M3[L];
+    j's up-set is the x with j v x = x."""
+    every = np.arange(len(lat))
+    if isinstance(lat, TupleLattice):
+        bottom, joins = lat.ids([lat.base.bottom] * lat.arity), lat.join(ji[:, None], every)
+    else:
+        bottom, joins = lat.bottom, lat.join_table[ji]
+    roots = np.full((len(collapsed), len(lat)), bottom, dtype=np.int32)
+    for a, (row, up) in enumerate(zip(joins, joins == every)):
+        roots = np.where(up & ~collapsed[:, a, None], row[roots], roots)
     return roots
 
 
@@ -120,10 +131,10 @@ class ConLattice:
         return len(self.ids)
 
 
-def all_congruences(lat: FiniteLattice) -> ConLattice:
-    """The congruence lattice, ordered by refinement; SizeLimitExceeded
-    when the lattice or its congruence lattice has more than
-    `CON_SIZE_CAP` elements.
+def all_congruences(lat: FiniteLattice | TupleLattice) -> ConLattice:
+    """The congruence lattice, ordered by refinement, of a FiniteLattice
+    or of M3[L] read through its operations; SizeLimitExceeded when the
+    lattice or its congruence lattice has more than `CON_SIZE_CAP` elements.
 
     Every congruence of a finite lattice is the join of the principal
     congruences of the cover pairs it collapses, and one generator per
@@ -147,7 +158,7 @@ def all_congruences(lat: FiniteLattice) -> ConLattice:
     the same walk (`_down_set_index`), so the Con L tables come from the
     bits.
     """
-    if lat.n > CON_SIZE_CAP:
+    if len(lat) > CON_SIZE_CAP:
         raise SizeLimitExceeded(f"congruence computation capped at {CON_SIZE_CAP} elements")
     ji, gen, below = _generators(lat)
     bits, children = _down_sets(below)
@@ -185,6 +196,14 @@ def _down_sets(below: np.ndarray) -> tuple[np.ndarray, list]:
     return bits, children
 
 
+def _con_count(below: np.ndarray) -> Optional[int]:
+    """The number of down-sets of `below`, None past CON_SIZE_CAP."""
+    try:
+        return len(_down_sets(below)[0])
+    except SizeLimitExceeded:
+        return None
+
+
 def _down_set_index(children, bits, op) -> np.ndarray:
     """The enumeration index of op(bits[a], bits[b]) for every pair (a, b),
     where op is intersection or union and so gives a down-set again.
@@ -206,12 +225,6 @@ def _copies(k: TupleLattice, values: np.ndarray) -> np.ndarray:
     return k.ids(cols.reshape(k.arity, -1))
 
 
-def _under(k: TupleLattice, ji: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """under[b, ...]: J(k)[b], listed as `_copies(k, ji)`, lies below the
-    element x[...], read in its one coordinate that is not the bottom."""
-    return np.concatenate([k.base.leq[ji][:, c[x]] for c in k.cols])
-
-
 def _m3_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """D without its diagonal on J(k) = `_copies(k, ji)`, for the base's
     join-irreducibles ji with lower covers `lower`.  k's order is
@@ -219,24 +232,38 @@ def _m3_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.nda
     lie the <x,0,0>, x <= j: so J(k) is three copies of J(base), with lower
     covers <j_,0,0> and so on.  j D k iff j != k and some x has
     j <= k v x and j !<= k_ v x (Free Lattices, ch. 2), k v x read off
-    `k.join` for all x, about _GRID_ENTRIES joins at a time."""
+    `k.join` for all x, about _GRID_ENTRIES joins at a time.  A copy of
+    ji[i] in coordinate c is read in c only, so per k and c only the
+    distinct pairs (u, d) = ((k v x)_c, (k_ v x)_c) matter, at most n^2 of
+    them: they are marked in an n x n grid, and the copy depends on k iff
+    some marked pair has ji[i] <= u and ji[i] !<= d.  A float32 product
+    of ji's up-sets with the grid counts the marked u above ji[i] per d
+    (exact below 2^24)."""
+    n, nj = k.base.n, len(ji)
     jk, low = _copies(k, ji), _copies(k, lower)
     every, rows = np.arange(len(k)), max(1, _GRID_ENTRIES // len(k))
+    above = k.base.leq[ji]
+    above32 = above.astype(np.float32)
     dep = np.empty((len(jk), len(jk)), dtype=bool)
     for lo in range(0, len(jk), rows):
         part = slice(lo, lo + rows)
         up, down = k.join(jk[part, None], every), k.join(low[part, None], every)
-        dep[:, part] = (_under(k, ji, up) & ~_under(k, ji, down)).any(axis=2)
+        for c, col in enumerate(k.cols):
+            marked = np.zeros((n, len(up), n), dtype=np.float32)  # [u, copy, d]
+            marked[col[up], np.arange(len(up))[:, None], col[down]] = 1
+            reach = (above32 @ marked.reshape(n, -1)).reshape(nj, len(up), n)
+            dep[c * nj:(c + 1) * nj, part] = ((reach > 0) & ~above[:, None]).any(axis=2)
     np.fill_diagonal(dep, False)
     return dep
 
 
 @dataclass(frozen=True)
 class CpeReport:
-    """|Con| of the base and of M3[base], and the clauses of the check."""
+    """|Con| of the base and of M3[base], None past CON_SIZE_CAP, and the
+    clauses of the check, which read no counts."""
 
-    base_con_count: int
-    ext_con_count: int
+    base_con_count: Optional[int]
+    ext_con_count: Optional[int]
     images_principal: bool
     bijective: bool
     order_preserved: bool
@@ -262,9 +289,9 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom",
     one, and the induced map J(Con base) -> J(Con K) must be a bijection
     that preserves and reflects the order.  Then ext, which preserves
     joins, is an isomorphism; restriction r has theta <= r(ext theta) and
-    ext(r psi) <= psi, so r inverts ext.  |Con| is counted from down-sets.
-    An `m3_of(base)` already built can be passed as `k`; it is checked
-    instead of built again."""
+    ext(r psi) <= psi, so r inverts ext.  |Con| is counted from down-sets
+    up to CON_SIZE_CAP.  An `m3_of(base)` already built can be passed as
+    `k`; it is checked instead of built again."""
     if embedding not in _EMBEDDINGS:
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
@@ -272,10 +299,10 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom",
         k = m3_of(base)
     image = np.array(_EMBEDDINGS[embedding](k))
     ji, gen_b, below_b = _generators(base)
-    lower = np.array([base.lower_covers(j)[0] for j in ji], dtype=np.intp)
-    gen_k, below_k = _classes(_m3_dependency(k, ji, lower))
-    # hit[b, a]: J(K)[b] lies below iota ji[a] and not below iota lower[a]
-    hit = _under(k, ji, image[ji]) & ~_under(k, ji, image[lower])
+    jk, gen_k, below_k = _generators(k)
+    up, down = image[ji], image[[base.lower_covers(j)[0] for j in ji]]
+    # hit[b, a]: jk[b] lies below iota ji[a] and not below iota of its lower cover
+    hit = (k.join(jk[:, None], up) == up) & (k.join(jk[:, None], down) != down)
     classes = hit.T.astype(np.int32) @ (gen_k[:, None] == np.arange(len(below_k)))
     order_k = below_k | np.eye(len(below_k), dtype=bool)
     greatest = (classes > 0) & (classes @ ~order_k == 0)
@@ -283,7 +310,7 @@ def verify_cpe(base: FiniteLattice, embedding: str = "atom",
     le_base = below_b[np.ix_(gen_b, gen_b)] | (gen_b[:, None] == gen_b)
     le_image = order_k[np.ix_(top, top)]
     phi = top[np.unique(gen_b, return_index=True)[1]]
-    return CpeReport(len(_down_sets(below_b)[0]), len(_down_sets(below_k)[0]),
+    return CpeReport(_con_count(below_b), _con_count(below_k),
                      bool(greatest.any(axis=1).all()),
                      np.array_equal(np.sort(phi), np.arange(len(below_k))),
                      bool((le_image | ~le_base).all()), bool((le_base | ~le_image).all()))

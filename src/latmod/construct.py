@@ -231,20 +231,6 @@ def m3_of(base: FiniteLattice) -> TupleLattice:
     return TupleLattice(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
 
 
-def m3_with_tables(base: FiniteLattice) -> TupleLattice:
-    """m3_of(base) with its meet and join tables; SizeLimitExceeded when
-    M3[base] has more than EAGER_TABLE_CAP elements.  Every <x, y, x^y> is
-    balanced, so |M3[base]| >= n^2, and a base with n^2 above the cap
-    fails before anything is built."""
-    label = f"M3[{base.name or '?'}]"
-    if base.n ** 2 > EAGER_TABLE_CAP:
-        raise SizeLimitExceeded(f"{label} has at least {base.n ** 2} elements, "
-                                f"above the table cap {EAGER_TABLE_CAP}")
-    k = m3_of(base)
-    require_tables(k)
-    return k
-
-
 def require_tables(k: TupleLattice) -> FiniteLattice:
     """k's meet and join tables; SizeLimitExceeded when k has more than
     EAGER_TABLE_CAP elements."""

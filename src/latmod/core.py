@@ -278,8 +278,11 @@ def _check_tables(leq: np.ndarray, meet: np.ndarray, join: np.ndarray):
 def lattice_from_leq(leq: np.ndarray, names: Optional[Sequence[str]] = None,
                      name: str = "") -> FiniteLattice:
     """Build a FiniteLattice from a partial-order matrix (leq[a,b] = a<=b);
-    SizeLimitExceeded above ELEMENT_CAP, before the matrix is copied."""
+    ParseError unless it is square and 2-d, and SizeLimitExceeded above
+    ELEMENT_CAP, before the matrix is copied."""
     leq = np.asarray(leq, dtype=bool)
+    if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
+        raise ParseError(f"an order matrix must be square, not of shape {leq.shape}")
     if leq.shape[0] > ELEMENT_CAP:
         raise SizeLimitExceeded(f"{leq.shape[0]} elements exceed the cap {ELEMENT_CAP}")
     if leq.shape[0] == 0:

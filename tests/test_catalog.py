@@ -126,6 +126,15 @@ def test_decorate_grid_basics():
         w7) is not None
 
 
+def test_decorate_grid_fails_fast_above_the_element_cap(traced_peak):
+    # 65 x 64 = 4,160 grid elements: refused before any n x n order is built
+    def build():
+        with pytest.raises(SizeLimitExceeded):
+            catalog.decorate_grid(GridDecoration(65, 64))
+
+    assert traced_peak(build)[1] < 1 << 20
+
+
 def test_decoration_conflicts():
     with pytest.raises(DecorationConflict) as err:
         catalog.decorate_grid(GridDecoration(

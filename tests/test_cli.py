@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -289,7 +290,9 @@ def test_tensor_command_builds_once(capsys, monkeypatch):
 
 
 def test_con_command_builds_m3_once(capsys, monkeypatch):
-    built = []
+    """--verify-cpe and the enumeration share one M3[L], and neither builds
+    its tables."""
+    built, tabled = [], []
     balanced_tuples = construct._balanced_tuples
 
     def counting(base, arity):
@@ -297,28 +300,49 @@ def test_con_command_builds_m3_once(capsys, monkeypatch):
         return balanced_tuples(base, arity)
 
     monkeypatch.setattr(construct, "_balanced_tuples", counting)
+    monkeypatch.setattr(construct.TupleLattice, "lattice",
+                        property(lambda k: tabled.append(k.name)))
     code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom", "--of-m3",
                     "--report", "json")
-    assert code == 0 and built == [("N5", 3)]
+    assert code == 0 and built == [("N5", 3)] and tabled == []
     payload = json.loads(out.out)
     assert payload["cpe_passed"] and payload["con_size"] == payload["con_extension"]
 
 
-def test_m3_congruences_above_the_table_cap_fail_fast(capsys, monkeypatch):
-    """con --of-m3 needs M3[L]'s tables and exits 3 above the cap;
-    --verify-cpe needs none, and passes above it."""
+# the output of the route that enumerated Con M3[N5] from M3[N5]'s tables
+CON_M3_N5 = """{
+  "cpe_passed": true,
+  "con_base": 5,
+  "con_extension": 5,
+  "lattice": "M3[N5]",
+  "con_size": 5,
+  "con_hasse": "{\\n  \\"name\\": \\"Con(M3[N5])\\",\\n  \\"elements\\": [\\n    \\"con0/1b\\",\\n    \\"con1/5b\\",\\n    \\"con2/5b\\",\\n    \\"con3/25b\\",\\n    \\"con4/41b\\"\\n  ],\\n  \\"covers\\": [\\n    [\\n      1,\\n      0\\n    ],\\n    [\\n      2,\\n      0\\n    ],\\n    [\\n      3,\\n      1\\n    ],\\n    [\\n      3,\\n      2\\n    ],\\n    [\\n      4,\\n      3\\n    ]\\n  ]\\n}"
+}
+"""
+
+
+def test_con_of_m3_output_is_pinned(capsys):
+    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "atom",
+                    "--report", "json")
+    assert code == 0 and out.out == CON_M3_N5
+
+
+def test_m3_congruences_above_the_cap_fail_fast(capsys, monkeypatch):
+    """con --of-m3 exits 3 above CON_SIZE_CAP elements of M3[L], before
+    building M3[L] when n^2 is above it; --verify-cpe has no element cap,
+    and passes above it."""
     def refuse(*args):
         raise AssertionError("M3 was built")
 
-    # Sub(2,4) has 67 elements: 67^2 > EAGER_TABLE_CAP, so nothing is built
+    # Sub(2,4) has 67 elements: 67^2 > CON_SIZE_CAP, so nothing is built
     monkeypatch.setattr(construct, "_balanced_tuples", refuse)
     code, out = run(capsys, "con", "--lattice", "subspace:2,4", "--of-m3")
-    assert code == 3 and "table cap" in out.err
+    assert code == 3 and "at least 4489 elements, above the congruence cap 2000" in out.err
     monkeypatch.undo()
-    # n^2 under the cap but M3[N5] above it: the lazy result has no tables
-    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
+    # n^2 under the cap but M3[N5] above it
+    monkeypatch.setattr(congruence, "CON_SIZE_CAP", 30)
     code, out = run(capsys, "con", "--lattice", "n5", "--of-m3")
-    assert code == 3 and "table cap" in out.err
+    assert code == 3 and "capped at 30 elements" in out.err
     code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "diag")
     assert code == 0
     monkeypatch.undo()
@@ -328,6 +352,26 @@ def test_m3_congruences_above_the_table_cap_fail_fast(capsys, monkeypatch):
     payload = json.loads(out.out)
     assert code == 0 and payload["cpe_passed"] is True
     assert payload["con_base"] == payload["con_extension"] == payload["con_size"] == 2
+
+
+def test_cpe_verdict_past_the_congruence_count_cap(capsys, monkeypatch):
+    """Con(C_12) has 2^11 = 2,048 elements, past CON_SIZE_CAP: con exits 3,
+    and con --verify-cpe prints the verdict with null counts and exits by
+    it, with or without --of-m3."""
+    code, out = run(capsys, "con", "--lattice", "c12")
+    assert code == 3 and "more than 2000 congruences" in out.err
+    for of_m3 in ((), ("--of-m3",)):
+        code, out = run(capsys, "con", "--lattice", "c12", "--verify-cpe", "atom",
+                        "--report", "json", *of_m3)
+        assert code == 0 and json.loads(out.out) == {
+            "cpe_passed": True, "con_base": None, "con_extension": None}, of_m3
+    # with D on J(M3[C12]) empty, its 33 join-irreducibles are 33 classes
+    monkeypatch.setattr(congruence, "_m3_dependency",
+                        lambda k, ji, lower: np.zeros((3 * len(ji),) * 2, dtype=bool))
+    code, out = run(capsys, "con", "--lattice", "c12", "--verify-cpe", "atom",
+                    "--report", "json")
+    assert code == EXIT_CHECK_FAILED and json.loads(out.out) == {
+        "cpe_passed": False, "con_base": None, "con_extension": None}
 
 
 def test_congruence_count_cap_exits_input(capsys):

@@ -323,13 +323,23 @@ def dependency_by_definition(lat):
     return dep
 
 
+def assert_same_con(got, want):
+    """Two ConLattices with the same ids, tables and names."""
+    assert np.array_equal(got.ids, want.ids)
+    a, b = got.lattice, want.lattice
+    for table in ("leq", "meet_table", "join_table"):
+        assert np.array_equal(getattr(a, table), getattr(b, table)), table
+    assert (a.names, a.name) == (b.names, b.name)
+
+
 def test_dependency_relation_matches_its_definition():
     """On every lattice with at most 7 elements and a renumbering of each,
     D equals its definition over all x, and D* equals the order of the
-    generators read off the scalar oracle.  On M3 of each, with tables,
-    J(M3) is the three copies of J and the copies' D is its definition on
-    the tables; and verify_cpe agrees with the partition oracle for both
-    embeddings."""
+    generators read off the scalar oracle.  On M3 of each, J(M3) is the
+    three copies of J and the copies' D is its definition on the tables;
+    Con M3, read through M3's operations, is the Con of its tables (the
+    oracle route), with the same ids, tables and names; and verify_cpe
+    agrees with the partition oracle for both embeddings."""
     rng = random.Random(11)
     for n in range(1, 8):
         for lat in catalog.enumerate_lattices(n):
@@ -342,7 +352,8 @@ def test_dependency_relation_matches_its_definition():
                 for a, b in itertools.product(range(len(ji)), repeat=2):
                     star = gen[a] == gen[b] or below[gen[a], gen[b]]
                     assert star == refines(gens[a], gens[b])
-                k = construct.m3_with_tables(case)
+                k = construct.m3_of(case)
+                assert_same_con(all_congruences(k), all_congruences(k.lattice))
                 jk = congruence._copies(k, ji)
                 want = core.join_irreducibles(k.lattice)
                 assert sorted(jk.tolist()) == want

@@ -598,7 +598,7 @@ def test_balanced_filter_memory_is_bounded(traced_peak):
 def test_element_checks_run_above_the_table_cap(monkeypatch):
     """The element checks read meets and joins through the key maps, so
     they pass on M3[Sub(2,4)] (56,725 elements) without tables; only
-    m3_with_tables still refuses above EAGER_TABLE_CAP."""
+    require_tables refuses above EAGER_TABLE_CAP."""
     k = m3_of(catalog.subspace_lattice(2, 4))
     assert len(k) == 56_725 and k.lattice is None
     five = construct.spanning_m3(k)
@@ -608,10 +608,10 @@ def test_element_checks_run_above_the_table_cap(monkeypatch):
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     m3m3, ids = construct.m4_sublattice_in_m3m3()
     assert len(set(ids)) == 4 and m3m3.lattice is None
-    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)  # 5^2 <= 30 < 41
+    monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
     with pytest.raises(SizeLimitExceeded,
                        match=r"M3\[N5\] has 41 elements, above the table cap 30"):
-        construct.m3_with_tables(catalog.n5())
+        construct.require_tables(m3_of(catalog.n5()))
 
 
 def with_broken_joins(k):

@@ -288,6 +288,12 @@ def test_parse_rejects_deep_nesting_and_oversized_inputs():
         core.parse(json.dumps({"elements": names, "covers": []}))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_lattice_from_leq_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ParseError, match="must be square"):
+        core.lattice_from_leq(np.ones(shape, dtype=bool))
+
+
 def test_lattice_from_leq_fails_fast_above_the_element_cap(traced_peak):
     # rejected before the order is copied or any n x n table is allocated
     leq = np.eye(core.ELEMENT_CAP + 1, dtype=bool)
