@@ -80,10 +80,11 @@ def cmd_rank(args) -> int:
 def _cmd_build(args, builder) -> int:
     lat = _load(args.lattice)
     k = builder(lat)
-    # the file holds the tables: above the cap, fail before writing it
-    tables = construct.require_tables(k) if args.out else k.lattice
+    # the file holds the tables: above the cap, fail before any other work
+    tables = k.lattice if args.out else None
+    tabled = len(k) <= construct.EAGER_TABLE_CAP
     payload = {"base": lat.name or args.lattice, "elements": len(k)}
-    if args.stats or tables is not None:
+    if args.stats or tabled:
         # without tables the depth may read the joins of all count^2 / 2
         # pairs (it stops at the largest key index), so only --stats asks
         payload["max_closure_index"] = k.max_closure_index
@@ -94,10 +95,10 @@ def _cmd_build(args, builder) -> int:
         if spans:
             construct.spanning_m3(k)
         payload["spanning_check"] = "ok" if spans else "n/a"
-        if tables is not None:
+        if tabled:
             payload.update({
-                "modular": core.is_modular(tables),
-                "distributive": core.is_distributive(tables),
+                "modular": core.is_modular(k.lattice),
+                "distributive": core.is_distributive(k.lattice),
             })
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -116,16 +117,18 @@ def cmd_con(args) -> int:
             raise SizeLimitExceeded(f"M3[{lat.name or '?'}] has at least {lat.n ** 2} "
                                     f"elements, above the congruence cap {congruence.CON_SIZE_CAP}")
         k = construct.m3_of(lat)
+    target = lat if k is None else k
     payload = {}
     if args.verify_cpe:
         rep = congruence.verify_cpe(lat, args.verify_cpe, k)
         payload = {"cpe_passed": rep.passed, "con_base": rep.base_con_count,
                    "con_extension": rep.ext_con_count}
-        # a passed check has |Con L| = |Con M3[L]|: both None past the cap
-        if not rep.passed or rep.base_con_count is None:
+        # a passed check has |Con L| = |Con M3[L]|: both None past the cap;
+        # past it, or with a target above it, the verdict is the answer
+        if (not rep.passed or rep.base_con_count is None
+                or len(target) > congruence.CON_SIZE_CAP):
             _emit(args, payload)
             return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
-    target = lat if k is None else k
     con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
     payload["con_size"] = len(con)
@@ -194,10 +197,11 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
         for k in (4, 5, 6)))
 
     def iteration_table(base, start, rows):
-        # the first iterates of closure3 from a triple of named tuples
+        # the first iterates of closure3 on the operations of M3[base], which
+        # builds no tables, from a triple of named tuples
         k = construct.m3_of(base)
         tid = lambda *ns: int(k.ids([base.index_of(s) for s in ns]))
-        tr = rank.closure3(k.lattice, rank.Triple(*(tid(*t) for t in start)))
+        tr = rank.closure3(k, rank.Triple(*(tid(*t) for t in start)), cap=rows - 1)
         return tuple(tuple(k.tuple_name(e) for e in row)
                      for row in tr.iterates[:rows])
 

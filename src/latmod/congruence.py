@@ -87,15 +87,12 @@ def _block_roots(lat: FiniteLattice | TupleLattice, ji: np.ndarray,
     the j <= a that theta does not collapse.  Then r <= a and r theta a;
     and for c theta a also a ^ c theta a, so r <= a ^ c <= c.  So r is the
     least element of a's block: one join pass per join-irreducible over
-    all rows at once.  The joins of each j with every element are table
-    rows of a FiniteLattice and come from `TupleLattice.join` for M3[L];
-    j's up-set is the x with j v x = x."""
+    all rows at once.  The joins of each j with every element come from
+    one call of the lattice's join on id arrays; j's up-set is the x with
+    j v x = x."""
     every = np.arange(len(lat))
-    if isinstance(lat, TupleLattice):
-        bottom, joins = lat.ids([lat.base.bottom] * lat.arity), lat.join(ji[:, None], every)
-    else:
-        bottom, joins = lat.bottom, lat.join_table[ji]
-    roots = np.full((len(collapsed), len(lat)), bottom, dtype=np.int32)
+    joins = lat.join(ji[:, None], every)
+    roots = np.full((len(collapsed), len(lat)), lat.bottom, dtype=np.int32)
     for a, (row, up) in enumerate(zip(joins, joins == every)):
         roots = np.where(up & ~collapsed[:, a, None], row[roots], roots)
     return roots

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional
 
 import numpy as np
 
@@ -29,11 +28,11 @@ _MARK_ENTRIES = 1 << 14
 
 
 def _encode(n: int, cols) -> np.ndarray:
-    """Pack coordinate columns (or one entry each) into one key, the tuple
-    read as a base-n number, so keys ascend with the lexicographic order;
-    int32 keys below 2^31 tuples, int64 keys above."""
-    dtype = np.int32 if n ** len(cols) < 2 ** 31 else np.int64
-    key = np.zeros(np.shape(cols[0]), dtype=dtype)
+    """Pack coordinate columns (or one entry each) into one int32 key, the
+    tuple read as a base-n number, so keys ascend with the lexicographic
+    order.  Every caller holds a key map, which `_key_count` refuses from
+    2^31 keys on."""
+    key = np.zeros(np.shape(cols[0]), dtype=np.int32)
     for c in cols:
         key = key * n + c
     return key
@@ -57,8 +56,8 @@ class TupleLattice:
     the n^arity tuple keys, built on first use: key -> id (`ids`) and key
     -> key of its closure under the step map.  `meet` and `join` act on id
     arrays at any size; `lattice` holds their count^2 tables, built on
-    first access, and is None above EAGER_TABLE_CAP elements (decided at
-    construction).
+    first access, and raises SizeLimitExceeded above EAGER_TABLE_CAP
+    elements.
     """
 
     def __init__(self, base: FiniteLattice, cols: list, name: str):
@@ -66,7 +65,6 @@ class TupleLattice:
         self.cols = cols
         self.arity = len(cols)
         self.name = name
-        self._tabled = cols[0].size <= EAGER_TABLE_CAP
 
     def __len__(self):
         return self.cols[0].size
@@ -117,39 +115,46 @@ class TupleLattice:
         that is not balanced; ids(t) of one tuple t is its id."""
         return self._where.take(_encode(self.base.n, cols))
 
-    def _key(self, table: np.ndarray, a, b) -> np.ndarray:
-        """The keys of the componentwise table[a_i, b_i] of the elements a
-        and b, broadcast: id arrays, or any index of the columns (the depth
-        passes slices, which take no copy).  The callers hold a key map, so
-        the keys fit in int32.  The key is allocated before the gathers:
-        allocating it after them tripled the page faults of the depth's walk
-        over all pairs of M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
-        n, flat, first = self.base.n, table.ravel(), self.cols[0]
+    @property
+    def bottom(self) -> int:
+        """The id of <0,...,0>."""
+        return int(self.ids([self.base.bottom] * self.arity))
+
+    def _key(self, op, a, b) -> np.ndarray:
+        """The keys of the componentwise op(a_i, b_i), op the base's meet or
+        join, of the elements a and b, broadcast: id arrays, or any index of
+        the columns (the depth passes slices, which take no copy).  The
+        callers hold a key map, so the keys fit in int32.  The key is allocated
+        before the gathers: allocating it after them tripled the page faults of the
+        depth's walk over all pairs of M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
+        n, first = self.base.n, self.cols[0]
         key = np.zeros(np.broadcast_shapes(np.shape(first[a]), np.shape(first[b])),
                        dtype=np.int32)
         for c in self.cols:
             key *= n
-            key += flat.take(c[a] * n + c[b])
+            key += op(c[a], c[b])
         return key
 
     def meet(self, a, b) -> np.ndarray:
-        """The meets of the elements of the id arrays a and b, broadcast."""
-        return self._where.take(self._key(self.base.meet_table, a, b))
+        """The meets of the elements a and b, ids or id arrays, broadcast."""
+        return self._where.take(self._key(self.base.meet, a, b))
 
     def join(self, a, b) -> np.ndarray:
-        """The joins of the elements of the id arrays a and b, broadcast:
+        """The joins of the elements a and b, ids or id arrays, broadcast:
         the closures of their componentwise joins."""
-        return self._where.take(self._closed[0].take(self._key(self.base.join_table, a, b)))
+        return self._where.take(self._closed[0].take(self._key(self.base.join, a, b)))
 
     @functools.cached_property
-    def lattice(self) -> Optional[FiniteLattice]:
+    def lattice(self) -> FiniteLattice:
         """The meet and join tables, built on first access a block of rows
         at a time (whole count^2 temporaries left holes in the heap that
-        raised the peak RSS of later work); None above EAGER_TABLE_CAP.
-        The order is read off the meets: a <= b iff a ^ b = a."""
-        if not self._tabled:
-            return None
+        raised the peak RSS of later work); SizeLimitExceeded above
+        EAGER_TABLE_CAP.  The order is read off the meets: a <= b iff
+        a ^ b = a."""
         count = len(self)
+        if count > EAGER_TABLE_CAP:
+            raise SizeLimitExceeded(f"{self.name} has {count} elements, "
+                                    f"above the table cap {EAGER_TABLE_CAP}")
         label = np.array(self.base.names, dtype=object)
         template = "<" + ",".join(["%s"] * self.arity) + ">"
         names = [template % t for t in zip(*(label[c].tolist() for c in self.cols))]
@@ -175,7 +180,7 @@ class TupleLattice:
         bound, depth, lo = int(index.max()), 0, 0
         while lo < count and depth < bound:
             hi = min(count, lo + max(1, _MARK_ENTRIES // (count - lo)))
-            keys = self._key(self.base.join_table, np.s_[lo:hi, None], np.s_[lo:])
+            keys = self._key(self.base.join, np.s_[lo:hi, None], np.s_[lo:])
             depth = max(depth, int(index.take(keys).max()))
             lo = hi
         return depth
@@ -216,7 +221,7 @@ def _close(base: FiniteLattice, cols: list):
     out = [np.empty(cols[0].size, dtype=np.int32) for _ in cols]
     index = np.empty(cols[0].size, dtype=np.int32)
     # `cols` is not held here: the loop drops the input after round 0
-    rounds = _fixpoints(base.meet_table, base.join_table, cols)
+    rounds = _fixpoints(base, cols)
     del cols
     for depth, (done, fixed, cur) in enumerate(rounds):
         for o, c in zip(out, cur):
@@ -231,15 +236,6 @@ def m3_of(base: FiniteLattice) -> TupleLattice:
     return TupleLattice(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
 
 
-def require_tables(k: TupleLattice) -> FiniteLattice:
-    """k's meet and join tables; SizeLimitExceeded when k has more than
-    EAGER_TABLE_CAP elements."""
-    if k.lattice is None:
-        raise SizeLimitExceeded(f"{k.name} has {len(k)} elements, "
-                                f"above the table cap {EAGER_TABLE_CAP}")
-    return k.lattice
-
-
 def m4_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of quadruples whose pairwise meets all coincide."""
     return TupleLattice(base, _balanced_tuples(base, 4), f"M4[{base.name or '?'}]")
@@ -250,7 +246,7 @@ def spanning_m3(k: TupleLattice) -> list[int]:
     verified to be distinct and to form a sublattice isomorphic to M_3
     spanning k's bounds."""
     o, i = k.base.bottom, k.base.top
-    ids = k.ids(np.array([(o, o, o), (i, o, o), (o, i, o), (o, o, i), (i, i, i)]).T).tolist()
+    ids = [k.bottom] + k.ids(np.array([(i, o, o), (o, i, o), (o, o, i), (i, i, i)]).T).tolist()
     if len(set(ids)) != 5:
         raise VerificationFailed("the five elements are not distinct")
     bot, a, b, c, top = ids
@@ -326,7 +322,7 @@ def m4_sublattice_in_m3m3() -> tuple[TupleLattice, list[int]]:
     ids = k.ids(np.array(named).T).tolist()
     if len(set(ids)) != 4:
         raise VerificationFailed(f"the four elements are not distinct: ids {ids}")
-    bot, top = k.ids((o, o, o)), k.ids((i, i, i))
+    bot, top = k.bottom, k.ids((i, i, i))
     for s in range(4):
         for t in range(s + 1, 4):
             if k.meet(ids[s], ids[t]) != bot:

@@ -8,10 +8,11 @@ lattice satisfies the n-th modularity identity exactly when every
 triple's iteration stabilizes by index n; the modularity rank is the
 least such n.
 
-The scalar step3/step4 and the closure3 iteration serve any lattice object;
-on finite lattices one vectorized kernel (`_step_columns`) and one
-fixpoint loop (`_fixpoints`), both arity-generic, run the rank scans here
-and the join closures of `construct`.  Both rank scans run through one
+One arity-generic step map (`_step_columns`) reads only the lattice's
+meet and join, so it serves one tuple of any lattice object (step3, step4
+and closure3) and columns of ids of any lattice whose operations act on
+id arrays; one fixpoint loop over it (`_fixpoints`) runs the rank scans
+here and the join closures of `construct`.  Both rank scans run through one
 triple generator (`_triples`) and one scan loop (`_scan`), which also splits
 them over threads, by one of two routes: sorted triples, or on larger
 lattices one pair of each orbit of the automorphism group.
@@ -80,23 +81,12 @@ class ClosureTrace:
 
 def step3(lat, t) -> Triple:
     """One application of the adjustment map; extensive and isotone."""
-    x, y, z = t
-    return Triple(lat.join(x, lat.meet(y, z)),
-                  lat.join(y, lat.meet(x, z)),
-                  lat.join(z, lat.meet(x, y)))
+    return Triple(*_step_columns(lat, t))
 
 
 def step4(lat, q) -> Quadruple:
     """Each coordinate joins with all pairwise meets of the other three."""
-    out = []
-    for i in range(4):
-        rest = [q[k] for k in range(4) if k != i]
-        v = q[i]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                v = lat.join(v, lat.meet(rest[a], rest[b]))
-        out.append(v)
-    return Quadruple(*out)
+    return Quadruple(*_step_columns(lat, q))
 
 
 def _cap(lat, cap: Optional[int]) -> int:
@@ -127,32 +117,29 @@ def closure3(lat, t, cap: Optional[int] = None) -> ClosureTrace:
     return _closure(lat, t, step3, _cap(lat, cap))
 
 
-# -- the vectorized step map ----------------------------------------------
+# -- the step map ---------------------------------------------------------
 
-def _step_columns(meet: np.ndarray, join: np.ndarray, cols) -> list:
-    """The step map on columns of element ids, for any arity: coordinate i
-    joins the meets of the pairs that avoid i.
+def _step_columns(lat, cols) -> list:
+    """The step map for any arity, on one tuple or on columns of ids,
+    through lat.meet and lat.join only: coordinate i joins the meets of
+    the pairs a < b that avoid i, in lexicographic order of the pairs.
 
     Each pairwise meet is folded into the coordinates that use it before
-    the next is taken, so one meet column is live at a time.  The tables
-    are read by 1-D `take`s at a*n + b: 2-D fancy indexing of the same
-    entries runs no faster on two threads than on one.
+    the next is taken, so one meet column is live at a time.
     """
-    n = meet.shape[0]
-    mf, jf = meet.ravel(), join.ravel()
     out = list(cols)
     for a, b in itertools.combinations(range(len(cols)), 2):
-        m = mf.take(cols[a] * n + cols[b])
+        m = lat.meet(cols[a], cols[b])
         for i in range(len(cols)):
             if i != a and i != b:
-                out[i] = jf.take(out[i] * n + m)
+                out[i] = lat.join(out[i], m)
     return out
 
 
-def _fixpoints(meet: np.ndarray, join: np.ndarray, cols,
-               cap: Optional[int] = None):
-    """Iterate the step map on a batch of tuples given as columns,
-    dropping each tuple once it is fixed.
+def _fixpoints(lat, cols, cap: Optional[int] = None):
+    """Iterate the step map on a batch of tuples given as columns of ids
+    of `lat` (whose meet and join act on id arrays), dropping each tuple
+    once it is fixed.
 
     Round k yields (positions, fixed, current): the batch positions of
     the tuples that stabilize at k, the mask that picks them from the
@@ -171,7 +158,7 @@ def _fixpoints(meet: np.ndarray, join: np.ndarray, cols,
     while pos.size:
         if cap is not None and k > cap:
             raise RankExceedsCap(f"tuples still moving after {cap} steps")
-        nxt = _step_columns(meet, join, cols)
+        nxt = _step_columns(lat, cols)
         fixed = nxt[0] == cols[0]
         for a, b in zip(cols[1:], nxt[1:]):
             fixed &= a == b
@@ -226,7 +213,7 @@ def _scan_batch(lat, x, y, z, cap, weight=None, label=None):
         return ScanResult(0, {}, 0, None)
     stab = np.zeros(x.size, dtype=np.int32)
     for k, (done, _, _) in enumerate(
-            _fixpoints(lat.meet_table, lat.join_table, [x, y, z], cap)):
+            _fixpoints(lat, [x, y, z], cap)):
         stab[done] = k
     if weight is None:
         counts = np.bincount(stab)

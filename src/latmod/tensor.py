@@ -117,8 +117,8 @@ def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
     on the join-irreducibles of A and propagated as h(x) = meet over the
     irreducibles below x, keeping only consistent assignments.
 
-    The assignments run in blocks, as columns of base-|B| digits, and the
-    meet table is read by 1-D `take`s at u*|B| + v.
+    The assignments run in blocks, as columns of base-|B| digits, and B's
+    meets are taken on those columns.
     """
     ji = join_irreducibles(a)
     if b.n ** max(len(ji), 1) > HOM_ENUM_CAP:
@@ -127,7 +127,6 @@ def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
     nonzero = [x for x in range(a.n) if x != a.bottom]
     joins = [(x0, x1, a.join(x0, x1)) for i, x0 in enumerate(nonzero)
              for x1 in nonzero[i + 1:]]
-    meet = b.meet_table.ravel().astype(np.intp)
     total = b.n ** len(ji)
     block = max(1, _HOM_BLOCK_ENTRIES // a.n)
     found = []
@@ -139,11 +138,11 @@ def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
         for x in range(a.n):
             v = np.full(code.size, b.top, dtype=np.intp)
             for k in below[x]:
-                v = meet.take(v * b.n + assign[k])
+                v = b.meet(v, assign[k])
             values[:, x] = v
         ok = np.ones(code.size, dtype=bool)
         for x0, x1, xj in joins:
-            ok &= values[:, xj] == meet.take(values[:, x0] * b.n + values[:, x1])
+            ok &= values[:, xj] == b.meet(values[:, x0], values[:, x1])
         found.extend(map(tuple, values[ok].tolist()))
     return sorted(set(found))
 

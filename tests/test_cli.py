@@ -374,6 +374,31 @@ def test_cpe_verdict_past_the_congruence_count_cap(capsys, monkeypatch):
         "cpe_passed": False, "con_base": None, "con_extension": None}
 
 
+def test_cpe_verdict_with_m3_above_the_congruence_cap(capsys, monkeypatch):
+    """con --of-m3 --verify-cpe on a base whose M3[L] has more than
+    CON_SIZE_CAP elements prints the verdict and exits by it; without
+    --verify-cpe it exits 3.  M3[Sub(3,3)] has 6,817 elements."""
+    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3",
+                    "--verify-cpe", "atom", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "cpe_passed": True, "con_base": 2, "con_extension": 2}
+    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3")
+    assert code == 3 and out.out == "" and "capped at 2000 elements" in out.err
+    # M3[N5] has 41 elements: above a cap of 30, with both counts under it
+    monkeypatch.setattr(congruence, "CON_SIZE_CAP", 30)
+    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "diag",
+                    "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "cpe_passed": True, "con_base": 5, "con_extension": 5}
+    monkeypatch.setattr(congruence, "_m3_dependency",
+                        lambda k, ji, lower: np.zeros((3 * len(ji),) * 2, dtype=bool))
+    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "diag",
+                    "--report", "json")
+    payload = json.loads(out.out)
+    assert code == EXIT_CHECK_FAILED and payload["cpe_passed"] is False
+    assert "con_size" not in payload
+
+
 def test_congruence_count_cap_exits_input(capsys):
     code, out = run(capsys, "con", "--lattice", "c30")
     assert code == 3 and "more than 2000 congruences" in out.err

@@ -251,7 +251,9 @@ def test_lazy_closure_depth_matches_eager(monkeypatch):
     lazy = []
     for b in bases:
         k3, k4 = m3_of(b), m4_of(b)
-        assert k3.lattice is None and k4.lattice is None
+        for k in (k3, k4):
+            with pytest.raises(SizeLimitExceeded):
+                k.lattice
         lazy.append((k3.max_closure_index, k4.max_closure_index))
     assert lazy == eager == oracle
     assert max(d for d, _ in eager) >= 2
@@ -267,7 +269,8 @@ def test_lazy_operations_equal_eager_tables(monkeypatch):
     for (build, base), lat in zip(builds, eager):
         k = build(base)
         ids = np.arange(len(k))
-        assert k.lattice is None and lat is not None
+        with pytest.raises(SizeLimitExceeded):
+            k.lattice
         assert np.array_equal(k.meet(ids[:, None], ids), lat.meet_table), k.name
         assert np.array_equal(k.join(ids[:, None], ids), lat.join_table), k.name
 
@@ -293,7 +296,8 @@ def test_lazy_build_closes_nothing(monkeypatch):
 
 def test_lazy_build_defers_tuple_list_and_index():
     k = m3_of(catalog.subspace_lattice(2, 4))
-    assert k.lattice is None
+    with pytest.raises(SizeLimitExceeded):
+        k.lattice
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
     assert "_where" not in vars(k) and "_closed" not in vars(k)
     assert np.array_equal(k.ids(k.cols), np.arange(len(k)))
@@ -303,17 +307,16 @@ def test_lazy_build_defers_tuple_list_and_index():
     assert "_closed" not in vars(k)
 
 
-def test_keys_widen_past_int32():
-    """_encode packs tuples into int64 keys once n^arity reaches 2^31, and
-    the keys still ascend with the lexicographic order."""
-    n = 216  # 216^4 > 2^31
+def test_keys_ascend_with_the_tuple_order():
+    """_encode packs tuples into int32 keys, the tuples read as base-n
+    numbers, which ascend with the lexicographic order."""
+    n = 215  # 215^4 < 2^31
     cols = [np.array(c, dtype=np.int32) for c in
-            zip(*sorted([(0, 0, 0, 1), (5, 200, 7, 3), (215, 215, 215, 215)]))]
+            zip(*sorted([(0, 0, 0, 1), (5, 200, 7, 3), (214, 214, 214, 214)]))]
     keys = construct._encode(n, cols)
-    assert keys.dtype == np.int64
+    assert keys.dtype == np.int32
     want = [sum(int(c[i]) * n ** (3 - a) for a, c in enumerate(cols)) for i in range(3)]
     assert keys.tolist() == want and want == sorted(want)
-    assert construct._encode(10, cols[:3]).dtype == np.int32
 
 
 # -- oracle: the per-pair eager join closure ------------------------------------
@@ -432,7 +435,8 @@ def test_marked_depth_matches_per_pair_oracle(monkeypatch):
     for base, build in bases:
         k = build(base)
         assert k.max_closure_index == per_pair_depth(k), k.name
-        assert k.lattice is None
+        with pytest.raises(SizeLimitExceeded):
+            k.lattice
 
 
 def test_depth_stops_at_the_largest_key_index(monkeypatch):
@@ -597,21 +601,25 @@ def test_balanced_filter_memory_is_bounded(traced_peak):
 
 def test_element_checks_run_above_the_table_cap(monkeypatch):
     """The element checks read meets and joins through the key maps, so
-    they pass on M3[Sub(2,4)] (56,725 elements) without tables; only
-    require_tables refuses above EAGER_TABLE_CAP."""
+    they pass on M3[Sub(2,4)] (56,725 elements) without tables; only the
+    tables are refused above EAGER_TABLE_CAP."""
     k = m3_of(catalog.subspace_lattice(2, 4))
-    assert len(k) == 56_725 and k.lattice is None
+    assert len(k) == 56_725
+    with pytest.raises(SizeLimitExceeded):
+        k.lattice
     five = construct.spanning_m3(k)
     atom, diag = construct.embed_atom(k), construct.embed_diag(k)
     assert five[0] == atom[k.base.bottom] == diag[k.base.bottom]
     assert five[-1] == diag[k.base.top] and len(set(atom)) == len(set(diag)) == k.base.n
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     m3m3, ids = construct.m4_sublattice_in_m3m3()
-    assert len(set(ids)) == 4 and m3m3.lattice is None
+    assert len(set(ids)) == 4
+    with pytest.raises(SizeLimitExceeded):
+        m3m3.lattice
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
     with pytest.raises(SizeLimitExceeded,
                        match=r"M3\[N5\] has 41 elements, above the table cap 30"):
-        construct.require_tables(m3_of(catalog.n5()))
+        m3_of(catalog.n5()).lattice
 
 
 def with_broken_joins(k):

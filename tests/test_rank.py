@@ -7,14 +7,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import antichains3, interval, is_balanced3, is_balanced4
-from latmod import catalog, construct, core, rank
+from latmod import catalog, construct, core, rank, symbolic
 from latmod.errors import ArgumentOutOfRange, RankExceedsCap
 from latmod.rank import Quadruple, Triple, closure3, step3, step4
 
 
-def closure4(lat, q, cap=None):
-    """Oracle: the scalar step4 iteration, as closure3 iterates step3."""
-    return rank._closure(lat, q, step4, rank._cap(lat, cap))
+# -- oracle: the scalar step maps ------------------------------------------
+
+def scalar_step3(lat, t):
+    """Oracle for rank.step3: the triple step map written out one
+    coordinate at a time."""
+    x, y, z = t
+    return Triple(lat.join(x, lat.meet(y, z)),
+                  lat.join(y, lat.meet(x, z)),
+                  lat.join(z, lat.meet(x, y)))
+
+
+def scalar_step4(lat, q):
+    """Oracle for rank.step4: each coordinate joined with the pairwise
+    meets of the other three, pair by pair."""
+    out = []
+    for i in range(4):
+        rest = [q[k] for k in range(4) if k != i]
+        v = q[i]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                v = lat.join(v, lat.meet(rest[a], rest[b]))
+        out.append(v)
+    return Quadruple(*out)
+
+
+def scalar_closure(lat, t, cap=None):
+    """Oracle: the scalar step iteration of a triple or a quadruple."""
+    step = scalar_step3 if len(t) == 3 else scalar_step4
+    return rank._closure(lat, t, step, rank._cap(lat, cap))
 
 
 def balanced_triples(lat):
@@ -321,7 +347,7 @@ def test_step4_and_closure4(lattices):
     # distributive: one step always suffices
     b3 = lattices["B3"]
     for q in itertools.product(b3.elements(), repeat=4):
-        assert closure4(b3, q).stabilization_index <= 1
+        assert rank._closure(b3, q, step4, rank._cap(b3, None)).stabilization_index <= 1
     x = lattices["M4"].index_of("a")
     assert step4(lattices["M4"], Quadruple(x, x, x, x)) == (x, x, x, x)
 
@@ -331,40 +357,96 @@ def test_step4_and_closure4(lattices):
 ENGINE_LATTICES = ("C2sq", "M4", "N5", "witness7")
 
 
-def engine_closures(meet, join, cols, cap=None):
+def engine_closures(lat, cols, cap=None):
     """Stabilization index and closure of every tuple in the batch, in
     batch order, by rank._fixpoints."""
     stab = np.zeros(cols[0].size, dtype=np.int32)
     final = np.zeros((cols[0].size, len(cols)), dtype=np.int32)
-    for k, (done, fixed, cur) in enumerate(rank._fixpoints(meet, join, cols, cap)):
+    for k, (done, fixed, cur) in enumerate(rank._fixpoints(lat, cols, cap)):
         stab[done] = k
         final[done] = np.stack([c[fixed] for c in cur], axis=1)
     return stab, final
 
 
-def engine_stab_indices(meet, join, cols, cap):
-    return engine_closures(meet, join, cols, cap)[0]
+def engine_stab_indices(lat, cols, cap):
+    return engine_closures(lat, cols, cap)[0]
+
+
+# double-ladder elements for the step-map comparison: bounds, the side
+# element, rails, rungs, both climbing ladders and the descending chains
+FIG2_SAMPLE = (symbolic.BOT, symbolic.TOP, symbolic.Y0, ("c", 1), ("d", 0), ("w", 1),
+               ("x", 0), ("x", 2), ("z", 1), ("s", 2), ("u", 1), ("v", 3))
 
 
 def test_step_columns_match_scalar_steps(lattices):
+    """The one step map against the scalar oracle bodies: on id arrays and
+    on single ids (which give ints) of finite lattices, on the quadruples
+    of the parity-pair iteration and on triples of the double ladder."""
     for name in ENGINE_LATTICES:
         lat = lattices[name]
-        for arity, step in ((3, step3), (4, step4)):
+        for arity, oracle in ((3, scalar_step3), (4, scalar_step4)):
             tuples = list(itertools.product(lat.elements(), repeat=arity))
+            want = [list(oracle(lat, t)) for t in tuples]
             cols = list(np.array(tuples, dtype=np.int32).T)
-            flat = rank._step_columns(lat.meet_table, lat.join_table, cols)
-            assert np.array(flat).T.tolist() == [list(step(lat, t)) for t in tuples]
+            assert np.array(rank._step_columns(lat, cols)).T.tolist() == want
+            singles = [rank._step_columns(lat, t) for t in tuples]
+            assert singles == want
+            assert all(type(v) is int for out in singles for v in out)
+    dhw = symbolic.dhw_lattice()
+    seq = [symbolic.dhw_base_quadruple()]
+    for _ in range(16):
+        assert rank._step_columns(dhw, seq[-1]) == list(scalar_step4(dhw, seq[-1]))
+        seq.append(scalar_step4(dhw, seq[-1]))
+    assert symbolic.dhw_adjustment(16) == seq
+    fig2 = symbolic.fig2_lattice()
+    for t in itertools.product(FIG2_SAMPLE, repeat=3):
+        assert rank._step_columns(fig2, t) == list(scalar_step3(fig2, t))
+    trace = symbolic.fig2_divergence(8)
+    assert trace.iterates == scalar_closure(fig2, trace.initial, cap=8).iterates
+
+
+def test_finite_lattice_operations_on_id_arrays(lattices):
+    """FiniteLattice meet and join broadcast id arrays to the table
+    entries, and give an int for two ints."""
+    for lat in lattices.values():
+        ids = np.arange(lat.n)
+        for op, table in ((lat.meet, lat.meet_table), (lat.join, lat.join_table)):
+            assert np.array_equal(op(ids[:, None], ids), table)
+            rev = ids[::-1].astype(np.int32)
+            assert np.array_equal(op(rev, rev[:, None]), table[::-1, ::-1].T)
+            assert np.array_equal(op(ids, lat.top), table[:, lat.top])
+            assert np.array_equal(op(np.int32(lat.bottom), ids), table[lat.bottom])
+            got = op(lat.n - 1, 0)
+            assert type(got) is int and got == table[-1, 0]
+
+
+def test_fixpoints_read_only_the_operations():
+    """`_fixpoints` on M3[L] through its key maps gives the indices and
+    closures it gives through M3[L]'s tables, for M3 of every lattice with
+    at most 6 elements: all triples of the small ones, 4,000 seeded
+    triples of the others."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for base in catalog.enumerate_lattices(n):
+            k = construct.m3_of(base)
+            count = len(k)
+            if count ** 3 <= 4_000:
+                cols = [g.ravel().astype(np.int32) for g in
+                        np.meshgrid(*[np.arange(count)] * 3, indexing="ij")]
+            else:
+                cols = list(rng.integers(0, count, size=(3, 4_000), dtype=np.int32))
+            (s1, f1), (s2, f2) = engine_closures(k, cols), engine_closures(k.lattice, cols)
+            assert np.array_equal(s1, s2) and np.array_equal(f1, f2), k.name
 
 
 def test_fixpoint_loop_matches_scalar_closures(lattices):
     for name in ENGINE_LATTICES:
         lat = lattices[name]
-        for arity, closure in ((3, closure3), (4, closure4)):
+        for arity in (3, 4):
             tuples = list(itertools.product(lat.elements(), repeat=arity))
             cols = list(np.array(tuples, dtype=np.int32).T)
-            stab, final = engine_closures(lat.meet_table, lat.join_table, cols,
-                                          cap=3 * lat.height() + 1)
-            traces = [closure(lat, t) for t in tuples]
+            stab, final = engine_closures(lat, cols, cap=3 * lat.height() + 1)
+            traces = [scalar_closure(lat, t) for t in tuples]
             assert stab.tolist() == [tr.stabilization_index for tr in traces]
             assert final.tolist() == [list(tr.final) for tr in traces]
 
@@ -372,7 +454,7 @@ def test_fixpoint_loop_matches_scalar_closures(lattices):
 def test_negative_cap_rejected(lattices):
     n5 = lattices["N5"]
     for call in (lambda: closure3(n5, (0, 0, 0), cap=-1),
-                 lambda: closure4(n5, (0, 0, 0, 0), cap=-1),
+                 lambda: scalar_closure(n5, (0, 0, 0, 0), cap=-1),
                  lambda: rank.full_triple_scan(n5, cap=-1),
                  lambda: rank.antichain_rank_scan(n5, cap=-1),
                  lambda: rank.modularity_rank(n5, cap=-1)):
@@ -504,7 +586,7 @@ def test_flat_kernel_matches_gathers():
         for _ in range(5):
             x, y, z = rng.integers(0, lat.n, size=(3, 4_000), dtype=np.int32)
             assert np.array_equal(
-                engine_stab_indices(lat.meet_table, lat.join_table, [x, y, z], cap),
+                engine_stab_indices(lat, [x, y, z], cap),
                 gather_stab_indices(lat.meet_table, lat.join_table, x, y, z, cap))
 
 
