@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteLattice, join_irreducibles
+from .core import FiniteLattice, join_irreducibles, meet_irreducibles
 from .construct import _GRID_ENTRIES, TupleLattice, embed_atom, embed_diag, m3_of
 from .errors import ArgumentOutOfRange, SizeLimitExceeded
 
@@ -28,8 +28,7 @@ def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
     meet-irreducible m has j !<= m, j <= m* and k !<= m, k_ <= m: one
     boolean product of two |J| x |M| matrices, counted by a float32 matmul
     (exact below 2^24), so the working set is O(|J| (|J| + |M|))."""
-    mi = np.array([m for m in lat.elements() if len(lat.upper_covers(m)) == 1],
-                  dtype=np.intp)
+    mi = np.array(meet_irreducibles(lat), dtype=np.intp)
     star = [lat.upper_covers(m)[0] for m in mi]
     lower = [lat.lower_covers(j)[0] for j in ji]
     apart = ~lat.leq[np.ix_(ji, mi)]

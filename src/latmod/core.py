@@ -356,6 +356,11 @@ def join_irreducibles(lat: FiniteLattice) -> list[int]:
     return [e for e in lat.elements() if len(lat.lower_covers(e)) == 1]
 
 
+def meet_irreducibles(lat: FiniteLattice) -> list[int]:
+    """Elements with exactly one upper cover (excludes the top)."""
+    return [e for e in lat.elements() if len(lat.upper_covers(e)) == 1]
+
+
 def is_distributive(lat: FiniteLattice) -> bool:
     """Exhaustive check of x ^ (y v z) == (x ^ y) v (x ^ z)."""
     m, j = lat.meet_table, lat.join_table
@@ -457,10 +462,8 @@ class _Incidence:
     isomorphism that keeps J extends to the lattices by joins."""
 
     def __init__(self, lat: FiniteLattice):
-        covers = lat._cover_index()
-        self.joins = np.array([e for e in range(lat.n) if len(covers.lower[e]) == 1],
-                              dtype=np.intp)
-        meets = np.array([e for e in range(lat.n) if len(covers.upper[e]) == 1], dtype=np.intp)
+        self.joins = np.array(join_irreducibles(lat), dtype=np.intp)
+        meets = np.array(meet_irreducibles(lat), dtype=np.intp)
         self.nj, size = self.joins.size, self.joins.size + meets.size
         self.adj = np.zeros((size, size), dtype=bool)
         self.adj[:self.nj, self.nj:] = lat.leq[np.ix_(self.joins, meets)]
@@ -474,8 +477,9 @@ class _Search:
     into the tree of h, which is g itself when searching for automorphisms.
 
     Only J vertices are individualized.  The first path individualizes the
-    first vertex of the first non-singleton J cell until J is discrete; its
-    base points v_1..v_k give the stabilizer chain.  `search` looks in a
+    first vertex of the first non-singleton J cell until J is discrete, one
+    level at a time as far as it is asked for (`reach`); its base points
+    v_1..v_k give the stabilizer chain.  `search` looks in a
     subtree of h's tree, pruned where the cell sizes differ from the first
     path's, for a node whose cell-by-cell match with the first path's node
     at its level preserves incidence; at a leaf that match is the colour
@@ -487,14 +491,21 @@ class _Search:
     def __init__(self, g: _Incidence, h: _Incidence):
         self.g, self.h = g, h
         self.path, self.base, self.cells = [g.colors], [], []
-        while True:
-            cells = np.flatnonzero(np.bincount(self.path[-1][:g.nj]) > 1)
+        self.shapes = [np.bincount(g.colors)]
+
+    def reach(self, level: int) -> bool:
+        """Extend the first path to `level`, as far as it goes; whether it
+        reaches that level.  A search that matches near the root builds
+        only the levels it visits (on M_k none of the k - 1 below it)."""
+        while len(self.path) <= level:
+            cells = np.flatnonzero(np.bincount(self.path[-1][:self.g.nj]) > 1)
             if not cells.size:
-                break
+                return False
             self.cells.append(int(cells[0]))
             self.base.append(int(np.flatnonzero(self.path[-1] == cells[0])[0]))
-            self.path.append(_refine(g.graph, _individualize(self.path[-1], self.base[-1])))
-        self.shapes = [np.bincount(p) for p in self.path]
+            self.path.append(_refine(self.g.graph, _individualize(self.path[-1], self.base[-1])))
+            self.shapes.append(np.bincount(self.path[-1]))
+        return True
 
     def match(self, colors, level, prefix):
         """The J map that takes path[level] to `colors` cell by cell,
@@ -530,7 +541,7 @@ class _Search:
             sigma = self.match(colors, depth, prefix)
             if sigma is not None:
                 return sigma
-            if depth < len(self.base):
+            if self.reach(depth + 1):
                 stack.append(self.children(colors, depth))
         return None
 
@@ -561,6 +572,7 @@ def _automorphism_group(lat: FiniteLattice) -> AutomorphismGroup:
     """
     g = _Incidence(lat)
     tree = _Search(g, g)
+    tree.reach(g.nj)  # the whole first path: each level individualizes a J vertex
     path, base, cells = tree.path, tree.base, tree.cells
     # the orbits on J of the generators found so far, as a union-find forest;
     # those found at levels >= i fix v_1..v_{i-1}, and v_i's orbit lies in its cell

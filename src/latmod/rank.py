@@ -13,9 +13,9 @@ meet and join, so it serves one tuple of any lattice object (step3, step4
 and closure3) and columns of ids of any lattice whose operations act on
 id arrays; one fixpoint loop over it (`_fixpoints`) runs the rank scans
 here and the join closures of `construct`.  Both rank scans run through one
-triple generator (`_triples`) and one scan loop (`_scan`), which also splits
-them over threads, by one of two routes: sorted triples, or on larger
-lattices one pair of each orbit of the automorphism group.
+triple generator (`_triples`) and one scan loop (`_scan`), whose threads take
+its batches one at a time, by one of two routes: sorted triples, or on
+larger lattices one pair of each orbit of the automorphism group.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -33,10 +34,10 @@ from .core import FiniteLattice
 from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 
 # Triples per batch of every scan.  A batch's working set is some 66 bytes a
-# triple, and each scan thread holds one.  It also sets the route: a lattice
-# whose sorted triples need more than one batch is scanned over the orbits of
-# its automorphism group; and only a scan of more than one batch is split
-# over threads.  At 500,000 the M3[M6] full scan peaked at 33 MiB
+# triple, and each scan thread holds one, and its last while it takes the
+# next.  It also sets the route: a lattice whose sorted triples need more
+# than one batch is scanned over the orbits of its automorphism group; and
+# only a scan of more than one batch starts threads.  At 500,000 the M3[M6] full scan peaked at 33 MiB
 # against 7 MiB and ran slower (0.29-0.32 s against 0.17-0.24 s; tracemalloc,
 # 2-core Xeon).
 _BATCH = 100_000
@@ -188,7 +189,8 @@ class ScanResult:
 
 def _merge_blocks(parts) -> ScanResult:
     """Sum the parts; the witness is the least of those at the largest index
-    (on the sorted routes the first, as parts come in order)."""
+    (on the sorted routes the first in scan order), so the parts may come in
+    any order."""
     hist: dict[int, int] = {}
     total = 0
     max_index = 0
@@ -273,35 +275,43 @@ def _triples(py: np.ndarray, pz: np.ndarray, starts: np.ndarray, lo: int, hi: in
 
 
 def _scan(lat: FiniteLattice, cap: int, jobs: int, py: np.ndarray, pz: np.ndarray,
-          starts: np.ndarray, per_x, keep: Optional[np.ndarray] = None, weight=None,
+          starts: np.ndarray, keep: Optional[np.ndarray] = None, weight=None,
           label: Optional[np.ndarray] = None) -> ScanResult:
-    """Scan `_triples(py, pz, starts, ..., _BATCH, keep)`, triple (x, y, z)
-    counted weight(x, y, z) times (once without `weight`), with witnesses
-    by `label` (see `_scan_batch`).  With jobs > 1, per_x() counts the
-    triples of each x; past one `_BATCH` in all, the x range is cut into
-    `jobs` parts of about equal counts, scanned on at most os.cpu_count()
-    threads (a smaller scan costs less than starting them).  The parts
-    merge in x order, so the result is the same for any job count."""
-    def scan_range(lo: int, hi: int) -> ScanResult:
-        # weights are taken while the previous batch is still held: taken
-        # after its release, the M3[M6] full scan had twice the minor page
-        # faults (42k against 20k a scan) and ran up to 15% longer
-        batches = ((x, y, z, None if weight is None else weight(x, y, z))
-                   for x, y, z in _triples(py, pz, starts, lo, hi, _BATCH, keep))
+    """Scan `_triples(py, pz, starts, 0, lat.n, _BATCH, keep)`, triple
+    (x, y, z) counted weight(x, y, z) times (once without `weight`), with
+    witnesses by `label` (see `_scan_batch`).  With jobs > 1 and more than
+    one batch, min(jobs, os.cpu_count()) threads each take the next batch
+    from the one generator, under a lock, when they finish their last (a
+    smaller scan costs less than starting them).  The merge does not depend
+    on the order of the parts, so the result is the same for any job count."""
+    # weights are taken while the previous batch is still held: taken
+    # after its release, the M3[M6] full scan had twice the minor page
+    # faults (42k against 20k a scan) and ran up to 15% longer
+    batches = ((x, y, z, None if weight is None else weight(x, y, z))
+               for x, y, z in _triples(py, pz, starts, 0, lat.n, _BATCH, keep))
+
+    def scan(batches) -> ScanResult:
         return _merge_blocks(_scan_batch(lat, x, y, z, cap, w, label)
                              for x, y, z, w in batches)
 
-    if jobs == 1 or lat.n < 2 * jobs:
-        return scan_range(0, lat.n)
-    counts = per_x()
-    upto = np.cumsum(counts)
-    if upto[-1] <= _BATCH:
-        return scan_range(0, lat.n)
-    # b_i: the first x with at least i/jobs of all triples before it
-    bounds = np.searchsorted(upto - counts, np.arange(jobs + 1) * upto[-1] / jobs)
-    bounds[0], bounds[-1] = 0, lat.n
-    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-        return _merge_blocks(pool.map(scan_range, bounds[:-1].tolist(), bounds[1:].tolist()))
+    threads = min(jobs, os.cpu_count() or 1)
+    if threads == 1:
+        return scan(batches)
+    head = list(itertools.islice(batches, 2))
+    if len(head) < 2:
+        return scan(head)
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                batch = head.pop(0) if head else next(batches, None)
+            if batch is None:
+                return
+            yield batch
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _merge_blocks(pool.map(scan, [take() for _ in range(threads)]))
 
 
 # -- the sorted routes ----------------------------------------------------
@@ -325,20 +335,8 @@ def _sorted_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> S
     x < y < z; both the production route on small lattices and the orbit
     route's test oracle."""
     py, pz, starts, keep = _sorted_pairs(lat, antichains)
-    n = lat.n
-    if not antichains:
-        x = np.arange(n)
-        return _scan(lat, cap, jobs, py, pz, starts, lambda: (n - x) * (n - x + 1) // 2,
-                     weight=_orbit_sizes)
-
-    def per_x():
-        # (U U^T)[x, y] counts the z > y incomparable to both x and y, so
-        # x has sum_y U[x, y] (U U^T)[x, y] antichains (a float32 BLAS
-        # product, exact while n < 2**24)
-        f = keep.astype(np.float32)
-        return (f * (f @ f.T)).sum(axis=1, dtype=np.float64)
-
-    return _scan(lat, cap, jobs, py, pz, starts, per_x, keep=keep)
+    return _scan(lat, cap, jobs, py, pz, starts, keep=keep,
+                 weight=None if antichains else _orbit_sizes)
 
 
 # -- the orbit route ------------------------------------------------------
@@ -403,19 +401,13 @@ def _orbit_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> Sc
         keep = ~lat.leq & ~lat.leq.T
         incomparable = keep[ry, rz]
         ry, rz, weight = ry[incomparable], rz[incomparable], weight[incomparable]
-
-        def per_x():
-            return (keep[:, ry] & keep[:, rz]).sum(axis=1)
     else:
         keep = None
         weight = weight * np.where(ry == rz, 1, 2)
-
-        def per_x():
-            return np.full(n, ry.size)
     table = np.zeros(n * n)
     table[ry * n + rz] = weight
     label = _orbit_minima(list(gens), n)
-    res = _scan(lat, cap, jobs, ry, rz, np.zeros(n, dtype=np.intp), per_x, keep=keep,
+    res = _scan(lat, cap, jobs, ry, rz, np.zeros(n, dtype=np.intp), keep=keep,
                 weight=lambda x, y, z: table.take(y * n + z), label=label)
     hist, count = res.histogram, res.triple_count
     if antichains:

@@ -457,6 +457,8 @@ def test_covers_height_and_bounds_match_scalar_oracle(lattices):
             assert lat.upper_covers(e) == [hi for lo, hi in covers if lo == e]
         assert core.join_irreducibles(lat) == [
             e for e in lat.elements() if len([1 for _, hi in covers if hi == e]) == 1]
+        assert core.meet_irreducibles(lat) == [
+            e for e in lat.elements() if len([1 for lo, _ in covers if lo == e]) == 1]
         assert all(lat.le(lat.bottom, e) and lat.le(e, lat.top) for e in lat.elements())
     # a lattice built from its own tables finds its covers the same way
     for lat in pool[:len(lattices)]:
@@ -470,19 +472,41 @@ def assert_isomorphism(a, b, image):
     assert np.array_equal(a.leq, b.leq[np.ix_(img, img)])
 
 
+def stack_depth():
+    """The number of frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_find_isomorphism_past_the_recursion_limit(monkeypatch):
-    # M_k's first path individualizes k - 1 atoms one at a time
-    lat = catalog.m_k(sys.getrecursionlimit() + 2)
+    # M_k's first path individualizes k - 1 atoms one at a time, and the
+    # automorphism search walks all of it; the limit is set 60 frames above
+    # this test's, since Aut(M_k) near the default limit of 1,000 takes some 40 s
+    limit = stack_depth() + 60
+    lat = catalog.m_k(limit + 2)
     other = relabeled(lat, 1090)
-    depths, init = [], core._Search.__init__
+    levels, search = [], core._Search.search
 
-    def recording(self, g, h):
-        init(self, g, h)
-        depths.append(len(self.base))
+    def recording(self, colors, level, prefix):
+        found = search(self, colors, level, prefix)
+        levels.append(len(self.path))
+        return found
 
-    monkeypatch.setattr(core._Search, "__init__", recording)
-    assert_isomorphism(lat, other, core.find_isomorphism(lat, other))
-    assert depths == [sys.getrecursionlimit() + 1]
+    monkeypatch.setattr(core._Search, "search", recording)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        group = lat.automorphisms()
+        searched = len(levels)
+        image = core.find_isomorphism(lat, other)
+    finally:
+        sys.setrecursionlimit(old)
+    assert group.base_orbits == tuple(range(limit + 2, 1, -1))  # S_k on the atoms
+    assert set(levels[:searched]) == {limit + 2}
+    assert_isomorphism(lat, other, image)
+    assert levels[searched:] == [1]  # matched at the root: no level below it built
 
 
 def test_find_isomorphism_checks_operations():

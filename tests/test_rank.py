@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -219,43 +221,61 @@ def test_scan_jobs_deterministic():
         assert scan(lat, jobs=2) == one and scan(lat, jobs=3) == one
 
 
-def scan_split(monkeypatch, scan, lat, jobs):
-    """The x ranges `rank._scan` hands rank._triples at `jobs` jobs, in
-    order, and the scan's result."""
-    ranges = []
-    triples = rank._triples
+def test_scan_batch_queue_gives_the_same_result_at_every_job_count(monkeypatch):
+    """Both scans on both routes, their batches taken by two or three
+    threads, against one job: the merge does not depend on which thread
+    scans which batch, and with threads switched often no batch is lost or
+    taken twice (the triple counts would differ)."""
+    seen = record_pools(monkeypatch)
+    monkeypatch.setattr(rank.os, "cpu_count", lambda: 3)
+    m3m4 = construct.m3_of(catalog.m_k(4)).lattice
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for lat, batch in ((catalog.n5(), 7), (catalog.witness7(), 7), (m3m4, 1_000),
+                           (relabeled(m3m4, random.Random(3)), 1_000)):
+            monkeypatch.setattr(rank, "_BATCH", batch)
+            for route in (sorted_route, orbit_route):
+                for antichains in (False, True):
+                    scan = route(antichains)
+                    one = scan(lat, jobs=1)
+                    assert scan(lat, jobs=2) == one and scan(lat, jobs=3) == one
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(seen) == {2, 3}
 
-    def recording(py, pz, starts, lo, hi, *args, **kwargs):
-        ranges.append((lo, hi))
-        return triples(py, pz, starts, lo, hi, *args, **kwargs)
 
-    with monkeypatch.context() as m:
-        m.setattr(rank, "_triples", recording)
-        res = scan(lat, jobs=jobs)
-    return sorted(ranges), res
+def test_scan_lists_no_batch_far_ahead_of_the_threads(monkeypatch):
+    """Each thread takes the next batch when it has finished its last, so
+    when a batch's scan starts, at most the two batches peeked to decide on
+    threads and one a thread has just taken wait besides it.  A pool
+    mapped over the batch generator would list all of them first."""
+    monkeypatch.setattr(rank.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rank, "_BATCH", 1_000)
+    lock = threading.Lock()
+    listed, leads = [0], []
+    triples, scan_batch = rank._triples, rank._scan_batch
 
+    def listing(*args, **kwargs):
+        for batch in triples(*args, **kwargs):
+            with lock:
+                listed[0] += 1
+            yield batch
 
-def test_scan_job_split_balances_antichains(monkeypatch):
-    for k in (4, 6):
-        lat = construct.m3_of(catalog.m_k(k)).lattice
-        one = SORTED[1](lat, jobs=1)
-        assert SORTED[1](lat, jobs=2) == one == rank.antichain_rank_scan(lat, jobs=2)
-        if k == 4:  # batches and split against triples listed one by one
-            anti = antichains3(lat)
-            monkeypatch.setattr(rank, "_BATCH", 5_000)
-            u, py, pz = incomparable_pairs(lat)
-            batches = list(rank._triples(py, pz, row_starts(py, lat.n), 0, lat.n,
-                                         rank._BATCH, keep=u))
-            assert len(batches) > 1
-            assert list(zip(*(np.concatenate(b).tolist() for b in zip(*batches)))) == anti
-            n = lat.n
-            rows = np.arange(n)
-            for scan, per_x in ((SORTED[1], np.bincount([x for x, _, _ in anti], minlength=n)),
-                                (SORTED[0], (n - rows) * (n - rows + 1) // 2)):
-                ranges, res = scan_split(monkeypatch, scan, lat, 2)
-                (lo, mid), (mid2, hi) = ranges
-                assert (lo, mid2, hi) == (0, mid, n) and res == scan(lat, jobs=1)
-                assert abs(2 * per_x[:mid].sum() - per_x.sum()) <= 2 * per_x.max()
+    def scanning(*args, **kwargs):
+        with lock:
+            leads.append(listed[0] - len(leads) - 1)
+        return scan_batch(*args, **kwargs)
+
+    monkeypatch.setattr(rank, "_triples", listing)
+    monkeypatch.setattr(rank, "_scan_batch", scanning)
+    lat = construct.m3_of(catalog.m_k(4)).lattice
+    for scan in SORTED:
+        for jobs, most in ((1, 0), (2, 2)):
+            listed[0] = 0
+            leads.clear()
+            scan(lat, jobs=jobs)
+            assert len(leads) > 50 and max(leads) <= most
 
 
 # -- oracle: the per-x submatrix antichain enumerator ---------------------
@@ -323,13 +343,8 @@ def test_pair_list_batches_match_submatrix_oracle_on_m3(monkeypatch):
         lat = construct.m3_of(catalog.m_k(k)).lattice
         for case in (lat, relabeled(lat, rng), relabeled(lat, rng)):
             assert assert_same_batches(case) >= 1
-            with monkeypatch.context() as m:
-                # a scan splits past one batch; M3[M4] has 89,217 antichains
-                m.setattr(rank, "_BATCH", 50_000)
-                ranges, _ = scan_split(monkeypatch, SORTED[1], case, 3)
-            assert len(ranges) == 3
-            for lo, hi in ranges:
-                assert_same_batches(case, lo, hi)
+            for x in rng.sample(range(case.n), 3):  # rows, as the orbit route's witness takes
+                assert_same_batches(case, x, x + 1)
     monkeypatch.setattr(rank, "_BATCH", 5_000)
     lat = construct.m3_of(catalog.m_k(6)).lattice
     assert assert_same_batches(lat) > 1
