@@ -5,6 +5,7 @@ divergence demos, and the reproduction suite of known quantities."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -337,6 +338,7 @@ def cmd_repro(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser as it was; a build takes about 2 ms
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="latmod")
     sub = top.add_subparsers(dest="command", required=True)

@@ -27,8 +27,8 @@ from .errors import (
 ISO_SIZE_CAP = 5000
 # order-preserving maps isotone_maps may enumerate
 ISOTONE_MAP_CAP = 10_000_000
-# elements of a lattice built from covers or an order; its tables and the
-# products that check them take some 20 * n^2 bytes
+# elements of a lattice built from covers or an order; its order and tables
+# take 9 * n^2 bytes, and building them peaks at some 11 * n^2
 ELEMENT_CAP = 4096
 
 
@@ -172,8 +172,8 @@ class FiniteLattice:
 
     def validate(self):
         """Exhaustively re-check the lattice axioms; raises on failure."""
-        _check_order(self.leq)
-        _check_tables(self.leq, self.meet_table, self.join_table)
+        covers = _CoverIndex(_check_order(self.leq))
+        _check_tables(self.leq, self.meet_table, self.join_table, covers)
 
     def __repr__(self):
         label = self.name or "lattice"
@@ -191,15 +191,21 @@ class FiniteLattice:
 
 # -- the order engine ------------------------------------------------------
 #
-# Counting products run as float32 BLAS matmuls: every entry is a count of
-# at most n, so they are exact while n < 2**24.  Meet and join tables are
-# filled row by row along a linear extension, each row the elementwise
-# maximum, in extension positions, of its own up-set (down-set) entries and
-# its lower (upper) covers' rows.  An argmax of the down-set sizes over the
-# covers' entries is the test oracle.
+# Interval sizes, hence covers and transitivity, come from one float32 BLAS
+# product: every entry is a count of at most n, so it is exact while
+# n < 2**24.  Meet and join tables are filled row by row along a linear
+# extension, each row the elementwise maximum, in extension positions, of its
+# own up-set (down-set) entries and its lower (upper) covers' rows; an argmax
+# of the down-set sizes over the covers' entries is the test oracle.  Each
+# table is checked with no product: an entry m of the pair (a, b) is the glb
+# iff down_S(m) = down_S(a) & down_S(b) for a join-dense set S, the
+# down-sets packed in 64-bit words; a count of common lower bounds by a BLAS
+# product is the test oracle.
 
 # rows mapped from extension positions back to elements at a time
 _MAP_BLOCK = 256
+# entries of a table checked, or of an order tested, at a time
+_CHECK_BLOCK = 1 << 16
 
 
 def _interval_sizes(leq: np.ndarray) -> np.ndarray:
@@ -256,30 +262,98 @@ def _candidate_glbs(order: np.ndarray, lower: list[list[int]]) -> np.ndarray:
     return out
 
 
-def _first_non_glb(order: np.ndarray, table: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first (a, b), row-major, whose table entry m is not glb(a, b).
+def _words(bits: int) -> int:
+    """The 64-bit words that hold `bits` bits."""
+    return -(-bits // 64)
 
-    m is the glb iff m <= a, m <= b and |down(m)| = |down(a) & down(b)|:
-    transitivity puts down(m) inside the intersection, so equal sizes
-    make them equal.  The order must already be a checked partial order.
+
+def _joins_dense(order: np.ndarray, lower: list[list[int]]) -> bool:
+    """The density test: a least element exists, and every common upper
+    bound of the first two lower covers of an element lies above it.  A
+    lattice passes: the lub of two lower covers c1, c2 of x lies strictly
+    above c1, which is incomparable to c2, and below x, which covers c1,
+    so it is x."""
+    n = order.shape[0]
+    if not order.all(axis=1).any():
+        return False
+    many = [x for x in range(n) if len(lower[x]) > 1]
+    rows = max(1, _CHECK_BLOCK // n)
+    for i in range(0, len(many), rows):
+        xs = many[i:i + rows]
+        c1, c2 = [lower[x][0] for x in xs], [lower[x][1] for x in xs]
+        if (order[c1] & order[c2] & ~order[xs]).any():
+            return False
+    return True
+
+
+def _down_words(order: np.ndarray, lower: list[list[int]]) -> np.ndarray:
+    """down_S(x) = {s in S : s <= x} for every x, as a (words, n) array of
+    64-bit words, for a join-dense set S: each x is the lub of down_S(x).
+
+    S is J, the elements with exactly one lower cover, when it packs into
+    fewer words than all n elements and passes the density test.  Then,
+    by induction along a linear extension, each x is the lub of down_J(x):
+    the least element that of the empty set, an element of J that of a set
+    holding itself, and any other x that of a set holding down_J(c1) and
+    down_J(c2) for its first two lower covers, since an upper bound of those
+    lies above c1 and c2, hence above x.  Otherwise S is all n elements,
+    join-dense in any poset, so n <= 64 takes one word and no test.
     """
     n = order.shape[0]
+    joins = [x for x in range(n) if len(lower[x]) == 1]
+    below = order
+    if _words(len(joins)) < _words(n) and _joins_dense(order, lower):
+        below = order[joins]
+    packed = np.packbits(below.T, axis=1)
+    words = np.zeros((n, 8 * _words(below.shape[0])), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return np.ascontiguousarray(words.view(np.uint64).T)
+
+
+def _first_non_glb(order: np.ndarray, table: np.ndarray,
+                   lower: list[list[int]]) -> Optional[tuple[int, int]]:
+    """The first (a, b), row-major, whose table entry m is not glb(a, b),
+    in the checked partial order `order` whose lower covers are `lower`.
+
+    m is the glb iff 0 <= m < n and down_S(m) = down_S(a) & down_S(b),
+    word by word, for the join-dense S of _down_words.  S is join-dense, so
+    down_S(x) inside down_S(y) implies x <= y: equality gives m <= a and
+    m <= b, and any common lower bound c has down_S(c) inside down_S(m), so
+    c <= m.  The glb satisfies the equation: the intersection holds its
+    down-set, and each s in it is a common lower bound, so s <= glb.
+
+    Rows are checked a block at a time.  In a block whose elements are each
+    comparable with every element, m must be a where a <= b and b where
+    b <= a, so a chain costs O(n^2) and reads no words.
+    """
+    n = order.shape[0]
+    comparable = order.sum(axis=0) + order.sum(axis=1) == n + 1
     cols = np.arange(n)
-    ok = (table >= 0) & (table < n)
-    m = np.where(ok, table, 0)
-    ok &= order[m, cols[:, None]]
-    ok &= order[m, cols[None, :]]
-    f = order.astype(np.float32)
-    ok &= order.sum(axis=0, dtype=np.float32)[m] == f.T @ f
-    if ok.all():
-        return None
-    return divmod(int(np.argmin(ok)), n)
+    rows = max(1, _CHECK_BLOCK // n)
+    down = None
+    for r in range(0, n, rows):
+        m = table[r:r + rows]
+        if comparable[r:r + rows].all():
+            ok = np.where(order[r:r + rows], m == cols[r:r + rows, None], m == cols)
+        else:
+            if down is None:
+                down = _down_words(order, lower)
+            ok = (m >= 0) & (m < n)
+            m = np.where(ok, m, 0).astype(np.intp)
+            for word in down:
+                ok &= word.take(m) == word[r:r + rows, None] & word
+        if not ok.all():
+            a, b = divmod(int(np.argmin(ok)), n)
+            return r + a, b
+    return None
 
 
-def _check_tables(leq: np.ndarray, meet: np.ndarray, join: np.ndarray):
+def _check_tables(leq: np.ndarray, meet: np.ndarray, join: np.ndarray,
+                  covers: _CoverIndex):
     """Raise NotALattice at the first wrong meet entry, then join entry."""
-    for kind, order, table in (("meet", leq, meet), ("join", leq.T, join)):
-        bad = _first_non_glb(order, table)
+    for kind, order, table, lower in (("meet", leq, meet, covers.lower),
+                                      ("join", leq.T, join, covers.upper)):
+        bad = _first_non_glb(order, table, lower)
         if bad is not None:
             raise NotALattice(*bad, kind)
 
@@ -301,7 +375,7 @@ def lattice_from_leq(leq: np.ndarray, names: Optional[Sequence[str]] = None,
     meet = _candidate_glbs(leq, covers.lower)
     join = _candidate_glbs(leq.T, covers.upper)
     # a finite poset with all glbs and lubs is bounded: no separate check
-    _check_tables(leq, meet, join)
+    _check_tables(leq, meet, join, covers)
     lat = FiniteLattice(leq, meet, join, names=names, name=name)
     lat._covers = covers
     return lat

@@ -20,6 +20,7 @@ larger lattices one pair of each orbit of the automorphism group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -120,6 +121,14 @@ def closure3(lat, t, cap: Optional[int] = None) -> ClosureTrace:
 
 # -- the step map ---------------------------------------------------------
 
+@functools.cache
+def _step_plan(arity: int) -> tuple:
+    """The step map's pairs a < b in lexicographic order, each with the
+    coordinates that avoid it."""
+    return tuple((a, b, tuple(i for i in range(arity) if i != a and i != b))
+                 for a, b in itertools.combinations(range(arity), 2))
+
+
 def _step_columns(lat, cols) -> list:
     """The step map for any arity, on one tuple or on columns of ids,
     through lat.meet and lat.join only: coordinate i joins the meets of
@@ -129,11 +138,10 @@ def _step_columns(lat, cols) -> list:
     the next is taken, so one meet column is live at a time.
     """
     out = list(cols)
-    for a, b in itertools.combinations(range(len(cols)), 2):
+    for a, b, others in _step_plan(len(cols)):
         m = lat.meet(cols[a], cols[b])
-        for i in range(len(cols)):
-            if i != a and i != b:
-                out[i] = lat.join(out[i], m)
+        for i in others:
+            out[i] = lat.join(out[i], m)
     return out
 
 

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from latmod import catalog, congruence, construct, core, symbolic, tensor
+from latmod import catalog, cli, congruence, construct, core, symbolic, tensor
 from latmod.cli import EXIT_CHECK_FAILED, main
 from latmod.errors import LatticeError, VerificationFailed
 from latmod.rank import ClosureTrace
@@ -220,6 +221,24 @@ def test_unread_options_exit_usage(capsys):
                  ("diverge", "--oracle", "dhw", "--extended")):
         code, out = run(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in out.err, argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    cli._build_parser.cache_clear()
+    try:
+        assert run(capsys, "validate", "--lattice", "b3")[0] == 0
+        assert run(capsys, "validate", "--lattice", "b3", "--jobs", "2")[0] == 2
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("latmod") == 1
 
 
 def test_lazy_build_reports_depth_only_with_stats(capsys, monkeypatch):

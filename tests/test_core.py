@@ -96,6 +96,36 @@ def cover_argmax_tables(leq: np.ndarray):
     return cover_argmax_glbs(leq, covers.lower), cover_argmax_glbs(leq.T, covers.upper)
 
 
+def count_first_non_glb(order: np.ndarray, table: np.ndarray):
+    """Test oracle for core._first_non_glb, by counts: the first (a, b),
+    row-major, whose table entry m is not glb(a, b).
+
+    m is the glb iff m <= a, m <= b and |down(m)| = |down(a) & down(b)|:
+    transitivity puts down(m) inside the intersection, so equal sizes make
+    them equal.  The intersection sizes come from one float32 product,
+    exact while n < 2**24.  The order must be a checked partial order.
+    """
+    n = order.shape[0]
+    cols = np.arange(n)
+    ok = (table >= 0) & (table < n)
+    m = np.where(ok, table, 0)
+    ok &= order[m, cols[:, None]]
+    ok &= order[m, cols[None, :]]
+    f = order.astype(np.float32)
+    ok &= order.sum(axis=0, dtype=np.float32)[m] == f.T @ f
+    if ok.all():
+        return None
+    return divmod(int(np.argmin(ok)), n)
+
+
+def count_check_tables(leq: np.ndarray, meet: np.ndarray, join: np.ndarray):
+    """Test oracle: core._check_tables by count_first_non_glb."""
+    for kind, order, table in (("meet", leq, meet), ("join", leq.T, join)):
+        bad = count_first_non_glb(order, table)
+        if bad is not None:
+            raise NotALattice(*bad, kind)
+
+
 def scalar_covers(lat):
     """Test oracle: a < b with no c strictly between, by a triple loop."""
     lt = lambda x, y: x != y and lat.le(x, y)
@@ -376,13 +406,14 @@ def first_fault(build, leq):
 
 def test_not_a_lattice_matches_cover_argmax_oracle():
     # the kernels may disagree at a pair without a glb; each entry is still
-    # -1 or a common lower bound, hence the glb wherever one exists, so
-    # _check_tables names the same first pair after either kernel
+    # -1 or a common lower bound, hence the glb wherever one exists, so the
+    # word check after one names the same first pair as the count oracle
+    # after the other
     rng = np.random.default_rng(22)
     faults = differ = 0
     for _ in range(2000):
         leq = random_poset(rng, int(rng.integers(2, 12)))
-        want = first_fault(lambda o: core._check_tables(o, *cover_argmax_tables(o)), leq)
+        want = first_fault(lambda o: count_check_tables(o, *cover_argmax_tables(o)), leq)
         assert first_fault(core.lattice_from_leq, leq) == want, leq.astype(int)
         faults += want is not None
         covers = core._CoverIndex(core._check_order(leq))
@@ -430,7 +461,7 @@ def test_validate_rejects_corrupted_tables():
     assert (exc.value.a, exc.value.b, exc.value.kind) == (min(a, b), max(a, b), "meet")
 
     # {2} is below {0,2} and as low as {0} = glb, but not below {0,1}:
-    # caught by the m <= a gather in row a, and the m <= b gather in row b
+    # caught in row a and in row b
     for row, col in ((a, b), (b, a)):
         meet = b3.meet_table.copy()
         meet[row, col] = z
@@ -442,6 +473,96 @@ def test_validate_rejects_corrupted_tables():
     meet[x, y] = b3.n  # out of range
     with pytest.raises(NotALattice):
         corrupted(b3, meet=meet).validate()
+
+
+def corruptions(rng, table, count):
+    """`count` seeded copies of a table, each with one or two entries set
+    to -1, to n, to a random element or to another entry of its column."""
+    n = table.shape[0]
+    for _ in range(count):
+        bad = table.copy()
+        for _ in range(int(rng.integers(1, 3))):
+            a, b = rng.integers(n, size=2)
+            bad[a, b] = rng.choice([-1, n, rng.integers(n), table[rng.integers(n), b]])
+        yield bad
+
+
+def assert_faults_match_count_oracle(rng, lat, count):
+    """validate names the same (a, b, kind) as the count oracle on `count`
+    corruptions of each table of lat; returns how many it rejects."""
+    faults = 0
+    for kind in ("meet", "join"):
+        for bad in corruptions(rng, getattr(lat, f"{kind}_table"), count):
+            broken = corrupted(lat, **{kind: bad})
+            want = first_fault(lambda leq: count_check_tables(
+                leq, broken.meet_table, broken.join_table), lat.leq)
+            assert first_fault(FiniteLattice.validate, broken) == want
+            faults += want is not None
+    return faults
+
+
+def glued_chains(count, length):
+    """`count` chains of `length` elements each between a common bottom and top."""
+    n = count * length + 2
+    covers = [(0, 1 + c * length) for c in range(count)]
+    covers += [(1 + c * length + i, 2 + c * length + i)
+               for c in range(count) for i in range(length - 1)]
+    covers += [(c * length + length, n - 1) for c in range(count)]
+    return from_covers(CoverList(n, tuple(covers)))
+
+
+def test_glb_check_matches_count_oracle_on_corrupted_tables():
+    rng = np.random.default_rng(26)
+    pool = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    faults = sum(assert_faults_match_count_oracle(rng, lat, 4) for lat in pool)
+    assert 0.6 * 8 * len(pool) < faults < 8 * len(pool)
+    m3 = relabeled(construct.m3_of(catalog.fano()).lattice, 26)
+    assert assert_faults_match_count_oracle(rng, m3, 6) >= 10
+
+
+def test_glb_check_matches_count_oracle_on_chains():
+    # blocks of rows comparable with every element read no words; glued
+    # chains of n > 64 take several words of all elements
+    rng = np.random.default_rng(27)
+    pool = [catalog.chain(n) for n in (1, 2, 3, 8, 65, 600)]
+    pool += [glued_chains(count, length) for count, length in
+             ((2, 1), (3, 2), (4, 3), (2, 40), (4, 150))]
+    for lat in pool:
+        lat.validate()
+        assert assert_faults_match_count_oracle(rng, lat, 5) > 0
+
+
+def test_glb_check_falls_back_to_all_elements_off_join_density():
+    b7 = catalog.boolean(7)  # 128 elements, 7 join- and 7 meet-irreducibles
+    # y (element 128) covers the atoms {0} and {1} and lies below {0,1,2},
+    # so neither {0,1} nor y is the lub of {0} and {1}
+    two_lubs = np.zeros((129, 129), dtype=bool)
+    two_lubs[:128, :128] = b7.leq
+    two_lubs[[0, 1, 2, 128], 128] = True
+    two_lubs[128, [s for s in range(128) if s & 7 == 7]] = True
+    posets = {"no bottom": b7.leq[1:, 1:], "no top": b7.leq[:-1, :-1], "two lubs": two_lubs}
+    for label, leq in posets.items():
+        n = len(leq)
+        covers = core._CoverIndex(core._check_order(leq))
+        sides = [(leq, covers.lower), (leq.T, covers.upper)]
+        # J packs into fewer words than all n on both sides; one side fails the test
+        dense = [core._joins_dense(order, lower) for order, lower in sides]
+        assert dense.count(False) == 1, label
+        for (order, lower), ok in zip(sides, dense):
+            assert core._words(sum(len(c) == 1 for c in lower)) < core._words(n)
+            assert core._down_words(order, lower).shape == (1 if ok else core._words(n), n)
+            table = core._candidate_glbs(order, lower)
+            assert core._first_non_glb(order, table, lower) == count_first_non_glb(order, table)
+        want = first_fault(lambda o: count_check_tables(o, *cover_argmax_tables(o)), leq)
+        assert want is not None and first_fault(core.lattice_from_leq, leq) == want, label
+
+
+def test_large_lattices_check_one_word_of_join_irreducibles():
+    for lat in (construct.m3_of(catalog.fano()).lattice, catalog.subspace_lattice(2, 4)):
+        covers = lat._cover_index()
+        assert lat.n > 64
+        for order, lower in ((lat.leq, covers.lower), (lat.leq.T, covers.upper)):
+            assert core._down_words(order, lower).shape == (1, lat.n)
 
 
 def test_covers_height_and_bounds_match_scalar_oracle(lattices):
