@@ -58,6 +58,25 @@ def test_malformed_lattice_documents_exit_input(capsys, tmp_path):
         assert code == 3 and "error" in out.err and "Traceback" not in out.err, label
 
 
+def test_order_fault_documents_exit_input(capsys, tmp_path):
+    # M3 (bottom 0, atoms 1-3, top 4) with each order fault that a cover
+    # document can carry: a cleared diagonal as a reflexive cover, a
+    # 2-cycle, a 3-cycle of atoms, and two at once; parse closes covers
+    # transitively, so a removed composite cannot be written as one
+    m3 = [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]
+    faults = {
+        "diagonal": [[2, 2]],
+        "2-cycle": [[4, 1]],
+        "3-cycle": [[1, 2], [2, 3], [3, 1]],
+        "two-faults": [[2, 2], [4, 1]],
+    }
+    for label, extra in faults.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"elements": list("abcde"), "covers": m3 + extra}))
+        code, out = run(capsys, "validate", "--lattice", f"file:{path}")
+        assert code == 3 and "error" in out.err and "Traceback" not in out.err, label
+
+
 def test_oversized_specs_exit_input(capsys):
     for spec in ("c5000", "b64", "m99999999999", "subspace:2,1000000000000",
                  "c" + "9" * 5000, "m\u00b2"):

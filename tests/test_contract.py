@@ -65,6 +65,20 @@ def uncalled_public_names(root: pathlib.Path) -> list[str]:
     return found
 
 
+def matrix_products(path: pathlib.Path) -> list[str]:
+    """line of every matrix product in a module: an @ or @= (ast.MatMult),
+    or a call of a function or method named dot or matmul."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("dot", "matmul"):
+                found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
 def test_library_has_no_assert_statements():
     # verification must not rely on assert: python -O strips it
     assert assert_statements(PACKAGE) == []
@@ -74,6 +88,24 @@ def test_guard_finds_assert_statements(tmp_path):
     (tmp_path / "mod.py").write_text(
         "def f(x):\n    # assert in a comment is fine\n    assert x, 'msg'\n")
     assert assert_statements(tmp_path) == ["mod.py:3"]
+
+
+def test_core_takes_no_matrix_product():
+    # the order engine works on bit words; a product is n^3 and, through
+    # BLAS, leaves a second thread spinning after it
+    assert matrix_products(PACKAGE / "core.py") == []
+
+
+def test_guard_finds_matrix_products(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from numpy import dot\n\n\n"
+        "def f(a, b):\n"
+        "    c = a @ b  # a @ in a comment is fine\n"
+        "    c @= b\n"
+        "    return np.matmul(a, c) + dot(a, b) + a.dot(b) + np.multiply(a, b)\n")
+    assert matrix_products(path) == ["mod.py:6", "mod.py:7", "mod.py:8", "mod.py:8", "mod.py:8"]
 
 
 def test_every_public_function_has_a_library_caller():

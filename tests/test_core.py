@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -89,11 +90,42 @@ def cover_argmax_glbs(order: np.ndarray, lower: list[list[int]]) -> np.ndarray:
     return out
 
 
+def interval_check_order(leq: np.ndarray) -> np.ndarray:
+    """Test oracle for core._CoverIndex(leq, check=True): NotALattice
+    unless leq is a partial order, checking reflexivity, antisymmetry, then
+    transitivity; else its cover matrix.  The interval sizes
+    #{c : a <= c <= b} come from one float32 product, exact while
+    n < 2**24: a nonzero size off the order breaks transitivity, and a is
+    covered by b iff it is 2."""
+    n = leq.shape[0]
+    if not np.diag(leq).all():
+        raise NotALattice(-1, -1, "reflexivity")
+    if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        raise NotALattice(-1, -1, "antisymmetry")
+    f = leq.astype(np.float32)
+    sizes = f @ f
+    if ((sizes > 0) & ~leq).any():
+        raise NotALattice(-1, -1, "transitivity")
+    return leq & (sizes == 2)
+
+
+def interval_covers(leq: np.ndarray):
+    """Test oracle for core._CoverIndex: (pairs, lower, upper) read off
+    interval_check_order's cover matrix."""
+    lo, hi = np.nonzero(interval_check_order(leq))  # row-major, hence lexicographic
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    lower, upper = [[] for _ in leq], [[] for _ in leq]
+    for a, b in pairs:
+        upper[a].append(b)
+        lower[b].append(a)
+    return pairs, lower, upper
+
+
 def cover_argmax_tables(leq: np.ndarray):
     """Test oracle: the meet and join tables of a partial order by
-    cover_argmax_glbs, on the same cover index as lattice_from_leq."""
-    covers = core._CoverIndex(core._check_order(leq))
-    return cover_argmax_glbs(leq, covers.lower), cover_argmax_glbs(leq.T, covers.upper)
+    cover_argmax_glbs, on the covers of interval_covers."""
+    _, lower, upper = interval_covers(leq)
+    return cover_argmax_glbs(leq, lower), cover_argmax_glbs(leq.T, upper)
 
 
 def count_first_non_glb(order: np.ndarray, table: np.ndarray):
@@ -416,7 +448,10 @@ def test_not_a_lattice_matches_cover_argmax_oracle():
         want = first_fault(lambda o: count_check_tables(o, *cover_argmax_tables(o)), leq)
         assert first_fault(core.lattice_from_leq, leq) == want, leq.astype(int)
         faults += want is not None
-        covers = core._CoverIndex(core._check_order(leq))
+        oracle_covers = interval_covers(leq)
+        for check in (False, True):
+            covers = core._CoverIndex(leq, check)
+            assert (covers.pairs, covers.lower, covers.upper) == oracle_covers, leq.astype(int)
         cols = np.arange(len(leq))
         for order, lower, oracle in zip(
                 (leq, leq.T), (covers.lower, covers.upper), cover_argmax_tables(leq)):
@@ -532,6 +567,91 @@ def test_glb_check_matches_count_oracle_on_chains():
         assert assert_faults_match_count_oracle(rng, lat, 5) > 0
 
 
+def order_pool():
+    """Orders the cover index is checked on besides random posets: all 371
+    lattices with <= 7 elements, a relabelled M3[Fano], chains and glued
+    chains."""
+    pool = [lat.leq for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    pool.append(relabeled(construct.m3_of(catalog.fano()).lattice, 28).leq)
+    pool += [catalog.chain(n).leq for n in (1, 2, 65, 600)]
+    pool += [glued_chains(count, length).leq for count, length in ((3, 2), (4, 150))]
+    return pool
+
+
+def test_cover_index_matches_interval_oracle():
+    # the 2,000 random posets of test_not_a_lattice_matches_cover_argmax_oracle
+    # are compared there
+    for leq in order_pool():
+        want = interval_covers(leq)
+        for check in (False, True):
+            covers = core._CoverIndex(leq, check)
+            assert (covers.pairs, covers.lower, covers.upper) == want
+
+
+def order_corruptions(rng, leq):
+    """Seeded corrupted copies of the partial order leq: a diagonal entry
+    cleared, a 2-cycle, a 3-cycle with no 2-cycle, a composite a <= c
+    removed (one with an element strictly between), each where leq has
+    one, and two of these at once."""
+    n = leq.shape[0]
+    strict = leq & ~np.eye(n, dtype=bool)
+    f = strict.astype(np.float32)
+    composite = (f @ f) > 0  # exact while n < 2**24
+    x, y, z = rng.integers(n, size=(3, 500))
+    # x -> y -> z -> x, each arc against no arc of the order
+    cyclic = (x != y) & (y != z) & (z != x) & ~leq[y, x] & ~leq[z, y] & ~leq[x, z]
+
+    def pick(mask):
+        return tuple(rng.choice(np.argwhere(mask)))
+
+    def diagonal(bad):
+        a = int(rng.integers(n))
+        bad[a, a] = False
+
+    def two_cycle(bad):
+        a, b = pick(strict)
+        bad[b, a] = True
+
+    def three_cycle(bad):
+        i = int(np.flatnonzero(cyclic)[0])
+        bad[x[i], y[i]] = bad[y[i], z[i]] = bad[z[i], x[i]] = True
+
+    def composite_removed(bad):
+        bad[pick(composite)] = False
+
+    kinds = [diagonal]
+    kinds += [two_cycle] if strict.any() else []
+    kinds += [three_cycle] if cyclic.any() else []
+    kinds += [composite_removed] if composite.any() else []
+    corruptions = [(kind,) for kind in kinds]
+    pairs = list(itertools.combinations(kinds, 2))
+    if pairs:
+        corruptions.append(pairs[int(rng.integers(len(pairs)))])
+    for steps in corruptions:
+        bad = leq.copy()
+        for step in steps:
+            step(bad)
+        yield bad
+
+
+def test_order_faults_match_interval_oracle():
+    # the fault kind comes from the whole relation, as the oracle's checks
+    # name it in order, not from where the pass fails
+    rng = np.random.default_rng(22)
+    pool = order_pool()
+    pool += [random_poset(rng, int(rng.integers(2, 12))) for _ in range(2000)]
+    rng = np.random.default_rng(27)
+    kinds = collections.Counter()
+    for leq in pool:
+        for bad in order_corruptions(rng, leq):
+            want = first_fault(interval_check_order, bad)
+            assert want is not None
+            assert first_fault(lambda o: core._CoverIndex(o, check=True), bad) == want
+            assert first_fault(core.lattice_from_leq, bad) == want
+            kinds[want[2]] += 1
+    assert min(kinds[k] for k in ("reflexivity", "antisymmetry", "transitivity")) > 1000, kinds
+
+
 def test_glb_check_falls_back_to_all_elements_off_join_density():
     b7 = catalog.boolean(7)  # 128 elements, 7 join- and 7 meet-irreducibles
     # y (element 128) covers the atoms {0} and {1} and lies below {0,1,2},
@@ -543,7 +663,7 @@ def test_glb_check_falls_back_to_all_elements_off_join_density():
     posets = {"no bottom": b7.leq[1:, 1:], "no top": b7.leq[:-1, :-1], "two lubs": two_lubs}
     for label, leq in posets.items():
         n = len(leq)
-        covers = core._CoverIndex(core._check_order(leq))
+        covers = core._CoverIndex(leq, check=True)
         sides = [(leq, covers.lower), (leq.T, covers.upper)]
         # J packs into fewer words than all n on both sides; one side fails the test
         dense = [core._joins_dense(order, lower) for order, lower in sides]
