@@ -9,7 +9,14 @@ from typing import Optional
 import numpy as np
 
 from .core import FiniteLattice, join_irreducibles, meet_irreducibles
-from .construct import _GRID_ENTRIES, TupleLattice, embed_atom, embed_diag, m3_of
+from .construct import (
+    _GRID_ENTRIES,
+    TupleLattice,
+    _check_coordinate_swaps,
+    embed_atom,
+    embed_diag,
+    m3_of,
+)
 from .errors import ArgumentOutOfRange, SizeLimitExceeded
 
 CON_SIZE_CAP = 2000
@@ -234,21 +241,35 @@ def _m3_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.nda
     them: they are marked in an n x n grid, and the copy depends on k iff
     some marked pair has ji[i] <= u and ji[i] !<= d.  A float32 product
     of ji's up-sets with the grid counts the marked u above ji[i] per d
-    (exact below 2^24)."""
+    (exact below 2^24).
+
+    Only the copies k in coordinate 0 are joined.  Permuting coordinates is
+    an automorphism of k that maps copies to copies, and D is defined by
+    the order alone, so the swap of coordinates 0 and c maps the column
+    block of the copies in coordinate 0 onto that of coordinate c, with the
+    row blocks 0 and c swapped.  That symmetry is checked first
+    (`_check_coordinate_swaps`, VerificationFailed), not assumed: a join
+    that breaks it could hide in the blocks that are not joined."""
+    _check_coordinate_swaps(k)
     n, nj = k.base.n, len(ji)
-    jk, low = _copies(k, ji), _copies(k, lower)
+    jk, low = _copies(k, ji)[:nj], _copies(k, lower)[:nj]
     every, rows = np.arange(len(k)), max(1, _GRID_ENTRIES // len(k))
     above = k.base.leq[ji]
     above32 = above.astype(np.float32)
-    dep = np.empty((len(jk), len(jk)), dtype=bool)
-    for lo in range(0, len(jk), rows):
+    first = np.empty((k.arity, nj, nj), dtype=bool)  # [row block, row, column]
+    for lo in range(0, nj, rows):
         part = slice(lo, lo + rows)
         up, down = k.join(jk[part, None], every), k.join(low[part, None], every)
         for c, col in enumerate(k.cols):
             marked = np.zeros((n, len(up), n), dtype=np.float32)  # [u, copy, d]
             marked[col[up], np.arange(len(up))[:, None], col[down]] = 1
             reach = (above32 @ marked.reshape(n, -1)).reshape(nj, len(up), n)
-            dep[c * nj:(c + 1) * nj, part] = ((reach > 0) & ~above[:, None]).any(axis=2)
+            first[c, :, part] = ((reach > 0) & ~above[:, None]).any(axis=2)
+    dep = np.empty((k.arity * nj, k.arity * nj), dtype=bool)
+    for c in range(k.arity):
+        swap = list(range(k.arity))
+        swap[0], swap[c] = c, 0
+        dep[:, c * nj:(c + 1) * nj] = first[swap].reshape(k.arity * nj, nj)
     np.fill_diagonal(dep, False)
     return dep
 

@@ -18,33 +18,13 @@ from .core import (
     pointwise_order,
 )
 from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
-from .rank import _fixpoints
+from .rank import _closures, _decode, _encode
 
 EAGER_TABLE_CAP = 2000
 _GRID_ENTRIES = 1 << 16  # tuples, keys or pairs per numpy block
 # pairs per block when the depth reads join keys: blocks of 2^16 took about
 # twice as long on census grids and on M3[Sub(3,3)], blocks of 2^12 longer
 _MARK_ENTRIES = 1 << 14
-
-
-def _encode(n: int, cols) -> np.ndarray:
-    """Pack coordinate columns (or one entry each) into one int32 key, the
-    tuple read as a base-n number, so keys ascend with the lexicographic
-    order.  Every caller holds a key map, which `_key_count` refuses from
-    2^31 keys on."""
-    key = np.zeros(np.shape(cols[0]), dtype=np.int32)
-    for c in cols:
-        key = key * n + c
-    return key
-
-
-def _decode(n: int, arity: int, keys: np.ndarray) -> list:
-    """The coordinate columns of keys made by _encode."""
-    cols = []
-    for _ in range(arity):
-        keys, c = np.divmod(keys, n)
-        cols.append(c)
-    return cols[::-1]
 
 
 class TupleLattice:
@@ -54,10 +34,11 @@ class TupleLattice:
     Element ids follow the lexicographic order of the tuples, given as one
     column of entries per coordinate.  Every operation reads two maps over
     the n^arity tuple keys, built on first use: key -> id (`ids`) and key
-    -> key of its closure under the step map.  `meet` and `join` act on id
-    arrays at any size; `lattice` holds their count^2 tables, built on
-    first access, and raises SizeLimitExceeded above EAGER_TABLE_CAP
-    elements.
+    -> key of its closure under the step map, which the base holds for all
+    its tuple lattices of one arity (`rank._closures`).  `meet` and `join`
+    act on id arrays at any size; `lattice` holds their count^2 tables,
+    built on first access, and raises SizeLimitExceeded above
+    EAGER_TABLE_CAP elements.
     """
 
     def __init__(self, base: FiniteLattice, cols: list, name: str):
@@ -90,18 +71,12 @@ class TupleLattice:
 
     @functools.cached_property
     def _closed(self) -> tuple:
-        """Key -> key of its closure, and key -> its closure index: all
-        n^arity keys closed once, _GRID_ENTRIES at a time."""
-        n, arity = self.base.n, self.arity
-        size = self._key_count()
-        closed = np.empty(size, dtype=np.int32)
-        index = np.empty(size, dtype=np.int32)
-        for lo in range(0, size, _GRID_ENTRIES):
-            part = slice(lo, lo + _GRID_ENTRIES)
-            keys = np.arange(lo, min(size, lo + _GRID_ENTRIES), dtype=np.int32)
-            cols, index[part] = _close(self.base, _decode(n, arity, keys))
-            closed[part] = _encode(n, cols)
-        return closed, index
+        """Key -> key of its closure, and key -> its closure index: the
+        base's read-only closure table for this arity (`rank._closures`),
+        tabulated once per base and shared with its rank scans and with
+        every tuple lattice of the same base and arity."""
+        self._key_count()
+        return _closures(self.base, self.arity)
 
     @property
     def index(self) -> np.ndarray:
@@ -215,21 +190,6 @@ def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
     return [np.concatenate(p) for p in parts]
 
 
-def _close(base: FiniteLattice, cols: list):
-    """Close tuples, given as columns, under the step map.  Returns the
-    closed columns and each tuple's closure index, in input order."""
-    out = [np.empty(cols[0].size, dtype=np.int32) for _ in cols]
-    index = np.empty(cols[0].size, dtype=np.int32)
-    # `cols` is not held here: the loop drops the input after round 0
-    rounds = _fixpoints(base, cols)
-    del cols
-    for depth, (done, fixed, cur) in enumerate(rounds):
-        for o, c in zip(out, cur):
-            o[done] = c.compress(fixed)
-        index[done] = depth
-    return out, index
-
-
 def m3_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of all balanced triples of the base: meets
     componentwise, join of a pair the closure of its componentwise join."""
@@ -282,6 +242,25 @@ def _check_embedding(k: TupleLattice, image: np.ndarray) -> list[int]:
         if bad.size:
             raise VerificationFailed(f"the embedding breaks the {what} of {tuple(bad[0])}")
     return image.tolist()
+
+
+def _check_coordinate_swaps(k: TupleLattice) -> None:
+    """VerificationFailed unless k's closure map commutes with swapping
+    coordinate 0 and each other coordinate, on all n^arity keys: the
+    closure of the swapped tuple is the swapped closure.  The swaps generate
+    all coordinate permutations, and the balanced tuples and the
+    componentwise meets and joins commute with these; so then does k's
+    join, and each permutation is an automorphism of k.  One decode of the
+    closure table and one encode per swap."""
+    n, arity = k.base.n, k.arity
+    closed = k._closed[0].reshape((n,) * arity)
+    cols = _decode(n, arity, closed)
+    for c in range(1, arity):
+        axes = list(range(arity))
+        axes[0], axes[c] = c, 0
+        if not np.array_equal(closed.transpose(axes), _encode(n, [cols[a] for a in axes])):
+            raise VerificationFailed(
+                f"{k.name}: the joins do not commute with swapping coordinates 0 and {c}")
 
 
 def m3_power_poset(d: FiniteLattice) -> FiniteLattice:

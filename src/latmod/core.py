@@ -131,12 +131,13 @@ class FiniteLattice:
     """Dense-indexed finite lattice with precomputed order/meet/join tables.
 
     Instances are immutable after construction and safe for concurrent reads;
-    the cover index, the bounds and the automorphism generators are filled
-    in lazily, idempotently.
+    the cover index, the bounds, the automorphism generators and the
+    step-map closure tables (`rank._closures`, one per arity, read-only) are
+    filled in lazily, idempotently.
     """
 
     __slots__ = ("n", "leq", "meet_table", "join_table", "names", "name",
-                 "_covers", "_bottom", "_top", "_automorphisms")
+                 "_covers", "_bottom", "_top", "_automorphisms", "_closures")
 
     def __init__(self, leq: np.ndarray, meet_table: np.ndarray, join_table: np.ndarray,
                  names: Optional[Sequence[str]] = None, name: str = ""):
@@ -151,6 +152,7 @@ class FiniteLattice:
         self._bottom: Optional[int] = None
         self._top: Optional[int] = None
         self._automorphisms: Optional[AutomorphismGroup] = None
+        self._closures: dict = {}
         for arr in (self.leq, self.meet_table, self.join_table):
             arr.setflags(write=False)
 

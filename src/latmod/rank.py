@@ -11,11 +11,15 @@ least such n.
 One arity-generic step map (`_step_columns`) reads only the lattice's
 meet and join, so it serves one tuple of any lattice object (step3, step4
 and closure3) and columns of ids of any lattice whose operations act on
-id arrays; one fixpoint loop over it (`_fixpoints`) runs the rank scans
-here and the join closures of `construct`.  Both rank scans run through one
-triple generator (`_triples`) and one scan loop (`_scan`), whose threads take
-its batches one at a time, by one of two routes: sorted triples, or on
-larger lattices one pair of each orbit of the automorphism group.
+id arrays.  Over a finite lattice it is tabulated once per arity as one
+key -> key map over all n^arity tuple keys, and each key's closure and
+closure index are read off by gathers (`_closures`); the table is cached
+on the lattice and shared by the join closures of `construct` and, up to
+`_TABLE_SCAN_KEYS` triples, by both rank scans.  Larger scans run one
+fixpoint loop (`_fixpoints`) through one triple generator (`_triples`) and
+one scan loop (`_scan`), whose threads take its batches one at a time, over
+sorted triples or, on larger lattices, one pair of each orbit of the
+automorphism group.
 """
 
 from __future__ import annotations
@@ -42,6 +46,20 @@ from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 # against 7 MiB and ran slower (0.29-0.32 s against 0.17-0.24 s; tracemalloc,
 # 2-core Xeon).
 _BATCH = 100_000
+
+# Keys per block while the step table is tabulated and closed: the block's
+# open mesh and its step columns are the working set beside the table.
+_TABLE_BLOCK = 1 << 16
+
+# The scans read the closure table when the lattice has at most this many
+# triples, n^3 (n <= 22 elements), and take the sorted or orbit route above it.
+# The crossover was measured on a 2-core Xeon, medians of 41 runs, each table
+# built afresh: at n = 22 a full scan by the table took 0.38-0.40 ms against
+# 0.47-0.53 ms by the sorted route (chain(22), M_20), at n = 26 0.92-1.02 ms
+# against 0.54-0.69 ms.  The antichain scan of a chain, which has no
+# antichains, is the worst case: 0.36-0.38 ms against 0.29 ms at n = 22.  A
+# table the scan builds is kept, so M3[L]'s joins do not build it again.
+_TABLE_SCAN_KEYS = 22 ** 3
 
 
 class Triple(NamedTuple):
@@ -176,6 +194,76 @@ def _fixpoints(lat, cols, cap: Optional[int] = None):
         pos, cols = pos.compress(moving), [c.compress(moving) for c in nxt]
         del nxt  # live now: these columns and the caller's previous ones
         k += 1
+
+
+# -- the step table --------------------------------------------------------
+
+def _encode(n: int, cols) -> np.ndarray:
+    """Pack coordinate columns (or one entry each) into one int32 key, the
+    tuple read as a base-n number, so keys ascend with the lexicographic
+    order.  Every caller holds a key map over n^arity keys, which
+    `construct` refuses from 2^31 keys on."""
+    key = np.zeros(np.shape(cols[0]), dtype=np.int32)
+    for c in cols:
+        key = key * n + c
+    return key
+
+
+def _decode(n: int, arity: int, keys) -> list:
+    """The coordinate columns (or entries) of keys made by _encode."""
+    cols = []
+    for _ in range(arity):
+        keys, c = np.divmod(keys, n)
+        cols.append(c)
+    return cols[::-1]
+
+
+def _step_table(lat: FiniteLattice, arity: int) -> np.ndarray:
+    """The step map on all n^arity keys, key -> key, int32.  A block of
+    first coordinates at a time, about _TABLE_BLOCK keys but at least one
+    first coordinate, is stepped as an open mesh, so each pair's meets are
+    taken over its two axes only."""
+    n = lat.n
+    ids = np.arange(n, dtype=np.int32)
+    row = n ** (arity - 1)
+    rows = max(1, _TABLE_BLOCK // row)
+    table = np.empty(n * row, dtype=np.int32)
+    for lo in range(0, n, rows):
+        mesh = np.ix_(ids[lo:lo + rows], *[ids] * (arity - 1))
+        table[lo * row:(lo + rows) * row] = _encode(n, _step_columns(lat, mesh)).ravel()
+    return table
+
+
+def _closures(lat: FiniteLattice, arity: int) -> tuple:
+    """Key -> key of its closure under the step map, and key -> its closure
+    index (the rounds in which it moves), over all n^arity keys, both int32
+    and read-only.  Tabulated once per lattice and arity and cached on it:
+    the step table is built whole, then each block of _TABLE_BLOCK keys
+    follows it by gathers, cur = step[cur], counting the keys that move,
+    until none does.  A finite lattice has no infinite ascending chain, so
+    every key stops.  The step table is held beside the two results while
+    they are filled, 12 bytes a key, and dropped on return."""
+    table = lat._closures.get(arity)
+    if table is not None:
+        return table
+    step = _step_table(lat, arity)
+    closed = np.empty_like(step)
+    index = np.empty_like(step)
+    for lo in range(0, step.size, _TABLE_BLOCK):
+        cur = step[lo:lo + _TABLE_BLOCK]
+        moves = cur != np.arange(lo, lo + cur.size, dtype=np.int32)
+        count = moves.astype(np.int32)
+        while moves.any():
+            nxt = step.take(cur)
+            moves = nxt != cur
+            count += moves
+            cur = nxt
+        closed[lo:lo + cur.size] = cur
+        index[lo:lo + cur.size] = count
+    for arr in (closed, index):
+        arr.setflags(write=False)
+    table = lat._closures[arity] = (closed, index)
+    return table
 
 
 @dataclass(frozen=True)
@@ -340,8 +428,8 @@ def _sorted_pairs(lat: FiniteLattice, antichains: bool):
 def _sorted_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> ScanResult:
     """The full scan over sorted triples x <= y <= z, each weighted by its
     orbit size under coordinate permutations, or the scan of the antichains
-    x < y < z; both the production route on small lattices and the orbit
-    route's test oracle."""
+    x < y < z; the production route between the table route and the orbit
+    route, and the test oracle of both."""
     py, pz, starts, keep = _sorted_pairs(lat, antichains)
     return _scan(lat, cap, jobs, py, pz, starts, keep=keep,
                  weight=None if antichains else _orbit_sizes)
@@ -433,17 +521,48 @@ def _orbit_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> Sc
     return ScanResult(count, hist, res.max_index, witness)
 
 
+# -- the table route ------------------------------------------------------
+
+def _table_scan(lat: FiniteLattice, cap: int, antichains: bool) -> ScanResult:
+    """The scan read off the closure table of all n^3 triples
+    (`_closures`): the histogram counts the closure indices of all keys, or
+    of the antichain keys x < y < z; keys ascend lexicographically, so the
+    witness is the first key at the largest index; RankExceedsCap when that
+    index is above the cap."""
+    n = lat.n
+    index = _closures(lat, 3)[1]
+    keys = None
+    if antichains:
+        u = np.triu(~lat.leq & ~lat.leq.T, k=1)
+        keys = np.flatnonzero(u[:, :, None] & u[:, None, :] & u[None, :, :])
+        index = index.take(keys)
+    if index.size == 0:
+        return ScanResult(0, {}, 0, None)
+    counts = np.bincount(index)
+    top = counts.size - 1
+    if top > cap:
+        raise RankExceedsCap(f"tuples still moving after {cap} steps")
+    first = int(np.argmax(index))
+    key = first if keys is None else int(keys[first])
+    witness = Triple(*(int(c) for c in _decode(n, 3, key)))
+    hist = {i: c for i, c in enumerate(counts.tolist()) if c}
+    return ScanResult(int(index.size), hist, top, witness)
+
+
 def _scan_route(lat: FiniteLattice, cap: Optional[int], jobs: int,
                 antichains: bool) -> ScanResult:
-    """The orbit route when the sorted triples need more than one batch and
-    Aut(L) has more than 3 elements, else the sorted route: a group of order
-    g leaves at least n(n+1)/2g pair orbits, and x runs over all of L, so
-    for g <= 3 the orbit route would iterate about as many triples as the
-    sorted route's n(n+1)(n+2)/6, or more."""
+    """The table route up to _TABLE_SCAN_KEYS triples; above it the orbit
+    route when the sorted triples need more than one batch and Aut(L) has
+    more than 3 elements, else the sorted route: a group of order g leaves
+    at least n(n+1)/2g pair orbits, and x runs over all of L, so for g <= 3
+    the orbit route would iterate about as many triples as the sorted
+    route's n(n+1)(n+2)/6, or more."""
     if jobs < 1:
         raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
     cap = _cap(lat, cap)
     n = lat.n
+    if n ** 3 <= _TABLE_SCAN_KEYS:
+        return _table_scan(lat, cap, antichains)
     if n * (n + 1) * (n + 2) // 6 > _BATCH and math.prod(lat.automorphisms().base_orbits) > 3:
         return _orbit_scan(lat, cap, jobs, antichains)
     return _sorted_scan(lat, cap, jobs, antichains)
@@ -453,12 +572,14 @@ def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None,
                      jobs: int = 1) -> ScanResult:
     """Stabilization indices of all |L|^3 triples.
 
-    The step map commutes with permuting coordinates, so a triple's index
-    is that of its sorted permutation: only x <= y <= z are iterated, each
-    counted with its orbit size, or on large lattices one pair of each orbit
-    of Aut(L) (`_orbit_scan`).  A triple at the maximum index has its sorted
-    permutation there too, and that one is lexicographically no later, so
-    the first hit among sorted triples is the first of all.
+    On small lattices they are read off the closure table (`_table_scan`).
+    On larger ones, as the step map commutes with permuting coordinates, a
+    triple's index is that of its sorted permutation: only x <= y <= z are
+    iterated, each counted with its orbit size, or on large lattices one
+    pair of each orbit of Aut(L) (`_orbit_scan`).  A triple at the maximum
+    index has its sorted permutation there too, and that one is
+    lexicographically no later, so the first hit among sorted triples is
+    the first of all.
     """
     return _scan_route(lat, cap, jobs, antichains=False)
 
@@ -466,9 +587,11 @@ def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None,
 def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
                         jobs: int = 1) -> ScanResult:
     """Scan every 3-element antichain {x,y,z} (as x<y<z) and record its
-    stabilization index: with U the strictly upper incomparability matrix,
-    the pairs y < z of U that U[x, y] & U[x, z] keeps, or on large lattices
-    one incomparable pair of each orbit of Aut(L) (`_orbit_scan`)."""
+    stabilization index: on small lattices read off the closure table
+    (`_table_scan`); on larger ones, with U the strictly upper
+    incomparability matrix, the pairs y < z of U that U[x, y] & U[x, z]
+    keeps, or on large lattices one incomparable pair of each orbit of
+    Aut(L) (`_orbit_scan`)."""
     return _scan_route(lat, cap, jobs, antichains=True)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latmod
-from latmod import catalog, core
+from latmod import catalog, core, rank
 
 
 def small_catalog():
@@ -77,6 +77,35 @@ def relabeled(lat, seed):
     """The same order with elements renumbered by a seeded permutation."""
     perm = np.random.default_rng(seed).permutation(lat.n)
     return core.lattice_from_leq(lat.leq[np.ix_(perm, perm)])
+
+
+def close_tuples(base, cols):
+    """Oracle for the closure table of rank._closures: close tuples, given
+    as columns of base ids, by the scans' fixpoint loop rank._fixpoints,
+    which steps only the tuples still moving and compacts them each round.
+    Returns the closed columns and each tuple's closure index, in input
+    order."""
+    out = [np.empty(cols[0].size, dtype=np.int32) for _ in cols]
+    index = np.empty(cols[0].size, dtype=np.int32)
+    for depth, (done, fixed, cur) in enumerate(rank._fixpoints(base, cols)):
+        for o, c in zip(out, cur):
+            o[done] = c.compress(fixed)
+        index[done] = depth
+    return out, index
+
+
+def counting_step_tables(monkeypatch):
+    """Record the (lattice, arity) of each step table rank tabulates, in
+    order, in the returned list."""
+    calls = []
+    step_table = rank._step_table
+
+    def counting(lat, arity):
+        calls.append((lat, arity))
+        return step_table(lat, arity)
+
+    monkeypatch.setattr(rank, "_step_table", counting)
+    return calls
 
 
 def is_balanced3(lat, t):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import counting_step_tables
 from latmod import catalog, cli, congruence, construct, core, symbolic, tensor
 from latmod.cli import EXIT_CHECK_FAILED, main
 from latmod.errors import LatticeError, VerificationFailed
@@ -294,19 +295,12 @@ def test_build_spans_no_m3_over_one_element(capsys):
 
 
 def test_build_stats_close_the_join_keys_once(capsys, monkeypatch):
-    closed = []
-    close = construct._close
-
-    def counting(base, cols):
-        closed.append(cols[0].size)
-        return close(base, cols)
-
-    monkeypatch.setattr(construct, "_close", counting)
-    for command in ("m3build", "m4build"):
-        closed.clear()
+    tabulated = counting_step_tables(monkeypatch)
+    for command, arity in (("m3build", 3), ("m4build", 4)):
+        tabulated.clear()
         code, out = run(capsys, command, "--lattice", "n5", "--stats", "--report", "json")
         assert code == 0 and "max_closure_index" in json.loads(out.out)
-        assert len(closed) == 1, command
+        assert [a for _, a in tabulated] == [arity], command
 
 
 def test_tensor_command_builds_once(capsys, monkeypatch):

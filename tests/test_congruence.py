@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import tuples_of
 
-from latmod import catalog, congruence, construct, core
+from latmod import catalog, congruence, construct, core, rank
 from latmod.congruence import all_congruences
 from latmod.errors import ArgumentOutOfRange, SizeLimitExceeded, VerificationFailed
 
@@ -387,6 +387,65 @@ def test_dependency_memory_is_bounded(traced_peak):
     assert traced_peak(dependency_by_definition, lat)[1] > bound
 
 
+def all_copies_m3_dependency(k, ji, lower):
+    """Oracle for congruence._m3_dependency: the same marked-pair route with
+    every copy of J(base), in each coordinate, joined with every element,
+    and no coordinate symmetry used."""
+    n, nj = k.base.n, len(ji)
+    jk, low = congruence._copies(k, ji), congruence._copies(k, lower)
+    every, rows = np.arange(len(k)), max(1, construct._GRID_ENTRIES // len(k))
+    above = k.base.leq[ji]
+    above32 = above.astype(np.float32)
+    dep = np.empty((len(jk), len(jk)), dtype=bool)
+    for lo in range(0, len(jk), rows):
+        part = slice(lo, lo + rows)
+        up, down = k.join(jk[part, None], every), k.join(low[part, None], every)
+        for c, col in enumerate(k.cols):
+            marked = np.zeros((n, len(up), n), dtype=np.float32)
+            marked[col[up], np.arange(len(up))[:, None], col[down]] = 1
+            reach = (above32 @ marked.reshape(n, -1)).reshape(nj, len(up), n)
+            dep[c * nj:(c + 1) * nj, part] = ((reach > 0) & ~above[:, None]).any(axis=2)
+    np.fill_diagonal(dep, False)
+    return dep
+
+
+def base_generators(base):
+    ji = np.array(core.join_irreducibles(base), dtype=np.intp)
+    return ji, np.array([base.lower_covers(j)[0] for j in ji], dtype=np.intp)
+
+
+def test_m3_dependency_matches_all_copies_oracle():
+    """Joining only the copies in coordinate 0 and swapping coordinates
+    gives the route that joins every copy, on M3 of every lattice with at
+    most 7 elements and on M3[Sub(2,4)] (45 copies, 56,725 elements).  Up
+    to 6 elements, and on Sub(2,4), D between copies in one coordinate is D
+    between copies in two: only ten lattices with 7 elements tell the
+    column blocks apart, and so see the swap."""
+    bases = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    for base in bases + [catalog.subspace_lattice(2, 4)]:
+        k = construct.m3_of(base)
+        ji, lower = base_generators(base)
+        assert np.array_equal(congruence._m3_dependency(k, ji, lower),
+                              all_copies_m3_dependency(k, ji, lower)), base.name
+
+
+def test_m3_dependency_checks_the_coordinate_symmetry():
+    """A closure map that breaks the coordinate symmetry in a key that no
+    join of a copy in coordinate 0 reads is caught before D is formed."""
+    base = catalog.n5()
+    k = construct.m3_of(base)
+    ji, lower = base_generators(base)
+    closed, index = k._closed
+    o, top = base.bottom, base.top
+    key = int(rank._encode(base.n, [o, top, o]))  # <0,1,0>: first coordinate 0
+    assert closed[key] != closed[-1]
+    closed = closed.copy()
+    closed[key] = closed[-1]  # <0,1,0> closes to <1,1,1>
+    k._closed = closed, index
+    with pytest.raises(VerificationFailed, match="swapping coordinates 0 and 1"):
+        congruence._m3_dependency(k, ji, lower)
+
+
 @pytest.mark.parametrize("name, shuffle", [("n5", False), ("n5", True), ("m4", False),
                                            ("witness7", False)])
 def test_down_set_route_matches_bfs_oracle_on_m3(name, shuffle):
@@ -510,10 +569,14 @@ def test_verify_cpe_rejects_unknown_embedding():
 
 
 def tampered_m3(monkeypatch, key, to):
-    """verify_cpe with M3[base]'s closed-key map sending `key` to `to`."""
+    """verify_cpe with M3[base]'s closed-key map sending `key` to `to`: a
+    changed copy, as the base's closure table is shared and read-only."""
     def m3_of(base):
         k = construct.m3_of(base)
-        k._closed[0][key] = to
+        closed, index = k._closed
+        closed = closed.copy()
+        closed[key] = to
+        k._closed = closed, index
         return k
 
     monkeypatch.setattr(congruence, "m3_of", m3_of)
@@ -599,7 +662,10 @@ def test_extension_check_survives_optimize_flag(run_optimized):
 
         def m3_of(base):
             k = real_m3(base)
-            k._closed[0][0] = k._closed[0].size - 1  # the bottom closes to the top
+            closed, index = k._closed
+            closed = closed.copy()  # the base's table is shared and read-only
+            closed[0] = closed.size - 1  # the bottom closes to the top
+            k._closed = closed, index
             return k
 
         congruence.m3_of = m3_of

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import is_balanced3, is_balanced4, tuples_of
+from conftest import close_tuples, counting_step_tables, is_balanced3, is_balanced4, tuples_of
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
 from latmod.errors import NotDistributive, SizeLimitExceeded, VerificationFailed
@@ -234,22 +234,24 @@ def test_half_table_closure_matches_all_pairs_oracle():
 
 def test_lazy_closure_depth_matches_eager(monkeypatch):
     """The depth of a lattice whose tables were built first, the depth
-    without tables read and closed in blocks of 50 (stopping at the largest
-    key index), and the per-pair oracle agree on every lattice with at most
-    6 elements and on M4, at arity 3 and 4."""
-    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
-    bases.append(catalog.m_k(4))
+    without tables read and tabulated in blocks of 50 (stopping at the
+    largest key index), and the per-pair oracle agree on every lattice with
+    at most 6 elements and on M4, at arity 3 and 4."""
+    def bases():  # new bases, whose closure tables are not built yet
+        return [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)] \
+            + [catalog.m_k(4)]
+
     eager, oracle = [], []
-    for b in bases:
+    for b in bases():
         k3, k4 = m3_of(b), m4_of(b)
         assert k3.lattice is not None and k4.lattice is not None
         eager.append((k3.max_closure_index, k4.max_closure_index))
         oracle.append((per_pair_depth(k3), per_pair_depth(k4)))
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     monkeypatch.setattr(construct, "_MARK_ENTRIES", 50)  # many blocks
-    monkeypatch.setattr(construct, "_GRID_ENTRIES", 50)
+    monkeypatch.setattr(rank, "_TABLE_BLOCK", 50)
     lazy = []
-    for b in bases:
+    for b in bases():
         k3, k4 = m3_of(b), m4_of(b)
         for k in (k3, k4):
             with pytest.raises(SizeLimitExceeded):
@@ -278,19 +280,12 @@ def test_lazy_operations_equal_eager_tables(monkeypatch):
 def test_lazy_build_closes_nothing(monkeypatch):
     eager = m3_of(catalog.m_k(4))
     assert eager.lattice is not None  # tables and depth before counting
-    calls = []
-    close = construct._close
-
-    def counting(base, cols):
-        calls.append(cols[0].size)
-        return close(base, cols)
-
-    monkeypatch.setattr(construct, "_close", counting)
+    calls = counting_step_tables(monkeypatch)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     k = m3_of(catalog.m_k(4))
     assert calls == [] and "_where" not in vars(k) and "_closed" not in vars(k)
     assert k.max_closure_index == k.max_closure_index == eager.max_closure_index
-    assert len(calls) == 1  # one close of the keys
+    assert calls == [(k.base, 3)]  # one table of the keys
     assert "_where" not in vars(k)
 
 
@@ -309,11 +304,12 @@ def test_lazy_build_defers_tuple_list_and_index():
 
 def test_keys_ascend_with_the_tuple_order():
     """_encode packs tuples into int32 keys, the tuples read as base-n
-    numbers, which ascend with the lexicographic order."""
+    numbers, which ascend with the lexicographic order; _decode inverts it."""
     n = 215  # 215^4 < 2^31
     cols = [np.array(c, dtype=np.int32) for c in
             zip(*sorted([(0, 0, 0, 1), (5, 200, 7, 3), (214, 214, 214, 214)]))]
-    keys = construct._encode(n, cols)
+    keys = rank._encode(n, cols)
+    assert all(np.array_equal(a, b) for a, b in zip(rank._decode(n, 4, keys), cols))
     assert keys.dtype == np.int32
     want = [sum(int(c[i]) * n ** (3 - a) for a, c in enumerate(cols)) for i in range(3)]
     assert keys.tolist() == want and want == sorted(want)
@@ -327,7 +323,7 @@ def close_joins(base, cols, ia, ib):
     Returns the closed columns in pair order and the largest closure
     index."""
     jf = base.join_table.ravel()
-    closed, index = construct._close(
+    closed, index = close_tuples(
         base, [jf.take(c.take(ia) * base.n + c.take(ib)) for c in cols])
     return closed, index.max()
 
@@ -338,11 +334,11 @@ def per_pair_joins(k):
     mirrored the table.  Returns (join table, largest closure index)."""
     n, count = k.base.n, len(k)
     where = np.full(n ** k.arity, -1)
-    where[construct._encode(n, k.cols)] = np.arange(count)
+    where[rank._encode(n, k.cols)] = np.arange(count)
     ia, ib = np.triu_indices(count)
     closed, depth = close_joins(k.base, k.cols, ia, ib)
     join = np.empty((count, count), dtype=np.int64)
-    join[ia, ib] = join[ib, ia] = where.take(construct._encode(n, closed))
+    join[ia, ib] = join[ib, ia] = where.take(rank._encode(n, closed))
     return join, depth
 
 
@@ -368,33 +364,30 @@ def componentwise_join_keys(k):
 
 def test_eager_build_closes_each_distinct_join_once(monkeypatch):
     """The tables, the depth and the operations, read in any order, share
-    one close of the n^arity keys, which cover every distinct componentwise
-    join, and close none of the count(count+1)/2 pairs a <= b.  About
-    0.5 s."""
-    closed = []
-    close = construct._close
-
-    def counting(base, cols):
-        closed.append(construct._encode(base.n, cols))
-        return close(base, cols)
-
-    monkeypatch.setattr(construct, "_close", counting)
+    one table of the n^arity keys, which cover every distinct componentwise
+    join, and close none of the count(count+1)/2 pairs a <= b; a second
+    tuple lattice of the same base and arity shares it too.  About 0.5 s."""
+    calls = counting_step_tables(monkeypatch)
     reads = {"tables": lambda k: k.lattice is not None,
              "depth": lambda k: k.max_closure_index,
              "join": lambda k: k.join(np.arange(len(k)), 0)}
-    for base, build in ((catalog.random_c1c4(0), m3_of), (catalog.fano(), m3_of),
-                        (catalog.m_k(7), m3_of), (catalog.m_k(4), m4_of)):
+    for make, build in ((lambda: catalog.random_c1c4(0), m3_of), (catalog.fano, m3_of),
+                        (lambda: catalog.m_k(7), m3_of), (lambda: catalog.m_k(4), m4_of)):
         for first in range(3):  # each read first once
             order = list(reads)[first:] + list(reads)[:first]
-            closed.clear()
+            calls.clear()
+            base = make()
             k = build(base)
             for read in order:
                 reads[read](k)
             count, arity = len(k), k.arity
-            assert len(closed) == 1, order
-            assert np.array_equal(closed[0], np.arange(base.n ** arity))
-            assert np.isin(componentwise_join_keys(k), closed[0]).all()
-            assert closed[0].size == base.n ** arity < count * (count + 1) // 2
+            assert calls == [(base, arity)], order
+            closed = k._closed[0]
+            assert closed.size == base.n ** arity < count * (count + 1) // 2
+            assert (componentwise_join_keys(k) < closed.size).all()
+            again = build(base)
+            assert again.max_closure_index == k.max_closure_index
+            assert again._closed[0] is closed and len(calls) == 1
 
 
 # -- oracle: the per-pair lazy depth ----------------------------------------
@@ -493,7 +486,10 @@ def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
     depth = per_pair_depth(k)
     # the depth reads only the keys of pair joins; with this bound never
     # reached, the walk reads every block
-    k._closed[1][xyz] = depth + 1
+    closed, index = k._closed
+    index = index.copy()
+    index[xyz] = depth + 1
+    k._closed = closed, index
     assert k.max_closure_index == depth
     assert_tables_match_oracle(m3_of(base))
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
@@ -501,22 +497,24 @@ def test_componentwise_joins_need_not_fill_the_key_space(monkeypatch):
 
 
 def test_marked_keys_close_a_slice_at_a_time(monkeypatch):
-    """The keys are closed _GRID_ENTRIES at a time, so the closing working
-    set stays bounded whatever the number of keys."""
+    """The step table is tabulated about rank._TABLE_BLOCK keys at a time,
+    so the stepping working set stays bounded whatever the number of keys."""
     k = m3_of(catalog.fano())
     depth, keys = k.max_closure_index, np.arange(k.base.n ** 3)
     sizes = []
-    close = construct._close
+    step_columns = rank._step_columns
 
-    def counting(base, cols):
-        sizes.append(cols[0].size)
-        return close(base, cols)
+    def counting(lat, cols):
+        out = step_columns(lat, cols)
+        sizes.append(out[0].size)
+        return out
 
-    monkeypatch.setattr(construct, "_close", counting)
-    monkeypatch.setattr(construct, "_GRID_ENTRIES", 1000)
+    monkeypatch.setattr(rank, "_step_columns", counting)
+    monkeypatch.setattr(rank, "_TABLE_BLOCK", 1000)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     lazy = m3_of(catalog.fano())
     assert lazy.max_closure_index == depth
+    assert all(np.array_equal(a, b) for a, b in zip(lazy._closed, k._closed))
     assert sum(sizes) == keys.size and max(sizes) <= 1000 < keys.size
 
 
@@ -626,7 +624,7 @@ def with_broken_joins(k):
     """k with every key's closure replaced by the bottom's key, so each
     check that reads a join must fail."""
     closed, index = k._closed
-    k._closed = np.full_like(closed, construct._encode(k.base.n, [k.base.bottom] * k.arity)), index
+    k._closed = np.full_like(closed, rank._encode(k.base.n, [k.base.bottom] * k.arity)), index
     return k
 
 
@@ -643,8 +641,11 @@ def test_verification_raises_typed_errors(monkeypatch):
         construct.m4_sublattice_in_m3m3()
     # only the key <1,1,1> closes wrongly: the pairs still span M3, the bounds fail
     k = m3_of(catalog.n5())
-    bottom, top = (construct._encode(5, [x] * 3) for x in (k.base.bottom, k.base.top))
-    k._closed[0][top] = bottom
+    bottom, top = (rank._encode(5, [x] * 3) for x in (k.base.bottom, k.base.top))
+    closed, index = k._closed
+    closed = closed.copy()
+    closed[top] = bottom
+    k._closed = closed, index
     with pytest.raises(VerificationFailed, match="not the bounds"):
         construct.spanning_m3(k)
 
@@ -652,14 +653,14 @@ def test_verification_raises_typed_errors(monkeypatch):
 def test_verification_survives_optimize_flag(run_optimized):
     script = """
         import numpy as np
-        from latmod import catalog, construct, core
+        from latmod import catalog, construct, core, rank
         from latmod.errors import VerificationFailed
         m3_of = construct.m3_of
 
         def broken(base):
             k = m3_of(base)
             closed, index = k._closed
-            bottom = construct._encode(base.n, [base.bottom] * k.arity)
+            bottom = rank._encode(base.n, [base.bottom] * k.arity)
             k._closed = np.full_like(closed, bottom), index
             return k
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import antichains3, interval, is_balanced3, is_balanced4
+from conftest import (
+    antichains3,
+    close_tuples,
+    counting_step_tables,
+    interval,
+    is_balanced3,
+    is_balanced4,
+)
 from latmod import catalog, construct, core, rank, symbolic
 from latmod.errors import ArgumentOutOfRange, RankExceedsCap
 from latmod.rank import Quadruple, Triple, closure3, step3, step4
@@ -679,24 +686,120 @@ def test_merge_takes_the_least_witness_at_the_largest_index():
 
 
 def test_route_follows_batch_size_and_group_order(monkeypatch):
-    """The orbit route runs when the sorted triples need more than one
-    batch and Aut(L) has more than 3 elements."""
+    """The table route runs up to _TABLE_SCAN_KEYS triples; above it the
+    orbit route runs when the sorted triples need more than one batch and
+    Aut(L) has more than 3 elements, else the sorted route."""
     routes = []
     for name in ("_orbit_scan", "_sorted_scan"):
         def recording(lat, cap, jobs, antichains, name=name, route=getattr(rank, name)):
             routes.append(name)
             return route(lat, cap, jobs, antichains)
         monkeypatch.setattr(rank, name, recording)
+    table_scan = rank._table_scan
+
+    def recording_table(lat, cap, antichains):
+        routes.append("_table_scan")
+        return table_scan(lat, cap, antichains)
+
+    monkeypatch.setattr(rank, "_table_scan", recording_table)
+    monkeypatch.setattr(rank, "_TABLE_SCAN_KEYS", 5 ** 3)  # 5 elements fit, 6 do not
     monkeypatch.setattr(rank, "_BATCH", 56)  # 6 elements fit, 7 do not
     square_on_chain = core.from_covers(core.CoverList(7, ((0, 1), (0, 2), (1, 3), (2, 3),
                                                           (3, 4), (4, 5), (5, 6))))
-    cases = ((catalog.m_k(4), "_sorted_scan"),                      # 6 elements
+    cases = ((catalog.m_k(3), "_table_scan"),                       # 5 elements
+             (catalog.m_k(4), "_sorted_scan"),                      # 6 elements
              (catalog.m_k(5), "_orbit_scan"),                       # 7, S_5
              (catalog.chain(7), "_sorted_scan"),                    # rigid
              (square_on_chain, "_sorted_scan"))                     # order 2
-    assert [int(np.prod(lat.automorphisms().base_orbits)) for lat, _ in cases] == [24, 120, 1, 2]
+    assert [int(np.prod(lat.automorphisms().base_orbits)) for lat, _ in cases] \
+        == [6, 24, 120, 1, 2]
     for lat, route in cases:
         for scan in SCANS:
             routes.clear()
             assert scan(lat) == SORTED[scan is rank.antichain_rank_scan](lat)
             assert routes == [route, "_sorted_scan"]
+
+
+# -- the closure table against the fixpoint loop and the sorted route -----
+
+TABLE_BASES = ("fano", "subspace:2,3", "l:2")
+
+
+def test_closures_match_fixpoint_oracle():
+    """Every key's closure and closure index, at arity 3 and 4, equal the
+    fixpoint loop's on all lattices with at most 6 elements, Fano, Sub(2,3)
+    and l:2."""
+    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    bases += [catalog.by_name(name) for name in TABLE_BASES]
+    for base in bases:
+        for arity in (3, 4):
+            keys = np.arange(base.n ** arity, dtype=np.int32)
+            cols, index = close_tuples(base, rank._decode(base.n, arity, keys))
+            closed, got = rank._closures(base, arity)
+            assert closed.dtype == got.dtype == np.int32
+            assert np.array_equal(closed, rank._encode(base.n, cols)), (base.name, arity)
+            assert np.array_equal(got, index), (base.name, arity)
+
+
+def crossover_lattices():
+    """Chains and M_k with at most as many triples as the table route takes."""
+    top = round(rank._TABLE_SCAN_KEYS ** (1 / 3))
+    assert top ** 3 <= rank._TABLE_SCAN_KEYS < (top + 1) ** 3
+    return [catalog.chain(n) for n in range(1, top + 1)] \
+        + [catalog.m_k(k) for k in range(3, top - 1)]
+
+
+def test_table_scans_match_sorted_route():
+    """Both table scans give the sorted route's ScanResult on all 371
+    lattices with at most 7 elements, on random_c1c4(0..95) and on chains
+    and M_k up to the crossover, with the default cap; with a cap below the
+    largest index both raise RankExceedsCap."""
+    small = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    assert len(small) == 371
+    grids = [catalog.random_c1c4(s) for s in range(96)]
+    for lat in small + grids + crossover_lattices():
+        assert lat.n ** 3 <= rank._TABLE_SCAN_KEYS
+        for antichains, scan in enumerate(SCANS):
+            want = SORTED[antichains](lat)
+            assert scan(lat) == want, (lat.name, antichains)
+            if want.max_index:
+                cap = want.max_index - 1
+                for route in (scan, SORTED[antichains]):
+                    with pytest.raises(RankExceedsCap):
+                        route(lat, cap=cap)
+
+
+def test_rank_and_m3_joins_tabulate_once(monkeypatch):
+    """rank_report(L) and then m3_of(L).max_closure_index tabulate L^3
+    once, as a census job runs them; so do both scans and the tables."""
+    calls = counting_step_tables(monkeypatch)
+    for lat in (catalog.witness7(), catalog.random_c1c4(5), catalog.fano()):
+        calls.clear()
+        report = rank.rank_report(lat)
+        k = construct.m3_of(lat)
+        assert k.max_closure_index >= 0 and calls == [(lat, 3)]
+        assert rank.rank_report(lat, antichains_only=True).rank == report.rank
+        assert k.lattice is not None and construct.m3_of(lat)._closed[0] is k._closed[0]
+        assert calls == [(lat, 3)]
+
+
+def test_closure_tables_are_read_only():
+    """The closure tables a base shares among its scans and tuple lattices
+    cannot be written through any of them."""
+    base = catalog.n5()
+    for arity, build in ((3, construct.m3_of), (4, construct.m4_of)):
+        shared = rank._closures(base, arity)
+        assert build(base)._closed is shared
+        for arr in shared:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+
+def test_closure_table_memory_is_bounded(traced_peak):
+    """Tabulating and closing the 614,656 quadruple keys over Sub(3,3) holds
+    the step table and the two results, 12 bytes a key, and a working set
+    of some 32 bytes per key of one _TABLE_BLOCK."""
+    base = catalog.subspace_lattice(3, 3)
+    _, peak = traced_peak(rank._closures, base, 4)
+    assert peak <= 12 * base.n ** 4 + 32 * rank._TABLE_BLOCK

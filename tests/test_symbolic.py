@@ -5,7 +5,7 @@ import pytest
 from conftest import is_balanced3
 from latmod import symbolic
 from latmod.errors import NotALattice, VerificationFailed
-from latmod.rank import ClosureTrace, step4
+from latmod.rank import ClosureTrace, closure3, step4
 from latmod.symbolic import (
     BOT,
     INF,
@@ -199,6 +199,47 @@ def test_divergence_check_raises_typed_errors(monkeypatch):
         monkeypatch.setattr(symbolic, "closure3", fake)
         with pytest.raises(VerificationFailed):
             symbolic.fig2_divergence(4)
+
+
+def broken_order(pairs):
+    """_fig2_le with the given pairs (a, b) no longer a <= b; the ladder
+    iteration never asks for them, so only the checks see the change."""
+    def le(a, b):
+        return (a, b) not in pairs and _fig2_le(a, b)
+    return le
+
+
+# x_2 below the majorant u_4 of fig2_divergence(4), and the link v_3 <= v_2
+BROKEN_ORDERS = ({(("x", 2), ("u", 4))}, {(("v", 3), ("v", 2))})
+
+
+def test_divergence_check_catches_a_broken_majorant_or_chain_link(monkeypatch):
+    """The divergence check reads each iterate against (u_n, y0, v_n) only,
+    and the chains u_m, v_m link by link: an order that drops one iterate's
+    majorant or one link fails it, with the iteration itself unchanged."""
+    want = symbolic.fig2_divergence(4)
+    for pairs in BROKEN_ORDERS:
+        monkeypatch.setattr(symbolic, "_fig2_le", broken_order(pairs))
+        assert closure3(fig2_lattice(), want.initial, cap=4) == want
+        with pytest.raises(VerificationFailed):
+            symbolic.fig2_divergence(4)
+
+
+def test_divergence_check_survives_optimize_flag(run_optimized):
+    script = """
+        from latmod import symbolic
+        from latmod.errors import VerificationFailed
+        real = symbolic._fig2_le
+        for pairs in %r:
+            symbolic._fig2_le = lambda a, b, pairs=pairs: (a, b) not in pairs and real(a, b)
+            try:
+                symbolic.fig2_divergence(4)
+            except VerificationFailed:
+                print("raised")
+        print("debug", __debug__)
+    """ % (BROKEN_ORDERS,)
+    words, err = run_optimized(script)
+    assert words == ["raised", "raised", "debug", "False"], err
 
 
 def test_symbolic_checks_survive_optimize_flag(run_optimized):
