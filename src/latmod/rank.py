@@ -19,7 +19,8 @@ on the lattice and shared by the join closures of `construct` and, up to
 fixpoint loop (`_fixpoints`) through one triple generator (`_triples`) and
 one scan loop (`_scan`), whose threads take its batches one at a time, over
 sorted triples or, on larger lattices, one pair of each orbit of the
-automorphism group.
+automorphism group.  The rank is read off the antichain scan, with the
+modularity test for ranks 1 and 2; `rank_report` runs the full scan.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FiniteLattice
+from .core import FiniteLattice, is_modular
 from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 
 # Triples per batch of every scan.  A batch's working set is some 66 bytes a
@@ -600,32 +601,32 @@ def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
 @dataclass(frozen=True)
 class RankReport:
     rank: int
-    witness: Optional[Triple]       # a slowest triple (None only on C_1)
-    witness_names: Optional[tuple]
+    witness: Triple                 # the lexicographically first slowest triple
+    witness_names: tuple
     histogram: dict
     triple_count: int
 
 
 def rank_report(lat: FiniteLattice, cap: Optional[int] = None,
-                antichains_only: bool = False, jobs: int = 1) -> RankReport:
-    """Modularity rank with diagnostics.
-
-    The fast path scans only antichains; that decides the rank whenever it
-    is at least 3 (triples with two comparable entries stabilize by index
-    2), and otherwise falls back to a full scan to separate rank 1 from 2.
-    """
-    if antichains_only:
-        res = antichain_rank_scan(lat, cap=cap, jobs=jobs)
-        if res.max_index < 3:
-            res = full_triple_scan(lat, cap=cap, jobs=jobs)
-    else:
-        res = full_triple_scan(lat, cap=cap, jobs=jobs)
-    rank = max(1, res.max_index)
-    wit = res.witness
-    names = tuple(lat.names[e] for e in wit) if wit is not None else None
-    return RankReport(rank, wit, names, res.histogram, res.triple_count)
+                jobs: int = 1) -> RankReport:
+    """Modularity rank with diagnostics, from the full scan of all n^3
+    triples: its histogram, triple count and witness, and the rank
+    max(1, its largest index), which `modularity_rank` gives too."""
+    res = full_triple_scan(lat, cap=cap, jobs=jobs)
+    names = tuple(lat.names[e] for e in res.witness)
+    return RankReport(max(1, res.max_index), res.witness, names, res.histogram,
+                      res.triple_count)
 
 
 def modularity_rank(lat: FiniteLattice, cap: Optional[int] = None) -> int:
-    """Least n such that every triple's iteration stabilizes by index n."""
-    return rank_report(lat, cap=cap).rank
+    """Least n such that every triple's iteration stabilizes by index n: the
+    antichain scan's largest index when at least 2 (a triple with two
+    comparable entries stabilizes by index 2), else 1 or 2 as L is modular
+    (gamma_1) or not.  RankExceedsCap where the full scan raises it."""
+    index = antichain_rank_scan(lat, cap=cap).max_index
+    if index >= 2:
+        return index
+    rank = 1 if is_modular(lat) else 2
+    if min(rank, lat.n - 1) > _cap(lat, cap):  # C_1's triples never move
+        raise RankExceedsCap(f"tuples still moving after {cap} steps")
+    return rank

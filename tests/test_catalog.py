@@ -66,9 +66,13 @@ def test_subspace_lattices():
 
 def frozenset_subspace_lattice(q, d):
     """Oracle for subspace_lattice: the route it replaced.  Spans are closed
-    one vector at a time over frozensets of coordinate tuples, and the order
-    is an m^2 loop of set inclusions.  Returns the subspaces in element
-    order, the order matrix and the names."""
+    one vector at a time over frozensets of coordinate tuples; a vector in
+    a span already taken from the same subspace adds nothing new, so it is
+    skipped.  Subspace i
+    lies in subspace k when they share all of i's vectors, counted by one
+    product of the membership matrix read off the frozensets (a vector's
+    column is its entries read as a base-q number).  Returns the membership
+    matrix in element order, the order matrix and the names."""
     zero = (0,) * d
 
     def extend(space: frozenset, v: tuple) -> frozenset:
@@ -80,36 +84,37 @@ def frozenset_subspace_lattice(q, d):
     queue = [frozenset([zero])]
     while queue:
         space = queue.pop()
+        covered = set(space)
         for v in vectors:
-            if v not in space:
+            if v not in covered:
                 bigger = extend(space, v)
+                covered |= bigger
                 if bigger not in found:
                     found.add(bigger)
                     queue.append(bigger)
     subspaces = sorted(found, key=lambda s: (len(s), sorted(s)))
-    m = len(subspaces)
-    leq = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for k in range(m):
-            leq[i, k] = subspaces[i] <= subspaces[k]
+    weights = q ** np.arange(d - 1, -1, -1)
+    member = np.zeros((len(subspaces), q ** d), dtype=bool)
+    for i, s in enumerate(subspaces):
+        member[i, np.array(list(s)) @ weights] = True
+    # float32 counts are exact up to q^d = 64 shared vectors
+    rows = member.astype(np.float32)
+    leq = rows @ rows.T == rows.sum(axis=1)[:, None]
     names = [f"S{i}d{round(np.log(len(s)) / np.log(q))}" for i, s in enumerate(subspaces)]
-    return subspaces, leq, names
+    return member, leq, names
 
 
 def test_subspace_lattice_matches_frozenset_oracle():
     """Every (q, d) with q^d <= 64: the same subspaces in the same order,
-    the same names and the same order matrix.  About 9 s: the oracle takes
-    about 7 s, most of it on Sub(2,6), and subspace_lattice under 2 s."""
+    the same names and the same order matrix.  About 1 s on a 2-core Xeon,
+    nearly all of it on Sub(2,6): the oracle and subspace_lattice take
+    about 0.5 s each there."""
     cases = [(q, d) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                               47, 53, 59, 61)
              for d in range(1, 7) if q ** d <= 64]
     assert len(cases) == 27
     for q, d in cases:
-        subspaces, leq, names = frozenset_subspace_lattice(q, d)
-        weights = q ** np.arange(d - 1, -1, -1)
-        member = np.zeros((len(subspaces), q ** d), dtype=bool)
-        for i, s in enumerate(subspaces):
-            member[i, [int(np.dot(v, weights)) for v in s]] = True
+        member, leq, names = frozenset_subspace_lattice(q, d)
         assert np.array_equal(catalog._subspaces(q, d)[0], member), (q, d)
         lat = catalog.subspace_lattice(q, d)
         assert lat.names == names and np.array_equal(lat.leq, leq), (q, d)

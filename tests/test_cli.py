@@ -28,6 +28,15 @@ def test_info_reports_rank(capsys):
     assert json.loads(out.out)["rank"] == 3
 
 
+def test_info_modular_flag_is_the_modularity_test(capsys):
+    """info reads `modular` off the rank (gamma_1 is modularity): it agrees
+    with core.is_modular."""
+    for spec in ("n5", "m3", "b3", "witness7", "c4", "l:2"):
+        code, out = run(capsys, "info", "--lattice", spec, "--report", "json")
+        assert code == 0
+        assert json.loads(out.out)["modular"] is core.is_modular(catalog.by_name(spec)), spec
+
+
 def test_validate_and_input_errors(capsys, tmp_path):
     code, _ = run(capsys, "validate", "--lattice", "b3")
     assert code == 0
@@ -107,30 +116,36 @@ def test_usage_errors(capsys):
 
 
 def test_rank_report_shape(capsys):
-    code, out = run(capsys, "rank", "--lattice", "witness7",
-                    "--report", "json", "--jobs", "2")
-    assert code == 0
-    payload = json.loads(out.out)
-    assert payload["rank"] == 3
-    assert sum(payload["stabilization_histogram"].values()) \
-        == payload["triples_scanned"]
-    assert len(payload["extremal_triple"]) == 3
+    """rank prints the full scan whatever the rank: its histogram sums to
+    all n^3 triples."""
+    for spec, n, want in (("n5", 5, 2), ("witness7", 7, 3)):
+        code, out = run(capsys, "rank", "--lattice", spec,
+                        "--report", "json", "--jobs", "2")
+        assert code == 0
+        payload = json.loads(out.out)
+        assert payload["rank"] == want
+        assert payload["triples_scanned"] == n ** 3
+        assert sum(payload["stabilization_histogram"].values()) == n ** 3
+        assert len(payload["extremal_triple"]) == 3
+
+
+def test_rank_has_no_antichains_only_option(capsys):
+    code, out = run(capsys, "rank", "--lattice", "n5", "--antichains-only")
+    assert code == 2 and "unrecognized arguments" in out.err and out.out == ""
 
 
 def test_rank_output_does_not_depend_on_jobs(capsys, tmp_path):
-    """Both scans take --jobs; the N5 antichain scan falls back to the
-    full scan (rank < 3), which takes it too."""
+    """rank's full scan takes --jobs, and prints the same for any count."""
     path = tmp_path / "m3m4.json"
     assert run(capsys, "m3build", "--lattice", "m4", "--out", str(path))[0] == 0
     for spec in (f"file:{path}", "n5"):
-        for extra in ((), ("--antichains-only",)):
-            outs = []
-            for jobs in ("1", "2"):
-                code, out = run(capsys, "rank", "--lattice", spec, "--report", "json",
-                                "--jobs", jobs, *extra)
-                assert code == 0
-                outs.append(out.out)
-            assert outs[0] == outs[1], (spec, extra)
+        outs = []
+        for jobs in ("1", "2"):
+            code, out = run(capsys, "rank", "--lattice", spec, "--report", "json",
+                            "--jobs", jobs)
+            assert code == 0
+            outs.append(out.out)
+        assert outs[0] == outs[1], spec
 
 
 def test_build_writes_lattice(capsys, tmp_path):
@@ -214,6 +229,11 @@ def test_repro_filter(capsys):
     assert code == 0
     records = json.loads(out.out)
     assert len(records) == 1 and records[0]["pass"] is True
+
+
+def test_repro_filter_matching_no_check_exits_usage(capsys):
+    code, out = run(capsys, "repro", "--filter", "nosuchcheck")
+    assert code == 2 and "nosuchcheck" in out.err and out.out == ""
 
 
 def test_jobs_must_be_positive(capsys):
@@ -504,7 +524,7 @@ lattice_arg = small_specs.map(lambda s: ["--lattice", s])
 report_arg = optional("--report", reports)
 subcommand_argvs = st.one_of(
     argv("rank", lattice_arg, report_arg, optional("--cap", numbers),
-         optional("--jobs", numbers), switch("--antichains-only")),
+         optional("--jobs", numbers)),
     *(argv(name, lattice_arg, report_arg, switch("--stats"))
       for name in ("m3build", "m4build")),
     argv("con", lattice_arg, report_arg, switch("--of-m3"),

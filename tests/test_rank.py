@@ -196,11 +196,37 @@ def test_rank_sublattice_monotone():
                 assert rank.modularity_rank(interval(w7, a, b)) <= full
 
 
-def test_antichains_only_fast_path(lattices):
-    for name in ("N5", "M4", "witness7", "B3", "C2sq"):
-        lat = lattices[name]
-        assert (rank.rank_report(lat, antichains_only=True).rank
-                == rank.modularity_rank(lat))
+def rank_route_lattices():
+    """Every lattice with at most 8 elements, 300 3x3 and 20 6x6 random
+    (C1)-(C4) grids, the ladders and M3[M4..M7]."""
+    for n in range(1, 9):
+        yield from catalog.enumerate_lattices(n)
+    yield from (catalog.random_c1c4(s) for s in range(300))
+    yield from (catalog.random_c1c4(s, 6, 6) for s in range(20))
+    yield from (catalog.l_family(n) for n in range(1, 5))
+    yield from (construct.m3_of(catalog.m_k(k)).lattice for k in range(4, 8))
+
+
+def capped(route, lat, cap):
+    try:
+        return route(lat, cap)
+    except RankExceedsCap:
+        return RankExceedsCap
+
+
+def test_modularity_rank_is_the_full_scan_rank():
+    """Oracle for modularity_rank's one route (antichains above index 1,
+    modularity below): the full scan's rank max(1, largest index), and at
+    every cap up to the rank, both raise RankExceedsCap or agree."""
+    def full(lat, cap=None):
+        return max(1, rank.full_triple_scan(lat, cap).max_index)
+
+    for lat in rank_route_lattices():
+        want = full(lat)
+        assert rank.modularity_rank(lat) == want, lat.name
+        for cap in range(want + 1):
+            assert capped(rank.modularity_rank, lat, cap) == capped(full, lat, cap), \
+                (lat.name, cap)
 
 
 SCANS = (rank.full_triple_scan, rank.antichain_rank_scan)
@@ -778,7 +804,7 @@ def test_rank_and_m3_joins_tabulate_once(monkeypatch):
         report = rank.rank_report(lat)
         k = construct.m3_of(lat)
         assert k.max_closure_index >= 0 and calls == [(lat, 3)]
-        assert rank.rank_report(lat, antichains_only=True).rank == report.rank
+        assert rank.modularity_rank(lat) == report.rank
         assert k.lattice is not None and construct.m3_of(lat)._closed[0] is k._closed[0]
         assert calls == [(lat, 3)]
 
