@@ -124,19 +124,18 @@ def cmd_con(args) -> int:
         rep = congruence.verify_cpe(lat, args.verify_cpe, k)
         payload = {"cpe_passed": rep.passed, "con_base": rep.base_con_count,
                    "con_extension": rep.ext_con_count}
-        # a passed check has |Con L| = |Con M3[L]|: both None past the cap;
-        # past it, or with a target above it, the verdict is the answer
-        if (not rep.passed or rep.base_con_count is None
-                or len(target) > congruence.CON_SIZE_CAP):
-            _emit(args, payload)
-            return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
-    con = congruence.all_congruences(target)
     payload["lattice"] = target.name or args.lattice
-    payload["con_size"] = len(con)
-    payload["con_hasse"] = core.serialize(con.lattice) if args.report == "json" \
-        else f"{len(con.lattice.covers())} covers"
+    payload["con_ji"], payload["con_ji_covers"] = congruence.generator_order(target)
+    try:
+        con = congruence.all_congruences(target)
+    except SizeLimitExceeded:  # Con L only under CON_SIZE_CAP, its generators at any size
+        pass
+    else:
+        payload["con_size"] = len(con)
+        payload["con_hasse"] = core.serialize(con.lattice) if args.report == "json" \
+            else f"{len(con.lattice.covers())} covers"
     _emit(args, payload)
-    return EXIT_OK
+    return EXIT_OK if payload.get("cpe_passed", True) else EXIT_CHECK_FAILED
 
 
 def cmd_tensor(args) -> int:

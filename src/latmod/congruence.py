@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteLattice, join_irreducibles, meet_irreducibles
+from .core import FiniteLattice, _CoverIndex, join_irreducibles, meet_irreducibles
 from .construct import (
     _GRID_ENTRIES,
     TupleLattice,
@@ -56,6 +56,16 @@ def _generators(lat: FiniteLattice | TupleLattice) -> tuple[np.ndarray, np.ndarr
         return (_copies(lat, ji), *_classes(_m3_dependency(lat, ji, lower)))
     ji = np.array(join_irreducibles(lat), dtype=np.intp)
     return (ji, *_classes(_dependency(lat, ji)))
+
+
+def generator_order(lat: FiniteLattice | TupleLattice) -> tuple[int, list]:
+    """|J(Con L)|, the number of distinct generators con(j_, j), and the
+    cover pairs (lower, upper) of their order, numbered as in `_generators`:
+    they fix Con L (Birkhoff), and are read at any size."""
+    below = _generators(lat)[2]
+    if not len(below):  # a one-element lattice has no generators
+        return 0, []
+    return len(below), _CoverIndex(below | np.eye(len(below), dtype=bool)).pairs
 
 
 def _classes(dep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,6 @@ their canonical embeddings, and the isotone-map power construction."""
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -18,10 +17,10 @@ from .core import (
     pointwise_order,
 )
 from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
-from .rank import _closures, _decode, _encode
+from .rank import _closures, _decode, _encode, _key_count
 
 EAGER_TABLE_CAP = 2000
-_GRID_ENTRIES = 1 << 16  # tuples, keys or pairs per numpy block
+_GRID_ENTRIES = 1 << 16  # pairs per numpy block of the tables and of congruence's joins
 # pairs per block when the depth reads join keys: blocks of 2^16 took about
 # twice as long on census grids and on M3[Sub(3,3)], blocks of 2^12 longer
 _MARK_ENTRIES = 1 << 14
@@ -33,12 +32,13 @@ class TupleLattice:
 
     Element ids follow the lexicographic order of the tuples, given as one
     column of entries per coordinate.  Every operation reads two maps over
-    the n^arity tuple keys, built on first use: key -> id (`ids`) and key
+    the n^arity tuple keys: key -> id (`ids`), built on first use, and key
     -> key of its closure under the step map, which the base holds for all
-    its tuple lattices of one arity (`rank._closures`).  `meet` and `join`
-    act on id arrays at any size; `lattice` holds their count^2 tables,
-    built on first access, and raises SizeLimitExceeded above
-    EAGER_TABLE_CAP elements.
+    its tuple lattices of one arity (`rank._closures`); both raise
+    SizeLimitExceeded above `rank.KEY_CAP` keys before they are allocated.
+    `meet` and `join` act on id arrays at any size; `lattice` holds their
+    count^2 tables, built on first access, and raises SizeLimitExceeded
+    above EAGER_TABLE_CAP elements.
     """
 
     def __init__(self, base: FiniteLattice, cols: list, name: str):
@@ -53,19 +53,10 @@ class TupleLattice:
     def tuple_name(self, i: int) -> str:
         return "<" + ",".join(self.base.names[c[i]] for c in self.cols) + ">"
 
-    def _key_count(self) -> int:
-        """n^arity; SizeLimitExceeded from 2^31 on, before any key map is
-        allocated."""
-        n, arity = self.base.n, self.arity
-        if n ** arity >= 2 ** 31:
-            raise SizeLimitExceeded(
-                f"{self.name}: the key maps need {n}^{arity} keys, at least 2^31")
-        return n ** arity
-
     @functools.cached_property
     def _where(self) -> np.ndarray:
         """Key -> id, -1 for a tuple that is not balanced."""
-        where = np.full(self._key_count(), -1, dtype=np.int32)
+        where = np.full(_key_count(self.base, self.arity), -1, dtype=np.int32)
         where[_encode(self.base.n, self.cols)] = np.arange(len(self), dtype=np.int32)
         return where
 
@@ -75,7 +66,6 @@ class TupleLattice:
         base's read-only closure table for this arity (`rank._closures`),
         tabulated once per base and shared with its rank scans and with
         every tuple lattice of the same base and arity."""
-        self._key_count()
         return _closures(self.base, self.arity)
 
     @property
@@ -146,8 +136,8 @@ class TupleLattice:
     @functools.cached_property
     def max_closure_index(self) -> int:
         """The most step-map rounds the componentwise join of two elements
-        takes to become balanced; SizeLimitExceeded when n^arity reaches
-        2^31.  Not every key is the join of a pair, so the recorded index is
+        takes to become balanced; SizeLimitExceeded above KEY_CAP keys.
+        Not every key is the join of a pair, so the recorded index is
         read at the pairs' join keys, rows [lo, hi) with columns [lo, count)
         in blocks of about _MARK_ENTRIES pairs, up to the first block that
         reaches the largest index over all n^arity keys, which bounds it."""
@@ -161,44 +151,23 @@ class TupleLattice:
         return depth
 
 
-def _balanced_tuples(base: FiniteLattice, arity: int) -> list:
-    """The tuples over the base whose pairwise meets all coincide, as
-    columns in lexicographic order.
-
-    The grid of all n^arity tuples is filtered a block of first
-    coordinates at a time, as an open mesh: the meets broadcast rows of
-    the meet table, and a block holds about _GRID_ENTRIES tuples but at
-    least one first coordinate, so the working set is
-    max(_GRID_ENTRIES, n^(arity-1)) entries."""
-    n = base.n
-    m = base.meet_table
-    rows = max(1, _GRID_ENTRIES // n ** (arity - 1))
-    others = [np.arange(n, dtype=np.int32)] * (arity - 1)
-    parts = [[] for _ in range(arity)]
-    for lo in range(0, n, rows):
-        first = np.arange(lo, min(lo + rows, n), dtype=np.int32)
-        axes = np.ix_(first, *others)
-        ref = m[axes[0], axes[1]]
-        mask = np.ones((first.size,) + (n,) * (arity - 1), dtype=bool)
-        for a, b in itertools.combinations(range(arity), 2):
-            if (a, b) != (0, 1):
-                mask &= m[axes[a], axes[b]] == ref
-        hits = np.nonzero(mask)  # row-major, hence lexicographic
-        parts[0].append(first[hits[0]])
-        for part, h in zip(parts[1:], hits[1:]):
-            part.append(h.astype(np.int32))
-    return [np.concatenate(p) for p in parts]
+def _balanced(base: FiniteLattice, arity: int, name: str) -> TupleLattice:
+    """The tuples over the base whose pairwise meets all coincide: the
+    fixed points of the step map, the keys of closure index 0 in the base's
+    closure table, which ascend in lexicographic order."""
+    keys = np.flatnonzero(_closures(base, arity)[1] == 0).astype(np.int32)
+    return TupleLattice(base, _decode(base.n, arity, keys), f"{name}[{base.name or '?'}]")
 
 
 def m3_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of all balanced triples of the base: meets
     componentwise, join of a pair the closure of its componentwise join."""
-    return TupleLattice(base, _balanced_tuples(base, 3), f"M3[{base.name or '?'}]")
+    return _balanced(base, 3, "M3")
 
 
 def m4_of(base: FiniteLattice) -> TupleLattice:
     """The lattice of quadruples whose pairwise meets all coincide."""
-    return TupleLattice(base, _balanced_tuples(base, 4), f"M4[{base.name or '?'}]")
+    return _balanced(base, 4, "M4")
 
 
 def spanning_m3(k: TupleLattice) -> list[int]:

@@ -14,12 +14,13 @@ and closure3) and columns of ids of any lattice whose operations act on
 id arrays.  Over a finite lattice it is tabulated once per arity as one
 key -> key map over all n^arity tuple keys, and each key's closure and
 closure index are read off by gathers (`_closures`); the table is cached
-on the lattice and shared by the join closures of `construct` and, up to
-`_TABLE_SCAN_KEYS` triples, by both rank scans.  Larger scans run one
-fixpoint loop (`_fixpoints`) through one triple generator (`_triples`) and
-one scan loop (`_scan`), whose threads take its batches one at a time, over
-sorted triples or, on larger lattices, one pair of each orbit of the
-automorphism group.  The rank is read off the antichain scan, with the
+on the lattice and shared by `construct`, whose M3[L] and M4[L] take their
+elements from it and close their joins by it, and, up to `_TABLE_SCAN_KEYS`
+triples, by both rank scans; `KEY_CAP` bounds every key map.  Larger scans
+run one fixpoint loop (`_fixpoints`) through one triple generator
+(`_triples`) and one scan loop (`_scan`), whose threads take its batches
+one at a time, over sorted triples or, on larger lattices, one pair of
+each orbit of the automorphism group.  The rank is read off the antichain scan, with the
 modularity test for ranks 1 and 2; `rank_report` runs the full scan.
 """
 
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import FiniteLattice, is_modular
-from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
+from .errors import ArgumentOutOfRange, RankExceedsCap, SizeLimitExceeded, VerificationFailed
 
 # Triples per batch of every scan.  A batch's working set is some 66 bytes a
 # triple, and each scan thread holds one, and its last while it takes the
@@ -47,6 +48,12 @@ from .errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 # against 7 MiB and ran slower (0.29-0.32 s against 0.17-0.24 s; tracemalloc,
 # 2-core Xeon).
 _BATCH = 100_000
+
+# Keys, n^arity, of a key map over a base lattice.  Building the closure table
+# takes 12 bytes a key, and m3_of or m4_of with the first join peaked at 15-17
+# (tracemalloc, M3[Sub(2,4)] and M4[Sub(3,3)]), so 2^26 keys is about 1 GB, which
+# admits M3[Sub(2,5)] (374^3 keys).  Below 2^31, so int32 keys are exact.
+KEY_CAP = 1 << 26
 
 # Keys per block while the step table is tabulated and closed: the block's
 # open mesh and its step columns are the working set beside the table.
@@ -111,8 +118,9 @@ def step4(lat, q) -> Quadruple:
 
 
 def _cap(lat, cap: Optional[int]) -> int:
-    """The step cap: 3 * height + 1 by default on a finite lattice, and
-    never negative."""
+    """The step cap of closure3: 3 * height + 1 by default on a finite
+    lattice, and never negative.  No tuple moves that often, as each move
+    raises a coordinate, so the scans take no default cap."""
     if cap is None:
         if isinstance(lat, FiniteLattice):
             return 3 * lat.height() + 1
@@ -203,7 +211,7 @@ def _encode(n: int, cols) -> np.ndarray:
     """Pack coordinate columns (or one entry each) into one int32 key, the
     tuple read as a base-n number, so keys ascend with the lexicographic
     order.  Every caller holds a key map over n^arity keys, which
-    `construct` refuses from 2^31 keys on."""
+    `_key_count` bounds by KEY_CAP."""
     key = np.zeros(np.shape(cols[0]), dtype=np.int32)
     for c in cols:
         key = key * n + c
@@ -217,6 +225,16 @@ def _decode(n: int, arity: int, keys) -> list:
         keys, c = np.divmod(keys, n)
         cols.append(c)
     return cols[::-1]
+
+
+def _key_count(lat: FiniteLattice, arity: int) -> int:
+    """n^arity; SizeLimitExceeded above KEY_CAP, before any key map is
+    allocated."""
+    keys = lat.n ** arity
+    if keys > KEY_CAP:
+        raise SizeLimitExceeded(f"{lat.name or '?'}: tuples of arity {arity} need "
+                                f"{lat.n}^{arity} keys, above the key cap {KEY_CAP:,}")
+    return keys
 
 
 def _step_table(lat: FiniteLattice, arity: int) -> np.ndarray:
@@ -243,10 +261,12 @@ def _closures(lat: FiniteLattice, arity: int) -> tuple:
     follows it by gathers, cur = step[cur], counting the keys that move,
     until none does.  A finite lattice has no infinite ascending chain, so
     every key stops.  The step table is held beside the two results while
-    they are filled, 12 bytes a key, and dropped on return."""
+    they are filled, 12 bytes a key, and dropped on return; SizeLimitExceeded
+    above KEY_CAP keys comes first."""
     table = lat._closures.get(arity)
     if table is not None:
         return table
+    _key_count(lat, arity)
     step = _step_table(lat, arity)
     closed = np.empty_like(step)
     index = np.empty_like(step)
@@ -371,7 +391,7 @@ def _triples(py: np.ndarray, pz: np.ndarray, starts: np.ndarray, lo: int, hi: in
         yield cut_batch()
 
 
-def _scan(lat: FiniteLattice, cap: int, jobs: int, py: np.ndarray, pz: np.ndarray,
+def _scan(lat: FiniteLattice, cap: Optional[int], jobs: int, py: np.ndarray, pz: np.ndarray,
           starts: np.ndarray, keep: Optional[np.ndarray] = None, weight=None,
           label: Optional[np.ndarray] = None) -> ScanResult:
     """Scan `_triples(py, pz, starts, 0, lat.n, _BATCH, keep)`, triple
@@ -426,7 +446,7 @@ def _sorted_pairs(lat: FiniteLattice, antichains: bool):
     return py, pz, np.searchsorted(py, np.arange(lat.n)), keep
 
 
-def _sorted_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> ScanResult:
+def _sorted_scan(lat: FiniteLattice, cap: Optional[int], jobs: int, antichains: bool) -> ScanResult:
     """The full scan over sorted triples x <= y <= z, each weighted by its
     orbit size under coordinate permutations, or the scan of the antichains
     x < y < z; the production route between the table route and the orbit
@@ -474,7 +494,7 @@ def _pair_orbits(n: int, gens: np.ndarray):
     return py[reps], pz[reps], np.bincount(label)[reps]
 
 
-def _orbit_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> ScanResult:
+def _orbit_scan(lat: FiniteLattice, cap: Optional[int], jobs: int, antichains: bool) -> ScanResult:
     """The scan over one representative {y, z}, y <= z, of each orbit of
     pairs under Aut(L), with x over all of L.
 
@@ -524,12 +544,12 @@ def _orbit_scan(lat: FiniteLattice, cap: int, jobs: int, antichains: bool) -> Sc
 
 # -- the table route ------------------------------------------------------
 
-def _table_scan(lat: FiniteLattice, cap: int, antichains: bool) -> ScanResult:
+def _table_scan(lat: FiniteLattice, cap: Optional[int], antichains: bool) -> ScanResult:
     """The scan read off the closure table of all n^3 triples
     (`_closures`): the histogram counts the closure indices of all keys, or
     of the antichain keys x < y < z; keys ascend lexicographically, so the
     witness is the first key at the largest index; RankExceedsCap when that
-    index is above the cap."""
+    index is above a cap."""
     n = lat.n
     index = _closures(lat, 3)[1]
     keys = None
@@ -541,7 +561,7 @@ def _table_scan(lat: FiniteLattice, cap: int, antichains: bool) -> ScanResult:
         return ScanResult(0, {}, 0, None)
     counts = np.bincount(index)
     top = counts.size - 1
-    if top > cap:
+    if cap is not None and top > cap:
         raise RankExceedsCap(f"tuples still moving after {cap} steps")
     first = int(np.argmax(index))
     key = first if keys is None else int(keys[first])
@@ -560,7 +580,7 @@ def _scan_route(lat: FiniteLattice, cap: Optional[int], jobs: int,
     route's n(n+1)(n+2)/6, or more."""
     if jobs < 1:
         raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
-    cap = _cap(lat, cap)
+    cap = None if cap is None else _cap(lat, cap)
     n = lat.n
     if n ** 3 <= _TABLE_SCAN_KEYS:
         return _table_scan(lat, cap, antichains)
@@ -627,6 +647,6 @@ def modularity_rank(lat: FiniteLattice, cap: Optional[int] = None) -> int:
     if index >= 2:
         return index
     rank = 1 if is_modular(lat) else 2
-    if min(rank, lat.n - 1) > _cap(lat, cap):  # C_1's triples never move
+    if cap is not None and min(rank, lat.n - 1) > cap:  # C_1's triples never move
         raise RankExceedsCap(f"tuples still moving after {cap} steps")
     return rank

@@ -108,6 +108,20 @@ def counting_step_tables(monkeypatch):
     return calls
 
 
+def refuse_allocations(monkeypatch, size):
+    """Make np.empty, np.zeros and np.full raise AssertionError on a shape of
+    `size` entries or more, so a test sees a key map allocated past a cap."""
+    def refusing(alloc):
+        def guarded(shape, *args, **kwargs):
+            if np.prod(shape, dtype=np.int64) >= size:
+                raise AssertionError("a key map was allocated")
+            return alloc(shape, *args, **kwargs)
+        return guarded
+
+    for name in ("empty", "zeros", "full"):
+        monkeypatch.setattr(np, name, refusing(getattr(np, name)))
+
+
 def is_balanced3(lat, t):
     """Oracle: the three pairwise meets of the triple t coincide."""
     x, y, z = t

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import counting_step_tables
-from latmod import catalog, cli, congruence, construct, core, symbolic, tensor
+from conftest import counting_step_tables, refuse_allocations
+from latmod import catalog, cli, congruence, construct, core, rank, symbolic, tensor
 from latmod.cli import EXIT_CHECK_FAILED, main
 from latmod.errors import LatticeError, VerificationFailed
 from latmod.rank import ClosureTrace
@@ -309,6 +309,15 @@ def test_lazy_build_out_exits_input_before_writing(capsys, monkeypatch, tmp_path
         assert not out_path.exists(), command
 
 
+def test_builds_past_the_key_cap_exit_input_before_allocating(capsys, monkeypatch):
+    """407^3 and 91^4 keys are above KEY_CAP = 2^26: m3build and m4build
+    exit 3 before any key map is allocated."""
+    refuse_allocations(monkeypatch, rank.KEY_CAP)
+    for command, spec, keys in (("m3build", "c407", "407^3"), ("m4build", "c91", "91^4")):
+        code, out = run(capsys, command, "--lattice", spec, "--stats")
+        assert code == 3 and f"{keys} keys, above the key cap 67,108,864" in out.err, command
+
+
 def test_build_spans_no_m3_over_one_element(capsys):
     code, out = run(capsys, "m3build", "--lattice", "c1", "--stats", "--report", "json")
     assert code == 0 and json.loads(out.out)["spanning_check"] == "n/a"
@@ -342,21 +351,24 @@ def test_tensor_command_builds_once(capsys, monkeypatch):
 
 
 def test_con_command_builds_m3_once(capsys, monkeypatch):
-    """--verify-cpe and the enumeration share one M3[L], and neither builds
-    its tables."""
+    """--verify-cpe, the generators and the enumeration share one M3[L],
+    which tabulates the step map once, and none builds its tables."""
     built, tabled = [], []
-    balanced_tuples = construct._balanced_tuples
+    m3_of = construct.m3_of
 
-    def counting(base, arity):
-        built.append((base.name, arity))
-        return balanced_tuples(base, arity)
+    def counting(base):
+        built.append(base.name)
+        return m3_of(base)
 
-    monkeypatch.setattr(construct, "_balanced_tuples", counting)
+    monkeypatch.setattr(construct, "m3_of", counting)
+    monkeypatch.setattr(congruence, "m3_of", counting)
+    tabulated = counting_step_tables(monkeypatch)
     monkeypatch.setattr(construct.TupleLattice, "lattice",
                         property(lambda k: tabled.append(k.name)))
     code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom", "--of-m3",
                     "--report", "json")
-    assert code == 0 and built == [("N5", 3)] and tabled == []
+    assert code == 0 and built == ["N5"] and tabled == []
+    assert [a for _, a in tabulated] == [3]
     payload = json.loads(out.out)
     assert payload["cpe_passed"] and payload["con_size"] == payload["con_extension"]
 
@@ -367,6 +379,17 @@ CON_M3_N5 = """{
   "con_base": 5,
   "con_extension": 5,
   "lattice": "M3[N5]",
+  "con_ji": 3,
+  "con_ji_covers": [
+    [
+      0,
+      1
+    ],
+    [
+      0,
+      2
+    ]
+  ],
   "con_size": 5,
   "con_hasse": "{\\n  \\"name\\": \\"Con(M3[N5])\\",\\n  \\"elements\\": [\\n    \\"con0/1b\\",\\n    \\"con1/5b\\",\\n    \\"con2/5b\\",\\n    \\"con3/25b\\",\\n    \\"con4/41b\\"\\n  ],\\n  \\"covers\\": [\\n    [\\n      1,\\n      0\\n    ],\\n    [\\n      2,\\n      0\\n    ],\\n    [\\n      3,\\n      1\\n    ],\\n    [\\n      3,\\n      2\\n    ],\\n    [\\n      4,\\n      3\\n    ]\\n  ]\\n}"
 }
@@ -380,21 +403,23 @@ def test_con_of_m3_output_is_pinned(capsys):
 
 
 def test_m3_congruences_above_the_cap_fail_fast(capsys, monkeypatch):
-    """con --of-m3 exits 3 above CON_SIZE_CAP elements of M3[L], before
-    building M3[L] when n^2 is above it; --verify-cpe has no element cap,
-    and passes above it."""
+    """con --of-m3 exits 3 when n^2 is above CON_SIZE_CAP, before
+    building M3[L]; above the cap with n^2 under it, it prints the
+    generators without Con M3[L]; --verify-cpe has no element cap, and
+    passes above it."""
     def refuse(*args):
         raise AssertionError("M3 was built")
 
     # Sub(2,4) has 67 elements: 67^2 > CON_SIZE_CAP, so nothing is built
-    monkeypatch.setattr(construct, "_balanced_tuples", refuse)
+    monkeypatch.setattr(rank, "_step_table", refuse)
     code, out = run(capsys, "con", "--lattice", "subspace:2,4", "--of-m3")
     assert code == 3 and "at least 4489 elements, above the congruence cap 2000" in out.err
     monkeypatch.undo()
     # n^2 under the cap but M3[N5] above it
     monkeypatch.setattr(congruence, "CON_SIZE_CAP", 30)
-    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3")
-    assert code == 3 and "capped at 30 elements" in out.err
+    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "lattice": "M3[N5]", "con_ji": 3, "con_ji_covers": [[0, 1], [0, 2]]}
     code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "diag")
     assert code == 0
     monkeypatch.undo()
@@ -407,41 +432,49 @@ def test_m3_congruences_above_the_cap_fail_fast(capsys, monkeypatch):
 
 
 def test_cpe_verdict_past_the_congruence_count_cap(capsys, monkeypatch):
-    """Con(C_12) has 2^11 = 2,048 elements, past CON_SIZE_CAP: con exits 3,
-    and con --verify-cpe prints the verdict with null counts and exits by
-    it, with or without --of-m3."""
-    code, out = run(capsys, "con", "--lattice", "c12")
-    assert code == 3 and "more than 2000 congruences" in out.err
-    for of_m3 in ((), ("--of-m3",)):
+    """Con(C_12) has 2^11 = 2,048 elements, past CON_SIZE_CAP: con prints
+    its 11 unordered generators without Con, and con --verify-cpe adds the
+    verdict with null counts and exits by it, with or without --of-m3
+    (Con M3[C12] is Con C12: its 33 join-irreducibles give 11 generators)."""
+    code, out = run(capsys, "con", "--lattice", "c12", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "lattice": "C12", "con_ji": 11, "con_ji_covers": []}
+    for of_m3, name in (((), "C12"), (("--of-m3",), "M3[C12]")):
         code, out = run(capsys, "con", "--lattice", "c12", "--verify-cpe", "atom",
                         "--report", "json", *of_m3)
         assert code == 0 and json.loads(out.out) == {
-            "cpe_passed": True, "con_base": None, "con_extension": None}, of_m3
+            "cpe_passed": True, "con_base": None, "con_extension": None,
+            "lattice": name, "con_ji": 11, "con_ji_covers": []}, of_m3
     # with D on J(M3[C12]) empty, its 33 join-irreducibles are 33 classes
     monkeypatch.setattr(congruence, "_m3_dependency",
                         lambda k, ji, lower: np.zeros((3 * len(ji),) * 2, dtype=bool))
     code, out = run(capsys, "con", "--lattice", "c12", "--verify-cpe", "atom",
                     "--report", "json")
     assert code == EXIT_CHECK_FAILED and json.loads(out.out) == {
-        "cpe_passed": False, "con_base": None, "con_extension": None}
+        "cpe_passed": False, "con_base": None, "con_extension": None,
+        "lattice": "C12", "con_ji": 11, "con_ji_covers": []}
 
 
 def test_cpe_verdict_with_m3_above_the_congruence_cap(capsys, monkeypatch):
     """con --of-m3 --verify-cpe on a base whose M3[L] has more than
-    CON_SIZE_CAP elements prints the verdict and exits by it; without
-    --verify-cpe it exits 3.  M3[Sub(3,3)] has 6,817 elements."""
+    CON_SIZE_CAP elements prints the verdict and the generators of Con
+    M3[L] without Con M3[L], and exits by the verdict; without
+    --verify-cpe it prints the generators.  M3[Sub(3,3)] has 6,817
+    elements, and Sub(3,3) is simple."""
+    simple = {"lattice": "M3[Sub(3,3)]", "con_ji": 1, "con_ji_covers": []}
     code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3",
                     "--verify-cpe", "atom", "--report", "json")
     assert code == 0 and json.loads(out.out) == {
-        "cpe_passed": True, "con_base": 2, "con_extension": 2}
-    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3")
-    assert code == 3 and out.out == "" and "capped at 2000 elements" in out.err
+        "cpe_passed": True, "con_base": 2, "con_extension": 2, **simple}
+    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3", "--report", "json")
+    assert code == 0 and json.loads(out.out) == simple
     # M3[N5] has 41 elements: above a cap of 30, with both counts under it
     monkeypatch.setattr(congruence, "CON_SIZE_CAP", 30)
     code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "diag",
                     "--report", "json")
     assert code == 0 and json.loads(out.out) == {
-        "cpe_passed": True, "con_base": 5, "con_extension": 5}
+        "cpe_passed": True, "con_base": 5, "con_extension": 5,
+        "lattice": "M3[N5]", "con_ji": 3, "con_ji_covers": [[0, 1], [0, 2]]}
     monkeypatch.setattr(congruence, "_m3_dependency",
                         lambda k, ji, lower: np.zeros((3 * len(ji),) * 2, dtype=bool))
     code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "diag",
@@ -451,9 +484,14 @@ def test_cpe_verdict_with_m3_above_the_congruence_cap(capsys, monkeypatch):
     assert "con_size" not in payload
 
 
-def test_congruence_count_cap_exits_input(capsys):
-    code, out = run(capsys, "con", "--lattice", "c30")
-    assert code == 3 and "more than 2000 congruences" in out.err
+def test_con_past_the_caps_prints_the_generators(capsys):
+    """Con C_30 has 2^29 elements, and Sub(2,6) has 2,825, past
+    CON_SIZE_CAP: con prints the generators, 29 unordered, and the one of a
+    simple lattice, and exits 0."""
+    for spec, name, count in (("c30", "C30", 29), ("subspace:2,6", "Sub(2,6)", 1)):
+        code, out = run(capsys, "con", "--lattice", spec, "--report", "json")
+        assert code == 0 and json.loads(out.out) == {
+            "lattice": name, "con_ji": count, "con_ji_covers": []}, spec
 
 
 # -- fuzzing: bad input maps to exit 3, never to a traceback -------------------
@@ -503,7 +541,7 @@ def test_fuzzed_specs_raise_only_lattice_errors(spec):
 
 # -- fuzzing: the other subcommands' numeric and choice arguments --------------
 
-small_specs = st.sampled_from(["c2", "c3", "n5", "m3", "m4", "witness7", "b3", "c0", "x"])
+small_specs = st.sampled_from(["c1", "c2", "c3", "n5", "m3", "m4", "witness7", "b3", "c0", "x"])
 numbers = st.integers(min_value=-2, max_value=6).map(str) | st.text("0123456789-x", max_size=3)
 reports = st.sampled_from(["json", "text", "xml"])
 

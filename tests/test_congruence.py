@@ -305,6 +305,32 @@ def test_join_irreducible_generation_on_all_small_lattices():
     assert_matches_all_pairs_oracle(7)
 
 
+def degree_pairs(leq):
+    """Oracle: the sorted (lower covers, upper covers) counts of each
+    element of the order leq, its covers the strict pairs with nothing
+    strictly between, found by one product."""
+    strict = (leq & ~np.eye(len(leq), dtype=bool)).astype(np.int64)
+    cover = (strict > 0) & (strict @ strict == 0)
+    return sorted(zip(cover.sum(axis=0).tolist(), cover.sum(axis=1).tolist()))
+
+
+def test_generator_order_is_the_order_of_con_join_irreducibles():
+    """generator_order gives |J(Con L)| and the covers of its order, read
+    off Con L: the same count, cover count and cover degrees, on every
+    lattice with at most 6 elements and on M3[N5] and M3[witness7]."""
+    bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    bases += [construct.m3_of(catalog.n5()), construct.m3_of(catalog.witness7())]
+    for lat in bases:
+        count, covers = congruence.generator_order(lat)
+        con = all_congruences(lat).lattice
+        ji = core.join_irreducibles(con)
+        leq = np.eye(count, dtype=bool)
+        if covers:
+            leq[tuple(np.array(covers).T)] = True
+        assert count == len(ji) and all(lo < hi for lo, hi in covers), lat.name
+        assert degree_pairs(leq) == degree_pairs(con.leq[np.ix_(ji, ji)]), lat.name
+
+
 @pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
                     reason="4,008 lattices and renumberings; set LATMOD_EXTENDED=1")
 def test_join_irreducible_generation_on_all_lattices_up_to_8():

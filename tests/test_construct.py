@@ -1,9 +1,17 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import close_tuples, counting_step_tables, is_balanced3, is_balanced4, tuples_of
+from conftest import (
+    close_tuples,
+    counting_step_tables,
+    is_balanced3,
+    is_balanced4,
+    refuse_allocations,
+    tuples_of,
+)
 from latmod import catalog, construct, core, rank
 from latmod.construct import m3_of, m4_of
 from latmod.errors import NotDistributive, SizeLimitExceeded, VerificationFailed
@@ -262,12 +270,11 @@ def test_lazy_closure_depth_matches_eager(monkeypatch):
 
 
 def test_lazy_operations_equal_eager_tables(monkeypatch):
-    """Without tables, meet and join on id arrays, in blocks of 50 keys,
-    give the tables of the same lattice built under the cap."""
+    """Without tables, meet and join on id arrays give the tables of the
+    same lattice built under the cap."""
     builds = [(m3_of, catalog.n5()), (m3_of, catalog.witness7()), (m4_of, catalog.m_k(4))]
     eager = [build(base).lattice for build, base in builds]
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
-    monkeypatch.setattr(construct, "_GRID_ENTRIES", 50)
     for (build, base), lat in zip(builds, eager):
         k = build(base)
         ids = np.arange(len(k))
@@ -277,29 +284,35 @@ def test_lazy_operations_equal_eager_tables(monkeypatch):
         assert np.array_equal(k.join(ids[:, None], ids), lat.join_table), k.name
 
 
-def test_lazy_build_closes_nothing(monkeypatch):
+def test_builds_tabulate_once_per_base_and_arity(monkeypatch):
+    """m3_of and m4_of read their elements off the base's closure table,
+    tabulated once per base and arity: a second build, the depth and the
+    joins tabulate nothing more, and no build holds the key -> id map."""
     eager = m3_of(catalog.m_k(4))
     assert eager.lattice is not None  # tables and depth before counting
     calls = counting_step_tables(monkeypatch)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
-    k = m3_of(catalog.m_k(4))
-    assert calls == [] and "_where" not in vars(k) and "_closed" not in vars(k)
-    assert k.max_closure_index == k.max_closure_index == eager.max_closure_index
-    assert calls == [(k.base, 3)]  # one table of the keys
-    assert "_where" not in vars(k)
+    base = catalog.m_k(4)
+    k, again = m3_of(base), m3_of(base)
+    assert calls == [(base, 3)] and "_where" not in vars(k)
+    assert k.max_closure_index == again.max_closure_index == eager.max_closure_index
+    quads = m4_of(base)
+    assert m4_of(base).join(0, len(quads) - 1) == quads.join(0, len(quads) - 1)
+    assert calls == [(base, 3), (base, 4)]
 
 
-def test_lazy_build_defers_tuple_list_and_index():
+def test_lazy_build_defers_tuple_list_and_index(monkeypatch):
+    calls = counting_step_tables(monkeypatch)
     k = m3_of(catalog.subspace_lattice(2, 4))
     with pytest.raises(SizeLimitExceeded):
         k.lattice
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
-    assert "_where" not in vars(k) and "_closed" not in vars(k)
+    assert "_where" not in vars(k) and calls == [(k.base, 3)]
     assert np.array_equal(k.ids(k.cols), np.arange(len(k)))
     rows = np.stack(k.cols, axis=1)
     assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
     assert (k.index >= 0).sum() == len(k)
-    assert "_closed" not in vars(k)
+    assert calls == [(k.base, 3)]
 
 
 def test_keys_ascend_with_the_tuple_order():
@@ -536,31 +549,36 @@ def test_depth_builds_no_tables(traced_peak):
 
 
 def test_depth_key_mask_fails_fast_past_int32(monkeypatch):
-    """A 216-element base at arity 4 has 216^4 >= 2^31 keys: the depth, the
-    operations and the id lookup refuse before allocating a key map."""
-    def refusing(alloc):
-        def guarded(shape, *args, **kwargs):
-            if np.prod(shape, dtype=np.int64) >= 2 ** 31:
-                raise AssertionError("a key map was allocated")
-            return alloc(shape, *args, **kwargs)
-        return guarded
-
-    for name in ("empty", "zeros", "full"):
-        monkeypatch.setattr(np, name, refusing(getattr(np, name)))
+    """A 216-element base at arity 4 has 216^4 >= 2^31 keys, and a 91-element
+    one 91^4 > KEY_CAP: the depth, the operations and the id lookup of a
+    tuple lattice built directly refuse before allocating a key map."""
+    refuse_allocations(monkeypatch, rank.KEY_CAP)
     cols = [np.zeros(1, dtype=np.int32) for _ in range(4)]
-    k = construct.TupleLattice(catalog.chain(216), cols, "stub")
-    for read in (lambda: k.max_closure_index, lambda: k.meet(0, 0),
-                 lambda: k.join(0, 0), lambda: k.ids((0, 0, 0, 0))):
-        with pytest.raises(SizeLimitExceeded, match=r"216\^4 keys"):
-            read()
-    assert "_where" not in vars(k) and "_closed" not in vars(k)
+    for n in (216, 91):
+        k = construct.TupleLattice(catalog.chain(n), cols, "stub")
+        for read in (lambda: k.max_closure_index, lambda: k.meet(0, 0),
+                     lambda: k.join(0, 0), lambda: k.ids((0, 0, 0, 0))):
+            with pytest.raises(SizeLimitExceeded, match=rf"{n}\^4 keys"):
+                read()
+        assert "_where" not in vars(k) and "_closed" not in vars(k)
+
+
+def test_key_cap_boundary():
+    """KEY_CAP = 2^26 keys admits 406^3 and 90^4 keys and refuses 407^3 and
+    91^4, read off the element count alone."""
+    assert rank.KEY_CAP == 2 ** 26 < 2 ** 31
+    for n, arity in ((406, 3), (90, 4)):
+        assert rank._key_count(SimpleNamespace(n=n, name="stub"), arity) == n ** arity
+        with pytest.raises(SizeLimitExceeded, match=rf"{n + 1}\^{arity} keys"):
+            rank._key_count(SimpleNamespace(n=n + 1, name="stub"), arity)
 
 
 # -- oracle: the meshgrid balanced-tuple filter ------------------------------
 
 def meshgrid_balanced_tuples(base, arity):
-    """Oracle for _balanced_tuples: all n^arity tuples as meshgrid columns,
-    filtered in one mask.  Holds arity * n^arity entries at once."""
+    """Oracle for the elements of m3_of and m4_of: all n^arity tuples as
+    meshgrid columns, filtered in one mask.  Holds arity * n^arity entries
+    at once."""
     n = base.n
     cols = [g.ravel().astype(np.int32) for g in
             np.meshgrid(*([np.arange(n)] * arity), indexing="ij")]
@@ -573,28 +591,32 @@ def meshgrid_balanced_tuples(base, arity):
     return [c[mask] for c in cols]
 
 
-def test_balanced_filter_matches_meshgrid_oracle():
+def test_balanced_columns_match_meshgrid_oracle():
+    """The keys of closure index 0 are the balanced tuples, in
+    lexicographic order."""
     bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
     bases += [catalog.fano(), catalog.subspace_lattice(3, 3)]
     for base in bases:
-        for arity in (3, 4):
-            got = construct._balanced_tuples(base, arity)
-            want = meshgrid_balanced_tuples(base, arity)
+        for build in (m3_of, m4_of):
+            k = build(base)
+            want = meshgrid_balanced_tuples(base, k.arity)
             assert all(g.dtype == np.int32 and np.array_equal(g, w)
-                       for g, w in zip(got, want))
+                       for g, w in zip(k.cols, want)), k.name
 
 
-def test_balanced_filter_memory_is_bounded(traced_peak):
-    """The filter holds its output twice (the blocks, then their
-    concatenation) plus a working set of max(_GRID_ENTRIES, n^3)
-    entries; the meshgrid oracle, holding every quadruple, breaks that
-    bound on the same base (n = 28, 614,656 quadruples)."""
+def test_build_memory_per_key_is_bounded(traced_peak):
+    """m4_of and its first join hold the closure table, 12 bytes a key while
+    it is built and 8 after, then the key -> id map's 4, and the blocks'
+    working set: under 16 bytes a key on M4[Sub(3,3)] (614,656 keys), where
+    the all-tuples filter beside the table took 20."""
     base = catalog.subspace_lattice(3, 3)
-    out, peak = traced_peak(construct._balanced_tuples, base, 4)
-    bound = 2 * sum(c.nbytes for c in out) \
-        + 32 * max(construct._GRID_ENTRIES, base.n ** 3)
-    assert peak <= bound
-    assert traced_peak(meshgrid_balanced_tuples, base, 4)[1] > bound
+
+    def build():
+        k = m4_of(base)
+        return k.join(0, len(k) - 1)
+
+    peak = traced_peak(build)[1]
+    assert peak <= 16 * base.n ** 4
 
 
 def test_element_checks_run_above_the_table_cap(monkeypatch):

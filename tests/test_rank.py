@@ -229,6 +229,20 @@ def test_modularity_rank_is_the_full_scan_rank():
                 (lat.name, cap)
 
 
+def test_scans_without_a_cap_read_no_height():
+    """No tuple moves 3 * height + 1 times, so without a cap the scans run
+    to the fixpoint: on fresh copies of lattices with at most 22 elements
+    (the table route), modularity_rank and rank_report build no cover
+    index, and agree with the originals."""
+    for lat in (catalog.n5(), catalog.witness7(), catalog.l_family(2), catalog.m_k(20),
+                catalog.chain(22), catalog.random_c1c4(0)):
+        fresh = core.FiniteLattice(lat.leq, lat.meet_table, lat.join_table,
+                                   names=lat.names, name=lat.name)
+        assert rank.modularity_rank(fresh) == rank.modularity_rank(lat), lat.name
+        assert rank.rank_report(fresh) == rank.rank_report(lat), lat.name
+        assert fresh.n <= 22 and fresh._covers is None, lat.name
+
+
 SCANS = (rank.full_triple_scan, rank.antichain_rank_scan)
 
 
