@@ -19,11 +19,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 
-def _load(spec: str) -> core.FiniteLattice:
-    # by_name builds through lattice_from_leq/parse, which check the axioms
-    return catalog.by_name(spec)
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer no less than `low`."""
     def parse(text: str) -> int:
@@ -44,13 +39,13 @@ def _emit(args, payload: dict):
 
 
 def cmd_validate(args) -> int:
-    lat = _load(args.lattice)
+    lat = catalog.by_name(args.lattice)
     _emit(args, {"lattice": lat.name or args.lattice, "size": lat.n, "valid": True})
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
-    lat = _load(args.lattice)
+    lat = catalog.by_name(args.lattice)
     r = rank.modularity_rank(lat, cap=args.cap)
     _emit(args, {
         "lattice": lat.name or args.lattice,
@@ -66,7 +61,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    lat = _load(args.lattice)
+    lat = catalog.by_name(args.lattice)
     rep = rank.rank_report(lat, cap=args.cap, jobs=args.jobs)
     _emit(args, {
         "lattice": lat.name or args.lattice,
@@ -79,7 +74,7 @@ def cmd_rank(args) -> int:
 
 
 def _cmd_build(args, builder) -> int:
-    lat = _load(args.lattice)
+    lat = catalog.by_name(args.lattice)
     k = builder(lat)
     # the file holds the tables: above the cap, fail before any other work
     tables = k.lattice if args.out else None
@@ -110,7 +105,7 @@ def _cmd_build(args, builder) -> int:
 
 
 def cmd_con(args) -> int:
-    lat = _load(args.lattice)
+    lat = catalog.by_name(args.lattice)
     k = None
     if args.of_m3:
         # every <x, y, x^y> is balanced, so |M3[L]| >= n^2: refuse unbuilt
@@ -139,7 +134,7 @@ def cmd_con(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    left, right = _load(args.left), _load(args.right)
+    left, right = catalog.by_name(args.left), catalog.by_name(args.right)
     tp = tensor.tensor_product(left, right)
     payload = {"left": left.name, "right": right.name, "elements": len(tp)}
     failed = False

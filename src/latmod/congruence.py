@@ -63,8 +63,6 @@ def generator_order(lat: FiniteLattice | TupleLattice) -> tuple[int, list]:
     cover pairs (lower, upper) of their order, numbered as in `_generators`:
     they fix Con L (Birkhoff), and are read at any size."""
     below = _generators(lat)[2]
-    if not len(below):  # a one-element lattice has no generators
-        return 0, []
     return len(below), _CoverIndex(below | np.eye(len(below), dtype=bool)).pairs
 
 

@@ -17,7 +17,7 @@ from .core import (
     pointwise_order,
 )
 from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
-from .rank import _closures, _decode, _encode, _key_count
+from .rank import _closures, _decode, _encode
 
 EAGER_TABLE_CAP = 2000
 _GRID_ENTRIES = 1 << 16  # pairs per numpy block of the tables and of congruence's joins
@@ -31,11 +31,11 @@ class TupleLattice:
     componentwise meets and closure-iterated joins.
 
     Element ids follow the lexicographic order of the tuples, given as one
-    column of entries per coordinate.  Every operation reads two maps over
-    the n^arity tuple keys: key -> id (`ids`), built on first use, and key
-    -> key of its closure under the step map, which the base holds for all
-    its tuple lattices of one arity (`rank._closures`); both raise
-    SizeLimitExceeded above `rank.KEY_CAP` keys before they are allocated.
+    column of entries per coordinate.  Every operation reads one map over
+    the n^arity tuple keys, key -> id of its closure under the step map,
+    which the base holds for all its tuple lattices of one arity
+    (`rank._closures`; SizeLimitExceeded above `rank.KEY_CAP` keys, before
+    it is allocated); a balanced tuple, such as a meet, is its own closure.
     `meet` and `join` act on id arrays at any size; `lattice` holds their
     count^2 tables, built on first access, and raises SizeLimitExceeded
     above EAGER_TABLE_CAP elements.
@@ -54,15 +54,8 @@ class TupleLattice:
         return "<" + ",".join(self.base.names[c[i]] for c in self.cols) + ">"
 
     @functools.cached_property
-    def _where(self) -> np.ndarray:
-        """Key -> id, -1 for a tuple that is not balanced."""
-        where = np.full(_key_count(self.base, self.arity), -1, dtype=np.int32)
-        where[_encode(self.base.n, self.cols)] = np.arange(len(self), dtype=np.int32)
-        return where
-
-    @functools.cached_property
     def _closed(self) -> tuple:
-        """Key -> key of its closure, and key -> its closure index: the
+        """Key -> id of its closure, and key -> its closure index: the
         base's read-only closure table for this arity (`rank._closures`),
         tabulated once per base and shared with its rank scans and with
         every tuple lattice of the same base and arity."""
@@ -72,13 +65,16 @@ class TupleLattice:
     def index(self) -> np.ndarray:
         """The key -> id map with one axis per coordinate: index[t] is the
         id of the tuple t, -1 when t is not balanced (bench/make_refs.py
-        reads it); `ids` takes columns."""
-        return self._where.reshape((self.base.n,) * self.arity)
+        reads it); `ids` takes columns.  Built on each access."""
+        closed, index = self._closed
+        return np.where(index == 0, closed, -1).reshape((self.base.n,) * self.arity)
 
     def ids(self, cols) -> np.ndarray:
         """The ids of tuples given as coordinate columns, -1 for a tuple
         that is not balanced; ids(t) of one tuple t is its id."""
-        return self._where.take(_encode(self.base.n, cols))
+        closed, index = self._closed
+        keys = _encode(self.base.n, cols)
+        return np.where(index.take(keys) == 0, closed.take(keys), -1)
 
     @property
     def bottom(self) -> int:
@@ -89,7 +85,7 @@ class TupleLattice:
         """The keys of the componentwise op(a_i, b_i), op the base's meet or
         join, of the elements a and b, broadcast: id arrays, or any index of
         the columns (the depth passes slices, which take no copy).  The
-        callers hold a key map, so the keys fit in int32.  The key is allocated
+        callers hold the closure table, so the keys fit in int32.  The key is allocated
         before the gathers: allocating it after them tripled the page faults of the
         depth's walk over all pairs of M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
         n, first = self.base.n, self.cols[0]
@@ -102,12 +98,12 @@ class TupleLattice:
 
     def meet(self, a, b) -> np.ndarray:
         """The meets of the elements a and b, ids or id arrays, broadcast."""
-        return self._where.take(self._key(self.base.meet, a, b))
+        return self._closed[0].take(self._key(self.base.meet, a, b))
 
     def join(self, a, b) -> np.ndarray:
         """The joins of the elements a and b, ids or id arrays, broadcast:
         the closures of their componentwise joins."""
-        return self._where.take(self._closed[0].take(self._key(self.base.join, a, b)))
+        return self._closed[0].take(self._key(self.base.join, a, b))
 
     @functools.cached_property
     def lattice(self) -> FiniteLattice:
@@ -219,15 +215,16 @@ def _check_coordinate_swaps(k: TupleLattice) -> None:
     closure of the swapped tuple is the swapped closure.  The swaps generate
     all coordinate permutations, and the balanced tuples and the
     componentwise meets and joins commute with these; so then does k's
-    join, and each permutation is an automorphism of k.  One decode of the
-    closure table and one encode per swap."""
+    join, and each permutation is an automorphism of k.  Per swap, a
+    transpose of the table against the swapped closures' ids, gathered by
+    indexing (take would copy the int32 keys to intp): 5 bytes a key."""
     n, arity = k.base.n, k.arity
     closed = k._closed[0].reshape((n,) * arity)
-    cols = _decode(n, arity, closed)
     for c in range(1, arity):
         axes = list(range(arity))
         axes[0], axes[c] = c, 0
-        if not np.array_equal(closed.transpose(axes), _encode(n, [cols[a] for a in axes])):
+        swap_ids = k.ids([k.cols[a] for a in axes])
+        if not np.array_equal(closed.transpose(axes), swap_ids[closed]):
             raise VerificationFailed(
                 f"{k.name}: the joins do not commute with swapping coordinates 0 and {c}")
 

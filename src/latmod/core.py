@@ -99,7 +99,7 @@ class _CoverIndex:
         bits[ext, np.arange(n)] = True
         packed = np.packbits(bits, axis=1, bitorder="little")
         data, width = packed.tobytes(), packed.shape[1]
-        up = [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+        up = [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
         ext = ext.tolist()
         self.upper = [[] for _ in range(n)]
         for p, a in enumerate(ext):

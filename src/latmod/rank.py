@@ -11,12 +11,12 @@ least such n.
 One arity-generic step map (`_step_columns`) reads only the lattice's
 meet and join, so it serves one tuple of any lattice object (step3, step4
 and closure3) and columns of ids of any lattice whose operations act on
-id arrays.  Over a finite lattice it is tabulated once per arity as one
-key -> key map over all n^arity tuple keys, and each key's closure and
-closure index are read off by gathers (`_closures`); the table is cached
-on the lattice and shared by `construct`, whose M3[L] and M4[L] take their
-elements from it and close their joins by it, and, up to `_TABLE_SCAN_KEYS`
-triples, by both rank scans; `KEY_CAP` bounds every key map.  Larger scans
+id arrays.  Over a finite lattice it is tabulated once per arity over all
+n^arity tuple keys, and each key's closure index and the id of its closure
+among the fixed points are read off by gathers (`_closures`); the table is
+cached on the lattice and shared by `construct`, whose M3[L] and M4[L] take
+their elements, ids, meets and joins from it, and, up to `_TABLE_SCAN_KEYS`
+triples, by both rank scans; `KEY_CAP` bounds it.  Larger scans
 run one fixpoint loop (`_fixpoints`) through one triple generator
 (`_triples`) and one scan loop (`_scan`), whose threads take its batches
 one at a time, over sorted triples or, on larger lattices, one pair of
@@ -49,10 +49,10 @@ from .errors import ArgumentOutOfRange, RankExceedsCap, SizeLimitExceeded, Verif
 # 2-core Xeon).
 _BATCH = 100_000
 
-# Keys, n^arity, of a key map over a base lattice.  Building the closure table
-# takes 12 bytes a key, and m3_of or m4_of with the first join peaked at 15-17
-# (tracemalloc, M3[Sub(2,4)] and M4[Sub(3,3)]), so 2^26 keys is about 1 GB, which
-# admits M3[Sub(2,5)] (374^3 keys).  Below 2^31, so int32 keys are exact.
+# Keys, n^arity, of the closure table of a base lattice.  Building it takes 12
+# bytes a key, and m3_of or m4_of with the first join 14.2-16.6 (M4[Sub(3,3)] and
+# M3[Sub(2,4)], tracemalloc), so 2^26 keys is about 1 GB, which admits
+# M3[Sub(2,5)] (374^3 keys).  Below 2^31, so int32 keys are exact.
 KEY_CAP = 1 << 26
 
 # Keys per block while the step table is tabulated and closed: the block's
@@ -210,7 +210,7 @@ def _fixpoints(lat, cols, cap: Optional[int] = None):
 def _encode(n: int, cols) -> np.ndarray:
     """Pack coordinate columns (or one entry each) into one int32 key, the
     tuple read as a base-n number, so keys ascend with the lexicographic
-    order.  Every caller holds a key map over n^arity keys, which
+    order.  Every caller holds the closure table over n^arity keys, which
     `_key_count` bounds by KEY_CAP."""
     key = np.zeros(np.shape(cols[0]), dtype=np.int32)
     for c in cols:
@@ -228,8 +228,8 @@ def _decode(n: int, arity: int, keys) -> list:
 
 
 def _key_count(lat: FiniteLattice, arity: int) -> int:
-    """n^arity; SizeLimitExceeded above KEY_CAP, before any key map is
-    allocated."""
+    """n^arity; SizeLimitExceeded above KEY_CAP, before the closure table
+    is allocated."""
     keys = lat.n ** arity
     if keys > KEY_CAP:
         raise SizeLimitExceeded(f"{lat.name or '?'}: tuples of arity {arity} need "
@@ -254,15 +254,17 @@ def _step_table(lat: FiniteLattice, arity: int) -> np.ndarray:
 
 
 def _closures(lat: FiniteLattice, arity: int) -> tuple:
-    """Key -> key of its closure under the step map, and key -> its closure
+    """Key -> id of its closure under the step map, and key -> its closure
     index (the rounds in which it moves), over all n^arity keys, both int32
-    and read-only.  Tabulated once per lattice and arity and cached on it:
-    the step table is built whole, then each block of _TABLE_BLOCK keys
-    follows it by gathers, cur = step[cur], counting the keys that move,
-    until none does.  A finite lattice has no infinite ascending chain, so
-    every key stops.  The step table is held beside the two results while
-    they are filled, 12 bytes a key, and dropped on return; SizeLimitExceeded
-    above KEY_CAP keys comes first."""
+    and read-only; the ids number the fixed points, the keys of index 0, in
+    key order, as M3[L] and M4[L] do.  Tabulated once per lattice and arity
+    and cached on it: the step table is built whole, then each block of
+    _TABLE_BLOCK keys follows it by gathers, cur = step[cur], counting the
+    keys that move, until none does (a finite lattice has no infinite
+    ascending chain).  The spent step table then takes the fixed points'
+    ids, all of them before one more gather, as a closure key may lie below
+    its key.  The step table is held beside the two results, 12 bytes a
+    key; SizeLimitExceeded above KEY_CAP keys comes first."""
     table = lat._closures.get(arity)
     if table is not None:
         return table
@@ -281,6 +283,13 @@ def _closures(lat: FiniteLattice, arity: int) -> tuple:
             cur = nxt
         closed[lo:lo + cur.size] = cur
         index[lo:lo + cur.size] = count
+    ids, first = step, 0
+    for lo in range(0, step.size, _TABLE_BLOCK):
+        fixed = np.flatnonzero(index[lo:lo + _TABLE_BLOCK] == 0)
+        ids[lo + fixed] = np.arange(first, first + fixed.size, dtype=np.int32)
+        first += fixed.size
+    for lo in range(0, step.size, _TABLE_BLOCK):
+        closed[lo:lo + _TABLE_BLOCK] = ids.take(closed[lo:lo + _TABLE_BLOCK])
     for arr in (closed, index):
         arr.setflags(write=False)
     table = lat._closures[arity] = (closed, index)

@@ -80,7 +80,8 @@ def relabeled(lat, seed):
 
 
 def close_tuples(base, cols):
-    """Oracle for the closure table of rank._closures: close tuples, given
+    """Oracle for the closure table of rank._closures, key -> key of its
+    closure where the table holds the closure's id: close tuples, given
     as columns of base ids, by the scans' fixpoint loop rank._fixpoints,
     which steps only the tuples still moving and compacts them each round.
     Returns the closed columns and each tuple's closure index, in input

@@ -331,6 +331,12 @@ def test_generator_order_is_the_order_of_con_join_irreducibles():
         assert degree_pairs(leq) == degree_pairs(con.leq[np.ix_(ji, ji)]), lat.name
 
 
+def test_generator_order_of_one_element():
+    """C1 has no join-irreducibles, so no generators: its empty generator
+    order goes through the cover index like any other."""
+    assert congruence.generator_order(catalog.chain(1)) == (0, [])
+
+
 @pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
                     reason="4,008 lattices and renumberings; set LATMOD_EXTENDED=1")
 def test_join_irreducible_generation_on_all_lattices_up_to_8():
@@ -595,8 +601,8 @@ def test_verify_cpe_rejects_unknown_embedding():
 
 
 def tampered_m3(monkeypatch, key, to):
-    """verify_cpe with M3[base]'s closed-key map sending `key` to `to`: a
-    changed copy, as the base's closure table is shared and read-only."""
+    """verify_cpe with M3[base]'s closure table sending `key` to the id `to`:
+    a changed copy, as the base's closure table is shared and read-only."""
     def m3_of(base):
         k = construct.m3_of(base)
         closed, index = k._closed
@@ -617,28 +623,31 @@ def cpe_outcome(base, embedding):
 
 def test_extension_check_raises(monkeypatch):
     # the extension of a partition that is no congruence of the base is no
-    # congruence of M3[N5]; a closed-key map that sends the bottom to the
-    # top breaks either embedding, and the check raises
+    # congruence of M3[N5]; a closure table that sends the bottom's key to
+    # the top's id breaks either embedding (the key is balanced, so the
+    # bottom's id and the meets break with the joins), and the check raises
     n5 = catalog.n5()
     k = construct.m3_of(n5)
     (part,) = n5_non_congruence().tolist()
     assert not substitution_holds(n5, part)
     assert not substitution_holds(k.lattice, extend(k, part))
-    tampered_m3(monkeypatch, 0, k._where.size - 1)
+    tampered_m3(monkeypatch, int(rank._encode(n5.n, [n5.bottom] * 3)), len(k) - 1)
     for emb in ("atom", "diag"):
         with pytest.raises(VerificationFailed):
             congruence.verify_cpe(n5, emb)
 
 
 def test_cpe_fails_on_one_wrong_closed_key(monkeypatch):
-    """Sending the key of any one unbalanced triple over N5 to the top,
-    instead of to its closure, makes the check fail or raise, for either
-    embedding.  (Some balanced keys high up, such as <b,b,b> and <b,b,1>,
-    can be sent to the top without changing D* on J(M3[N5]).)"""
+    """Sending the key of any one unbalanced triple over N5 to the top's id,
+    instead of to its closure's, makes the check fail or raise, for either
+    embedding: such a key breaks joins only.  (Some balanced keys high up,
+    such as <b,b,b> and <b,b,1>, can be sent to the top without changing D*
+    on J(M3[N5]).)"""
     n5 = catalog.n5()
     k = construct.m3_of(n5)
-    top = k._where.size - 1
-    for key in np.flatnonzero((k._where < 0) & (k._closed[0] != top)).tolist():
+    closed, index = k._closed
+    top = len(k) - 1
+    for key in np.flatnonzero((index > 0) & (closed != top)).tolist():
         tampered_m3(monkeypatch, key, top)
         assert cpe_outcome(n5, "atom") in (False, "raised"), key
         assert cpe_outcome(n5, "diag") in (False, "raised"), key
@@ -690,7 +699,7 @@ def test_extension_check_survives_optimize_flag(run_optimized):
             k = real_m3(base)
             closed, index = k._closed
             closed = closed.copy()  # the base's table is shared and read-only
-            closed[0] = closed.size - 1  # the bottom closes to the top
+            closed[0] = closed[-1]  # the bottom's key takes the top's id
             k._closed = closed, index
             return k
 

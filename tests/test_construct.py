@@ -287,18 +287,25 @@ def test_lazy_operations_equal_eager_tables(monkeypatch):
 def test_builds_tabulate_once_per_base_and_arity(monkeypatch):
     """m3_of and m4_of read their elements off the base's closure table,
     tabulated once per base and arity: a second build, the depth and the
-    joins tabulate nothing more, and no build holds the key -> id map."""
+    joins tabulate nothing more, and no build holds a key map of its own."""
     eager = m3_of(catalog.m_k(4))
     assert eager.lattice is not None  # tables and depth before counting
     calls = counting_step_tables(monkeypatch)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
     base = catalog.m_k(4)
     k, again = m3_of(base), m3_of(base)
-    assert calls == [(base, 3)] and "_where" not in vars(k)
+    assert calls == [(base, 3)] and holds_only_the_shared_table(k)
     assert k.max_closure_index == again.max_closure_index == eager.max_closure_index
     quads = m4_of(base)
     assert m4_of(base).join(0, len(quads) - 1) == quads.join(0, len(quads) - 1)
     assert calls == [(base, 3), (base, 4)]
+
+
+def holds_only_the_shared_table(k):
+    """k caches nothing over the n^arity keys but its base's closure table."""
+    cached = set(vars(k)) - {"base", "cols", "arity", "name", "lattice", "max_closure_index"}
+    return cached <= {"_closed"} and (
+        not cached or k._closed is rank._closures(k.base, k.arity))
 
 
 def test_lazy_build_defers_tuple_list_and_index(monkeypatch):
@@ -307,12 +314,13 @@ def test_lazy_build_defers_tuple_list_and_index(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         k.lattice
     assert len(k) == k.cols[0].size > construct.EAGER_TABLE_CAP
-    assert "_where" not in vars(k) and calls == [(k.base, 3)]
-    assert np.array_equal(k.ids(k.cols), np.arange(len(k)))
-    rows = np.stack(k.cols, axis=1)
-    assert all(k.index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
-    assert (k.index >= 0).sum() == len(k)
     assert calls == [(k.base, 3)]
+    assert np.array_equal(k.ids(k.cols), np.arange(len(k)))
+    index = k.index
+    rows = np.stack(k.cols, axis=1)
+    assert all(index[tuple(r)] == i for i, r in enumerate(rows.tolist()))
+    assert (index >= 0).sum() == len(k)
+    assert calls == [(k.base, 3)] and holds_only_the_shared_table(k)
 
 
 def test_keys_ascend_with_the_tuple_order():
@@ -560,7 +568,7 @@ def test_depth_key_mask_fails_fast_past_int32(monkeypatch):
                      lambda: k.join(0, 0), lambda: k.ids((0, 0, 0, 0))):
             with pytest.raises(SizeLimitExceeded, match=rf"{n}\^4 keys"):
                 read()
-        assert "_where" not in vars(k) and "_closed" not in vars(k)
+        assert "_closed" not in vars(k)
 
 
 def test_key_cap_boundary():
@@ -606,9 +614,9 @@ def test_balanced_columns_match_meshgrid_oracle():
 
 def test_build_memory_per_key_is_bounded(traced_peak):
     """m4_of and its first join hold the closure table, 12 bytes a key while
-    it is built and 8 after, then the key -> id map's 4, and the blocks'
-    working set: under 16 bytes a key on M4[Sub(3,3)] (614,656 keys), where
-    the all-tuples filter beside the table took 20."""
+    it is built and 8 after, and the blocks' working set: under 15 bytes a
+    key on M4[Sub(3,3)] (614,656 keys), where a key -> id map of the tuple
+    lattice's own, beside the table, took 15.05."""
     base = catalog.subspace_lattice(3, 3)
 
     def build():
@@ -616,7 +624,19 @@ def test_build_memory_per_key_is_bounded(traced_peak):
         return k.join(0, len(k) - 1)
 
     peak = traced_peak(build)[1]
-    assert peak <= 16 * base.n ** 4
+    assert peak <= 15 * base.n ** 4
+
+
+def test_swap_check_memory_per_key_is_bounded(traced_peak):
+    """The coordinate-swap check of M4[Sub(3,3)] gathers one int32 closure
+    id a key and compares it with a transpose of the table: under 6 bytes a
+    key beside the table, where decoding the table into coordinate columns
+    took 24."""
+    base = catalog.subspace_lattice(3, 3)
+    k = m4_of(base)
+    assert k._closed is not None  # the table is built before the trace
+    peak = traced_peak(construct._check_coordinate_swaps, k)[1]
+    assert peak <= 6 * base.n ** 4
 
 
 def test_element_checks_run_above_the_table_cap(monkeypatch):
@@ -642,31 +662,41 @@ def test_element_checks_run_above_the_table_cap(monkeypatch):
         m3_of(catalog.n5()).lattice
 
 
-def with_broken_joins(k):
-    """k with every key's closure replaced by the bottom's key, so each
-    check that reads a join must fail."""
+def with_broken_joins(k, balanced=False):
+    """k with the closure of every key that is not balanced, or with
+    `balanced` of every key, replaced by the bottom's id.  The first breaks
+    each join that is not balanced componentwise and nothing else; the
+    second breaks the ids of tuples and the meets as well."""
     closed, index = k._closed
-    k._closed = np.full_like(closed, rank._encode(k.base.n, [k.base.bottom] * k.arity)), index
+    keep = (index == 0) & (not balanced)
+    k._closed = np.where(keep, closed, k.bottom).astype(closed.dtype), index
     return k
 
 
 def test_verification_raises_typed_errors(monkeypatch):
+    # the spanning M3 and the M4 in M3[M3] each join two tuples into one
+    # that is not balanced, so broken joins alone fail them
     k = with_broken_joins(m3_of(catalog.n5()))
-    with pytest.raises(VerificationFailed):
+    assert k.meet(np.arange(len(k))[:, None], np.arange(len(k))).tolist() \
+        == m3_of(catalog.n5()).lattice.meet_table.tolist()
+    with pytest.raises(VerificationFailed, match="spanning M3 fails"):
         construct.spanning_m3(k)
-    with pytest.raises(VerificationFailed):
-        construct.embed_atom(k)
-    with pytest.raises(VerificationFailed):
-        construct.embed_diag(k)
     monkeypatch.setattr(construct, "m3_of", lambda base: with_broken_joins(m3_of(base)))
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed, match="join of"):
         construct.m4_sublattice_in_m3m3()
-    # only the key <1,1,1> closes wrongly: the pairs still span M3, the bounds fail
+    # the embeddings' componentwise joins are balanced, so only a broken
+    # balanced key fails them
+    for embed in (construct.embed_atom, construct.embed_diag):
+        assert embed(with_broken_joins(m3_of(catalog.n5()))) is not None
+        with pytest.raises(VerificationFailed):
+            embed(with_broken_joins(m3_of(catalog.n5()), balanced=True))
+    # only the key <1,1,1> closes wrongly, to a sixth element <a,a,a>: the
+    # pairs still span M3, the bounds fail
     k = m3_of(catalog.n5())
-    bottom, top = (rank._encode(5, [x] * 3) for x in (k.base.bottom, k.base.top))
+    a = k.base.index_of("a")
     closed, index = k._closed
     closed = closed.copy()
-    closed[top] = bottom
+    closed[rank._encode(5, [k.base.top] * 3)] = k.ids((a, a, a))
     k._closed = closed, index
     with pytest.raises(VerificationFailed, match="not the bounds"):
         construct.spanning_m3(k)
@@ -682,8 +712,7 @@ def test_verification_survives_optimize_flag(run_optimized):
         def broken(base):
             k = m3_of(base)
             closed, index = k._closed
-            bottom = rank._encode(base.n, [base.bottom] * k.arity)
-            k._closed = np.full_like(closed, bottom), index
+            k._closed = np.full_like(closed, k.bottom), index
             return k
 
         construct.m3_of = broken

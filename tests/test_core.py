@@ -588,6 +588,14 @@ def test_cover_index_matches_interval_oracle():
             assert (covers.pairs, covers.lower, covers.upper) == want
 
 
+def test_cover_index_of_the_empty_order():
+    """The 0 x 0 order has no cover pairs and no elements to list covers of,
+    checked or not: its up-sets pack into rows of 0 bytes."""
+    for check in (False, True):
+        covers = core._CoverIndex(np.zeros((0, 0), dtype=bool), check)
+        assert (covers.pairs, covers.lower, covers.upper) == ([], [], [])
+
+
 def order_corruptions(rng, leq):
     """Seeded corrupted copies of the partial order leq: a diagonal entry
     cleared, a 2-cycle, a 3-cycle with no 2-cycle, a composite a <= c

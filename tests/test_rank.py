@@ -765,20 +765,51 @@ def test_route_follows_batch_size_and_group_order(monkeypatch):
 TABLE_BASES = ("fano", "subspace:2,3", "l:2")
 
 
+def oracle_closures(base, arity):
+    """Every key's closure, as coordinate columns, and closure index, by the
+    fixpoint loop (close_tuples)."""
+    keys = np.arange(base.n ** arity, dtype=np.int32)
+    return close_tuples(base, rank._decode(base.n, arity, keys))
+
+
 def test_closures_match_fixpoint_oracle():
-    """Every key's closure and closure index, at arity 3 and 4, equal the
+    """Every key's closure id and closure index, at arity 3 and 4, equal the
     fixpoint loop's on all lattices with at most 6 elements, Fano, Sub(2,3)
-    and l:2."""
+    and l:2: the closure id is the rank of the closure key among the keys
+    of index 0."""
     bases = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
     bases += [catalog.by_name(name) for name in TABLE_BASES]
     for base in bases:
         for arity in (3, 4):
-            keys = np.arange(base.n ** arity, dtype=np.int32)
-            cols, index = close_tuples(base, rank._decode(base.n, arity, keys))
+            cols, index = oracle_closures(base, arity)
+            fixed, closure = np.flatnonzero(index == 0), rank._encode(base.n, cols)
+            want = np.searchsorted(fixed, closure)
+            assert np.array_equal(fixed.take(want), closure)  # closures are fixed
             closed, got = rank._closures(base, arity)
             assert closed.dtype == got.dtype == np.int32
-            assert np.array_equal(closed, rank._encode(base.n, cols)), (base.name, arity)
+            assert np.array_equal(closed, want), (base.name, arity)
             assert np.array_equal(got, index), (base.name, arity)
+
+
+def test_closure_ids_are_the_tuple_lattice_ids():
+    """The closure table's id of each key names, in m3_of or m4_of, the
+    tuple that is the key's closure by the fixpoint loop, at arity 3 and 4,
+    on all lattices with at most 6 elements and a relabelling of each.  A
+    relabelled base's ids need not follow a linear extension of its order,
+    so some keys close to a lower key, and the ids cannot be read in one
+    pass from the top key down."""
+    small = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    lower = 0
+    rng = random.Random(7)
+    for base in small + [relabeled(lat, rng) for lat in small]:
+        for arity, build in ((3, construct.m3_of), (4, construct.m4_of)):
+            cols, _ = oracle_closures(base, arity)
+            closed = rank._closures(base, arity)[0]
+            k = build(base)
+            assert all(np.array_equal(c.take(closed), w) for c, w in zip(k.cols, cols)), \
+                (base.name, arity)
+            lower += int((rank._encode(base.n, cols) < np.arange(closed.size)).sum())
+    assert lower > 0
 
 
 def crossover_lattices():
