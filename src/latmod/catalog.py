@@ -409,25 +409,30 @@ def _spec_ints(spec: str, body: str, count: int) -> list[int]:
     return vals
 
 
-def by_name(spec: str) -> FiniteLattice:
+def by_name(spec: str):
     """Resolve a lattice spec: m3, m4, ..., n5, c2sq, b<n>, c<n>, fano,
-    witness7, l:<n>, subspace:<q>,<d>, file:<path>."""
+    witness7, l:<n>, subspace:<q>,<d>, file:<path>; m3[<spec>] and
+    m4[<spec>] give the TupleLattice M3 or M4 of `tables(<spec>)`."""
     s = spec.strip().lower()
     if s.startswith("file:"):
         with open(spec.strip()[len("file:"):], "r", encoding="utf-8") as fh:
             return core.parse(fh.read())
+    if s[:3] in ("m3[", "m4[") and s.endswith("]"):
+        from . import construct  # noqa: PLC0415
+        return (construct.m3_of if s[1] == "3" else construct.m4_of)(tables(spec.strip()[3:-1]))
     if s.startswith("l:"):
         return l_family(*_spec_ints(spec, s[len("l:"):], 1))
     if s.startswith("subspace:"):
         return subspace_lattice(*_spec_ints(spec, s[len("subspace:"):], 2))
-    if s == "n5":
-        return n5()
-    if s == "c2sq":
-        return c2sq()
-    if s == "fano":
-        return fano()
-    if s == "witness7":
-        return witness7()
+    named = {"n5": n5, "c2sq": c2sq, "fano": fano, "witness7": witness7}
+    if s in named:
+        return named[s]()
     if s[:1] in ("m", "b", "c") and s[1:].isdecimal():  # not isdigit: "²" is one
         return {"m": m_k, "b": boolean, "c": chain}[s[0]](*_spec_ints(spec, s[1:], 1))
     raise ArgumentOutOfRange(f"unknown lattice spec: {spec!r}")
+
+
+def tables(spec: str) -> FiniteLattice:
+    """by_name(spec), a TupleLattice through its tables (`TupleLattice.lattice`)."""
+    lat = by_name(spec)
+    return lat if isinstance(lat, FiniteLattice) else lat.lattice

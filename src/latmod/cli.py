@@ -1,6 +1,6 @@
-"""Command-line front end: lattice inspection, the rank engine, the
-triple/quadruple lattice builders, congruence and tensor reports, the
-divergence demos, and the reproduction suite of known quantities."""
+"""Command-line front end: lattice inspection, the rank engine, M3[L] and
+M4[L] (the `catalog.by_name` specs m3[...] and m4[...]), congruence and
+tensor reports, the divergence demos, and the reproduction suite."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import catalog, congruence, construct, core, rank, symbolic, tensor
-from .errors import LatticeError, SizeLimitExceeded, VerificationFailed
+from .errors import ArgumentOutOfRange, LatticeError, SizeLimitExceeded, VerificationFailed
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,13 +39,14 @@ def _emit(args, payload: dict):
 
 
 def cmd_validate(args) -> int:
-    lat = catalog.by_name(args.lattice)
+    lat = catalog.tables(args.lattice)
+    lat.validate()  # M3[L]'s and M4[L]'s tables are built from their operations
     _emit(args, {"lattice": lat.name or args.lattice, "size": lat.n, "valid": True})
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
-    lat = catalog.by_name(args.lattice)
+    lat = catalog.tables(args.lattice)
     r = rank.modularity_rank(lat, cap=args.cap)
     _emit(args, {
         "lattice": lat.name or args.lattice,
@@ -61,7 +62,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    lat = catalog.by_name(args.lattice)
+    lat = catalog.tables(args.lattice)
     rep = rank.rank_report(lat, cap=args.cap, jobs=args.jobs)
     _emit(args, {
         "lattice": lat.name or args.lattice,
@@ -73,13 +74,18 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _cmd_build(args, builder) -> int:
-    lat = catalog.by_name(args.lattice)
-    k = builder(lat)
+def _tuple_lattice(lat, spec: str, what: str) -> construct.TupleLattice:
+    if isinstance(lat, construct.TupleLattice):
+        return lat
+    raise ArgumentOutOfRange(f"{what} takes m3[...] or m4[...], not {spec!r}")
+
+
+def cmd_build(args) -> int:
+    k = _tuple_lattice(catalog.by_name(args.lattice), args.lattice, "build")
     # the file holds the tables: above the cap, fail before any other work
     tables = k.lattice if args.out else None
     tabled = len(k) <= construct.EAGER_TABLE_CAP
-    payload = {"base": lat.name or args.lattice, "elements": len(k)}
+    payload = {"base": k.base.name or "?", "elements": len(k)}
     if args.stats or tabled:
         # without tables the depth may read the joins of all count^2 / 2
         # pairs (it stops at the largest key index), so only --stats asks
@@ -87,7 +93,7 @@ def _cmd_build(args, builder) -> int:
     if args.stats:
         # M3 spans only a base with two elements or more; the check reads
         # only the operations, so it runs also above the table cap
-        spans = k.arity == 3 and lat.n > 1
+        spans = k.arity == 3 and k.base.n > 1
         if spans:
             construct.spanning_m3(k)
         payload["spanning_check"] = "ok" if spans else "n/a"
@@ -106,23 +112,16 @@ def _cmd_build(args, builder) -> int:
 
 def cmd_con(args) -> int:
     lat = catalog.by_name(args.lattice)
-    k = None
-    if args.of_m3:
-        # every <x, y, x^y> is balanced, so |M3[L]| >= n^2: refuse unbuilt
-        if lat.n ** 2 > congruence.CON_SIZE_CAP:
-            raise SizeLimitExceeded(f"M3[{lat.name or '?'}] has at least {lat.n ** 2} "
-                                    f"elements, above the congruence cap {congruence.CON_SIZE_CAP}")
-        k = construct.m3_of(lat)
-    target = lat if k is None else k
     payload = {}
     if args.verify_cpe:
-        rep = congruence.verify_cpe(lat, args.verify_cpe, k)
+        k = _tuple_lattice(lat, args.lattice, "--verify-cpe")
+        rep = congruence.verify_cpe(k.base, args.verify_cpe, k)
         payload = {"cpe_passed": rep.passed, "con_base": rep.base_con_count,
                    "con_extension": rep.ext_con_count}
-    payload["lattice"] = target.name or args.lattice
-    payload["con_ji"], payload["con_ji_covers"] = congruence.generator_order(target)
+    payload["lattice"] = lat.name or args.lattice
+    payload["con_ji"], payload["con_ji_covers"] = congruence.generator_order(lat)
     try:
-        con = congruence.all_congruences(target)
+        con = congruence.all_congruences(lat)
     except SizeLimitExceeded:  # Con L only under CON_SIZE_CAP, its generators at any size
         pass
     else:
@@ -134,7 +133,7 @@ def cmd_con(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    left, right = catalog.by_name(args.left), catalog.by_name(args.right)
+    left, right = catalog.tables(args.left), catalog.tables(args.right)
     tp = tensor.tensor_product(left, right)
     payload = {"left": left.name, "right": right.name, "elements": len(tp)}
     failed = False
@@ -235,15 +234,19 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
 
     yield ("minimal-rank-sizes", (5, 7), minimal_sizes)
 
-    def cpe(*names):
-        # (passed, |Con L|, |Con M3[L]|) per base, atom then diagonal
+    def cpe(*specs):
+        # (passed, |Con L|, |Con K|) per tuple lattice K over L, atom then diagonal
         return tuple((r.passed, r.base_con_count, r.ext_con_count) for r in (
-            congruence.verify_cpe(catalog.by_name(s), e) for s in names for e in ("atom", "diag")))
+            congruence.verify_cpe(k.base, e, k) for k in map(catalog.by_name, specs)
+            for e in ("atom", "diag")))
 
     yield ("congruence-preserving-extension", True, lambda: all(p for p, _, _ in cpe(
-        "c2", "c3", "c2sq", "n5", "m3", "m4", "witness7", "fano")))
+        "m3[c2]", "m3[c3]", "m3[c2sq]", "m3[n5]", "m3[m3]", "m3[m4]", "m3[witness7]", "m3[fano]")))
     # Sub(q, d) is simple, so Con has 2 elements; M3[Sub(3,3)] has 6,817
-    yield ("cpe-above-table-cap", ((True, 2, 2),) * 2, lambda: cpe("subspace:3,3"))
+    yield ("cpe-above-table-cap", ((True, 2, 2),) * 2, lambda: cpe("m3[subspace:3,3]"))
+    # checked, not proved: M4[witness7], M4[l:2] and M4[Sub(3,3)] have 131, 1,046 and 66,748
+    yield ("m4-cpe", ((True, 5, 5),) * 4 + ((True, 2, 2),) * 2,
+           lambda: cpe("m4[witness7]", "m4[l:2]", "m4[subspace:3,3]"))
 
     # 3-modular bases: (|Con L|, |Con M3[L]|) for random_c1c4 seeds 0-4
     yield ("cpe-3modular-grids", ((13, 13), (23, 23), (23, 23), (28, 28), (6, 6)), lambda: tuple(
@@ -299,7 +302,7 @@ def _repro_checks(extended: bool, jobs: int, seed: int):
             fano_antichains)
 
         # M3[Sub(2,4)] has 56,725 elements
-        yield ("cpe-above-table-cap-extended", ((True, 2, 2),) * 2, lambda: cpe("subspace:2,4"))
+        yield ("cpe-above-table-cap-extended", ((True, 2, 2),) * 2, lambda: cpe("m3[subspace:2,4]"))
 
 
 def cmd_repro(args) -> int:
@@ -341,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if lattice:
             p.add_argument("--lattice", required=True,
                            help="m3 | fano | witness7 | l:3 | b3 | c4 | "
-                                "subspace:q,d | file:path")
+                                "subspace:q,d | file:path | m3[spec] | m4[spec]")
         p.add_argument("--report", choices=("json", "text"), default="text")
         return p
 
@@ -356,13 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", **cap)
     p.add_argument("--jobs", **jobs)
     p.set_defaults(func=cmd_rank)
-    for name, builder in (("m3build", construct.m3_of), ("m4build", construct.m4_of)):
-        p = common(sub.add_parser(name))
-        p.add_argument("--out")
-        p.add_argument("--stats", action="store_true")
-        p.set_defaults(func=lambda a, b=builder: _cmd_build(a, b))
+    p = common(sub.add_parser("build"))
+    p.add_argument("--out")
+    p.add_argument("--stats", action="store_true")
+    p.set_defaults(func=cmd_build)
     p = common(sub.add_parser("con"))
-    p.add_argument("--of-m3", action="store_true")
     p.add_argument("--verify-cpe", choices=("atom", "diag"))
     p.set_defaults(func=cmd_con)
     p = common(sub.add_parser("tensor"), lattice=False)

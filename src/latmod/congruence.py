@@ -1,5 +1,5 @@
 """Congruences of finite lattices, their lattice, and verification that
-the balanced-triple construction is a congruence-preserving extension."""
+the balanced-tuple constructions are congruence-preserving extensions."""
 
 from __future__ import annotations
 
@@ -49,11 +49,11 @@ def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
 def _generators(lat: FiniteLattice | TupleLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The join-irreducibles ji, and the distinct generators con(j_, j) as
     `_classes` of D: con(j_, j) <= con(k_, k) iff j D* k (Free Lattices, ch. 2).
-    For M3[L], J is the coordinate copies of J(L) (`_m3_dependency`)."""
+    For M3[L] or M4[L], J is the coordinate copies of J(L) (`_copy_dependency`)."""
     if isinstance(lat, TupleLattice):
         ji = np.array(join_irreducibles(lat.base), dtype=np.intp)
         lower = np.array([lat.base.lower_covers(j)[0] for j in ji], dtype=np.intp)
-        return (_copies(lat, ji), *_classes(_m3_dependency(lat, ji, lower)))
+        return (_copies(lat, ji), *_classes(_copy_dependency(lat, ji, lower)))
     ji = np.array(join_irreducibles(lat), dtype=np.intp)
     return (ji, *_classes(_dependency(lat, ji)))
 
@@ -144,7 +144,7 @@ class ConLattice:
 
 def all_congruences(lat: FiniteLattice | TupleLattice) -> ConLattice:
     """The congruence lattice, ordered by refinement, of a FiniteLattice
-    or of M3[L] read through its operations; SizeLimitExceeded when the
+    or of M3[L] or M4[L] through its operations; SizeLimitExceeded when the
     lattice or its congruence lattice has more than `CON_SIZE_CAP` elements.
 
     Every congruence of a finite lattice is the join of the principal
@@ -236,20 +236,19 @@ def _copies(k: TupleLattice, values: np.ndarray) -> np.ndarray:
     return k.ids(cols.reshape(k.arity, -1))
 
 
-def _m3_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """D without its diagonal on J(k) = `_copies(k, ji)`, for the base's
-    join-irreducibles ji with lower covers `lower`.  k's order is
-    componentwise; <a,b,c> = <a,0,0> v <0,b,0> v <0,0,c>, and below <j,0,0>
-    lie the <x,0,0>, x <= j: so J(k) is three copies of J(base), with lower
-    covers <j_,0,0> and so on.  j D k iff j != k and some x has
-    j <= k v x and j !<= k_ v x (Free Lattices, ch. 2), k v x read off
-    `k.join` for all x, about _GRID_ENTRIES joins at a time.  A copy of
-    ji[i] in coordinate c is read in c only, so per k and c only the
-    distinct pairs (u, d) = ((k v x)_c, (k_ v x)_c) matter, at most n^2 of
-    them: they are marked in an n x n grid, and the copy depends on k iff
-    some marked pair has ji[i] <= u and ji[i] !<= d.  A float32 product
-    of ji's up-sets with the grid counts the marked u above ji[i] per d
-    (exact below 2^24).
+def _copy_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """D without its diagonal on J(k) = `_copies(k, ji)`, the coordinate
+    copies of the base's join-irreducibles ji with lower covers `lower`.
+    k's order is componentwise; <a,b,c> = <a,0,0> v <0,b,0> v <0,0,c>, and
+    below <j,0,0> lie the <x,0,0>, x <= j: so J(k) is one copy of J(base)
+    per coordinate.  j D k iff j != k and some x has j <= k v x and
+    j !<= k_ v x (Free Lattices, ch. 2), k v x read off `k.join` for all
+    x, about _GRID_ENTRIES joins at a time.  A copy of ji[i] in coordinate
+    c is read in c only, so per k and c only the distinct pairs (u, d) =
+    ((k v x)_c, (k_ v x)_c) matter, at most n^2 of them: they are marked
+    in an n x n grid, and the copy depends on k iff some marked pair has
+    ji[i] <= u and ji[i] !<= d.  A float32 product of ji's up-sets with
+    the grid counts the marked u above ji[i] per d (exact below 2^24).
 
     Only the copies k in coordinate 0 are joined.  Permuting coordinates is
     an automorphism of k that maps copies to copies, and D is defined by
@@ -284,8 +283,9 @@ def _m3_dependency(k: TupleLattice, ji: np.ndarray, lower: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class CpeReport:
-    """|Con| of the base and of M3[base], None past CON_SIZE_CAP, and the
-    clauses of the check, which read no counts."""
+    """|Con| of the base and of K = M3[base] or M4[base], None past
+    CON_SIZE_CAP, and the clauses of the check, which read no counts.  The
+    paper proves that M3[L] is a CPE of L; for M4[L] this is only checked."""
 
     base_con_count: Optional[int]
     ext_con_count: Optional[int]
@@ -305,23 +305,26 @@ _EMBEDDINGS = {"atom": embed_atom, "diag": embed_diag}
 
 def verify_cpe(base: FiniteLattice, embedding: str = "atom",
                k: Optional[TupleLattice] = None) -> CpeReport:
-    """Check that K = M3[base] is a congruence-preserving extension of the
-    base along the verified embedding iota, on the generator posets
-    J(Con base) and J(Con K), which fix both distributive congruence
-    lattices: no tables of K, no Con K.  ext(con(j_, j)) = con_K(iota j_,
-    iota j) joins the con(j'_, j') with j' <= iota j, j' !<= iota j_
+    """Check that K = k, M3[base] or M4[base] (M3[base] when k is None), is
+    a congruence-preserving extension of the base along the verified
+    embedding iota, at K's arity: the paper proves it for M3[L], and for
+    M4[L] this only checks it.  It compares the generator posets J(Con
+    base) and J(Con K), which fix both distributive congruence lattices:
+    no tables of K, no Con K.  ext(con(j_, j)) = con_K(iota j_, iota j)
+    joins the con(j'_, j') with j' <= iota j, j' !<= iota j_
     (`_block_roots`).  Each such down-set of classes must have a greatest
     one, and the induced map J(Con base) -> J(Con K) must be a bijection
     that preserves and reflects the order.  Then ext, which preserves
     joins, is an isomorphism; restriction r has theta <= r(ext theta) and
     ext(r psi) <= psi, so r inverts ext.  |Con| is counted from down-sets
-    up to CON_SIZE_CAP.  An `m3_of(base)` already built can be passed as
-    `k`; it is checked instead of built again."""
+    up to CON_SIZE_CAP."""
     if embedding not in _EMBEDDINGS:
         raise ArgumentOutOfRange(
             f"embedding must be 'atom' or 'diag', not {embedding!r}")
-    if k is None or k.base is not base or k.arity != 3:
+    if k is None:
         k = m3_of(base)
+    elif k.base is not base:
+        raise ArgumentOutOfRange(f"{k.name} is not over {base.name or 'the base'}")
     image = np.array(_EMBEDDINGS[embedding](k))
     ji, gen_b, below_b = _generators(base)
     jk, gen_k, below_k = _generators(k)

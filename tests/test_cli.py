@@ -1,5 +1,7 @@
 import argparse
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -15,6 +17,24 @@ from latmod.rank import ClosureTrace
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The arguments of each `latmod ...` line in README's CLI block."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("latmod ")]
+
+
+def test_readme_cli_lines_exit_ok(capsys, monkeypatch, tmp_path):
+    """Every command README shows runs and exits 0, so a removed spelling
+    cannot stay documented; files it writes go to a temporary directory."""
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 7 and all(argv for argv in lines)
+    for argv in lines:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_info_reports_rank(capsys):
@@ -113,6 +133,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "rank")[0] == 2  # missing --lattice
     assert run(capsys, "diverge", "--oracle", "bogus")[0] == 2
+    for removed in ("m3build", "m4build"):  # build --lattice m3[...] or m4[...]
+        assert run(capsys, removed, "--lattice", "n5")[0] == 2
 
 
 def test_rank_report_shape(capsys):
@@ -137,8 +159,8 @@ def test_rank_has_no_antichains_only_option(capsys):
 def test_rank_output_does_not_depend_on_jobs(capsys, tmp_path):
     """rank's full scan takes --jobs, and prints the same for any count."""
     path = tmp_path / "m3m4.json"
-    assert run(capsys, "m3build", "--lattice", "m4", "--out", str(path))[0] == 0
-    for spec in (f"file:{path}", "n5"):
+    assert run(capsys, "build", "--lattice", "m3[m4]", "--out", str(path))[0] == 0
+    for spec in (f"file:{path}", "m3[m4]", "n5"):
         outs = []
         for jobs in ("1", "2"):
             code, out = run(capsys, "rank", "--lattice", spec, "--report", "json",
@@ -150,7 +172,7 @@ def test_rank_output_does_not_depend_on_jobs(capsys, tmp_path):
 
 def test_build_writes_lattice(capsys, tmp_path):
     out_path = tmp_path / "m3n5.json"
-    code, out = run(capsys, "m3build", "--lattice", "n5", "--stats",
+    code, out = run(capsys, "build", "--lattice", "m3[n5]", "--stats",
                     "--report", "json", "--out", str(out_path))
     assert code == 0
     payload = json.loads(out.out)
@@ -160,12 +182,51 @@ def test_build_writes_lattice(capsys, tmp_path):
 
 
 def test_con_and_cpe(capsys):
-    code, out = run(capsys, "con", "--lattice", "n5", "--report", "json",
+    code, out = run(capsys, "con", "--lattice", "n5", "--report", "json")
+    assert code == 0 and json.loads(out.out)["con_size"] == 5
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--report", "json",
                     "--verify-cpe", "atom")
     assert code == 0
     payload = json.loads(out.out)
-    assert payload["cpe_passed"] is True
-    assert payload["con_size"] == payload["con_base"] == 5
+    assert payload["cpe_passed"] is True and payload["lattice"] == "M3[N5]"
+    assert payload["con_size"] == payload["con_base"] == payload["con_extension"] == 5
+
+
+def test_tuple_commands_refuse_plain_specs(capsys):
+    """build and con --verify-cpe read a tuple lattice: a plain spec exits
+    3 with a message, and con without --verify-cpe takes it."""
+    for argv in (("build", "--lattice", "n5"), ("con", "--lattice", "n5", "--verify-cpe", "atom")):
+        code, out = run(capsys, *argv)
+        assert code == 3 and "m3[...] or m4[...], not 'n5'" in out.err and out.out == "", argv
+
+
+def test_tuple_specs_read_through_their_tables(capsys, monkeypatch, tmp_path):
+    """validate, info, rank and tensor read m3[...] and m4[...] through
+    their tables, and validate checks those; above EAGER_TABLE_CAP they
+    exit 3.  An inner file: path keeps its case."""
+    checked = []
+    validate = core.FiniteLattice.validate
+    monkeypatch.setattr(core.FiniteLattice, "validate",
+                        lambda lat: checked.append(lat.name) or validate(lat))
+    code, out = run(capsys, "validate", "--lattice", "m3[m3[c2]]", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "lattice": "M3[M3[C2]]", "size": 50, "valid": True}
+    assert checked == ["M3[M3[C2]]"]
+    code, out = run(capsys, "info", "--lattice", "m4[n5]", "--report", "json")
+    assert code == 0 and json.loads(out.out)["size"] == 61
+    # M3 (x) L is M3[L]: here L = M3[C2], and M3[M3[C2]] has 50 elements
+    code, out = run(capsys, "tensor", "--left", "m3", "--right", "m3[c2]",
+                    "--verify-m3-iso", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "left": "M3", "right": "M3[C2]", "elements": 50, "m3_bridge_passed": True}
+    for argv in (("validate", "--lattice", "m3[subspace:2,4]"),
+                 ("rank", "--lattice", "m4[subspace:3,3]")):
+        code, out = run(capsys, *argv)
+        assert code == 3 and "above the table cap 2000" in out.err, argv
+    path = tmp_path / "Pentagon.json"
+    path.write_text(core.serialize(catalog.n5()))
+    code, out = run(capsys, "build", "--lattice", f" M3[file:{path}] ", "--report", "json")
+    assert code == 0 and json.loads(out.out)["base"] == "N5"
 
 
 def fail_check(*args, **kwargs):
@@ -174,7 +235,7 @@ def fail_check(*args, **kwargs):
 
 def test_failed_cpe_check_exits_check_failed(capsys, monkeypatch):
     monkeypatch.setattr(congruence, "verify_cpe", fail_check)
-    code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom")
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--verify-cpe", "atom")
     assert code == EXIT_CHECK_FAILED == 1
     assert "forced" in out.err
 
@@ -256,7 +317,8 @@ def test_unread_options_exit_usage(capsys):
     for argv in (("validate", "--lattice", "b3", "--extended"),
                  ("validate", "--lattice", "b3", "--jobs", "2"),
                  ("validate", "--lattice", "b3", "--seed", "9"),
-                 ("m3build", "--lattice", "n5", "--cap", "-1"),
+                 ("build", "--lattice", "m3[n5]", "--cap", "-1"),
+                 ("con", "--lattice", "m3[n5]", "--of-m3"),
                  ("info", "--lattice", "n5", "--jobs", "2"),
                  ("diverge", "--oracle", "dhw", "--extended")):
         code, out = run(capsys, *argv)
@@ -284,52 +346,52 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 def test_lazy_build_reports_depth_only_with_stats(capsys, monkeypatch):
     """Above the table cap (M3[N5] has 41 elements) --stats adds the depth
     and the spanning check, which read no tables, and nothing else."""
-    code, out = run(capsys, "m3build", "--lattice", "n5", "--report", "json")
+    code, out = run(capsys, "build", "--lattice", "m3[n5]", "--report", "json")
     eager = json.loads(out.out)
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 30)
-    code, out = run(capsys, "m3build", "--lattice", "n5", "--report", "json")
+    code, out = run(capsys, "build", "--lattice", "m3[n5]", "--report", "json")
     assert code == 0 and json.loads(out.out) == {
         "base": eager["base"], "elements": eager["elements"]}
     spanned = []
     spanning_m3 = construct.spanning_m3
     monkeypatch.setattr(construct, "spanning_m3",
                         lambda k: spanned.append(len(k)) or spanning_m3(k))
-    code, out = run(capsys, "m3build", "--lattice", "n5", "--stats", "--report", "json")
+    code, out = run(capsys, "build", "--lattice", "m3[n5]", "--stats", "--report", "json")
     assert code == 0 and json.loads(out.out) == dict(eager, spanning_check="ok")
     assert spanned == [41]
 
 
 def test_lazy_build_out_exits_input_before_writing(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(construct, "EAGER_TABLE_CAP", 0)
-    for command in ("m3build", "m4build"):
-        out_path = tmp_path / f"{command}.json"
-        code, out = run(capsys, command, "--lattice", "n5", "--stats",
+    for spec in ("m3[n5]", "m4[n5]"):
+        out_path = tmp_path / f"{spec[:2]}.json"
+        code, out = run(capsys, "build", "--lattice", spec, "--stats",
                         "--out", str(out_path))
-        assert code == 3 and "table cap" in out.err and out.out == "", command
-        assert not out_path.exists(), command
+        assert code == 3 and "table cap" in out.err and out.out == "", spec
+        assert not out_path.exists(), spec
 
 
 def test_builds_past_the_key_cap_exit_input_before_allocating(capsys, monkeypatch):
-    """407^3 and 91^4 keys are above KEY_CAP = 2^26: m3build and m4build
-    exit 3 before any key map is allocated."""
+    """407^3 and 91^4 keys are above KEY_CAP = 2^26: build m3[c407] and
+    m4[c91] exit 3 before any key map is allocated."""
     refuse_allocations(monkeypatch, rank.KEY_CAP)
-    for command, spec, keys in (("m3build", "c407", "407^3"), ("m4build", "c91", "91^4")):
-        code, out = run(capsys, command, "--lattice", spec, "--stats")
-        assert code == 3 and f"{keys} keys, above the key cap 67,108,864" in out.err, command
+    for spec, keys in (("m3[c407]", "407^3"), ("m4[c91]", "91^4")):
+        code, out = run(capsys, "build", "--lattice", spec, "--stats")
+        assert code == 3 and f"{keys} keys, above the key cap 67,108,864" in out.err, spec
 
 
 def test_build_spans_no_m3_over_one_element(capsys):
-    code, out = run(capsys, "m3build", "--lattice", "c1", "--stats", "--report", "json")
+    code, out = run(capsys, "build", "--lattice", "m3[c1]", "--stats", "--report", "json")
     assert code == 0 and json.loads(out.out)["spanning_check"] == "n/a"
 
 
 def test_build_stats_close_the_join_keys_once(capsys, monkeypatch):
     tabulated = counting_step_tables(monkeypatch)
-    for command, arity in (("m3build", 3), ("m4build", 4)):
+    for spec, arity in (("m3[n5]", 3), ("m4[n5]", 4)):
         tabulated.clear()
-        code, out = run(capsys, command, "--lattice", "n5", "--stats", "--report", "json")
+        code, out = run(capsys, "build", "--lattice", spec, "--stats", "--report", "json")
         assert code == 0 and "max_closure_index" in json.loads(out.out)
-        assert [a for _, a in tabulated] == [arity], command
+        assert [a for _, a in tabulated] == [arity], spec
 
 
 def test_tensor_command_builds_once(capsys, monkeypatch):
@@ -365,7 +427,7 @@ def test_con_command_builds_m3_once(capsys, monkeypatch):
     tabulated = counting_step_tables(monkeypatch)
     monkeypatch.setattr(construct.TupleLattice, "lattice",
                         property(lambda k: tabled.append(k.name)))
-    code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "atom", "--of-m3",
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--verify-cpe", "atom",
                     "--report", "json")
     assert code == 0 and built == ["N5"] and tabled == []
     assert [a for _, a in tabulated] == [3]
@@ -397,87 +459,95 @@ CON_M3_N5 = """{
 
 
 def test_con_of_m3_output_is_pinned(capsys):
-    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "atom",
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--verify-cpe", "atom",
                     "--report", "json")
     assert code == 0 and out.out == CON_M3_N5
 
 
 def test_m3_congruences_above_the_cap_fail_fast(capsys, monkeypatch):
-    """con --of-m3 exits 3 when n^2 is above CON_SIZE_CAP, before
-    building M3[L]; above the cap with n^2 under it, it prints the
-    generators without Con M3[L]; --verify-cpe has no element cap, and
-    passes above it."""
-    def refuse(*args):
-        raise AssertionError("M3 was built")
+    """con on M3[L] prints the generators at any size and Con M3[L] only
+    under CON_SIZE_CAP; KEY_CAP, not the congruence cap, refuses M3[L],
+    before the step table is built; --verify-cpe has no element cap."""
+    # M3[Sub(2,4)] has 56,725 elements, and Sub(2,4) is simple
+    code, out = run(capsys, "con", "--lattice", "m3[subspace:2,4]", "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "lattice": "M3[Sub(2,4)]", "con_ji": 1, "con_ji_covers": []}
 
-    # Sub(2,4) has 67 elements: 67^2 > CON_SIZE_CAP, so nothing is built
+    def refuse(*args):
+        raise AssertionError("the step table was built")
+
+    # 407^3 keys are above KEY_CAP
     monkeypatch.setattr(rank, "_step_table", refuse)
-    code, out = run(capsys, "con", "--lattice", "subspace:2,4", "--of-m3")
-    assert code == 3 and "at least 4489 elements, above the congruence cap 2000" in out.err
+    code, out = run(capsys, "con", "--lattice", "m3[c407]", "--report", "json")
+    assert code == 3 and "407^3 keys, above the key cap" in out.err and out.out == ""
     monkeypatch.undo()
-    # n^2 under the cap but M3[N5] above it
+    # M3[N5] above a cap of 30
     monkeypatch.setattr(congruence, "CON_SIZE_CAP", 30)
-    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--report", "json")
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--report", "json")
     assert code == 0 and json.loads(out.out) == {
         "lattice": "M3[N5]", "con_ji": 3, "con_ji_covers": [[0, 1], [0, 2]]}
-    code, out = run(capsys, "con", "--lattice", "n5", "--verify-cpe", "diag")
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--verify-cpe", "diag")
     assert code == 0
     monkeypatch.undo()
     # M3[Sub(3,3)] has 6,817 elements; Sub(3,3) is simple
-    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--report", "json",
+    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--report", "json")
+    assert code == 0 and json.loads(out.out)["con_size"] == 2
+    code, out = run(capsys, "con", "--lattice", "m3[subspace:3,3]", "--report", "json",
                     "--verify-cpe", "atom")
     payload = json.loads(out.out)
-    assert code == 0 and payload["cpe_passed"] is True
-    assert payload["con_base"] == payload["con_extension"] == payload["con_size"] == 2
+    assert code == 0 and payload["cpe_passed"] is True and "con_size" not in payload
+    assert payload["con_base"] == payload["con_extension"] == 2
+
+
+def empty_copy_dependency(k, ji, lower):
+    return np.zeros((k.arity * len(ji),) * 2, dtype=bool)
 
 
 def test_cpe_verdict_past_the_congruence_count_cap(capsys, monkeypatch):
     """Con(C_12) has 2^11 = 2,048 elements, past CON_SIZE_CAP: con prints
-    its 11 unordered generators without Con, and con --verify-cpe adds the
-    verdict with null counts and exits by it, with or without --of-m3
-    (Con M3[C12] is Con C12: its 33 join-irreducibles give 11 generators)."""
+    its 11 unordered generators without Con, and con --verify-cpe on
+    M3[C12] adds the verdict with null counts and exits by it (Con M3[C12]
+    is Con C12: its 33 join-irreducibles give 11 generators)."""
     code, out = run(capsys, "con", "--lattice", "c12", "--report", "json")
     assert code == 0 and json.loads(out.out) == {
         "lattice": "C12", "con_ji": 11, "con_ji_covers": []}
-    for of_m3, name in (((), "C12"), (("--of-m3",), "M3[C12]")):
-        code, out = run(capsys, "con", "--lattice", "c12", "--verify-cpe", "atom",
-                        "--report", "json", *of_m3)
-        assert code == 0 and json.loads(out.out) == {
-            "cpe_passed": True, "con_base": None, "con_extension": None,
-            "lattice": name, "con_ji": 11, "con_ji_covers": []}, of_m3
+    code, out = run(capsys, "con", "--lattice", "m3[c12]", "--verify-cpe", "atom",
+                    "--report", "json")
+    assert code == 0 and json.loads(out.out) == {
+        "cpe_passed": True, "con_base": None, "con_extension": None,
+        "lattice": "M3[C12]", "con_ji": 11, "con_ji_covers": []}
     # with D on J(M3[C12]) empty, its 33 join-irreducibles are 33 classes
-    monkeypatch.setattr(congruence, "_m3_dependency",
-                        lambda k, ji, lower: np.zeros((3 * len(ji),) * 2, dtype=bool))
-    code, out = run(capsys, "con", "--lattice", "c12", "--verify-cpe", "atom",
+    monkeypatch.setattr(congruence, "_copy_dependency", empty_copy_dependency)
+    code, out = run(capsys, "con", "--lattice", "m3[c12]", "--verify-cpe", "atom",
                     "--report", "json")
     assert code == EXIT_CHECK_FAILED and json.loads(out.out) == {
         "cpe_passed": False, "con_base": None, "con_extension": None,
-        "lattice": "C12", "con_ji": 11, "con_ji_covers": []}
+        "lattice": "M3[C12]", "con_ji": 33, "con_ji_covers": []}
 
 
 def test_cpe_verdict_with_m3_above_the_congruence_cap(capsys, monkeypatch):
-    """con --of-m3 --verify-cpe on a base whose M3[L] has more than
-    CON_SIZE_CAP elements prints the verdict and the generators of Con
-    M3[L] without Con M3[L], and exits by the verdict; without
-    --verify-cpe it prints the generators.  M3[Sub(3,3)] has 6,817
+    """con --verify-cpe on an M3[L] or M4[L] with more than CON_SIZE_CAP
+    elements prints the verdict and the generators of its Con without the
+    Con, and exits by the verdict; without --verify-cpe it prints the
+    generators.  M3[Sub(3,3)] and M4[Sub(3,3)] have 6,817 and 66,748
     elements, and Sub(3,3) is simple."""
-    simple = {"lattice": "M3[Sub(3,3)]", "con_ji": 1, "con_ji_covers": []}
-    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3",
-                    "--verify-cpe", "atom", "--report", "json")
-    assert code == 0 and json.loads(out.out) == {
-        "cpe_passed": True, "con_base": 2, "con_extension": 2, **simple}
-    code, out = run(capsys, "con", "--lattice", "subspace:3,3", "--of-m3", "--report", "json")
-    assert code == 0 and json.loads(out.out) == simple
+    for spec, name in (("m3[subspace:3,3]", "M3[Sub(3,3)]"), ("m4[subspace:3,3]", "M4[Sub(3,3)]")):
+        simple = {"lattice": name, "con_ji": 1, "con_ji_covers": []}
+        code, out = run(capsys, "con", "--lattice", spec, "--verify-cpe", "diag",
+                        "--report", "json")
+        assert code == 0 and json.loads(out.out) == {
+            "cpe_passed": True, "con_base": 2, "con_extension": 2, **simple}, spec
+        code, out = run(capsys, "con", "--lattice", spec, "--report", "json")
+        assert code == 0 and json.loads(out.out) == simple, spec
     # M3[N5] has 41 elements: above a cap of 30, with both counts under it
     monkeypatch.setattr(congruence, "CON_SIZE_CAP", 30)
-    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "diag",
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--verify-cpe", "diag",
                     "--report", "json")
     assert code == 0 and json.loads(out.out) == {
         "cpe_passed": True, "con_base": 5, "con_extension": 5,
         "lattice": "M3[N5]", "con_ji": 3, "con_ji_covers": [[0, 1], [0, 2]]}
-    monkeypatch.setattr(congruence, "_m3_dependency",
-                        lambda k, ji, lower: np.zeros((3 * len(ji),) * 2, dtype=bool))
-    code, out = run(capsys, "con", "--lattice", "n5", "--of-m3", "--verify-cpe", "diag",
+    monkeypatch.setattr(congruence, "_copy_dependency", empty_copy_dependency)
+    code, out = run(capsys, "con", "--lattice", "m3[n5]", "--verify-cpe", "diag",
                     "--report", "json")
     payload = json.loads(out.out)
     assert code == EXIT_CHECK_FAILED and payload["cpe_passed"] is False
@@ -521,18 +591,24 @@ def test_fuzzed_lattice_documents_exit_ok_or_input(tmp_path, capsys, doc):
 
 spec_numbers = st.integers(min_value=-2, max_value=12).map(str) | st.integers().map(str) \
     | st.text("0123456789,-+ _\u00b2\u0663", max_size=8)
-specs = st.tuples(st.sampled_from(["c", "b", "m", "l:", "subspace:", "C", " M", "n", "x", ""]),
-                  spec_numbers).map("".join) | st.text(max_size=12)
+plain_specs = st.tuples(st.sampled_from(["c", "b", "m", "l:", "subspace:", "C", " M", "n", "x", ""]),
+                        spec_numbers).map("".join) | st.text(max_size=12)
+# m3[...] and m4[...]: nested, unbalanced, empty, and brackets on other names
+specs = st.recursive(plain_specs | st.just(""), lambda inner: st.tuples(
+    st.sampled_from(["m3[", "m4[", " M3[", "m5[", "m3", "c2["]), inner,
+    st.sampled_from(["]", "] ", "]]", "", "["])).map("".join), max_leaves=4)
 
 
 @settings(max_examples=200, deadline=None)
 @given(specs)
 def test_fuzzed_specs_raise_only_lattice_errors(spec):
-    if spec.strip().lower().startswith("file:"):
+    if "file:" in spec.lower():
         return  # a path: its OSError is an input error too (exit 3), fuzzed above
-    # a small element cap keeps each build cheap and puts its edge in reach
+    # small element and key caps keep each build cheap and put their edges in
+    # reach: m3[m3[c16]] is M3 of a 376-element lattice, 376^3 keys under KEY_CAP
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "ELEMENT_CAP", 40)
+        mp.setattr(rank, "KEY_CAP", 40 ** 3)
         try:
             catalog.by_name(spec)
         except LatticeError:
@@ -559,13 +635,14 @@ def argv(command, *parts):
 
 
 lattice_arg = small_specs.map(lambda s: ["--lattice", s])
+tuple_specs = st.tuples(st.sampled_from(["m3[", "m4["]), small_specs).map(lambda p: f"{p[0]}{p[1]}]")
+any_lattice_arg = (small_specs | tuple_specs).map(lambda s: ["--lattice", s])
 report_arg = optional("--report", reports)
 subcommand_argvs = st.one_of(
     argv("rank", lattice_arg, report_arg, optional("--cap", numbers),
          optional("--jobs", numbers)),
-    *(argv(name, lattice_arg, report_arg, switch("--stats"))
-      for name in ("m3build", "m4build")),
-    argv("con", lattice_arg, report_arg, switch("--of-m3"),
+    argv("build", any_lattice_arg, report_arg, switch("--stats")),
+    argv("con", any_lattice_arg, report_arg,
          optional("--verify-cpe", st.sampled_from(["atom", "diag", "both"]))),
     argv("tensor", small_specs.map(lambda s: ["--left", s]),
          small_specs.map(lambda s: ["--right", s]), report_arg,
@@ -576,7 +653,7 @@ subcommand_argvs = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(subcommand_argvs)
 def test_fuzzed_subcommand_arguments_exit_documented_codes(capsys, args):
-    """rank, m3build, m4build, con and tensor on small lattices, through
+    """rank, build, con and tensor on small lattices, through
     main: a documented exit code (0-3), never an exception.  Under 1 s."""
     code = main(args)
     capsys.readouterr()

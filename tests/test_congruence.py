@@ -68,8 +68,8 @@ def extend(k, theta) -> tuple:
 
 def partition_cpe(k, embeddings=("atom", "diag")):
     """Oracle for verify_cpe, the partition route it replaced: Con K of
-    K = M3[base], built with its tables, enumerated from them, and for
-    each embedding
+    K = M3[base] or M4[base], built with its tables, enumerated from them,
+    and for each embedding
     (passed, |Con base|, |Con K|), where passed says that restriction along
     the embedding maps Con K one-to-one onto Con base, and that each
     congruence of the base extends componentwise to a congruence of K that
@@ -391,11 +391,54 @@ def test_dependency_relation_matches_its_definition():
                 assert sorted(jk.tolist()) == want
                 at = np.searchsorted(want, jk)
                 lower = np.array([case.lower_covers(j)[0] for j in ji], dtype=np.intp)
-                assert np.array_equal(congruence._m3_dependency(k, ji, lower),
+                assert np.array_equal(congruence._copy_dependency(k, ji, lower),
                                       dependency_by_definition(k.lattice)[np.ix_(at, at)])
                 got = [congruence.verify_cpe(case, emb) for emb in ("atom", "diag")]
                 assert [(r.passed, r.base_con_count, r.ext_con_count) for r in got] \
                     == partition_cpe(k)
+
+
+def assert_m4_cpe_matches_partition_oracle(n):
+    """verify_cpe on M4[L], read through M4[L]'s operations at arity 4,
+    agrees with the partition oracle on M4[L]'s tables, for both
+    embeddings, on every lattice L with n elements and a renumbering of
+    each."""
+    rng = random.Random(13)
+    for lat in catalog.enumerate_lattices(n):
+        for case in (lat, shuffled(lat, rng)):
+            k = construct.m4_of(case)
+            got = [congruence.verify_cpe(case, emb, k) for emb in ("atom", "diag")]
+            assert [(r.passed, r.base_con_count, r.ext_con_count) for r in got] \
+                == partition_cpe(k), (n, case.leq.tolist())
+
+
+def test_m4_cpe_matches_partition_oracle():
+    """The 51 lattices with at most 6 elements and their renumberings, 102
+    cases: all pass, as the oracle says."""
+    for n in range(1, 7):
+        assert_m4_cpe_matches_partition_oracle(n)
+
+
+@pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
+                    reason="320 lattices and renumberings; set LATMOD_EXTENDED=1")
+def test_m4_cpe_matches_partition_oracle_at_7():
+    assert_m4_cpe_matches_partition_oracle(7)
+
+
+def test_verify_cpe_checks_m4_at_its_own_arity(monkeypatch):
+    """A given M4[L] is checked as it is: no M3[L] is built in its place.
+    A tuple lattice over another base is refused."""
+    def refuse(base):
+        raise AssertionError("M3 was built")
+
+    monkeypatch.setattr(congruence, "m3_of", refuse)
+    for base, count in ((catalog.n5(), 5), (catalog.witness7(), 5), (catalog.chain(3), 4)):
+        k = construct.m4_of(base)
+        for emb in ("atom", "diag"):
+            rep = congruence.verify_cpe(base, emb, k)
+            assert (rep.passed, rep.base_con_count, rep.ext_con_count) == (True, count, count)
+    with pytest.raises(ArgumentOutOfRange, match="not over"):
+        congruence.verify_cpe(catalog.n5(), "atom", construct.m4_of(catalog.chain(3)))
 
 
 def test_dependency_counts_do_not_wrap():
@@ -419,8 +462,8 @@ def test_dependency_memory_is_bounded(traced_peak):
     assert traced_peak(dependency_by_definition, lat)[1] > bound
 
 
-def all_copies_m3_dependency(k, ji, lower):
-    """Oracle for congruence._m3_dependency: the same marked-pair route with
+def all_copies_dependency(k, ji, lower):
+    """Oracle for congruence._copy_dependency: the same marked-pair route with
     every copy of J(base), in each coordinate, joined with every element,
     and no coordinate symmetry used."""
     n, nj = k.base.n, len(ji)
@@ -446,22 +489,22 @@ def base_generators(base):
     return ji, np.array([base.lower_covers(j)[0] for j in ji], dtype=np.intp)
 
 
-def test_m3_dependency_matches_all_copies_oracle():
+def test_copy_dependency_matches_all_copies_oracle():
     """Joining only the copies in coordinate 0 and swapping coordinates
-    gives the route that joins every copy, on M3 of every lattice with at
-    most 7 elements and on M3[Sub(2,4)] (45 copies, 56,725 elements).  Up
-    to 6 elements, and on Sub(2,4), D between copies in one coordinate is D
-    between copies in two: only ten lattices with 7 elements tell the
-    column blocks apart, and so see the swap."""
+    gives the route that joins every copy, on M3 and M4 of every lattice
+    with at most 7 elements and on M3[Sub(2,4)] (45 copies, 56,725
+    elements).  Up to 6 elements, and on Sub(2,4), D between copies in one
+    coordinate is D between copies in two: only ten lattices with 7
+    elements tell the column blocks apart, and so see the swap."""
     bases = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
-    for base in bases + [catalog.subspace_lattice(2, 4)]:
-        k = construct.m3_of(base)
-        ji, lower = base_generators(base)
-        assert np.array_equal(congruence._m3_dependency(k, ji, lower),
-                              all_copies_m3_dependency(k, ji, lower)), base.name
+    cases = [build(base) for base in bases for build in (construct.m3_of, construct.m4_of)]
+    for k in cases + [construct.m3_of(catalog.subspace_lattice(2, 4))]:
+        ji, lower = base_generators(k.base)
+        assert np.array_equal(congruence._copy_dependency(k, ji, lower),
+                              all_copies_dependency(k, ji, lower)), k.name
 
 
-def test_m3_dependency_checks_the_coordinate_symmetry():
+def test_copy_dependency_checks_the_coordinate_symmetry():
     """A closure map that breaks the coordinate symmetry in a key that no
     join of a copy in coordinate 0 reads is caught before D is formed."""
     base = catalog.n5()
@@ -475,7 +518,7 @@ def test_m3_dependency_checks_the_coordinate_symmetry():
     closed[key] = closed[-1]  # <0,1,0> closes to <1,1,1>
     k._closed = closed, index
     with pytest.raises(VerificationFailed, match="swapping coordinates 0 and 1"):
-        congruence._m3_dependency(k, ji, lower)
+        congruence._copy_dependency(k, ji, lower)
 
 
 @pytest.mark.parametrize("name, shuffle", [("n5", False), ("n5", True), ("m4", False),
@@ -559,14 +602,14 @@ def test_extension_preserves_whole_congruence_lattice(lattices):
 def with_dependency(monkeypatch, change):
     """verify_cpe with change(dep, nj) applied to the dependency relation of
     M3[base] it computes (nj is |J(base)|)."""
-    real = congruence._m3_dependency
+    real = congruence._copy_dependency
 
     def changed(k, ji, lower):
         dep = real(k, ji, lower)
         change(dep, len(ji))
         return dep
 
-    monkeypatch.setattr(congruence, "_m3_dependency", changed)
+    monkeypatch.setattr(congruence, "_copy_dependency", changed)
 
 
 def test_cpe_report_flags_tampered_pieces(monkeypatch):
@@ -664,7 +707,7 @@ def test_cpe_fails_on_a_dropped_dependency(monkeypatch):
         k = construct.m3_of(base)
         ji = np.array(core.join_irreducibles(base))
         lower = np.array([base.lower_covers(j)[0] for j in ji])
-        dep = congruence._m3_dependency(k, ji, lower)
+        dep = congruence._copy_dependency(k, ji, lower)
         want = [a.tolist() for a in congruence._classes(dep.copy())]
         for b, c in np.argwhere(dep).tolist():
             fewer = dep.copy()
@@ -693,7 +736,7 @@ def test_extension_check_survives_optimize_flag(run_optimized):
         from latmod import catalog, congruence
         from latmod.errors import VerificationFailed
         n5 = catalog.n5()
-        real_m3, real_dep = congruence.m3_of, congruence._m3_dependency
+        real_m3, real_dep = congruence.m3_of, congruence._copy_dependency
 
         def m3_of(base):
             k = real_m3(base)
@@ -715,7 +758,7 @@ def test_extension_check_survives_optimize_flag(run_optimized):
             dep[::len(ji), ::len(ji)] = False  # the copies of ji[0] fall apart
             return dep
 
-        congruence._m3_dependency = dropped
+        congruence._copy_dependency = dropped
         print("passed", congruence.verify_cpe(n5).passed)
         print("debug", __debug__)
     """
