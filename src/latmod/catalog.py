@@ -419,7 +419,11 @@ def by_name(spec: str):
             return core.parse(fh.read())
     if s[:3] in ("m3[", "m4[") and s.endswith("]"):
         from . import construct  # noqa: PLC0415
-        return (construct.m3_of if s[1] == "3" else construct.m4_of)(tables(spec.strip()[3:-1]))
+        try:
+            base = tables(spec.strip()[3:-1])
+        except ArgumentOutOfRange as exc:
+            raise ArgumentOutOfRange(f"in lattice spec {spec.strip()!r}: {exc}") from None
+        return (construct.m3_of if s[1] == "3" else construct.m4_of)(base)
     if s.startswith("l:"):
         return l_family(*_spec_ints(spec, s[len("l:"):], 1))
     if s.startswith("subspace:"):

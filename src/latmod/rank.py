@@ -16,19 +16,18 @@ n^arity tuple keys, and each key's closure index and the id of its closure
 among the fixed points are read off by gathers (`_closures`); the table is
 cached on the lattice and shared by `construct`, whose M3[L] and M4[L] take
 their elements, ids, meets and joins from it, and, up to `_TABLE_SCAN_KEYS`
-triples, by both rank scans; `KEY_CAP` bounds it.  Larger scans
-run one fixpoint loop (`_fixpoints`) through one triple generator
-(`_triples`) and one scan loop (`_scan`), whose threads take its batches
-one at a time, over sorted triples or, on larger lattices, one pair of
-each orbit of the automorphism group.  The rank is read off the antichain scan, with the
-modularity test for ranks 1 and 2; `rank_report` runs the full scan.
+triples, by both rank scans; `KEY_CAP` bounds it.  Larger scans run one
+fixpoint loop (`_fixpoints`) through one triple generator (`_triples`) and
+one scan loop (`_scan`), whose threads take its batches one at a time, over
+one triple of each orbit of S3 x G (`_orbit_scan`), G the automorphism group
+on larger lattices, else trivial.  The rank is read off the antichain scan,
+with the modularity test for ranks 1 and 2; `rank_report` runs the full scan.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -42,11 +41,10 @@ from .errors import ArgumentOutOfRange, RankExceedsCap, SizeLimitExceeded, Verif
 
 # Triples per batch of every scan.  A batch's working set is some 66 bytes a
 # triple, and each scan thread holds one, and its last while it takes the
-# next.  It also sets the route: a lattice whose sorted triples need more
-# than one batch is scanned over the orbits of its automorphism group; and
-# only a scan of more than one batch starts threads.  At 500,000 the M3[M6] full scan peaked at 33 MiB
-# against 7 MiB and ran slower (0.29-0.32 s against 0.17-0.24 s; tracemalloc,
-# 2-core Xeon).
+# next.  It also sets the orbit scan's group (`_scan_route`), and only a scan
+# of more than one batch starts threads.  At 500,000 the M3[M6] full scan
+# peaked at 33 MiB against 7 MiB and ran slower (0.29-0.32 s against
+# 0.17-0.24 s; tracemalloc, 2-core Xeon).
 _BATCH = 100_000
 
 # Keys, n^arity, of the closure table of a base lattice.  Building it takes 12
@@ -60,10 +58,10 @@ KEY_CAP = 1 << 26
 _TABLE_BLOCK = 1 << 16
 
 # The scans read the closure table when the lattice has at most this many
-# triples, n^3 (n <= 22 elements), and take the sorted or orbit route above it.
+# triples, n^3 (n <= 22 elements), and take the orbit scan above it.
 # The crossover was measured on a 2-core Xeon, medians of 41 runs, each table
 # built afresh: at n = 22 a full scan by the table took 0.38-0.40 ms against
-# 0.47-0.53 ms by the sorted route (chain(22), M_20), at n = 26 0.92-1.02 ms
+# 0.47-0.53 ms over the sorted triples (chain(22), M_20), at n = 26 0.92-1.02 ms
 # against 0.54-0.69 ms.  The antichain scan of a chain, which has no
 # antichains, is the worst case: 0.36-0.38 ms against 0.29 ms at n = 22.  A
 # table the scan builds is kept, so M3[L]'s joins do not build it again.
@@ -315,8 +313,8 @@ class ScanResult:
 
 def _merge_blocks(parts) -> ScanResult:
     """Sum the parts; the witness is the least of those at the largest index
-    (on the sorted routes the first in scan order), so the parts may come in
-    any order."""
+    (under the trivial group the first in scan order), so the parts may come
+    in any order."""
     hist: dict[int, int] = {}
     total = 0
     max_index = 0
@@ -340,8 +338,7 @@ def _scan_batch(lat, x, y, z, cap, weight=None, label=None):
     if x.size == 0:
         return ScanResult(0, {}, 0, None)
     stab = np.zeros(x.size, dtype=np.int32)
-    for k, (done, _, _) in enumerate(
-            _fixpoints(lat, [x, y, z], cap)):
+    for k, (done, _, _) in enumerate(_fixpoints(lat, [x, y, z], cap)):
         stab[done] = k
     if weight is None:
         counts = np.bincount(stab)
@@ -357,15 +354,6 @@ def _scan_batch(lat, x, y, z, cap, weight=None, label=None):
         i = int(np.argmin(keys))
         witness = Triple(int(keys[i]), int(y[at[i]]), int(z[at[i]]))
     return ScanResult(int(counts.sum()), hist, bmax, witness)
-
-
-# orbit sizes under coordinate permutations, by the number of equalities
-# x == y, y == z of a sorted triple
-_ORBIT_SIZE = np.array([6.0, 3.0, 1.0])
-
-
-def _orbit_sizes(x, y, z):
-    return _ORBIT_SIZE[(x == y).astype(np.intp) + (y == z)]
 
 
 def _triples(py: np.ndarray, pz: np.ndarray, starts: np.ndarray, lo: int, hi: int,
@@ -401,8 +389,8 @@ def _triples(py: np.ndarray, pz: np.ndarray, starts: np.ndarray, lo: int, hi: in
 
 
 def _scan(lat: FiniteLattice, cap: Optional[int], jobs: int, py: np.ndarray, pz: np.ndarray,
-          starts: np.ndarray, keep: Optional[np.ndarray] = None, weight=None,
-          label: Optional[np.ndarray] = None) -> ScanResult:
+          starts: np.ndarray, keep: Optional[np.ndarray], weight,
+          label: Optional[np.ndarray]) -> ScanResult:
     """Scan `_triples(py, pz, starts, 0, lat.n, _BATCH, keep)`, triple
     (x, y, z) counted weight(x, y, z) times (once without `weight`), with
     witnesses by `label` (see `_scan_batch`).  With jobs > 1 and more than
@@ -440,35 +428,11 @@ def _scan(lat: FiniteLattice, cap: Optional[int], jobs: int, py: np.ndarray, pz:
         return _merge_blocks(pool.map(scan, [take() for _ in range(threads)]))
 
 
-# -- the sorted routes ----------------------------------------------------
-
-def _sorted_pairs(lat: FiniteLattice, antichains: bool):
-    """The pairs of the sorted route, int32 and row-major, their per-x start
-    offsets (the first pair with y >= x) and mask: all y <= z, or the y < z
-    of the strictly upper incomparability matrix U, which is the mask."""
-    if antichains:
-        keep = np.triu(~lat.leq & ~lat.leq.T, k=1)
-        py, pz = (a.astype(np.int32) for a in np.nonzero(keep))
-    else:
-        keep = None
-        py, pz = (a.astype(np.int32) for a in np.triu_indices(lat.n))
-    return py, pz, np.searchsorted(py, np.arange(lat.n)), keep
-
-
-def _sorted_scan(lat: FiniteLattice, cap: Optional[int], jobs: int, antichains: bool) -> ScanResult:
-    """The full scan over sorted triples x <= y <= z, each weighted by its
-    orbit size under coordinate permutations, or the scan of the antichains
-    x < y < z; the production route between the table route and the orbit
-    route, and the test oracle of both."""
-    py, pz, starts, keep = _sorted_pairs(lat, antichains)
-    return _scan(lat, cap, jobs, py, pz, starts, keep=keep,
-                 weight=None if antichains else _orbit_sizes)
-
-
-# -- the orbit route ------------------------------------------------------
+# -- the orbit scan -------------------------------------------------------
 #
-# The step map commutes with every automorphism of L, so triples in one
-# orbit of Aut(L) stabilize at the same index.  Orbits come from the
+# The step map commutes with permuting the coordinates and with every
+# automorphism of L, so the triples in one orbit of S3 x G, for a group G of
+# automorphisms, stabilize at the same index.  Orbits come from the
 # generators by min-label propagation (A. Seress, Permutation Group
 # Algorithms, CUP 2003, for orbits from generators).
 
@@ -487,68 +451,97 @@ def _orbit_minima(perms: list, size: int) -> np.ndarray:
             return label
 
 
-def _pair_index(n: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Position of the pair (min, max) of y and z in the row-major order of
-    the pairs a <= b of range(n); exact in int32 while n^2 < 2^31."""
-    a, b = np.minimum(y, z), np.maximum(y, z)
-    return a * n - a * (a - 1) // 2 + (b - a)
+def _orbit_pairs(lat: FiniteLattice, gens: np.ndarray, label: Optional[np.ndarray],
+                 keep: Optional[np.ndarray]):
+    """The least pair (y, z), y <= z, of each orbit of pairs (for antichains,
+    of those that `keep` holds) under the group of the generators, sorted
+    stably by their least label; each orbit's size; and each x's start, the
+    first pair whose labels are both >= label[x].  With label None, the
+    trivial group's, the pairs are all in row-major order and sorted so."""
+    n = lat.n
+    py, pz = (a.astype(np.int32) for a in
+              (np.triu_indices(n) if keep is None else np.nonzero(np.triu(keep))))
+    if label is None:
+        return py, pz, None, np.searchsorted(py, np.arange(n))
+    at = np.empty(n * n, dtype=np.int32)  # pair key y * n + z -> its position
+    at[py * n + pz] = np.arange(py.size, dtype=np.int32)
+    pair = _orbit_minima([at.take(np.minimum(a, b) * n + np.maximum(a, b))
+                          for a, b in ((g.take(py), g.take(pz)) for g in gens)], py.size)
+    reps = np.flatnonzero(pair == np.arange(py.size))
+    key = np.minimum(label.take(py[reps]), label.take(pz[reps]))
+    order = np.argsort(key, kind="stable")
+    reps = reps[order]
+    return py[reps], pz[reps], np.bincount(pair)[reps], np.searchsorted(key[order], label)
 
 
-def _pair_orbits(n: int, gens: np.ndarray):
-    """The least pair (y, z), y <= z, of each orbit of pairs under the
-    generated group, and the orbit's size."""
-    py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
-    label = _orbit_minima([_pair_index(n, g.take(py), g.take(pz)) for g in gens], py.size)
-    reps = np.flatnonzero(label == np.arange(py.size))
-    return py[reps], pz[reps], np.bincount(label)[reps]
+# 6 * (1 + [y != z]) / k by 3 * [y != z] + k - 1, k the entries of a scanned
+# (x, y, z) that carry x's label: twice the triples it stands for, per pair
+_WEIGHT = np.array([6.0, 3.0, 2.0, 12.0, 6.0, 4.0])
 
 
-def _orbit_scan(lat: FiniteLattice, cap: Optional[int], jobs: int, antichains: bool) -> ScanResult:
-    """The scan over one representative {y, z}, y <= z, of each orbit of
-    pairs under Aut(L), with x over all of L.
+def _orbit_weight(n: int, label: Optional[np.ndarray], py: np.ndarray, pz: np.ndarray, size):
+    """The weight of each triple of a batch: _WEIGHT's times its pair's
+    orbit size; label None stands for the ids, size None for orbits of one
+    pair each."""
+    if size is not None:
+        table = np.zeros(n * n)
+        table[py * n + pz] = size
 
-    Full scan: each representative counts its orbit's ordered pairs, so the
-    n * (that count) triples it stands for total n^3.  Antichain scan: the
-    representatives are the incomparable pairs y < z, each counting its
-    orbit size, with x incomparable to both; every antichain is then
-    counted once for each of its three pairs, and the histogram is divided
-    by 3.  The witness is the first triple at the largest index m in the
-    sorted row of x*, the least element of an orbit that meets an entry of
-    a triple at m: the lexicographically first triple at m has x* as its
-    least entry.  Each such entry e is in the orbit of the x of a scanned
-    triple at m (swap e to the front, then map the other two entries to
-    their pair's representative), so x* is the least orbit minimum of the
-    x of a scanned triple at m.
+    def weight(x, y, z):
+        lx, ly, lz = (x, y, z) if label is None else (label.take(c) for c in (x, y, z))
+        code = (y != z) * np.uint8(3)
+        code += ly == lx
+        code += lz == lx
+        w = _WEIGHT.take(code)
+        return w if size is None else w * table.take(y * np.intp(n) + z)
+
+    return weight
+
+
+def _orbit_scan(lat: FiniteLattice, cap: Optional[int], jobs: int,
+                keep: Optional[np.ndarray], gens: np.ndarray) -> ScanResult:
+    """The scan over one triple of each orbit of S3 x G, G the group the
+    automorphisms `gens` generate (trivial when there are none): the full
+    scan, or, given the incomparability matrix `keep`, the antichain scan.
+
+    A label is an element's orbit minimum under G (None under the trivial
+    group: the ids).  x runs over the elements whose label is at most both
+    of its pair's (`_orbit_pairs`).  Each triple is reached by moving an
+    entry of least label to the front and mapping the other two to their
+    pair's representative, k ways if k entries carry that label; so
+    (x, y, z) stands for 3 / k times the ordered pairs in its pair's orbit
+    of the n^3 triples, and an antichain for 6 of them.  These weights,
+    doubled (`_orbit_weight`), must sum to multiples of 2 and 12
+    (VerificationFailed).  Under the trivial group the scan steps the sorted
+    triples x <= y <= z, weighted by their orbits under permuting the
+    coordinates, or the antichains x < y < z, once each.
+
+    The witness is the lexicographically first triple at the largest index
+    m: under the trivial group the first scanned.  Else let x* be the least
+    label of an x scanned at m.  The least-label entry of a triple at m is
+    in the orbit of such an x, so every entry of it is >= x*, and x* is an
+    entry of an image of a scanned triple at m; so the first triple at m is
+    in the sorted row of x*, which is scanned again.
     """
     n = lat.n
-    gens = lat.automorphisms().generators
-    ry, rz, weight = _pair_orbits(n, gens)
-    if antichains:
-        keep = ~lat.leq & ~lat.leq.T
-        incomparable = keep[ry, rz]
-        ry, rz, weight = ry[incomparable], rz[incomparable], weight[incomparable]
-    else:
-        keep = None
-        weight = weight * np.where(ry == rz, 1, 2)
-    table = np.zeros(n * n)
-    table[ry * n + rz] = weight
-    label = _orbit_minima(list(gens), n)
-    res = _scan(lat, cap, jobs, ry, rz, np.zeros(n, dtype=np.intp), keep=keep,
-                weight=lambda x, y, z: table.take(y * n + z), label=label)
-    hist, count = res.histogram, res.triple_count
-    if antichains:
-        if count % 3 or any(c % 3 for c in hist.values()):
-            raise VerificationFailed("antichain orbit counts are not multiples of 3")
-        hist, count = {i: c // 3 for i, c in hist.items()}, count // 3
-    witness = None
-    if res.witness is not None:
-        py, pz, starts, keep = _sorted_pairs(lat, antichains)
+    label = _orbit_minima(list(gens), n) if gens.size else None
+    py, pz, size, starts = _orbit_pairs(lat, gens, label, keep)
+    if label is None and keep is not None:  # the trivial group's antichains count once each
+        return _scan(lat, cap, jobs, py, pz, starts, keep, None, None)
+    scale = 2 if keep is None else 12
+    res = _scan(lat, cap, jobs, py, pz, starts, keep, _orbit_weight(n, label, py, pz, size), label)
+    if any(c % scale for c in res.histogram.values()):
+        raise VerificationFailed(f"orbit-weighted counts are not multiples of {scale}")
+    witness = res.witness
+    if witness is not None and label is not None:
+        py, pz, _, starts = _orbit_pairs(lat, gens, None, keep)
         row = _merge_blocks(_scan_batch(lat, x, y, z, cap) for x, y, z in _triples(
-            py, pz, starts, res.witness.x, res.witness.x + 1, _BATCH, keep))
+            py, pz, starts, witness.x, witness.x + 1, _BATCH, keep))
         if row.max_index != res.max_index:
-            raise VerificationFailed(f"no triple at index {res.max_index} in row {res.witness.x}")
+            raise VerificationFailed(f"no triple at index {res.max_index} in row {witness.x}")
         witness = row.witness
-    return ScanResult(count, hist, res.max_index, witness)
+    hist = {i: c // scale for i, c in res.histogram.items()}
+    return ScanResult(res.triple_count // scale, hist, res.max_index, witness)
 
 
 # -- the table route ------------------------------------------------------
@@ -581,21 +574,24 @@ def _table_scan(lat: FiniteLattice, cap: Optional[int], antichains: bool) -> Sca
 
 def _scan_route(lat: FiniteLattice, cap: Optional[int], jobs: int,
                 antichains: bool) -> ScanResult:
-    """The table route up to _TABLE_SCAN_KEYS triples; above it the orbit
-    route when the sorted triples need more than one batch and Aut(L) has
-    more than 3 elements, else the sorted route: a group of order g leaves
-    at least n(n+1)/2g pair orbits, and x runs over all of L, so for g <= 3
-    the orbit route would iterate about as many triples as the sorted
-    route's n(n+1)(n+2)/6, or more."""
+    """The table scan up to _TABLE_SCAN_KEYS triples; above it the orbit
+    scan, under Aut(L) when the scan's sorted triples need more than one
+    batch, else under the trivial group, computing no automorphisms: the
+    pairs y <= z times (n + 2) / 3 count the triples x <= y <= z, and the
+    incomparable pairs times that bound the antichains x < y < z."""
     if jobs < 1:
         raise ArgumentOutOfRange(f"jobs must be >= 1, got {jobs}")
     cap = None if cap is None else _cap(lat, cap)
     n = lat.n
     if n ** 3 <= _TABLE_SCAN_KEYS:
         return _table_scan(lat, cap, antichains)
-    if n * (n + 1) * (n + 2) // 6 > _BATCH and math.prod(lat.automorphisms().base_orbits) > 3:
-        return _orbit_scan(lat, cap, jobs, antichains)
-    return _sorted_scan(lat, cap, jobs, antichains)
+    keep = ~lat.leq & ~lat.leq.T if antichains else None
+    pairs = n * (n + 1) // 2 if keep is None else np.count_nonzero(keep) // 2
+    if pairs * (n + 2) // 3 > _BATCH:
+        gens = lat.automorphisms().generators
+    else:
+        gens = np.empty((0, n), dtype=np.int32)
+    return _orbit_scan(lat, cap, jobs, keep, gens)
 
 
 def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None,
@@ -603,13 +599,13 @@ def full_triple_scan(lat: FiniteLattice, cap: Optional[int] = None,
     """Stabilization indices of all |L|^3 triples.
 
     On small lattices they are read off the closure table (`_table_scan`).
-    On larger ones, as the step map commutes with permuting coordinates, a
-    triple's index is that of its sorted permutation: only x <= y <= z are
-    iterated, each counted with its orbit size, or on large lattices one
-    pair of each orbit of Aut(L) (`_orbit_scan`).  A triple at the maximum
-    index has its sorted permutation there too, and that one is
-    lexicographically no later, so the first hit among sorted triples is
-    the first of all.
+    On larger ones, as the step map commutes with permuting coordinates and
+    with automorphisms, one triple of each orbit of S3 x G is iterated and
+    counted with its orbit's size (`_orbit_scan`): G is Aut(L) on large
+    lattices, else trivial, when the triples iterated are the sorted
+    x <= y <= z.  A triple at the maximum index has its sorted permutation
+    there too, and that one is lexicographically no later, so the witness
+    is a sorted triple.
     """
     return _scan_route(lat, cap, jobs, antichains=False)
 
@@ -618,10 +614,9 @@ def antichain_rank_scan(lat: FiniteLattice, cap: Optional[int] = None,
                         jobs: int = 1) -> ScanResult:
     """Scan every 3-element antichain {x,y,z} (as x<y<z) and record its
     stabilization index: on small lattices read off the closure table
-    (`_table_scan`); on larger ones, with U the strictly upper
-    incomparability matrix, the pairs y < z of U that U[x, y] & U[x, z]
-    keeps, or on large lattices one incomparable pair of each orbit of
-    Aut(L) (`_orbit_scan`)."""
+    (`_table_scan`); on larger ones one antichain of each orbit of S3 x G
+    (`_orbit_scan`), G as in `full_triple_scan`, which under the trivial
+    group are the x < y < z themselves."""
     return _scan_route(lat, cap, jobs, antichains=True)
 
 

@@ -147,3 +147,35 @@ def interval(lat, a, b):
     induced order (an interval is a sublattice)."""
     keep = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
     return core.lattice_from_leq(lat.leq[np.ix_(keep, keep)])
+
+
+# -- oracle: the sorted scan -------------------------------------------------
+
+# orbit sizes under coordinate permutations, by the number of equalities
+# x == y, y == z of a sorted triple
+_ORBIT_SIZE = np.array([6.0, 3.0, 1.0])
+
+
+def orbit_sizes(x, y, z):
+    """Oracle helper: the orbit size of each sorted triple x <= y <= z under
+    permuting its coordinates."""
+    return _ORBIT_SIZE[(x == y).astype(np.intp) + (y == z)]
+
+
+def sorted_scan(lat, cap=None, jobs=1, antichains=False):
+    """Oracle for rank's orbit scan (`rank._orbit_scan`): the full scan over
+    the sorted triples x <= y <= z, each weighted by its orbit size under
+    coordinate permutations, or the scan of the antichains x < y < z, with
+    the pairs of each x written out directly, through rank's triple
+    generator and scan loop.  `cap` defaults to 3 * height + 1.  Itself
+    checked against the scan of all n^3 ordered triples."""
+    if antichains:
+        keep = np.triu(~lat.leq & ~lat.leq.T, k=1)
+        py, pz = (a.astype(np.int32) for a in np.nonzero(keep))
+        weight = None
+    else:
+        keep = None
+        py, pz = (a.astype(np.int32) for a in np.triu_indices(lat.n))
+        weight = orbit_sizes
+    starts = np.searchsorted(py, np.arange(lat.n))
+    return rank._scan(lat, rank._cap(lat, cap), jobs, py, pz, starts, keep, weight, None)

@@ -229,6 +229,17 @@ def test_tuple_specs_read_through_their_tables(capsys, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out.out)["base"] == "N5"
 
 
+def test_inner_spec_errors_name_the_whole_spec(capsys):
+    """An error in the spec inside m3[...] or m4[...] names the spec as
+    given, each enclosing one included, and exits 3."""
+    for spec, inner in (("m3[]", "''"), ("m3[n5]]", "'n5]'"), ("m4[m3[x]]", "'x'")):
+        code, out = run(capsys, "validate", "--lattice", spec)
+        assert code == 3 and out.out == "", spec
+        assert f"in lattice spec {spec!r}: " in out.err, spec
+        assert f"unknown lattice spec: {inner}" in out.err, spec
+    assert "in lattice spec 'm3[x]': unknown" in out.err
+
+
 def fail_check(*args, **kwargs):
     raise VerificationFailed("forced")
 

@@ -27,11 +27,12 @@ def _used_names(nodes, kinds=(ast.Name, ast.Attribute)) -> collections.Counter:
         for n in nodes if isinstance(n, kinds) and isinstance(n.ctx, ast.Load))
 
 
-def uncalled_public_names(root: pathlib.Path) -> list[str]:
-    """file:name of every public module-level function and class, and
-    file:Class.name of every public method and property of a public class,
-    in the .py files under root, whose name is read nowhere under root
-    outside its own definition (for a method: outside its class).
+def uncalled_names(root: pathlib.Path) -> list[str]:
+    """file:name of every module-level function, public or private (but not
+    a dunder), and every public class, and file:Class.name of every public
+    method and property of a public class, in the .py files under root,
+    whose name is read nowhere under root outside its own definition (for a
+    method: outside its class).
 
     A function or class counts as used when its name is read bare or as an
     attribute; a method or property only when read as an attribute, since
@@ -49,7 +50,8 @@ def uncalled_public_names(root: pathlib.Path) -> list[str]:
     for path, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+                    or node.name.startswith("__") \
+                    or (node.name.startswith("_") and isinstance(node, ast.ClassDef)):
                 continue
             inside = list(ast.walk(node))
             if used[node.name] == _used_names(inside)[node.name]:
@@ -107,15 +109,18 @@ def test_guard_finds_matrix_products(tmp_path):
 
 
 def test_every_public_function_has_a_library_caller():
-    # code that only tests call belongs in the tests; methods count too
-    assert sorted(uncalled_public_names(PACKAGE)) == sorted(UNCALLED_ALLOWED)
+    # code that only tests call belongs in the tests; methods and private
+    # module-level functions count too, so a test oracle stays out of src
+    assert sorted(uncalled_names(PACKAGE)) == sorted(UNCALLED_ALLOWED)
 
 
 def test_guard_finds_uncalled_public_names(tmp_path):
     (tmp_path / "a.py").write_text(
-        "def used():\n    pass\n\n\n"
+        "def used():\n    return _called()\n\n\n"
         "def unused():\n    return unused()  # a call from inside does not count\n\n\n"
-        "def _private():\n    pass\n\n\n"
+        "def _called():\n    pass\n\n\n"
+        "def _private():\n    return _private()\n\n\n"
+        "def __getattr__(name):\n    pass\n\n\n"
         "class Shape:\n"
         "    def __init__(self):\n"
         "        self.sides = self.count()  # a use inside the class does not count\n\n"
@@ -125,7 +130,8 @@ def test_guard_finds_uncalled_public_names(tmp_path):
         "class _Hidden:\n    def method(self):\n        pass\n")
     (tmp_path / "b.py").write_text(
         "from . import a\n\n\ndef main():\n    return a.used(), a.Shape().area\n")
-    assert uncalled_public_names(tmp_path) == ["a.py:unused", "a.py:Shape.count", "b.py:main"]
+    assert uncalled_names(tmp_path) == ["a.py:unused", "a.py:_private", "a.py:Shape.count",
+                                        "b.py:main"]
 
 
 def test_guard_counts_only_attribute_reads_for_methods(tmp_path):
@@ -141,4 +147,4 @@ def test_guard_counts_only_attribute_reads_for_methods(tmp_path):
         "    p.size = 3\n"
         "    return same\n")
     (tmp_path / "b.py").write_text("from .a import main\n\nmain()\n")
-    assert uncalled_public_names(tmp_path) == ["a.py:Partition.same", "a.py:Partition.size"]
+    assert uncalled_names(tmp_path) == ["a.py:Partition.same", "a.py:Partition.size"]

@@ -15,6 +15,8 @@ from conftest import (
     interval,
     is_balanced3,
     is_balanced4,
+    orbit_sizes,
+    sorted_scan,
 )
 from latmod import catalog, construct, core, rank, symbolic
 from latmod.errors import ArgumentOutOfRange, RankExceedsCap
@@ -247,18 +249,23 @@ SCANS = (rank.full_triple_scan, rank.antichain_rank_scan)
 
 
 def sorted_route(antichains):
-    """rank's sorted route as a scan, whichever route the lattice's size picks."""
-    return lambda lat, cap=None, jobs=1: rank._sorted_scan(lat, rank._cap(lat, cap), jobs,
-                                                          antichains)
+    """The sorted-scan oracle (conftest.sorted_scan) as a scan."""
+    return lambda lat, cap=None, jobs=1: sorted_scan(lat, cap, jobs, antichains)
 
 
-def orbit_route(antichains):
-    """rank's orbit route as a scan, whichever route the lattice's size picks."""
-    return lambda lat, cap=None, jobs=1: rank._orbit_scan(lat, rank._cap(lat, cap), jobs,
-                                                         antichains)
+def orbit_route(antichains, aut=True):
+    """rank's orbit scan as a scan, whichever route the lattice's size
+    picks, under Aut(L) or, with aut=False, with no generators."""
+    def scan(lat, cap=None, jobs=1):
+        gens = lat.automorphisms().generators if aut else np.empty((0, lat.n), dtype=np.int32)
+        keep = ~lat.leq & ~lat.leq.T if antichains else None
+        return rank._orbit_scan(lat, rank._cap(lat, cap), jobs, keep, gens)
+    return scan
 
 
 SORTED = (sorted_route(False), sorted_route(True))
+# the orbit scan under the trivial group, which steps the sorted triples
+TRIVIAL = (orbit_route(False, aut=False), orbit_route(True, aut=False))
 
 
 def test_scan_jobs_deterministic():
@@ -269,10 +276,11 @@ def test_scan_jobs_deterministic():
 
 
 def test_scan_batch_queue_gives_the_same_result_at_every_job_count(monkeypatch):
-    """Both scans on both routes, their batches taken by two or three
-    threads, against one job: the merge does not depend on which thread
-    scans which batch, and with threads switched often no batch is lost or
-    taken twice (the triple counts would differ)."""
+    """Both orbit scans under Aut(L) and under the trivial group, their
+    batches taken by two or three threads, against one job: the merge does
+    not depend on which thread scans which batch, and with threads switched
+    often no batch is lost or taken twice (the triple counts would
+    differ)."""
     seen = record_pools(monkeypatch)
     monkeypatch.setattr(rank.os, "cpu_count", lambda: 3)
     m3m4 = construct.m3_of(catalog.m_k(4)).lattice
@@ -282,9 +290,9 @@ def test_scan_batch_queue_gives_the_same_result_at_every_job_count(monkeypatch):
         for lat, batch in ((catalog.n5(), 7), (catalog.witness7(), 7), (m3m4, 1_000),
                            (relabeled(m3m4, random.Random(3)), 1_000)):
             monkeypatch.setattr(rank, "_BATCH", batch)
-            for route in (sorted_route, orbit_route):
+            for aut in (True, False):
                 for antichains in (False, True):
-                    scan = route(antichains)
+                    scan = orbit_route(antichains, aut)
                     one = scan(lat, jobs=1)
                     assert scan(lat, jobs=2) == one and scan(lat, jobs=3) == one
     finally:
@@ -317,7 +325,7 @@ def test_scan_lists_no_batch_far_ahead_of_the_threads(monkeypatch):
     monkeypatch.setattr(rank, "_triples", listing)
     monkeypatch.setattr(rank, "_scan_batch", scanning)
     lat = construct.m3_of(catalog.m_k(4)).lattice
-    for scan in SORTED:
+    for scan in TRIVIAL:
         for jobs, most in ((1, 0), (2, 2)):
             listed[0] = 0
             leads.clear()
@@ -328,7 +336,7 @@ def test_scan_lists_no_batch_far_ahead_of_the_threads(monkeypatch):
 # -- oracle: the per-x submatrix antichain enumerator ---------------------
 
 def row_starts(py, n):
-    """The sorted route's start offsets: x's pairs are those with y >= x."""
+    """The sorted triples' start offsets: x's pairs are those with y >= x."""
     return np.searchsorted(py, np.arange(n))
 
 
@@ -390,7 +398,7 @@ def test_pair_list_batches_match_submatrix_oracle_on_m3(monkeypatch):
         lat = construct.m3_of(catalog.m_k(k)).lattice
         for case in (lat, relabeled(lat, rng), relabeled(lat, rng)):
             assert assert_same_batches(case) >= 1
-            for x in rng.sample(range(case.n), 3):  # rows, as the orbit route's witness takes
+            for x in rng.sample(range(case.n), 3):  # rows, as the orbit scan's witness takes
                 assert_same_batches(case, x, x + 1)
     monkeypatch.setattr(rank, "_BATCH", 5_000)
     lat = construct.m3_of(catalog.m_k(6)).lattice
@@ -589,10 +597,11 @@ def relabeled(lat, rng):
 
 
 def assert_same_scan(lat):
-    """The full scan, and its sorted route whichever route the size picks,
+    """The full scan, the sorted-scan oracle and the full orbit scan under
+    the trivial group and under Aut(L), whichever route the size picks,
     against the ordered oracle."""
     want = ordered_triple_scan(lat)
-    for scan in (rank.full_triple_scan, SORTED[0]):
+    for scan in (rank.full_triple_scan, SORTED[0], TRIVIAL[0], orbit_route(False)):
         for jobs in (1, 2):
             got = scan(lat, jobs=jobs)
             assert got == want
@@ -628,17 +637,40 @@ def test_sorted_scan_blocks_split_rows(monkeypatch, lattices):
     assert rank.full_triple_scan(lattices["C4"]).witness == (0, 1, 1)
 
 
-def test_sorted_blocks_enumerate_sorted_triples():
-    n = 6
-    py, pz = (a.astype(np.int32) for a in np.triu_indices(n))
-    blocks = list(rank._triples(py, pz, row_starts(py, n), 0, n, 11))
-    assert all(b[0].size == 11 for b in blocks[:-1]) and 1 <= blocks[-1][0].size <= 11
-    x, y, z = (np.concatenate(c) for c in zip(*blocks))
-    w = rank._orbit_sizes(x, y, z)
-    want = list(itertools.combinations_with_replacement(range(n), 3))
-    assert list(zip(x.tolist(), y.tolist(), z.tolist())) == want
+def trivial_scan_batches(monkeypatch, lat, antichains):
+    """The batches and weights the orbit scan with no generators hands
+    rank._scan_batch, at _BATCH = 11, as concatenated columns."""
+    monkeypatch.setattr(rank, "_BATCH", 11)
+    batches, scan_batch = [], rank._scan_batch
+
+    def recording(lat, x, y, z, cap, weight=None, label=None):
+        batches.append((x, y, z, weight))
+        return scan_batch(lat, x, y, z, cap, weight, label)
+
+    monkeypatch.setattr(rank, "_scan_batch", recording)
+    TRIVIAL[antichains](lat)
+    assert all(b[0].size == 11 for b in batches[:-1]) and 1 <= batches[-1][0].size <= 11
+    x, y, z = (np.concatenate(c) for c in list(zip(*batches))[:3])
+    weights = [b[3] for b in batches]
+    return list(zip(x.tolist(), y.tolist(), z.tolist())), \
+        None if weights[0] is None else np.concatenate(weights)
+
+
+def test_sorted_blocks_enumerate_sorted_triples(monkeypatch):
+    """With no generators, the orbit scan's pairs and starts give exactly
+    the sorted triples, in lexicographic order and in batches of _BATCH,
+    weighted twice their orbit sizes under permuting coordinates (which sum
+    to n^3); and exactly the antichains x < y < z, each counted once."""
+    lat = catalog.m_k(4)
+    got, w = trivial_scan_batches(monkeypatch, lat, False)
+    want = list(itertools.combinations_with_replacement(range(lat.n), 3))
+    assert got == want
     orbit = [len(set(itertools.permutations(t))) for t in want]
-    assert w.tolist() == orbit and sum(orbit) == n ** 3
+    assert (w / 2).tolist() == orbit and sum(orbit) == lat.n ** 3
+    assert np.array_equal(orbit_sizes(*(np.array(c) for c in zip(*want))), orbit)
+    for lat in (catalog.m_k(7), relabeled(catalog.m_k(7), random.Random(5))):
+        got, w = trivial_scan_batches(monkeypatch, lat, True)
+        assert got == antichains3(lat) and len(got) == 35 and w is None
 
 
 def test_flat_kernel_matches_gathers():
@@ -682,8 +714,8 @@ def test_antichain_scan_caps_threads_at_cores(monkeypatch):
 
 
 def test_scan_of_one_batch_starts_no_pool(monkeypatch):
-    # M3[M4] takes the orbit route, which scans 8,184 triples for the full
-    # scan and 4,022 for the antichain scan
+    # M3[M4] takes the orbit scan under Aut(L), which steps 3,542 triples for
+    # the full scan and 1,994 for the antichain scan, and the witness's row
     lat = construct.m3_of(catalog.m_k(4)).lattice
     seen = record_pools(monkeypatch)
     for scan in SCANS:
@@ -691,15 +723,19 @@ def test_scan_of_one_batch_starts_no_pool(monkeypatch):
     assert seen == []
 
 
-# -- the orbit route against the sorted routes ----------------------------
+# -- the orbit scan against the sorted-scan oracle ------------------------
 
 def assert_orbit_route_matches(lat):
-    """The orbit route's whole ScanResult, witness included, equals the
-    sorted route's, for both scans and at every job count."""
+    """The orbit scan's whole ScanResult, witness included, under Aut(L)
+    and with no generators, and the public scan's, whichever route it
+    takes, equal the sorted-scan oracle's, for both scans at one and two
+    jobs."""
     for antichains in (False, True):
         want = SORTED[antichains](lat)
-        for jobs in (1, 2, 3):
-            assert orbit_route(antichains)(lat, jobs=jobs) == want
+        for scan in (orbit_route(antichains, True), orbit_route(antichains, False),
+                     SCANS[antichains]):
+            for jobs in (1, 2):
+                assert scan(lat, jobs=jobs) == want
 
 
 def test_orbit_route_matches_sorted_routes_on_small_lattices():
@@ -710,14 +746,34 @@ def test_orbit_route_matches_sorted_routes_on_small_lattices():
 
 
 def test_orbit_route_matches_sorted_routes_on_relabeled_m3():
+    """Relabelled inputs, whose ids follow no linear extension of the
+    order, and the ladder l:16, whose group has order 2."""
     rng = random.Random(19)
     for lat in [catalog.witness7()] + [construct.m3_of(catalog.m_k(k)).lattice
                                        for k in (4, 5, 6, 7)]:
         assert_orbit_route_matches(relabeled(lat, rng))
+    assert_orbit_route_matches(catalog.l_family(16))
+
+
+PRODUCT_FACTORS = (catalog.chain(2), catalog.chain(3), catalog.c2sq(), catalog.m_k(3),
+                   catalog.n5(), catalog.boolean(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.builds(catalog.random_c1c4, st.integers(0, 10_000)),
+                 st.builds(core.direct_product, st.sampled_from(PRODUCT_FACTORS),
+                           st.sampled_from(PRODUCT_FACTORS))),
+       st.randoms(use_true_random=False), st.integers(20, 400))
+def test_orbit_route_matches_sorted_routes_on_relabeled_grids_and_products(lat, rng, batch):
+    """Relabelled random (C1)-(C4) grids and direct products, which have
+    nontrivial groups, in batches small enough to split rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rank, "_BATCH", batch)
+        assert_orbit_route_matches(relabeled(lat, rng))
 
 
 def test_merge_takes_the_least_witness_at_the_largest_index():
-    # the orbit route's batches carry their least orbit minimum as witness x,
+    # the orbit scan's batches carry their least orbit minimum as witness x,
     # and a later part may hold the least
     parts = [rank.ScanResult(1, {2: 1}, 2, Triple(3, 4, 5)),
              rank.ScanResult(1, {2: 1}, 2, Triple(1, 6, 7)),
@@ -726,15 +782,19 @@ def test_merge_takes_the_least_witness_at_the_largest_index():
 
 
 def test_route_follows_batch_size_and_group_order(monkeypatch):
-    """The table route runs up to _TABLE_SCAN_KEYS triples; above it the
-    orbit route runs when the sorted triples need more than one batch and
-    Aut(L) has more than 3 elements, else the sorted route."""
+    """The table scan runs up to _TABLE_SCAN_KEYS triples; above it the
+    orbit scan, under Aut(L) when the scan's sorted triples need more than
+    one batch, whatever the group's order, else with no generators.  The
+    antichain scan bounds its sorted triples by the incomparable pairs."""
     routes = []
-    for name in ("_orbit_scan", "_sorted_scan"):
-        def recording(lat, cap, jobs, antichains, name=name, route=getattr(rank, name)):
-            routes.append(name)
-            return route(lat, cap, jobs, antichains)
-        monkeypatch.setattr(rank, name, recording)
+    orbit_scan = rank._orbit_scan
+
+    def recording(lat, cap, jobs, keep, gens):
+        aut = lat._automorphisms is not None and gens is lat.automorphisms().generators
+        routes.append("Aut(L)" if aut else "no generators" if gens.size == 0 else "?")
+        return orbit_scan(lat, cap, jobs, keep, gens)
+
+    monkeypatch.setattr(rank, "_orbit_scan", recording)
     table_scan = rank._table_scan
 
     def recording_table(lat, cap, antichains):
@@ -746,21 +806,23 @@ def test_route_follows_batch_size_and_group_order(monkeypatch):
     monkeypatch.setattr(rank, "_BATCH", 56)  # 6 elements fit, 7 do not
     square_on_chain = core.from_covers(core.CoverList(7, ((0, 1), (0, 2), (1, 3), (2, 3),
                                                           (3, 4), (4, 5), (5, 6))))
-    cases = ((catalog.m_k(3), "_table_scan"),                       # 5 elements
-             (catalog.m_k(4), "_sorted_scan"),                      # 6 elements
-             (catalog.m_k(5), "_orbit_scan"),                       # 7, S_5
-             (catalog.chain(7), "_sorted_scan"),                    # rigid
-             (square_on_chain, "_sorted_scan"))                     # order 2
-    assert [int(np.prod(lat.automorphisms().base_orbits)) for lat, _ in cases] \
-        == [6, 24, 120, 1, 2]
-    for lat, route in cases:
-        for scan in SCANS:
+    # the full scan's route, then the antichain scan's (incomparable pairs)
+    cases = ((catalog.m_k(3), "_table_scan", "_table_scan"),  # 5 elements
+             (catalog.m_k(4), "no generators", "no generators"),  # 6 elements
+             (catalog.m_k(5), "Aut(L)", "no generators"),  # 7, S_5; 10 * 9 / 3 <= 56
+             (catalog.m_k(7), "Aut(L)", "Aut(L)"),  # 9, S_7; 21 * 11 / 3 > 56
+             (catalog.chain(7), "Aut(L)", "no generators"),  # rigid; none
+             (square_on_chain, "Aut(L)", "no generators"))  # order 2; 1
+    for lat, *want in cases:
+        for scan, route in zip(SCANS, want):
             routes.clear()
             assert scan(lat) == SORTED[scan is rank.antichain_rank_scan](lat)
-            assert routes == [route, "_sorted_scan"]
+            assert routes == [route]
+    assert [int(np.prod(lat.automorphisms().base_orbits)) for lat, *_ in cases] \
+        == [6, 24, 120, 5040, 1, 2]
 
 
-# -- the closure table against the fixpoint loop and the sorted route -----
+# -- the closure table against the fixpoint loop and the sorted scan ------
 
 TABLE_BASES = ("fano", "subspace:2,3", "l:2")
 
@@ -821,7 +883,7 @@ def crossover_lattices():
 
 
 def test_table_scans_match_sorted_route():
-    """Both table scans give the sorted route's ScanResult on all 371
+    """Both table scans give the sorted-scan oracle's ScanResult on all 371
     lattices with at most 7 elements, on random_c1c4(0..95) and on chains
     and M_k up to the crossover, with the default cap; with a cap below the
     largest index both raise RankExceedsCap."""
