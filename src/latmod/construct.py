@@ -17,7 +17,7 @@ from .core import (
     pointwise_order,
 )
 from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
-from .rank import _closures, _decode, _encode
+from .rank import _closures, _decode, _encode, _key_count
 
 EAGER_TABLE_CAP = 2000
 _GRID_ENTRIES = 1 << 16  # pairs per numpy block of the tables and of congruence's joins
@@ -81,37 +81,68 @@ class TupleLattice:
         """The id of <0,...,0>."""
         return int(self.ids([self.base.bottom] * self.arity))
 
-    def _key(self, op, a, b) -> np.ndarray:
-        """The keys of the componentwise op(a_i, b_i), op the base's meet or
-        join, of the elements a and b, broadcast: id arrays, or any index of
-        the columns (the depth passes slices, which take no copy).  The
-        callers hold the closure table, so the keys fit in int32.  The key is allocated
-        before the gathers: allocating it after them tripled the page faults of the
-        depth's walk over all pairs of M3[Sub(2,4)] and made it about 25% slower (2-core Xeon)."""
-        n, first = self.base.n, self.cols[0]
-        key = np.zeros(np.broadcast_shapes(np.shape(first[a]), np.shape(first[b])),
-                       dtype=np.int32)
-        for c in self.cols:
-            key *= n
-            key += op(c[a], c[b])
-        return key
+    @functools.cached_property
+    def _weights(self) -> dict:
+        """The base's meet and join tables, each once per coordinate i
+        times n^(arity-1-i), int32: entry (x, y) of coordinate i's table is
+        op(x, y)'s share of a key.  SizeLimitExceeded above KEY_CAP keys
+        comes first; below it every key fits in int32.  2 * arity * n^2
+        entries."""
+        n, arity = self.base.n, self.arity
+        _key_count(self.base, arity)
+        return {op: [table * np.int32(n ** (arity - 1 - i)) for i in range(arity)]
+                for op, table in (("meet", self.base.meet_table),
+                                  ("join", self.base.join_table))}
+
+    def _key(self, op: str, a, b) -> np.ndarray:
+        """The keys of the componentwise op(a_i, b_i), op "meet" or "join",
+        of the elements a and b, broadcast: ids, id arrays, or any index of
+        the columns (the depth passes slices, which take no copy).  Each
+        coordinate adds its weighted table's entries (`_weights`).  An outer
+        product, a a scalar or a column (p, 1) and b a scalar, a vector or
+        a row (1, q), gathers the weighted rows at a's entries and then
+        their columns at b's, per coordinate; other shapes take the entries
+        of the flat tables at a_i * n + b_i.  Against building each key
+        entry by entry, the rows-then-columns gathers took M3[Fano]'s tables
+        from 21-26 to 12-13 ms (2-core Xeon); gathering the columns by
+        `take(axis=1)` instead of indexing took 14 ms.  A single row, as in
+        the depth's blocks over a long row, takes its columns by a 1-D take:
+        indexing a (1, n) row took twice as long (450 against 240 us a block
+        of M3[Sub(2,4)], where the flat take took 310 us)."""
+        first, n = self.cols[0], self.base.n
+        sa, sb = np.shape(first[a]), np.shape(first[b])
+        outer = (sa == () or sa[1:] == (1,)) and (len(sb) < 2 or sb == (1, sb[1]))
+        key = None
+        for c, w in zip(self.cols, self._weights[op]):
+            if outer:
+                rows = w.take(np.ravel(c[a]), axis=0)
+                part = rows[0].take(c[b]) if len(rows) == 1 else rows[:, np.ravel(c[b])]
+            else:
+                part = w.ravel().take(c[a] * n + c[b])
+            if key is None:
+                key = part
+            else:
+                key += part
+        return key.reshape(np.broadcast_shapes(sa, sb))
 
     def meet(self, a, b) -> np.ndarray:
         """The meets of the elements a and b, ids or id arrays, broadcast."""
-        return self._closed[0].take(self._key(self.base.meet, a, b))
+        return self._closed[0].take(self._key("meet", a, b))
 
     def join(self, a, b) -> np.ndarray:
         """The joins of the elements a and b, ids or id arrays, broadcast:
         the closures of their componentwise joins."""
-        return self._closed[0].take(self._key(self.base.join, a, b))
+        return self._closed[0].take(self._key("join", a, b))
 
     @functools.cached_property
     def lattice(self) -> FiniteLattice:
-        """The meet and join tables, built on first access a block of rows
-        at a time (whole count^2 temporaries left holes in the heap that
-        raised the peak RSS of later work); SizeLimitExceeded above
-        EAGER_TABLE_CAP.  The order is read off the meets: a <= b iff
-        a ^ b = a."""
+        """The meet and join tables, built on first access by `meet` and
+        `join` a block of rows at a time, each block one outer product of
+        the key rule (`_key`: weighted base rows at the block's entries,
+        then their columns at every element's); whole count^2 temporaries
+        left holes in the heap that raised the peak RSS of later work.
+        SizeLimitExceeded above EAGER_TABLE_CAP.  The order is read off the
+        meets: a <= b iff a ^ b = a."""
         count = len(self)
         if count > EAGER_TABLE_CAP:
             raise SizeLimitExceeded(f"{self.name} has {count} elements, "
@@ -141,7 +172,7 @@ class TupleLattice:
         bound, depth, lo = int(index.max()), 0, 0
         while lo < count and depth < bound:
             hi = min(count, lo + max(1, _MARK_ENTRIES // (count - lo)))
-            keys = self._key(self.base.join, np.s_[lo:hi, None], np.s_[lo:])
+            keys = self._key("join", np.s_[lo:hi, None], np.s_[lo:])
             depth = max(depth, int(index.take(keys).max()))
             lo = hi
         return depth

@@ -47,6 +47,14 @@ from .errors import ArgumentOutOfRange, RankExceedsCap, SizeLimitExceeded, Verif
 # 0.17-0.24 s; tracemalloc, 2-core Xeon).
 _BATCH = 100_000
 
+# Triples per chunk when the orbit scan steps the witness's sorted row
+# again, up to the first chunk that reaches the largest index: on the
+# antichains of M3[M7] the witness lies at triple 16,682 of 67,084, and
+# stopping there took that scan from 19.5-22.5 to 16.3-17.5 ms, and the full
+# scan of M3[M6] from 6.7-7.7 to 5.6-5.7 ms, against stepping the whole row
+# (medians of 9 runs, 2-core Xeon).
+_WITNESS_CHUNK = 4096
+
 # Keys, n^arity, of the closure table of a base lattice.  Building it takes 12
 # bytes a key, and m3_of or m4_of with the first join 14.2-16.6 (M4[Sub(3,3)] and
 # M3[Sub(2,4)], tracemalloc), so 2^26 keys is about 1 GB, which admits
@@ -521,7 +529,10 @@ def _orbit_scan(lat: FiniteLattice, cap: Optional[int], jobs: int,
     label of an x scanned at m.  The least-label entry of a triple at m is
     in the orbit of such an x, so every entry of it is >= x*, and x* is an
     entry of an image of a scanned triple at m; so the first triple at m is
-    in the sorted row of x*, which is scanned again.
+    in the sorted row of x*, which is stepped again in lexicographic chunks
+    of _WITNESS_CHUNK triples up to the first chunk that reaches m, whose
+    first triple at m is the witness (VerificationFailed if a chunk passes
+    m or none reaches it).
     """
     n = lat.n
     label = _orbit_minima(list(gens), n) if gens.size else None
@@ -532,16 +543,20 @@ def _orbit_scan(lat: FiniteLattice, cap: Optional[int], jobs: int,
     res = _scan(lat, cap, jobs, py, pz, starts, keep, _orbit_weight(n, label, py, pz, size), label)
     if any(c % scale for c in res.histogram.values()):
         raise VerificationFailed(f"orbit-weighted counts are not multiples of {scale}")
-    witness = res.witness
+    witness, m = res.witness, res.max_index
     if witness is not None and label is not None:
         py, pz, _, starts = _orbit_pairs(lat, gens, None, keep)
-        row = _merge_blocks(_scan_batch(lat, x, y, z, cap) for x, y, z in _triples(
-            py, pz, starts, witness.x, witness.x + 1, _BATCH, keep))
-        if row.max_index != res.max_index:
-            raise VerificationFailed(f"no triple at index {res.max_index} in row {witness.x}")
-        witness = row.witness
+        for x, y, z in _triples(py, pz, starts, witness.x, witness.x + 1, _WITNESS_CHUNK, keep):
+            chunk = _scan_batch(lat, x, y, z, cap)
+            if chunk.max_index > m:
+                raise VerificationFailed(f"a triple in row {witness.x} passes index {m}")
+            if chunk.max_index == m:
+                witness = chunk.witness
+                break
+        else:
+            raise VerificationFailed(f"no triple at index {m} in row {witness.x}")
     hist = {i: c // scale for i, c in res.histogram.items()}
-    return ScanResult(res.triple_count // scale, hist, res.max_index, witness)
+    return ScanResult(res.triple_count // scale, hist, m, witness)
 
 
 # -- the table route ------------------------------------------------------

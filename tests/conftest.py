@@ -73,6 +73,49 @@ def tuples_of(k):
     return list(zip(*(c.tolist() for c in k.cols)))
 
 
+def flat_key(k, op, a, b):
+    """Oracle for TupleLattice._key: the keys of the componentwise
+    op(a_i, b_i), op "meet" or "join", of the elements a and b of the tuple
+    lattice k, broadcast, built entry by entry through the base's operation
+    (key *= n, key += op(a_i, b_i) per coordinate), the rule the weighted
+    tables replaced."""
+    base, first = k.base, k.cols[0]
+    apply = getattr(base, op)
+    key = np.zeros(np.broadcast_shapes(np.shape(first[a]), np.shape(first[b])),
+                   dtype=np.int32)
+    for c in k.cols:
+        key *= base.n
+        key += apply(c[a], c[b])
+    return key
+
+
+def row_or_closure(c):
+    """Oracle for core.from_covers' order: the reflexive-transitive closure
+    of the CoverList c by or-ing numpy rows, each element's row that of its
+    upper covers, in reverse topological order; None on a cycle."""
+    n = c.size
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for lo, hi in c.covers:
+        succ[lo].append(hi)
+        indeg[hi] += 1
+    queue, topo = [v for v in range(n) if indeg[v] == 0], []
+    while queue:
+        v = queue.pop()
+        topo.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(topo) != n:
+        return None
+    leq = np.eye(n, dtype=bool)
+    for v in reversed(topo):
+        for w in succ[v]:
+            leq[v] |= leq[w]
+    return leq
+
+
 def relabeled(lat, seed):
     """The same order with elements renumbered by a seeded permutation."""
     perm = np.random.default_rng(seed).permutation(lat.n)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 from conftest import (
     close_tuples,
     counting_step_tables,
+    flat_key,
     is_balanced3,
     is_balanced4,
     refuse_allocations,
+    relabeled,
     tuples_of,
 )
 from latmod import catalog, construct, core, rank
@@ -296,16 +300,20 @@ def test_builds_tabulate_once_per_base_and_arity(monkeypatch):
     k, again = m3_of(base), m3_of(base)
     assert calls == [(base, 3)] and holds_only_the_shared_table(k)
     assert k.max_closure_index == again.max_closure_index == eager.max_closure_index
+    assert holds_only_the_shared_table(k) and "_weights" in vars(k)
     quads = m4_of(base)
     assert m4_of(base).join(0, len(quads) - 1) == quads.join(0, len(quads) - 1)
     assert calls == [(base, 3), (base, 4)]
 
 
 def holds_only_the_shared_table(k):
-    """k caches nothing over the n^arity keys but its base's closure table."""
+    """k caches nothing over the n^arity keys but its base's closure table
+    and, once read, its weighted base tables of n^2 entries each."""
     cached = set(vars(k)) - {"base", "cols", "arity", "name", "lattice", "max_closure_index"}
-    return cached <= {"_closed"} and (
-        not cached or k._closed is rank._closures(k.base, k.arity))
+    weights = [w for ws in vars(k).get("_weights", {}).values() for w in ws]
+    return cached <= {"_closed", "_weights"} and all(
+        w.shape == (k.base.n,) * 2 for w in weights) and (
+        "_closed" not in cached or k._closed is rank._closures(k.base, k.arity))
 
 
 def test_lazy_build_defers_tuple_list_and_index(monkeypatch):
@@ -334,6 +342,80 @@ def test_keys_ascend_with_the_tuple_order():
     assert keys.dtype == np.int32
     want = [sum(int(c[i]) * n ** (3 - a) for a, c in enumerate(cols)) for i in range(3)]
     assert keys.tolist() == want and want == sorted(want)
+
+
+# -- oracle: the flat-take key rule -------------------------------------------
+
+def key_rule_lattices():
+    """M3[L] and M4[L] of every lattice with at most 6 elements, and M3[L]
+    of relabelled Fano, N5 and witness7, whose ids follow no linear
+    extension; M4[N5] and M4[witness7] too (M4[Fano] is above the table
+    cap)."""
+    small = [lat for n in range(1, 7) for lat in catalog.enumerate_lattices(n)]
+    assert len(small) == 51
+    odd = [relabeled(lat, seed) for seed, lat in
+           enumerate((catalog.fano(), catalog.n5(), catalog.witness7()))]
+    return [build(b) for b in small + odd for build in (m3_of, m4_of)
+            if build is m3_of or b.n < 15]
+
+
+def test_key_rule_matches_flat_take_oracle():
+    """The weighted rows-then-columns keys, and the tables and depth read
+    through them, equal the entry-by-entry keys of the flat base tables."""
+    for k in key_rule_lattices():
+        ids = np.arange(len(k))
+        closed, index = k._closed
+        want = {op: flat_key(k, op, ids[:, None], ids) for op in ("meet", "join")}
+        for op, key in want.items():
+            got = k._key(op, ids[:, None], ids)
+            assert got.dtype == np.int32 and np.array_equal(got, key), (k.name, op)
+        lat = k.lattice
+        assert np.array_equal(lat.meet_table, closed.take(want["meet"])), k.name
+        assert np.array_equal(lat.join_table, closed.take(want["join"])), k.name
+        assert k.max_closure_index == index.take(want["join"]).max(), k.name
+
+
+def test_key_rule_matches_oracle_on_every_shape():
+    """Scalars, a vector against a scalar either way, a column against a
+    row or a vector, the depth's slices, and shapes that are no outer
+    product (equal vectors, 2-D against 2-D, a row against a column, a
+    column against a matrix), each
+    with the oracle's keys, shape and dtype, and M4[Fano] above the table
+    cap."""
+    builds = [m3_of(relabeled(catalog.witness7(), 4)), m4_of(catalog.n5()),
+              m4_of(relabeled(catalog.fano(), 5))]
+    for k in builds:
+        count = len(k)
+        ids = np.arange(count)
+        rng = np.random.default_rng(count)
+        a, b = rng.integers(0, count, size=(2, 40))
+        lo, hi = count // 3, count // 3 + 5
+        shapes = [(0, count - 1), (count - 1, 0), (a[0], a[1]), (ids, 2), (3, ids),
+                  (a[:, None], b), (a[:, None], b[None, :]), (2, b[None, :]),
+                  (a[:, None], 7), (np.s_[lo:hi, None], np.s_[lo:]), (a, b),
+                  (np.s_[lo:hi], np.s_[lo + 1:hi + 1]), (a.reshape(5, 8), b.reshape(5, 8)),
+                  (b[None, :], a[:, None]), (a[:1], b), (a[:, None, None], b),
+                  (a[:5, None], b.reshape(5, 8))]
+        for op in ("meet", "join"):
+            for x, y in shapes:
+                want = flat_key(k, op, x, y)
+                got = k._key(op, x, y)
+                assert np.shape(got) == np.shape(want) and got.dtype == np.int32
+                assert np.array_equal(got, want), (k.name, op, np.shape(x), np.shape(y))
+        assert k.meet(a[0], a[1]) == k._closed[0][flat_key(k, "meet", a[0], a[1])]
+
+
+def test_tuple_lattice_is_collected_after_its_operations():
+    """The weighted tables are cached on the tuple lattice itself, so no
+    cache outside it keeps it alive once it is dropped."""
+    k = m3_of(catalog.n5())
+    ids = np.arange(len(k))
+    assert k.meet(ids[:, None], ids).shape == k.join(ids[:, None], ids).shape == (len(k),) * 2
+    assert k.lattice is not None and k.max_closure_index >= 0
+    ref = weakref.ref(k)
+    del k
+    gc.collect()
+    assert ref() is None
 
 
 # -- oracle: the per-pair eager join closure ------------------------------------

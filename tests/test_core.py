@@ -1,14 +1,16 @@
 import collections
 import functools
+import importlib.util
 import itertools
 import json
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import antichains3, relabeled
+from conftest import antichains3, relabeled, row_or_closure, small_catalog
 from latmod import catalog, construct, core
 from latmod.core import CoverList, FiniteLattice, from_covers
 from latmod.errors import (
@@ -314,6 +316,59 @@ def test_serialize_roundtrip(lattices):
         assert again == lat and again.names == lat.names
 
 
+def dumps_oracle(lat):
+    """Oracle for core.serialize: the document through json.dumps with
+    indent=2, the encoder serialize replaced."""
+    doc = {"name": lat.name, "elements": list(lat.names),
+           "covers": [[lo, hi] for lo, hi in lat.covers()]}
+    return json.dumps(doc, indent=2)
+
+
+def test_serialize_writes_the_json_dumps_bytes():
+    """Byte for byte json.dumps(doc, indent=2) on every lattice with at
+    most 7 elements, the catalog specs (C1 has no covers), M3[Fano], and
+    names with quotes, backslashes, control characters and non-ASCII
+    text."""
+    lats = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    lats += list(small_catalog().values())
+    lats += [catalog.by_name(spec) for spec in ("fano", "l:3", "subspace:2,3", "c2sq")]
+    lats.append(construct.m3_of(catalog.fano()).lattice)
+    odd = catalog.chain(4)
+    odd.names = ['a "quoted" one', "back\\slash", "tab\there\x01",
+                 "\u00e9l\u00e9ment \u2203 \U0001d53d"]
+    odd.name = 'odd\n"name" \u2200'
+    lats.append(odd)
+    assert lats[0].n == 1 and lats[0].covers() == []
+    for lat in lats:
+        assert core.serialize(lat) == dumps_oracle(lat), lat.name
+    again = core.parse(core.serialize(odd))
+    assert again.names == odd.names and again.name == odd.name
+
+
+def load_bench_workloads(monkeypatch):
+    """bench/workloads.py, read as a module without adding bench/ to the
+    import path (registered while the test runs, as its dataclasses need)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_serialize_keeps_the_census_reference_keys(monkeypatch):
+    """bench/refs.json keys each census input by a hash of its serialized
+    bytes, so every lattice of the census pool must serialize to a key it
+    holds (read only: the references are frozen)."""
+    wl = load_bench_workloads(monkeypatch)
+    refs = wl.load_refs()["census"]
+    pool = [lat for n in range(1, wl.SMALL_MAX + 1) for lat in catalog.enumerate_lattices(n)]
+    pool += [catalog.random_c1c4(s) for s in range(wl.GRID_POOL)]
+    keys = [wl.input_key(core.serialize(lat)) for lat in pool]
+    assert len(set(keys)) == len(pool) == len(refs) == 467
+    assert set(keys) == set(refs)
+
+
 def test_parse_diagnostics():
     with pytest.raises(ParseError):
         core.parse("not json")
@@ -335,6 +390,57 @@ def test_parse_rejects_boolean_element_ids():
     for pair in ([True, 1], [0, True], [False, True]):
         with pytest.raises(ParseError, match="pair of integers"):
             core.parse(json.dumps({"elements": ["a", "b"], "covers": [pair]}))
+
+
+def test_parse_names_the_first_malformed_cover():
+    """Each malformed pair, alone or late in a long list of good ones, is
+    named by its index: a bool, a float, a string, a 1- or 3-element list,
+    a tuple-like object, null."""
+    good = [[i, i + 1] for i in range(2_000)]
+    names = [str(i) for i in range(2_001)]
+    for bad in ([True, 1], [0, False], [0.0, 1], ["0", 1], [0], [0, 1, 2], {"0": 1}, None, 3):
+        for at in (0, 1_500):
+            covers = good[:at] + [bad] + good[at:]
+            with pytest.raises(ParseError, match=rf"^covers\[{at}\] must be a pair of integers$"):
+                core.parse(json.dumps({"elements": names, "covers": covers}))
+    assert core.parse(json.dumps({"elements": names, "covers": good})).height() == 2_000
+
+
+def test_cover_list_names_the_first_bad_pair():
+    with pytest.raises(ParseError, match=r"^cover \(3,3\) is reflexive$"):
+        CoverList(4, ((0, 1), (3, 3), (0, 9)))
+    with pytest.raises(ParseError, match=r"^cover \(0,9\) out of range for size 4$"):
+        CoverList(4, ((0, 1), (0, 9), (3, 3)))
+    for pair in ((-1, 2), (2, -1), (4, 4), (-1, -1)):
+        with pytest.raises(ParseError, match="out of range"):
+            CoverList(4, ((0, 1), pair))
+
+
+def test_from_covers_order_matches_row_closure_oracle(monkeypatch):
+    """The order from_covers closes on Python-int up-sets equals the
+    row-or closure on every lattice with at most 7 elements, relabelled
+    M3[Fano], and the covers with redundant transitive pairs added, which
+    leave the order the same; a cycle raises CycleDetected."""
+    lats = [lat for n in range(1, 8) for lat in catalog.enumerate_lattices(n)]
+    lats.append(relabeled(construct.m3_of(catalog.fano()).lattice, 7))
+    rng = np.random.default_rng(7)
+    orders = []
+    monkeypatch.setattr(core, "lattice_from_leq", lambda leq, **_: orders.append(leq))
+    for lat in lats:
+        covers = lat.covers()
+        lo, hi = np.nonzero(lat.leq & ~np.eye(lat.n, dtype=bool))
+        extra = rng.permutation(lo.size)[:5]
+        redundant = covers + [(int(lo[i]), int(hi[i])) for i in extra]
+        for pairs in (covers, redundant):
+            c = CoverList(lat.n, tuple(pairs))
+            from_covers(c)
+            got = orders.pop()
+            assert got.dtype == bool and got.shape == (lat.n, lat.n)
+            assert np.array_equal(got, row_or_closure(c)) and np.array_equal(got, lat.leq)
+    cycle = CoverList(4, ((0, 1), (1, 2), (2, 3), (3, 1)))
+    assert row_or_closure(cycle) is None
+    with pytest.raises(CycleDetected):
+        from_covers(cycle)
 
 
 def test_parse_rejects_repeated_names():

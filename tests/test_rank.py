@@ -19,7 +19,7 @@ from conftest import (
     sorted_scan,
 )
 from latmod import catalog, construct, core, rank, symbolic
-from latmod.errors import ArgumentOutOfRange, RankExceedsCap
+from latmod.errors import ArgumentOutOfRange, RankExceedsCap, VerificationFailed
 from latmod.rank import Quadruple, Triple, closure3, step3, step4
 
 
@@ -753,6 +753,69 @@ def test_orbit_route_matches_sorted_routes_on_relabeled_m3():
                                        for k in (4, 5, 6, 7)]:
         assert_orbit_route_matches(relabeled(lat, rng))
     assert_orbit_route_matches(catalog.l_family(16))
+
+
+def sorted_row(lat, x, antichains):
+    """Oracle: the pairs (y, z) of x's sorted row, the triples (x, y, z)
+    with x <= y <= z, or the antichains x < y < z, in lexicographic order."""
+    n = lat.n
+    if antichains:
+        incomp = ~lat.leq & ~lat.leq.T
+        both = np.triu(incomp & incomp[x][:, None] & incomp[x][None, :], k=1)
+        both[:x + 1] = False
+        return list(zip(*(a.tolist() for a in np.nonzero(both))))
+    return [(y, z) for y in range(x, n) for z in range(y, n)]
+
+
+def test_witness_row_is_stepped_in_chunks_up_to_the_witness(monkeypatch):
+    """The orbit scan under Aut(L) steps the witness's sorted row again in
+    chunks of _WITNESS_CHUNK triples, up to the first chunk that reaches the
+    largest index: at chunks of 1, 7 and more than the row, the whole
+    ScanResult, witness included, equals the sorted-scan oracle's on
+    relabelled M3[M4..M7], and the row triples stepped are the witness's
+    position in its row rounded up to whole chunks."""
+    stepped = []
+    scan_batch = rank._scan_batch
+
+    def counting(lat, x, y, z, cap, weight=None, label=None):
+        if weight is None and label is None:  # a chunk of the row, not an orbit batch
+            stepped.append(x.size)
+        return scan_batch(lat, x, y, z, cap, weight, label)
+
+    rng = random.Random(38)
+    for k in (4, 5, 6, 7):
+        lat = relabeled(construct.m3_of(catalog.m_k(k)).lattice, rng)
+        for antichains in (False, True):
+            want = SORTED[antichains](lat)
+            row = sorted_row(lat, want.witness.x, antichains)
+            at = row.index((want.witness.y, want.witness.z))
+            with monkeypatch.context() as patch:
+                patch.setattr(rank, "_scan_batch", counting)
+                for chunk in (1, 7, len(row) + 1):
+                    patch.setattr(rank, "_WITNESS_CHUNK", chunk)
+                    stepped.clear()
+                    assert orbit_route(antichains)(lat) == want, (k, antichains, chunk)
+                    assert sum(stepped) == min(len(row), (at // chunk + 1) * chunk)
+                    assert max(stepped) <= chunk
+
+
+def test_witness_row_faults_raise(monkeypatch):
+    """A row chunk past the scan's largest index, or a row with no triple
+    at it, raises VerificationFailed."""
+    lat = relabeled(construct.m3_of(catalog.m_k(4)).lattice, random.Random(5))
+    scan_batch = rank._scan_batch
+    for shift, match in ((1, "passes index"), (-1, "no triple at index")):
+        def shifted(lat, x, y, z, cap, weight=None, label=None):
+            res = scan_batch(lat, x, y, z, cap, weight, label)
+            if weight is None and label is None:
+                res = rank.ScanResult(res.triple_count, res.histogram,
+                                      res.max_index + shift, res.witness)
+            return res
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rank, "_scan_batch", shifted)
+            with pytest.raises(VerificationFailed, match=match):
+                orbit_route(False)(lat)
 
 
 PRODUCT_FACTORS = (catalog.chain(2), catalog.chain(3), catalog.c2sq(), catalog.m_k(3),
