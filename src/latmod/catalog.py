@@ -412,18 +412,34 @@ def _spec_ints(spec: str, body: str, count: int) -> list[int]:
 def by_name(spec: str):
     """Resolve a lattice spec: m3, m4, ..., n5, c2sq, b<n>, c<n>, fano,
     witness7, l:<n>, subspace:<q>,<d>, file:<path>; m3[<spec>] and
-    m4[<spec>] give the TupleLattice M3 or M4 of `tables(<spec>)`."""
+    m4[<spec>] give the TupleLattice M3 or M4 of `tables(<spec>)`, its
+    layers peeled in a loop and built from the inside out (no recursion
+    limit at any depth); an error inside names every enclosing spec."""
+    layers = []
+    s = spec.strip()
+    while s[:3].lower() in ("m3[", "m4[") and s.endswith("]"):
+        layers.append(s)
+        spec = s[3:-1]
+        s = spec.strip()
+    try:
+        lat = _plain(spec)
+    except ArgumentOutOfRange as exc:
+        for outer in reversed(layers):
+            exc = ArgumentOutOfRange(f"in lattice spec {outer!r}: {exc}")
+        raise exc from None
+    from . import construct  # noqa: PLC0415
+    for outer in reversed(layers):
+        base = lat if isinstance(lat, FiniteLattice) else lat.lattice
+        lat = (construct.m3_of if outer[1] == "3" else construct.m4_of)(base)
+    return lat
+
+
+def _plain(spec: str) -> FiniteLattice:
+    """A spec with no m3[ or m4[ layer (`by_name`)."""
     s = spec.strip().lower()
     if s.startswith("file:"):
         with open(spec.strip()[len("file:"):], "r", encoding="utf-8") as fh:
             return core.parse(fh.read())
-    if s[:3] in ("m3[", "m4[") and s.endswith("]"):
-        from . import construct  # noqa: PLC0415
-        try:
-            base = tables(spec.strip()[3:-1])
-        except ArgumentOutOfRange as exc:
-            raise ArgumentOutOfRange(f"in lattice spec {spec.strip()!r}: {exc}") from None
-        return (construct.m3_of if s[1] == "3" else construct.m4_of)(base)
     if s.startswith("l:"):
         return l_family(*_spec_ints(spec, s[len("l:"):], 1))
     if s.startswith("subspace:"):

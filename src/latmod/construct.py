@@ -8,7 +8,6 @@ import functools
 import numpy as np
 
 from .core import (
-    ELEMENT_CAP,
     FiniteLattice,
     is_distributive,
     isotone_maps,
@@ -262,7 +261,8 @@ def _check_coordinate_swaps(k: TupleLattice) -> None:
 
 def m3_power_poset(d: FiniteLattice) -> FiniteLattice:
     """The lattice of isotone maps from the join-irreducibles of a
-    distributive lattice into M_3, ordered pointwise."""
+    distributive lattice into M_3, ordered pointwise, in `isotone_maps`'
+    order; `pointwise_order` refuses more than ELEMENT_CAP."""
     if not is_distributive(d):
         raise NotDistributive("the base of the power construction must be distributive")
     from .catalog import m_k  # noqa: PLC0415
@@ -270,11 +270,8 @@ def m3_power_poset(d: FiniteLattice) -> FiniteLattice:
     poset_leq = d.leq[np.ix_(ji, ji)]
     m3 = m_k(3)
     maps = isotone_maps(poset_leq, m3)
-    if len(maps) > ELEMENT_CAP:  # before the len(maps)^2 order is built
-        raise SizeLimitExceeded(f"M3^J({d.name or '?'}) has {len(maps)} elements, "
-                                f"above the cap {ELEMENT_CAP}")
-    leq = pointwise_order(m3, np.array(maps, dtype=np.intp))
-    names = ["[" + ",".join(m3.names[v] for v in mp) + "]" for mp in maps]
+    leq = pointwise_order(m3, maps)
+    names = ["[" + ",".join(m3.names[v] for v in mp) + "]" for mp in maps.tolist()]
     return lattice_from_leq(leq, names=names, name=f"M3^J({d.name or '?'})")
 
 

@@ -17,16 +17,17 @@ import numpy as np
 
 from .errors import (
     CycleDetected,
-    EnumerationLimitExceeded,
     NotALattice,
     ParseError,
     SizeLimitExceeded,
     VerificationFailed,
 )
 
-ISO_SIZE_CAP = 5000
-# order-preserving maps isotone_maps may enumerate
-ISOTONE_MAP_CAP = 10_000_000
+# values a level of isotone_maps may allocate: candidates (maps so far times
+# the target's size) times the poset's size.  A level holds 4 bytes a
+# candidate (test, gathered order rows, int16 value) and the passing maps as
+# int16 rows, at most 6 bytes a value: 192 MiB, about a build at ELEMENT_CAP
+ISOTONE_MAP_CAP = 1 << 25
 # elements of a lattice built from covers or an order; its order and tables
 # take 9 * n^2 bytes, and building them peaks at 9.3-11.1 * n^2 (tracemalloc,
 # chain(4096) to M3[Fano]), validating at 1.4-2.1 * n^2
@@ -473,8 +474,11 @@ def from_covers(c: CoverList, name: str = "") -> FiniteLattice:
 # -- structural operations ----------------------------------------------
 
 def direct_product(a: FiniteLattice, b: FiniteLattice, name: str = "") -> FiniteLattice:
-    """Componentwise product; element (i, j) gets index i*|B|+j."""
+    """Componentwise product; element (i, j) gets index i*|B|+j.
+    SizeLimitExceeded above ELEMENT_CAP elements, before any allocation."""
     na, nb = a.n, b.n
+    if na * nb > ELEMENT_CAP:
+        raise SizeLimitExceeded(f"{na} * {nb} elements exceed the cap {ELEMENT_CAP}")
     leq = (a.leq[:, None, :, None] & b.leq[None, :, None, :]).reshape(na * nb, na * nb)
     meet = (a.meet_table[:, None, :, None].astype(np.int64) * nb
             + b.meet_table[None, :, None, :]).reshape(na * nb, na * nb).astype(np.int32)
@@ -748,8 +752,8 @@ def find_isomorphism(a: FiniteLattice, b: FiniteLattice) -> Optional[list[int]]:
     """
     if a.n != b.n:
         return None
-    if a.n > ISO_SIZE_CAP:
-        raise SizeLimitExceeded(f"isomorphism search capped at {ISO_SIZE_CAP} elements")
+    if a.n > ELEMENT_CAP:
+        raise SizeLimitExceeded(f"isomorphism search capped at {ELEMENT_CAP} elements")
     g, h = _Incidence(a), _Incidence(b)
     if (g.nj, g.adj.shape) != (h.nj, h.adj.shape) or not np.array_equal(
             np.bincount(g.colors), np.bincount(h.colors)):
@@ -765,43 +769,39 @@ def find_isomorphism(a: FiniteLattice, b: FiniteLattice) -> Optional[list[int]]:
     return image.tolist()
 
 
-def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice) -> list[tuple]:
-    """All order-preserving maps from the poset into the target lattice,
-    each as the tuple of its values."""
-    p = poset_leq.shape[0]
-    if target.n ** max(p, 1) > ISOTONE_MAP_CAP:
-        raise EnumerationLimitExceeded(
-            f"{target.n}^{p} maps exceed cap {ISOTONE_MAP_CAP}")
-    # assign in a linear extension so constraints refer to assigned values
-    order = sorted(range(p), key=lambda e: int(poset_leq[:, e].sum()))
-    out: list[tuple] = []
-    values = [0] * p
-
-    def bt(k: int):
-        if k == p:
-            out.append(tuple(values))
-            return
-        e = order[k]
-        for v in range(target.n):
-            ok = True
-            for e2 in order[:k]:
-                if poset_leq[e2, e] and not target.leq[values[e2], v]:
-                    ok = False
-                    break
-                if poset_leq[e, e2] and not target.leq[v, values[e2]]:
-                    ok = False
-                    break
-            if ok:
-                values[e] = v
-                bt(k + 1)
-
-    bt(0)
-    return out
+def isotone_maps(poset_leq: np.ndarray, target: FiniteLattice) -> np.ndarray:
+    """All order-preserving maps from the poset into the target lattice, as
+    rows of an int16 array, one value per poset element.  They grow one
+    element e at a time along a linear extension (the stable argsort of the
+    down-set sizes), each map taking each value above its values below e,
+    in ascending order: the rows are lexicographic along the extension.  A
+    map on a prefix extends (the rest to the top), so no level holds more
+    maps than the result.  SizeLimitExceeded once a level's candidates
+    times the poset's size pass ISOTONE_MAP_CAP, before they are built."""
+    p, n = poset_leq.shape[0], target.n
+    order = np.argsort(poset_leq.sum(axis=0), kind="stable").tolist()
+    maps = np.zeros((1, p), dtype=np.int16)
+    values = np.arange(n, dtype=np.int16)[None, :]
+    for e in order:
+        if len(maps) * n * p > ISOTONE_MAP_CAP:
+            raise SizeLimitExceeded(f"{len(maps)} maps times {n} values on {p} points "
+                                    f"exceed the cap {ISOTONE_MAP_CAP}")
+        ok = np.ones((len(maps), n), dtype=bool)
+        for d in poset_leq[:, e].nonzero()[0].tolist():  # all assigned already
+            if d != e:
+                ok &= target.leq[maps[:, d]]
+        grid = values.repeat(len(maps), axis=0)
+        maps = maps.repeat(ok.sum(axis=1), axis=0)
+        maps[:, e] = grid[ok]
+    return maps
 
 
 def pointwise_order(target: FiniteLattice, values: np.ndarray) -> np.ndarray:
     """leq[i, j] = values[i] <= values[j] in every column, in the target's
-    order: the order of maps given as rows of their values."""
+    order: the order of maps given as rows of their values.  Callers build a
+    lattice of them: SizeLimitExceeded above ELEMENT_CAP, before any m x m."""
+    if len(values) > ELEMENT_CAP:
+        raise SizeLimitExceeded(f"{len(values)} elements exceed the cap {ELEMENT_CAP}")
     leq = np.ones((len(values),) * 2, dtype=bool)
     for col in values.T:
         leq &= target.leq[col[:, None], col[None, :]]

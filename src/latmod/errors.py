@@ -27,10 +27,6 @@ class SizeLimitExceeded(LatticeError):
     """A computation was requested above its configured size cap."""
 
 
-class EnumerationLimitExceeded(LatticeError):
-    """A map/antichain enumeration would exceed its configured cap."""
-
-
 class ArgumentOutOfRange(LatticeError):
     """A constructor argument is outside its supported range."""
 

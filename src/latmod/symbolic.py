@@ -141,10 +141,8 @@ def _fig2_le(a, b) -> bool:
     if tb == "bot" or ta == "top":
         return False
     spine = ta in _FIG2_SPINE
-    if tb == "c":
-        return spine and ka <= kb - 1 or a == b
-    if tb == "d":
-        return spine and ka <= kb - 1 or a == b
+    if tb in ("c", "d"):
+        return spine and ka <= kb - 1
     if tb == "w":
         return spine and ka <= kb
     if tb == "x":

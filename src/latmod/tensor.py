@@ -9,14 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteLattice, join_irreducibles, lattice_from_leq, pointwise_order
+from .core import FiniteLattice, isotone_maps, join_irreducibles, lattice_from_leq, pointwise_order
 from .construct import m3_of
-from .errors import EnumerationLimitExceeded, SizeLimitExceeded, VerificationFailed
+from .errors import SizeLimitExceeded, VerificationFailed
 
 TENSOR_CAP = 400
-HOM_ENUM_CAP = 5_000_000
-# Hom values per enumeration block (assignments times |A|).
-_HOM_BLOCK_ENTRIES = 1 << 18
 
 
 def _check_size(a: FiniteLattice, b: FiniteLattice):
@@ -110,41 +107,34 @@ def _largest_members(ideals, down: list[int]) -> list[tuple]:
     return out
 
 
-def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> list[tuple]:
-    """Enumerate the maps from the nonzero part of A to B turning joins into
-    meets, each as a tuple of one value per A element, with B's top at A's
-    zero (the value forced by the bi-ideal picture).  Values are assigned
-    on the join-irreducibles of A and propagated as h(x) = meet over the
-    irreducibles below x, keeping only consistent assignments.
-
-    The assignments run in blocks, as columns of base-|B| digits, and B's
-    meets are taken on those columns.
-    """
+def all_join_homs(a: FiniteLattice, b: FiniteLattice) -> np.ndarray:
+    """The maps h from A to B turning joins into meets and A's zero into B's
+    top (the bi-ideal picture), as the rows of an intp array, one value per
+    A element.  Such an h is antitone and h(x) is the meet of h over the
+    join-irreducibles below x, so each antitone assignment on J(A)
+    (`isotone_maps` of its dual order, in that order) gives one candidate,
+    valued at a join-reducible x as the meet over x's lower covers.  It is
+    a hom iff h(x v y) = h(x) ^ h(y) on incomparable pairs; on comparable
+    ones antitony gives it."""
     ji = join_irreducibles(a)
-    if b.n ** max(len(ji), 1) > HOM_ENUM_CAP:
-        raise EnumerationLimitExceeded(f"{b.n}^{len(ji)} assignments exceed cap")
-    below = [np.flatnonzero(a.leq[ji, x]).tolist() for x in range(a.n)]
-    nonzero = [x for x in range(a.n) if x != a.bottom]
-    joins = [(x0, x1, a.join(x0, x1)) for i, x0 in enumerate(nonzero)
-             for x1 in nonzero[i + 1:]]
-    total = b.n ** len(ji)
-    block = max(1, _HOM_BLOCK_ENTRIES // a.n)
-    found = []
-    for start in range(0, total, block):
-        code = np.arange(start, min(total, start + block))
-        # digit k of the code is the value at ji[k]; codes ascend as product()
-        assign = [code // b.n ** (len(ji) - 1 - k) % b.n for k in range(len(ji))]
-        values = np.empty((code.size, a.n), dtype=np.intp)
-        for x in range(a.n):
-            v = np.full(code.size, b.top, dtype=np.intp)
-            for k in below[x]:
-                v = b.meet(v, assign[k])
-            values[:, x] = v
-        ok = np.ones(code.size, dtype=bool)
-        for x0, x1, xj in joins:
-            ok &= values[:, xj] == b.meet(values[:, x0], values[:, x1])
-        found.extend(map(tuple, values[ok].tolist()))
-    return sorted(set(found))
+    assign = isotone_maps(a.leq[ji][:, ji].T, b)
+    meet = b.meet_table
+    values = [None] * a.n
+    for k, j in enumerate(ji):
+        values[j] = assign[:, k]
+    values[a.bottom] = np.full(len(assign), b.top, dtype=assign.dtype)
+    for x in np.argsort(a.leq.sum(axis=0), kind="stable").tolist():
+        if values[x] is None:  # joins its lower covers, all valued already
+            lower = a.lower_covers(x)
+            v = values[lower[0]]
+            for c in lower[1:]:
+                v = meet[v, values[c]]
+            values[x] = v
+    ok = np.ones(len(assign), dtype=bool)
+    for x0, x1 in zip(*(~(a.leq | a.leq.T)).nonzero()):
+        if x0 < x1:
+            ok &= values[a.join(x0, x1)] == meet[values[x0], values[x1]]
+    return np.array([v[ok] for v in values], dtype=np.intp).T
 
 
 def _inclusion_order(ideals, nb: int) -> np.ndarray:
@@ -222,7 +212,7 @@ def tensor_product(a: FiniteLattice, b: FiniteLattice) -> TensorLattice:
     of each value, and element i is named I{i}#{size of its bi-ideal}.
     As ↓u ⊆ ↓v iff u <= v, inclusion is B's order pointwise."""
     _check_size(a, b)
-    homs = np.array(all_join_homs(a, b), dtype=np.intp).reshape(-1, a.n)
+    homs = all_join_homs(a, b)
     down = _down_masks(b)
     mask_rank = np.empty(b.n, dtype=np.intp)
     mask_rank[sorted(range(b.n), key=down.__getitem__)] = np.arange(b.n)

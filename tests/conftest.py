@@ -116,6 +116,60 @@ def row_or_closure(c):
     return leq
 
 
+def isotone_maps_backtrack(poset_leq, target):
+    """Oracle for core.isotone_maps, the recursive backtracker it replaced:
+    every order-preserving map from the poset into the target, as a list of
+    value tuples, assigning along the stable sort of the down-set sizes and
+    trying the target's ids in ascending order at each element."""
+    p = poset_leq.shape[0]
+    order = sorted(range(p), key=lambda e: int(poset_leq[:, e].sum()))
+    out, values = [], [0] * p
+
+    def bt(k):
+        if k == p:
+            out.append(tuple(values))
+            return
+        e = order[k]
+        for v in range(target.n):
+            if all(target.leq[values[d], v] for d in order[:k] if poset_leq[d, e]) \
+                    and all(target.leq[v, values[d]] for d in order[:k] if poset_leq[e, d]):
+                values[e] = v
+                bt(k + 1)
+
+    bt(0)
+    return out
+
+
+def join_homs_by_codes(a, b, block=1 << 18):
+    """Oracle for tensor.all_join_homs, the route it replaced: every one of
+    the |B|^|J(A)| assignments on the join-irreducibles, in blocks of
+    base-|B| codes, propagated as h(x) = meet over the irreducibles below
+    x (B's top at A's zero) and kept when it turns every join of nonzero
+    elements into the meet; sorted, duplicates dropped."""
+    ji = core.join_irreducibles(a)
+    below = [np.flatnonzero(a.leq[ji, x]).tolist() for x in range(a.n)]
+    nonzero = [x for x in range(a.n) if x != a.bottom]
+    joins = [(x0, x1, a.join(x0, x1)) for i, x0 in enumerate(nonzero)
+             for x1 in nonzero[i + 1:]]
+    total = b.n ** len(ji)
+    step = max(1, block // a.n)
+    found = []
+    for start in range(0, total, step):
+        code = np.arange(start, min(total, start + step))
+        assign = [code // b.n ** (len(ji) - 1 - k) % b.n for k in range(len(ji))]
+        values = np.empty((code.size, a.n), dtype=np.intp)
+        for x in range(a.n):
+            v = np.full(code.size, b.top, dtype=np.intp)
+            for k in below[x]:
+                v = b.meet(v, assign[k])
+            values[:, x] = v
+        ok = np.ones(code.size, dtype=bool)
+        for x0, x1, xj in joins:
+            ok &= values[:, xj] == b.meet(values[:, x0], values[:, x1])
+        found.extend(map(tuple, values[ok].tolist()))
+    return sorted(set(found))
+
+
 def relabeled(lat, seed):
     """The same order with elements renumbered by a seeded permutation."""
     perm = np.random.default_rng(seed).permutation(lat.n)

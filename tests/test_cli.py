@@ -268,6 +268,22 @@ def test_tensor_command(capsys):
     assert payload["repr_iso_passed"] and payload["m3_bridge_passed"]
 
 
+def test_tensor_above_the_element_cap_exits_input(capsys):
+    # M_3 (x) C_80 has 9,560 elements, refused before its order is built
+    code, out = run(capsys, "tensor", "--left", "m3", "--right", "c80")
+    assert code == 3 and out.out == ""
+    assert "9560 elements exceed the cap 4096" in out.err
+
+
+def test_deeply_nested_spec_exits_input(capsys):
+    # peeled in a loop, not by recursion: M3[M3[M3[C2]]] has 21,740
+    # elements, so the fourth layer cannot read the third through its tables
+    spec = "m3[" * 1200 + "c2" + "]" * 1200
+    code, out = run(capsys, "validate", "--lattice", spec)
+    assert code == 3 and out.out == ""
+    assert "21740 elements" in out.err
+
+
 def test_diverge_command(capsys):
     code, out = run(capsys, "diverge", "--oracle", "dhw", "--steps", "8",
                     "--trace", "json", "--report", "json")
@@ -331,7 +347,8 @@ def test_unread_options_exit_usage(capsys):
                  ("build", "--lattice", "m3[n5]", "--cap", "-1"),
                  ("con", "--lattice", "m3[n5]", "--of-m3"),
                  ("info", "--lattice", "n5", "--jobs", "2"),
-                 ("diverge", "--oracle", "dhw", "--extended")):
+                 ("diverge", "--oracle", "dhw", "--extended"),
+                 ("repro", "--seed", "1")):
         code, out = run(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in out.err, argv
 

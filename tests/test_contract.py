@@ -9,6 +9,11 @@ PACKAGE = pathlib.Path(latmod.__file__).parent
 # public names the library does not call yet, each kept for a named use
 UNCALLED_ALLOWED: dict[str, str] = {}
 
+# functions on a cycle of bare-name calls, each with why its depth is bounded
+RECURSION_ALLOWED: dict[str, str] = {
+    "catalog.py:enumerate_lattices.rec": "depth n - 1, and n <= 10 already takes minutes",
+}
+
 
 def assert_statements(root: pathlib.Path) -> list[str]:
     """file:line of every assert statement in the .py files under root."""
@@ -62,6 +67,61 @@ def uncalled_names(root: pathlib.Path) -> list[str]:
                           for m in node.body
                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                           and read_as_attribute[m.name] == inside[m.name]]
+    return found
+
+
+def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """Each function of a module, nested ones as outer.inner and methods as
+    Class.method, mapped to the functions it calls by a bare name.  A name
+    resolves as Python resolves it: in the enclosing functions' scopes,
+    innermost first, then the module's (a class body is no enclosing
+    scope).  Calls through an attribute are not followed."""
+    graph: dict[str, set[str]] = {}
+    module = {n.name: n.name for n in tree.body
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    todo = [(n, n.name, [module]) for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    todo += [(m, f"{c.name}.{m.name}", [module]) for c in tree.body
+             if isinstance(c, ast.ClassDef) for m in c.body
+             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    while todo:
+        func, qual, scopes = todo.pop()
+        inner, names = [], []
+        stack = list(ast.iter_child_nodes(func))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner.append(node)
+                continue
+            if isinstance(node, ast.ClassDef):
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names.append(node.func.id)
+            stack.extend(ast.iter_child_nodes(node))
+        local = {n.name: f"{qual}.{n.name}" for n in inner}
+        chain = scopes + [local]
+        graph[qual] = {next(s[name] for s in reversed(chain) if name in s)
+                       for name in names if any(name in s for s in chain)}
+        todo += [(n, local[n.name], chain) for n in inner]
+    return graph
+
+
+def recursive_functions(root: pathlib.Path) -> list[str]:
+    """file:name of every function, in the .py files under root, on a cycle
+    of bare-name calls among its module's functions (`_call_graph`): one
+    that calls itself, or two or more that call each other."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        graph = _call_graph(ast.parse(path.read_text(encoding="utf-8")))
+        for start in graph:
+            seen, stack = set(), list(graph[start])
+            while stack and start not in seen:
+                name = stack.pop()
+                if name not in seen:
+                    seen.add(name)
+                    stack.extend(graph.get(name, ()))
+            if start in seen:
+                found.append(f"{path.relative_to(root)}:{start}")
     return found
 
 
@@ -119,6 +179,32 @@ def test_guard_finds_cached_methods(tmp_path):
         "    @functools.cached_property\n    def weights(self):\n        return 2\n\n"
         "    @staticmethod\n    @functools.cache\n    def plan(arity):\n        return arity\n")
     assert cached_methods(tmp_path) == ["mod.py:11", "mod.py:15", "mod.py:19"]
+
+
+def test_library_recurses_only_where_allowed():
+    # a recursion limit must not be hit inside a cap: nested specs are peeled
+    # in a loop, isotone maps grown level by level
+    assert sorted(recursive_functions(PACKAGE)) == sorted(RECURSION_ALLOWED)
+
+
+def test_guard_finds_recursion(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n\n\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n\n\n"
+        "def outer():\n"
+        "    def walk(k):\n        return walk(k - 1) if k else 0\n"
+        "    return walk(3)\n\n\n"
+        "def helper():\n    return fmt(2)\n\n\n"
+        "def fmt(x):\n"
+        "    def helper():  # shadows the module's helper: no cycle\n        return x\n"
+        "    return helper()\n\n\n"
+        "class Node:\n"
+        "    def depth(self):  # through an attribute: not followed\n"
+        "        return self.depth() + 1\n\n"
+        "    def size(self):\n        return fact(3) + len([])\n")
+    assert sorted(recursive_functions(tmp_path)) == [
+        "mod.py:even", "mod.py:fact", "mod.py:odd", "mod.py:outer.walk"]
 
 
 def test_library_has_no_assert_statements():

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import antichains3, relabeled, row_or_closure, small_catalog
+from conftest import (
+    antichains3,
+    isotone_maps_backtrack,
+    relabeled,
+    row_or_closure,
+    small_catalog,
+)
 from latmod import catalog, construct, core
 from latmod.core import CoverList, FiniteLattice, from_covers
 from latmod.errors import (
@@ -259,6 +265,22 @@ def test_direct_product_and_projections():
     p.validate()
 
 
+def test_direct_product_fails_fast_above_the_element_cap(traced_peak, monkeypatch):
+    # 64 * 65 = 4,160 elements: refused before its (n^2) order and tables
+    a, b = catalog.chain(64), catalog.chain(65)
+
+    def build():
+        with pytest.raises(SizeLimitExceeded, match="64 \\* 65 elements"):
+            core.direct_product(a, b)
+
+    _, peak = traced_peak(build)
+    assert peak < 1 << 16
+    monkeypatch.setattr(core, "ELEMENT_CAP", 40)
+    assert core.direct_product(catalog.chain(5), catalog.chain(8)).n == 40
+    with pytest.raises(SizeLimitExceeded):
+        core.direct_product(catalog.chain(3), catalog.chain(14))
+
+
 def test_join_irreducibles():
     b3 = catalog.boolean(3)
     ji = core.join_irreducibles(b3)
@@ -304,10 +326,55 @@ def test_isotone_maps_count():
     maps = core.isotone_maps(poset, m3)
     comparable = {(u, v) for u in m3.elements() for v in m3.elements() if m3.le(u, v)}
     assert poset[0, 1] and len(maps) == len(comparable) == 12
-    assert set(maps) == comparable  # each map is the tuple of its values
+    assert set(map(tuple, maps.tolist())) == comparable  # each row holds a map's values
     # maps from a 2-antichain: all pairs
     anti = np.eye(2, dtype=bool)
     assert len(core.isotone_maps(anti, m3)) == 25
+
+
+def test_isotone_maps_match_the_backtracker():
+    # every lattice with at most 6 elements, renumbered, as the poset, into
+    # six targets, where |T|^|P| <= 2 * 10^6: 306 cases, order included
+    targets = [catalog.by_name(s) for s in ("c2", "c3", "m3", "n5", "c2sq", "witness7")]
+    cases = 0
+    for n in range(1, 7):
+        for i, lat in enumerate(catalog.enumerate_lattices(n)):
+            poset = relabeled(lat, 100 * n + i).leq
+            for t in targets:
+                if t.n ** n <= 2 * 10 ** 6:
+                    got = core.isotone_maps(poset, t)
+                    assert got.shape[1] == n
+                    assert list(map(tuple, got.tolist())) == isotone_maps_backtrack(poset, t)
+                    cases += 1
+    assert cases == 306
+
+
+def test_isotone_maps_refuse_a_level_past_the_cap(monkeypatch):
+    # 5^3 maps of a 3-antichain into M_3: the last level has 25 * 5
+    # candidates on 3 points, 375 values; refused before it is allocated
+    anti = np.eye(3, dtype=bool)
+    monkeypatch.setattr(core, "ISOTONE_MAP_CAP", 375)
+    assert len(core.isotone_maps(anti, catalog.m_k(3))) == 125
+    monkeypatch.setattr(core, "ISOTONE_MAP_CAP", 374)
+    allocated = []
+    ones = np.ones
+
+    def recording(shape, *args, **kwargs):
+        allocated.append(shape)
+        return ones(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ones", recording)
+    with pytest.raises(SizeLimitExceeded, match="25 maps times 5 values on 3 points"):
+        core.isotone_maps(anti, catalog.m_k(3))
+    assert allocated == [(1, 5), (5, 5)]  # each level's candidate tests
+
+
+def test_pointwise_order_refuses_above_the_element_cap(monkeypatch):
+    values = np.zeros((41, 2), dtype=np.intp)
+    monkeypatch.setattr(core, "ELEMENT_CAP", 40)
+    with pytest.raises(SizeLimitExceeded, match="41 elements"):
+        core.pointwise_order(catalog.chain(2), values)
+    assert core.pointwise_order(catalog.chain(2), values[:40]).all()
 
 
 def test_serialize_roundtrip(lattices):

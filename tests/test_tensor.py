@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import relabeled
+from conftest import join_homs_by_codes, relabeled
 from latmod import catalog, construct, core, tensor
 from latmod.errors import SizeLimitExceeded, VerificationFailed
 from latmod.tensor import nabla
@@ -252,8 +252,74 @@ def test_phi_and_hom_inverse_each_other():
     ideals = tensor.enumerate_bi_ideals(a, b)
     homs = tensor._largest_members(ideals, oracle_down_masks(b))
     assert [rows_of_hom(b, h) for h in homs] == ideals
-    assert homs == tensor.all_join_homs(a, b)
+    assert homs == sorted(map(tuple, tensor.all_join_homs(a, b).tolist()))
     assert all(h[a.bottom] == b.top for h in homs)
+
+
+def _small_lattices(top):
+    return [lat for n in range(1, top + 1) for lat in catalog.enumerate_lattices(n)]
+
+
+def test_join_homs_match_the_code_loop():
+    # all ordered pairs of lattices with at most 5 elements, M_3 against
+    # every lattice with at most 6, and renumbered named pairs: the same
+    # homs, each once
+    small = _small_lattices(5)
+    m3 = catalog.m_k(3)
+    pairs = [(a, b) for a in small for b in small]
+    pairs += [(m3, b) for b in _small_lattices(6)] + [(b, m3) for b in _small_lattices(6)]
+    names = ("c1", "c2", "c3", "c2sq", "m3", "n5", "m4", "b3", "witness7", "c5")
+    pairs += [(relabeled(catalog.by_name(sa), 3), relabeled(catalog.by_name(sb), 4))
+              for sa in names for sb in names]
+    for a, b in pairs:
+        homs = tensor.all_join_homs(a, b)
+        assert homs.dtype == np.intp and homs.shape[1] == a.n
+        got = list(map(tuple, homs.tolist()))
+        assert len(set(got)) == len(got)
+        assert sorted(got) == join_homs_by_codes(a, b)
+
+
+def test_join_homs_past_the_old_code_count():
+    # J(C_11) is a 10-chain: 5^10 codes, above the 5 * 10^6 the code loop
+    # took, but 176 antitone assignments into M_3 (3 * C(12, 2) - 2 * 11
+    # multichains), and on a chain each is a hom
+    homs = tensor.all_join_homs(catalog.chain(11), catalog.m_k(3))
+    assert len(homs) == 176
+    assert (np.diff(homs, axis=1) != 0).sum(axis=1).max() <= 2
+
+
+def test_tensor_fails_fast_above_the_element_cap(traced_peak):
+    # M_3 (x) C_80 has 9,560 homs: refused before their 9,560^2 order
+    a, b = catalog.m_k(3), catalog.chain(80)
+
+    def build():
+        with pytest.raises(SizeLimitExceeded, match="9560 elements"):
+            tensor.tensor_product(a, b)
+
+    _, peak = traced_peak(build)
+    assert peak < 16 << 20
+
+
+def test_both_enumerating_callers_refuse_past_the_map_cap(monkeypatch):
+    # the levels of a 3-antichain into a 5-element lattice hold 5, 25 and
+    # 125 maps; the last needs 25 * 5 * 3 = 375 values, and neither caller
+    # allocates it
+    monkeypatch.setattr(core, "ISOTONE_MAP_CAP", 100)
+    allocated = []
+    ones = np.ones
+
+    def recording(shape, *args, **kwargs):
+        allocated.append(shape)
+        return ones(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ones", recording)
+    with pytest.raises(SizeLimitExceeded, match="25 maps times 5 values on 3 points"):
+        tensor.all_join_homs(catalog.m_k(3), catalog.n5())
+    assert (5, 5) in allocated and (25, 5) not in allocated
+    allocated.clear()
+    with pytest.raises(SizeLimitExceeded, match="25 maps times 5 values on 3 points"):
+        construct.m3_power_poset(catalog.boolean(3))
+    assert (5, 5) in allocated and (25, 5) not in allocated
 
 
 def test_two_chain_unit_law(lattices):
