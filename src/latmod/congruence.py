@@ -3,6 +3,7 @@ the balanced-tuple constructions are congruence-preserving extensions."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,10 +38,10 @@ def _dependency(lat: FiniteLattice, ji: np.ndarray) -> np.ndarray:
     (exact below 2^24), so the working set is O(|J| (|J| + |M|))."""
     mi = np.array(meet_irreducibles(lat), dtype=np.intp)
     star = [lat.upper_covers(m)[0] for m in mi]
-    lower = [lat.lower_covers(j)[0] for j in ji]
-    apart = ~lat.leq[np.ix_(ji, mi)]
-    up = apart & lat.leq[np.ix_(ji, star)]
-    down = apart & lat.leq[np.ix_(lower, mi)]
+    lower = np.array([lat.lower_covers(j)[0] for j in ji], dtype=np.intp)
+    apart = ~lat.leq[ji[:, None], mi]
+    up = apart & lat.leq[ji[:, None], star]
+    down = apart & lat.leq[lower[:, None], mi]
     dep = up.astype(np.float32) @ down.T.astype(np.float32) > 0
     np.fill_diagonal(dep, False)
     return dep
@@ -69,20 +70,31 @@ def generator_order(lat: FiniteLattice | TupleLattice) -> tuple[int, list]:
 def _classes(dep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The classes of D* meet its transpose, numbered along a linear
     extension: a has class gen[a], and below[s, t] says that class s lies
-    strictly below class t.  D, given without its diagonal, is closed in
-    place by Warshall's algorithm, so that a pivot no pair depends through
-    costs one column test (on a chain D is empty)."""
-    for p in range(len(dep)):
-        via = np.flatnonzero(dep[:, p])
-        if via.size:
-            dep[via] |= dep[p]
-    np.fill_diagonal(dep, True)
-    same = dep & dep.T
-    first = np.flatnonzero(~np.tril(same, -1).any(axis=1))  # each class's least j
-    gen = np.nonzero(same[:, first])[1]
-    below = dep[np.ix_(first, first)]
-    order = np.argsort(below.sum(axis=0), kind="stable")
-    below = below[np.ix_(order, order)]
+    strictly below class t.  D, given without its diagonal, is closed by
+    Warshall's algorithm on its rows as Python-int bitsets: a pivot whose
+    row is empty is skipped, so on a chain (D empty) the closure costs
+    O(|J|), and any other tests bit p of every row.  a and b share a class
+    iff their rows of D*, the diagonal added, are equal, so one pass over
+    the rows keys the classes, in order of their least j.  Those rows,
+    unpacked once, count the classes below each class in the columns of
+    the least j's; sorted stably by that count, one gather gives `below`."""
+    rows = _bit_rows(dep)
+    for p, row in enumerate(rows):
+        if row:
+            bit = 1 << p
+            for a, r in enumerate(rows):
+                if r & bit:
+                    rows[a] = r | row
+    reach, first, gen = {}, [], []
+    for a, r in enumerate(rows):
+        r |= 1 << a
+        if r not in reach:
+            reach[r] = len(first)
+            first.append(a)
+        gen.append(reach[r])
+    up = _unpack(list(reach), len(rows))  # row s: the j that class s reaches
+    order = np.argsort(up.sum(axis=0)[first], kind="stable")
+    below = up[order[:, None], np.array(first, dtype=np.intp)[order]]
     np.fill_diagonal(below, False)
     return np.argsort(order)[gen], below
 
@@ -133,13 +145,34 @@ def _first_occurrence(labels: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ConLattice:
     """Con L: row i of `ids` is the congruence with id i in `lattice`, as
-    block labels numbered by first occurrence."""
+    block labels numbered by first occurrence.  It keeps the enumeration
+    of the down-sets of J(Con L) it was read from (`_down_sets`): their
+    bit rows `bits`, the `children` of each step, and `perm`, the
+    enumeration index of each id.  `lattice`, the order and count^2 meet
+    and join tables of Con L, is built from those on its first read
+    (`_down_set_index`), and named `name`."""
 
     ids: np.ndarray
-    lattice: FiniteLattice
+    bits: np.ndarray
+    children: list
+    perm: np.ndarray
+    name: str
 
     def __len__(self):
         return len(self.ids)
+
+    @functools.cached_property
+    def lattice(self) -> FiniteLattice:
+        """Con L with its tables, ids as in `ids`: meet is intersection and
+        join union of the down-sets, the order read off the meets."""
+        perm, count = self.perm, len(self.perm)
+        rank = np.empty(count, dtype=np.int32)
+        rank[perm] = np.arange(count)
+        meet = rank[_down_set_index(self.children, self.bits, np.logical_and)][np.ix_(perm, perm)]
+        join = rank[_down_set_index(self.children, self.bits, np.logical_or)][np.ix_(perm, perm)]
+        names = [f"con{i}/{c}b" for i, c in enumerate((self.ids.max(axis=1) + 1).tolist())]
+        return FiniteLattice(meet == np.arange(count)[:, None], meet, join,
+                             names=names, name=self.name)
 
 
 def all_congruences(lat: FiniteLattice | TupleLattice) -> ConLattice:
@@ -163,48 +196,56 @@ def all_congruences(lat: FiniteLattice | TupleLattice) -> ConLattice:
     the generators, with meet = intersection and join = union.
 
     The generators are ordered by the closure D* of the dependency
-    relation on J(L) (`_generators`), and the down-sets enumerated as bit
-    rows (`_down_sets`).  Each down-set's partition comes from the
-    block-root formula (`_block_roots`), and a down-set's index is found by
-    the same walk (`_down_set_index`), so the Con L tables come from the
-    bits.
+    relation on J(L) (`_generators`), and the down-sets enumerated as
+    Python-int bitsets (`_down_sets`).  Each down-set's partition comes
+    from the block-root formula (`_block_roots`); the congruences are
+    sorted by block count, then labels.  The tables of Con L are built
+    only when `lattice` is first read.
     """
     if len(lat) > CON_SIZE_CAP:
         raise SizeLimitExceeded(f"congruence computation capped at {CON_SIZE_CAP} elements")
     ji, gen, below = _generators(lat)
     bits, children = _down_sets(below)
     ids = _first_occurrence(_block_roots(lat, ji, bits[:, gen]))
-    counts = ids.max(axis=1) + 1
-    perm = np.lexsort(np.vstack([ids.T[::-1], counts]))  # by block count, then labels
-    rank = np.empty(len(perm), dtype=np.int32)
-    rank[perm] = np.arange(len(perm))
-    meet = rank[_down_set_index(children, bits, np.logical_and)][np.ix_(perm, perm)]
-    join = rank[_down_set_index(children, bits, np.logical_or)][np.ix_(perm, perm)]
-    names = [f"con{i}/{c}b" for i, c in enumerate(counts[perm].tolist())]
-    leq = meet == np.arange(len(perm))[:, None]
-    return ConLattice(ids[perm],
-                      FiniteLattice(leq, meet, join, names=names,
-                                    name=f"Con({lat.name or '?'})"))
+    perm = np.lexsort(np.vstack([ids.T[::-1], ids.max(axis=1)]))  # by block count, then labels
+    return ConLattice(ids[perm], bits, children, perm, f"Con({lat.name or '?'})")
+
+
+def _bit_rows(matrix: np.ndarray) -> list:
+    """The rows of a bool matrix as Python ints, bit b of row a for
+    matrix[a, b]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(len(packed))]
+
+
+def _unpack(rows: list, width: int) -> np.ndarray:
+    """Python-int bit rows as a bool matrix of `width` columns, the inverse
+    of `_bit_rows`."""
+    size = (width + 7) // 8
+    data = np.frombuffer(b"".join([r.to_bytes(size, "little") for r in rows]), dtype=np.uint8)
+    return np.unpackbits(data.reshape(len(rows), size), axis=1, count=width,
+                         bitorder="little").view(bool)
 
 
 def _down_sets(below: np.ndarray) -> tuple[np.ndarray, list]:
     """The down-sets of the strict order `below` as bit rows, step t adding
     t to each down-set that holds everything below t, and per step the
     index of each down-set's child through t (-1 for none);
-    SizeLimitExceeded past CON_SIZE_CAP down-sets."""
-    bits = np.zeros((1, len(below)), dtype=bool)
-    children = []
-    for t in range(len(below)):
-        parents = np.flatnonzero(bits[:, below[:, t]].all(axis=1))
-        if len(bits) + parents.size > CON_SIZE_CAP:
+    SizeLimitExceeded, before the step is taken, past CON_SIZE_CAP
+    down-sets.  The down-sets are grown as Python ints and unpacked once."""
+    sets, children = [0], []
+    for t, need in enumerate(_bit_rows(below.T)):
+        parents = [i for i, s in enumerate(sets) if s & need == need]
+        if len(sets) + len(parents) > CON_SIZE_CAP:
             raise SizeLimitExceeded(f"more than {CON_SIZE_CAP} congruences")
-        child = np.full(len(bits), -1, dtype=np.int32)
-        child[parents] = np.arange(len(bits), len(bits) + parents.size)
+        child = np.full(len(sets), -1, dtype=np.int32)
+        child[parents] = range(len(sets), len(sets) + len(parents))
         children.append(child)
-        grown = bits[parents]
-        grown[:, t] = True
-        bits = np.concatenate([bits, grown])
-    return bits, children
+        bit = 1 << t
+        sets += [sets[i] | bit for i in parents]
+    return _unpack(sets, len(below)), children
 
 
 def _con_count(below: np.ndarray) -> Optional[int]:

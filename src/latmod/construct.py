@@ -19,6 +19,10 @@ from .errors import NotDistributive, SizeLimitExceeded, VerificationFailed
 from .rank import _closures, _decode, _encode, _key_count
 
 EAGER_TABLE_CAP = 2000
+# characters in all element names of a tuple lattice's tables: 2,000 elements
+# of 500 characters.  A layer of m3[...] triples each name's length, and M3[C1]
+# has one element, so the table cap alone lets names grow without bound
+NAME_CHAR_CAP = 1 << 20
 _GRID_ENTRIES = 1 << 16  # pairs per numpy block of the tables and of congruence's joins
 # pairs per block when the depth reads join keys: blocks of 2^16 took about
 # twice as long on census grids and on M3[Sub(3,3)], blocks of 2^12 longer
@@ -140,12 +144,18 @@ class TupleLattice:
         the key rule (`_key`: weighted base rows at the block's entries,
         then their columns at every element's); whole count^2 temporaries
         left holes in the heap that raised the peak RSS of later work.
-        SizeLimitExceeded above EAGER_TABLE_CAP.  The order is read off the
-        meets: a <= b iff a ^ b = a."""
+        SizeLimitExceeded above EAGER_TABLE_CAP, or when the element names
+        would take more than NAME_CHAR_CAP characters, before any is built.
+        The order is read off the meets: a <= b iff a ^ b = a."""
         count = len(self)
         if count > EAGER_TABLE_CAP:
             raise SizeLimitExceeded(f"{self.name} has {count} elements, "
                                     f"above the table cap {EAGER_TABLE_CAP}")
+        width = np.array([len(s) for s in self.base.names])
+        chars = sum(int(width[c].sum()) for c in self.cols) + count * (self.arity + 1)
+        if chars > NAME_CHAR_CAP:
+            raise SizeLimitExceeded(f"the element names of {self.name} take {chars} "
+                                    f"characters, above the cap {NAME_CHAR_CAP}")
         label = np.array(self.base.names, dtype=object)
         template = "<" + ",".join(["%s"] * self.arity) + ">"
         names = [template % t for t in zip(*(label[c].tolist() for c in self.cols))]

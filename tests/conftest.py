@@ -4,12 +4,14 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import latmod
-from latmod import catalog, core, rank
+from latmod import catalog, congruence, construct, core, rank
+from latmod.errors import SizeLimitExceeded
 
 
 def small_catalog():
@@ -244,6 +246,76 @@ def interval(lat, a, b):
     induced order (an interval is a sublattice)."""
     keep = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
     return core.lattice_from_leq(lat.leq[np.ix_(keep, keep)])
+
+
+# -- oracles: the numpy routes of congruence that Python-int bitsets replaced --
+
+def numpy_classes(dep):
+    """Oracle for congruence._classes, the numpy route it replaced: D,
+    without its diagonal, closed in place by Warshall's algorithm, one
+    column test per pivot and one row update of the rows through it; the
+    classes of D* meet its transpose read off a lower-triangle test, their
+    order sorted stably by the number of classes below each."""
+    for p in range(len(dep)):
+        via = np.flatnonzero(dep[:, p])
+        if via.size:
+            dep[via] |= dep[p]
+    np.fill_diagonal(dep, True)
+    same = dep & dep.T
+    first = np.flatnonzero(~np.tril(same, -1).any(axis=1))  # each class's least j
+    gen = np.nonzero(same[:, first])[1]
+    below = dep[np.ix_(first, first)]
+    order = np.argsort(below.sum(axis=0), kind="stable")
+    below = below[np.ix_(order, order)]
+    np.fill_diagonal(below, False)
+    return np.argsort(order)[gen], below
+
+
+def numpy_down_sets(below):
+    """Oracle for congruence._down_sets, the numpy route it replaced: bool
+    rows grown one gather, test and concatenation per generator, with the
+    same children and the same SizeLimitExceeded past CON_SIZE_CAP."""
+    bits = np.zeros((1, len(below)), dtype=bool)
+    children = []
+    for t in range(len(below)):
+        parents = np.flatnonzero(bits[:, below[:, t]].all(axis=1))
+        if len(bits) + parents.size > congruence.CON_SIZE_CAP:
+            raise SizeLimitExceeded(f"more than {congruence.CON_SIZE_CAP} congruences")
+        child = np.full(len(bits), -1, dtype=np.int32)
+        child[parents] = np.arange(len(bits), len(bits) + parents.size)
+        children.append(child)
+        grown = bits[parents]
+        grown[:, t] = True
+        bits = np.concatenate([bits, grown])
+    return bits, children
+
+
+def eager_con_lattice(lat):
+    """Oracle for congruence.all_congruences, the eager route it replaced:
+    the generators through `numpy_classes`, their down-sets through
+    `numpy_down_sets`, and the order and tables of Con L built at once.
+    Returns `ids` and `lattice` as a ConLattice has them."""
+    if isinstance(lat, construct.TupleLattice):
+        ji = np.array(core.join_irreducibles(lat.base), dtype=np.intp)
+        lower = np.array([lat.base.lower_covers(j)[0] for j in ji], dtype=np.intp)
+        dep = congruence._copy_dependency(lat, ji, lower)
+        ji = congruence._copies(lat, ji)
+    else:
+        ji = np.array(core.join_irreducibles(lat), dtype=np.intp)
+        dep = congruence._dependency(lat, ji)
+    gen, below = numpy_classes(dep)
+    bits, children = numpy_down_sets(below)
+    ids = congruence._first_occurrence(congruence._block_roots(lat, ji, bits[:, gen]))
+    counts = ids.max(axis=1) + 1
+    perm = np.lexsort(np.vstack([ids.T[::-1], counts]))  # by block count, then labels
+    rank = np.empty(len(perm), dtype=np.int32)
+    rank[perm] = np.arange(len(perm))
+    meet = rank[congruence._down_set_index(children, bits, np.logical_and)][np.ix_(perm, perm)]
+    join = rank[congruence._down_set_index(children, bits, np.logical_or)][np.ix_(perm, perm)]
+    names = [f"con{i}/{c}b" for i, c in enumerate(counts[perm].tolist())]
+    leq = meet == np.arange(len(perm))[:, None]
+    return SimpleNamespace(ids=ids[perm], lattice=core.FiniteLattice(
+        leq, meet, join, names=names, name=f"Con({lat.name or '?'})"))
 
 
 # -- oracle: the sorted scan -------------------------------------------------

@@ -284,6 +284,21 @@ def test_deeply_nested_spec_exits_input(capsys):
     assert "21740 elements" in out.err
 
 
+def test_nested_spec_names_are_capped(capsys, traced_peak):
+    """M3[C1] has one element, so m3[ layers around c1 pass every element
+    cap, and each layer triples the length of the element's name: 11
+    layers take 531,439 characters, 12 would take 1,594,321, above
+    NAME_CHAR_CAP.  So 14 and 200 layers exit 3 before a name of the
+    twelfth layer is built, with a small traced peak."""
+    for layers, code in ((11, 0), (14, 3), (200, 3)):
+        spec = "m3[" * layers + "c1" + "]" * layers
+        got, peak = traced_peak(main, ["validate", "--lattice", spec])
+        out = capsys.readouterr()
+        assert got == code and peak < 4 << 20, layers
+        if code:
+            assert out.out == "" and "take 1594321 characters, above the cap" in out.err
+
+
 def test_diverge_command(capsys):
     code, out = run(capsys, "diverge", "--oracle", "dhw", "--steps", "8",
                     "--trace", "json", "--report", "json")

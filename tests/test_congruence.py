@@ -1,11 +1,14 @@
+import gc
 import itertools
 import os
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
-from conftest import tuples_of
+from conftest import eager_con_lattice, numpy_classes, numpy_down_sets, tuples_of
+from hypothesis import given, settings, strategies as st
 
 from latmod import catalog, congruence, construct, core, rank
 from latmod.congruence import all_congruences
@@ -234,6 +237,15 @@ def assert_con_lattice_matches(got, want):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
 
+def assert_same_con(got, want):
+    """Two ConLattices with the same ids, tables and names."""
+    assert np.array_equal(got.ids, want.ids)
+    a, b = got.lattice, want.lattice
+    for table in ("leq", "meet_table", "join_table"):
+        assert np.array_equal(getattr(a, table), getattr(b, table)), table
+    assert (a.names, a.name) == (b.names, b.name)
+
+
 def shuffled(lat, rng):
     """The lattice renumbered by a random permutation, so that element ids
     need not follow the order (enumerate_lattices numbers bottom-up)."""
@@ -243,18 +255,150 @@ def shuffled(lat, rng):
                                  names=[lat.names[p] for p in perm], name=lat.name)
 
 
-def assert_matches_all_pairs_oracle(max_n):
-    """The down-set route equals the all-pairs BFS oracle, in congruences,
-    order, names and Con tables, on every labeled lattice with at most
-    max_n elements and on a seeded renumbering of each.  Tier-1 runs
-    max_n = 7 (371 lattices); LATMOD_EXTENDED=1 adds max_n = 8 (4,008
-    lattices)."""
-    rng = random.Random(7)
+def small_cases(max_n, seed):
+    """Every labeled lattice with at most max_n elements and a seeded
+    renumbering of each: 371 lattices up to 7 elements, 4,008 up to 8."""
+    rng = random.Random(seed)
     for n in range(1, max_n + 1):
         for lat in catalog.enumerate_lattices(n):
-            for case in (lat, shuffled(lat, rng)):
-                assert_con_lattice_matches(all_congruences(case),
-                                           all_pairs_con_lattice(case))
+            yield lat
+            yield shuffled(lat, rng)
+
+
+def assert_matches_all_pairs_oracle(max_n):
+    """The down-set route equals the all-pairs BFS oracle, in congruences,
+    order, names and Con tables, and the eager route it replaced in ids,
+    tables and names, on every labeled lattice with at most max_n elements
+    and on a seeded renumbering of each.  Tier-1 runs max_n = 7 (371
+    lattices); LATMOD_EXTENDED=1 adds max_n = 8 (4,008 lattices)."""
+    for case in small_cases(max_n, 7):
+        con = all_congruences(case)
+        assert_con_lattice_matches(con, all_pairs_con_lattice(case))
+        assert_same_con(con, eager_con_lattice(case))
+
+
+def assert_dual_has_the_same_congruences(max_n):
+    """Con L^op = Con L as sets of partitions, L^op the transposed order
+    with the same element ids, on every lattice with at most max_n elements
+    and a renumbering of each.  The two routes share only the order: one
+    runs on J(L), the other on the meet-irreducibles of L.  Both sort the
+    partitions the same way, so their ids are equal."""
+    for case in small_cases(max_n, 17):
+        dual = core.lattice_from_leq(case.leq.T)
+        assert np.array_equal(all_congruences(dual).ids, all_congruences(case).ids), \
+            case.leq.tolist()
+
+
+def test_dual_has_the_same_congruences():
+    assert_dual_has_the_same_congruences(7)
+
+
+@pytest.mark.skipif(not os.environ.get("LATMOD_EXTENDED"),
+                    reason="4,008 lattices and renumberings; set LATMOD_EXTENDED=1")
+def test_dual_has_the_same_congruences_up_to_8():
+    assert_dual_has_the_same_congruences(8)
+
+
+def test_con_lattice_matches_eager_oracle_on_larger_lattices():
+    """M3[N5] and M3[M4], through their operations and through their
+    tables, and B10 (1,024 congruences): the same ids, tables and names as
+    the eager route."""
+    for k in (construct.m3_of(catalog.n5()), construct.m3_of(catalog.m_k(4))):
+        for lat in (k, k.lattice):
+            assert_same_con(all_congruences(lat), eager_con_lattice(lat))
+    b10 = catalog.boolean(10)
+    con = all_congruences(b10)
+    assert len(con) == 1024
+    assert_same_con(con, eager_con_lattice(b10))
+
+
+def test_con_tables_are_built_on_first_read(monkeypatch):
+    """all_congruences builds no tables of Con L: its length and ids are
+    read with the table walk refused.  The first read of `lattice` gives
+    the eager oracle's tables, and later reads the same object.  A dropped
+    ConLattice is collected."""
+    lat = catalog.witness7()
+
+    def refuse(*args):
+        raise AssertionError("the tables of Con L were built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(congruence, "_down_set_index", refuse)
+        con = all_congruences(lat)
+        assert len(con) == 5 and con.ids.shape == (5, lat.n)
+        assert "lattice" not in vars(con)
+    assert_same_con(con, eager_con_lattice(lat))
+    assert con.lattice is con.lattice
+    ref = weakref.ref(con)
+    del con
+    gc.collect()
+    assert ref() is None
+
+
+def dependency_cases():
+    """Relations D without their diagonal: empty, one element, and at
+    sizes on both sides of a byte and a 64-bit word, chains both ways,
+    disjoint 2-cycles, full, empty and a seeded random one."""
+    rng = np.random.default_rng(5)
+    yield np.zeros((0, 0), dtype=bool)
+    yield np.zeros((1, 1), dtype=bool)
+    for n in (2, 3, 8, 9, 64, 65):
+        pairs = np.zeros((n, n), dtype=bool)
+        even = np.arange(0, n - 1, 2)
+        pairs[even, even + 1] = pairs[even + 1, even] = True
+        yield from (np.eye(n, k=1, dtype=bool), np.eye(n, k=-1, dtype=bool), pairs,
+                    ~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool),
+                    (rng.random((n, n)) < 2 / n) & ~np.eye(n, dtype=bool))
+
+
+def assert_classes_match_numpy_oracle(dep):
+    """`_classes` and `_down_sets` equal their numpy oracles on dep, the
+    down-sets with the same children, or both raise SizeLimitExceeded."""
+    gen, below = congruence._classes(dep.copy())
+    want_gen, want_below = numpy_classes(dep.copy())
+    assert gen.dtype == want_gen.dtype and np.array_equal(gen, want_gen)
+    assert below.dtype == bool and np.array_equal(below, want_below)
+    try:
+        want_bits, want_children = numpy_down_sets(below)
+    except SizeLimitExceeded:
+        with pytest.raises(SizeLimitExceeded):
+            congruence._down_sets(below)
+        return
+    bits, children = congruence._down_sets(below)
+    assert bits.dtype == bool and np.array_equal(bits, want_bits)
+    assert len(children) == len(want_children)
+    for mine, theirs in zip(children, want_children):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def test_classes_and_down_sets_match_numpy_oracles():
+    for dep in dependency_cases():
+        assert_classes_match_numpy_oracle(dep)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda n: st.lists(
+    st.booleans(), min_size=n * n, max_size=n * n).map(
+        lambda cells: np.array(cells, dtype=bool).reshape(n, n))))
+def test_classes_and_down_sets_match_numpy_oracles_on_drawn_relations(dep):
+    np.fill_diagonal(dep, False)
+    assert_classes_match_numpy_oracle(dep)
+
+
+def test_down_sets_stop_at_the_cap(monkeypatch, traced_peak):
+    """11 incomparable generators have 2,048 down-sets: refused before the
+    step that would pass CON_SIZE_CAP is taken, and so are 16, whose 65,536
+    down-sets would hold far more than the traced bound of 100 bytes a
+    down-set at the cap.  At a cap of 2,048 the 11 all fit."""
+    def refused(m):
+        with pytest.raises(SizeLimitExceeded, match="more than 2000 congruences"):
+            congruence._down_sets(np.zeros((m, m), dtype=bool))
+
+    for m in (11, 16):
+        assert traced_peak(refused, m)[1] < 100 * congruence.CON_SIZE_CAP
+    monkeypatch.setattr(congruence, "CON_SIZE_CAP", 2048)
+    bits, children = congruence._down_sets(np.zeros((11, 11), dtype=bool))
+    assert bits.shape == (2048, 11) and len(children) == 11
 
 
 def test_all_congruences_against_partition_oracle(lattices):
@@ -355,15 +499,6 @@ def dependency_by_definition(lat):
     return dep
 
 
-def assert_same_con(got, want):
-    """Two ConLattices with the same ids, tables and names."""
-    assert np.array_equal(got.ids, want.ids)
-    a, b = got.lattice, want.lattice
-    for table in ("leq", "meet_table", "join_table"):
-        assert np.array_equal(getattr(a, table), getattr(b, table)), table
-    assert (a.names, a.name) == (b.names, b.name)
-
-
 def test_dependency_relation_matches_its_definition():
     """On every lattice with at most 7 elements and a renumbering of each,
     D equals its definition over all x, and D* equals the order of the
@@ -372,30 +507,27 @@ def test_dependency_relation_matches_its_definition():
     Con M3, read through M3's operations, is the Con of its tables (the
     oracle route), with the same ids, tables and names; and verify_cpe
     agrees with the partition oracle for both embeddings."""
-    rng = random.Random(11)
-    for n in range(1, 8):
-        for lat in catalog.enumerate_lattices(n):
-            for case in (lat, shuffled(lat, rng)):
-                ji, gen, below = congruence._generators(case)
-                assert np.array_equal(congruence._dependency(case, ji),
-                                      dependency_by_definition(case))
-                gens = [scalar_generated_congruence(case, [(case.lower_covers(j)[0], j)])
-                        for j in ji.tolist()]
-                for a, b in itertools.product(range(len(ji)), repeat=2):
-                    star = gen[a] == gen[b] or below[gen[a], gen[b]]
-                    assert star == refines(gens[a], gens[b])
-                k = construct.m3_of(case)
-                assert_same_con(all_congruences(k), all_congruences(k.lattice))
-                jk = congruence._copies(k, ji)
-                want = core.join_irreducibles(k.lattice)
-                assert sorted(jk.tolist()) == want
-                at = np.searchsorted(want, jk)
-                lower = np.array([case.lower_covers(j)[0] for j in ji], dtype=np.intp)
-                assert np.array_equal(congruence._copy_dependency(k, ji, lower),
-                                      dependency_by_definition(k.lattice)[np.ix_(at, at)])
-                got = [congruence.verify_cpe(case, emb) for emb in ("atom", "diag")]
-                assert [(r.passed, r.base_con_count, r.ext_con_count) for r in got] \
-                    == partition_cpe(k)
+    for case in small_cases(7, 11):
+        ji, gen, below = congruence._generators(case)
+        assert np.array_equal(congruence._dependency(case, ji),
+                              dependency_by_definition(case))
+        gens = [scalar_generated_congruence(case, [(case.lower_covers(j)[0], j)])
+                for j in ji.tolist()]
+        for a, b in itertools.product(range(len(ji)), repeat=2):
+            star = gen[a] == gen[b] or below[gen[a], gen[b]]
+            assert star == refines(gens[a], gens[b])
+        k = construct.m3_of(case)
+        assert_same_con(all_congruences(k), all_congruences(k.lattice))
+        jk = congruence._copies(k, ji)
+        want = core.join_irreducibles(k.lattice)
+        assert sorted(jk.tolist()) == want
+        at = np.searchsorted(want, jk)
+        lower = np.array([case.lower_covers(j)[0] for j in ji], dtype=np.intp)
+        assert np.array_equal(congruence._copy_dependency(k, ji, lower),
+                              dependency_by_definition(k.lattice)[np.ix_(at, at)])
+        got = [congruence.verify_cpe(case, emb) for emb in ("atom", "diag")]
+        assert [(r.passed, r.base_con_count, r.ext_con_count) for r in got] \
+            == partition_cpe(k)
 
 
 def assert_m4_cpe_matches_partition_oracle(n):
@@ -774,9 +906,10 @@ def test_congruence_size_cap(monkeypatch):
 
 def test_congruence_count_cap_stops_the_enumeration(monkeypatch):
     # Con(C_n) has 2^(n-1) elements: C_11 fits under the default cap, C_12
-    # does not, and C_40 (2^39) is refused after a dozen doubling steps
+    # does not, and C_40 (2^39) and C_1500 are refused after a dozen doubling
+    # steps
     assert len(all_congruences(catalog.chain(11))) == 1024
-    for n in (12, 40):
+    for n in (12, 40, 1500):
         start = time.perf_counter()
         with pytest.raises(SizeLimitExceeded, match="more than 2000 congruences"):
             all_congruences(catalog.chain(n))
